@@ -41,19 +41,42 @@ class InternalError : public std::logic_error
 /** Throw an InternalError; use for conditions that indicate a bug. */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Throw an Error unless @p cond holds. */
+/*
+ * Checks on per-op paths must not format their message unless they
+ * throw. A string literal binds to the const char * overloads below,
+ * which build the std::string on the throwing branch only; a message
+ * that needs std::to_string belongs inside `if (cond) fatal(...)`.
+ */
+
+/** Throw an Error if @p cond holds. */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, const char *msg)
 {
-    if (cond)
+    if (cond) [[unlikely]]
         fatal(msg);
 }
 
-/** Throw an InternalError unless @p cond holds. */
+/** Throw an Error if @p cond holds. */
+inline void
+fatalIf(bool cond, const std::string &msg)
+{
+    if (cond) [[unlikely]]
+        fatal(msg);
+}
+
+/** Throw an InternalError if @p cond holds. */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond) [[unlikely]]
+        panic(msg);
+}
+
+/** Throw an InternalError if @p cond holds. */
 inline void
 panicIf(bool cond, const std::string &msg)
 {
-    if (cond)
+    if (cond) [[unlikely]]
         panic(msg);
 }
 

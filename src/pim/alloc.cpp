@@ -66,11 +66,11 @@ MemoryManager::alloc(uint64_t elements, const Allocation *hint)
     fatalIf(elements == 0, "alloc: empty tensors are not allocatable");
     const uint32_t warps = static_cast<uint32_t>(
         divCeil(elements, geo_->rows));
-    fatalIf(warps > geo_->numCrossbars,
-            "alloc: tensor of " + std::to_string(elements) +
-            " elements exceeds the memory (" +
-            std::to_string(static_cast<uint64_t>(geo_->numCrossbars) *
-                           geo_->rows) + " threads)");
+    if (warps > geo_->numCrossbars)
+        fatal("alloc: tensor of " + std::to_string(elements) +
+              " elements exceeds the memory (" +
+              std::to_string(static_cast<uint64_t>(geo_->numCrossbars) *
+                             geo_->rows) + " threads)");
     // Reference-tensor alignment (paper §V-A): try the hinted warp
     // range first so subsequent arithmetic needs no fall-back copy.
     if (hint && hint->warpCount >= warps &&

@@ -28,15 +28,15 @@ Tensor
 binaryOp(ROp op, const Tensor &a, const Tensor &b)
 {
     fatalIf(!a.valid() || !b.valid(), "op: invalid tensor");
-    fatalIf(a.size() != b.size(),
-            "op: size mismatch (" + std::to_string(a.size()) + " vs " +
-            std::to_string(b.size()) + ")");
+    if (a.size() != b.size())
+        fatal("op: size mismatch (" + std::to_string(a.size()) + " vs " +
+              std::to_string(b.size()) + ")");
     fatalIf(a.dtype() != b.dtype(), "op: dtype mismatch");
     fatalIf(&a.device() != &b.device(),
             "op: tensors on different devices");
-    fatalIf(!ropSupported(op, a.dtype()),
-            std::string("op ") + ropName(op) + " unsupported for " +
-            dtypeName(a.dtype()));
+    if (!ropSupported(op, a.dtype()))
+        fatal(std::string("op ") + ropName(op) + " unsupported for " +
+              dtypeName(a.dtype()));
     Tensor rhs = lowering::samePositions(a, b)
         ? b : b.materializeLike(a);
     Tensor out = lowering::allocLikePattern(a, resultDtype(op, a.dtype()));
@@ -48,9 +48,9 @@ Tensor
 unaryOp(ROp op, const Tensor &a)
 {
     fatalIf(!a.valid(), "op: invalid tensor");
-    fatalIf(!ropSupported(op, a.dtype()),
-            std::string("op ") + ropName(op) + " unsupported for " +
-            dtypeName(a.dtype()));
+    if (!ropSupported(op, a.dtype()))
+        fatal(std::string("op ") + ropName(op) + " unsupported for " +
+              dtypeName(a.dtype()));
     Tensor out = lowering::allocLikePattern(a, resultDtype(op, a.dtype()));
     lowering::rtypeOp(op, a.dtype(), out, a);
     return out;

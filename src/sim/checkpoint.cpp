@@ -94,9 +94,9 @@ restoreGroupImage(SimulatorGroup &group, const CheckpointImage &img)
     for (uint32_t xb = 0; xb < img.geo.numCrossbars; ++xb)
         group.crossbar(xb).resetState();
     for (const CrossbarImage &ci : img.crossbars) {
-        fatalIf(ci.xb >= img.geo.numCrossbars,
-                "restore: crossbar record " + std::to_string(ci.xb) +
-                    " outside the geometry");
+        if (ci.xb >= img.geo.numCrossbars)
+            fatal("restore: crossbar record " + std::to_string(ci.xb) +
+                      " outside the geometry");
         Crossbar &xb = group.crossbar(ci.xb);
         for (const BlockRecord &rec : ci.blocks)
             xb.loadBlock(rec.col, rec.block, rec.words.data(),

@@ -66,12 +66,12 @@ validateRead(const MicroOp &op, const Range &xb, const Range &row,
 {
     panicIf(op.type != OpType::Read, "read: wrong op type");
     fatalIf(op.index >= geo.slots(), "read: slot index out of range");
-    fatalIf(xb.count() != 1,
-            "read: crossbar mask must select exactly one crossbar "
-            "(paper III-C), selects " + std::to_string(xb.count()));
-    fatalIf(row.count() != 1,
-            "read: row mask must select exactly one row (paper III-C), "
-            "selects " + std::to_string(row.count()));
+    if (xb.count() != 1)
+        fatal("read: crossbar mask must select exactly one crossbar "
+              "(paper III-C), selects " + std::to_string(xb.count()));
+    if (row.count() != 1)
+        fatal("read: row mask must select exactly one row (paper III-C), "
+              "selects " + std::to_string(row.count()));
 }
 
 int64_t

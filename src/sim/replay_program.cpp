@@ -237,6 +237,14 @@ compileBatchTrace(BatchTrace &batch, const Geometry &geo)
     for (uint32_t s = 0; s < batch.used; ++s)
         compileSegmentProgram(batch.segments[s], geo,
                               batch.programs[s]);
+    releaseInterpreterArenas(batch);
+}
+
+void
+releaseInterpreterArenas(BatchTrace &batch)
+{
+    for (size_t s = 0; s < batch.programs.size(); ++s)
+        std::vector<HalfGates>().swap(batch.segments[s].halfGates);
 }
 
 } // namespace pypim

@@ -175,9 +175,22 @@ void compileSegmentProgram(const SegmentTrace &trace,
  * called by Simulator::prepareTrace after window fusion, just before
  * the batch is frozen behind shared_ptr<const>. Engines then
  * dispatch each segment item to the compiled program when present
- * (ExecutionEngine::replayBatch).
+ * (ExecutionEngine::replayBatch). Releases the compiled segments'
+ * half-gate arenas (releaseInterpreterArenas).
  */
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
+
+/**
+ * Free the SegmentTrace::halfGates arena of every segment of @p batch
+ * that has a compiled program. Only the replayTrace interpreter reads
+ * those expansions, and a batch with programs never reaches it, so a
+ * frozen compiled trace keeps its programs and drops the ~1.7 KB
+ * HalfGates per LogicH op. Called by compileBatchTrace and by the
+ * trace-wire decoder after it installs shipped programs. Batches
+ * without programs (one-shot pipeline arenas, compiled replay off)
+ * keep everything.
+ */
+void releaseInterpreterArenas(BatchTrace &batch);
 
 } // namespace pypim
 

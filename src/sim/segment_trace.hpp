@@ -122,7 +122,9 @@ struct TraceOp
 struct SegmentTrace
 {
     std::vector<TraceOp> ops;
-    /** LogicH expansions referenced by TraceOp::hg. */
+    /** LogicH expansions referenced by TraceOp::hg. Interpreter
+     *  state only: empty once the segment is compiled
+     *  (releaseInterpreterArenas, sim/replay_program.hpp). */
     std::vector<HalfGates> halfGates;
     /** Row-mask snapshots, wordsPerMask words each, back to back. */
     std::vector<uint64_t> rowWords;

@@ -59,10 +59,10 @@ writeSection(ByteWriter &w, uint32_t tag,
 void
 ByteReader::need(size_t n) const
 {
-    fatalIf(pos_ + n > n_,
-            "checkpoint: truncated payload (need " + std::to_string(n) +
-                " bytes at offset " + std::to_string(pos_) + " of " +
-                std::to_string(n_) + ")");
+    if (pos_ + n > n_)
+        fatal("checkpoint: truncated payload (need " + std::to_string(n) +
+                  " bytes at offset " + std::to_string(pos_) + " of " +
+                  std::to_string(n_) + ")");
 }
 
 uint8_t
@@ -103,8 +103,9 @@ ByteReader::bytes(uint8_t *out, size_t n)
 void
 ByteReader::expectEnd(const char *what) const
 {
-    fatalIf(pos_ != n_, std::string("checkpoint: trailing bytes in ") +
-                            what + " section");
+    if (pos_ != n_)
+        fatal(std::string("checkpoint: trailing bytes in ") + what +
+              " section");
 }
 
 uint32_t
@@ -267,10 +268,10 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
     fatalIf(!std::equal(magic, magic + sizeof(magic), kMagic),
             "checkpoint: bad magic (not a PyPIM checkpoint file)");
     const uint32_t version = r.u32();
-    fatalIf(version != kVersion,
-            "checkpoint: unsupported format version " +
-                std::to_string(version) + " (expected " +
-                std::to_string(kVersion) + ")");
+    if (version != kVersion)
+        fatal("checkpoint: unsupported format version " +
+                  std::to_string(version) + " (expected " +
+                  std::to_string(kVersion) + ")");
     CheckpointImage img;
     img.geo.rows = r.u32();
     img.geo.cols = r.u32();
@@ -280,9 +281,9 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
     img.geo.userRegs = r.u32();
     img.geo.clockHz = r.u64();
     const uint8_t storage = r.u8();
-    fatalIf(storage > static_cast<uint8_t>(XbarStorage::Paged),
-            "checkpoint: unknown storage mode " +
-                std::to_string(storage));
+    if (storage > static_cast<uint8_t>(XbarStorage::Paged))
+        fatal("checkpoint: unknown storage mode " +
+                  std::to_string(storage));
     img.storage = static_cast<XbarStorage>(storage);
     img.deviceCount = r.u32();
     img.geo.validate();
@@ -295,9 +296,9 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
         const uint32_t crc = r.u32();
         std::vector<uint8_t> payload(len);
         r.bytes(payload.data(), payload.size());
-        fatalIf(crc32(payload.data(), payload.size()) != crc,
-                "checkpoint: CRC mismatch in section " +
-                    std::to_string(tag) + " (corrupt file)");
+        if (crc32(payload.data(), payload.size()) != crc)
+            fatal("checkpoint: CRC mismatch in section " +
+                      std::to_string(tag) + " (corrupt file)");
         ByteReader p(payload);
         switch (tag) {
           case kSecMask:
@@ -320,10 +321,10 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
             for (uint32_t i = 0; i < nXb; ++i) {
                 CrossbarImage ci;
                 ci.xb = p.u32();
-                fatalIf(ci.xb >= img.geo.numCrossbars,
-                        "checkpoint: crossbar id " +
-                            std::to_string(ci.xb) +
-                            " outside the geometry");
+                if (ci.xb >= img.geo.numCrossbars)
+                    fatal("checkpoint: crossbar id " +
+                              std::to_string(ci.xb) +
+                              " outside the geometry");
                 const uint32_t nBlocks = p.u32();
                 ci.blocks.reserve(nBlocks);
                 for (uint32_t b = 0; b < nBlocks; ++b) {
@@ -333,9 +334,9 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
                     fatalIf(rec.col >= img.geo.cols,
                             "checkpoint: block column out of range");
                     const uint32_t nWords = p.u32();
-                    fatalIf(nWords == 0 || nWords > 8,
-                            "checkpoint: bad block word count " +
-                                std::to_string(nWords));
+                    if (nWords == 0 || nWords > 8)
+                        fatal("checkpoint: bad block word count " +
+                                  std::to_string(nWords));
                     rec.words.resize(nWords);
                     for (uint64_t &word : rec.words)
                         word = p.u64();

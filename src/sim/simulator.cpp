@@ -54,13 +54,13 @@ Simulator::~Simulator() = default;
 void
 Simulator::checkOwned(uint32_t i) const
 {
-    fatalIf(!ownsCrossbar(i),
-            "crossbar " + std::to_string(i) +
-                " is outside this simulator's slice [" +
-                std::to_string(sliceLo_) + ", " +
-                std::to_string(sliceLo_ + sliceCount()) +
-                "); route through the owning sub-device "
-                "(SimulatorGroup::crossbar)");
+    if (!ownsCrossbar(i))
+        fatal("crossbar " + std::to_string(i) +
+                  " is outside this simulator's slice [" +
+                  std::to_string(sliceLo_) + ", " +
+                  std::to_string(sliceLo_ + sliceCount()) +
+                  "); route through the owning sub-device "
+                  "(SimulatorGroup::crossbar)");
 }
 
 StorageGauges

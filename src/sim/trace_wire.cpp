@@ -72,9 +72,9 @@ uint32_t
 wireCount(ByteReader &r, uint32_t minBytes, const char *what)
 {
     const uint32_t n = r.u32();
-    fatalIf(n > r.remaining() / minBytes,
-            std::string("trace wire: implausible ") + what +
-                " count " + std::to_string(n));
+    if (n > r.remaining() / minBytes)
+        fatal(std::string("trace wire: implausible ") + what +
+                  " count " + std::to_string(n));
     return n;
 }
 
@@ -87,13 +87,13 @@ readProgram(ByteReader &r)
     for (uint32_t i = 0; i < nInstrs; ++i) {
         ReplayProgram::Instr in;
         const uint8_t kind = r.u8();
-        fatalIf(kind > static_cast<uint8_t>(ReplayProgram::Kind::VRun),
-                "trace wire: bad replay instruction kind " +
-                    std::to_string(kind));
+        if (kind > static_cast<uint8_t>(ReplayProgram::Kind::VRun))
+            fatal("trace wire: bad replay instruction kind " +
+                      std::to_string(kind));
         in.kind = static_cast<ReplayProgram::Kind>(kind);
         const uint8_t cls = r.u8();
-        fatalIf(cls >= static_cast<uint8_t>(OpClass::NumClasses),
-                "trace wire: bad op class " + std::to_string(cls));
+        if (cls >= static_cast<uint8_t>(OpClass::NumClasses))
+            fatal("trace wire: bad op class " + std::to_string(cls));
         in.cls = static_cast<OpClass>(cls);
         in.maskFull = r.u8();
         in.passKind = r.u8();
@@ -110,10 +110,10 @@ readProgram(ByteReader &r)
     for (uint32_t i = 0; i < nSections; ++i) {
         ReplayProgram::PSection s;
         const uint8_t kind = r.u8();
-        fatalIf(kind > static_cast<uint8_t>(
-                           ReplayProgram::SecKind::FusedNotNor),
-                "trace wire: bad pass-section kind " +
-                    std::to_string(kind));
+        if (kind > static_cast<uint8_t>(
+                       ReplayProgram::SecKind::FusedNotNor))
+            fatal("trace wire: bad pass-section kind " +
+                      std::to_string(kind));
         s.kind = static_cast<ReplayProgram::SecKind>(kind);
         s.outCol = static_cast<uint16_t>(r.u32());
         s.inA = static_cast<uint16_t>(r.u32());
@@ -133,8 +133,8 @@ readProgram(ByteReader &r)
     for (uint32_t i = 0; i < nVgates; ++i) {
         ReplayProgram::VGate g;
         const uint8_t gate = r.u8();
-        fatalIf(gate > static_cast<uint8_t>(Gate::Nor),
-                "trace wire: bad LogicV gate " + std::to_string(gate));
+        if (gate > static_cast<uint8_t>(Gate::Nor))
+            fatal("trace wire: bad LogicV gate " + std::to_string(gate));
         g.gate = static_cast<Gate>(gate);
         g.inWord = r.u32();
         g.inShift = r.u32();
@@ -236,9 +236,9 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     fatalIf(r.u32() != kTraceMagic,
             "trace wire: bad magic (not a trace image)");
     const uint32_t version = r.u32();
-    fatalIf(version != kTraceVersion,
-            "trace wire: unsupported version " +
-                std::to_string(version));
+    if (version != kTraceVersion)
+        fatal("trace wire: unsupported version " +
+                  std::to_string(version));
     const uint64_t sig = r.u64();
     fatalIf(r.u32() != geo.rows || r.u32() != geo.cols ||
                 r.u32() != geo.partitions ||
@@ -255,8 +255,8 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     const uint64_t nOps = r.u64();
     // Divide, don't multiply: nOps * 8 can wrap for a damaged count
     // and slip a huge allocation past the bound.
-    fatalIf(nOps == 0 || nOps > r.remaining() / 8,
-            "trace wire: implausible op count " + std::to_string(nOps));
+    if (nOps == 0 || nOps > r.remaining() / 8)
+        fatal("trace wire: implausible op count " + std::to_string(nOps));
     std::vector<Word> ops(nOps);
     for (Word &op : ops)
         op = r.u64();
@@ -286,15 +286,16 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
             "final mask state");
 
     const uint32_t nPrograms = r.u32();
-    fatalIf(nPrograms != 0 && nPrograms != batch->used,
-            "trace wire: program count " + std::to_string(nPrograms) +
-                " does not match " + std::to_string(batch->used) +
-                " segments");
+    if (nPrograms != 0 && nPrograms != batch->used)
+        fatal("trace wire: program count " + std::to_string(nPrograms) +
+                  " does not match " + std::to_string(batch->used) +
+                  " segments");
     batch->programs.clear();
     batch->programs.reserve(nPrograms);
     for (uint32_t i = 0; i < nPrograms; ++i)
         batch->programs.push_back(readProgram(r));
     r.expectEnd("trace image");
+    releaseInterpreterArenas(*batch);
 
     batch->wireSig = sig;
     batch->sourceOps = std::move(ops);

@@ -84,9 +84,9 @@ errnoName()
 std::vector<uint8_t>
 encodeFrame(uint32_t type, const uint8_t *payload, size_t n)
 {
-    panicIf(!knownType(type),
-            "wire frame: encoding unknown message type " +
-                std::to_string(type));
+    if (!knownType(type))
+        panic("wire frame: encoding unknown message type " +
+                  std::to_string(type));
     ByteWriter w;
     w.u32(kFrameMagic);
     w.u32(kWireVersion);
@@ -109,18 +109,18 @@ decodeFrame(const uint8_t *bytes, size_t n)
     fatalIf(r.u32() != kFrameMagic,
             "wire frame: bad magic (not a transport frame)");
     const uint32_t version = r.u32();
-    fatalIf(version != kWireVersion,
-            "wire frame: unsupported protocol version " +
-                std::to_string(version));
+    if (version != kWireVersion)
+        fatal("wire frame: unsupported protocol version " +
+                  std::to_string(version));
     const uint32_t type = r.u32();
-    fatalIf(!knownType(type),
-            "wire frame: unknown message type " + std::to_string(type));
+    if (!knownType(type))
+        fatal("wire frame: unknown message type " + std::to_string(type));
     const uint64_t len = r.u64();
     const uint32_t crc = r.u32();
-    fatalIf(len != r.remaining(),
-            "wire frame: payload length mismatch (header says " +
-                std::to_string(len) + ", frame carries " +
-                std::to_string(r.remaining()) + ")");
+    if (len != r.remaining())
+        fatal("wire frame: payload length mismatch (header says " +
+                  std::to_string(len) + ", frame carries " +
+                  std::to_string(r.remaining()) + ")");
     WireFrame f;
     f.type = type;
     f.payload.assign(bytes + kFrameHeader, bytes + n);
@@ -172,8 +172,8 @@ void
 sendFrame(int fd, uint32_t type, const uint8_t *payload, size_t n)
 {
     const std::vector<uint8_t> frame = encodeFrame(type, payload, n);
-    fatalIf(!writeFull(fd, frame.data(), frame.size()),
-            "wire send: " + errnoName());
+    if (!writeFull(fd, frame.data(), frame.size()))
+        fatal("wire send: " + errnoName());
 }
 
 WireFrame
@@ -185,8 +185,8 @@ recvFrame(int fd)
     uint64_t len = 0;
     for (int i = 0; i < 8; ++i)
         len |= static_cast<uint64_t>(hdr[12 + i]) << (8 * i);
-    fatalIf(len > kMaxPayload,
-            "wire recv: implausible frame length " + std::to_string(len));
+    if (len > kMaxPayload)
+        fatal("wire recv: implausible frame length " + std::to_string(len));
     std::vector<uint8_t> buf(kFrameHeader + static_cast<size_t>(len));
     std::memcpy(buf.data(), hdr, kFrameHeader);
     if (len)
@@ -375,10 +375,10 @@ SocketTransport::roundTrip(uint32_t d, uint32_t type,
     ++telemetry_.roundTrips;
     if (reply.type == kMsgErr)
         rethrowWireError(reply.payload);
-    panicIf(reply.type != type,
-            "shard transport: protocol desync (reply type " +
-                std::to_string(reply.type) + " to request " +
-                std::to_string(type) + ")");
+    if (reply.type != type)
+        panic("shard transport: protocol desync (reply type " +
+                  std::to_string(reply.type) + " to request " +
+                  std::to_string(type) + ")");
     return reply;
 }
 
@@ -647,9 +647,9 @@ SocketTransport::fetchImage()
                 rec.col = r.u32();
                 rec.block = r.u32();
                 const uint32_t nWords = r.u32();
-                fatalIf(nWords == 0 || nWords > Crossbar::kBlockWords,
-                        "state fetch reply: bad block word count " +
-                            std::to_string(nWords));
+                if (nWords == 0 || nWords > Crossbar::kBlockWords)
+                    fatal("state fetch reply: bad block word count " +
+                              std::to_string(nWords));
                 rec.words.resize(nWords);
                 for (uint64_t &word : rec.words)
                     word = r.u64();

@@ -1,5 +1,6 @@
 #include "uarch/partition.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
@@ -63,10 +64,10 @@ expandLogicH(const MicroOp &op, const Geometry &geo)
     if (base.hasB) {
         const uint32_t lo = std::min(base.pA, base.pOut);
         const uint32_t hi = std::max(base.pA, base.pOut);
-        panicIf(base.pB < lo || base.pB > hi,
-                "logicH: inB partition " + std::to_string(base.pB) +
-                " outside the gate span [" + std::to_string(lo) + ", " +
-                std::to_string(hi) + "]");
+        if (base.pB < lo || base.pB > hi)
+            panic("logicH: inB partition " + std::to_string(base.pB) +
+                  " outside the gate span [" + std::to_string(lo) +
+                  ", " + std::to_string(hi) + "]");
     }
 
     // Repetition count (restriction 2). pStep == 0 encodes "no
@@ -82,27 +83,42 @@ expandLogicH(const MicroOp &op, const Geometry &geo)
     hg.numGates = count;
 
     // Assign per-partition opcode bits; detect overlap between gates.
+    // A gate claims at most three partitions (operands sharing one
+    // merge their bits), each checked against the gates already
+    // placed: O(gates + partitions) for the whole op.
     for (uint32_t k = 0; k < count; ++k) {
         const uint32_t shift = k * op.pStep;
-        uint8_t fresh[maxPartitions] = {};
+        uint32_t part[3] = {};
+        uint8_t bits[3] = {};
+        uint32_t claimed = 0;
         auto claim = [&](uint32_t p, uint8_t bit) {
             panicIf(p >= numPart,
                     "logicH: repeated gate leaves the partition range");
-            fresh[p] |= bit;
+            for (uint32_t i = 0; i < claimed; ++i) {
+                if (part[i] == p) {
+                    bits[i] |= bit;
+                    return;
+                }
+            }
+            part[claimed] = p;
+            bits[claimed++] = bit;
         };
         claim(base.pOut + shift, halfgate::out);
         if (base.hasA)
             claim(base.pA + shift, halfgate::inA);
         if (base.hasB)
             claim(base.pB + shift, halfgate::inB);
-        for (uint32_t p = 0; p < numPart; ++p) {
-            if (fresh[p] == 0)
-                continue;
-            panicIf(hg.opcodes[p] != 0,
-                    "logicH: repeated gates overlap at partition " +
-                    std::to_string(p));
-            hg.opcodes[p] = fresh[p];
-        }
+        // Report the lowest overlapping partition, as a scan in
+        // partition order would.
+        uint32_t overlap = numPart;
+        for (uint32_t i = 0; i < claimed; ++i)
+            if (hg.opcodes[part[i]] != 0)
+                overlap = std::min(overlap, part[i]);
+        if (overlap != numPart)
+            panic("logicH: repeated gates overlap at partition " +
+                  std::to_string(overlap));
+        for (uint32_t i = 0; i < claimed; ++i)
+            hg.opcodes[part[i]] = bits[i];
     }
 
     // Deduce transistor selects (restriction 3). Direction is taken
@@ -159,19 +175,20 @@ expandLogicH(const MicroOp &op, const Geometry &geo)
                     "logicH: input half-gate without an output half");
             const uint32_t arity =
                 op.gate == Gate::Nor ? 2 : (op.gate == Gate::Not ? 1 : 0);
-            panicIf(sec.numIn != arity,
-                    "logicH: section input halves (" +
-                    std::to_string(sec.numIn) + ") do not match gate "
-                    "arity (" + std::to_string(arity) + ")");
+            if (sec.numIn != arity)
+                panic("logicH: section input halves (" +
+                      std::to_string(sec.numIn) + ") do not match gate "
+                      "arity (" + std::to_string(arity) + ")");
             ++activeSections;
         }
         hg.sections[hg.numSections++] = sec;
         begin = p + 1;
     }
-    panicIf(activeSections != count,
-            "logicH: active sections (" + std::to_string(activeSections) +
-            ") do not match encoded gate count (" +
-            std::to_string(count) + ")");
+    if (activeSections != count)
+        panic("logicH: active sections (" +
+              std::to_string(activeSections) +
+              ") do not match encoded gate count (" +
+              std::to_string(count) + ")");
     return hg;
 }
 

@@ -80,7 +80,8 @@ struct HalfGates
 };
 
 /**
- * Expand and validate a LogicH micro-op against @p geo.
+ * Expand and validate a LogicH micro-op against @p geo in
+ * O(gates + partitions), allocation-free unless it throws.
  * Panics (InternalError) on any violation of the restricted
  * partition model.
  */

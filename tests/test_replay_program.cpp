@@ -13,17 +13,24 @@
  * COMPILER's decisions — when LogicH ops may and may not merge into
  * one pass (mask change, section capacity, stateful-gate aliasing),
  * how stripes and LogicV runs chunk, and when the all-ones mask
- * specialisation may fire.
+ * specialisation may fire. The retention tests pin what a frozen
+ * compiled trace keeps: its programs, but no half-gate expansions.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "pim/pypim.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/device_group.hpp"
+#include "sim/htree.hpp"
 #include "sim/replay_program.hpp"
+#include "sim/serialize.hpp"
 #include "sim/sharded_engine.hpp"
+#include "sim/trace_wire.hpp"
 
 using namespace pypim;
 
@@ -239,6 +246,28 @@ norH(const Geometry &g, uint32_t a, uint32_t b, uint32_t out)
         .encode();
 }
 
+/** HalfGates held by the segments of @p t. */
+size_t
+halfGatesHeld(const BatchTrace &t)
+{
+    size_t n = 0;
+    for (uint32_t s = 0; s < t.used; ++s)
+        n += t.segments[s].halfGates.size();
+    return n;
+}
+
+/** LogicH ops in the segments of @p t (each references a HalfGates
+ *  while the trace is interpreted). */
+size_t
+logicHOps(const BatchTrace &t)
+{
+    size_t n = 0;
+    for (uint32_t s = 0; s < t.used; ++s)
+        for (const TraceOp &op : t.segments[s].ops)
+            n += op.type == OpType::LogicH ? 1 : 0;
+    return n;
+}
+
 class ReplayProgramFuzz
     : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>>
 {
@@ -276,6 +305,9 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
             // The knob decides at freeze: programs only when on.
             EXPECT_TRUE(ti->programs.empty());
             ASSERT_EQ(tc->programs.size(), tc->used);
+            // Compiled segments drop their half-gate expansions.
+            EXPECT_EQ(halfGatesHeld(*tc), 0u);
+            EXPECT_GE(halfGatesHeld(*ti), logicHOps(*ti));
 
             for (int rep = 0; rep < kReplays; ++rep) {
                 oracle.performBatch(ops.data(), ops.size());
@@ -507,4 +539,214 @@ TEST(ReplayProgramStats, RecordNMatchesRepeatedRecord)
     for (int i = 0; i < 5; ++i)
         b.record(OpClass::Write);
     EXPECT_EQ(a, b);
+}
+
+// --- retention: what a frozen compiled trace keeps ----------------------
+
+namespace
+{
+
+/** A self-contained stream with repeated LogicH gates on both sides
+ *  of a barrier Move, so the trace has two LogicH segments. */
+std::vector<Word>
+retentionStream(const Geometry &g)
+{
+    return {MicroOp::crossbarMask(Range(0, g.numCrossbars - 1, 1))
+                .encode(),
+            MicroOp::rowMask(Range(0, g.rows - 1, 1)).encode(),
+            MicroOp::write(0, 0x0F0F0F0Fu).encode(),
+            initH(g, Gate::Init1, 2),
+            norH(g, 0, 1, 2),
+            MicroOp::crossbarMask(Range(0, 0, 1)).encode(),
+            MicroOp::move(1, 3, 4, 2, 6).encode(),
+            MicroOp::crossbarMask(Range(0, g.numCrossbars - 1, 1))
+                .encode(),
+            initH(g, Gate::Init1, 3),
+            norH(g, 2, 6, 3)};
+}
+
+} // namespace
+
+TEST(ReplayProgramRetention, PreparedCompiledTraceHoldsNoHalfGates)
+{
+    const Geometry g = fuzzGeometry();
+    const std::vector<Word> ops = retentionStream(g);
+    for (bool fuse : {false, true}) {
+        Simulator oracle(g);
+        Simulator compiled(g, EngineConfig::serial());
+        Simulator interp(g,
+                         EngineConfig::serial().withCompiledReplay(false));
+        seedState(oracle, 77, g);
+        seedState(compiled, 77, g);
+        seedState(interp, 77, g);
+        const auto tc = compiled.prepareTrace(ops.data(), ops.size(), fuse);
+        const auto ti = interp.prepareTrace(ops.data(), ops.size(), fuse);
+        ASSERT_NE(tc, nullptr);
+        ASSERT_NE(ti, nullptr);
+        ASSERT_EQ(tc->used, 2u);
+        ASSERT_EQ(tc->programs.size(), tc->used);
+        EXPECT_EQ(halfGatesHeld(*tc), 0u);
+        for (uint32_t s = 0; s < tc->used; ++s)
+            EXPECT_EQ(tc->segments[s].halfGates.capacity(), 0u);
+        // The interpreter's trace keeps an expansion for every LogicH
+        // op (and for INIT1s fused into them).
+        EXPECT_GT(logicHOps(*ti), 0u);
+        EXPECT_GE(halfGatesHeld(*ti), logicHOps(*ti));
+        for (int rep = 0; rep < 3; ++rep) {
+            oracle.performBatch(ops.data(), ops.size());
+            compiled.submitTrace(tc);
+            interp.submitTrace(ti);
+        }
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
+            ASSERT_TRUE(oracle.crossbar(xb).sameState(
+                compiled.crossbar(xb)));
+            ASSERT_TRUE(oracle.crossbar(xb).sameState(
+                interp.crossbar(xb)));
+        }
+        EXPECT_EQ(oracle.stats(), compiled.stats());
+        EXPECT_EQ(oracle.stats(), interp.stats());
+    }
+}
+
+TEST(ReplayProgramRetention, WireInstalledTraceHoldsNoHalfGates)
+{
+    const Geometry g = fuzzGeometry();
+    const HTree htree(g.numCrossbars);
+    const std::vector<Word> ops = retentionStream(g);
+    for (bool compiled : {true, false}) {
+        const auto sent = buildWireTrace(ops.data(), ops.size(), true,
+                                         compiled, g, htree);
+        ASSERT_NE(sent, nullptr);
+        // What a shard worker installs: decoded from the wire image.
+        const std::vector<uint8_t> image = encodeTraceWire(*sent);
+        const auto got =
+            decodeTraceWire(image.data(), image.size(), g, htree);
+        ASSERT_NE(got, nullptr);
+        if (compiled) {
+            EXPECT_EQ(halfGatesHeld(*sent), 0u);
+            ASSERT_EQ(got->programs.size(), got->used);
+            EXPECT_EQ(halfGatesHeld(*got), 0u);
+        } else {
+            // Interpreted on the worker: the expansions stay.
+            EXPECT_TRUE(got->programs.empty());
+            EXPECT_GT(logicHOps(*got), 0u);
+            EXPECT_GE(halfGatesHeld(*got), logicHOps(*got));
+        }
+        // The sender keeps the source ops the image is built from.
+        EXPECT_EQ(sent->sourceOps, ops);
+
+        Simulator oracle(g);
+        Simulator worker(g);
+        seedState(oracle, 91, g);
+        seedState(worker, 91, g);
+        for (int rep = 0; rep < 2; ++rep) {
+            oracle.performBatch(ops.data(), ops.size());
+            worker.submitTrace(got);
+        }
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            ASSERT_TRUE(oracle.crossbar(xb).sameState(
+                worker.crossbar(xb)))
+                << "compiled=" << compiled << " crossbar " << xb;
+        EXPECT_EQ(oracle.stats(), worker.stats());
+    }
+}
+
+namespace
+{
+
+/** Tensor program whose warm pass hits the driver's trace cache. */
+std::vector<int32_t>
+retentionProgram(Device &dev, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<int32_t> va(200), vb(200);
+    for (size_t i = 0; i < va.size(); ++i) {
+        va[i] = static_cast<int32_t>(rng.word());
+        vb[i] = static_cast<int32_t>(rng.word() | 1);
+    }
+    Tensor a = Tensor::fromVector(va, &dev);
+    Tensor b = Tensor::fromVector(vb, &dev);
+    Tensor c = (a * b + a) ^ b;
+    return c.toIntVector();
+}
+
+/** Same crossbar state and architectural Stats (canonical images
+ *  when worker processes own the crossbars). */
+::testing::AssertionResult
+sameDevice(Device &a, Device &b)
+{
+    a.flush();
+    b.flush();
+    auto image = [](const SimulatorGroup &grp) {
+        CheckpointImage img = buildGroupImage(grp);
+        img.storage = XbarStorage::Paged;
+        img.deviceCount = 1;
+        return encodeCheckpoint(img);
+    };
+    if (image(a.group()) != image(b.group()))
+        return ::testing::AssertionFailure() << "crossbar state diverged";
+    if (!(a.stats() == b.stats()))
+        return ::testing::AssertionFailure() << "stats diverged";
+    return ::testing::AssertionSuccess();
+}
+
+/** Run the program on both devices; require equal results and state. */
+::testing::AssertionResult
+stepMatches(Device &cand, Device &oracle, uint64_t seed)
+{
+    if (retentionProgram(cand, seed) != retentionProgram(oracle, seed))
+        return ::testing::AssertionFailure() << "readback diverged";
+    return sameDevice(cand, oracle);
+}
+
+} // namespace
+
+TEST(ReplayProgramRetention, DevicePathsMatchSerialOracle)
+{
+    // The candidate follows the environment (under the socket rows it
+    // is a worker fleet that installs traces from the wire); the
+    // oracle is the serial raw-stream device.
+    const Geometry g = fuzzGeometry();
+    EngineConfig oracleCfg = EngineConfig::serial();
+    oracleCfg.traceCache = false;
+    const EngineConfig candCfg = EngineConfig::fromEnv();
+    Device oracle(g, Driver::Mode::Parallel, oracleCfg);
+    Device cand(g, Driver::Mode::Parallel, candCfg);
+
+    // Cold pass builds and freezes the traces; warm passes replay them.
+    for (uint64_t seed : {1, 2, 3})
+        ASSERT_TRUE(stepMatches(cand, oracle, seed)) << "warm " << seed;
+
+    // Fusion toggle: every trace is rebuilt under the new setting.
+    cand.driver().setTraceFusionEnabled(false);
+    ASSERT_TRUE(stepMatches(cand, oracle, 4)) << "fusion off";
+    cand.driver().setTraceFusionEnabled(true);
+    ASSERT_TRUE(stepMatches(cand, oracle, 5)) << "fusion on";
+
+    // Compiled replay off: the frozen compiled traces keep replaying,
+    // and traces rebuilt after a fusion toggle are interpreted.
+    if (!cand.group().remote()) {
+        for (uint32_t d = 0; d < cand.deviceCount(); ++d)
+            cand.simulator(d).setEngine(candCfg.withCompiledReplay(false));
+        ASSERT_TRUE(stepMatches(cand, oracle, 6)) << "compiled off";
+        cand.driver().setTraceFusionEnabled(false);
+        ASSERT_TRUE(stepMatches(cand, oracle, 7)) << "interpreted";
+        cand.driver().setTraceFusionEnabled(true);
+        for (uint32_t d = 0; d < cand.deviceCount(); ++d)
+            cand.simulator(d).setEngine(candCfg);
+        ASSERT_TRUE(stepMatches(cand, oracle, 8)) << "compiled on";
+    }
+
+    // Checkpoint restore: the stream cache is imported and its traces
+    // rebuilt on first use.
+    const std::string path = ::testing::TempDir() + "pypim_retention_" +
+                             std::to_string(reinterpret_cast<uintptr_t>(
+                                 &cand)) +
+                             ".ckpt";
+    cand.checkpoint(path);
+    Device restored(g, Driver::Mode::Parallel, candCfg);
+    restored.restore(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(stepMatches(restored, oracle, 9)) << "restored";
+    ASSERT_TRUE(stepMatches(restored, oracle, 10)) << "restored warm";
 }
