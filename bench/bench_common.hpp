@@ -70,13 +70,13 @@ jsonOutPath()
 /**
  * Parse and strip --engine=serial|sharded|trace, --threads=N,
  * --pipeline=on|off, --trace-cache=on|off, --devices=N,
- * --affinity=on|off, --storage=dense|paged, --bulk-io=on|off,
+ * --affinity=on|off, --bulk-io=on|off,
  * --compiled-replay=on|off and --json=PATH from argv (before
  * benchmark::Initialize, which rejects unknown flags), storing the
  * result in engineConfig() / jsonOutPath(). Invalid values abort,
  * exactly like the PYPIM_ENGINE / PYPIM_THREADS / PYPIM_PIPELINE /
  * PYPIM_TRACE_CACHE / PYPIM_DEVICES / PYPIM_AFFINITY /
- * PYPIM_XBAR_STORAGE / PYPIM_BULK_IO / PYPIM_COMPILED_REPLAY
+ * PYPIM_BULK_IO / PYPIM_COMPILED_REPLAY
  * environment path — a typo must never silently benchmark the wrong
  * engine.
  */
@@ -145,14 +145,6 @@ applyEngineFlags(int &argc, char **argv)
                 cfg.affinity = false;
             else
                 fatal("--affinity=" + v + ": expected on|off");
-        } else if (arg.rfind("--storage=", 0) == 0) {
-            const std::string v = arg.substr(10);
-            if (v == "dense")
-                cfg.storage = XbarStorage::Dense;
-            else if (v == "paged")
-                cfg.storage = XbarStorage::Paged;
-            else
-                fatal("--storage=" + v + ": expected dense|paged");
         } else if (arg.rfind("--bulk-io=", 0) == 0) {
             const std::string v = arg.substr(10);
             if (v == "on" || v == "1")
@@ -204,12 +196,12 @@ printEngineBanner()
         std::printf(", %u sub-devices", cfg.devices);
     std::printf("  [--engine=serial|sharded|trace --threads=N "
                 "--pipeline=on|off --trace-cache=on|off --devices=N "
-                "--affinity=on|off --storage=dense|paged "
+                "--affinity=on|off "
                 "--bulk-io=on|off --compiled-replay=on|off "
                 "--transport=inproc|socket --json=PATH "
                 "or PYPIM_ENGINE/PYPIM_THREADS/PYPIM_PIPELINE/"
                 "PYPIM_TRACE_CACHE/PYPIM_DEVICES/PYPIM_AFFINITY/"
-                "PYPIM_XBAR_STORAGE/PYPIM_BULK_IO/"
+                "PYPIM_BULK_IO/"
                 "PYPIM_COMPILED_REPLAY/PYPIM_TRANSPORT]\n");
 }
 
@@ -389,6 +381,7 @@ jsonStorageGauges(Json &j, const char *key, const StorageGauges &g)
     j.field("blocks_elided", g.blocksElided);
     j.field("cow_shared", g.cowShared);
     j.field("resident_bytes", g.residentBytes);
+    j.field("slab_crossbars", g.slabCrossbars);
     j.end();
 }
 

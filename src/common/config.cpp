@@ -177,16 +177,6 @@ EngineConfig::fromEnv()
     }
     if (const char *a = std::getenv("PYPIM_AFFINITY"))
         c.affinity = parseSwitchEnv("PYPIM_AFFINITY", a, c.affinity);
-    if (const char *st = std::getenv("PYPIM_XBAR_STORAGE")) {
-        const std::string s(st);
-        if (s == "dense")
-            c.storage = XbarStorage::Dense;
-        else if (s == "paged")
-            c.storage = XbarStorage::Paged;
-        else if (!s.empty())
-            fatal("PYPIM_XBAR_STORAGE: unknown value '" + s +
-                  "' (expected dense|paged)");
-    }
     if (const char *b = std::getenv("PYPIM_BULK_IO"))
         c.bulkIo = parseSwitchEnv("PYPIM_BULK_IO", b, c.bulkIo);
     if (const char *cr = std::getenv("PYPIM_COMPILED_REPLAY"))

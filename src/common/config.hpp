@@ -114,17 +114,19 @@ enum class EngineKind : uint8_t
 const char *engineKindName(EngineKind k);
 
 /**
- * Crossbar state representation (sim/crossbar.hpp).
+ * Crossbar storage policy (sim/crossbar.hpp).
  *
- * Dense keeps every column as a flat ceil(rows/64)-word slab — host
- * RSS scales with geometry. Paged keeps each column as fixed-size
- * blocks behind a per-column block table where an all-zero block
- * costs zero bytes (BitMagic-style zero elision with transparent
- * densification on first non-zero write), so RSS scales with LIVE
- * data and untouched crossbars cost almost nothing. Both are
- * bit-identical by construction (dense is the parity oracle); they
- * differ only in memory footprint and in the replay fast-path that
- * skips absent blocks.
+ * Dense keeps every column as a flat ceil(rows/64)-word slab for the
+ * crossbar's whole life — host RSS scales with geometry. It is the
+ * parity oracle, selected in code only. Paged is adaptive per
+ * crossbar: a crossbar starts as fixed-size blocks behind a
+ * per-column block table where an all-zero block costs zero bytes
+ * (BitMagic-style zero elision with transparent densification on
+ * first non-zero write), so RSS scales with LIVE data; once half of
+ * its block grid is present it is promoted to the dense slab and
+ * replays on the dense kernels. Both are bit-identical by
+ * construction; they differ only in memory footprint and replay
+ * speed.
  */
 enum class XbarStorage : uint8_t
 {
@@ -203,10 +205,11 @@ struct EngineConfig
      */
     bool affinity = false;
     /**
-     * Crossbar state representation of every sub-device simulator.
-     * Paged (the default) allocates column blocks on first non-zero
-     * write, so host RSS tracks live data instead of geometry; Dense
-     * is the flat-slab parity oracle the CI matrix keeps honest.
+     * Crossbar storage policy of every sub-device simulator. Paged
+     * (the default) allocates column blocks on first non-zero write,
+     * so host RSS tracks live data instead of geometry, and promotes
+     * a crossbar that fills up to the dense slab; Dense is the
+     * flat-slab parity oracle, set in code (no environment knob).
      * Selecting one over the other never changes results, state
      * checksums or architectural statistics (test_crossbar,
      * test_geometry_sweep storage parity).
@@ -353,13 +356,13 @@ struct EngineConfig
      * Engine selection from the environment: PYPIM_ENGINE=serial|
      * sharded|trace, PYPIM_THREADS=N, PYPIM_PIPELINE=on|off,
      * PYPIM_TRACE_CACHE=on|off|1|0, PYPIM_DEVICES=N (power of two),
-     * PYPIM_AFFINITY=on|off, PYPIM_XBAR_STORAGE=dense|paged,
+     * PYPIM_AFFINITY=on|off,
      * PYPIM_BULK_IO=on|off|1|0, PYPIM_COMPILED_REPLAY=on|off|1|0,
      * PYPIM_FAULTS=<spec>, PYPIM_VERIFY_STATE=on|off|1|0 and
      * PYPIM_TRANSPORT=inproc|socket (worker count via PYPIM_DEVICES).
      * Unset values fall back to the defaults (serial, synchronous,
      * trace cache on, one device, no pinning, paged storage, inproc
-     * transport), so
+     * transport; storage has no knob), so
      * existing callers are unaffected; unrecognised or malformed
      * values throw pypim::Error — a typo must never silently
      * misconfigure the stack.

@@ -38,8 +38,8 @@ class Device
      * @param mode driver arithmetic mode (paper Fig. 4)
      * @param ec simulator execution backend; the default honours the
      *           PYPIM_ENGINE / PYPIM_THREADS / PYPIM_PIPELINE /
-     *           PYPIM_TRACE_CACHE / PYPIM_DEVICES / PYPIM_AFFINITY /
-     *           PYPIM_XBAR_STORAGE environment knobs and falls back
+     *           PYPIM_TRACE_CACHE / PYPIM_DEVICES / PYPIM_AFFINITY
+     *           environment knobs and falls back
      *           to one synchronous
      *           serial sub-device with the driver trace cache enabled
      *           (ec.traceCache is forwarded to the Driver)

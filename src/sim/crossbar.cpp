@@ -1,6 +1,7 @@
 #include "sim/crossbar.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -59,6 +60,9 @@ windowMask(uint32_t off, uint32_t take)
     return take == 64 ? ~0ull : ((1ull << take) - 1) << off;
 }
 
+/** Source of Crossbar::poolOwner_ tags (0 is never handed out). */
+std::atomic<uint64_t> nextPoolOwner{1};
+
 } // namespace
 
 /**
@@ -66,11 +70,20 @@ windowMask(uint32_t off, uint32_t take)
  * crossbar and every snapshot taken from it. Freed slots are recycled
  * through a free list; alloc() always returns an all-zero block (the
  * invariant every densification relies on). Refcounts are plain
- * integers — see the synchronisation contract in crossbar.hpp.
+ * integers — see the synchronisation contract in crossbar.hpp. The
+ * owner tag names the crossbar the pool belongs to: a crossbar drops
+ * its pool when it promotes and builds a new one if it demotes, and
+ * restore() accepts a snapshot of any of its own pools, but never one
+ * of another crossbar's (two crossbars replaying concurrently must
+ * never share a pool).
  */
 class BlockPool
 {
   public:
+    explicit BlockPool(uint64_t owner) : owner_(owner) {}
+
+    uint64_t owner() const { return owner_; }
+
     /** A fresh all-zero block with refcount 1. */
     uint32_t
     alloc()
@@ -137,6 +150,7 @@ class BlockPool
     }
 
   private:
+    uint64_t owner_;
     std::vector<uint64_t> words_;
     std::vector<uint32_t> refs_;
     std::vector<uint32_t> free_;
@@ -147,10 +161,9 @@ Crossbar::Crossbar(const Geometry &geo, XbarStorage storage)
       wordsPerCol_((geo.rows + 63) / 64),
       blocksPerCol_((wordsPerCol_ + kBlockWords - 1) / kBlockWords),
       storage_(storage),
-      state_(storage == XbarStorage::Dense
-                 ? static_cast<size_t>(geo.cols) * wordsPerCol_
-                 : 0,
-             0)
+      slab_(storage == XbarStorage::Dense),
+      poolOwner_(nextPoolOwner.fetch_add(1, std::memory_order_relaxed)),
+      state_(slab_ ? static_cast<size_t>(geo.cols) * wordsPerCol_ : 0, 0)
 {
     panicIf(blocksPerCol_ > kMaxBlocksPerCol,
             "crossbar: block table exceeds the geometry bound");
@@ -169,7 +182,41 @@ Crossbar::ensureTable()
     table_.assign(static_cast<size_t>(geo_->cols) * blocksPerCol_,
                   kAbsent);
     if (!pool_)
-        pool_ = std::make_shared<BlockPool>();
+        pool_ = std::make_shared<BlockPool>(poolOwner_);
+}
+
+void
+Crossbar::releaseBlocks()
+{
+    if (pool_)
+        for (const uint32_t id : table_)
+            if (id != kAbsent)
+                pool_->unref(id);
+    std::vector<uint32_t>().swap(table_);
+    pool_.reset();
+    present_ = 0;
+}
+
+void
+Crossbar::promote()
+{
+    state_.assign(static_cast<size_t>(geo_->cols) * wordsPerCol_, 0);
+    if (!table_.empty()) {
+        for (uint32_t col = 0; col < geo_->cols; ++col) {
+            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
+                const uint32_t id = table_[tableIndex(col, b)];
+                if (id == kAbsent)
+                    continue;
+                const uint64_t *w = pool_->words(id);
+                std::copy(w, w + blockWords(b),
+                          colWords(col) + b * kBlockWords);
+            }
+        }
+    }
+    // Snapshots that share these blocks hold their own pool pointer,
+    // so dropping ours frees the pool only when nothing else uses it.
+    releaseBlocks();
+    slab_ = true;
 }
 
 const uint64_t *
@@ -188,6 +235,7 @@ Crossbar::blockRW(uint32_t col, uint32_t b)
     uint32_t &id = table_[tableIndex(col, b)];
     if (id == kAbsent) {
         id = pool_->alloc();
+        ++present_;
     } else if (pool_->refCount(id) > 1) {
         const uint32_t nid = pool_->clone(id);
         pool_->unref(id);
@@ -219,7 +267,7 @@ Crossbar::logicH(const HalfGates &hg, std::span<const uint64_t> rowMask)
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "logicH: row mask width mismatch");
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         logicHPaged(hg, rowMask);
         return;
     }
@@ -340,7 +388,7 @@ Crossbar::logicHFusedInit1(const HalfGates &hg,
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "logicH: row mask width mismatch");
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         logicHFusedInit1Paged(hg, rowMask);
         return;
     }
@@ -404,7 +452,7 @@ Crossbar::logicHFusedInit1Paged(const HalfGates &hg,
 void
 Crossbar::logicHFull(const HalfGates &hg)
 {
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         logicHFullPaged(hg);
         return;
     }
@@ -492,7 +540,7 @@ Crossbar::logicHFullPaged(const HalfGates &hg)
 void
 Crossbar::logicHFusedInit1Full(const HalfGates &hg)
 {
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         logicHFusedInit1FullPaged(hg);
         return;
     }
@@ -545,7 +593,7 @@ Crossbar::logicHFusedInit1FullPaged(const HalfGates &hg)
 void
 Crossbar::logicV(Gate g, uint32_t rowIn, uint32_t rowOut, uint32_t slot)
 {
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         logicVPaged(g, rowIn, rowOut, slot);
         return;
     }
@@ -630,6 +678,7 @@ void
 Crossbar::replaySegment(const SegmentTrace &trace, uint32_t self,
                         Stats *work)
 {
+    maybePromote();
     const size_t n = trace.ops.size();
     for (size_t i = 0; i < n;) {
         const TraceOp &op = trace.ops[i];
@@ -725,7 +774,7 @@ Crossbar::replayLogicVRun(const TraceOp *run, size_t n, uint32_t self,
     const uint32_t pw = geo_->partitionWidth();
     const uint32_t numPart = geo_->partitions;
     const uint32_t slot = run[0].index;
-    const bool paged = storage_ == XbarStorage::Paged;
+    const bool paged = !slab_;
 
     size_t i = 0;
     while (i < n) {
@@ -814,7 +863,8 @@ Crossbar::replayProgram(const ReplayProgram &prog, uint32_t self,
     // lattice — every per-op branch the interpreter pays (op switch,
     // storage test, mask-handle resolution, blend-vs-fill) is decided
     // here, outside the hot loops.
-    if (storage_ == XbarStorage::Paged) {
+    maybePromote();
+    if (!slab_) {
         if (prog.allMasksFull)
             replayProgramT<true, true>(prog, self, work);
         else
@@ -1314,7 +1364,7 @@ Crossbar::write(uint32_t slot, uint32_t value,
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "write: row mask width mismatch");
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         writePaged(slot, value, rowMask);
         return;
     }
@@ -1370,7 +1420,7 @@ Crossbar::writeStripe(std::span<const StripeWrite> ws,
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "writeStripe: row mask width mismatch");
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         writeStripePaged(ws, rowMask);
         return;
     }
@@ -1430,7 +1480,7 @@ Crossbar::writeStripePaged(std::span<const StripeWrite> ws,
 void
 Crossbar::writeFull(uint32_t slot, uint32_t value)
 {
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         writeFullPaged(slot, value);
         return;
     }
@@ -1468,7 +1518,7 @@ Crossbar::writeFullPaged(uint32_t slot, uint32_t value)
 void
 Crossbar::writeStripeFull(std::span<const StripeWrite> ws)
 {
-    if (storage_ == XbarStorage::Paged) {
+    if (pagedOpEntry()) {
         writeStripeFullPaged(ws);
         return;
     }
@@ -1511,7 +1561,7 @@ Crossbar::read(uint32_t slot, uint32_t row) const
     const uint32_t pw = geo_->partitionWidth();
     const uint32_t off = row % 64;
     uint32_t value = 0;
-    if (storage_ == XbarStorage::Paged) {
+    if (!slab_) {
         if (table_.empty())
             return 0;  // never densified: architectural zeros
         const uint32_t wIdx = row / 64;
@@ -1550,7 +1600,7 @@ Crossbar::writeRow(uint32_t slot, uint32_t value, uint32_t row)
 {
     const uint32_t pw = geo_->partitionWidth();
     const uint64_t bit = 1ull << (row % 64);
-    if (storage_ == XbarStorage::Paged) {
+    if (!slab_) {
         if (value == 0 && table_.empty())
             return;  // clearing architectural zeros: no-op
         const uint32_t wIdx = row / 64;
@@ -1590,7 +1640,7 @@ Crossbar::gatherRows(uint32_t slot, uint32_t row, uint32_t count,
             "gatherRows: row window exceeds crossbar height");
     if (count == 0)
         return 0;
-    if (storage_ == XbarStorage::Paged)
+    if (!slab_)
         return gatherRowsPaged(slot, row, count, out);
 
     const uint32_t pw = geo_->partitionWidth();
@@ -1675,7 +1725,7 @@ Crossbar::scatterRows(uint32_t slot, uint32_t row, uint32_t count,
             "scatterRows: row window exceeds crossbar height");
     if (count == 0)
         return 0;
-    if (storage_ == XbarStorage::Paged)
+    if (!slab_)
         return scatterRowsPaged(slot, row, count, values);
 
     const uint32_t pw = geo_->partitionWidth();
@@ -1769,7 +1819,7 @@ Crossbar::scatterRowsPaged(uint32_t slot, uint32_t row, uint32_t count,
 bool
 Crossbar::bit(uint32_t row, uint32_t col) const
 {
-    if (storage_ == XbarStorage::Paged) {
+    if (!slab_) {
         const uint32_t wIdx = row / 64;
         const uint64_t *blk = blockRO(col, wIdx / kBlockWords);
         return blk &&
@@ -1782,7 +1832,7 @@ void
 Crossbar::setBit(uint32_t row, uint32_t col, bool v)
 {
     const uint64_t bit = 1ull << (row % 64);
-    if (storage_ == XbarStorage::Paged) {
+    if (!slab_) {
         const uint32_t wIdx = row / 64;
         const uint32_t b = wIdx / kBlockWords;
         const uint32_t rel = wIdx % kBlockWords;
@@ -1921,7 +1971,7 @@ Crossbar::snapshot() const
     s.geo_ = geo_;
     s.wordsPerCol_ = wordsPerCol_;
     s.blocksPerCol_ = blocksPerCol_;
-    if (storage_ == XbarStorage::Dense) {
+    if (slab_) {
         s.dense_ = state_;
         return s;
     }
@@ -1955,12 +2005,23 @@ Crossbar::restore(const Snapshot &s)
             state_ = s.dense_;
         return;
     }
-    panicIf(!s.dense_.empty(),
-            "restore: dense snapshot into a paged crossbar");
-    panicIf(s.pool_ && pool_ && s.pool_ != pool_,
+    // Adaptive crossbar: take on the snapshot's representation.
+    if (!s.dense_.empty()) {
+        releaseBlocks();
+        state_ = s.dense_;
+        slab_ = true;
+        return;
+    }
+    panicIf(s.pool_ && s.pool_->owner() != poolOwner_,
             "restore: snapshot was taken from a different crossbar");
+    if (slab_) {
+        std::vector<uint64_t>().swap(state_);
+        slab_ = false;
+    }
     // Re-adopt the snapshot's shared blocks: ref the incoming set
-    // first so self-restore never transiently frees a block.
+    // first so self-restore never transiently frees a block. The
+    // snapshot may hold an older pool of this crossbar (one from
+    // before a promotion); every id then moves over to that pool.
     if (s.pool_)
         for (const uint32_t id : s.table_)
             if (id != kAbsent)
@@ -1970,14 +2031,43 @@ Crossbar::restore(const Snapshot &s)
             if (id != kAbsent)
                 pool_->unref(id);
     table_ = s.table_;
-    if (!pool_)
+    if (s.pool_)
         pool_ = s.pool_;
+    present_ = static_cast<uint32_t>(
+        table_.size() - std::count(table_.begin(), table_.end(), kAbsent));
 }
 
 uint64_t
 Crossbar::compact()
 {
-    if (storage_ == XbarStorage::Dense || table_.empty())
+    if (storage_ == XbarStorage::Dense)
+        return 0;
+    if (slab_) {
+        // The only demotion: a promoted slab that has decayed below
+        // the promotion share goes back to paged, keeping only its
+        // non-zero blocks.
+        uint64_t nonZero = 0;
+        for (uint32_t col = 0; col < geo_->cols; ++col)
+            for (uint32_t b = 0; b < blocksPerCol_; ++b)
+                nonZero += !allZero(colWords(col) + b * kBlockWords,
+                                    blockWords(b));
+        if (atPromoteShare(nonZero))
+            return 0;
+        std::vector<uint64_t> slab;
+        slab.swap(state_);
+        slab_ = false;
+        for (uint32_t col = 0; col < geo_->cols; ++col) {
+            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
+                const uint64_t *w = slab.data() +
+                                    static_cast<size_t>(col) * wordsPerCol_ +
+                                    b * kBlockWords;
+                if (!allZero(w, blockWords(b)))
+                    std::copy(w, w + blockWords(b), blockRW(col, b));
+            }
+        }
+        return gridBlocks() - nonZero;
+    }
+    if (table_.empty())
         return 0;
     uint64_t elided = 0;
     for (uint32_t col = 0; col < geo_->cols; ++col) {
@@ -1992,6 +2082,7 @@ Crossbar::compact()
             }
         }
     }
+    present_ -= static_cast<uint32_t>(elided);
     return elided;
 }
 
@@ -2002,7 +2093,7 @@ Crossbar::forEachNonZeroBlock(
 {
     for (uint32_t col = 0; col < geo_->cols; ++col) {
         for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            const uint64_t *w = storage_ == XbarStorage::Dense
+            const uint64_t *w = slab_
                 ? colWords(col) + b * kBlockWords
                 : blockRO(col, b);
             if (!w)
@@ -2061,7 +2152,7 @@ Crossbar::stateChecksum() const
 void
 Crossbar::resetState()
 {
-    if (storage_ == XbarStorage::Dense) {
+    if (slab_) {
         std::fill(state_.begin(), state_.end(), 0);
         return;
     }
@@ -2071,6 +2162,7 @@ Crossbar::resetState()
             id = kAbsent;
         }
     }
+    present_ = 0;
 }
 
 void
@@ -2082,7 +2174,7 @@ Crossbar::loadBlock(uint32_t col, uint32_t b, const uint64_t *w,
             "loadBlock: record outside this crossbar's geometry");
     if (allZero(w, n))
         return;  // canonical images never carry these anyway
-    if (storage_ == XbarStorage::Dense) {
+    if (slab_) {
         uint64_t *dst = colWords(col) + b * kBlockWords;
         std::copy(w, w + n, dst);
         return;
@@ -2098,13 +2190,13 @@ StorageGauges
 Crossbar::storageGauges() const
 {
     StorageGauges g;
-    const uint64_t total =
-        static_cast<uint64_t>(geo_->cols) * blocksPerCol_;
+    const uint64_t total = gridBlocks();
     g.blocksTotal = total;
-    if (storage_ == XbarStorage::Dense) {
+    if (slab_) {
         // The flat slab materialises everything.
         g.blocksPresent = total;
         g.residentBytes = state_.capacity() * sizeof(uint64_t);
+        g.slabCrossbars = 1;
         return g;
     }
     for (const uint32_t id : table_) {
@@ -2123,19 +2215,18 @@ Crossbar::storageGauges() const
 bool
 Crossbar::sameState(const Crossbar &other) const
 {
-    if (storage_ == XbarStorage::Dense &&
-        other.storage_ == XbarStorage::Dense)
+    if (slab_ && other.slab_)
         return state_ == other.state_;
     // Canonical per-block walk: an absent block equals an all-zero
     // materialised one, so dense-vs-paged comparison is direct and
     // paged-vs-paged touches only present blocks.
     for (uint32_t col = 0; col < geo_->cols; ++col) {
         for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            const uint64_t *a = storage_ == XbarStorage::Dense
+            const uint64_t *a = slab_
                 ? colWords(col) + b * kBlockWords
                 : blockRO(col, b);
             const uint64_t *bw =
-                other.storage_ == XbarStorage::Dense
+                other.slab_
                     ? other.colWords(col) + b * kBlockWords
                     : other.blockRO(col, b);
             if (a == bw)
@@ -2160,7 +2251,7 @@ Crossbar::sameState(const Snapshot &s) const
 {
     for (uint32_t col = 0; col < geo_->cols; ++col) {
         for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            const uint64_t *a = storage_ == XbarStorage::Dense
+            const uint64_t *a = slab_
                 ? colWords(col) + b * kBlockWords
                 : blockRO(col, b);
             const uint64_t *bw = s.blockRO(col, b);

@@ -7,37 +7,68 @@
  * over all rows costs O(rows/64) word operations — the CPU analogue of
  * the paper's condensed-format GPU optimisation (§VI "Memory"/"Logic").
  *
- * Two representations exist behind one interface (XbarStorage):
+ * Two representations exist behind one interface:
  *
- *  - DENSE: one flat cols x wordsPerCol slab, the historical layout
- *    and the parity oracle. RSS scales with geometry.
+ *  - SLAB: one flat cols x wordsPerCol slab, the historical layout.
+ *    Replay runs the dense kernels, with no per-block lookups.
  *  - PAGED: each column is a run of kBlockWords-word BLOCKS behind a
- *    per-column block table. An all-zero block is represented by the
- *    sentinel entry kAbsent and costs zero bytes; it densifies
- *    transparently on the first write that could set a bit in it, and
- *    an explicit compact() sweep re-elides blocks that have decayed
- *    back to all-zero. The table itself is allocated lazily on the
- *    first densification, so a never-written crossbar costs O(1)
- *    bytes — RSS scales with LIVE data, not with geometry
- *    (BitMagic-style zero elision; ROADMAP capacity item).
+ *    per-column block table into a refcounted BlockPool. An all-zero
+ *    block is the sentinel entry kAbsent and costs zero bytes; it
+ *    densifies transparently on the first write that could set a bit
+ *    in it, and an explicit compact() sweep re-elides blocks that
+ *    have decayed back to all-zero. The table itself is allocated
+ *    lazily on the first densification, so a never-written crossbar
+ *    costs O(1) bytes — RSS scales with LIVE data, not with geometry
+ *    (BitMagic-style zero elision).
  *
- * Zero-elision gives the replay loops a fast path for free: reading
- * an absent block yields zeros, so NOR/NOT with all-absent inputs
- * reduces to algebra on the output block (out &= ~mask needs no input
- * materialisation, and skips entirely when the output is absent too,
- * since stateful logic can only clear bits). Writes densify a block
- * only when the row mask actually selects a row inside it.
+ * XbarStorage picks the policy. Dense keeps the slab for life: it is
+ * the parity oracle. Paged is ADAPTIVE per crossbar, the way
+ * BitMagic picks a block format from observed fill: a crossbar starts
+ * paged and keeps an exact count of its present blocks; once that
+ * count reaches 1/kPromoteDivisor of its block grid, it is promoted
+ * to the slab and replays on the dense kernels from then on. Sparse
+ * crossbars stay paged, keeping zero elision and O(live data)
+ * snapshots. The rules:
+ *
+ *  - Promotion is checked only at replay entry, never inside a
+ *    kernel that holds block pointers: at the entry of a compiled
+ *    program (replayProgram), of an interpreted segment
+ *    (replaySegment), and of each single replayed op (logicH, logicV,
+ *    write and their variants), which is the only entry the serial
+ *    engine's raw op-by-op path has. Direct state access (writeRow,
+ *    setBit, bulk gather/scatter, loadBlock) never promotes.
+ *    Promotion copies every present block into the slab and drops the
+ *    table and the crossbar's pool reference (live snapshots keep
+ *    their own).
+ *  - restore() takes on the snapshot's representation: a paged image
+ *    makes the crossbar paged again, a slab image makes it a slab.
+ *  - compact() is the only demotion: a promoted slab whose non-zero
+ *    blocks fell below the threshold goes back to paged.
+ *  - resetState() and loadBlock() keep the current representation.
+ *  - storage() reports the CONFIGURED policy, never the current form,
+ *    so checkpoint images (which record it) do not change when a
+ *    crossbar promotes. isSlab() reports the current form.
+ *
+ * Zero-elision gives the paged replay loops a fast path for free:
+ * reading an absent block yields zeros, so NOR/NOT with all-absent
+ * inputs reduces to algebra on the output block (out &= ~mask needs
+ * no input materialisation, and skips entirely when the output is
+ * absent too, since stateful logic can only clear bits). Writes
+ * densify a block only when the row mask actually selects a row
+ * inside it.
  *
  * On top of the block table, snapshot() returns a refcounted
  * copy-on-write image sharing every present block with the live
  * crossbar: O(live data) checkpoint, O(shared blocks) compare, with
- * mutation after the snapshot cloning only the blocks it touches.
+ * mutation after the snapshot cloning only the blocks it touches
+ * (a slab crossbar's snapshot deep-copies the slab).
  * Refcounts are NOT atomic: snapshots must be created, restored and
  * destroyed only while no replay is mutating the source crossbar
  * (the Simulator's drain points provide exactly this), and a
  * crossbar's blocks are only ever mutated by one thread at a time
  * (the sharded engine partitions work by crossbar), so block cloning
- * during concurrent replay of DIFFERENT crossbars is race-free.
+ * — and promotion — during concurrent replay of DIFFERENT crossbars
+ * is race-free.
  *
  * Stateful-logic fidelity: NOT/NOR can only switch the output memristor
  * from 1 towards 0 (paper §II-A — the output is expected to be
@@ -81,11 +112,12 @@ struct StripeWrite
  *  exact equality the parity suites assert across storage modes. */
 struct StorageGauges
 {
-    uint64_t blocksTotal = 0;    //!< cols * blocksPerCol (paged; 0 dense)
-    uint64_t blocksPresent = 0;  //!< materialised (non-elided) blocks
+    uint64_t blocksTotal = 0;    //!< cols * blocksPerCol
+    uint64_t blocksPresent = 0;  //!< materialised blocks (slab: all)
     uint64_t blocksElided = 0;   //!< absent blocks costing zero bytes
     uint64_t cowShared = 0;      //!< present blocks shared with snapshots
     uint64_t residentBytes = 0;  //!< bytes actually allocated for state
+    uint64_t slabCrossbars = 0;  //!< crossbars currently in slab form
 
     StorageGauges &
     operator+=(const StorageGauges &o)
@@ -95,6 +127,7 @@ struct StorageGauges
         blocksElided += o.blocksElided;
         cowShared += o.cowShared;
         residentBytes += o.residentBytes;
+        slabCrossbars += o.slabCrossbars;
         return *this;
     }
 };
@@ -107,11 +140,22 @@ class Crossbar
     static constexpr uint32_t kBlockWords = 8;
     /** Block-table sentinel for an elided (all-zero) block. */
     static constexpr uint32_t kAbsent = UINT32_MAX;
+    /**
+     * A Paged crossbar is promoted to the slab once at least
+     * 1/kPromoteDivisor of its block grid is present. At one half the
+     * slab costs at most about 2x the pool blocks it replaces (less
+     * once each block's table entry and refcount are counted), and in
+     * exchange every replay runs the dense kernels with no block-table
+     * probe, pool fetch or copy-on-write check. The share is fixed by
+     * block counts alone, not tuned to any workload.
+     */
+    static constexpr uint32_t kPromoteDivisor = 2;
 
     /**
      * @p storage defaults to Dense so direct constructions (unit
      * tests, host tooling) get the reference slab layout; the engine
-     * stack passes EngineConfig::storage, whose default is Paged.
+     * stack passes EngineConfig::storage, whose default is the
+     * adaptive Paged policy.
      */
     explicit Crossbar(const Geometry &geo,
                       XbarStorage storage = XbarStorage::Dense);
@@ -153,8 +197,9 @@ class Crossbar
     /**
      * Replay one compiled program (sim/replay_program.hpp) on this
      * crossbar (index @p self): the pre-resolved, specialized form of
-     * replaySegment used for frozen cached traces. Dispatches once
-     * into a {Dense, Paged} x {all-full masks, partial} template
+     * replaySegment used for frozen cached traces. Promotes a filled
+     * paged crossbar first (file header), then dispatches once
+     * into a {slab, paged} x {all-full masks, partial} template
      * executor; @p work accumulates applied-op counts exactly as
      * replaySegment would (conserved across compilation).
      */
@@ -166,7 +211,8 @@ class Crossbar
      * crossbar-mask snapshot selects this crossbar (index @p self),
      * in segment order, while this crossbar's column-major state is
      * hot in cache. The inner loop of the trace-based engines
-     * (sim/segment_trace.hpp). @p work, if non-null, accumulates one
+     * (sim/segment_trace.hpp). Promotes a filled paged crossbar
+     * first, as replayProgram does. @p work, if non-null, accumulates one
      * op per application (two for fused INIT+gate pairs, one per
      * merged Write of a stripe) — the sharded engine's load-balance
      * diagnostic, conserved exactly across fusion.
@@ -246,7 +292,7 @@ class Crossbar
      * Refcounted copy-on-write image of the crossbar's full state at
      * the instant of the snapshot() call. Paged snapshots share every
      * present block with the source (O(live data) to take, zero block
-     * copies); dense snapshots deep-copy the slab. A snapshot stays
+     * copies); slab snapshots deep-copy the slab. A snapshot stays
      * valid after the source crossbar mutates or is destroyed.
      * Synchronisation contract: create/restore/destroy only while no
      * replay is mutating the SOURCE crossbar (see file header).
@@ -278,7 +324,7 @@ class Crossbar
         /** Drop every block reference and empty the image. */
         void release();
         /** Words of block @p b of column @p col, or null if elided
-         *  (dense snapshots are never elided). */
+         *  (slab snapshots are never elided). */
         const uint64_t *blockRO(uint32_t col, uint32_t b) const;
 
         const Geometry *geo_ = nullptr;
@@ -293,17 +339,23 @@ class Crossbar
     Snapshot snapshot() const;
 
     /**
-     * Restore the state captured by @p s (which must come from a
-     * crossbar of the same geometry and storage mode). Paged restore
-     * is O(live data): the block table re-adopts the snapshot's
-     * shared blocks, and subsequent mutation clones on write.
+     * Restore the state captured by @p s, taken from a crossbar of
+     * the same geometry. A Paged crossbar takes on the snapshot's
+     * representation: a paged image, which must come from THIS
+     * crossbar, is O(live data) to restore — the block table
+     * re-adopts the snapshot's shared blocks, and later mutation
+     * clones on write — and a slab image makes the crossbar a slab.
+     * A Dense crossbar accepts slab images only.
      */
     void restore(const Snapshot &s);
 
     /**
      * Re-elide every materialised block that has decayed to all-zero
      * (writes clear bits in place — elision is never checked on the
-     * hot path). No-op for dense storage. Returns blocks elided.
+     * hot path). A promoted slab whose non-zero blocks fell below the
+     * promotion threshold is demoted back to paged; the slab's other
+     * blocks count as elided. No-op for Dense storage. Returns blocks
+     * elided.
      */
     uint64_t compact();
 
@@ -335,7 +387,7 @@ class Crossbar
     uint64_t stateChecksum() const;
 
     /**
-     * Reset to all-zero: dense zero-fills the slab; paged drops every
+     * Reset to all-zero: a slab is zero-filled; paged drops every
      * present block reference (keeping the table and pool for reuse).
      * The restore path's first step before loadBlock replays an image.
      */
@@ -368,7 +420,11 @@ class Crossbar
     bool sameState(const Snapshot &s) const;
 
     const Geometry &geometry() const { return *geo_; }
+    /** The configured storage policy (see file header): a promoted
+     *  Paged crossbar still reports Paged. */
     XbarStorage storage() const { return storage_; }
+    /** True while the state lives in the contiguous slab. */
+    bool isSlab() const { return slab_; }
 
   private:
     uint64_t *colWords(uint32_t col)
@@ -416,6 +472,42 @@ class Crossbar
     /** Allocate the lazy block table / pool on first densification. */
     void ensureTable();
 
+    /** Blocks in the whole grid (cols * blocksPerCol). */
+    uint64_t
+    gridBlocks() const
+    {
+        return static_cast<uint64_t>(geo_->cols) * blocksPerCol_;
+    }
+    /** True once @p blocks fill the promotion share of the grid. */
+    bool
+    atPromoteShare(uint64_t blocks) const
+    {
+        return blocks * kPromoteDivisor >= gridBlocks();
+    }
+    /** Replay-entry check: promote a paged crossbar that has filled. */
+    void
+    maybePromote()
+    {
+        if (!slab_ && atPromoteShare(present_))
+            promote();
+    }
+    /**
+     * Entry of one replayed op (the serial engine's raw op-by-op path
+     * and the segment interpreter): promote a filled paged crossbar,
+     * then report whether the op runs on the paged kernels. No block
+     * pointer is live at this point.
+     */
+    bool
+    pagedOpEntry()
+    {
+        maybePromote();
+        return !slab_;
+    }
+    /** Move every present block into a fresh slab; drop the table. */
+    void promote();
+    /** Drop every block reference, the table and the pool reference. */
+    void releaseBlocks();
+
     // Paged op bodies (crossbar.cpp); the public entry points branch
     // once per op so the dense loops stay byte-identical to the
     // historical implementation.
@@ -451,8 +543,11 @@ class Crossbar
     const Geometry *geo_;
     uint32_t wordsPerCol_;
     uint32_t blocksPerCol_;
-    XbarStorage storage_;
-    std::vector<uint64_t> state_;      //!< dense slab (empty if paged)
+    XbarStorage storage_;              //!< configured policy
+    bool slab_;                        //!< current form: slab or paged
+    uint32_t present_ = 0;             //!< paged: non-absent table ids
+    uint64_t poolOwner_;               //!< tags this crossbar's pools
+    std::vector<uint64_t> state_;      //!< slab (empty if paged)
     std::vector<uint32_t> table_;      //!< paged block ids (lazy)
     std::shared_ptr<BlockPool> pool_;  //!< paged block pool (lazy)
     /** Pipeline's replaying flag (null when not pipelined). */

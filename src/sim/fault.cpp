@@ -98,8 +98,8 @@ FaultInjector::maybeFail()
     if (!active_)
         return;
     ++batch_;
-    if (suppressed_ || failFired_ || spec_.failAtBatch == 0 ||
-        batch_ != spec_.failAtBatch)
+    if (suppressed_.load(std::memory_order_acquire) || failFired_ ||
+        spec_.failAtBatch == 0 || batch_ != spec_.failAtBatch)
         return;
     failFired_ = true;
     ++injected_;
@@ -136,7 +136,7 @@ FaultInjector::corrupt(std::vector<Crossbar> &xbs)
         }
     }
 
-    if (suppressed_)
+    if (suppressed_.load(std::memory_order_acquire))
         return;
 
     // Transient single-bit upset with per-batch probability flip%.

@@ -43,6 +43,7 @@
 #ifndef PYPIM_SIM_FAULT_HPP
 #define PYPIM_SIM_FAULT_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -143,7 +144,11 @@ class FaultInjector
      * Stuck pins stay applied either way: persistent damage does not
      * heal because the host retried.
      */
-    void setSuppressed(bool on) { suppressed_ = on; }
+    void
+    setSuppressed(bool on)
+    {
+        suppressed_.store(on, std::memory_order_release);
+    }
 
     /** Faults injected so far (flips + poisons + fails + stuck-at
      *  applications that changed a bit). */
@@ -166,7 +171,9 @@ class FaultInjector
     uint64_t batch_ = 0;
     bool failFired_ = false;
     bool poisonFired_ = false;
-    bool suppressed_ = false;
+    /** Written by the host thread (RecoverySink), read by a pipeline
+     *  consumer in maybeFail/corrupt. */
+    std::atomic<bool> suppressed_{false};
     std::vector<StuckPin> stuck_;  //!< chosen lazily on first corrupt
     uint64_t injected_ = 0;
 };

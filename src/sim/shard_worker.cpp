@@ -310,6 +310,7 @@ handleGauges(WorkerContext &ctx)
     w.u64(g.blocksElided);
     w.u64(g.cowShared);
     w.u64(g.residentBytes);
+    w.u64(g.slabCrossbars);
     return w.take();
 }
 

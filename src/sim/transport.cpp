@@ -592,6 +592,7 @@ SocketTransport::gaugesAll()
         one.blocksElided = r.u64();
         one.cowShared = r.u64();
         one.residentBytes = r.u64();
+        one.slabCrossbars = r.u64();
         r.expectEnd("gauges reply");
         g += one;
     }

@@ -73,6 +73,23 @@ class TempFile
     std::string path_;
 };
 
+/** Every byte of the file at @p path. */
+std::vector<uint8_t>
+fileBytes(const std::string &path)
+{
+    std::vector<uint8_t> buf;
+    FILE *fp = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(fp, nullptr) << path;
+    if (!fp)
+        return buf;
+    uint8_t chunk[4096];
+    size_t n;
+    while ((n = std::fread(chunk, 1, sizeof chunk, fp)) > 0)
+        buf.insert(buf.end(), chunk, chunk + n);
+    std::fclose(fp);
+    return buf;
+}
+
 /** A tensor program leaving non-trivial state behind (live
  *  allocations, warm stream cache, advanced masks and stats). */
 std::vector<int32_t>
@@ -241,6 +258,41 @@ TEST(CheckpointEncoding, DenseAndPagedProduceIdenticalBytes)
         EXPECT_EQ(encodeCheckpoint(di), encodeCheckpoint(pi))
             << "devices=" << devices;
     }
+}
+
+TEST(CheckpointEncoding, PromotionLeavesTheBytesUnchanged)
+{
+    // storage() reports the configured policy, so the image header
+    // says Paged whether or not a crossbar has been promoted to the
+    // slab, and the canonical block walk is the same in both forms.
+    const Geometry g = ckptGeometry();
+    const EngineConfig cfg =
+        EngineConfig::trace().withStorage(XbarStorage::Paged);
+    Device promoted(g, Driver::Mode::Parallel, cfg);
+    runProgram(promoted, 5, 700);
+    promoted.flush();
+    ASSERT_GT(promoted.group().storageGauges().slabCrossbars, 0u);
+    TempFile fa("promoted");
+    promoted.checkpoint(fa.path());
+    EXPECT_EQ(loadCheckpoint(fa.path()).storage, XbarStorage::Paged);
+
+    // The same state loaded into a fresh paged device: restore loads
+    // blocks, which never promotes.
+    Device paged(g, Driver::Mode::Parallel, cfg);
+    paged.restore(fa.path());
+    ASSERT_EQ(paged.group().storageGauges().slabCrossbars, 0u);
+    TempFile fb("paged");
+    paged.checkpoint(fb.path());
+    EXPECT_EQ(fileBytes(fa.path()), fileBytes(fb.path()));
+
+    // The restored device promotes as it replays on; the same
+    // continuation on both still checkpoints to identical bytes.
+    EXPECT_EQ(runContinuation(paged), runContinuation(promoted));
+    EXPECT_GT(paged.group().storageGauges().slabCrossbars, 0u);
+    TempFile fa2("promoted2"), fb2("paged2");
+    promoted.checkpoint(fa2.path());
+    paged.checkpoint(fb2.path());
+    EXPECT_EQ(fileBytes(fa2.path()), fileBytes(fb2.path()));
 }
 
 TEST(CheckpointEncoding, ImageIsPresentBlocksOnly)

@@ -122,30 +122,12 @@ TEST(ConfigEnv, AffinityParses)
     }
 }
 
-TEST(ConfigEnv, XbarStorageParses)
+TEST(ConfigEnv, StorageHasNoKnob)
 {
-    {
-        EnvVar v("PYPIM_XBAR_STORAGE", "dense");
-        EXPECT_EQ(EngineConfig::fromEnv().storage,
-                  XbarStorage::Dense);
-    }
-    {
-        EnvVar v("PYPIM_XBAR_STORAGE", "paged");
-        EXPECT_EQ(EngineConfig::fromEnv().storage,
-                  XbarStorage::Paged);
-    }
-}
-
-TEST(ConfigEnv, XbarStorageRejectsJunk)
-{
-    // Case-sensitive exact match only: a typo must fail loudly, not
-    // silently run the whole process on the wrong representation.
-    for (const char *bad :
-         {"Dense", "PAGED", "sparse", "1", "on", " paged", "paged "}) {
-        EnvVar v("PYPIM_XBAR_STORAGE", bad);
-        EXPECT_THROW(EngineConfig::fromEnv(), Error)
-            << "PYPIM_XBAR_STORAGE='" << bad << "'";
-    }
+    // Storage is adaptive per crossbar; the Dense oracle is chosen in
+    // code. The retired PYPIM_XBAR_STORAGE variable must not steer it.
+    EnvVar v("PYPIM_XBAR_STORAGE", "dense");
+    EXPECT_EQ(EngineConfig::fromEnv().storage, XbarStorage::Paged);
 }
 
 TEST(ConfigEnv, BulkIoParses)
@@ -202,15 +184,14 @@ TEST(ConfigEnv, DefaultsWhenUnset)
 {
     ::unsetenv("PYPIM_DEVICES");
     ::unsetenv("PYPIM_AFFINITY");
-    ::unsetenv("PYPIM_XBAR_STORAGE");
     ::unsetenv("PYPIM_BULK_IO");
     ::unsetenv("PYPIM_COMPILED_REPLAY");
     const EngineConfig c = EngineConfig::fromEnv();
     EXPECT_EQ(c.devices, 1u);
     EXPECT_FALSE(c.affinity);
     EXPECT_EQ(c.storage, XbarStorage::Paged)
-        << "paged is the default representation; dense is the "
-           "opt-in parity oracle";
+        << "adaptive paged is the default storage; dense is the "
+           "parity oracle set in code";
     EXPECT_TRUE(c.bulkIo)
         << "bulk I/O is the default; the element-wise path is the "
            "opt-in parity oracle";

@@ -4,16 +4,26 @@
  * 1 -> 0), strided read/write, vertical ops, row masking — every
  * behavioural test runs under BOTH storage representations
  * (TEST_P over XbarStorage), so the dense slab stays the oracle the
- * paged mode is continuously checked against. The PagedCrossbar suite
- * adds the storage-specific surface: zero-block elision, transparent
- * densification, block-boundary addressing, compact() re-elision and
- * copy-on-write snapshot isolation.
+ * paged mode is continuously checked against. These cases drive ops
+ * directly, never through replay entry, so a Paged crossbar here
+ * never promotes and the paged kernels stay covered. The PagedCrossbar
+ * suite adds the storage-specific surface: zero-block elision,
+ * transparent densification, block-boundary addressing, compact()
+ * re-elision and copy-on-write snapshot isolation. The
+ * AdaptiveCrossbar suite covers promotion to the dense slab: parity
+ * with the Dense oracle across the switch through both replay tiers,
+ * snapshots restored across it in both directions, and demotion by
+ * compact().
  */
 #include <gtest/gtest.h>
 
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "sim/batch_trace.hpp"
 #include "sim/crossbar.hpp"
+#include "sim/replay_program.hpp"
+#include "sim/simulator.hpp"
 #include "uarch/partition.hpp"
 
 using namespace pypim;
@@ -361,7 +371,17 @@ TEST(PagedCrossbar, SnapshotIsCopyOnWriteAndIsolated)
     EXPECT_EQ(xb.read(1, 10), 0x11223344u);
 }
 
-TEST(PagedCrossbar, FuzzedSparseParityWithDense)
+namespace
+{
+
+/**
+ * 400 random ops on a Paged crossbar and the Dense oracle, every
+ * slot they name below @p slots, with compact() and snapshot/restore
+ * round trips mixed in. Returns whether the paged crossbar ended as a
+ * slab.
+ */
+bool
+fuzzParityWithDense(uint32_t slots)
 {
     const Geometry geo = tallGeometry();
     Crossbar paged(geo, XbarStorage::Paged);
@@ -369,7 +389,6 @@ TEST(PagedCrossbar, FuzzedSparseParityWithDense)
     Rng rng(20240604);
     const uint32_t maskWords = (geo.rows + 63) / 64;
     std::vector<uint64_t> mask(maskWords);
-    const uint32_t slots = geo.slots();
     for (uint32_t iter = 0; iter < 400; ++iter) {
         // Sparse random row mask: mostly zero words, so ops keep
         // hitting absent/present block mixtures.
@@ -389,9 +408,9 @@ TEST(PagedCrossbar, FuzzedSparseParityWithDense)
             // partition and three intra-partition columns.
             const uint32_t pw = geo.partitionWidth();
             const uint32_t base = (rng.word() % geo.partitions) * pw;
-            const uint32_t a = base + rng.word() % pw;
-            const uint32_t b = base + rng.word() % pw;
-            const uint32_t out = base + rng.word() % pw;
+            const uint32_t a = base + rng.word() % slots;
+            const uint32_t b = base + rng.word() % slots;
+            const uint32_t out = base + rng.word() % slots;
             const HalfGates hg = gateOn(geo, g, a, b, out);
             paged.logicH(hg, mask);
             dense.logicH(hg, mask);
@@ -417,13 +436,258 @@ TEST(PagedCrossbar, FuzzedSparseParityWithDense)
             EXPECT_TRUE(paged.sameState(snap));
             paged.restore(snap);
         }
-        if (iter % 32 == 0)
-            ASSERT_TRUE(paged.sameState(dense)) << "iter " << iter;
+        if (iter % 32 == 0) {
+            EXPECT_TRUE(paged.sameState(dense)) << "iter " << iter;
+        }
     }
-    ASSERT_TRUE(paged.sameState(dense));
+    EXPECT_TRUE(paged.sameState(dense));
     // Spot-check strided readback through both paths.
-    for (uint32_t slot = 0; slot < slots; slot += 5)
+    for (uint32_t slot = 0; slot < geo.slots(); slot += 5)
         for (uint32_t row = 0; row < geo.rows; row += 97)
-            ASSERT_EQ(paged.read(slot, row), dense.read(slot, row))
+            EXPECT_EQ(paged.read(slot, row), dense.read(slot, row))
                 << "slot " << slot << " row " << row;
+    return paged.isSlab();
+}
+
+} // namespace
+
+TEST(PagedCrossbar, FuzzedSparseParityWithDense)
+{
+    // A quarter of the slots keeps the crossbar under the promotion
+    // threshold, so every op runs on the paged kernels.
+    EXPECT_FALSE(fuzzParityWithDense(tallGeometry().slots() / 4));
+}
+
+TEST(PagedCrossbar, FuzzedFillParityWithDense)
+{
+    // Every slot: the crossbar fills up and is promoted part-way.
+    EXPECT_TRUE(fuzzParityWithDense(tallGeometry().slots()));
+}
+
+// ---------------------------------------------------------------------
+// Adaptive Paged storage: a crossbar is promoted to the dense slab at
+// replay entry once half of its block grid is present. Across the
+// switch it must stay bit-identical to the Dense oracle, and
+// storage() must keep reporting the configured policy.
+
+namespace
+{
+
+/** Canonical non-zero-block walk, flattened for comparison. */
+std::vector<uint64_t>
+walkOf(const Crossbar &xb)
+{
+    std::vector<uint64_t> out;
+    xb.forEachNonZeroBlock(
+        [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
+            out.push_back((static_cast<uint64_t>(col) << 32) | b);
+            out.insert(out.end(), w, w + n);
+        });
+    return out;
+}
+
+/**
+ * Fill step @p k on crossbar 0: INIT1 every row of slot k, which makes
+ * every block of its 32 columns present, then NOR the two previous
+ * slots into it under a strided row mask so the data is not uniform.
+ * Prepared on a serial simulator, compiled or left for the
+ * interpreter.
+ */
+std::shared_ptr<const BatchTrace>
+fillStep(const Geometry &geo, uint32_t k, bool compiled)
+{
+    const uint32_t last = geo.partitions - 1;
+    std::vector<Word> ops;
+    ops.push_back(MicroOp::crossbarMask(Range::single(0)).encode());
+    ops.push_back(MicroOp::rowMask(Range::all(geo.rows)).encode());
+    ops.push_back(MicroOp::logicH(Gate::Init1, 0, 0, geo.column(k, 0),
+                                  last, 1)
+                      .encode());
+    if (k >= 2) {
+        const uint32_t start = k % 7;
+        const uint32_t stop =
+            start + (geo.rows - 1 - start) / 3 * 3;
+        ops.push_back(
+            MicroOp::rowMask(Range(start, stop, 3)).encode());
+        ops.push_back(MicroOp::logicH(Gate::Nor, geo.column(k - 1, 0),
+                                      geo.column(k - 2, 0),
+                                      geo.column(k, 0), last, 1)
+                          .encode());
+    }
+    Simulator sim(geo,
+                  EngineConfig::serial().withCompiledReplay(compiled));
+    return sim.prepareTrace(ops.data(), ops.size(), false);
+}
+
+/** Replay every segment of @p t on @p xb as crossbar 0. */
+void
+replayOn(Crossbar &xb, const BatchTrace &t, bool compiled)
+{
+    for (uint32_t s = 0; s < t.used; ++s) {
+        if (compiled)
+            xb.replayProgram(t.programs[s], 0, nullptr);
+        else
+            xb.replaySegment(t.segments[s], 0, nullptr);
+    }
+}
+
+/** Run fill steps [from, to) on every crossbar in @p xbs. */
+void
+fill(const Geometry &geo, std::initializer_list<Crossbar *> xbs,
+     uint32_t from, uint32_t to, bool compiled = true)
+{
+    for (uint32_t k = from; k < to; ++k) {
+        const auto t = fillStep(geo, k, compiled);
+        for (Crossbar *xb : xbs)
+            replayOn(*xb, *t, compiled);
+    }
+}
+
+/** Bit-identity in every form a caller can observe. */
+::testing::AssertionResult
+identical(const Crossbar &a, const Crossbar &b)
+{
+    if (!a.sameState(b) || !b.sameState(a))
+        return ::testing::AssertionFailure() << "sameState differs";
+    if (a.stateChecksum() != b.stateChecksum())
+        return ::testing::AssertionFailure() << "checksum differs";
+    if (walkOf(a) != walkOf(b))
+        return ::testing::AssertionFailure() << "block walk differs";
+    return ::testing::AssertionSuccess();
+}
+
+// Four 512-row blocks per column, so one slot is 128 blocks and the
+// half-grid threshold (2,048 of 4,096 blocks) is 16 filled slots.
+constexpr uint32_t kSlotsAtThreshold = 16;
+
+} // namespace
+
+TEST(AdaptiveCrossbar, FillAcrossThresholdMatchesDenseOracle)
+{
+    const Geometry geo = tallGeometry();
+    for (const bool compiled : {false, true}) {
+        // A program checks the threshold once, at its entry, so the
+        // step after the one that fills half the grid promotes. The
+        // interpreter also checks at each op's entry, so the NOR of
+        // that filling step already runs on the slab.
+        const uint32_t firstSlabStep =
+            compiled ? kSlotsAtThreshold : kSlotsAtThreshold - 1;
+        Crossbar xb(geo, XbarStorage::Paged);
+        Crossbar oracle(geo, XbarStorage::Dense);
+        for (uint32_t k = 0; k < geo.slots(); ++k) {
+            fill(geo, {&xb, &oracle}, k, k + 1, compiled);
+            ASSERT_EQ(xb.isSlab(), k >= firstSlabStep)
+                << "compiled=" << compiled << " step " << k;
+            ASSERT_TRUE(identical(xb, oracle))
+                << "compiled=" << compiled << " step " << k;
+            ASSERT_EQ(xb.storage(), XbarStorage::Paged);
+            ASSERT_EQ(xb.storageGauges().slabCrossbars,
+                      xb.isSlab() ? 1u : 0u);
+        }
+        // A slab counts its whole grid as present, as Dense does.
+        const StorageGauges g = xb.storageGauges();
+        EXPECT_EQ(g.blocksPresent, g.blocksTotal);
+        EXPECT_EQ(g.blocksElided, 0u);
+        EXPECT_EQ(oracle.storageGauges().slabCrossbars, 1u);
+        for (uint32_t slot = 0; slot < geo.slots(); slot += 3)
+            for (uint32_t row = 0; row < geo.rows; row += 131)
+                ASSERT_EQ(xb.read(slot, row), oracle.read(slot, row));
+    }
+}
+
+TEST(AdaptiveCrossbar, SnapshotsRestoreAcrossPromotionBothWays)
+{
+    const Geometry geo = tallGeometry();
+    Crossbar xb(geo, XbarStorage::Paged);
+    Crossbar at10(geo, XbarStorage::Dense);
+    Crossbar at20(geo, XbarStorage::Dense);
+    fill(geo, {&xb, &at10, &at20}, 0, 10);
+    const Crossbar::Snapshot paged = xb.snapshot();
+    fill(geo, {&xb, &at20}, 10, 20);
+    ASSERT_TRUE(xb.isSlab());
+    const Crossbar::Snapshot slab = xb.snapshot();
+
+    // A paged image restored into the promoted crossbar makes it
+    // paged again, sharing the image's blocks.
+    xb.restore(paged);
+    EXPECT_FALSE(xb.isSlab());
+    EXPECT_EQ(xb.storage(), XbarStorage::Paged);
+    EXPECT_TRUE(xb.sameState(paged));
+    EXPECT_TRUE(identical(xb, at10));
+    EXPECT_GT(xb.storageGauges().cowShared, 0u);
+    // It continues exactly like the oracle, promoting again on the
+    // way, and the held image stays frozen.
+    fill(geo, {&xb}, 10, 20);
+    EXPECT_TRUE(xb.isSlab());
+    EXPECT_TRUE(identical(xb, at20));
+    xb.restore(paged);
+    EXPECT_TRUE(identical(xb, at10));
+
+    // A slab image restored into a paged crossbar makes it a slab.
+    xb.restore(slab);
+    EXPECT_TRUE(xb.isSlab());
+    EXPECT_TRUE(identical(xb, at20));
+    Crossbar fresh(geo, XbarStorage::Paged);
+    fill(geo, {&fresh}, 0, 3);
+    ASSERT_FALSE(fresh.isSlab());
+    fresh.restore(slab);
+    EXPECT_TRUE(fresh.isSlab());
+    EXPECT_TRUE(identical(fresh, at20));
+
+    // The Dense oracle accepts slab images but not paged ones.
+    Crossbar dense(geo, XbarStorage::Dense);
+    dense.restore(slab);
+    EXPECT_TRUE(identical(dense, at20));
+    EXPECT_THROW(dense.restore(paged), InternalError);
+}
+
+TEST(AdaptiveCrossbar, CompactDemotesADecayedSlab)
+{
+    const Geometry geo = tallGeometry();
+    const auto fullMask = Range::all(geo.rows).expand(geo.rows);
+    Crossbar xb(geo, XbarStorage::Paged);
+    Crossbar oracle(geo, XbarStorage::Dense);
+    fill(geo, {&xb, &oracle}, 0, 5);
+    const Crossbar::Snapshot early = xb.snapshot();  // pre-promotion
+    Crossbar at5(geo, XbarStorage::Dense);
+    at5.restore(oracle.snapshot());
+    fill(geo, {&xb, &oracle}, 5, 21);
+    ASSERT_TRUE(xb.isSlab());
+    // Full: compact() keeps the slab and elides nothing.
+    EXPECT_EQ(xb.compact(), 0u);
+    EXPECT_TRUE(xb.isSlab());
+
+    // Clear slots 0..5: 15 non-zero slots are left, just under the
+    // threshold, so the next compact() demotes.
+    for (uint32_t k = 0; k <= 5; ++k) {
+        const HalfGates init0 = expandLogicH(
+            MicroOp::logicH(Gate::Init0, 0, 0, geo.column(k, 0),
+                            geo.partitions - 1, 1),
+            geo);
+        xb.logicH(init0, fullMask);
+        oracle.logicH(init0, fullMask);
+    }
+    ASSERT_TRUE(xb.isSlab()) << "ops never demote";
+    const uint64_t nonZero = 128u * 15;
+    EXPECT_EQ(xb.compact(), 4096u - nonZero);
+    EXPECT_FALSE(xb.isSlab());
+    EXPECT_EQ(xb.storage(), XbarStorage::Paged);
+    const StorageGauges g = xb.storageGauges();
+    EXPECT_EQ(g.blocksPresent, nonZero);
+    EXPECT_EQ(g.slabCrossbars, 0u);
+    EXPECT_TRUE(identical(xb, oracle));
+    // Paged again: continuing replay matches and re-promotes.
+    fill(geo, {&xb, &oracle}, 21, 24);
+    EXPECT_TRUE(xb.isSlab());
+    EXPECT_TRUE(identical(xb, oracle));
+
+    // A snapshot from before the promotion still restores, though the
+    // crossbar has since dropped that pool and built a new one.
+    xb.restore(early);
+    EXPECT_TRUE(identical(xb, at5));
+    // One from another crossbar never does: two crossbars replaying
+    // concurrently must not share a pool.
+    Crossbar other(geo, XbarStorage::Paged);
+    other.writeRow(1, 0x1234u, 3);
+    EXPECT_THROW(xb.restore(other.snapshot()), InternalError);
 }

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -201,6 +202,55 @@ TEST_P(FaultRecovery, FlipsAndPoisonRecoverBitIdentical)
 INSTANTIATE_TEST_SUITE_P(Engines, FaultRecovery,
                          ::testing::Range<size_t>(0, numEngineCases));
 
+// --- recovery across a storage promotion ----------------------------------
+
+TEST_P(FaultRecovery, JournaledWindowAcrossPromotionBitIdentical)
+{
+    // The recovery baseline is the empty device, where every crossbar
+    // is paged. The first phase fills the crossbars past the
+    // promotion threshold, so they replay as slabs before the one-shot
+    // replay failure fires. Recovery then restores the paged baseline
+    // into slab crossbars and re-replays the whole journal, promotion
+    // included.
+    const EngineCase &ec = engineCase(GetParam());
+    const Geometry g = faultGeometry();
+    const EngineConfig cfg = ec.cfg.withStorage(XbarStorage::Paged);
+    Device faulty(g, Driver::Mode::Parallel,
+                  cfg.withFaults("seed=4:fail=10").withVerifyState());
+    Device clean(g, Driver::Mode::Parallel, cfg);
+    Rng rng(99);
+    std::vector<int32_t> va(1024), vb(1024);
+    for (size_t i = 0; i < va.size(); ++i) {
+        va[i] = static_cast<int32_t>(rng.word());
+        vb[i] = static_cast<int32_t>(rng.word() | 1);
+    }
+    auto phase1 = [&](Device &dev) {
+        Tensor a = Tensor::fromVector(va, &dev);
+        Tensor b = Tensor::fromVector(vb, &dev);
+        Tensor c = a * b + a;
+        return std::make_tuple(a, b, c);
+    };
+    auto [fa, fb, fc] = phase1(faulty);
+    auto [ca, cb, cc] = phase1(clean);
+    ASSERT_EQ(fc.toIntVector(), cc.toIntVector()) << ec.name;
+    ASSERT_EQ(faulty.faultStats().faultsInjected, 0u)
+        << ec.name << ": the failure must fire after the promotion";
+    ASSERT_GT(faulty.group().storageGauges().slabCrossbars, 0u)
+        << ec.name;
+    for (int rounds = 0;
+         rounds < 64 && faulty.faultStats().faultsInjected == 0;
+         ++rounds) {
+        Tensor fd = (fc ^ fb) - fa;
+        Tensor cd = (cc ^ cb) - ca;
+        ASSERT_EQ(fd.toIntVector(), cd.toIntVector())
+            << ec.name << " round " << rounds;
+    }
+    ASSERT_TRUE(sameDeviceState(faulty, clean)) << ec.name;
+    const Stats fs = faulty.faultStats();
+    EXPECT_EQ(fs.faultsInjected, 1u) << ec.name;
+    EXPECT_GT(fs.recoveries, 0u) << ec.name;
+}
+
 // --- sticky error contract without verification ---------------------------
 
 TEST(FaultSticky, PipelineErrorRethrownAtEverySyncUntilRestore)
@@ -285,7 +335,7 @@ TEST(FaultTerminal, StuckPinsExhaustRetriesIntoStickyTerminal)
 TEST(FaultSoak, EverySeedRecoversOrFailsLoudly)
 {
     // Honours the CI matrix knobs (PYPIM_ENGINE / PYPIM_PIPELINE /
-    // PYPIM_DEVICES / PYPIM_XBAR_STORAGE) as the base configuration;
+    // PYPIM_DEVICES) as the base configuration;
     // fault spec and verification are pinned per iteration.
     EngineConfig base = EngineConfig::fromEnv();
     base.faults.clear();  // spec pinned per iteration below

@@ -66,7 +66,11 @@ TEST_P(GeometrySweep, ArithmeticAcrossWarpBoundaries)
     const auto prd = (a * b).toIntVector();
     for (uint64_t i = 0; i < n; ++i) {
         ASSERT_EQ(sum[i], va[i] + vb[i]) << "i=" << i;
-        ASSERT_EQ(prd[i], va[i] * vb[i]) << "i=" << i;
+        // The PIM product wraps in two's complement: form the host
+        // reference in 64 bits and narrow, never overflow int32_t.
+        ASSERT_EQ(prd[i], static_cast<int32_t>(
+                              static_cast<int64_t>(va[i]) * vb[i]))
+            << "i=" << i;
     }
 }
 
@@ -152,7 +156,10 @@ TEST_P(GeometrySweep, PagedStorageMatchesDenseFullStack)
         const auto prd = p.toIntVector();
         for (uint64_t i = 0; i < n; ++i) {
             ASSERT_EQ(sum[i], va[i] + vb[i]) << "i=" << i;
-            ASSERT_EQ(prd[i], va[i] * vb[i]) << "i=" << i;
+            ASSERT_EQ(prd[i],
+                      static_cast<int32_t>(
+                          static_cast<int64_t>(va[i]) * vb[i]))
+                << "i=" << i;
         }
         dev->flush();
     }

@@ -203,7 +203,8 @@ TEST_P(PropertyTest, WhereSelectsExactly)
     const auto hi = where(c, b, a).toIntVector();
     for (size_t i = 0; i < va.size(); ++i) {
         EXPECT_EQ(std::min(va[i], vb[i]), std::min(lo[i], hi[i]));
-        EXPECT_EQ(lo[i] + hi[i],
+        EXPECT_EQ(static_cast<int32_t>(static_cast<int64_t>(lo[i]) +
+                                       hi[i]),
                   static_cast<int32_t>(
                       static_cast<int64_t>(va[i]) + vb[i]));
     }

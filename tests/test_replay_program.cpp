@@ -83,10 +83,13 @@ randomRange(Rng &rng, uint32_t limit)
  * LogicH under a stable mask so pass merging actually fires, with a
  * mix of full, partial and re-issued-identical row masks to cross the
  * specialisation boundary, plus stripes of Writes and LogicV runs.
+ * Every slot it names is below @p slots (0: all of them).
  */
 std::vector<Word>
-randomTraceStream(Rng &rng, const Geometry &g, size_t len)
+randomTraceStream(Rng &rng, const Geometry &g, size_t len,
+                  uint32_t slots = 0)
 {
+    const uint32_t ns = slots ? slots : g.slots();
     std::vector<Word> ops;
     ops.reserve(len + 2);
     ops.push_back(
@@ -126,16 +129,16 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len)
           case 3: {
             // Short Write bursts over distinct slots: stripe fodder.
             const uint32_t n = 1 + rng.word() % 4;
-            const uint32_t base = rng.word() % g.slots();
+            const uint32_t base = rng.word() % ns;
             for (uint32_t k = 0; k < n; ++k)
                 ops.push_back(
-                    MicroOp::write((base + k) % g.slots(), rng.word())
+                    MicroOp::write((base + k) % ns, rng.word())
                         .encode());
             break;
           }
           case 4:
           case 5: {
-            const uint32_t out = g.column(rng.word() % g.slots(), 0);
+            const uint32_t out = g.column(rng.word() % ns, 0);
             ops.push_back(
                 MicroOp::logicH(rng.word() % 2 ? Gate::Init1
                                                : Gate::Init0,
@@ -146,15 +149,15 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len)
           case 6:
           case 7:
           case 8: {
-            uint32_t a = rng.word() % g.slots();
-            uint32_t b = rng.word() % g.slots();
-            uint32_t c = rng.word() % g.slots();
+            uint32_t a = rng.word() % ns;
+            uint32_t b = rng.word() % ns;
+            uint32_t c = rng.word() % ns;
             if (a == c)
-                a = (a + 1) % g.slots();
+                a = (a + 1) % ns;
             if (b == c)
-                b = (b + 2) % g.slots();
+                b = (b + 2) % ns;
             if (b == c)
-                b = (b + 1) % g.slots();
+                b = (b + 1) % ns;
             const bool isNot = rng.word() % 2;
             ops.push_back(MicroOp::logicH(isNot ? Gate::Not
                                                 : Gate::Nor,
@@ -170,7 +173,7 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len)
             // LogicV run on one slot (the VRun chunking unit).
             static const Gate kVGates[] = {Gate::Init0, Gate::Init1,
                                            Gate::Not};
-            const uint32_t slot = rng.word() % g.slots();
+            const uint32_t slot = rng.word() % ns;
             const uint32_t n = 1 + rng.word() % 3;
             for (uint32_t k = 0; k < n; ++k)
                 ops.push_back(MicroOp::logicV(kVGates[rng.word() % 3],
@@ -190,7 +193,7 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len)
                 MicroOp::rowMask(Range::single(rng.word() % g.rows))
                     .encode());
             ops.push_back(
-                MicroOp::read(rng.word() % g.slots()).encode());
+                MicroOp::read(rng.word() % ns).encode());
             break;
           }
         }
@@ -198,15 +201,17 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len)
     return ops;
 }
 
-/** Seed every sink with identical random register contents. */
+/** Seed every sink with identical random register contents in the
+ *  slots below @p slots (0: all of them). */
 template <typename Sink>
 void
-seedState(Sink &s, uint64_t seed, const Geometry &g)
+seedState(Sink &s, uint64_t seed, const Geometry &g, uint32_t slots = 0)
 {
     Rng rng(seed);
+    const uint32_t ns = slots ? slots : g.slots();
     for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
         for (uint32_t row = 0; row < g.rows; ++row)
-            for (uint32_t slot = 0; slot < g.slots(); ++slot)
+            for (uint32_t slot = 0; slot < ns; ++slot)
                 s.crossbar(xb).writeRow(slot, rng.word(), row);
 }
 
@@ -280,22 +285,37 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
     const auto [seed, caseIdx] = GetParam();
     const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = fuzzGeometry();
-    Rng streamRng(seed);
-    const std::vector<Word> ops = randomTraceStream(streamRng, g, 140);
     constexpr int kReplays = 3;
 
-    for (XbarStorage storage : {XbarStorage::Dense, XbarStorage::Paged}) {
+    // Paged runs twice. Seeded in full, a crossbar is promoted to the
+    // dense slab at its first replay. Seeded and driven on a quarter
+    // of the slots, it stays under the promotion threshold and every
+    // replay runs the paged kernels.
+    struct FillCase
+    {
+        XbarStorage storage;
+        uint32_t slots;
+    };
+    const FillCase fills[] = {{XbarStorage::Dense, g.slots()},
+                              {XbarStorage::Paged, g.slots()},
+                              {XbarStorage::Paged, g.slots() / 4}};
+    for (const FillCase &fc : fills) {
+        Rng streamRng(seed);
+        const std::vector<Word> ops =
+            randomTraceStream(streamRng, g, 140, fc.slots);
+        const bool sparse = fc.slots < g.slots();
         for (uint32_t devices : {1u, 2u, 4u}) {
             const EngineConfig base =
-                ec.cfg.withStorage(storage).withDevices(devices);
-            // Raw-stream serial reference, interpreter replay, and
-            // compiled replay of ONE stream from ONE seeded state.
-            Simulator oracle(g);
+                ec.cfg.withStorage(fc.storage).withDevices(devices);
+            // Raw-stream serial Dense reference, interpreter replay,
+            // and compiled replay of ONE stream from ONE seeded state.
+            Simulator oracle(
+                g, EngineConfig::serial().withStorage(XbarStorage::Dense));
             SimulatorGroup interp(g, base.withCompiledReplay(false));
             SimulatorGroup compiled(g, base.withCompiledReplay(true));
-            seedState(oracle, seed, g);
-            seedState(interp, seed, g);
-            seedState(compiled, seed, g);
+            seedState(oracle, seed, g, fc.slots);
+            seedState(interp, seed, g, fc.slots);
+            seedState(compiled, seed, g, fc.slots);
 
             auto ti = interp.prepareTrace(ops.data(), ops.size(), true);
             auto tc =
@@ -330,6 +350,19 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
                 EXPECT_EQ(compiled.sub(0).stats(),
                           compiled.sub(d).stats())
                     << ec.name << " sub " << d;
+            for (SimulatorGroup *grp : {&interp, &compiled}) {
+                const uint64_t slabs =
+                    grp->storageGauges().slabCrossbars;
+                if (fc.storage == XbarStorage::Dense)
+                    EXPECT_EQ(slabs, g.numCrossbars) << ec.name;
+                else if (sparse)
+                    EXPECT_EQ(slabs, 0u)
+                        << ec.name << ": a sparse crossbar must stay "
+                                      "paged";
+                else
+                    EXPECT_GT(slabs, 0u)
+                        << ec.name << ": a full crossbar must promote";
+            }
         }
     }
 }
