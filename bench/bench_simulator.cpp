@@ -19,6 +19,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -290,6 +291,37 @@ endToEndRate(const Geometry &g, const EngineConfig &ec,
 }
 
 /**
+ * Bitonic sorts of 256 floats per second on 16 crossbars (serial
+ * engine), timed per pass: upload, sort, readback. Each exchange is
+ * one captured move sequence, so with the pipeline on it is one
+ * hand-off per exchange, not one per move. @p checksum digests the
+ * sorted output so the on/off runs can assert identical results.
+ */
+double
+sortRate(bool pipeline, uint64_t &checksum, double minSeconds = 0.3)
+{
+    Device dev(benchGeometry(16), Driver::Mode::Parallel,
+               EngineConfig::serial().withPipeline(pipeline));
+    Rng rng(5);
+    std::vector<float> in(256);
+    for (float &x : in)
+        x = static_cast<float>(rng.int32In(-1000000, 1000000)) / 1024.0f;
+    std::vector<float> out;
+    const auto pass = [&] {
+        Tensor t = Tensor::fromVector(in, &dev);
+        t.sort();
+        out = t.toFloatVector();
+    };
+    pass();  // warm-up: captures every exchange
+    const auto [reps, elapsed] =
+        timedReps(pass, [&] { dev.flush(); }, minSeconds);
+    checksum = 0;
+    for (float x : out)
+        checksum = checksum * 1099511628211ull ^ std::bit_cast<uint32_t>(x);
+    return static_cast<double>(reps) / elapsed;
+}
+
+/**
  * Asynchronous-pipeline sweep: the ISSUE 3 acceptance gauge. The same
  * driver-bound workload (per-instruction translation, no stream
  * cache) runs through the sharded engine with the pipeline off
@@ -297,11 +329,14 @@ endToEndRate(const Geometry &g, const EngineConfig &ec,
  * batch k+1 overlapped with replay of batch k on the consumer
  * thread). On a multi-core host the speedup approaches
  * min(2, 1 + min(Tt, Tr) / max(Tt, Tr)); on a single core the two
- * stages time-share and the ratio stays near 1.
+ * stages time-share and the ratio stays near 1. A last row times the
+ * move-heavy bitonic sort both ways (sortRate). Returns false unless
+ * every pipelined result is bit-identical to its synchronous twin.
  */
-void
+bool
 pipelineSweep(Json *json)
 {
+    bool identical = true;
     const uint32_t threads = engineConfig().resolvedThreads();
     std::printf("\n=== Pipelined end-to-end sweep (driver fp-add + "
                 "replay, sharded engine, %u threads) ===\n", threads);
@@ -320,6 +355,7 @@ pipelineSweep(Json *json)
         std::printf("%-10u %18.2f %18.2f %7.2fx %10s\n", crossbars,
                     off / 1e3, on / 1e3, on / off,
                     ckOff == ckOn ? "yes" : "NO");
+        identical = identical && ckOff == ckOn;
         if (json) {
             json->beginObject();
             json->field("crossbars", crossbars);
@@ -335,6 +371,23 @@ pipelineSweep(Json *json)
     std::printf("(>=1.2x at >=256 crossbars on a multi-core host is "
                 "the ISSUE 3 acceptance gauge; 'identical' checks "
                 "bit-equality of the result register)\n");
+
+    uint64_t ckOff = 0, ckOn = 0;
+    const double off = sortRate(false, ckOff);
+    const double on = sortRate(true, ckOn);
+    std::printf("%-10s %18s %18s %8s %10s\n", "sort 256", "sync [sort/s]",
+                "pipelined [sort/s]", "speedup", "identical");
+    std::printf("%-10u %18.1f %18.1f %7.2fx %10s\n", 16u, off, on,
+                on / off, ckOff == ckOn ? "yes" : "NO");
+    if (json) {
+        json->beginObject("pipeline_sort");
+        json->field("sync_sorts_per_s", off);
+        json->field("pipelined_sorts_per_s", on);
+        json->field("speedup", on / off);
+        json->field("bit_identical", ckOff == ckOn);
+        json->end();
+    }
+    return identical && ckOff == ckOn;
 }
 
 /**
@@ -1142,7 +1195,7 @@ main(int argc, char **argv)
         jsonConfig(*j, benchGeometry());
     }
     engineSweep(j);
-    pipelineSweep(j);
+    const bool pipelineIdentical = pipelineSweep(j);
     const bool devicesIdentical = deviceSweep(j);
     const bool storageIdentical = storageSweep(j);
     const bool ioIdentical = ioSweep(j);
@@ -1159,12 +1212,13 @@ main(int argc, char **argv)
     // monolithic device, paged storage diverged from dense, the bulk
     // I/O path diverged from the element-wise oracle, compiled
     // replay diverged from the interpreter, a checkpoint failed to
-    // restore bit-identical, or the cross-process socket fleet
-    // diverged from the in-process group: the CI bench smoke step
-    // asserts all six identities.
-    return devicesIdentical && storageIdentical && ioIdentical &&
-                   compiledIdentical && checkpointIdentical &&
-                   transportIdentical
+    // restore bit-identical, the cross-process socket fleet diverged
+    // from the in-process group, or a pipelined run diverged from its
+    // synchronous twin: the CI bench smoke step asserts all seven
+    // identities.
+    return pipelineIdentical && devicesIdentical && storageIdentical &&
+                   ioIdentical && compiledIdentical &&
+                   checkpointIdentical && transportIdentical
                ? 0
                : 1;
 }

@@ -57,9 +57,14 @@ struct Stats
     // engine- and cache-independent, which the parity suite checks by
     // exact equality.
 
-    /** Stream-cache hits replayed via a pre-built trace. */
+    /**
+     * Instructions served by replaying a pre-built trace: one per
+     * R-type stream-cache hit, and n per hit of a captured n-move
+     * sequence (Driver::execute(std::span<const MoveInstr>)).
+     */
     uint64_t traceCacheHits = 0;
-    /** Traces built (decode + fusion ran once for these). */
+    /** Traces built (decode + fusion ran once for these): one per
+     *  R-type signature or captured move sequence. */
     uint64_t traceCacheMisses = 0;
     /** Writes eliminated by Write-after-Write fusion. */
     uint64_t fusionWaw = 0;

@@ -58,6 +58,7 @@ Driver::setTraceFusionEnabled(bool on)
     // streams and rebuild traces lazily on the next hit.
     for (auto &kv : streamCache_)
         kv.second.trace.reset();
+    moveCache_.clear();
 }
 
 std::vector<uint8_t>
@@ -78,6 +79,8 @@ Driver::exportStreamCache() const
             return x.warps.start < y.warps.start;
         if (x.warps.stop != y.warps.stop)
             return x.warps.stop < y.warps.stop;
+        if (x.warps.step != y.warps.step)
+            return x.warps.step < y.warps.step;
         if (x.rows.start != y.rows.start)
             return x.rows.start < y.rows.start;
         if (x.rows.stop != y.rows.stop)
@@ -125,6 +128,16 @@ Driver::importStreamCache(const std::vector<uint8_t> &blob)
 }
 
 void
+Driver::noteTraceBuilt(const BatchTrace &t)
+{
+    ++stats_.traceCacheMisses;
+    stats_.fusionWaw += t.fusion.waw;
+    stats_.fusionInitChain += t.fusion.initChain;
+    stats_.fusionWindow += t.fusion.window;
+    stats_.fusionWriteStripe += t.fusion.writeStripe;
+}
+
+void
 Driver::replayEntry(StreamEntry &e)
 {
     if (traceCacheOn_) {
@@ -133,14 +146,8 @@ Driver::replayEntry(StreamEntry &e)
         } else {
             e.trace = sink_->prepareTrace(e.ops.data(), e.ops.size(),
                                           traceFusionOn_);
-            if (e.trace) {
-                ++stats_.traceCacheMisses;
-                stats_.fusionWaw += e.trace->fusion.waw;
-                stats_.fusionInitChain += e.trace->fusion.initChain;
-                stats_.fusionWindow += e.trace->fusion.window;
-                stats_.fusionWriteStripe +=
-                    e.trace->fusion.writeStripe;
-            }
+            if (e.trace)
+                noteTraceBuilt(*e.trace);
         }
         if (e.trace) {
             sink_->submitTrace(e.trace);
@@ -198,16 +205,7 @@ Driver::execute(const RTypeInstr &in)
             return;
         }
         // Record a self-contained stream (mask ops always included).
-        struct Recorder : OperationSink
-        {
-            std::vector<Word> ops;
-            void
-            performBatch(const Word *p, size_t n) override
-            {
-                ops.insert(ops.end(), p, p + n);
-            }
-            uint32_t performRead(Word) override { return 0; }
-        } rec;
+        StreamRecorder rec;
         OperationSink *real = builder_.swapSink(&rec);
         builder_.resetMaskState();
         builder_.pool().reset();

@@ -21,6 +21,8 @@
 #define PYPIM_DRIVER_DRIVER_HPP
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -89,17 +91,23 @@ class Driver
      * traces (ablation knob). Changing it drops the cached trace
      * handles — they were optimised under the old setting — while the
      * recorded streams stay cached; traces rebuild lazily on the next
-     * hit.
+     * hit. Captured move sequences are dropped whole (an entry with a
+     * trace keeps no stream to rebuild it from).
      */
     void setTraceFusionEnabled(bool on);
     bool traceFusionEnabled() const { return traceFusionOn_; }
 
-    /** Drop every memoised stream and trace handle. */
+    /** Drop every memoised stream and trace handle (R-type streams
+     *  and captured move sequences). */
     void
     clearStreamCache()
     {
         streamCache_.clear();
+        moveCache_.clear();
     }
+
+    /** Cached move sequences (execute(std::span<const MoveInstr>)). */
+    size_t moveCacheSize() const { return moveCache_.size(); }
 
     /**
      * Serialize the stream cache's signatures and recorded micro-op
@@ -160,6 +168,24 @@ class Driver
     /** Execute an intra- or inter-warp move. */
     void execute(const MoveInstr &in);
 
+    /**
+     * Execute @p moves in order as one captured sequence — the
+     * CUDA-Graphs capture/replay pattern applied to the ISA's
+     * thread-serial moves. Equivalent to execute(const MoveInstr &)
+     * on each move (same micro-ops, crossbar state, architectural
+     * Stats and builder mask state), which stays the ISA instruction
+     * and the oracle. The first run of a sequence records the
+     * per-move lowering under the builder's live masks (keeping its
+     * mask elision) and builds one fused, compiled trace from that
+     * entry mask state; every later run with the same moves, partition
+     * setting and entry masks submits the trace and assumes the
+     * recorded exit masks. Sinks that cannot replay the trace get the
+     * recorded stream as one raw batch. Runs move by move when the
+     * stream or trace cache is off or exactly one builder mask is
+     * known. Each hit adds moves.size() to Stats::traceCacheHits.
+     */
+    void execute(std::span<const MoveInstr> moves);
+
     /** Driver-side instruction counters. */
     Stats &stats() { return stats_; }
     const Stats &stats() const { return stats_; }
@@ -207,8 +233,58 @@ class Driver
         std::shared_ptr<const BatchTrace> trace;
     };
 
+    /** Sink that appends every op it is handed (stream recording). */
+    struct StreamRecorder : OperationSink
+    {
+        std::vector<Word> ops;
+        void
+        performBatch(const Word *p, size_t n) override
+        {
+            ops.insert(ops.end(), p, p + n);
+        }
+        uint32_t performRead(Word) override { return 0; }
+    };
+
     /** Replay one cache entry (trace handle fast path, else stream). */
     void replayEntry(StreamEntry &e);
+    /** Account a freshly built trace (miss + fusion counters). */
+    void noteTraceBuilt(const BatchTrace &t);
+
+    /**
+     * Signature of a captured move sequence: the moves, the partition
+     * setting (lane NOTs lower differently without partitions) and
+     * the builder's entry masks, or "both unknown".
+     */
+    struct MoveSeqKey
+    {
+        std::vector<MoveInstr> moves;
+        bool partitions = true;
+        bool masksKnown = false;
+        Range warps, rows;  //!< entry masks iff masksKnown
+        bool operator==(const MoveSeqKey &) const = default;
+    };
+    struct MoveSeqKeyHash
+    {
+        size_t operator()(const MoveSeqKey &k) const;
+    };
+    /**
+     * One captured sequence: its trace, or — when the sink builds no
+     * trace (multi-device and socket groups, plain sinks) — the
+     * recorded stream, plus the builder mask state it leaves.
+     */
+    struct MoveSeqEntry
+    {
+        std::shared_ptr<const BatchTrace> trace;
+        std::vector<Word> ops;  //!< only when trace is null
+        std::optional<Range> exitWarps, exitRows;
+    };
+    /**
+     * Bound on cached move sequences; the cache is cleared when full.
+     * A bitonic sort needs one per distinct (stage distance, register
+     * pair, entry masks) — 15 for 256 elements — and a compacted
+     * trace of 256 moves holds a few tens of KB.
+     */
+    static constexpr size_t kMoveCacheEntries = 256;
 
     const Geometry *geo_;
     OperationSink *sink_;
@@ -222,6 +298,8 @@ class Driver
     bool bulkIoOn_ = true;
     std::unordered_map<StreamKey, StreamEntry, StreamKeyHash>
         streamCache_;
+    std::unordered_map<MoveSeqKey, MoveSeqEntry, MoveSeqKeyHash>
+        moveCache_;
 };
 
 } // namespace pypim

@@ -95,10 +95,12 @@ class GateBuilder
 
     /**
      * Declare the chip's mask state without emitting ops (used after
-     * replaying a recorded stream that ends in these masks).
+     * replaying a recorded stream that ends in these masks). An unset
+     * mask is unknown (a replayed move sequence may leave one so).
      */
     void
-    assumeMasks(const Range &warps, const Range &rows)
+    assumeMasks(const std::optional<Range> &warps,
+                const std::optional<Range> &rows)
     {
         warpMask_ = warps;
         rowMask_ = rows;

@@ -17,11 +17,18 @@
  * paper §III-F) and the op carries the destination start, rows and
  * register indices. One op transfers one thread per warp pair —
  * warp-parallel, thread-serial, exactly the ISA's move semantics.
+ *
+ * Because moves are thread-serial, a tensor-level data movement (one
+ * bitonic exchange) is hundreds of moves. execute(span) captures such
+ * a sequence once — recorded through the per-move lowering above,
+ * under the builder's live masks — and replays it afterwards as one
+ * compiled trace.
  */
 #include "driver/driver.hpp"
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
+#include "sim/batch_trace.hpp"
 
 namespace pypim
 {
@@ -84,6 +91,114 @@ Driver::execute(const MoveInstr &in)
     builder_.pool().freeLane(tmp2);
     builder_.flush();
     ++stats_.instructions;
+}
+
+size_t
+Driver::MoveSeqKeyHash::operator()(const MoveSeqKey &k) const
+{
+    uint64_t h = (static_cast<uint64_t>(k.partitions) << 1 |
+                  static_cast<uint64_t>(k.masksKnown)) ^
+                 k.moves.size();
+    const auto mix = [&h](uint64_t v) {
+        h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 29;
+    };
+    const auto mixRange = [&mix](const Range &r) {
+        mix(static_cast<uint64_t>(r.start) << 32 | r.stop);
+        mix(r.step);
+    };
+    if (k.masksKnown) {
+        mixRange(k.warps);
+        mixRange(k.rows);
+    }
+    for (const MoveInstr &m : k.moves) {
+        mix(static_cast<uint64_t>(m.kind) |
+            static_cast<uint64_t>(m.srcReg) << 8 |
+            static_cast<uint64_t>(m.dstReg) << 16 |
+            static_cast<uint64_t>(m.dstStartWarp) << 32);
+        mix(static_cast<uint64_t>(m.srcRow) << 32 | m.dstRow);
+        mixRange(m.warps);
+    }
+    return static_cast<size_t>(h);
+}
+
+void
+Driver::execute(std::span<const MoveInstr> moves)
+{
+    if (moves.empty())
+        return;
+    // The captured stream is what the per-move path emits from the
+    // builder's CURRENT masks, so the key must pin them — both known
+    // (the trace decodes from them) or both unknown (the stream sets
+    // them itself). A half-known state is rare: no capture.
+    const bool known = builder_.masksKnown();
+    const bool unknown =
+        !builder_.knownWarpMask() && !builder_.knownRowMask();
+    if (!streamCacheOn_ || !traceCacheOn_ || (!known && !unknown)) {
+        for (const MoveInstr &m : moves)
+            execute(m);
+        return;
+    }
+    MoveSeqKey key;
+    key.moves.assign(moves.begin(), moves.end());
+    key.partitions = builder_.partitionsEnabled();
+    key.masksKnown = known;
+    if (known) {
+        key.warps = builder_.warpMask();
+        key.rows = builder_.rowMask();
+    }
+    // Pending ops precede the sequence, as the first move's flush
+    // would push them.
+    builder_.flush();
+
+    const auto it = moveCache_.find(key);
+    if (it != moveCache_.end()) {
+        const MoveSeqEntry &e = it->second;
+        if (e.trace) {
+            sink_->submitTrace(e.trace);
+            stats_.traceCacheHits += moves.size();
+        } else if (!e.ops.empty()) {
+            sink_->submitBatch(e.ops.data(), e.ops.size());
+        }
+        builder_.assumeMasks(e.exitWarps, e.exitRows);
+        stats_.instructions += moves.size();
+        return;
+    }
+
+    // Miss: record through the per-move lowering, masks untouched.
+    StreamRecorder rec;
+    OperationSink *real = builder_.swapSink(&rec);
+    try {
+        for (const MoveInstr &m : moves)
+            execute(m);
+    } catch (...) {
+        // A move failed validation: the moves before it take effect,
+        // exactly as they do move by move.
+        builder_.swapSink(real);
+        if (!rec.ops.empty())
+            sink_->submitBatch(rec.ops.data(), rec.ops.size());
+        throw;
+    }
+    builder_.swapSink(real);
+
+    MoveSeqEntry e;
+    e.exitWarps = builder_.knownWarpMask();
+    e.exitRows = builder_.knownRowMask();
+    const EntryMasks entry{key.warps, key.rows};
+    e.trace = sink_->prepareTrace(rec.ops.data(), rec.ops.size(),
+                                  traceFusionOn_,
+                                  known ? &entry : nullptr);
+    if (e.trace) {
+        noteTraceBuilt(*e.trace);
+        sink_->submitTrace(e.trace);
+    } else {
+        e.ops = std::move(rec.ops);
+        if (!e.ops.empty())
+            sink_->submitBatch(e.ops.data(), e.ops.size());
+    }
+    if (moveCache_.size() >= kMoveCacheEntries)
+        moveCache_.clear();
+    moveCache_.emplace(std::move(key), std::move(e));
 }
 
 } // namespace pypim

@@ -118,6 +118,8 @@ struct MoveInstr
     uint32_t dstRow = 0;
     Range warps;
     uint32_t dstStartWarp = 0;  //!< InterWarp only
+
+    bool operator==(const MoveInstr &) const = default;
 };
 
 } // namespace pypim

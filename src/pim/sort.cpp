@@ -37,7 +37,9 @@ exchange(const Tensor &t, uint64_t j)
 
     if (j < rows) {
         // Partners share a warp; the row mapping is identical in every
-        // warp, so each row pair is one warp-parallel move.
+        // warp, so each row pair is one warp-parallel move. The whole
+        // exchange goes to the driver as one sequence: captured the
+        // first time, replayed as one compiled trace after that.
         MoveInstr mv;
         mv.kind = MoveInstr::Kind::IntraWarp;
         mv.srcReg = static_cast<uint8_t>(t.reg());
@@ -45,11 +47,12 @@ exchange(const Tensor &t, uint64_t j)
         mv.warps = Range(a.warpStart, a.warpStart + a.warpCount - 1, 1);
         const uint32_t lim =
             static_cast<uint32_t>(std::min<uint64_t>(rows, n));
+        std::vector<MoveInstr> moves(lim, mv);
         for (uint32_t r = 0; r < lim; ++r) {
-            mv.srcRow = r ^ static_cast<uint32_t>(j);
-            mv.dstRow = r;
-            dev.driver().execute(mv);
+            moves[r].srcRow = r ^ static_cast<uint32_t>(j);
+            moves[r].dstRow = r;
         }
+        dev.driver().execute(std::span<const MoveInstr>(moves));
         return out;
     }
 

@@ -237,19 +237,24 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                     !rowEqual(init.rowMask, op.rowMask))
                     continue;
                 const HalfGates &src = t.halfGates[init.hg];
-                HalfGates &dst = t.halfGates[op.hg];
                 uint32_t active = 0;
                 for (uint32_t s = 0; s < src.numSections; ++s)
                     active += src.sections[s].active() ? 1 : 0;
-                if (dst.numSections + active > maxPartitions)
+                if (t.halfGates[op.hg].numSections + active >
+                    maxPartitions)
                     continue;  // section arena full: skip this pair
                 if (!outsUntouchedSince(src,
                                         static_cast<int64_t>(i)))
                     continue;
+                // Expansions are interned (shared by every op of the
+                // same word): merge into a private copy.
+                HalfGates dst = t.halfGates[op.hg];
                 for (uint32_t s = 0; s < src.numSections; ++s)
                     if (src.sections[s].active())
                         dst.sections[dst.numSections++] =
                             src.sections[s];
+                op.hg = static_cast<uint32_t>(t.halfGates.size());
+                t.halfGates.push_back(dst);
                 dead[i] = 1;
                 ++fusion.initChain;
                 break;

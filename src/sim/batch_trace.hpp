@@ -98,6 +98,14 @@ struct BatchTrace
     Stats stats;
     /** Mask state after the batch's last op (installed at submit). */
     Range finalXb, finalRow;
+    /**
+     * Set iff the batch was decoded from a given entry mask state
+     * rather than from a self-contained stream (prepareTrace's entry
+     * argument): it may then only replay while the live masks equal
+     * entryXb/entryRow, which submitTrace checks.
+     */
+    bool hasEntry = false;
+    Range entryXb, entryRow;
     Fusion fusion;
     /** Geometry guard: a trace only replays on the array it was built
      *  for (decoded column/row/crossbar indices are layout-bound). */
@@ -144,6 +152,9 @@ struct BatchTrace
         stats.clear();
         finalXb = Range();
         finalRow = Range();
+        hasEntry = false;
+        entryXb = Range();
+        entryRow = Range();
         fusion = Fusion();
         wireSig = 0;
         sourceOps.clear();

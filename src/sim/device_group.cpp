@@ -397,16 +397,20 @@ SimulatorGroup::streamCrossesBoundary(const Word *ops,
 }
 
 std::shared_ptr<const BatchTrace>
-SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse)
+SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse,
+                             const EntryMasks *entry)
 {
+    // Entry-dependent traces replay on one in-process sub-device only;
+    // elsewhere the caller submits the stream raw.
+    if (entry && (devices_ > 1 || remote()))
+        return nullptr;
     // A trace replays blindly on every slice; a boundary-crossing
     // Move needs the scanning exchange, so such streams stay on the
     // raw path (the caller falls back transparently). The cheap raw
     // scan runs BEFORE the expensive build+fuse, so a refused
     // signature costs one peek pass per attempt, not a discarded
-    // trace construction. (Unreachable from the driver today — only
-    // R-type streams are cached and they contain no Moves — but the
-    // sink contract allows any self-contained stream.)
+    // trace construction. (R-type streams contain no Moves; only a
+    // captured move sequence with inter-warp moves can hit this.)
     if (devices_ > 1 && streamCrossesBoundary(ops, n))
         return nullptr;
     // Under the socket transport the trace is built on the host's
@@ -417,7 +421,7 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse)
                               *htree_);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
-    return sims_[0]->prepareTrace(ops, n, fuse);
+    return sims_[0]->prepareTrace(ops, n, fuse, entry);
 }
 
 void

@@ -281,10 +281,13 @@ class SimulatorGroup : public OperationSink
      * Build one shared trace (via sub-device 0; builds touch no
      * state) for broadcast replay on every slice. Returns null for
      * streams containing a boundary-crossing Move — those must go
-     * through the scanning submitBatch path.
+     * through the scanning submitBatch path — and for entry-dependent
+     * streams (@p entry set) on more than one sub-device or under the
+     * socket transport: the caller submits those raw.
      */
     std::shared_ptr<const BatchTrace>
-    prepareTrace(const Word *ops, size_t n, bool fuse) override;
+    prepareTrace(const Word *ops, size_t n, bool fuse,
+                 const EntryMasks *entry = nullptr) override;
     /** Submit the SAME shared handle to every sub-device. */
     void submitTrace(std::shared_ptr<const BatchTrace> trace) override;
     /**

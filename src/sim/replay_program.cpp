@@ -1,6 +1,7 @@
 #include "sim/replay_program.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "sim/batch_trace.hpp"
 #include "sim/segment_trace.hpp"
@@ -79,10 +80,51 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     ColSet passOuts, passIns;
     int64_t open = -1;  //!< index of the growing HPass, or -1
 
+    // Closed HPass section runs by content hash -> the first run with
+    // that hash. A closed run equal to an earlier one, field by field,
+    // is dropped and the pass points at the earlier copy: a captured
+    // move sequence repeats the same lane NOTs under a new row mask
+    // for every move.
+    struct Run
+    {
+        uint32_t off, count;
+    };
+    std::unordered_map<uint64_t, Run> runs;
+    const auto sameSection = [](const ReplayProgram::PSection &a,
+                                const ReplayProgram::PSection &b) {
+        return a.kind == b.kind && a.outCol == b.outCol &&
+               a.inA == b.inA && a.inB == b.inB;
+    };
+    const auto closePass = [&] {
+        if (open < 0)
+            return;
+        ReplayProgram::Instr &pass = p.instrs[open];
+        open = -1;
+        uint64_t h = pass.count;
+        for (uint32_t k = 0; k < pass.count; ++k) {
+            const ReplayProgram::PSection &ps = p.sections[pass.off + k];
+            h = (h ^ (static_cast<uint64_t>(ps.kind) << 48 |
+                      static_cast<uint64_t>(ps.outCol) << 32 |
+                      static_cast<uint64_t>(ps.inA) << 16 | ps.inB)) *
+                0x9E3779B97F4A7C15ull;
+        }
+        const auto [it, fresh] = runs.try_emplace(h, Run{pass.off,
+                                                         pass.count});
+        if (fresh || it->second.count != pass.count)
+            return;
+        for (uint32_t k = 0; k < pass.count; ++k)
+            if (!sameSection(p.sections[it->second.off + k],
+                             p.sections[pass.off + k]))
+                return;
+        // The closed pass's sections are the arena's tail.
+        p.sections.resize(pass.off);
+        pass.off = it->second.off;
+    };
+
     for (const TraceOp &op : t.ops) {
         switch (op.type) {
           case OpType::Write: {
-            open = -1;
+            closePass();
             ReplayProgram::Instr in;
             in.kind = ReplayProgram::Kind::WStripe;
             in.cls = OpClass::Write;
@@ -133,6 +175,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                          !candOuts.intersects(passIns, colWords);
             }
             if (!merged) {
+                closePass();
                 ReplayProgram::Instr in;
                 in.kind = ReplayProgram::Kind::HPass;
                 in.cls = OpClass::LogicH;
@@ -170,7 +213,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             break;
           }
           case OpType::LogicV: {
-            open = -1;
+            closePass();
             ReplayProgram::VGate g;
             g.gate = op.gate;
             g.inWord = op.rowIn / 64;
@@ -207,6 +250,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             break;  // unreachable: segments hold work ops only
         }
     }
+    closePass();
 
     p.allMasksFull =
         std::all_of(p.instrs.begin(), p.instrs.end(),
@@ -243,8 +287,14 @@ compileBatchTrace(BatchTrace &batch, const Geometry &geo)
 void
 releaseInterpreterArenas(BatchTrace &batch)
 {
-    for (size_t s = 0; s < batch.programs.size(); ++s)
-        std::vector<HalfGates>().swap(batch.segments[s].halfGates);
+    for (size_t s = 0; s < batch.programs.size(); ++s) {
+        SegmentTrace &t = batch.segments[s];
+        std::vector<TraceOp>().swap(t.ops);
+        std::vector<HalfGates>().swap(t.halfGates);
+        std::vector<uint64_t>().swap(t.rowWords);
+        std::vector<uint8_t>().swap(t.rowMaskFull);
+        std::vector<StripeWrite>().swap(t.writePairs);
+    }
 }
 
 } // namespace pypim

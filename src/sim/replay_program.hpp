@@ -29,6 +29,9 @@
  *    order-free — the generalisation of the INIT1->NOR fusion
  *    legality to whole passes, and the property a future data-
  *    parallel (GPU) executor needs;
+ *  - passes whose section runs are equal field by field share ONE
+ *    run in the sections arena (a captured move sequence repeats the
+ *    same lane NOTs under a new row mask per move);
  *  - write stripes arrive pre-chunked ({slot, value} pairs in a flat
  *    arena; a plain Write is a stripe of one) and LogicV runs arrive
  *    pre-decoded (word index / bit mask forms in a flat arena), so
@@ -133,6 +136,7 @@ struct ReplayProgram
     };
 
     std::vector<Instr> instrs;
+    /** HPass section runs; equal runs are stored once and shared. */
     std::vector<PSection> sections;
     std::vector<StripeWrite> pairs;
     std::vector<VGate> vgates;
@@ -181,14 +185,14 @@ void compileSegmentProgram(const SegmentTrace &trace,
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
 
 /**
- * Free the SegmentTrace::halfGates arena of every segment of @p batch
- * that has a compiled program. Only the replayTrace interpreter reads
- * those expansions, and a batch with programs never reaches it, so a
- * frozen compiled trace keeps its programs and drops the ~1.7 KB
- * HalfGates per LogicH op. Called by compileBatchTrace and by the
- * trace-wire decoder after it installs shipped programs. Batches
- * without programs (one-shot pipeline arenas, compiled replay off)
- * keep everything.
+ * Free every interpreter arena (ops, halfGates, rowWords,
+ * rowMaskFull, writePairs) of each segment of @p batch that has a
+ * compiled program. Only the replayTrace interpreter reads them, and
+ * a batch with programs never reaches it, so a frozen compiled trace
+ * keeps its programs, its hull and nothing else per segment. Called
+ * by compileBatchTrace and by the trace-wire decoder after it
+ * installs shipped programs. Batches without programs (one-shot
+ * pipeline arenas, compiled replay off) keep everything.
  */
 void releaseInterpreterArenas(BatchTrace &batch);
 

@@ -1,11 +1,60 @@
 #include "sim/segment_trace.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
 namespace pypim
 {
+
+namespace
+{
+
+/**
+ * Build-time intern table of one segment: LogicH op word -> index of
+ * its expansion in SegmentTrace::halfGates. Open addressing, sized
+ * from the segment's LogicH count so it never grows mid-build. One
+ * table per building thread, reused across segments: steady-state
+ * building stays allocation-free and no trace carries the table.
+ */
+class HalfGateIntern
+{
+  public:
+    void
+    reset(size_t logicH)
+    {
+        const size_t cap = std::bit_ceil(std::max<size_t>(16, 2 * logicH));
+        slots_.assign(cap, Slot{});
+        shift_ = 64 - std::countr_zero(cap);
+    }
+
+    /** Slot of @p w: hg == kEmpty iff @p w is not interned yet. */
+    uint32_t &
+    find(Word w)
+    {
+        size_t i = static_cast<size_t>((w * 0x9E3779B97F4A7C15ull) >>
+                                       shift_);
+        const size_t m = slots_.size() - 1;
+        while (slots_[i].hg != kEmpty && slots_[i].word != w)
+            i = (i + 1) & m;
+        slots_[i].word = w;
+        return slots_[i].hg;
+    }
+
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  private:
+    struct Slot
+    {
+        Word word = 0;
+        uint32_t hg = kEmpty;
+    };
+    std::vector<Slot> slots_;
+    int shift_ = 60;
+};
+
+} // namespace
 
 /**
  * True iff an INIT1 LogicH may be folded into the NOR/NOT that
@@ -54,6 +103,14 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
                   MaskState &mask, Stats &stats, SegmentTrace &trace)
 {
     trace.clear(geo.rows);
+
+    // Identical LogicH words share one expansion: a captured move
+    // sequence repeats the same three lane NOTs hundreds of times.
+    thread_local HalfGateIntern intern;
+    intern.reset(static_cast<size_t>(
+        std::count_if(ops, ops + n, [](Word w) {
+            return enc::peekType(w) == OpType::LogicH;
+        })));
 
     // Lazily-materialised row-mask snapshot: snapId identifies the
     // snapshot in force; snapCurrent says the live mask still matches
@@ -147,8 +204,12 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
                 ++stats.logicInits;
             TraceOp t;
             t.type = OpType::LogicH;
-            t.hg = static_cast<uint32_t>(trace.halfGates.size());
-            trace.halfGates.push_back(expandLogicH(op, geo));
+            uint32_t &hg = intern.find(ops[i]);
+            if (hg == HalfGateIntern::kEmpty) {
+                hg = static_cast<uint32_t>(trace.halfGates.size());
+                trace.halfGates.push_back(expandLogicH(op, geo));
+            }
+            t.hg = hg;
             t.rowMask = rowSnapshot();
             t.xb = mask.xb;
             if ((op.gate == Gate::Nor || op.gate == Gate::Not) &&

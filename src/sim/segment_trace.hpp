@@ -17,7 +17,8 @@
  * segment by buildSegmentTrace():
  *
  *  - decoded work ops (Write / LogicH / LogicV) with their LogicH
- *    half-gate expansions pre-computed into an arena;
+ *    half-gate expansions pre-computed into an arena, one expansion
+ *    per distinct LogicH word;
  *  - mask ops ABSORBED: each work op carries a snapshot of the
  *    effective crossbar mask and a handle to the expanded row-mask
  *    bit-vector in force when it executed (snapshots are deduplicated
@@ -122,9 +123,12 @@ struct TraceOp
 struct SegmentTrace
 {
     std::vector<TraceOp> ops;
-    /** LogicH expansions referenced by TraceOp::hg. Interpreter
-     *  state only: empty once the segment is compiled
-     *  (releaseInterpreterArenas, sim/replay_program.hpp). */
+    /**
+     * LogicH expansions referenced by TraceOp::hg, interned: ops with
+     * the same encoded word share one entry, so an entry may be
+     * referenced many times and must never be mutated in place (the
+     * INIT1 chain merge copies first, sim/batch_trace.cpp).
+     */
     std::vector<HalfGates> halfGates;
     /** Row-mask snapshots, wordsPerMask words each, back to back. */
     std::vector<uint64_t> rowWords;

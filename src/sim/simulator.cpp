@@ -238,16 +238,28 @@ Simulator::flush()
 }
 
 std::shared_ptr<const BatchTrace>
-Simulator::prepareTrace(const Word *ops, size_t n, bool fuse)
+Simulator::prepareTrace(const Word *ops, size_t n, bool fuse,
+                        const EntryMasks *entry)
 {
-    if (!leadsWithMasks(ops, n))
+    if (!entry && !leadsWithMasks(ops, n))
         return nullptr;
     auto batch = std::make_shared<BatchTrace>();
-    // The stream re-establishes both masks before using them, so a
-    // local power-on mask state decodes it exactly as any entry state
-    // would — prepareTrace never touches the live mask.
+    // Decode on a local mask state — prepareTrace never touches the
+    // live mask. A self-contained stream re-establishes both masks
+    // before using them, so power-on decodes it exactly as any entry
+    // state would; otherwise the caller names the entry state and
+    // submitTrace holds the live masks to it.
     MaskState local;
     local.reset(geo_);
+    if (entry) {
+        entry->xb.validate(geo_.numCrossbars, "crossbar");
+        entry->row.validate(geo_.rows, "row");
+        local.xb = entry->xb;
+        local.setRow(entry->row, geo_.rows);
+        batch->hasEntry = true;
+        batch->entryXb = entry->xb;
+        batch->entryRow = entry->row;
+    }
     try {
         buildBatchTrace(ops, n, geo_, htree_, local, *batch);
     } catch (...) {
@@ -277,6 +289,13 @@ Simulator::submitTrace(std::shared_ptr<const BatchTrace> trace)
                 trace->geoPartitions != geo_.partitions ||
                 trace->geoCrossbars != geo_.numCrossbars,
             "submitTrace: trace was built for a different geometry");
+    // Entry guard: a trace decoded from an entry mask state replays
+    // correctly only under that state. The live masks advance at
+    // submit time, so this holds with the pipeline too.
+    panicIf(trace->hasEntry && (!(mask_.xb == trace->entryXb) ||
+                                !(mask_.row == trace->entryRow)),
+            "submitTrace: live masks differ from the trace's entry "
+            "mask state");
     if (pipeline_) {
         pipeline_->submitShared(std::move(trace));
         return;

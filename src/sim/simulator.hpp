@@ -89,23 +89,27 @@ class Simulator : public OperationSink
     uint32_t performRead(Word op) override;
 
     /**
-     * Build a shared immutable replay-ready trace of a self-contained
-     * stream (one that sets both masks before its first non-mask op;
-     * returns null otherwise): the pre-pass decodes, validates and
-     * records stats once, and — when @p fuse is set — the window
-     * fusion pass (sim/batch_trace.hpp) optimises the trace before it
-     * is frozen. Does not execute and does not advance the mask
-     * state; replay it (any number of times) through submitTrace.
+     * Build a shared immutable replay-ready trace: the pre-pass
+     * decodes, validates and records stats once, and — when @p fuse
+     * is set — the window fusion pass (sim/batch_trace.hpp) optimises
+     * the trace before it is frozen. Without @p entry the stream must
+     * be self-contained (set both masks before its first non-mask op;
+     * returns null otherwise) and is decoded from power-on; with
+     * @p entry it is decoded from that mask state, which the trace
+     * records. Does not execute and does not advance the mask state;
+     * replay it (any number of times) through submitTrace.
      */
     std::shared_ptr<const BatchTrace>
-    prepareTrace(const Word *ops, size_t n, bool fuse) override;
+    prepareTrace(const Word *ops, size_t n, bool fuse,
+                 const EntryMasks *entry = nullptr) override;
 
     /**
      * Execute a trace built by prepareTrace on this simulator:
      * equivalent to submitBatch of the original stream — stats and
      * final mask state apply at submit, replay is enqueued behind the
      * pipeline when enabled and runs inline otherwise — but with zero
-     * decode work.
+     * decode work. Panics if the trace has an entry mask state and
+     * the live masks differ from it.
      */
     void submitTrace(std::shared_ptr<const BatchTrace> trace) override;
 

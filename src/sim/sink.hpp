@@ -34,6 +34,17 @@ struct BatchTrace;
 struct BulkIoSpec;
 struct BulkIoTelemetry;
 
+/**
+ * The mask state a stream that is not self-contained starts from:
+ * the crossbar and row masks the chip holds when the stream is
+ * submitted (OperationSink::prepareTrace).
+ */
+struct EntryMasks
+{
+    Range xb;
+    Range row;
+};
+
 /** Abstract consumer of encoded micro-operations. */
 class OperationSink
 {
@@ -67,18 +78,25 @@ class OperationSink
      * sim/batch_trace.hpp): decoded, validated, fusion-optimised once,
      * then replayed forever through submitTrace with zero decode work.
      * Does NOT execute anything and leaves the sink's architectural
-     * state untouched. Returns null when the sink does not support
-     * trace replay (plain sinks keep consuming raw streams) or when
-     * the stream is not self-contained (it must set both masks before
-     * its first non-mask op, so the decoded snapshots are independent
-     * of the sink's mask state — see leadsWithMasks).
+     * state untouched. Without @p entry the stream must be
+     * self-contained (set both masks before its first non-mask op, so
+     * the decoded snapshots are independent of the sink's mask state
+     * — see leadsWithMasks). With @p entry it is decoded from that
+     * mask state, and the trace may only be submitted while the sink
+     * holds exactly those masks (submitTrace panics otherwise).
+     * Returns null when the sink does not support trace replay (plain
+     * sinks keep consuming raw streams), when a stream without
+     * @p entry is not self-contained, or when the sink cannot replay
+     * entry-dependent traces (multi-device and socket groups).
      */
     virtual std::shared_ptr<const BatchTrace>
-    prepareTrace(const Word *ops, size_t n, bool fuse)
+    prepareTrace(const Word *ops, size_t n, bool fuse,
+                 const EntryMasks *entry = nullptr)
     {
         (void)ops;
         (void)n;
         (void)fuse;
+        (void)entry;
         return nullptr;
     }
 
@@ -89,7 +107,9 @@ class OperationSink
      * architectural stats and final mask state apply at the submit,
      * replay is ordered against surrounding submitBatch calls, and
      * flush()/performRead drain it. Panics on sinks whose
-     * prepareTrace returned null (the caller holds no valid handle).
+     * prepareTrace returned null (the caller holds no valid handle),
+     * and when a trace built with entry masks is submitted under any
+     * other mask state.
      */
     virtual void submitTrace(std::shared_ptr<const BatchTrace> trace);
 

@@ -85,6 +85,31 @@ TEST_F(StreamCacheTest, DistinctSignaturesDistinctEntries)
     EXPECT_EQ(drv.streamCacheSize(), 4u);
 }
 
+TEST_F(StreamCacheTest, ExportIsIndependentOfInsertionOrder)
+{
+    // Two signatures that differ only in the warp step: the export
+    // must order them by that field too, or the blob's bytes depend on
+    // the unordered_map's iteration (insertion) order.
+    RTypeInstr a;
+    a.op = ROp::BitXor;
+    a.dtype = DType::Int32;
+    a.rd = 2;
+    a.ra = 0;
+    a.rb = 1;
+    a.warps = Range(0, 3, 1);
+    a.rows = Range::all(geo.rows);
+    RTypeInstr b = a;
+    b.warps = Range(0, 3, 3);
+    drv.execute(a);
+    drv.execute(b);
+    Simulator sim2(geo);
+    Driver drv2(sim2, geo, Driver::Mode::Serial);
+    drv2.execute(b);
+    drv2.execute(a);
+    ASSERT_EQ(drv.streamCacheSize(), 2u);
+    EXPECT_EQ(drv.exportStreamCache(), drv2.exportStreamCache());
+}
+
 TEST_F(StreamCacheTest, ModeChangesMissTheCache)
 {
     loadReg(0, std::vector<uint32_t>(threads(), 1000));

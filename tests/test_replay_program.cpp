@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -273,6 +274,28 @@ logicHOps(const BatchTrace &t)
     return n;
 }
 
+/**
+ * HalfGates an interpreted trace of @p ops holds: each segment interns
+ * one expansion per distinct LogicH word, and every INIT1 chain merge
+ * adds one private copy (the merge must not mutate a shared entry).
+ */
+size_t
+internedHalfGates(const std::vector<Word> &ops, const BatchTrace &t)
+{
+    size_t n = 0;
+    std::set<Word> seg;
+    for (Word w : ops) {
+        const OpType type = enc::peekType(w);
+        if (isBarrierOp(type)) {
+            n += seg.size();
+            seg.clear();
+        } else if (type == OpType::LogicH) {
+            seg.insert(w);
+        }
+    }
+    return n + seg.size() + t.fusion.initChain;
+}
+
 class ReplayProgramFuzz
     : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>>
 {
@@ -327,7 +350,7 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
             ASSERT_EQ(tc->programs.size(), tc->used);
             // Compiled segments drop their half-gate expansions.
             EXPECT_EQ(halfGatesHeld(*tc), 0u);
-            EXPECT_GE(halfGatesHeld(*ti), logicHOps(*ti));
+            EXPECT_EQ(halfGatesHeld(*ti), internedHalfGates(ops, *ti));
 
             for (int rep = 0; rep < kReplays; ++rep) {
                 oracle.performBatch(ops.data(), ops.size());
@@ -449,6 +472,31 @@ TEST(ReplayProgramCompile, MaskChangeBreaksThePass)
     const auto tSame =
         compileStream(g, Range(0, g.rows - 1, 1), reissued);
     EXPECT_EQ(tSame->programs[0].instrs.size(), 1u);
+}
+
+TEST(ReplayProgramCompile, EqualPassRunsShareOneSectionRun)
+{
+    // The same lane NOT under three row masks (a captured move
+    // sequence's shape): three passes, one stored section run. A pass
+    // of a different gate keeps its own run.
+    const Geometry g = testGeometry();
+    std::vector<Word> body;
+    for (uint32_t row : {3u, 9u, 3u}) {
+        body.push_back(MicroOp::rowMask(Range::single(row)).encode());
+        body.push_back(norH(g, 1, 1, 2));
+    }
+    body.push_back(MicroOp::rowMask(Range::single(20)).encode());
+    body.push_back(initH(g, Gate::Init0, 5));
+    const auto t = compileStream(g, Range(0, g.rows - 1, 1), body);
+    const ReplayProgram &p = t->programs[0];
+    ASSERT_EQ(p.instrs.size(), 4u);
+    for (size_t i = 1; i < 3; ++i) {
+        EXPECT_EQ(p.instrs[i].off, p.instrs[0].off);
+        EXPECT_EQ(p.instrs[i].count, p.instrs[0].count);
+    }
+    EXPECT_NE(p.instrs[3].off, p.instrs[0].off);
+    EXPECT_EQ(p.sections.size(),
+              size_t{p.instrs[0].count} + p.instrs[3].count);
 }
 
 TEST(ReplayProgramCompile, StatefulGateAliasingBreaksThePass)
@@ -619,8 +667,15 @@ TEST(ReplayProgramRetention, PreparedCompiledTraceHoldsNoHalfGates)
         ASSERT_EQ(tc->used, 2u);
         ASSERT_EQ(tc->programs.size(), tc->used);
         EXPECT_EQ(halfGatesHeld(*tc), 0u);
-        for (uint32_t s = 0; s < tc->used; ++s)
-            EXPECT_EQ(tc->segments[s].halfGates.capacity(), 0u);
+        // Every interpreter arena of a compiled segment is freed.
+        for (uint32_t s = 0; s < tc->used; ++s) {
+            const SegmentTrace &seg = tc->segments[s];
+            EXPECT_EQ(seg.halfGates.capacity(), 0u);
+            EXPECT_EQ(seg.ops.capacity(), 0u);
+            EXPECT_EQ(seg.rowWords.capacity(), 0u);
+            EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
+            EXPECT_EQ(seg.writePairs.capacity(), 0u);
+        }
         // The interpreter's trace keeps an expansion for every LogicH
         // op (and for INIT1s fused into them).
         EXPECT_GT(logicHOps(*ti), 0u);

@@ -210,13 +210,29 @@ TEST(TraceFusion, InitChainMergedOpsReplayOnce)
     const Geometry g = fusionGeometry();
     const auto ops =
         withMasks(g, {laneInit1(g, 3), laneInit1(g, 4)});
-    Simulator sim(g);
+    // Interpreted: a compiled trace frees the segment ops inspected
+    // here, and this tests fusion, not compiled replay.
+    Simulator sim(g, EngineConfig::serial().withCompiledReplay(false));
     const auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_TRUE(trace != nullptr);
     ASSERT_EQ(trace->used, 1u);
     // Two architectural LogicH ops, one surviving replay op.
     EXPECT_EQ(trace->segments[0].ops.size(), 1u);
     EXPECT_EQ(trace->stats.opCount[size_t(OpClass::LogicH)], 2u);
+}
+
+TEST(TraceFusion, InitChainMergeLeavesInternedExpansionIntact)
+{
+    const Geometry g = fusionGeometry();
+    // Both INIT1s of slot 4 share one interned expansion. The chain
+    // merge folds the INIT1 of slot 3 into the first of them; had it
+    // grown the shared entry in place, the second would re-initialise
+    // slot 3 too and clobber the write in between.
+    expectFusionParity(
+        withMasks(g, {laneInit1(g, 3), laneInit1(g, 4),
+                      MicroOp::write(3, 0x0BADF00Du).encode(),
+                      laneInit1(g, 4)}),
+        0, /*initChain=*/1, 0);
 }
 
 TEST(TraceFusion, InitChainBlockedByMaskChange)
@@ -395,7 +411,9 @@ TEST(TraceFusion, EquivalentRangeDedupEnablesBuilderInitNorFusion)
         MicroOp::rowMask(Range(5, 5, 3)).encode(),
         laneNor(g, 1, 2, 5),
     };
-    Simulator sim(g);
+    // Interpreted: a compiled trace frees the segment arenas inspected
+    // here, and this tests fusion, not compiled replay.
+    Simulator sim(g, EngineConfig::serial().withCompiledReplay(false));
     const auto trace = sim.prepareTrace(ops.data(), ops.size(),
                                         /*fuse=*/false);
     ASSERT_TRUE(trace != nullptr);
