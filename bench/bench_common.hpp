@@ -68,17 +68,15 @@ jsonOutPath()
 }
 
 /**
- * Parse and strip --engine=serial|sharded|trace, --threads=N,
+ * Parse and strip --engine=serial|sharded, --threads=N,
  * --pipeline=on|off, --trace-cache=on|off, --devices=N,
- * --affinity=on|off, --bulk-io=on|off,
- * --compiled-replay=on|off and --json=PATH from argv (before
- * benchmark::Initialize, which rejects unknown flags), storing the
- * result in engineConfig() / jsonOutPath(). Invalid values abort,
- * exactly like the PYPIM_ENGINE / PYPIM_THREADS / PYPIM_PIPELINE /
- * PYPIM_TRACE_CACHE / PYPIM_DEVICES / PYPIM_AFFINITY /
- * PYPIM_BULK_IO / PYPIM_COMPILED_REPLAY
- * environment path — a typo must never silently benchmark the wrong
- * engine.
+ * --affinity=on|off, --bulk-io=on|off, --transport=inproc|socket and
+ * --json=PATH from argv (before benchmark::Initialize, which rejects
+ * unknown flags), storing the result in engineConfig() /
+ * jsonOutPath(). Invalid values abort, exactly like the PYPIM_ENGINE /
+ * PYPIM_THREADS / PYPIM_PIPELINE / PYPIM_TRACE_CACHE / PYPIM_DEVICES /
+ * PYPIM_AFFINITY / PYPIM_BULK_IO / PYPIM_TRANSPORT environment path —
+ * a typo must never silently benchmark the wrong engine.
  */
 inline void
 applyEngineFlags(int &argc, char **argv)
@@ -111,14 +109,11 @@ applyEngineFlags(int &argc, char **argv)
             const std::string v = arg.substr(9);
             if (v == "sharded")
                 cfg.kind = EngineKind::Sharded;
-            else if (v == "trace")
-                cfg.kind = EngineKind::Trace;
             else if (v == "serial")
                 cfg.kind = EngineKind::Serial;
             else
                 fatal("--engine=" + v +
-                      ": unknown engine (expected serial|sharded|"
-                      "trace)");
+                      ": unknown engine (expected serial|sharded)");
         } else if (arg.rfind("--threads=", 0) == 0) {
             const char *s = arg.c_str() + 10;
             char *end = nullptr;
@@ -153,14 +148,6 @@ applyEngineFlags(int &argc, char **argv)
                 cfg.bulkIo = false;
             else
                 fatal("--bulk-io=" + v + ": expected on|off");
-        } else if (arg.rfind("--compiled-replay=", 0) == 0) {
-            const std::string v = arg.substr(18);
-            if (v == "on" || v == "1")
-                cfg.compiledReplay = true;
-            else if (v == "off" || v == "0")
-                cfg.compiledReplay = false;
-            else
-                fatal("--compiled-replay=" + v + ": expected on|off");
         } else if (arg.rfind("--transport=", 0) == 0) {
             const std::string v = arg.substr(12);
             if (v == "inproc")
@@ -189,20 +176,16 @@ printEngineBanner()
     std::printf(", trace cache %s", cfg.traceCache ? "on" : "off");
     std::printf(", %s storage", xbarStorageName(cfg.storage));
     std::printf(", bulk I/O %s", cfg.bulkIo ? "on" : "off");
-    std::printf(", compiled replay %s",
-                cfg.compiledReplay ? "on" : "off");
     std::printf(", %s transport", transportKindName(cfg.transport));
     if (cfg.devices > 1)
         std::printf(", %u sub-devices", cfg.devices);
-    std::printf("  [--engine=serial|sharded|trace --threads=N "
+    std::printf("  [--engine=serial|sharded --threads=N "
                 "--pipeline=on|off --trace-cache=on|off --devices=N "
-                "--affinity=on|off "
-                "--bulk-io=on|off --compiled-replay=on|off "
+                "--affinity=on|off --bulk-io=on|off "
                 "--transport=inproc|socket --json=PATH "
                 "or PYPIM_ENGINE/PYPIM_THREADS/PYPIM_PIPELINE/"
                 "PYPIM_TRACE_CACHE/PYPIM_DEVICES/PYPIM_AFFINITY/"
-                "PYPIM_BULK_IO/"
-                "PYPIM_COMPILED_REPLAY/PYPIM_TRANSPORT]\n");
+                "PYPIM_BULK_IO/PYPIM_TRANSPORT]\n");
 }
 
 /**
@@ -325,7 +308,6 @@ jsonConfig(Json &j, const Geometry &g)
     j.field("affinity", cfg.affinity);
     j.field("storage", xbarStorageName(cfg.storage));
     j.field("bulk_io", cfg.bulkIo);
-    j.field("compiled_replay", cfg.compiledReplay);
     j.field("transport", transportKindName(cfg.transport));
     j.field("crossbars", g.numCrossbars);
     j.field("rows", g.rows);

@@ -5,10 +5,11 @@
  * the host-side micro-op execution rate as the simulated memory scales
  * in crossbar count and rows — the quantities that determine the cost
  * of one broadcast logic op (O(crossbars * rows/64) word operations) —
- * and sweeps the execution engines (op-major serial, crossbar-major
- * trace, sharded across thread counts) to show how simulation
- * throughput scales with cache blocking and host cores the way real
- * PIM scales with independent compute arrays. The pipelined sweep
+ * and sweeps the execution engines (op-major serial; sharded, which
+ * compiles each segment and replays it crossbar-major, across thread
+ * counts) to show how simulation throughput scales with cache
+ * blocking and host cores the way real PIM scales with independent
+ * compute arrays. The pipelined sweep
  * additionally measures the asynchronous submit path (driver
  * translation overlapped with engine replay, --pipeline=on) against
  * the strictly synchronous one end-to-end, and the storage sweep
@@ -89,20 +90,6 @@ rawLogicOps(benchmark::State &state)
         static_cast<int64_t>(batch.size()));
 }
 
-/** Trace-engine logic rate (crossbar-major serial replay). */
-void
-traceLogicOps(benchmark::State &state)
-{
-    Geometry g = benchGeometry(static_cast<uint32_t>(state.range(0)));
-    Simulator sim(g, EngineConfig::trace());
-    const std::vector<Word> batch = logicBatch(g);
-    for (auto _ : state)
-        sim.performBatch(batch.data(), batch.size());
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) *
-        static_cast<int64_t>(batch.size()));
-}
-
 /** Sharded-engine logic rate: Args({crossbars, threads}). */
 void
 shardedLogicOps(benchmark::State &state)
@@ -161,17 +148,18 @@ replayRate(Simulator &sim, const std::vector<Word> &batch,
 }
 
 /**
- * Serial-vs-trace-vs-sharded scaling sweep: the headline table for
- * the engine work. Broadcast logic dominates every workload in the
- * repo, so the sweep replays the canonical INIT+NOR batch. Speedups
- * over the op-major serial reference come from two separable
- * mechanisms, both visible here: the trace column isolates
- * decode-once + crossbar-major cache blocking + INIT/NOR fusion on a
- * single thread, and the sharded rows add shard parallelism on top of
- * the same trace replay. The 1024-crossbar row is the ISSUE 2
- * acceptance gauge: op-major replay streams the whole 128 MB array
- * through the cache once per op there, while crossbar-major keeps a
- * 128 KB crossbar hot for the entire segment.
+ * Serial-vs-sharded scaling sweep: the headline table for the engine
+ * work. Broadcast logic dominates every workload in the repo, so the
+ * sweep replays the canonical INIT+NOR batch as a raw stream: every
+ * batch is decoded, compiled and replayed once, the one-shot path.
+ * Speedups over the op-major serial reference come from two
+ * separable mechanisms, both visible here: the one-thread sharded
+ * row isolates decode-once + compile + crossbar-major cache blocking
+ * + INIT/NOR fusion, and the wider rows add shard parallelism on
+ * top. The 1024-crossbar row is the scaling gauge:
+ * op-major replay streams the whole 128 MB array through the cache
+ * once per op there, while crossbar-major keeps a 128 KB crossbar hot
+ * for the entire segment.
  */
 void
 engineSweep(Json *json)
@@ -182,9 +170,9 @@ engineSweep(Json *json)
                 "batch, 1024 rows) ===\n");
     std::printf("host hardware concurrency: %u\n",
                 std::thread::hardware_concurrency());
-    std::printf("%-10s %14s %24s | %7s %25s %8s\n", "crossbars",
-                "serial [Kop/s]", "trace [Kop/s] (speedup)",
-                "threads", "sharded [Kop/s] (speedup)", "balance");
+    std::printf("%-10s %14s | %7s %25s %8s\n", "crossbars",
+                "serial [Kop/s]", "threads",
+                "sharded [Kop/s] (speedup)", "balance");
     for (uint32_t crossbars : {16u, 64u, 256u, 1024u}) {
         const Geometry g = benchGeometry(crossbars);
         const std::vector<Word> batch = logicBatch(g);
@@ -193,17 +181,10 @@ engineSweep(Json *json)
             Simulator sim(g);
             serialRate = replayRate(sim, batch);
         }
-        double traceRate = 0.0;
-        {
-            Simulator sim(g, EngineConfig::trace());
-            traceRate = replayRate(sim, batch);
-        }
         if (json) {
             json->beginObject();
             json->field("crossbars", crossbars);
             json->field("serial_ops_per_s", serialRate);
-            json->field("trace_ops_per_s", traceRate);
-            json->field("trace_speedup", traceRate / serialRate);
             json->beginArray("sharded");
         }
         bool first = true;
@@ -227,12 +208,10 @@ engineSweep(Json *json)
                 hi = std::max(hi, w.totalOps());
             }
             if (first)
-                std::printf("%-10u %14.2f %15.2f (%5.2fx)",
-                            crossbars, serialRate / 1e3,
-                            traceRate / 1e3,
-                            traceRate / serialRate);
+                std::printf("%-10u %14.2f", crossbars,
+                            serialRate / 1e3);
             else
-                std::printf("%-10s %14s %24s", "", "", "");
+                std::printf("%-10s %14s", "", "");
             std::printf(" | %7u %15.2f (%5.2fx) %7.2f\n", threads,
                         rate / 1e3, rate / serialRate,
                         hi ? static_cast<double>(lo) /
@@ -247,9 +226,9 @@ engineSweep(Json *json)
     }
     if (json)
         json->end();  // engine_sweep
-    std::printf("(sharded speedups require free host cores; the "
-                "trace column and the 1024-crossbar row are the "
-                "acceptance gauges for ISSUE 2)\n");
+    std::printf("(sharded speedups above one thread require free "
+                "host cores; the one-thread rows and the 1024-crossbar "
+                "row are the scaling gauges)\n");
 }
 
 /**
@@ -711,125 +690,6 @@ storageSweep(Json *json)
 }
 
 /**
- * The self-contained warm-replay batch of the compiled-replay sweep:
- * INIT1+NOR pairs cycling over eight destination registers, the shape
- * of a driver-translated arithmetic loop (each temporary written
- * once, then the next). The builder fuses every pair into one
- * FusedNotNor; the program compiler then merges runs of up to eight
- * consecutive fused gates (disjoint outputs, shared inputs) into one
- * multi-section pass — so compiled replay resolves one mask and
- * dispatches one instruction where the interpreter walks eight ops.
- */
-std::vector<Word>
-compiledReplayBatch(const Geometry &g, int pairs = 512)
-{
-    std::vector<Word> ops;
-    ops.reserve(2 + 2 * static_cast<size_t>(pairs));
-    ops.push_back(
-        MicroOp::crossbarMask(Range(0, g.numCrossbars - 1, 1))
-            .encode());
-    ops.push_back(MicroOp::rowMask(Range(0, g.rows - 1, 1)).encode());
-    for (int i = 0; i < pairs; ++i) {
-        const uint32_t out =
-            g.column(4 + static_cast<uint32_t>(i) % 8, 0);
-        ops.push_back(MicroOp::logicH(Gate::Init1, 0, 0, out,
-                                      g.partitions - 1, 1).encode());
-        ops.push_back(MicroOp::logicH(Gate::Nor, g.column(0, 0),
-                                      g.column(1, 0), out,
-                                      g.partitions - 1, 1).encode());
-    }
-    return ops;
-}
-
-/** Warm-cache replay rate [op/s] of one frozen trace; digests the
- *  eight destination registers into @p checksum. */
-double
-warmReplayRate(const Geometry &g, const EngineConfig &ec,
-               const std::vector<Word> &ops, uint64_t &checksum,
-               double minSeconds = 0.25)
-{
-    Simulator sim(g, ec);
-    Rng rng(23);
-    fillRegister(sim, 0, rng);
-    fillRegister(sim, 1, rng);
-    auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
-    fatalIf(trace == nullptr,
-            "compiled-replay sweep: stream must be cacheable");
-    sim.submitTrace(trace);  // warm-up
-    sim.flush();
-    const auto [reps, elapsed] = timedReps(
-        [&] { sim.submitTrace(trace); }, [&] { sim.flush(); },
-        minSeconds);
-    checksum = 14695981039346656037ull;
-    for (uint32_t xb = 0; xb < g.numCrossbars; xb += 3)
-        for (uint32_t row = 0; row < g.rows; row += 61)
-            for (uint32_t slot = 4; slot < 12; ++slot)
-                checksum = checksum * 1099511628211ull ^
-                           sim.crossbar(xb).read(slot, row);
-    return static_cast<double>(reps * ops.size()) / elapsed;
-}
-
-/**
- * Compiled-replay sweep: the ISSUE 8 acceptance gauge. The same
- * frozen trace replays warm through the segment interpreter
- * (--compiled-replay=off) and through the compiled ReplayProgram
- * executors, across crossbar counts, on the process-wide engine
- * selection. State checksums MUST be bit-identical — the function
- * returns false otherwise and the CI bench smoke step exits non-zero
- * on it. >=1.25x at >=256 crossbars is the acceptance gauge.
- */
-bool
-compiledSweep(Json *json)
-{
-    std::printf("\n=== Compiled-replay sweep (warm frozen trace, "
-                "INIT+NOR over 8 destinations, 64-row "
-                "crossbars) ===\n");
-    std::printf("%-10s %20s %18s %8s %10s\n", "crossbars",
-                "interpreter [Kop/s]", "compiled [Kop/s]", "speedup",
-                "identical");
-    if (json)
-        json->beginArray("compiled_replay_sweep");
-    bool allIdentical = true;
-    for (uint32_t crossbars : {16u, 64u, 256u, 1024u}) {
-        // Shallow 64-row crossbars (one mask word per column): at the
-        // paper's 1024-row geometry each LogicH moves ~1.5 KB per
-        // crossbar and both paths are memory-bound, hiding the replay
-        // overhead this tier removes. Short columns are the
-        // dispatch-dominated regime the compiled programs target.
-        Geometry g = benchGeometry(crossbars);
-        g.rows = 64;
-        const std::vector<Word> ops = compiledReplayBatch(g);
-        uint64_t ckInterp = 0, ckCompiled = 0;
-        const double interp = warmReplayRate(
-            g, engineConfig().withCompiledReplay(false), ops,
-            ckInterp);
-        const double compiled = warmReplayRate(
-            g, engineConfig().withCompiledReplay(true), ops,
-            ckCompiled);
-        const bool identical = ckInterp == ckCompiled;
-        allIdentical = allIdentical && identical;
-        std::printf("%-10u %20.2f %18.2f %7.2fx %10s\n", crossbars,
-                    interp / 1e3, compiled / 1e3, compiled / interp,
-                    identical ? "yes" : "NO — BUG");
-        if (json) {
-            json->beginObject();
-            json->field("crossbars", crossbars);
-            json->field("interpreter_ops_per_s", interp);
-            json->field("compiled_ops_per_s", compiled);
-            json->field("speedup", compiled / interp);
-            json->field("bit_identical", identical);
-            json->end();
-        }
-    }
-    if (json)
-        json->end();
-    std::printf("(>=1.25x at >=256 crossbars is the ISSUE 8 "
-                "acceptance gauge; 'identical' checks bit-equality "
-                "of all eight destination registers)\n");
-    return allIdentical;
-}
-
-/**
  * Bulk tensor I/O sweep (the ISSUE 7 acceptance gauge): a 1 Mi-element
  * int tensor round-trips host -> device -> host through the
  * element-wise oracle (PYPIM_BULK_IO=0 semantics: one ReadInstr
@@ -1171,7 +1031,6 @@ BENCHMARK(simScaling)
     ->Args({16, 256})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(rawLogicOps)->Arg(4)->Arg(16)->Arg(64);
-BENCHMARK(traceLogicOps)->Arg(4)->Arg(16)->Arg(64)->Arg(1024);
 BENCHMARK(shardedLogicOps)
     ->Args({64, 1})
     ->Args({64, 2})
@@ -1199,7 +1058,6 @@ main(int argc, char **argv)
     const bool devicesIdentical = deviceSweep(j);
     const bool storageIdentical = storageSweep(j);
     const bool ioIdentical = ioSweep(j);
-    const bool compiledIdentical = compiledSweep(j);
     const bool checkpointIdentical = checkpointSweep(j);
     const bool transportIdentical = transportSweep(j);
     if (j) {
@@ -1210,15 +1068,14 @@ main(int argc, char **argv)
     benchmark::Shutdown();
     // Non-zero exit when sharded execution diverged from the
     // monolithic device, paged storage diverged from dense, the bulk
-    // I/O path diverged from the element-wise oracle, compiled
-    // replay diverged from the interpreter, a checkpoint failed to
-    // restore bit-identical, the cross-process socket fleet diverged
-    // from the in-process group, or a pipelined run diverged from its
-    // synchronous twin: the CI bench smoke step asserts all seven
-    // identities.
+    // I/O path diverged from the element-wise oracle, a checkpoint
+    // failed to restore bit-identical, the cross-process socket fleet
+    // diverged from the in-process group, or a pipelined run diverged
+    // from its synchronous twin: the CI bench smoke step asserts all
+    // six identities.
     return pipelineIdentical && devicesIdentical && storageIdentical &&
-                   ioIdentical && compiledIdentical &&
-                   checkpointIdentical && transportIdentical
+                   ioIdentical && checkpointIdentical &&
+                   transportIdentical
                ? 0
                : 1;
 }

@@ -71,7 +71,6 @@ engineKindName(EngineKind k)
     switch (k) {
       case EngineKind::Serial:  return "serial";
       case EngineKind::Sharded: return "sharded";
-      case EngineKind::Trace:   return "trace";
       default:                  return "unknown";
     }
 }
@@ -155,11 +154,9 @@ EngineConfig::fromEnv()
         const std::string s(e);
         if (s == "sharded")
             c.kind = EngineKind::Sharded;
-        else if (s == "trace")
-            c.kind = EngineKind::Trace;
         else if (!s.empty() && s != "serial")
             fatal("PYPIM_ENGINE: unknown engine '" + s +
-                  "' (expected serial|sharded|trace)");
+                  "' (expected serial|sharded)");
     }
     if (const char *t = std::getenv("PYPIM_THREADS"))
         c.threads = parseCountEnv("PYPIM_THREADS", t, 0, 1u << 20);
@@ -179,9 +176,6 @@ EngineConfig::fromEnv()
         c.affinity = parseSwitchEnv("PYPIM_AFFINITY", a, c.affinity);
     if (const char *b = std::getenv("PYPIM_BULK_IO"))
         c.bulkIo = parseSwitchEnv("PYPIM_BULK_IO", b, c.bulkIo);
-    if (const char *cr = std::getenv("PYPIM_COMPILED_REPLAY"))
-        c.compiledReplay = parseSwitchEnv("PYPIM_COMPILED_REPLAY", cr,
-                                          c.compiledReplay);
     // Validated by FaultSpec::parse at device-group construction, so
     // the error names the bad key/value rather than the variable.
     if (const char *f = std::getenv("PYPIM_FAULTS"))
@@ -198,6 +192,14 @@ EngineConfig::fromEnv()
                   "' (expected inproc|socket)");
     }
     return c;
+}
+
+void
+requireCompiledReplay(const EngineConfig &c)
+{
+    fatalIf(!c.compiledReplay,
+            "compiledReplay=false is not supported: every segment "
+            "replays as a compiled program");
 }
 
 uint32_t

@@ -93,22 +93,19 @@ Geometry testGeometry();
 /**
  * Execution-engine backend of the simulator (sim/engine.hpp).
  *
- * All engines are bit-accurate and produce identical crossbar state
+ * Both engines are bit-accurate and produce identical crossbar state
  * and statistics; they differ only in how the host simulates the
  * broadcast: Serial replays every micro-op over all mask-selected
  * crossbars on the calling thread (op-major; the reference oracle),
- * Trace decodes each barrier-free segment once and replays it
- * crossbar-major on the calling thread (one crossbar's state stays
- * hot in cache for the whole segment), and Sharded partitions the
- * crossbars across a persistent worker pool and replays segment
- * traces crossbar-major within each shard (serialising only at
- * cross-crossbar ops).
+ * and Sharded compiles each barrier-free segment once and replays it
+ * crossbar-major (one crossbar's state stays hot in cache for the
+ * whole segment) across a persistent worker pool, inline at one
+ * thread, serialising only at cross-crossbar ops.
  */
 enum class EngineKind : uint8_t
 {
     Serial = 0,
-    Sharded,
-    Trace
+    Sharded
 };
 
 const char *engineKindName(EngineKind k);
@@ -227,18 +224,12 @@ struct EngineConfig
      */
     bool bulkIo = true;
     /**
-     * Compiled trace replay (sim/replay_program.hpp): when a
-     * BatchTrace is frozen into the trace cache, each segment is
-     * additionally lowered into a flat ReplayProgram — row-mask
-     * handles resolved to arena offsets, consecutive LogicH ops under
-     * one mask merged into multi-section passes, stripes and LogicV
-     * runs pre-chunked, per-crossbar Stats charges precomputed — and
-     * replay dispatches into storage- and mask-specialized executors
-     * instead of the per-op interpreter. On by default; the
-     * interpreter stays live as the parity oracle (and serves the
-     * uncached one-shot pipeline path either way). Bit-identical
-     * state and architectural Stats on both settings
-     * (test_replay_program).
+     * Must stay true: every replayed segment is compiled into a
+     * ReplayProgram (sim/replay_program.hpp), and constructing a
+     * Simulator or SimulatorGroup with false throws pypim::Error
+     * (requireCompiledReplay). The field remains only because
+     * perfbench/perfbench.cpp sets it; it goes with the next change
+     * to the benchmark.
      */
     bool compiledReplay = true;
     /**
@@ -281,14 +272,6 @@ struct EngineConfig
         return c;
     }
 
-    static EngineConfig
-    trace()
-    {
-        EngineConfig c;
-        c.kind = EngineKind::Trace;
-        return c;
-    }
-
     /** Copy of this config with the pipeline toggled. */
     EngineConfig
     withPipeline(bool on = true) const
@@ -313,15 +296,6 @@ struct EngineConfig
     {
         EngineConfig c = *this;
         c.storage = s;
-        return c;
-    }
-
-    /** Copy of this config with compiled trace replay toggled. */
-    EngineConfig
-    withCompiledReplay(bool on) const
-    {
-        EngineConfig c = *this;
-        c.compiledReplay = on;
         return c;
     }
 
@@ -354,15 +328,14 @@ struct EngineConfig
 
     /**
      * Engine selection from the environment: PYPIM_ENGINE=serial|
-     * sharded|trace, PYPIM_THREADS=N, PYPIM_PIPELINE=on|off,
+     * sharded, PYPIM_THREADS=N, PYPIM_PIPELINE=on|off,
      * PYPIM_TRACE_CACHE=on|off|1|0, PYPIM_DEVICES=N (power of two),
-     * PYPIM_AFFINITY=on|off,
-     * PYPIM_BULK_IO=on|off|1|0, PYPIM_COMPILED_REPLAY=on|off|1|0,
+     * PYPIM_AFFINITY=on|off, PYPIM_BULK_IO=on|off|1|0,
      * PYPIM_FAULTS=<spec>, PYPIM_VERIFY_STATE=on|off|1|0 and
      * PYPIM_TRANSPORT=inproc|socket (worker count via PYPIM_DEVICES).
      * Unset values fall back to the defaults (serial, synchronous,
      * trace cache on, one device, no pinning, paged storage, inproc
-     * transport; storage has no knob), so
+     * transport; storage and compiled replay have no knob), so
      * existing callers are unaffected; unrecognised or malformed
      * values throw pypim::Error — a typo must never silently
      * misconfigure the stack.
@@ -372,6 +345,10 @@ struct EngineConfig
     /** Worker count after resolving 0 to the hardware concurrency. */
     uint32_t resolvedThreads() const;
 };
+
+/** Throw pypim::Error if @p c turns compiled replay off (see
+ *  EngineConfig::compiledReplay). */
+void requireCompiledReplay(const EngineConfig &c);
 
 } // namespace pypim
 

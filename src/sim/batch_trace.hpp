@@ -11,7 +11,8 @@
  *
  *  - ARENA: the asynchronous pipeline (sim/pipeline.hpp) cycles two
  *    mutable BatchTrace arenas through its hand-off queue; clear()
- *    keeps capacity, so one-shot batches build allocation-free.
+ *    keeps capacity (segments and programs alike), so one-shot
+ *    batches build and compile allocation-free.
  *  - SHARED IMMUTABLE: the trace cache (Driver stream cache +
  *    Simulator::prepareTrace) builds a BatchTrace once per instruction
  *    signature, freezes it behind shared_ptr<const BatchTrace>, and
@@ -82,9 +83,9 @@ struct BatchTrace
     uint32_t used = 0;  //!< segment arenas in use this batch
     /**
      * Compiled form of segments[0..used), filled by compileBatchTrace
-     * (sim/replay_program.hpp) for traces about to be frozen into the
-     * cache. Empty on the pipeline's one-shot arena batches — those
-     * replay once, through the interpreter.
+     * (sim/replay_program.hpp) before the batch replays; the only form
+     * replay reads. Arena batches may hold more (capacity kept across
+     * batches); only the first @ref used are this batch's.
      */
     std::vector<ReplayProgram> programs;
 
@@ -117,10 +118,10 @@ struct BatchTrace
     // content address under which this frozen trace is installed in
     // each shard worker's cache (FNV-1a of the source op words + the
     // fuse flag), and the source stream itself — the wire image ships
-    // the raw ops so a worker can rebuild the trace deterministically
-    // with its own arenas (the raw-trace fallback), cross-checked
-    // against the shipped stats/mask epilogue. Empty/zero on inproc
-    // traces: the in-process group shares the handle by pointer.
+    // only the raw ops, and a worker rebuilds and compiles the trace
+    // on its own arenas, cross-checked against the shipped stats/mask
+    // epilogue. Empty/zero on inproc traces: the in-process group
+    // shares the handle by pointer.
     uint64_t wireSig = 0;
     std::vector<Word> sourceOps;
     bool sourceFuse = false;
@@ -136,19 +137,11 @@ struct BatchTrace
         return t;
     }
 
-    /** Compiled program for segment @p seg, or null (interpret). */
-    const ReplayProgram *
-    program(uint32_t seg) const
-    {
-        return seg < programs.size() ? &programs[seg] : nullptr;
-    }
-
     void
     clear()
     {
         items.clear();
         used = 0;
-        programs.clear();
         stats.clear();
         finalXb = Range();
         finalRow = Range();

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "sim/replay_program.hpp"
-#include "sim/segment_trace.hpp"
 
 namespace pypim
 {
@@ -382,212 +381,6 @@ Crossbar::logicHPaged(const HalfGates &hg,
     }
 }
 
-void
-Crossbar::logicHFusedInit1(const HalfGates &hg,
-                           std::span<const uint64_t> rowMask)
-{
-    panicIf(rowMask.size() != wordsPerCol_,
-            "logicH: row mask width mismatch");
-    if (pagedOpEntry()) {
-        logicHFusedInit1Paged(hg, rowMask);
-        return;
-    }
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
-        const uint64_t *inA =
-            colWords(static_cast<uint32_t>(sec.inCol[0]));
-        const uint64_t *inB = sec.numIn == 2
-            ? colWords(static_cast<uint32_t>(sec.inCol[1]))
-            : inA;
-        for (uint32_t w = 0; w < wordsPerCol_; ++w)
-            out[w] = (out[w] & ~rowMask[w]) |
-                     (~(inA[w] | inB[w]) & rowMask[w]);
-    }
-}
-
-void
-Crossbar::logicHFusedInit1Paged(const HalfGates &hg,
-                                std::span<const uint64_t> rowMask)
-{
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
-        const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-        const uint32_t inB = sec.numIn == 2
-            ? static_cast<uint32_t>(sec.inCol[1])
-            : inA;
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            // Where the mask is zero the fused form reduces to
-            // out = out: block untouched. Where it is nonzero the
-            // result sets a bit wherever both inputs read zero, so
-            // the output block must materialise even when every
-            // operand is absent (absent inputs ⇒ out |= mask).
-            if (!maskNZ[b])
-                continue;
-            uint64_t *out = blockRW(outCol, b);
-            const uint64_t *a = blockRO(inA, b);
-            const uint64_t *bb = blockRO(inB, b);
-            if (!a)
-                a = kZeroBlock;
-            if (!bb)
-                bb = kZeroBlock;
-            const uint64_t *m = rowMask.data() + b * kBlockWords;
-            const uint32_t used = blockWords(b);
-            for (uint32_t w = 0; w < used; ++w)
-                out[w] = (out[w] & ~m[w]) | (~(a[w] | bb[w]) & m[w]);
-        }
-    }
-}
-
-void
-Crossbar::logicHFull(const HalfGates &hg)
-{
-    if (pagedOpEntry()) {
-        logicHFullPaged(hg);
-        return;
-    }
-    // All-ones realized mask: INIT is a fill and the gates drop the
-    // blend — bit-identical to logicH under that mask.
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
-        switch (hg.gate) {
-          case Gate::Init0:
-            std::fill(out, out + wordsPerCol_, 0);
-            break;
-          case Gate::Init1:
-            std::fill(out, out + wordsPerCol_, ~0ull);
-            break;
-          case Gate::Not:
-          case Gate::Nor: {
-            const uint64_t *inA =
-                colWords(static_cast<uint32_t>(sec.inCol[0]));
-            const uint64_t *inB = sec.numIn == 2
-                ? colWords(static_cast<uint32_t>(sec.inCol[1]))
-                : inA;
-            for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                out[w] &= ~(inA[w] | inB[w]);
-            break;
-          }
-        }
-    }
-}
-
-void
-Crossbar::logicHFullPaged(const HalfGates &hg)
-{
-    // Every block is mask-selected, so the per-block mask-nonzero
-    // scan of the masked kernel disappears entirely.
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
-        switch (hg.gate) {
-          case Gate::Init0:
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (out)
-                    std::fill(out, out + blockWords(b), 0);
-            }
-            break;
-          case Gate::Init1:
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *out = blockRW(outCol, b);
-                std::fill(out, out + blockWords(b), ~0ull);
-            }
-            break;
-          case Gate::Not:
-          case Gate::Nor: {
-            const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-            const uint32_t inB = sec.numIn == 2
-                ? static_cast<uint32_t>(sec.inCol[1])
-                : inA;
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                const bool aIn = blockRO(inA, b) != nullptr;
-                const bool bIn = blockRO(inB, b) != nullptr;
-                if (!aIn && !bIn)
-                    continue;  // out &= ~0: untouched
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (!out)
-                    continue;  // only clears: absent stays absent
-                // Inputs AFTER the output's clone (pool may move).
-                const uint64_t *a = aIn ? blockRO(inA, b) : kZeroBlock;
-                const uint64_t *bb =
-                    bIn ? blockRO(inB, b) : kZeroBlock;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] &= ~(a[w] | bb[w]);
-            }
-            break;
-          }
-        }
-    }
-}
-
-void
-Crossbar::logicHFusedInit1Full(const HalfGates &hg)
-{
-    if (pagedOpEntry()) {
-        logicHFusedInit1FullPaged(hg);
-        return;
-    }
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
-        const uint64_t *inA =
-            colWords(static_cast<uint32_t>(sec.inCol[0]));
-        const uint64_t *inB = sec.numIn == 2
-            ? colWords(static_cast<uint32_t>(sec.inCol[1]))
-            : inA;
-        for (uint32_t w = 0; w < wordsPerCol_; ++w)
-            out[w] = ~(inA[w] | inB[w]);
-    }
-}
-
-void
-Crossbar::logicHFusedInit1FullPaged(const HalfGates &hg)
-{
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
-        const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-        const uint32_t inB = sec.numIn == 2
-            ? static_cast<uint32_t>(sec.inCol[1])
-            : inA;
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            // out = ~(a|b) sets bits wherever both inputs read zero,
-            // so the output block materialises unconditionally.
-            uint64_t *out = blockRW(outCol, b);
-            const uint64_t *a = blockRO(inA, b);
-            const uint64_t *bb = blockRO(inB, b);
-            if (!a)
-                a = kZeroBlock;
-            if (!bb)
-                bb = kZeroBlock;
-            const uint32_t used = blockWords(b);
-            for (uint32_t w = 0; w < used; ++w)
-                out[w] = ~(a[w] | bb[w]);
-        }
-    }
-}
-
 // --- vertical logic -----------------------------------------------------
 
 void
@@ -672,187 +465,6 @@ Crossbar::logicVPaged(Gate g, uint32_t rowIn, uint32_t rowOut,
     }
 }
 
-// --- trace replay -------------------------------------------------------
-
-void
-Crossbar::replaySegment(const SegmentTrace &trace, uint32_t self,
-                        Stats *work)
-{
-    maybePromote();
-    const size_t n = trace.ops.size();
-    for (size_t i = 0; i < n;) {
-        const TraceOp &op = trace.ops[i];
-        if (op.type == OpType::LogicV) {
-            // Runs of consecutive LogicV ops on the same
-            // intra-partition index address the same partition
-            // columns; replay the whole run column-major in one pass.
-            size_t j = i + 1;
-            while (j < n && trace.ops[j].type == OpType::LogicV &&
-                   trace.ops[j].index == op.index)
-                ++j;
-            replayLogicVRun(trace.ops.data() + i, j - i, self, work);
-            i = j;
-            continue;
-        }
-        ++i;
-        if (!op.xb.contains(self))
-            continue;
-        switch (op.type) {
-          case OpType::Write: {
-            const bool full = trace.rowMaskFull[op.rowMask] != 0;
-            if (op.wn > 1) {
-                // Stripe of adjacent Writes merged by the trace
-                // fuser: distinct slots under one shared row mask.
-                const std::span<const StripeWrite> ws{
-                    trace.writePairs.data() + op.wrun, op.wn};
-                if (full)
-                    writeStripeFull(ws);
-                else
-                    writeStripe(ws, trace.rowMask(op.rowMask));
-                // Work conservation: the stripe applies wn
-                // architectural Writes.
-                if (work)
-                    work->recordN(OpClass::Write, op.wn);
-            } else {
-                if (full)
-                    writeFull(op.index, op.value);
-                else
-                    write(op.index, op.value,
-                          trace.rowMask(op.rowMask));
-                if (work)
-                    work->record(OpClass::Write);
-            }
-            break;
-          }
-          case OpType::LogicH: {
-            const HalfGates &hg = trace.halfGates[op.hg];
-            const bool full = trace.rowMaskFull[op.rowMask] != 0;
-            if (op.fusedInit) {
-                if (full)
-                    logicHFusedInit1Full(hg);
-                else
-                    logicHFusedInit1(hg, trace.rowMask(op.rowMask));
-                // Two architectural ops applied in one pass.
-                if (work)
-                    work->recordN(OpClass::LogicH, 2);
-            } else {
-                if (full)
-                    logicHFull(hg);
-                else
-                    logicH(hg, trace.rowMask(op.rowMask));
-                if (work)
-                    work->record(OpClass::LogicH);
-            }
-            break;
-          }
-          default:
-            break;  // unreachable: the builder emits work ops only
-        }
-    }
-}
-
-void
-Crossbar::replayLogicVRun(const TraceOp *run, size_t n, uint32_t self,
-                          Stats *work)
-{
-    // A LogicV op addresses two single rows of one column per
-    // partition, so op-major replay touches every partition column
-    // for two bits per op. Interchanging the loops applies the whole
-    // run to one column while its words are hot. The run is
-    // processed in fixed-size chunks of decoded gate descriptors so
-    // no scratch allocation is needed; chunk order preserves stream
-    // order within each column, and columns are independent.
-    struct VGate
-    {
-        Gate gate;
-        uint32_t inWord, inShift;
-        uint32_t outWord;
-        uint64_t outBit;
-    };
-    constexpr size_t kChunk = 64;
-    VGate gates[kChunk];
-    const uint32_t pw = geo_->partitionWidth();
-    const uint32_t numPart = geo_->partitions;
-    const uint32_t slot = run[0].index;
-    const bool paged = !slab_;
-
-    size_t i = 0;
-    while (i < n) {
-        size_t m = 0;
-        for (; i < n && m < kChunk; ++i) {
-            const TraceOp &op = run[i];
-            if (!op.xb.contains(self))
-                continue;
-            gates[m].gate = op.gate;
-            gates[m].inWord = op.rowIn / 64;
-            gates[m].inShift = op.rowIn % 64;
-            gates[m].outWord = op.rowOut / 64;
-            gates[m].outBit = 1ull << (op.rowOut % 64);
-            ++m;
-            if (work)
-                work->record(OpClass::LogicV);
-        }
-        if (m == 0)
-            continue;
-        for (uint32_t p = 0; p < numPart; ++p) {
-            const uint32_t col = p * pw + slot;
-            if (paged) {
-                for (size_t k = 0; k < m; ++k) {
-                    const VGate &g = gates[k];
-                    const uint32_t bOut = g.outWord / kBlockWords;
-                    const uint32_t relOut = g.outWord % kBlockWords;
-                    switch (g.gate) {
-                      case Gate::Init0: {
-                        uint64_t *blk = blockIfPresent(col, bOut);
-                        if (blk)
-                            blk[relOut] &= ~g.outBit;
-                        break;
-                      }
-                      case Gate::Init1:
-                        blockRW(col, bOut)[relOut] |= g.outBit;
-                        break;
-                      case Gate::Not: {
-                        const uint64_t *in =
-                            blockRO(col, g.inWord / kBlockWords);
-                        const bool v =
-                            in && ((in[g.inWord % kBlockWords] >>
-                                    g.inShift) &
-                                   1);
-                        if (!v)
-                            break;
-                        uint64_t *out = blockIfPresent(col, bOut);
-                        if (out)
-                            out[relOut] &= ~g.outBit;
-                        break;
-                      }
-                      case Gate::Nor:
-                        break;  // unreachable: rejected at emission
-                    }
-                }
-                continue;
-            }
-            uint64_t *words = colWords(col);
-            for (size_t k = 0; k < m; ++k) {
-                const VGate &g = gates[k];
-                switch (g.gate) {
-                  case Gate::Init0:
-                    words[g.outWord] &= ~g.outBit;
-                    break;
-                  case Gate::Init1:
-                    words[g.outWord] |= g.outBit;
-                    break;
-                  case Gate::Not:
-                    if ((words[g.inWord] >> g.inShift) & 1)
-                        words[g.outWord] &= ~g.outBit;
-                    break;
-                  case Gate::Nor:
-                    break;  // unreachable: rejected at emission
-                }
-            }
-        }
-    }
-}
-
 // --- compiled-program replay --------------------------------------------
 
 void
@@ -860,9 +472,8 @@ Crossbar::replayProgram(const ReplayProgram &prog, uint32_t self,
                         Stats *work)
 {
     // One dispatch per (segment, crossbar) into the specialization
-    // lattice — every per-op branch the interpreter pays (op switch,
-    // storage test, mask-handle resolution, blend-vs-fill) is decided
-    // here, outside the hot loops.
+    // lattice: the storage test and the blend-vs-fill choice are
+    // decided here, outside the hot loops.
     maybePromote();
     if (!slab_) {
         if (prog.allMasksFull)
@@ -1168,7 +779,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                 break;
             }
             // Partial mask: the mask-nonzero block scan runs once for
-            // the whole pass (the interpreter pays it once PER OP).
+            // the whole pass.
             if (kPaged)
                 for (uint32_t b = 0; b < blocksPerCol_; ++b)
                     maskNZ[b] = !allZero(m + b * kBlockWords,
@@ -1275,20 +886,31 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
             break;
           }
           case ReplayProgram::Kind::WStripe: {
+            // The representation was fixed at program entry: call the
+            // paged bodies directly, because the public entries may
+            // promote, and the instructions after this one would then
+            // run paged kernels on a slab.
             const std::span<const StripeWrite> ws{
                 prog.pairs.data() + in.off, in.count};
-            if (kFull || in.maskFull)
-                writeStripeFull(ws);
-            else
-                writeStripe(ws,
-                            {prog.maskWords.data() + in.maskOff,
-                             wpc});
+            const std::span<const uint64_t> mask{
+                prog.maskWords.data() + in.maskOff, wpc};
+            if (kFull || in.maskFull) {
+                if (kPaged)
+                    writeStripeFullPaged(ws);
+                else
+                    writeStripeFull(ws);
+            } else {
+                if (kPaged)
+                    writeStripePaged(ws, mask);
+                else
+                    writeStripe(ws, mask);
+            }
             break;
           }
           case ReplayProgram::Kind::VRun: {
-            // Pre-decoded run, column-major (replayLogicVRun without
-            // the per-crossbar chunked re-decode and per-op mask
-            // checks — the compiler made the run's range uniform).
+            // Pre-decoded run, applied column-major: every gate of
+            // the run touches one partition column while its words
+            // are hot (the compiler made the run's range uniform).
             const ReplayProgram::VGate *gs =
                 prog.vgates.data() + in.off;
             for (uint32_t part = 0; part < geo_->partitions; ++part) {
@@ -1472,44 +1094,6 @@ Crossbar::writeStripePaged(std::span<const StripeWrite> ws,
                     for (uint32_t w = 0; w < used; ++w)
                         blk[w] &= ~m[w];
                 }
-            }
-        }
-    }
-}
-
-void
-Crossbar::writeFull(uint32_t slot, uint32_t value)
-{
-    if (pagedOpEntry()) {
-        writeFullPaged(slot, value);
-        return;
-    }
-    // All-ones mask: every plane column becomes a pure fill.
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        uint64_t *words = colWords(p * pw + slot);
-        std::fill(words, words + wordsPerCol_,
-                  (value >> p) & 1 ? ~0ull : 0);
-    }
-}
-
-void
-Crossbar::writeFullPaged(uint32_t slot, uint32_t value)
-{
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        const uint32_t col = p * pw + slot;
-        if ((value >> p) & 1) {
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *blk = blockRW(col, b);
-                std::fill(blk, blk + blockWords(b), ~0ull);
-            }
-        } else {
-            // A 0 bit only clears: absent stays absent.
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                uint64_t *blk = blockIfPresent(col, b);
-                if (blk)
-                    std::fill(blk, blk + blockWords(b), 0);
             }
         }
     }

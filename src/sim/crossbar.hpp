@@ -32,10 +32,10 @@
  *
  *  - Promotion is checked only at replay entry, never inside a
  *    kernel that holds block pointers: at the entry of a compiled
- *    program (replayProgram), of an interpreted segment
- *    (replaySegment), and of each single replayed op (logicH, logicV,
- *    write and their variants), which is the only entry the serial
- *    engine's raw op-by-op path has. Direct state access (writeRow,
+ *    program (replayProgram), never between its instructions, and of
+ *    each single replayed op (logicH, logicV, write and writeStripe),
+ *    which is the only entry the serial engine's raw op-by-op path
+ *    has. Direct state access (writeRow,
  *    setBit, bulk gather/scatter, loadBlock) never promotes.
  *    Promotion copies every present block into the slab and drops the
  *    table and the crossbar's pool reference (live snapshots keep
@@ -95,9 +95,7 @@ namespace pypim
 {
 
 struct ReplayProgram;
-struct SegmentTrace;
 struct Stats;
-struct TraceOp;
 class BlockPool;
 
 /** One strided write of a stripe: slot @p slot takes @p value. */
@@ -174,61 +172,25 @@ class Crossbar
     void logicH(const HalfGates &hg, std::span<const uint64_t> rowMask);
 
     /**
-     * INIT1 of the output columns fused with the NOR/NOT expanded in
-     * @p hg: one pass computing out = (out & ~mask) | (~(inA|inB) &
-     * mask), bit-identical to logicH(INIT1) followed by logicH(@p hg)
-     * when no input aliases an output (the trace builder's fusion
-     * precondition).
+     * Blend-free stripe for an ALL-ONES realized row mask (every mask
+     * word == ~0; SegmentTrace::rowMaskFull): each plane column
+     * becomes a fill. Bit-identical to writeStripe under that mask.
      */
-    void logicHFusedInit1(const HalfGates &hg,
-                          std::span<const uint64_t> rowMask);
-
-    /**
-     * Blend-free variants for an ALL-ONES realized row mask (every
-     * mask word == ~0; SegmentTrace::rowMaskFull): INIT collapses to
-     * a fill, gates and writes drop the `& mask` term from the inner
-     * word loop. Bit-identical to the masked forms under that mask.
-     */
-    void logicHFull(const HalfGates &hg);
-    void logicHFusedInit1Full(const HalfGates &hg);
-    void writeFull(uint32_t slot, uint32_t value);
     void writeStripeFull(std::span<const StripeWrite> ws);
 
     /**
-     * Replay one compiled program (sim/replay_program.hpp) on this
-     * crossbar (index @p self): the pre-resolved, specialized form of
-     * replaySegment used for frozen cached traces. Promotes a filled
-     * paged crossbar first (file header), then dispatches once
+     * Crossbar-major replay of one compiled segment
+     * (sim/replay_program.hpp) on this crossbar (index @p self): every
+     * instruction whose crossbar range selects it, in order, while
+     * this crossbar's column-major state is hot in cache. Promotes a
+     * filled paged crossbar first (file header), then dispatches once
      * into a {slab, paged} x {all-full masks, partial} template
-     * executor; @p work accumulates applied-op counts exactly as
-     * replaySegment would (conserved across compilation).
+     * executor. @p work, if non-null, accumulates the applied
+     * architectural ops (two for a fused INIT+gate pair, one per Write
+     * of a stripe): the sharded engine's load-balance diagnostic.
      */
     void replayProgram(const ReplayProgram &prog, uint32_t self,
                        Stats *work);
-
-    /**
-     * Crossbar-major replay: apply every op of @p trace whose
-     * crossbar-mask snapshot selects this crossbar (index @p self),
-     * in segment order, while this crossbar's column-major state is
-     * hot in cache. The inner loop of the trace-based engines
-     * (sim/segment_trace.hpp). Promotes a filled paged crossbar
-     * first, as replayProgram does. @p work, if non-null, accumulates one
-     * op per application (two for fused INIT+gate pairs, one per
-     * merged Write of a stripe) — the sharded engine's load-balance
-     * diagnostic, conserved exactly across fusion.
-     */
-    void replaySegment(const SegmentTrace &trace, uint32_t self,
-                       Stats *work);
-
-    /**
-     * Replay a run of consecutive LogicV trace ops sharing one
-     * intra-partition index column-major: the whole run is applied to
-     * each partition column while its words are hot, instead of
-     * sweeping all partitions once per op. Ops whose crossbar-mask
-     * snapshot does not select @p self are skipped.
-     */
-    void replayLogicVRun(const TraceOp *run, size_t n, uint32_t self,
-                         Stats *work);
 
     /**
      * Execute a vertical logic op: gate from @p rowIn to @p rowOut on
@@ -492,10 +454,10 @@ class Crossbar
             promote();
     }
     /**
-     * Entry of one replayed op (the serial engine's raw op-by-op path
-     * and the segment interpreter): promote a filled paged crossbar,
-     * then report whether the op runs on the paged kernels. No block
-     * pointer is live at this point.
+     * Entry of one replayed op (the serial engine's raw op-by-op
+     * path): promote a filled paged crossbar, then report whether the
+     * op runs on the paged kernels. No block pointer is live at this
+     * point.
      */
     bool
     pagedOpEntry()
@@ -513,11 +475,6 @@ class Crossbar
     // historical implementation.
     void logicHPaged(const HalfGates &hg,
                      std::span<const uint64_t> rowMask);
-    void logicHFusedInit1Paged(const HalfGates &hg,
-                               std::span<const uint64_t> rowMask);
-    void logicHFullPaged(const HalfGates &hg);
-    void logicHFusedInit1FullPaged(const HalfGates &hg);
-    void writeFullPaged(uint32_t slot, uint32_t value);
     void writeStripeFullPaged(std::span<const StripeWrite> ws);
     /**
      * The compiled-replay executor, specialized over the storage

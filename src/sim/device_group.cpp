@@ -20,6 +20,8 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     : geo_(geo)
 {
     geo_.validate();
+    // Before any fork: a worker must never be the first to object.
+    requireCompiledReplay(ec);
     uint32_t n = std::max(1u, ec.devices);
     fatalIf(!isPow2(n),
             "devices: " + std::to_string(n) +
@@ -50,7 +52,6 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
         // per-sub-device wiring below for its own Simulator); the host
         // keeps a trace-build mirror and the power-on shadow mask.
         htree_ = std::make_unique<HTree>(geo_.numCrossbars);
-        remoteCompiled_ = sub.compiledReplay;
         shadowXb_ = Range::all(geo_.numCrossbars);
         transport_ =
             std::make_unique<SocketTransport>(geo_, sub, n, perDevice_);
@@ -417,8 +418,7 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse,
     // mirror and stamped with its wire identity, so submitTrace can
     // install it once per worker and replay by signature thereafter.
     if (remote())
-        return buildWireTrace(ops, n, fuse, remoteCompiled_, geo_,
-                              *htree_);
+        return buildWireTrace(ops, n, fuse, geo_, *htree_);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
     return sims_[0]->prepareTrace(ops, n, fuse, entry);

@@ -70,8 +70,9 @@
  *    group keeps a host-side shadow of the replicated crossbar mask
  *    (seeding the same Move scan, so traffic() counts identically), a
  *    trace-build mirror for prepareTrace (sim/trace_wire.hpp — each
- *    frozen trace crosses the wire once per worker, then replays by
- *    signature), and the boundary exchange stages/lands cell values
+ *    frozen trace crosses the wire once per worker as its source
+ *    stream, the worker rebuilds and compiles it, and it then replays
+ *    by signature), and the boundary exchange stages/lands cell values
  *    through batched wire messages. Architectural Stats, masks and
  *    state parity with inproc is bit-exact (the multi-device parity
  *    suite asserts it); the one contract difference is error TIMING:
@@ -373,9 +374,6 @@ class SimulatorGroup : public OperationSink
     mutable std::unique_ptr<SocketTransport> transport_;
     /** Host-side trace-build mirror for prepareTrace (socket mode). */
     std::unique_ptr<HTree> htree_;
-    /** Lower wire traces into compiled replay programs at freeze
-     *  (EngineConfig::compiledReplay; socket mode). */
-    bool remoteCompiled_ = true;
     /** Host shadow of the replicated crossbar mask (socket mode):
      *  seeds the Move scan and the performRead owner. Best-effort on
      *  error streams, like the sub-device state itself. */

@@ -8,7 +8,6 @@
 #include "sim/bulk_io.hpp"
 #include "sim/serial_engine.hpp"
 #include "sim/sharded_engine.hpp"
-#include "sim/trace_engine.hpp"
 #include "uarch/partition.hpp"
 
 namespace pypim
@@ -179,15 +178,6 @@ ExecutionEngine::applyWriteBulk(const BulkIoSpec &spec,
 }
 
 void
-ExecutionEngine::replayTrace(const SegmentTrace &trace)
-{
-    const uint32_t lo = std::max(trace.xbLo, sliceLo());
-    const uint32_t hi = std::min(trace.xbHi, sliceHi());
-    for (uint32_t xb = lo; xb < hi; ++xb)
-        xbAt(xb).replaySegment(trace, xb, nullptr);
-}
-
-void
 ExecutionEngine::replayProgram(const ReplayProgram &prog)
 {
     const uint32_t lo = std::max(prog.xbLo, sliceLo());
@@ -201,10 +191,9 @@ ExecutionEngine::replayBatch(const BatchTrace &batch)
 {
     for (const BatchTrace::Item &item : batch.items) {
         if (item.kind == BatchTrace::Item::Kind::Segment) {
-            if (const ReplayProgram *p = batch.program(item.seg))
-                replayProgram(*p);
-            else
-                replayTrace(batch.segments[item.seg]);
+            panicIf(item.seg >= batch.programs.size(),
+                    "replayBatch: segment was never compiled");
+            replayProgram(batch.programs[item.seg]);
         } else {
             applyMove(item.op, item.xb);
         }
@@ -291,14 +280,12 @@ makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
            const HTree &htree, MaskState &mask, Stats &stats)
 {
+    requireCompiledReplay(cfg);
     switch (cfg.kind) {
       case EngineKind::Sharded:
         return std::make_unique<ShardedEngine>(
             geo, xbs, xbBase, htree, mask, stats,
             cfg.resolvedThreads(), cfg.affinity);
-      case EngineKind::Trace:
-        return std::make_unique<TraceEngine>(geo, xbs, xbBase, htree,
-                                             mask, stats);
       case EngineKind::Serial:
       default:
         return std::make_unique<SerialEngine>(geo, xbs, xbBase, htree,

@@ -11,16 +11,18 @@
  *  - SerialEngine (serial_engine.hpp): the reference backend; every op
  *    is applied to all mask-selected crossbars on the calling thread,
  *    op-major.
- *  - TraceEngine (trace_engine.hpp): decodes each barrier-free segment
- *    once into a SegmentTrace (sim/segment_trace.hpp) and replays it
- *    crossbar-major on the calling thread, keeping one crossbar's
- *    state hot in cache for the whole segment.
- *  - ShardedEngine (sharded_engine.hpp): partitions the crossbars into
- *    per-worker shards and replays segment traces crossbar-major
- *    within each shard on a persistent thread pool — the host-side
- *    analogue of the paper's observation (§VI) that crossbars are
- *    independent between the cross-crossbar ops (Read, H-tree Move),
- *    which serialise.
+ *  - ShardedEngine (sharded_engine.hpp): decodes each barrier-free
+ *    segment once (sim/segment_trace.hpp), compiles it into a
+ *    ReplayProgram (sim/replay_program.hpp) and replays that
+ *    crossbar-major on a persistent thread pool, inline at one thread
+ *    — the host-side analogue of the paper's observation (§VI) that
+ *    crossbars are independent between the cross-crossbar ops (Read,
+ *    H-tree Move), which serialise.
+ *
+ * A segment replays in exactly one form, the compiled program: every
+ * engine replays prepared traces through replayBatch, and the
+ * pipeline compiles its one-shot batches before handing them over.
+ * SerialEngine's op-major path is the one oracle.
  *
  * Engines operate on state OWNED BY the Simulator (crossbars, H-tree,
  * in-stream mask state, stats), so engines can be swapped at runtime
@@ -81,7 +83,7 @@ class ExecutionEngine
     ExecutionEngine(const ExecutionEngine &) = delete;
     ExecutionEngine &operator=(const ExecutionEngine &) = delete;
 
-    /** Backend name ("serial", "sharded", "trace") for reporting. */
+    /** Backend name ("serial", "sharded") for reporting. */
     virtual const char *name() const = 0;
 
     /** Host threads participating in execution (1 for serial). */
@@ -91,34 +93,24 @@ class ExecutionEngine
     virtual void execute(const Word *ops, size_t n) = 0;
 
     /**
-     * Replay one pre-built segment trace over the crossbar array.
-     * This is the hand-off entry the pipelined path (sim/pipeline.hpp)
-     * feeds: the trace was already validated and recorded in the
-     * architectural stats by the pre-pass, so the engine only applies
-     * state changes. The default replays crossbar-major inline on the
-     * calling thread; ShardedEngine fans the hull out over its pool.
-     */
-    virtual void replayTrace(const SegmentTrace &trace);
-
-    /**
-     * Replay one compiled replay program (sim/replay_program.hpp) —
-     * the fast path replayBatch takes for segments of a frozen cached
-     * trace. Same clipping and threading contract as replayTrace; the
-     * per-crossbar work is Crossbar::replayProgram, whose executor is
-     * specialized over storage mode and mask shape.
+     * Replay one compiled segment (sim/replay_program.hpp) over the
+     * owned slice of its crossbar hull. The program was validated and
+     * recorded in the architectural stats when its segment was built,
+     * so the engine only applies state changes. The default replays
+     * crossbar-major inline on the calling thread; ShardedEngine fans
+     * the hull out over its pool. The per-crossbar work is
+     * Crossbar::replayProgram, whose executor is specialized over
+     * storage mode and mask shape.
      */
     virtual void replayProgram(const ReplayProgram &prog);
 
     /**
-     * Replay one pre-built batch in stream order: Moves via applyMove,
-     * segments via replayProgram when the batch carries a compiled
-     * program for them (frozen cache entries built with
-     * EngineConfig::compiledReplay) and via the replayTrace
-     * interpreter otherwise (one-shot pipeline arenas, or the knob
-     * off). Shared by the pipelined consumer and the synchronous
-     * trace-cache hit path — either way the batch was validated and
-     * its stats recorded at build time, so this is pure state
-     * application on any backend.
+     * Replay one pre-built, compiled batch in stream order: Moves via
+     * applyMove, segments via replayProgram. Shared by the pipelined
+     * consumer and the synchronous trace-cache hit path — either way
+     * the batch was validated and its stats recorded at build time, so
+     * this is pure state application on any backend. Panics if a
+     * segment has no compiled program.
      */
     void replayBatch(const BatchTrace &batch);
 
@@ -244,7 +236,8 @@ class ExecutionEngine
     std::vector<uint32_t> moveDsts_;
 };
 
-/** Instantiate the backend selected by @p cfg over the given state. */
+/** Instantiate the backend selected by @p cfg over the given state.
+ *  Throws pypim::Error if @p cfg turns compiled replay off. */
 std::unique_ptr<ExecutionEngine>
 makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,

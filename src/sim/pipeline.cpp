@@ -2,6 +2,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/htree.hpp"
+#include "sim/replay_program.hpp"
 
 namespace pypim
 {
@@ -135,11 +136,15 @@ SimulatorPipeline::consumerLoop()
         replaying_ = true;
         const bool skip = static_cast<bool>(error_);
         lock.unlock();
-        const BatchTrace &batch =
-            p.shared ? *p.shared : buffers_[p.buf];
         std::exception_ptr err;
         if (!skip) {
             try {
+                // The consumer owns an arena batch until it frees the
+                // buffer below, so it may compile the batch in place.
+                if (!p.shared)
+                    compileBatchTrace(buffers_[p.buf], geo_);
+                const BatchTrace &batch =
+                    p.shared ? *p.shared : buffers_[p.buf];
                 if (preReplay_)
                     preReplay_();
                 busy_.store(true, std::memory_order_release);

@@ -15,28 +15,36 @@
  *   submitBatch(ops, n)
  *     acquire a free BatchTrace   ---.
  *     buildSegmentTrace per segment   \   dequeue BatchTrace k
- *     (validate, record stats,         `> replay items in order:
- *      advance the mask state)            - SegmentTrace -> engine->
- *     enqueue; return immediately           replayTrace (sharded: fan
- *                                           out over the worker pool)
- *   ... translate batch k+1 ...           - Move -> engine->applyMove
+ *     (validate, record stats,         `> compileBatchTrace (arena
+ *      advance the mask state)            batches only)
+ *     enqueue; return immediately        replay items in order:
+ *                                         - ReplayProgram -> engine->
+ *   ... translate batch k+1 ...             replayProgram (sharded:
+ *                                           fan out over the pool)
+ *                                         - Move -> engine->applyMove
  *                                        release the buffer
+ *
+ * One-shot arena batches are compiled on the CONSUMER, just before
+ * replay: the compile then overlaps the producer's translation of the
+ * next batch instead of lengthening the producer's critical path. The
+ * programs live in the arena batch, so steady-state compiling reuses
+ * their capacity.
  *
  * Double buffering: kBuffers (two) independent SegmentTrace arenas
  * cycle through the queue, so the pre-pass for batch k+1 runs while
  * the engine replays trace k; the producer blocks only when both
  * buffers are in flight. Trace-cache hits bypass the arenas entirely:
- * submitShared enqueues a shared immutable pre-built BatchTrace
- * (sim/batch_trace.hpp) in FIFO order with the arena batches, with
- * its own backpressure bound — the consumer replays it with zero
- * decode work and the shared_ptr keeps it alive even if the owning
- * cache is cleared mid-flight. All validation and architectural Stats
- * recording happen on the producer inside submitBatch — a malformed
- * op therefore throws at the submitBatch that contained it, before
- * the batch touches any crossbar (the same error-stream semantics as
- * the trace-based engines), and the consumer applies pre-validated
- * state changes only, so the two threads share no mutable state
- * outside the queue.
+ * submitShared enqueues a shared immutable pre-built, pre-compiled
+ * BatchTrace (sim/batch_trace.hpp) in FIFO order with the arena
+ * batches, with its own backpressure bound — the consumer replays it
+ * with zero decode or compile work and the shared_ptr keeps it alive
+ * even if the owning cache is cleared mid-flight. All validation and
+ * architectural Stats recording happen on the producer inside
+ * submitBatch — a malformed op therefore throws at the submitBatch
+ * that contained it, before the batch touches any crossbar (the same
+ * error-stream semantics as the sharded engine), and the consumer
+ * compiles and applies pre-validated state changes only, so the two
+ * threads share no mutable state outside the queue.
  *
  * Reads have no architectural state effect on the data-less path
  * (validate + count, response dropped), so they are absorbed at

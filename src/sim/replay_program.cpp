@@ -1,7 +1,7 @@
 #include "sim/replay_program.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "sim/batch_trace.hpp"
 #include "sim/segment_trace.hpp"
@@ -42,6 +42,59 @@ struct ColSet
         for (uint32_t i = 0; i < words; ++i)
             w[i] |= o.w[i];
     }
+};
+
+/**
+ * Closed-pass dedup table of one compile: section-run content hash ->
+ * the first run stored with that hash. Open addressing, sized from
+ * the segment's LogicH count (a bound on its passes) so it never
+ * grows mid-compile. One table per compiling thread, reused across
+ * segments, so steady-state compiling never reaches the heap (the
+ * HalfGateIntern pattern of sim/segment_trace.cpp).
+ */
+class RunTable
+{
+  public:
+    /** A section run; count 0 marks an empty slot (a closed pass
+     *  with no sections is never looked up). */
+    struct Run
+    {
+        uint32_t off = 0, count = 0;
+    };
+
+    void
+    reset(size_t passes)
+    {
+        const size_t cap =
+            std::bit_ceil(std::max<size_t>(16, 2 * passes));
+        slots_.assign(cap, Slot{});
+        shift_ = 64 - std::countr_zero(cap);
+    }
+
+    /** Run stored under @p h, inserting @p run when there is none;
+     *  @p fresh reports which. */
+    const Run &
+    findOrInsert(uint64_t h, const Run &run, bool &fresh)
+    {
+        size_t i = static_cast<size_t>((h * 0x9E3779B97F4A7C15ull) >>
+                                       shift_);
+        const size_t m = slots_.size() - 1;
+        while (slots_[i].run.count != 0 && slots_[i].hash != h)
+            i = (i + 1) & m;
+        fresh = slots_[i].run.count == 0;
+        if (fresh)
+            slots_[i] = Slot{h, run};
+        return slots_[i].run;
+    }
+
+  private:
+    struct Slot
+    {
+        uint64_t hash = 0;
+        Run run;
+    };
+    std::vector<Slot> slots_;
+    int shift_ = 60;
 };
 
 ReplayProgram::SecKind
@@ -85,11 +138,11 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     // is dropped and the pass points at the earlier copy: a captured
     // move sequence repeats the same lane NOTs under a new row mask
     // for every move.
-    struct Run
-    {
-        uint32_t off, count;
-    };
-    std::unordered_map<uint64_t, Run> runs;
+    thread_local RunTable runs;
+    runs.reset(static_cast<size_t>(
+        std::count_if(t.ops.begin(), t.ops.end(), [](const TraceOp &op) {
+            return op.type == OpType::LogicH;
+        })));
     const auto sameSection = [](const ReplayProgram::PSection &a,
                                 const ReplayProgram::PSection &b) {
         return a.kind == b.kind && a.outCol == b.outCol &&
@@ -100,6 +153,8 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             return;
         ReplayProgram::Instr &pass = p.instrs[open];
         open = -1;
+        if (pass.count == 0)
+            return;
         uint64_t h = pass.count;
         for (uint32_t k = 0; k < pass.count; ++k) {
             const ReplayProgram::PSection &ps = p.sections[pass.off + k];
@@ -108,17 +163,18 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                       static_cast<uint64_t>(ps.inA) << 16 | ps.inB)) *
                 0x9E3779B97F4A7C15ull;
         }
-        const auto [it, fresh] = runs.try_emplace(h, Run{pass.off,
-                                                         pass.count});
-        if (fresh || it->second.count != pass.count)
+        bool fresh = false;
+        const RunTable::Run &run =
+            runs.findOrInsert(h, {pass.off, pass.count}, fresh);
+        if (fresh || run.count != pass.count)
             return;
         for (uint32_t k = 0; k < pass.count; ++k)
-            if (!sameSection(p.sections[it->second.off + k],
+            if (!sameSection(p.sections[run.off + k],
                              p.sections[pass.off + k]))
                 return;
         // The closed pass's sections are the arena's tail.
         p.sections.resize(pass.off);
-        pass.off = it->second.off;
+        pass.off = run.off;
     };
 
     for (const TraceOp &op : t.ops) {
@@ -277,17 +333,19 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
 void
 compileBatchTrace(BatchTrace &batch, const Geometry &geo)
 {
-    batch.programs.resize(batch.used);
+    // Grow-only: a pipeline arena batch keeps its programs' capacity
+    // across batches, as it keeps its segments'.
+    if (batch.programs.size() < batch.used)
+        batch.programs.resize(batch.used);
     for (uint32_t s = 0; s < batch.used; ++s)
         compileSegmentProgram(batch.segments[s], geo,
                               batch.programs[s]);
-    releaseInterpreterArenas(batch);
 }
 
 void
-releaseInterpreterArenas(BatchTrace &batch)
+releaseSegmentArenas(BatchTrace &batch)
 {
-    for (size_t s = 0; s < batch.programs.size(); ++s) {
+    for (uint32_t s = 0; s < batch.used; ++s) {
         SegmentTrace &t = batch.segments[s];
         std::vector<TraceOp>().swap(t.ops);
         std::vector<HalfGates>().swap(t.halfGates);

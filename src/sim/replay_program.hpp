@@ -1,19 +1,11 @@
 /**
  * @file
- * Compiled replay programs: the second compilation tier of the trace
- * cache.
+ * Compiled replay programs: the one form in which a segment replays.
  *
- * A SegmentTrace is already decode-once, but REPLAY of it is still an
- * interpreter: Crossbar::replaySegment runs a per-op switch per
- * crossbar, re-resolves the row-mask handle per op, re-scans write
- * stripes and LogicV runs per crossbar, branches dense-vs-paged
- * inside every kernel, and charges Stats once per architectural op.
- * For a trace frozen into the per-signature cache that overhead is
- * paid on every one of the thousands of replays the entry serves.
- *
- * compileBatchTrace() lowers every segment of a frozen BatchTrace
- * into a flat SoA ReplayProgram whose instructions are fully
- * pre-resolved:
+ * A SegmentTrace is decode-once, but its ops still carry per-op row-
+ * mask handles, interned half-gate expansions and unmerged LogicH
+ * sections. compileSegmentProgram() lowers a segment into a flat SoA
+ * ReplayProgram whose instructions are fully pre-resolved:
  *
  *  - row-mask snapshot ids become direct word offsets into the
  *    program's own mask arena, resolved once at compile time, with a
@@ -47,10 +39,20 @@
  * pointer-free flat arrays — deliberately the shape of an
  * upload-once device-side object for the ROADMAP's GPU engine.
  *
- * The one-shot arena path (the asynchronous pipeline's uncached
- * batches) keeps the interpreter: those traces replay exactly once,
- * so compile time there is pure loss. The interpreter also stays the
- * parity oracle behind PYPIM_COMPILED_REPLAY=0
+ * Every segment is compiled where it replays: Simulator::prepareTrace
+ * compiles a trace before freezing it, ShardedEngine::execute
+ * compiles each raw segment into a reused member program, the
+ * pipeline's consumer thread compiles each one-shot arena batch just
+ * before replaying it, and a socket worker compiles each trace it
+ * decodes from the wire. Compiling ties or wins even on segments
+ * that replay once. On one-shot raw batches (4-vCPU Xeon, Release,
+ * bench_simulator's INIT+NOR batch on 1024-row crossbars, one thread,
+ * medians of 11 alternating runs) compile-then-replay ran 1.13x,
+ * 1.12x and 0.99x the rate of the retired per-op segment interpreter
+ * at 64, 256 and 1024 crossbars (0.89-0.96x at 16, inside the host's
+ * noise), and 1.3-1.5x on the driver-translated fp-add batches of
+ * bench_simulator's pipelined sweep at 4 threads. SerialEngine's
+ * op-major raw path is the parity oracle
  * (tests/test_replay_program.cpp).
  */
 #ifndef PYPIM_SIM_REPLAY_PROGRAM_HPP
@@ -163,38 +165,38 @@ struct ReplayProgram
 };
 
 /**
- * Lower @p trace into @p prog (cleared first). Pure function of the
- * trace: never touches crossbar state, runs once per frozen
- * signature. The merge pass is conservative — an op that cannot
- * legally join the open pass (mask or crossbar-range change, section
- * capacity, column aliasing) starts a new instruction, never changes
- * semantics: compiled replay is bit-identical to the interpreter on
- * every storage mode (tests/test_replay_program.cpp).
+ * Lower @p trace into @p prog (cleared first, capacity kept). Pure
+ * function of the trace: never touches crossbar state. The merge pass
+ * is conservative — an op that cannot legally join the open pass
+ * (mask or crossbar-range change, section capacity, column aliasing)
+ * starts a new instruction, never changes semantics: compiled replay
+ * is bit-identical to the serial op-major oracle on every storage mode
+ * (tests/test_replay_program.cpp). Steady-state compiling into a
+ * reused @p prog is allocation-free.
  */
 void compileSegmentProgram(const SegmentTrace &trace,
                            const Geometry &geo, ReplayProgram &prog);
 
 /**
- * Compile every segment of @p batch into BatchTrace::programs —
- * called by Simulator::prepareTrace after window fusion, just before
- * the batch is frozen behind shared_ptr<const>. Engines then
- * dispatch each segment item to the compiled program when present
- * (ExecutionEngine::replayBatch). Releases the compiled segments'
- * half-gate arenas (releaseInterpreterArenas).
+ * Compile segments[0..used) of @p batch into programs[0..used) —
+ * called by Simulator::prepareTrace after window fusion (just before
+ * the batch is frozen behind shared_ptr<const>), by the pipeline's
+ * consumer for each one-shot arena batch, and by the trace-wire
+ * decoder on a socket worker. Grow-only over programs, so a reused
+ * arena batch compiles without reaching the heap.
  */
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
 
 /**
- * Free every interpreter arena (ops, halfGates, rowWords,
- * rowMaskFull, writePairs) of each segment of @p batch that has a
- * compiled program. Only the replayTrace interpreter reads them, and
- * a batch with programs never reaches it, so a frozen compiled trace
- * keeps its programs, its hull and nothing else per segment. Called
- * by compileBatchTrace and by the trace-wire decoder after it
- * installs shipped programs. Batches without programs (one-shot
- * pipeline arenas, compiled replay off) keep everything.
+ * Free the decode arenas (ops, halfGates, rowWords, rowMaskFull,
+ * writePairs) of every segment of @p batch, keeping each segment's
+ * hull. Replay reads only the compiled programs, so a frozen trace
+ * keeps its programs and nothing else per segment. Called after
+ * compiling a frozen trace, and by the host's wire-trace builder,
+ * whose traces only ship their source stream and never replay on the
+ * host.
  */
-void releaseInterpreterArenas(BatchTrace &batch);
+void releaseSegmentArenas(BatchTrace &batch);
 
 } // namespace pypim
 

@@ -29,13 +29,13 @@
  *    words (the driver's canonical stateful-logic idiom);
  *  - the hull [xbLo, xbHi) of crossbars the segment can touch.
  *
- * Replay then runs crossbar-major (Crossbar::replaySegment): for each
+ * A trace never replays as such: compileSegmentProgram
+ * (sim/replay_program.hpp) lowers it into a ReplayProgram, and replay
+ * runs that crossbar-major (Crossbar::replayProgram): for each
  * crossbar, apply the ENTIRE segment before moving on, keeping that
  * crossbar's condensed column-major state hot in L1/L2. The trace is
- * also the natural hand-off unit for pipelined or device-offloaded
- * backends (ROADMAP: double-buffered driver overlap, GPU engine) —
- * it is self-contained, immutable after building, and free of host
- * pointers into mutable simulator state.
+ * the compiler's input and the unit the window fusion pass rewrites
+ * (sim/batch_trace.hpp); once compiled, a frozen trace frees it.
  *
  * All storage is arena-style and reused across segments/batches via
  * clear(), so steady-state building is allocation-free.

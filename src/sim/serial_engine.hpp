@@ -3,9 +3,10 @@
  * The reference execution engine: the bit-accurate serial replay loop
  * that used to live inside Simulator::performBatch. Every micro-op is
  * decoded and applied to all mask-selected crossbars on the calling
- * thread, in stream order (op-major). This is the default backend and
- * the behavioural oracle every other backend (trace, sharded) is
- * tested against — deliberately free of the decode-once/fusion
+ * thread, in stream order (op-major). This is the default backend and,
+ * over XbarStorage::Dense, the one behavioural oracle the sharded
+ * engine, the pipeline and every compiled ReplayProgram are tested
+ * against — deliberately free of the decode-once/fusion/compile
  * machinery it validates.
  */
 #ifndef PYPIM_SIM_SERIAL_ENGINE_HPP

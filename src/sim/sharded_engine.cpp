@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/replay_program.hpp"
-
 namespace pypim
 {
 
@@ -50,24 +48,25 @@ ShardedEngine::execute(const Word *ops, size_t n)
 {
     forEachSegment(ops, n, [&](const Word *seg, size_t len) {
         buildSegmentTrace(seg, len, geo_, mask_, stats_, trace_);
-        replayTrace(trace_);
+        compileSegmentProgram(trace_, geo_, prog_);
+        replayProgram(prog_);
     });
 }
 
 void
-ShardedEngine::replayTrace(const SegmentTrace &trace)
+ShardedEngine::replayProgram(const ReplayProgram &prog)
 {
-    if (trace.empty())
+    if (prog.empty())
         return;  // mask-only segment: fully absorbed by the pre-pass
-    const uint32_t lo = std::max(trace.xbLo, sliceLo());
-    const uint32_t hi = std::min(trace.xbHi, sliceHi());
+    const uint32_t lo = std::max(prog.xbLo, sliceLo());
+    const uint32_t hi = std::min(prog.xbHi, sliceHi());
     if (lo >= hi)
         return;  // hull entirely outside this sub-device's slice
     const uint32_t workers = pool_.size();
     if (workers == 1 || hi - lo <= 1) {
         Stats local;
         for (uint32_t xb = lo; xb < hi; ++xb)
-            xbAt(xb).replaySegment(trace, xb, &local);
+            xbAt(xb).replayProgram(prog, xb, &local);
         work_[0] += local;
         return;
     }
@@ -78,48 +77,13 @@ ShardedEngine::replayTrace(const SegmentTrace &trace)
     // workers. The chunk is kept a few crossbars wide: small enough
     // that expensive crossbars spread over the pool, large enough to
     // amortise the atomic claim and preserve block locality.
-    const uint32_t chunk =
-        std::max(1u, (hi - lo) / (workers * 8));
+    const uint32_t chunk = std::max(1u, (hi - lo) / (workers * 8));
     next_.store(lo, std::memory_order_relaxed);
     pool_.parallelFor(workers, [&](uint32_t w) {
         // Accumulate the applied-work diagnostics on the stack and
         // flush once per segment: work_ entries are adjacent in
         // memory, and per-application increments there would
         // ping-pong cache lines between workers.
-        Stats local;
-        for (;;) {
-            const uint32_t start =
-                next_.fetch_add(chunk, std::memory_order_relaxed);
-            if (start >= hi)
-                break;
-            const uint32_t end = std::min(start + chunk, hi);
-            for (uint32_t xb = start; xb < end; ++xb)
-                xbAt(xb).replaySegment(trace, xb, &local);
-        }
-        work_[w] += local;
-    });
-}
-
-void
-ShardedEngine::replayProgram(const ReplayProgram &prog)
-{
-    if (prog.empty())
-        return;
-    const uint32_t lo = std::max(prog.xbLo, sliceLo());
-    const uint32_t hi = std::min(prog.xbHi, sliceHi());
-    if (lo >= hi)
-        return;
-    const uint32_t workers = pool_.size();
-    if (workers == 1 || hi - lo <= 1) {
-        Stats local;
-        for (uint32_t xb = lo; xb < hi; ++xb)
-            xbAt(xb).replayProgram(prog, xb, &local);
-        work_[0] += local;
-        return;
-    }
-    const uint32_t chunk = std::max(1u, (hi - lo) / (workers * 8));
-    next_.store(lo, std::memory_order_relaxed);
-    pool_.parallelFor(workers, [&](uint32_t w) {
         Stats local;
         for (;;) {
             const uint32_t start =

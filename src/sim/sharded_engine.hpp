@@ -16,21 +16,28 @@
  *     as the serial engine would, records the architectural statistics
  *     and advances the authoritative mask state; it touches no
  *     crossbar, so it is O(segment), not O(segment * crossbars).
- *  3. The workers replay the trace CROSSBAR-MAJOR under a
+ *  3. The coordinator compiles the trace into a ReplayProgram
+ *     (sim/replay_program.hpp). Trace, program and the compiler's
+ *     dedup table are arenas reused across segments and batches, so
+ *     steady-state execution never reaches the heap
+ *     (tests/test_no_alloc.cpp).
+ *  4. The workers replay the program CROSSBAR-MAJOR under a
  *     WORK-STEALING schedule: the segment's crossbar hull is carved
  *     into small chunks claimed from a shared atomic counter, so a
  *     strided crossbar mask (where fixed contiguous blocks would give
  *     some workers mostly masked-out crossbars) still load-balances —
  *     each crossbar's entire segment is applied while its condensed
- *     column-major state is hot in cache (Crossbar::replaySegment),
+ *     column-major state is hot in cache (Crossbar::replayProgram),
  *     with no shared mutable state, no locks, no mask tracking on the
- *     hot path.
- *  4. Move/Read ops form a barrier: they run on the coordinator over
+ *     hot path. With one worker the same crossbar-major loop runs
+ *     inline on the coordinator.
+ *  5. Move/Read ops form a barrier: they run on the coordinator over
  *     the full array via the shared base-class implementation.
  *
  * In the pipelined path (sim/pipeline.hpp) the consumer thread plays
- * the coordinator role, handing pre-built traces to replayTrace while
- * the caller thread translates and decodes the next batch.
+ * the coordinator role: it compiles each one-shot batch and hands the
+ * programs to replayProgram while the caller thread translates and
+ * decodes the next batch.
  *
  * Guarantees for well-formed streams: crossbar state is bit-identical
  * to SerialEngine at any thread count (each crossbar sees the same
@@ -47,6 +54,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/replay_program.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace pypim
@@ -74,10 +82,7 @@ class ShardedEngine : public ExecutionEngine
 
     void execute(const Word *ops, size_t n) override;
 
-    /** Work-stealing crossbar-major replay over the worker pool. */
-    void replayTrace(const SegmentTrace &trace) override;
-
-    /** Compiled-program replay under the same work-stealing schedule;
+    /** Work-stealing crossbar-major replay over the worker pool;
      *  per-crossbar work charges through ReplayProgram's precomputed
      *  counts (once per crossbar, not once per op). */
     void replayProgram(const ReplayProgram &prog) override;
@@ -95,7 +100,8 @@ class ShardedEngine : public ExecutionEngine
     ThreadPool pool_;
     std::vector<Stats> work_;
     std::atomic<uint32_t> next_{0};  //!< chunk claim counter
-    SegmentTrace trace_;  //!< arena reused across batches
+    SegmentTrace trace_;    //!< decode arena reused across segments
+    ReplayProgram prog_;    //!< compile arena reused across segments
 };
 
 } // namespace pypim

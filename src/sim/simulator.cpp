@@ -30,7 +30,6 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
     for (uint32_t i = 0; i < sliceCount; ++i)
         xbs_.emplace_back(geo_, ec.storage);
     mask_.reset(geo_);
-    compiledReplay_ = ec.compiledReplay;
     engine_ =
         makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
     if (ec.pipeline)
@@ -89,7 +88,6 @@ Simulator::setEngine(const EngineConfig &ec)
     // The crossbar state (and with it the storage representation)
     // survives the swap: ec.storage is applied at construction only.
     drainPipeline();
-    compiledReplay_ = ec.compiledReplay;
     engine_ =
         makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
     if (ec.pipeline && !pipeline_) {
@@ -270,13 +268,11 @@ Simulator::prepareTrace(const Word *ops, size_t n, bool fuse,
     }
     if (fuse)
         fuseBatchTrace(*batch, geo_);
-    // Second compilation tier: lower the (possibly fused) segments
-    // into flat replay programs before the batch freezes. Prepared
-    // traces are the cached, replayed-many-times objects — the
-    // pipeline's one-shot arena batches never come through here and
-    // stay interpreted.
-    if (compiledReplay_)
-        compileBatchTrace(*batch, geo_);
+    // Lower the (possibly fused) segments into flat replay programs
+    // before the batch freezes; replay reads nothing else, so the
+    // decode arenas go.
+    compileBatchTrace(*batch, geo_);
+    releaseSegmentArenas(*batch);
     return batch;
 }
 

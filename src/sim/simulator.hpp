@@ -14,16 +14,16 @@
  * the stored row mask of §III-B, expanded once per row-mask op), and
  * statistics — while HOW a micro-op stream is replayed over that
  * state is delegated to a pluggable ExecutionEngine (sim/engine.hpp):
- * the serial reference backend, a decode-once crossbar-major trace
- * backend, or a sharded multi-threaded backend that scales with host
- * cores like real PIM scales with crossbars. Engines can be swapped
- * at runtime without losing memory contents.
+ * the serial op-major reference backend, or a sharded backend that
+ * compiles each segment and replays it crossbar-major, scaling with
+ * host cores like real PIM scales with crossbars. Engines can be
+ * swapped at runtime without losing memory contents.
  *
  * With EngineConfig::pipeline enabled the simulator additionally owns
  * an asynchronous execution pipeline (sim/pipeline.hpp): submitBatch
  * decodes batches into segment traces on the caller thread and a
- * consumer thread replays them, overlapping driver translation with
- * engine replay. Reads, direct state access, stats queries and engine
+ * consumer thread compiles and replays them, overlapping driver
+ * translation with engine replay. Reads, direct state access, stats queries and engine
  * swaps drain the pipeline, so synchronous callers observe identical
  * behaviour.
  */
@@ -92,7 +92,9 @@ class Simulator : public OperationSink
      * Build a shared immutable replay-ready trace: the pre-pass
      * decodes, validates and records stats once, and — when @p fuse
      * is set — the window fusion pass (sim/batch_trace.hpp) optimises
-     * the trace before it is frozen. Without @p entry the stream must
+     * the trace; every segment is then compiled into a ReplayProgram
+     * (sim/replay_program.hpp) and its decode arenas freed before the
+     * trace is frozen. Without @p entry the stream must
      * be self-contained (set both masks before its first non-mask op;
      * returns null otherwise) and is decoded from power-on; with
      * @p entry it is decoded from that mask state, which the trace
@@ -317,9 +319,6 @@ class Simulator : public OperationSink
 
     Geometry geo_;
     uint32_t sliceLo_ = 0;
-    /** Lower prepared traces into compiled replay programs at freeze
-     *  (EngineConfig::compiledReplay; follows setEngine swaps). */
-    bool compiledReplay_ = true;
     std::vector<Crossbar> xbs_;
     HTree htree_;
     MaskState mask_;

@@ -11,17 +11,17 @@
  *
  *  - the RAW SOURCE STREAM: the receiver rebuilds the trace
  *    deterministically with buildBatchTrace/fuseBatchTrace on its own
- *    arenas — the raw-trace fallback that keeps the format valid for
- *    any receiver, compiled replay or not;
+ *    arenas and compiles it there (compileBatchTrace), where it
+ *    replays;
  *  - the batch's architectural epilogue (Stats, final masks) as a
  *    CROSS-CHECK: the rebuilt trace must reproduce it exactly, so a
  *    sender/receiver decode divergence fails loudly instead of
- *    silently corrupting the replicated-stats invariant;
- *  - the compiled ReplayProgram SoA arenas (instructions, merged
- *    column-pass sections, pre-chunked write stripes, pre-decoded
- *    LogicV runs, row-mask words) when the sender compiled them: the
- *    receiver installs these VERBATIM instead of recompiling, so the
- *    executed program is bit-for-bit the sender's.
+ *    silently corrupting the replicated-stats invariant.
+ *
+ * Nothing else: compiled programs never cross the wire. Every field
+ * of the image is therefore either guarded by a check or an input to
+ * the rebuild the checks verify, and a worker never installs offsets
+ * or column indices it did not derive itself.
  *
  * Framing (CRC, length prefix) is the transport's job
  * (sim/transport.hpp); this codec still magic/version-guards and
@@ -53,13 +53,15 @@ uint64_t traceSignature(const Word *ops, size_t n, bool fuse);
  * stream WITHOUT a Simulator: the host-side mirror of
  * Simulator::prepareTrace for transports whose sub-device state lives
  * elsewhere. Returns null when the stream does not lead with both
- * masks; otherwise the trace is built, optionally fused and compiled,
- * and stamped with its wire identity (BatchTrace::wireSig/sourceOps/
- * sourceFuse). Unlike the Simulator path, a malformed stream throws
- * without any stats side effect — the caller owns no counters.
+ * masks; otherwise the trace is built, optionally fused, stamped with
+ * its wire identity (BatchTrace::wireSig/sourceOps/sourceFuse) and
+ * stripped of its segment arenas: the host never replays it, it only
+ * ships the source stream and walks the Move items. Unlike the
+ * Simulator path, a malformed stream throws without any stats side
+ * effect — the caller owns no counters.
  */
 std::shared_ptr<const BatchTrace>
-buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
+buildWireTrace(const Word *ops, size_t n, bool fuse,
                const Geometry &geo, const HTree &htree);
 
 /** Encode @p trace (which must carry its wire identity) into one
@@ -69,9 +71,10 @@ std::vector<uint8_t> encodeTraceWire(const BatchTrace &trace);
 /**
  * Decode an image produced by encodeTraceWire into a freshly rebuilt
  * frozen trace for @p geo, verifying the magic/version/geometry
- * guards, the signature, and the architectural epilogue cross-check.
- * Shipped ReplayPrograms are installed verbatim. Throws pypim::Error
- * on any mismatch or truncation.
+ * guards, the signature, and the architectural epilogue cross-check,
+ * then compiles it for replay (a socket worker's install path).
+ * Throws pypim::Error on any mismatch or truncation, including an
+ * image of another version.
  */
 std::shared_ptr<const BatchTrace>
 decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,

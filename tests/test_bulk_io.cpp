@@ -208,10 +208,10 @@ engineCase(size_t i)
 {
     static const EngineCase cases[] = {
         {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
+        {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
         {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
+        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
         {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];
@@ -300,7 +300,7 @@ TEST(BulkIoDrains, OneDrainPerTransferPerSubDevice)
 {
     const Geometry g = multiGeometry();
     const EngineConfig cfg =
-        EngineConfig::trace().withPipeline().withDevices(2);
+        EngineConfig::sharded(1).withPipeline().withDevices(2);
     Device dev(g, Driver::Mode::Parallel, cfg);
     std::vector<int32_t> v(300);
     for (size_t i = 0; i < v.size(); ++i)

@@ -46,10 +46,10 @@ engineCase(size_t i)
 {
     static const EngineCase cases[] = {
         {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
+        {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
         {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
+        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
         {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];
@@ -241,7 +241,7 @@ TEST(CheckpointEncoding, DenseAndPagedProduceIdenticalBytes)
 {
     const Geometry g = ckptGeometry();
     for (uint32_t devices : {1u, 2u}) {
-        EngineConfig cfg = EngineConfig::trace().withDevices(devices);
+        EngineConfig cfg = EngineConfig::sharded(1).withDevices(devices);
         Device dense(g, Driver::Mode::Parallel,
                      cfg.withStorage(XbarStorage::Dense));
         Device paged(g, Driver::Mode::Parallel,
@@ -267,7 +267,7 @@ TEST(CheckpointEncoding, PromotionLeavesTheBytesUnchanged)
     // slab, and the canonical block walk is the same in both forms.
     const Geometry g = ckptGeometry();
     const EngineConfig cfg =
-        EngineConfig::trace().withStorage(XbarStorage::Paged);
+        EngineConfig::sharded(1).withStorage(XbarStorage::Paged);
     Device promoted(g, Driver::Mode::Parallel, cfg);
     runProgram(promoted, 5, 700);
     promoted.flush();
@@ -412,13 +412,13 @@ TEST(CheckpointBusyFlag, CheckpointQuiescesLivePipelines)
     // must quiesce every consumer before any snapshot is taken.
     const Geometry g = ckptGeometry();
     Device dev(g, Driver::Mode::Parallel,
-               EngineConfig::trace().withPipeline().withDevices(2));
+               EngineConfig::sharded(1).withPipeline().withDevices(2));
     for (int round = 0; round < 4; ++round) {
         const auto want = runProgram(dev, 100 + round, 500);
         TempFile f("live");
         dev.checkpoint(f.path());
         Device back(g, Driver::Mode::Parallel,
-                    EngineConfig::trace().withPipeline());
+                    EngineConfig::sharded(1).withPipeline());
         back.restore(f.path());
         EXPECT_TRUE(sameDeviceState(dev, back)) << "round " << round;
     }

@@ -5,7 +5,10 @@
  * PYPIM_THREADS / PYPIM_DEVICES must throw a clear pypim::Error
  * instead of silently misconfiguring the stack (atol-style parsing
  * read "abc" as 0 and "12abc" as 12), and the boolean knobs must
- * reject anything but on|off|1|0.
+ * reject anything but on|off|1|0. Retired knobs (the trace engine,
+ * the storage and compiled-replay switches) must not steer anything,
+ * and a config that turns compiled replay off is refused when a
+ * simulator is built from it.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +16,8 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "sim/device_group.hpp"
+#include "sim/simulator.hpp"
 
 using namespace pypim;
 
@@ -47,6 +52,29 @@ class EnvVar
 };
 
 } // namespace
+
+TEST(ConfigEnv, EngineParsesSerialAndSharded)
+{
+    {
+        EnvVar v("PYPIM_ENGINE", "serial");
+        EXPECT_EQ(EngineConfig::fromEnv().kind, EngineKind::Serial);
+    }
+    {
+        EnvVar v("PYPIM_ENGINE", "sharded");
+        EXPECT_EQ(EngineConfig::fromEnv().kind, EngineKind::Sharded);
+    }
+}
+
+TEST(ConfigEnv, EngineRejectsRetiredTraceAndJunk)
+{
+    // The single-threaded trace engine is gone: sharded at one thread
+    // runs the same crossbar-major loop inline.
+    for (const char *bad : {"trace", "Serial", "op-major", " serial"}) {
+        EnvVar v("PYPIM_ENGINE", bad);
+        EXPECT_THROW(EngineConfig::fromEnv(), Error)
+            << "PYPIM_ENGINE='" << bad << "'";
+    }
+}
 
 TEST(ConfigEnv, ThreadsRejectsNonNumeric)
 {
@@ -159,25 +187,37 @@ TEST(ConfigEnv, BulkIoRejectsJunk)
     }
 }
 
-TEST(ConfigEnv, CompiledReplayParses)
+TEST(ConfigEnv, CompiledReplayHasNoKnob)
 {
-    {
-        EnvVar v("PYPIM_COMPILED_REPLAY", "on");
-        EXPECT_TRUE(EngineConfig::fromEnv().compiledReplay);
+    // Every segment replays compiled; the retired
+    // PYPIM_COMPILED_REPLAY variable must not steer anything.
+    for (const char *v : {"off", "0", "on", "junk"}) {
+        EnvVar e("PYPIM_COMPILED_REPLAY", v);
+        EXPECT_TRUE(EngineConfig::fromEnv().compiledReplay)
+            << "PYPIM_COMPILED_REPLAY='" << v << "'";
     }
-    {
-        EnvVar v("PYPIM_COMPILED_REPLAY", "off");
-        EXPECT_FALSE(EngineConfig::fromEnv().compiledReplay);
-    }
-    {
-        EnvVar v("PYPIM_COMPILED_REPLAY", "0");
-        EXPECT_FALSE(EngineConfig::fromEnv().compiledReplay);
-    }
-    for (const char *bad : {"yes", "true", "ON", " off"}) {
-        EnvVar v("PYPIM_COMPILED_REPLAY", bad);
-        EXPECT_THROW(EngineConfig::fromEnv(), Error)
-            << "PYPIM_COMPILED_REPLAY='" << bad << "'";
-    }
+}
+
+TEST(ConfigEnv, CompiledReplayOffIsRejectedAtConstruction)
+{
+    const Geometry g = testGeometry();
+    EngineConfig off = EngineConfig::serial();
+    off.compiledReplay = false;
+    EXPECT_THROW(requireCompiledReplay(off), Error);
+    EXPECT_NO_THROW(requireCompiledReplay(EngineConfig::serial()));
+    EXPECT_THROW(Simulator s(g, off), Error);
+    EngineConfig shardedOff = EngineConfig::sharded(2);
+    shardedOff.compiledReplay = false;
+    EXPECT_THROW(Simulator s(g, shardedOff), Error);
+    EXPECT_THROW(SimulatorGroup grp(g, off), Error);
+    EXPECT_THROW(SimulatorGroup grp(g, off.withDevices(2)), Error);
+    // Refused before any worker process is forked.
+    EXPECT_THROW(SimulatorGroup grp(g, off.withDevices(2).withTransport(
+                                           TransportKind::Socket)),
+                 Error);
+    // An engine swap is a construction too.
+    Simulator sim(g, EngineConfig::serial());
+    EXPECT_THROW(sim.setEngine(shardedOff), Error);
 }
 
 TEST(ConfigEnv, DefaultsWhenUnset)
@@ -185,7 +225,6 @@ TEST(ConfigEnv, DefaultsWhenUnset)
     ::unsetenv("PYPIM_DEVICES");
     ::unsetenv("PYPIM_AFFINITY");
     ::unsetenv("PYPIM_BULK_IO");
-    ::unsetenv("PYPIM_COMPILED_REPLAY");
     const EngineConfig c = EngineConfig::fromEnv();
     EXPECT_EQ(c.devices, 1u);
     EXPECT_FALSE(c.affinity);
@@ -196,8 +235,7 @@ TEST(ConfigEnv, DefaultsWhenUnset)
         << "bulk I/O is the default; the element-wise path is the "
            "opt-in parity oracle";
     EXPECT_TRUE(c.compiledReplay)
-        << "compiled trace replay is the default; the interpreter is "
-           "the opt-in parity oracle";
+        << "every segment replays compiled";
 }
 
 TEST(ConfigEnv, TransportParses)

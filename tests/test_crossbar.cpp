@@ -490,11 +490,10 @@ walkOf(const Crossbar &xb)
  * Fill step @p k on crossbar 0: INIT1 every row of slot k, which makes
  * every block of its 32 columns present, then NOR the two previous
  * slots into it under a strided row mask so the data is not uniform.
- * Prepared on a serial simulator, compiled or left for the
- * interpreter.
+ * Prepared (and compiled) on a serial simulator.
  */
 std::shared_ptr<const BatchTrace>
-fillStep(const Geometry &geo, uint32_t k, bool compiled)
+fillStep(const Geometry &geo, uint32_t k)
 {
     const uint32_t last = geo.partitions - 1;
     std::vector<Word> ops;
@@ -514,32 +513,27 @@ fillStep(const Geometry &geo, uint32_t k, bool compiled)
                                       geo.column(k, 0), last, 1)
                           .encode());
     }
-    Simulator sim(geo,
-                  EngineConfig::serial().withCompiledReplay(compiled));
+    Simulator sim(geo, EngineConfig::serial());
     return sim.prepareTrace(ops.data(), ops.size(), false);
 }
 
-/** Replay every segment of @p t on @p xb as crossbar 0. */
+/** Replay every compiled segment of @p t on @p xb as crossbar 0. */
 void
-replayOn(Crossbar &xb, const BatchTrace &t, bool compiled)
+replayOn(Crossbar &xb, const BatchTrace &t)
 {
-    for (uint32_t s = 0; s < t.used; ++s) {
-        if (compiled)
-            xb.replayProgram(t.programs[s], 0, nullptr);
-        else
-            xb.replaySegment(t.segments[s], 0, nullptr);
-    }
+    for (uint32_t s = 0; s < t.used; ++s)
+        xb.replayProgram(t.programs[s], 0, nullptr);
 }
 
 /** Run fill steps [from, to) on every crossbar in @p xbs. */
 void
 fill(const Geometry &geo, std::initializer_list<Crossbar *> xbs,
-     uint32_t from, uint32_t to, bool compiled = true)
+     uint32_t from, uint32_t to)
 {
     for (uint32_t k = from; k < to; ++k) {
-        const auto t = fillStep(geo, k, compiled);
+        const auto t = fillStep(geo, k);
         for (Crossbar *xb : xbs)
-            replayOn(*xb, *t, compiled);
+            replayOn(*xb, *t);
     }
 }
 
@@ -565,34 +559,68 @@ constexpr uint32_t kSlotsAtThreshold = 16;
 TEST(AdaptiveCrossbar, FillAcrossThresholdMatchesDenseOracle)
 {
     const Geometry geo = tallGeometry();
-    for (const bool compiled : {false, true}) {
-        // A program checks the threshold once, at its entry, so the
-        // step after the one that fills half the grid promotes. The
-        // interpreter also checks at each op's entry, so the NOR of
-        // that filling step already runs on the slab.
-        const uint32_t firstSlabStep =
-            compiled ? kSlotsAtThreshold : kSlotsAtThreshold - 1;
-        Crossbar xb(geo, XbarStorage::Paged);
-        Crossbar oracle(geo, XbarStorage::Dense);
-        for (uint32_t k = 0; k < geo.slots(); ++k) {
-            fill(geo, {&xb, &oracle}, k, k + 1, compiled);
-            ASSERT_EQ(xb.isSlab(), k >= firstSlabStep)
-                << "compiled=" << compiled << " step " << k;
-            ASSERT_TRUE(identical(xb, oracle))
-                << "compiled=" << compiled << " step " << k;
-            ASSERT_EQ(xb.storage(), XbarStorage::Paged);
-            ASSERT_EQ(xb.storageGauges().slabCrossbars,
-                      xb.isSlab() ? 1u : 0u);
-        }
-        // A slab counts its whole grid as present, as Dense does.
-        const StorageGauges g = xb.storageGauges();
-        EXPECT_EQ(g.blocksPresent, g.blocksTotal);
-        EXPECT_EQ(g.blocksElided, 0u);
-        EXPECT_EQ(oracle.storageGauges().slabCrossbars, 1u);
-        for (uint32_t slot = 0; slot < geo.slots(); slot += 3)
-            for (uint32_t row = 0; row < geo.rows; row += 131)
-                ASSERT_EQ(xb.read(slot, row), oracle.read(slot, row));
+    // A program checks the threshold once, at its entry, so the step
+    // after the one that fills half the grid promotes.
+    Crossbar xb(geo, XbarStorage::Paged);
+    Crossbar oracle(geo, XbarStorage::Dense);
+    for (uint32_t k = 0; k < geo.slots(); ++k) {
+        fill(geo, {&xb, &oracle}, k, k + 1);
+        ASSERT_EQ(xb.isSlab(), k >= kSlotsAtThreshold) << "step " << k;
+        ASSERT_TRUE(identical(xb, oracle)) << "step " << k;
+        ASSERT_EQ(xb.storage(), XbarStorage::Paged);
+        ASSERT_EQ(xb.storageGauges().slabCrossbars,
+                  xb.isSlab() ? 1u : 0u);
     }
+    // A slab counts its whole grid as present, as Dense does.
+    const StorageGauges g = xb.storageGauges();
+    EXPECT_EQ(g.blocksPresent, g.blocksTotal);
+    EXPECT_EQ(g.blocksElided, 0u);
+    EXPECT_EQ(oracle.storageGauges().slabCrossbars, 1u);
+    for (uint32_t slot = 0; slot < geo.slots(); slot += 3)
+        for (uint32_t row = 0; row < geo.rows; row += 131)
+            ASSERT_EQ(xb.read(slot, row), oracle.read(slot, row));
+}
+
+TEST(AdaptiveCrossbar, ProgramNeverPromotesMidway)
+{
+    // One program: INIT1 fills half the grid, then a write stripe and
+    // more gates follow. The stripe must not promote the crossbar:
+    // the gates after it would run paged kernels on a slab.
+    const Geometry geo = tallGeometry();
+    const uint32_t last = geo.partitions - 1;
+    std::vector<Word> ops;
+    ops.push_back(MicroOp::crossbarMask(Range::single(0)).encode());
+    ops.push_back(MicroOp::rowMask(Range::all(geo.rows)).encode());
+    for (uint32_t k = 0; k < kSlotsAtThreshold; ++k)
+        ops.push_back(MicroOp::logicH(Gate::Init1, 0, 0,
+                                      geo.column(k, 0), last, 1)
+                          .encode());
+    ops.push_back(MicroOp::write(20, 0x12345678u).encode());
+    ops.push_back(MicroOp::write(21, 0x0F0F0F0Fu).encode());
+    ops.push_back(MicroOp::rowMask(Range(1, geo.rows - 1, 2)).encode());
+    ops.push_back(MicroOp::write(22, 0xCAFEF00Du).encode());
+    ops.push_back(MicroOp::write(23, 0x00FF00FFu).encode());
+    ops.push_back(MicroOp::logicH(Gate::Init1, 0, 0, geo.column(24, 0),
+                                  last, 1)
+                      .encode());
+    ops.push_back(MicroOp::logicH(Gate::Nor, geo.column(20, 0),
+                                  geo.column(22, 0), geo.column(24, 0),
+                                  last, 1)
+                      .encode());
+    Simulator sim(geo, EngineConfig::serial());
+    const auto t = sim.prepareTrace(ops.data(), ops.size(), true);
+    ASSERT_NE(t, nullptr);
+    ASSERT_EQ(t->used, 1u);
+    Crossbar xb(geo, XbarStorage::Paged);
+    Crossbar oracle(geo, XbarStorage::Dense);
+    replayOn(xb, *t);
+    replayOn(oracle, *t);
+    EXPECT_FALSE(xb.isSlab()) << "promotion happens at program entry";
+    EXPECT_TRUE(identical(xb, oracle));
+    replayOn(xb, *t);
+    replayOn(oracle, *t);
+    EXPECT_TRUE(xb.isSlab());
+    EXPECT_TRUE(identical(xb, oracle));
 }
 
 TEST(AdaptiveCrossbar, SnapshotsRestoreAcrossPromotionBothWays)

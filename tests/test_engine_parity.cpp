@@ -3,8 +3,8 @@
  * Engine-parity tests (the non-reference backends' correctness
  * contract): for fuzzed valid micro-op streams, directed
  * mask-interleaved segments and driver-level tensor programs, the
- * ShardedEngine (at 1, 2 and 8 threads), the TraceEngine, and all
- * three engines behind the asynchronous pipeline must leave every
+ * ShardedEngine (at 1, 2 and 8 threads) and both engines behind the
+ * asynchronous pipeline must leave every
  * crossbar in a bit-identical state and produce identical
  * architectural Stats compared to the synchronous op-major
  * SerialEngine. Pipelined cases stream batches through submitBatch
@@ -37,10 +37,10 @@ parityGeometry()
 
 /**
  * The candidate backends tested against the serial oracle: sharded at
- * the contract's thread counts, the serial trace engine (which
- * exercises decode-once replay and INIT+gate fusion without
- * threading), and pipelined variants of all three engine kinds
- * (asynchronous submit on the caller thread, replay on the consumer).
+ * the contract's thread counts (at one thread it exercises decode,
+ * INIT+gate fusion and compiled replay without threading), and
+ * pipelined variants of both engine kinds (asynchronous submit on the
+ * caller thread, compile and replay on the consumer).
  */
 struct EngineCase
 {
@@ -55,15 +55,14 @@ engineCase(size_t i)
         {"sharded", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
         {"sharded", EngineConfig::sharded(8)},
-        {"trace", EngineConfig::trace()},
         {"serial", EngineConfig::serial().withPipeline()},
-        {"trace", EngineConfig::trace().withPipeline()},
+        {"sharded", EngineConfig::sharded(1).withPipeline()},
         {"sharded", EngineConfig::sharded(2).withPipeline()},
         {"sharded", EngineConfig::sharded(8).withPipeline()},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 8;
+constexpr size_t numEngineCases = 7;
 
 /** Seed both simulators with identical random register contents. */
 void
@@ -809,7 +808,7 @@ TEST(EnginePipelineErrors, MalformedOpReportedAtSubmit)
     EXPECT_TRUE(sameCrossbarState(sim, before));
     // The pipeline stays usable after the rejected submit. The
     // architectural counters include the rejected batch's valid
-    // prefix — exactly like the synchronous trace engines, whose
+    // prefix — exactly like the synchronous sharded engine, whose
     // pre-pass also records ops up to the point of failure.
     sim.submitBatch(good.data(), good.size());
     sim.flush();

@@ -49,10 +49,10 @@ engineCase(size_t i)
 {
     static const EngineCase cases[] = {
         {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
+        {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
         {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
+        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
         {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];
@@ -261,7 +261,7 @@ TEST(FaultSticky, PipelineErrorRethrownAtEverySyncUntilRestore)
     // recovery that clears it.
     const Geometry g = faultGeometry();
     Device dev(g, Driver::Mode::Parallel,
-               EngineConfig::trace()
+               EngineConfig::sharded(1)
                    .withPipeline()
                    .withFaults("seed=1:fail=2"));
     TempFile f("sticky");

@@ -46,10 +46,10 @@ engineCase(size_t i)
 {
     static const EngineCase cases[] = {
         {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
+        {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
         {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
+        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
         {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];

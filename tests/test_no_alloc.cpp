@@ -6,10 +6,12 @@
  * version. After one warm-up pass has sized every arena and
  * materialised every paged block the stream touches, the same raw
  * stream of mask, write, LogicH (repeated gates), LogicV and Move ops
- * runs again through Simulator::performBatch (serial engine, paged
- * storage) and must not reach the heap once. A check that formats
- * its message eagerly, or an expansion that builds a temporary
- * container, shows up here as a nonzero count.
+ * runs again through Simulator::performBatch on paged storage and
+ * must not reach the heap once: on the serial engine (op-major), and
+ * on the one-thread sharded engine, which decodes, compiles and
+ * replays every segment. A check that formats its message eagerly,
+ * or an expansion or a compile that builds a temporary container,
+ * shows up here as a nonzero count.
  */
 #include <gtest/gtest.h>
 
@@ -154,11 +156,15 @@ TEST(NoAlloc, CounterSeesHeapAllocations)
     EXPECT_EQ(n, 1u);
 }
 
-TEST(NoAlloc, RawStreamPerformBatchIsAllocationFree)
+namespace
 {
-    const Geometry g = testGeometry();
-    Simulator sim(g, EngineConfig::serial().withStorage(XbarStorage::Paged));
-    const std::vector<Word> ops = rawStream(g);
+
+/** Warm @p sim up on the raw stream, then count the heap allocations
+ *  of eight more passes; they must record every op. */
+void
+expectAllocationFree(Simulator &sim)
+{
+    const std::vector<Word> ops = rawStream(sim.geometry());
     // Warm-up: sizes the move staging buffers and materialises every
     // block the stream writes.
     sim.performBatch(ops.data(), ops.size());
@@ -171,4 +177,24 @@ TEST(NoAlloc, RawStreamPerformBatchIsAllocationFree)
     // The stream really ran: every pass records all of its ops.
     const Stats after = sim.stats();
     EXPECT_EQ(after.totalOps() - before.totalOps(), 8 * ops.size());
+}
+
+} // namespace
+
+TEST(NoAlloc, RawStreamPerformBatchIsAllocationFree)
+{
+    Simulator sim(testGeometry(),
+                  EngineConfig::serial().withStorage(XbarStorage::Paged));
+    expectAllocationFree(sim);
+}
+
+TEST(NoAlloc, ShardedRawStreamCompileAndReplayIsAllocationFree)
+{
+    // One worker: the engine decodes each segment into its member
+    // trace, compiles it into its member program (the run dedup table
+    // is per thread and reused) and replays it inline.
+    Simulator sim(testGeometry(),
+                  EngineConfig::sharded(1).withStorage(XbarStorage::Paged));
+    ASSERT_EQ(sim.engine().threads(), 1u);
+    expectAllocationFree(sim);
 }

@@ -2,19 +2,18 @@
  * @file
  * Compiled replay program tests (sim/replay_program.hpp).
  *
- * The compiled path must be an invisible optimisation: for any
- * self-contained stream, a trace prepared with
- * EngineConfig::compiledReplay replays BIT-IDENTICALLY to the
- * interpreter — same crossbar state, same architectural Stats, same
- * applied-work totals in the sharded engine's diagnostics — across
- * every engine, sync and pipelined, at 1/2/4 devices and on both
- * storage representations. The fuzzed suite pins that equivalence
- * against the serial raw-stream oracle; the directed tests pin the
- * COMPILER's decisions — when LogicH ops may and may not merge into
- * one pass (mask change, section capacity, stateful-gate aliasing),
- * how stripes and LogicV runs chunk, and when the all-ones mask
- * specialisation may fire. The retention tests pin what a frozen
- * compiled trace keeps: its programs, but no half-gate expansions.
+ * Compiled replay is the only form in which a segment replays, so it
+ * must be invisible: for any self-contained stream, a prepared trace
+ * replays BIT-IDENTICALLY to the serial op-major raw-stream oracle on
+ * Dense storage — same crossbar state, same architectural Stats —
+ * across every engine, sync and pipelined, at 1/2/4 devices and on
+ * both storage representations, and the sharded engine's applied-work
+ * diagnostics equal architectural work ops x touched crossbars. The
+ * directed tests pin the COMPILER's decisions — when LogicH ops may
+ * and may not merge into one pass (mask change, section capacity,
+ * stateful-gate aliasing), how stripes and LogicV runs chunk, and
+ * when the all-ones mask specialisation may fire. The retention tests
+ * pin what a frozen trace keeps: its programs, but no decode arenas.
  */
 #include <gtest/gtest.h>
 
@@ -57,10 +56,10 @@ engineCase(size_t i)
 {
     static const EngineCase cases[] = {
         {"serial", EngineConfig::serial()},
-        {"trace", EngineConfig::trace()},
+        {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
         {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"trace+pipe", EngineConfig::trace().withPipeline()},
+        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
         {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];
@@ -262,22 +261,11 @@ halfGatesHeld(const BatchTrace &t)
     return n;
 }
 
-/** LogicH ops in the segments of @p t (each references a HalfGates
- *  while the trace is interpreted). */
-size_t
-logicHOps(const BatchTrace &t)
-{
-    size_t n = 0;
-    for (uint32_t s = 0; s < t.used; ++s)
-        for (const TraceOp &op : t.segments[s].ops)
-            n += op.type == OpType::LogicH ? 1 : 0;
-    return n;
-}
-
 /**
- * HalfGates an interpreted trace of @p ops holds: each segment interns
- * one expansion per distinct LogicH word, and every INIT1 chain merge
- * adds one private copy (the merge must not mutate a shared entry).
+ * HalfGates a decoded (uncompiled) trace of @p ops holds: each segment
+ * interns one expansion per distinct LogicH word, and every INIT1
+ * chain merge adds one private copy (the merge must not mutate a
+ * shared entry).
  */
 size_t
 internedHalfGates(const std::vector<Word> &ops, const BatchTrace &t)
@@ -296,6 +284,21 @@ internedHalfGates(const std::vector<Word> &ops, const BatchTrace &t)
     return n + seg.size() + t.fusion.initChain;
 }
 
+/** Every decode arena of every segment of @p t is freed. */
+void
+expectNoDecodeArenas(const BatchTrace &t)
+{
+    EXPECT_EQ(halfGatesHeld(t), 0u);
+    for (uint32_t s = 0; s < t.used; ++s) {
+        const SegmentTrace &seg = t.segments[s];
+        EXPECT_EQ(seg.halfGates.capacity(), 0u);
+        EXPECT_EQ(seg.ops.capacity(), 0u);
+        EXPECT_EQ(seg.rowWords.capacity(), 0u);
+        EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
+        EXPECT_EQ(seg.writePairs.capacity(), 0u);
+    }
+}
+
 class ReplayProgramFuzz
     : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>>
 {
@@ -303,7 +306,7 @@ class ReplayProgramFuzz
 
 } // namespace
 
-TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
+TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
 {
     const auto [seed, caseIdx] = GetParam();
     const EngineCase &ec = engineCase(caseIdx);
@@ -327,65 +330,61 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToInterpreter)
         const std::vector<Word> ops =
             randomTraceStream(streamRng, g, 140, fc.slots);
         const bool sparse = fc.slots < g.slots();
+        {
+            // Before it is compiled, the fused trace interns exactly
+            // one expansion per distinct LogicH word and segment.
+            const HTree htree(g.numCrossbars);
+            MaskState mask;
+            mask.reset(g);
+            BatchTrace decoded;
+            buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
+                            decoded);
+            fuseBatchTrace(decoded, g);
+            EXPECT_EQ(halfGatesHeld(decoded),
+                      internedHalfGates(ops, decoded));
+        }
         for (uint32_t devices : {1u, 2u, 4u}) {
             const EngineConfig base =
                 ec.cfg.withStorage(fc.storage).withDevices(devices);
-            // Raw-stream serial Dense reference, interpreter replay,
-            // and compiled replay of ONE stream from ONE seeded state.
+            // Raw-stream serial Dense reference and compiled replay of
+            // ONE stream from ONE seeded state.
             Simulator oracle(
                 g, EngineConfig::serial().withStorage(XbarStorage::Dense));
-            SimulatorGroup interp(g, base.withCompiledReplay(false));
-            SimulatorGroup compiled(g, base.withCompiledReplay(true));
+            SimulatorGroup compiled(g, base);
             seedState(oracle, seed, g, fc.slots);
-            seedState(interp, seed, g, fc.slots);
             seedState(compiled, seed, g, fc.slots);
 
-            auto ti = interp.prepareTrace(ops.data(), ops.size(), true);
             auto tc =
                 compiled.prepareTrace(ops.data(), ops.size(), true);
-            ASSERT_NE(ti, nullptr);
             ASSERT_NE(tc, nullptr);
-            // The knob decides at freeze: programs only when on.
-            EXPECT_TRUE(ti->programs.empty());
             ASSERT_EQ(tc->programs.size(), tc->used);
             // Compiled segments drop their half-gate expansions.
             EXPECT_EQ(halfGatesHeld(*tc), 0u);
-            EXPECT_EQ(halfGatesHeld(*ti), internedHalfGates(ops, *ti));
 
             for (int rep = 0; rep < kReplays; ++rep) {
                 oracle.performBatch(ops.data(), ops.size());
-                interp.submitTrace(ti);
                 compiled.submitTrace(tc);
             }
-            interp.flush();
             compiled.flush();
-            for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
-                ASSERT_TRUE(oracle.crossbar(xb).sameState(
-                    interp.crossbar(xb)))
-                    << ec.name << " interp crossbar " << xb;
+            for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
                 ASSERT_TRUE(oracle.crossbar(xb).sameState(
                     compiled.crossbar(xb)))
                     << ec.name << " compiled crossbar " << xb;
-            }
-            EXPECT_EQ(oracle.stats(), interp.stats()) << ec.name;
             EXPECT_EQ(oracle.stats(), compiled.stats()) << ec.name;
             for (uint32_t d = 1; d < devices; ++d)
                 EXPECT_EQ(compiled.sub(0).stats(),
                           compiled.sub(d).stats())
                     << ec.name << " sub " << d;
-            for (SimulatorGroup *grp : {&interp, &compiled}) {
-                const uint64_t slabs =
-                    grp->storageGauges().slabCrossbars;
-                if (fc.storage == XbarStorage::Dense)
-                    EXPECT_EQ(slabs, g.numCrossbars) << ec.name;
-                else if (sparse)
-                    EXPECT_EQ(slabs, 0u)
-                        << ec.name << ": a sparse crossbar must stay "
-                                      "paged";
-                else
-                    EXPECT_GT(slabs, 0u)
-                        << ec.name << ": a full crossbar must promote";
-            }
+            const uint64_t slabs =
+                compiled.storageGauges().slabCrossbars;
+            if (fc.storage == XbarStorage::Dense)
+                EXPECT_EQ(slabs, g.numCrossbars) << ec.name;
+            else if (sparse)
+                EXPECT_EQ(slabs, 0u)
+                    << ec.name << ": a sparse crossbar must stay paged";
+            else
+                EXPECT_GT(slabs, 0u)
+                    << ec.name << ": a full crossbar must promote";
         }
     }
 }
@@ -395,35 +394,63 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(101ull, 211ull, 307ull),
                        ::testing::Range<size_t>(0, numEngineCases)));
 
-TEST(ReplayProgramWork, ShardedDiagnosticsConservedAcrossCompilation)
+TEST(ReplayProgramWork, ShardedDiagnosticsCountOpsTimesCrossbars)
 {
     // The compiled path charges the work-stealing diagnostics through
-    // precomputed per-instruction (or per-crossbar) counts; the
-    // merged total must equal the interpreter's per-op accounting
-    // exactly. Which worker claims which chunk is scheduling-
-    // dependent, so only the merged totals compare.
+    // precomputed per-instruction (or per-crossbar) counts. Unfused,
+    // the merged total must equal every architectural work op times
+    // the crossbars its mask selects (a fused INIT+gate pair charges
+    // both ops). Which worker claims which chunk is scheduling-
+    // dependent, so only the merged totals compare. Cached replay and
+    // the raw stream, which compiles each segment on the fly, charge
+    // alike.
     const Geometry g = fuzzGeometry();
     Rng rng(4242);
     const std::vector<Word> ops = randomTraceStream(rng, g, 200);
-    Stats totals[2];
-    for (bool on : {false, true}) {
-        Simulator sim(
-            g, EngineConfig::sharded(3).withCompiledReplay(on));
+    Stats expected;
+    Range xb = Range::all(g.numCrossbars);
+    for (Word w : ops) {
+        const MicroOp op = MicroOp::decode(w);
+        switch (op.type) {
+          case OpType::CrossbarMask:
+            xb = op.range;
+            break;
+          case OpType::Write:
+            expected.recordN(OpClass::Write, xb.count());
+            break;
+          case OpType::LogicH:
+            expected.recordN(OpClass::LogicH, xb.count());
+            break;
+          case OpType::LogicV:
+            expected.recordN(OpClass::LogicV, xb.count());
+            break;
+          default:
+            break;
+        }
+    }
+    ASSERT_GT(expected.opCount[static_cast<size_t>(OpClass::LogicH)],
+              0u);
+    constexpr uint64_t kReps = 2;
+    for (bool cached : {false, true}) {
+        Simulator sim(g, EngineConfig::sharded(3));
         seedState(sim, 4242, g);
-        auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
+        auto trace = sim.prepareTrace(ops.data(), ops.size(), false);
         ASSERT_NE(trace, nullptr);
-        for (int rep = 0; rep < 2; ++rep)
-            sim.submitTrace(trace);
+        for (uint64_t rep = 0; rep < kReps; ++rep) {
+            if (cached)
+                sim.submitTrace(trace);
+            else
+                sim.performBatch(ops.data(), ops.size());
+        }
         const auto &eng =
             dynamic_cast<const ShardedEngine &>(sim.engine());
         Stats merged;
         for (const Stats &w : eng.shardWork())
             merged += w;
-        totals[on ? 1 : 0] = merged;
+        for (size_t c = 0; c < Stats::numClasses; ++c)
+            EXPECT_EQ(merged.opCount[c], kReps * expected.opCount[c])
+                << "cached=" << cached << " class " << c;
     }
-    EXPECT_EQ(totals[0], totals[1]);
-    EXPECT_GT(totals[1].opCount[static_cast<size_t>(OpClass::LogicH)],
-              0u);
 }
 
 TEST(ReplayProgramCompile, IndependentGatesMergeIntoOnePass)
@@ -591,27 +618,6 @@ TEST(ReplayProgramCompile, StripesAndVRunsArePrechunked)
     EXPECT_EQ(pv.workLogicV, 4u);
 }
 
-TEST(ReplayProgramCompile, KnobOffLeavesTraceUncompiled)
-{
-    const Geometry g = testGeometry();
-    std::vector<Word> ops = {
-        MicroOp::crossbarMask(Range(0, g.numCrossbars - 1, 1))
-            .encode(),
-        MicroOp::rowMask(Range(0, g.rows - 1, 1)).encode(),
-        initH(g, Gate::Init1, 0)};
-    Simulator sim(g,
-                  EngineConfig::serial().withCompiledReplay(false));
-    auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
-    ASSERT_NE(trace, nullptr);
-    EXPECT_TRUE(trace->programs.empty());
-    // setEngine re-applies the knob: a swap to a compiled config
-    // makes the NEXT prepare compile.
-    sim.setEngine(EngineConfig::serial().withCompiledReplay(true));
-    auto trace2 = sim.prepareTrace(ops.data(), ops.size(), true);
-    ASSERT_NE(trace2, nullptr);
-    EXPECT_EQ(trace2->programs.size(), trace2->used);
-}
-
 TEST(ReplayProgramStats, RecordNMatchesRepeatedRecord)
 {
     Stats a, b;
@@ -648,95 +654,64 @@ retentionStream(const Geometry &g)
 
 } // namespace
 
-TEST(ReplayProgramRetention, PreparedCompiledTraceHoldsNoHalfGates)
+TEST(ReplayProgramRetention, PreparedTraceHoldsNoDecodeArenas)
 {
     const Geometry g = fuzzGeometry();
     const std::vector<Word> ops = retentionStream(g);
     for (bool fuse : {false, true}) {
         Simulator oracle(g);
         Simulator compiled(g, EngineConfig::serial());
-        Simulator interp(g,
-                         EngineConfig::serial().withCompiledReplay(false));
         seedState(oracle, 77, g);
         seedState(compiled, 77, g);
-        seedState(interp, 77, g);
         const auto tc = compiled.prepareTrace(ops.data(), ops.size(), fuse);
-        const auto ti = interp.prepareTrace(ops.data(), ops.size(), fuse);
         ASSERT_NE(tc, nullptr);
-        ASSERT_NE(ti, nullptr);
         ASSERT_EQ(tc->used, 2u);
         ASSERT_EQ(tc->programs.size(), tc->used);
-        EXPECT_EQ(halfGatesHeld(*tc), 0u);
-        // Every interpreter arena of a compiled segment is freed.
-        for (uint32_t s = 0; s < tc->used; ++s) {
-            const SegmentTrace &seg = tc->segments[s];
-            EXPECT_EQ(seg.halfGates.capacity(), 0u);
-            EXPECT_EQ(seg.ops.capacity(), 0u);
-            EXPECT_EQ(seg.rowWords.capacity(), 0u);
-            EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
-            EXPECT_EQ(seg.writePairs.capacity(), 0u);
-        }
-        // The interpreter's trace keeps an expansion for every LogicH
-        // op (and for INIT1s fused into them).
-        EXPECT_GT(logicHOps(*ti), 0u);
-        EXPECT_GE(halfGatesHeld(*ti), logicHOps(*ti));
+        expectNoDecodeArenas(*tc);
         for (int rep = 0; rep < 3; ++rep) {
             oracle.performBatch(ops.data(), ops.size());
             compiled.submitTrace(tc);
-            interp.submitTrace(ti);
         }
-        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
             ASSERT_TRUE(oracle.crossbar(xb).sameState(
                 compiled.crossbar(xb)));
-            ASSERT_TRUE(oracle.crossbar(xb).sameState(
-                interp.crossbar(xb)));
-        }
         EXPECT_EQ(oracle.stats(), compiled.stats());
-        EXPECT_EQ(oracle.stats(), interp.stats());
     }
 }
 
-TEST(ReplayProgramRetention, WireInstalledTraceHoldsNoHalfGates)
+TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
 {
     const Geometry g = fuzzGeometry();
     const HTree htree(g.numCrossbars);
     const std::vector<Word> ops = retentionStream(g);
-    for (bool compiled : {true, false}) {
-        const auto sent = buildWireTrace(ops.data(), ops.size(), true,
-                                         compiled, g, htree);
-        ASSERT_NE(sent, nullptr);
-        // What a shard worker installs: decoded from the wire image.
-        const std::vector<uint8_t> image = encodeTraceWire(*sent);
-        const auto got =
-            decodeTraceWire(image.data(), image.size(), g, htree);
-        ASSERT_NE(got, nullptr);
-        if (compiled) {
-            EXPECT_EQ(halfGatesHeld(*sent), 0u);
-            ASSERT_EQ(got->programs.size(), got->used);
-            EXPECT_EQ(halfGatesHeld(*got), 0u);
-        } else {
-            // Interpreted on the worker: the expansions stay.
-            EXPECT_TRUE(got->programs.empty());
-            EXPECT_GT(logicHOps(*got), 0u);
-            EXPECT_GE(halfGatesHeld(*got), logicHOps(*got));
-        }
-        // The sender keeps the source ops the image is built from.
-        EXPECT_EQ(sent->sourceOps, ops);
+    const auto sent =
+        buildWireTrace(ops.data(), ops.size(), true, g, htree);
+    ASSERT_NE(sent, nullptr);
+    // The host ships the source ops and keeps neither arenas nor
+    // programs: it never replays a wire trace.
+    EXPECT_EQ(sent->sourceOps, ops);
+    EXPECT_TRUE(sent->programs.empty());
+    expectNoDecodeArenas(*sent);
+    // What a shard worker installs: rebuilt from the wire image and
+    // compiled there.
+    const std::vector<uint8_t> image = encodeTraceWire(*sent);
+    const auto got = decodeTraceWire(image.data(), image.size(), g, htree);
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(got->programs.size(), got->used);
+    expectNoDecodeArenas(*got);
 
-        Simulator oracle(g);
-        Simulator worker(g);
-        seedState(oracle, 91, g);
-        seedState(worker, 91, g);
-        for (int rep = 0; rep < 2; ++rep) {
-            oracle.performBatch(ops.data(), ops.size());
-            worker.submitTrace(got);
-        }
-        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-            ASSERT_TRUE(oracle.crossbar(xb).sameState(
-                worker.crossbar(xb)))
-                << "compiled=" << compiled << " crossbar " << xb;
-        EXPECT_EQ(oracle.stats(), worker.stats());
+    Simulator oracle(g);
+    Simulator worker(g);
+    seedState(oracle, 91, g);
+    seedState(worker, 91, g);
+    for (int rep = 0; rep < 2; ++rep) {
+        oracle.performBatch(ops.data(), ops.size());
+        worker.submitTrace(got);
     }
+    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+        ASSERT_TRUE(oracle.crossbar(xb).sameState(worker.crossbar(xb)))
+            << "crossbar " << xb;
+    EXPECT_EQ(oracle.stats(), worker.stats());
 }
 
 namespace
@@ -810,20 +785,6 @@ TEST(ReplayProgramRetention, DevicePathsMatchSerialOracle)
     ASSERT_TRUE(stepMatches(cand, oracle, 4)) << "fusion off";
     cand.driver().setTraceFusionEnabled(true);
     ASSERT_TRUE(stepMatches(cand, oracle, 5)) << "fusion on";
-
-    // Compiled replay off: the frozen compiled traces keep replaying,
-    // and traces rebuilt after a fusion toggle are interpreted.
-    if (!cand.group().remote()) {
-        for (uint32_t d = 0; d < cand.deviceCount(); ++d)
-            cand.simulator(d).setEngine(candCfg.withCompiledReplay(false));
-        ASSERT_TRUE(stepMatches(cand, oracle, 6)) << "compiled off";
-        cand.driver().setTraceFusionEnabled(false);
-        ASSERT_TRUE(stepMatches(cand, oracle, 7)) << "interpreted";
-        cand.driver().setTraceFusionEnabled(true);
-        for (uint32_t d = 0; d < cand.deviceCount(); ++d)
-            cand.simulator(d).setEngine(candCfg);
-        ASSERT_TRUE(stepMatches(cand, oracle, 8)) << "compiled on";
-    }
 
     // Checkpoint restore: the stream cache is imported and its traces
     // rebuilt on first use.

@@ -14,6 +14,7 @@
 
 #include "common/rng.hpp"
 #include "sim/batch_trace.hpp"
+#include "sim/htree.hpp"
 #include "sim/simulator.hpp"
 
 using namespace pypim;
@@ -39,6 +40,24 @@ withMasks(const Geometry &g, std::vector<Word> body)
     };
     ops.insert(ops.end(), body.begin(), body.end());
     return ops;
+}
+
+/**
+ * Decode (and with @p fuse, window-fuse) a self-contained stream the
+ * way prepareTrace does, stopping before the compile that frees the
+ * segment arenas these tests inspect.
+ */
+BatchTrace
+decodedTrace(const Geometry &g, const std::vector<Word> &ops, bool fuse)
+{
+    const HTree htree(g.numCrossbars);
+    MaskState mask;
+    mask.reset(g);
+    BatchTrace trace;
+    buildBatchTrace(ops.data(), ops.size(), g, htree, mask, trace);
+    if (fuse)
+        fuseBatchTrace(trace, g);
+    return trace;
 }
 
 void
@@ -210,15 +229,11 @@ TEST(TraceFusion, InitChainMergedOpsReplayOnce)
     const Geometry g = fusionGeometry();
     const auto ops =
         withMasks(g, {laneInit1(g, 3), laneInit1(g, 4)});
-    // Interpreted: a compiled trace frees the segment ops inspected
-    // here, and this tests fusion, not compiled replay.
-    Simulator sim(g, EngineConfig::serial().withCompiledReplay(false));
-    const auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
-    ASSERT_TRUE(trace != nullptr);
-    ASSERT_EQ(trace->used, 1u);
+    const BatchTrace trace = decodedTrace(g, ops, /*fuse=*/true);
+    ASSERT_EQ(trace.used, 1u);
     // Two architectural LogicH ops, one surviving replay op.
-    EXPECT_EQ(trace->segments[0].ops.size(), 1u);
-    EXPECT_EQ(trace->stats.opCount[size_t(OpClass::LogicH)], 2u);
+    EXPECT_EQ(trace.segments[0].ops.size(), 1u);
+    EXPECT_EQ(trace.stats.opCount[size_t(OpClass::LogicH)], 2u);
 }
 
 TEST(TraceFusion, InitChainMergeLeavesInternedExpansionIntact)
@@ -411,14 +426,9 @@ TEST(TraceFusion, EquivalentRangeDedupEnablesBuilderInitNorFusion)
         MicroOp::rowMask(Range(5, 5, 3)).encode(),
         laneNor(g, 1, 2, 5),
     };
-    // Interpreted: a compiled trace frees the segment arenas inspected
-    // here, and this tests fusion, not compiled replay.
-    Simulator sim(g, EngineConfig::serial().withCompiledReplay(false));
-    const auto trace = sim.prepareTrace(ops.data(), ops.size(),
-                                        /*fuse=*/false);
-    ASSERT_TRUE(trace != nullptr);
-    ASSERT_EQ(trace->used, 1u);
-    const SegmentTrace &seg = trace->segments[0];
+    const BatchTrace trace = decodedTrace(g, ops, /*fuse=*/false);
+    ASSERT_EQ(trace.used, 1u);
+    const SegmentTrace &seg = trace.segments[0];
     ASSERT_EQ(seg.ops.size(), 1u);
     EXPECT_TRUE(seg.ops[0].fusedInit);
     // One realised bit pattern => exactly one snapshot in the arena.

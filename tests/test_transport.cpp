@@ -6,7 +6,8 @@
  * byte reorderings and trailing garbage all throw pypim::Error before
  * any state is applied; worker-side typed exceptions cross the wire
  * and rethrow as the matching error class; trace images survive a
- * round trip bit-exactly and reject corruption; and the live
+ * round trip bit-exactly, carry no compiled programs (the receiver
+ * compiles) and reject corruption and old versions; and the live
  * fork/socketpair fleet ships each frozen trace once per worker,
  * surfaces a killed worker as a DeviceFault and rebuilds it through
  * checkpoint restore and journaled recovery.
@@ -26,6 +27,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/device_group.hpp"
 #include "sim/htree.hpp"
+#include "sim/replay_program.hpp"
 #include "sim/serialize.hpp"
 #include "sim/trace_wire.hpp"
 #include "sim/transport.hpp"
@@ -225,21 +227,134 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
-    for (const bool compiled : {false, true}) {
-        const std::shared_ptr<const BatchTrace> t = buildWireTrace(
-            ops.data(), ops.size(), true, compiled, g, ht);
+    const std::shared_ptr<const BatchTrace> t =
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+    ASSERT_TRUE(t);
+    EXPECT_EQ(t->wireSig, traceSignature(ops.data(), ops.size(), true));
+    const std::vector<uint8_t> img = encodeTraceWire(*t);
+    const std::shared_ptr<const BatchTrace> d =
+        decodeTraceWire(img.data(), img.size(), g, ht);
+    ASSERT_TRUE(d);
+    EXPECT_EQ(d->wireSig, t->wireSig);
+    EXPECT_TRUE(d->stats == t->stats);
+    EXPECT_TRUE(d->finalXb == t->finalXb);
+    EXPECT_TRUE(d->finalRow == t->finalRow);
+    EXPECT_EQ(d->items.size(), t->items.size());
+}
+
+TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
+{
+    // The host only ships the source stream and walks the Move items:
+    // it keeps no decode arenas and compiles nothing.
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    const std::vector<Word> ops = tracedStream(g);
+    for (const bool fuse : {false, true}) {
+        const std::shared_ptr<const BatchTrace> t =
+            buildWireTrace(ops.data(), ops.size(), fuse, g, ht);
         ASSERT_TRUE(t);
-        EXPECT_EQ(t->wireSig,
-                  traceSignature(ops.data(), ops.size(), true));
-        const std::vector<uint8_t> img = encodeTraceWire(*t);
-        const std::shared_ptr<const BatchTrace> d =
-            decodeTraceWire(img.data(), img.size(), g, ht);
-        ASSERT_TRUE(d);
-        EXPECT_EQ(d->wireSig, t->wireSig);
-        EXPECT_TRUE(d->stats == t->stats);
-        EXPECT_TRUE(d->finalXb == t->finalXb);
-        EXPECT_TRUE(d->finalRow == t->finalRow);
+        ASSERT_GT(t->used, 0u);
+        EXPECT_TRUE(t->programs.empty());
+        for (uint32_t s = 0; s < t->used; ++s) {
+            const SegmentTrace &seg = t->segments[s];
+            EXPECT_EQ(seg.ops.capacity(), 0u);
+            EXPECT_EQ(seg.halfGates.capacity(), 0u);
+            EXPECT_EQ(seg.rowWords.capacity(), 0u);
+            EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
+            EXPECT_EQ(seg.writePairs.capacity(), 0u);
+        }
+        EXPECT_EQ(t->sourceOps, ops);
     }
+}
+
+TEST(TraceWire, OldVersionIsRejected)
+{
+    // Version 1 images carried compiled programs; a worker must refuse
+    // one rather than misread it.
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    const std::vector<Word> ops = tracedStream(g);
+    const std::shared_ptr<const BatchTrace> t =
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+    ASSERT_TRUE(t);
+    std::vector<uint8_t> img = encodeTraceWire(*t);
+    ASSERT_NO_THROW(decodeTraceWire(img.data(), img.size(), g, ht));
+    // Magic (u32), then the little-endian u32 version.
+    img[4] = 1;
+    img[5] = img[6] = img[7] = 0;
+    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht), Error);
+}
+
+TEST(TraceWire, WorkerCompiledTraceReplaysLikePrepareTrace)
+{
+    // A worker compiles the trace it rebuilt from the image; the
+    // programs must match what an in-process prepareTrace compiles,
+    // and both must replay to the same state and Stats.
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    const HTree ht(g.numCrossbars);
+    Rng rng(2024);
+    std::vector<Word> ops = tracedStream(g);
+    for (int i = 0; i < 40; ++i) {
+        const uint32_t a = rng.word() % 8, b = 8 + rng.word() % 8;
+        const uint32_t r0 = rng.word() % 4, step = 1 + rng.word() % 3;
+        ops.push_back(
+            MicroOp::rowMask(
+                Range(r0, r0 + (g.rows - 1 - r0) / step * step, step))
+                .encode());
+        ops.push_back(MicroOp::logicH(Gate::Init1, 0, 0,
+                                      g.column(b, 0), g.partitions - 1,
+                                      1)
+                          .encode());
+        ops.push_back(MicroOp::logicH(Gate::Nor, g.column(a, 0),
+                                      g.column((a + 1) % 8, 0),
+                                      g.column(b, 0), g.partitions - 1,
+                                      1)
+                          .encode());
+        ops.push_back(MicroOp::write(a, rng.word()).encode());
+        ops.push_back(MicroOp::logicV(Gate::Not, rng.word() % g.rows,
+                                      rng.word() % g.rows, b)
+                          .encode());
+    }
+    const std::vector<uint8_t> img = encodeTraceWire(
+        *buildWireTrace(ops.data(), ops.size(), true, g, ht));
+    const std::shared_ptr<const BatchTrace> worker =
+        decodeTraceWire(img.data(), img.size(), g, ht);
+    Simulator inproc(g, EngineConfig::serial());
+    const std::shared_ptr<const BatchTrace> local =
+        inproc.prepareTrace(ops.data(), ops.size(), true);
+    ASSERT_TRUE(worker);
+    ASSERT_TRUE(local);
+    ASSERT_EQ(worker->programs.size(), worker->used);
+    ASSERT_EQ(worker->programs.size(), local->programs.size());
+    for (size_t p = 0; p < local->programs.size(); ++p) {
+        const ReplayProgram &w = worker->programs[p];
+        const ReplayProgram &l = local->programs[p];
+        EXPECT_EQ(w.instrs.size(), l.instrs.size());
+        EXPECT_EQ(w.sections.size(), l.sections.size());
+        EXPECT_EQ(w.pairs.size(), l.pairs.size());
+        EXPECT_EQ(w.vgates.size(), l.vgates.size());
+        EXPECT_EQ(w.maskWords, l.maskWords);
+    }
+
+    Simulator a(g, EngineConfig::serial());
+    Simulator b(g, EngineConfig::serial());
+    Rng seed(7);
+    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+        for (uint32_t row = 0; row < g.rows; ++row)
+            for (uint32_t slot = 0; slot < 16; ++slot) {
+                const uint32_t v = seed.word();
+                a.crossbar(xb).writeRow(slot, v, row);
+                b.crossbar(xb).writeRow(slot, v, row);
+            }
+    for (int rep = 0; rep < 2; ++rep) {
+        a.submitTrace(worker);
+        b.submitTrace(local);
+    }
+    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+        ASSERT_TRUE(a.crossbar(xb).sameState(b.crossbar(xb)))
+            << "crossbar " << xb;
+    EXPECT_TRUE(a.stats() == b.stats());
 }
 
 TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
@@ -247,13 +362,13 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = {MicroOp::write(2, 7).encode()};
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, true, g, ht),
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, g, ht),
               nullptr);
 }
 
 TEST(TraceWire, EveryBitFlipIsRejected)
 {
-    // Uncompiled image: every field is guarded (magic/version/geometry
+    // Every field of an image is guarded (magic/version/geometry
     // checks, the signature over the source ops, and the architectural
     // epilogue cross-check against the rebuilt trace), so any
     // single-bit flip must throw.
@@ -261,7 +376,7 @@ TEST(TraceWire, EveryBitFlipIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, false, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t i = 0; i < img.size(); ++i) {
@@ -281,7 +396,7 @@ TEST(TraceWire, EveryTruncationIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
     ASSERT_TRUE(t);
     std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t n = 0; n < img.size(); ++n)
@@ -298,7 +413,7 @@ TEST(TraceWire, WrongGeometryIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, g, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     Geometry g2 = g;
