@@ -1014,8 +1014,9 @@ transportSweep(Json *json)
                 "measured phase; rt/instr = synchronous round trips "
                 "per driver instruction; hits = warm-trace replays "
                 "served from a worker cache without reshipping the "
-                "image; exch [us] = mean wall time of one boundary-"
-                "Move stage/broadcast/land phase; 'identical' re-runs "
+                "image; exch [us] = mean wall time of one Move "
+                "group's stage/broadcast/land exchange; 'identical' "
+                "re-runs "
                 "a fixed program on a fresh fleet and compares "
                 "canonical checkpoint images against inproc)\n");
     return allIdentical;

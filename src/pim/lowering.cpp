@@ -114,12 +114,12 @@ rtypeOp(ROp op, DType dtype, const Tensor &out, const Tensor &a,
 namespace
 {
 
-/** Split an arithmetic warp range into power-of-4-step ranges and emit
- *  one inter-warp move per piece. */
+/** Split an arithmetic warp range into power-of-4-step ranges and
+ *  append one inter-warp move per piece. */
 void
-emitMoveRanges(Device &dev, const Range &src, int64_t dist,
-               uint32_t srcRow, uint32_t dstRow, uint32_t srcReg,
-               uint32_t dstReg)
+appendMoveRanges(std::vector<MoveInstr> &out, const Range &src,
+                 int64_t dist, uint32_t srcRow, uint32_t dstRow,
+                 uint32_t srcReg, uint32_t dstReg)
 {
     if (!isPow4(src.step)) {
         // step = 2 * 4^k: the odd and even halves are both pow4.
@@ -128,13 +128,14 @@ emitMoveRanges(Device &dev, const Range &src, int64_t dist,
                               ? src.at(((src.count() - 1) / 2) * 2)
                               : src.start,
                           src.step * 2);
-        emitMoveRanges(dev, evens, dist, srcRow, dstRow, srcReg, dstReg);
+        appendMoveRanges(out, evens, dist, srcRow, dstRow, srcReg,
+                         dstReg);
         if (src.count() >= 2) {
             const Range odds(src.start + src.step,
                              src.at(((src.count() - 2) / 2) * 2 + 1),
                              src.step * 2);
-            emitMoveRanges(dev, odds, dist, srcRow, dstRow, srcReg,
-                           dstReg);
+            appendMoveRanges(out, odds, dist, srcRow, dstRow, srcReg,
+                             dstReg);
         }
         return;
     }
@@ -146,22 +147,23 @@ emitMoveRanges(Device &dev, const Range &src, int64_t dist,
     mv.dstRow = dstRow;
     mv.warps = src;
     mv.dstStartWarp = static_cast<uint32_t>(src.start + dist);
-    dev.driver().execute(mv);
+    out.push_back(mv);
 }
 
 } // namespace
 
 void
-interWarpMoves(Device &dev, const std::vector<uint32_t> &srcWarps,
-               int64_t dist, uint32_t srcRow, uint32_t dstRow,
-               uint32_t srcReg, uint32_t dstReg)
+interWarpMoves(std::vector<MoveInstr> &out,
+               const std::vector<uint32_t> &srcWarps, int64_t dist,
+               uint32_t srcRow, uint32_t dstRow, uint32_t srcReg,
+               uint32_t dstReg)
 {
     // Greedily compress the sorted warp list into arithmetic ranges.
     size_t i = 0;
     while (i < srcWarps.size()) {
         if (i + 1 == srcWarps.size()) {
-            emitMoveRanges(dev, Range::single(srcWarps[i]), dist, srcRow,
-                           dstRow, srcReg, dstReg);
+            appendMoveRanges(out, Range::single(srcWarps[i]), dist,
+                             srcRow, dstRow, srcReg, dstReg);
             break;
         }
         const uint32_t stride = srcWarps[i + 1] - srcWarps[i];
@@ -170,8 +172,8 @@ interWarpMoves(Device &dev, const std::vector<uint32_t> &srcWarps,
                srcWarps[j + 1] - srcWarps[j] == stride) {
             ++j;
         }
-        emitMoveRanges(dev, Range(srcWarps[i], srcWarps[j], stride), dist,
-                       srcRow, dstRow, srcReg, dstReg);
+        appendMoveRanges(out, Range(srcWarps[i], srcWarps[j], stride),
+                         dist, srcRow, dstRow, srcReg, dstReg);
         i = j + 1;
     }
 }
@@ -239,6 +241,12 @@ moveElements(const Tensor &src, const Tensor &dst)
             warpsEqual = false;
     }
 
+    // Each strategy below issues its moves as one captured sequence
+    // (Driver::execute(std::span<const MoveInstr>)): one compiled
+    // trace where the sink can replay one, else one raw batch, which
+    // a multi-device group exchanges as few Move groups.
+    std::vector<MoveInstr> moves;
+
     // Strategy 2: same rows, constant warp distance -> one (split)
     // inter-warp move per distinct row.
     if (rowsEqual && warpDistConst && dist != 0) {
@@ -252,9 +260,10 @@ moveElements(const Tensor &src, const Tensor &dst)
             if (byRow[r].empty())
                 continue;
             std::sort(byRow[r].begin(), byRow[r].end());
-            interWarpMoves(dev, byRow[r], dist, r, r, src.reg(),
+            interWarpMoves(moves, byRow[r], dist, r, r, src.reg(),
                            dst.reg());
         }
+        dev.driver().execute(std::span<const MoveInstr>(moves));
         return;
     }
 
@@ -293,19 +302,20 @@ moveElements(const Tensor &src, const Tensor &dst)
             for (const auto &[sr, dr] : perWarp[0].pairs) {
                 mv.srcRow = sr;
                 mv.dstRow = dr;
-                dev.driver().execute(mv);
+                moves.push_back(mv);
             }
-            return;
-        }
-        // Strategy 4: per-warp thread-serial moves.
-        for (const auto &pw : perWarp) {
-            mv.warps = Range::single(pw.warp);
-            for (const auto &[sr, dr] : pw.pairs) {
-                mv.srcRow = sr;
-                mv.dstRow = dr;
-                dev.driver().execute(mv);
+        } else {
+            // Strategy 4: per-warp thread-serial moves.
+            for (const auto &pw : perWarp) {
+                mv.warps = Range::single(pw.warp);
+                for (const auto &[sr, dr] : pw.pairs) {
+                    mv.srcRow = sr;
+                    mv.dstRow = dr;
+                    moves.push_back(mv);
+                }
             }
         }
+        dev.driver().execute(std::span<const MoveInstr>(moves));
         return;
     }
 

@@ -14,6 +14,8 @@
  *  5. anything else                     -> host gather (read + write
  *                                          per element; the correct
  *                                          but slow fall-back)
+ *
+ * Strategies 2-4 issue all of their moves as one captured sequence.
  */
 #ifndef PYPIM_PIM_LOWERING_HPP
 #define PYPIM_PIM_LOWERING_HPP
@@ -57,12 +59,14 @@ void rtypeOp(ROp op, DType dtype, const Tensor &out, const Tensor &a,
 void moveElements(const Tensor &src, const Tensor &dst);
 
 /**
- * Emit inter-warp move instructions for an arbitrary source warp set
- * (compressed into arithmetic ranges and split to power-of-4 steps).
+ * Append to @p out the inter-warp move instructions for an arbitrary
+ * source warp set (compressed into arithmetic ranges and split to
+ * power-of-4 steps). The caller issues them, as one sequence.
  */
-void interWarpMoves(Device &dev, const std::vector<uint32_t> &srcWarps,
-                    int64_t dist, uint32_t srcRow, uint32_t dstRow,
-                    uint32_t srcReg, uint32_t dstReg);
+void interWarpMoves(std::vector<MoveInstr> &out,
+                    const std::vector<uint32_t> &srcWarps, int64_t dist,
+                    uint32_t srcRow, uint32_t dstRow, uint32_t srcReg,
+                    uint32_t dstReg);
 
 } // namespace pypim::lowering
 

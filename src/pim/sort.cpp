@@ -57,7 +57,7 @@ exchange(const Tensor &t, uint64_t j)
     }
 
     // Partners sit jw warps apart: distributed H-tree moves, one pair
-    // of (split) move instructions per row.
+    // of (split) move instructions per row, issued as one sequence.
     const uint32_t jw = static_cast<uint32_t>(j / rows);
     std::vector<uint32_t> clearSet, setSet;
     for (uint32_t w = 0; w < a.warpCount; ++w) {
@@ -66,13 +66,15 @@ exchange(const Tensor &t, uint64_t j)
         else
             clearSet.push_back(a.warpStart + w);
     }
+    std::vector<MoveInstr> moves;
     for (uint32_t r = 0; r < rows; ++r) {
-        lowering::interWarpMoves(dev, clearSet, jw, r, r, t.reg(),
+        lowering::interWarpMoves(moves, clearSet, jw, r, r, t.reg(),
                                  out.reg());
-        lowering::interWarpMoves(dev, setSet,
+        lowering::interWarpMoves(moves, setSet,
                                  -static_cast<int64_t>(jw), r, r,
                                  t.reg(), out.reg());
     }
+    dev.driver().execute(std::span<const MoveInstr>(moves));
     return out;
 }
 

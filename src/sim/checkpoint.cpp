@@ -1,6 +1,7 @@
 #include "sim/checkpoint.hpp"
 
 #include <string>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "sim/device_group.hpp"
@@ -164,24 +165,13 @@ RecoverySink::applyCall(const Call &c)
 void
 RecoverySink::recover()
 {
-    // One-shot and random fault classes are suppressed during the
-    // re-replay (a retry models a re-run that does not hit the same
-    // transient); stuck-at pins stay active — persistent damage does
-    // not heal because the host retried, which is exactly how the
-    // retry cap gets exhausted and the failure goes terminal.
-    setSuppressed(true);
-    try {
-        restoreGroupImage(group_, baseline_);
-        for (const Call &c : journal_)
-            applyCall(c);
-        // Surface re-replay faults here (inside the retry loop), not
-        // at some later unrelated call.
-        group_.flush();
-    } catch (...) {
-        setSuppressed(false);
-        throw;
-    }
-    setSuppressed(false);
+    // Runs under the caller's fault suppression (runRecovered).
+    restoreGroupImage(group_, baseline_);
+    for (const Call &c : journal_)
+        applyCall(c);
+    // Surface re-replay faults here (inside the retry loop), not at
+    // some later unrelated call.
+    group_.flush();
     needRecover_ = false;
     ++stats_.recoveries;
     // The flush above verified the re-replayed state, so it is a
@@ -203,9 +193,30 @@ RecoverySink::runRecovered(Fn &&fn)
         std::rethrow_exception(terminal_);
     for (uint32_t attempt = 0;; ++attempt) {
         try {
-            if (needRecover_)
+            if (!needRecover_)
+                return fn();
+            // One-shot and random fault classes are suppressed during
+            // the re-replay AND the retried call: a retry models a
+            // re-run that does not hit the same transient. Stuck-at
+            // pins stay active — persistent damage does not heal
+            // because the host retried, which is exactly how the retry
+            // cap gets exhausted and the failure goes terminal.
+            setSuppressed(true);
+            try {
                 recover();
-            return fn();
+                if constexpr (std::is_void_v<decltype(fn())>) {
+                    fn();
+                    setSuppressed(false);
+                    return;
+                } else {
+                    auto result = fn();
+                    setSuppressed(false);
+                    return result;
+                }
+            } catch (...) {
+                setSuppressed(false);
+                throw;
+            }
         } catch (const DeviceFault &) {
             // Detected corruption or an injected failure — the
             // recoverable family. Anything else (user Error,

@@ -29,9 +29,9 @@
  *    forwarded call in a bounded retry loop: a DeviceFault
  *    (sim/fault.hpp — a failed checksum verify or an injected replay
  *    abort, including one rethrown from a pipeline's sticky error)
- *    triggers restore-baseline + re-replay-journal with the
- *    injector's one-shot/transient classes suppressed, then the call
- *    retries. Unrecoverable damage (stuck-at pins re-corrupting every
+ *    triggers restore-baseline + re-replay-journal, then the call
+ *    retries; both run with the injector's one-shot/transient classes
+ *    suppressed. Unrecoverable damage (stuck-at pins re-corrupting every
  *    re-replay) exhausts kRetryCap and becomes a STICKY terminal
  *    error rethrown at this and every later call — the PR 3
  *    report-at-sync contract, never silent corruption. When
@@ -148,8 +148,9 @@ class RecoverySink : public OperationSink
 
     /** Run @p fn under the bounded retry-with-restore policy. */
     template <typename Fn> auto runRecovered(Fn &&fn);
-    /** Restore baseline + re-replay the journal (injector one-shot
-     *  classes suppressed). Throws if the re-replay itself faults. */
+    /** Restore baseline + re-replay the journal; runRecovered holds
+     *  the injector's one-shot classes suppressed around it and the
+     *  retried call. Throws if the re-replay itself faults. */
     void recover();
     /** Apply one journaled call directly to the group. */
     void applyCall(const Call &c);

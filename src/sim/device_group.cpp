@@ -41,6 +41,8 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     if (ec.kind == EngineKind::Sharded && n > 1)
         sub.threads = std::max(1u, ec.resolvedThreads() / n);
     devices_ = n;
+    reads_.resize(n);
+    lands_.resize(n);
 
     if (ec.transport == TransportKind::Socket) {
         // Validate the fault spec HERE, pre-fork: a PYPIM_FAULTS typo
@@ -143,7 +145,7 @@ SimulatorGroup::updateShadowMask(const Word *ops, size_t n)
         if (enc::peekType(ops[i]) != OpType::CrossbarMask)
             continue;
         const Range r = MicroOp::decode(ops[i]).range;
-        if (validXbMask(r)) {
+        if (validMask(r, geo_.numCrossbars)) {
             shadowXb_ = r;
             return;
         }
@@ -154,11 +156,10 @@ SimulatorGroup::updateShadowMask(const Word *ops, size_t n)
 }
 
 bool
-SimulatorGroup::validXbMask(const Range &r) const
+SimulatorGroup::validMask(const Range &r, uint32_t limit)
 {
     return r.step != 0 && r.start <= r.stop &&
-           (r.stop - r.start) % r.step == 0 &&
-           r.stop < geo_.numCrossbars;
+           (r.stop - r.start) % r.step == 0 && r.stop < limit;
 }
 
 bool
@@ -176,109 +177,133 @@ SimulatorGroup::crossesBoundary(const Range &xb, int64_t dist) const
     return false;
 }
 
-void
-SimulatorGroup::exchangeMove(Word w, const MicroOp &op,
-                             const Range &xb)
-{
-    // Same validation (and failure point) as the engines' doMove: an
-    // invalid Move throws here, before any crossbar is touched by it.
-    const int64_t dist = validateMove(op, xb, geo_);
-
-    if (remote()) {
-        exchangeMoveRemote(w, op, xb, dist);
-        return;
-    }
-
-    // 1. Stage boundary-crossing source values. crossbar() drains the
-    // owning sub-device, so every op preceding this Move has landed;
-    // nothing after it has been submitted yet, so the values read are
-    // the pre-move (read-all) state. Storage-transparent: with paged
-    // crossbars a read of a still-absent block yields 0 and landing
-    // densifies exactly the destination blocks written, so staging
-    // through cold state needs no special casing.
-    staged_.clear();
-    xb.forEach([&](uint32_t src) {
-        const uint32_t dst = static_cast<uint32_t>(src + dist);
-        const uint32_t sd = deviceOf(src);
-        if (sd == deviceOf(dst))
-            return;
-        staged_.push_back(
-            {dst, sims_[sd]->crossbar(src).read(op.srcIdx, op.srcRow)});
-    });
-
-    // 2. Broadcast the Move op: every sub-device re-validates it,
-    // records the identical full-mask H-tree cycle cost (the top-level
-    // interconnect model is per-op, not per-slice), and applies its
-    // intra-slice transfers.
-    forwardAll(&w, 1);
-
-    // 3. Land the staged values. crossbar() drains the destination
-    // sub-device first: its local application of the Move — which may
-    // legitimately READ a boundary destination as the source of a
-    // chained intra-slice transfer — is complete, and destination
-    // crossbars are unique per transfer, so landing cannot collide
-    // with a local write.
-    for (const Staged &t : staged_)
-        sims_[deviceOf(t.dst)]->crossbar(t.dst).writeRow(
-            op.dstIdx, t.value, op.dstRow);
-
-    ++traffic_.boundaryMoves;
-    traffic_.boundaryTransfers += staged_.size();
-}
-
-void
-SimulatorGroup::exchangeMoveRemote(Word w, const MicroOp &op,
-                                   const Range &xb, int64_t dist)
+size_t
+SimulatorGroup::exchangeGroup(const Word *ops, size_t n, size_t first,
+                              Range xb)
 {
     const auto t0 = std::chrono::steady_clock::now();
+    // The opening Move: same validation (and failure point) as the
+    // engines' doMove — an invalid one throws here, before any
+    // crossbar is touched by it.
+    const MicroOp head = MicroOp::decode(ops[first]);
+    const int64_t headDist = validateMove(head, xb, geo_);
+    if (writtenIn_.empty())
+        writtenIn_.assign(static_cast<size_t>(geo_.slots()) * geo_.rows,
+                          0);
+    if (++group_ == 0) {  // stamp wrap-around: forget every old group
+        std::fill(writtenIn_.begin(), writtenIn_.end(), 0u);
+        group_ = 1;
+    }
+    transfers_.clear();
+    uint64_t crossing = 0;
+    const auto add = [&](const MicroOp &op, const Range &mask,
+                         int64_t dist) {
+        writtenIn_[cellOf(op.dstIdx, op.dstRow)] = group_;
+        const size_t before = transfers_.size();
+        mask.forEach([&](uint32_t src) {
+            const uint32_t dst = static_cast<uint32_t>(src + dist);
+            if (deviceOf(src) != deviceOf(dst))
+                transfers_.push_back({src, dst, op.srcIdx, op.srcRow,
+                                      op.dstIdx, op.dstRow, 0});
+        });
+        crossing += transfers_.size() != before;
+    };
+    add(head, xb, headDist);
 
-    // 1. Stage: batch the boundary-crossing reads into ONE round trip
-    // per owning worker. The worker-side cell read drains its own
-    // pipeline first, and FIFO framing means every prior submit on
-    // that socket has been applied — the same pre-move-state guarantee
-    // the inproc crossbar() drain gives.
-    std::vector<std::vector<SocketTransport::CellAddr>> addrs(devices_);
-    std::vector<std::vector<uint32_t>> dsts(devices_);
-    xb.forEach([&](uint32_t src) {
-        const uint32_t dst = static_cast<uint32_t>(src + dist);
-        const uint32_t sd = deviceOf(src);
-        if (sd == deviceOf(dst))
-            return;
-        addrs[sd].push_back({src, op.srcIdx, op.srcRow});
-        dsts[sd].push_back(dst);
-    });
-    staged_.clear();
-    std::vector<uint32_t> values;
-    for (uint32_t d = 0; d < devices_; ++d) {
-        if (addrs[d].empty())
+    // Absorb the mask ops and valid, hazard-free Moves that follow. A
+    // Move that reads the cell it writes stays a group of one.
+    size_t end = first + 1;
+    bool open = cellOf(head.srcIdx, head.srcRow) !=
+                cellOf(head.dstIdx, head.dstRow);
+    for (; open && end < n; ++end) {
+        const OpType t = enc::peekType(ops[end]);
+        if (t == OpType::CrossbarMask || t == OpType::RowMask) {
+            const bool isXb = t == OpType::CrossbarMask;
+            const Range r = MicroOp::decode(ops[end]).range;
+            // An ill-formed mask must throw in the sub-devices after
+            // the group took effect, as it does op by op.
+            if (!validMask(r, isXb ? geo_.numCrossbars : geo_.rows))
+                break;
+            if (isXb)
+                xb = r;
             continue;
-        transport_->readCells(d, addrs[d], values);
-        for (size_t k = 0; k < values.size(); ++k)
-            staged_.push_back({dsts[d][k], values[k]});
+        }
+        if (t != OpType::Move)
+            break;
+        const MicroOp op = MicroOp::decode(ops[end]);
+        int64_t dist = 0;
+        try {
+            dist = validateMove(op, xb, geo_);
+        } catch (const Error &) {
+            break;  // raised when the scan reaches it, after the group
+        }
+        const uint32_t rd = cellOf(op.srcIdx, op.srcRow);
+        const uint32_t wr = cellOf(op.dstIdx, op.dstRow);
+        if (rd == wr || writtenIn_[rd] == group_ ||
+            writtenIn_[wr] == group_)
+            break;
+        add(op, xb, dist);
     }
 
-    // 2. Broadcast the Move op itself (identical full-mask H-tree
-    // cost on every worker — the replicated-stats invariant).
-    transport_->submitAll(&w, 1);
+    // 1. Stage every crossing source value from the pre-group state:
+    // the ops before the group have been forwarded, none of it has,
+    // and no Move of the group reads a cell an earlier one writes.
+    // Const access drains the owning sub-device and leaves its
+    // checksum baseline alone. Storage-transparent: a read of a
+    // still-absent paged block yields 0.
+    if (remote()) {
+        for (auto &r : reads_)
+            r.clear();
+        for (const Transfer &t : transfers_)
+            reads_[deviceOf(t.src)].push_back({t.src, t.srcSlot,
+                                               t.srcRow});
+        transport_->readCells(reads_, values_);
+        std::vector<size_t> next(devices_, 0);
+        for (Transfer &t : transfers_) {
+            const uint32_t d = deviceOf(t.src);
+            t.value = values_[d][next[d]++];
+        }
+    } else {
+        for (Transfer &t : transfers_) {
+            const Simulator &s = *sims_[deviceOf(t.src)];
+            t.value = s.crossbar(t.src).read(t.srcSlot, t.srcRow);
+        }
+    }
 
-    // 3. Land: batch the staged values into one (asynchronous) wire
-    // message per destination worker. FIFO ordering lands them after
-    // the worker applied its intra-slice transfers, mirroring the
-    // inproc drain-before-land.
-    std::vector<std::vector<SocketTransport::CellPut>> puts(devices_);
-    for (const Staged &t : staged_)
-        puts[deviceOf(t.dst)].push_back(
-            {t.dst, op.dstIdx, t.value, op.dstRow});
-    for (uint32_t d = 0; d < devices_; ++d)
-        if (!puts[d].empty())
-            transport_->writeCells(d, puts[d]);
+    // 2. Broadcast the group's ops once: every sub-device validates
+    // them, records the identical full-mask H-tree cost of each Move
+    // and applies its intra-slice transfers.
+    forwardAll(ops + first, end - first);
 
-    transport_->chargeExchange(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-    ++traffic_.boundaryMoves;
-    traffic_.boundaryTransfers += staged_.size();
+    // 3. Land every staged value, one write per destination
+    // sub-device. The landing drains the destination first, so its
+    // local application — which may READ a boundary destination as
+    // the source of a chained intra-slice transfer — is complete; no
+    // two Moves of the group write the same cell, so landing after
+    // all of them equals landing after each.
+    for (auto &l : lands_)
+        l.clear();
+    for (const Transfer &t : transfers_)
+        lands_[deviceOf(t.dst)].push_back(
+            {t.dst, t.dstSlot, t.value, t.dstRow});
+    for (uint32_t d = 0; d < devices_; ++d) {
+        if (lands_[d].empty())
+            continue;
+        if (remote())
+            transport_->writeCells(d, lands_[d]);
+        else
+            sims_[d]->writeCells(lands_[d]);
+    }
+
+    if (remote())
+        transport_->chargeExchange(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+    ++traffic_.exchanges;
+    traffic_.boundaryMoves += crossing;
+    traffic_.boundaryTransfers += transfers_.size();
+    return end;
 }
 
 void
@@ -295,18 +320,18 @@ SimulatorGroup::submitBatch(const Word *ops, size_t n)
     }
     // Split the batch at every boundary-crossing Move (one peek per
     // word; decode only for mask and Move ops): everything between
-    // two cuts is a plain broadcast, the cuts themselves go through
-    // the host-mediated exchange.
+    // two cuts is a plain broadcast; each cut opens a Move group that
+    // goes through the host-mediated exchange. Moves a group absorbed
+    // are only counted when the scan passes them.
     size_t chunk = 0;  // start of the not-yet-forwarded tail
     scanMoves(ops, n,
-              [&](size_t i, const MicroOp &op, const Range &xb,
+              [&](size_t i, const MicroOp &, const Range &xb,
                   bool crossing) {
                   ++traffic_.moveOps;
                   traffic_.moveTransfers += xb.count();
-                  if (crossing) {
+                  if (crossing && i >= chunk) {
                       forwardAll(ops + chunk, i - chunk);
-                      exchangeMove(ops[i], op, xb);
-                      chunk = i + 1;
+                      chunk = exchangeGroup(ops, n, i, xb);
                   }
                   return true;
               });

@@ -30,29 +30,57 @@
  *
  * The ONLY inter-device traffic is a Move whose (source, destination)
  * pair straddles a slice boundary. The group scans each raw batch
- * (tracking the in-stream crossbar mask), splits it at every such
- * Move, and performs an explicit host-mediated exchange that
- * preserves the op's read-all-then-write-all semantics:
+ * (tracking the in-stream crossbar mask) and cuts it at every such
+ * Move. The cut opens a MOVE GROUP, which keeps absorbing the ops that
+ * follow for as long as each one is a well-formed mask op or a valid
+ * Move and the group stays HAZARD-FREE:
  *
- *   1. stage: read every boundary-crossing source value from its
- *      owning sub-device (draining it first — all prior ops have
- *      landed, nothing later has been submitted, so this observes the
- *      pre-move state);
- *   2. broadcast the Move op itself to all sub-devices: each one
- *      validates it, records the identical full-mask H-tree cycle
- *      cost, and applies its intra-slice transfers;
+ *  - no Move reads a (slot, row) that an earlier Move of the group
+ *    writes;
+ *  - no two Moves write the same (slot, row);
+ *  - no Move reads the (slot, row) it writes (a self-overlapping
+ *    shift chain is a group of one).
+ *
+ * Crossbars are ignored, which makes the rule conservative; the
+ * written cells live in a reused table stamped per group, so the
+ * check is O(1) per Move and allocation-free. A group ends before the
+ * first op that breaks the rule — an invalid Move or ill-formed mask
+ * included, so the valid prefix takes effect and the error is raised
+ * exactly where the op-by-op path raises it. Each group runs ONE
+ * host-mediated exchange that preserves the ops' sequential,
+ * read-all-then-write-all semantics:
+ *
+ *   1. stage: read every boundary-crossing source value of the group
+ *      from its owning sub-device (draining it first — all prior ops
+ *      have landed, none of the group's has been submitted, and no
+ *      Move reads a cell an earlier one writes, so this observes what
+ *      each Move would read). Under the socket transport every source
+ *      worker gets its request before any reply is awaited;
+ *   2. broadcast the group's ops once to all sub-devices: each one
+ *      validates them, records the identical full-mask H-tree cycle
+ *      cost of every Move and applies its intra-slice transfers;
  *   3. land: write the staged values into the destination
- *      sub-devices (draining each first, so the local application —
- *      which may READ a boundary destination as the source of a
- *      chained transfer — is complete).
+ *      sub-devices, one write per destination (draining each first,
+ *      so the local application — which may READ a boundary
+ *      destination as the source of a chained transfer — is
+ *      complete; no two Moves write the same cell, so landing after
+ *      the whole group equals landing after each Move). The landing
+ *      verifies the destination's state checksums before it writes
+ *      and re-blesses after (Simulator::writeCells), so a fault
+ *      injected since the last bless is detected, not adopted.
+ *
+ * A group of one is the classic per-Move exchange; there is no
+ * separate path for it.
  *
  * Boundary traffic is counted in traffic() — the observability and
  * test hook for "intra-group traffic never leaves its sub-device".
  * prepareTrace refuses (returns null for) streams containing a
  * boundary-crossing Move, so cached traces are always pure
  * broadcast; the driver transparently falls back to raw-stream replay
- * for such signatures (R-type translations contain no Moves, so this
- * is a robustness guard, not a hot path).
+ * for such signatures. R-type translations contain no Moves; the
+ * streams that hit this are captured move sequences (a reduction's
+ * fold, a sort's inter-warp exchange), which arrive as ONE raw batch
+ * and so cut into as few Move groups as the hazard rule allows.
  *
  * Error streams: a malformed op throws at the submit containing it,
  * after the valid prefix was forwarded (the serial engine's
@@ -72,10 +100,11 @@
  *    trace-build mirror for prepareTrace (sim/trace_wire.hpp — each
  *    frozen trace crosses the wire once per worker as its source
  *    stream, the worker rebuilds and compiles it, and it then replays
- *    by signature), and the boundary exchange stages/lands cell values
- *    through batched wire messages. Architectural Stats, masks and
- *    state parity with inproc is bit-exact (the multi-device parity
- *    suite asserts it); the one contract difference is error TIMING:
+ *    by signature), and each Move group's exchange stages/lands cell
+ *    values through one wire message per involved worker per step.
+ *    Architectural Stats, masks and state parity with inproc is
+ *    bit-exact (the multi-device parity suite asserts it); the one
+ *    contract difference is error TIMING:
  *    a worker-side submit error surfaces at the next synchronous
  *    message (flush/read/stats — the report-at-sync rule), not at the
  *    submit call itself. Direct state access (sub(), crossbar())
@@ -118,6 +147,7 @@ class SimulatorGroup : public OperationSink
         uint64_t moveTransfers = 0;     //!< per-crossbar-pair transfers
         uint64_t boundaryMoves = 0;     //!< Moves needing an exchange
         uint64_t boundaryTransfers = 0; //!< pairs crossing a boundary
+        uint64_t exchanges = 0;         //!< Move groups exchanged
     };
 
     uint32_t devices() const { return devices_; }
@@ -312,17 +342,27 @@ class SimulatorGroup : public OperationSink
      *  path, whose validation throws the standard error). Stops at
      *  the first crossing. */
     bool crossesBoundary(const Range &xb, int64_t dist) const;
-    /** True iff @p r is a well-formed crossbar mask within the
-     *  geometry — the predicate Range::validate enforces when the
-     *  mask op is applied, evaluated non-throwing for stream scans. */
-    bool validXbMask(const Range &r) const;
+    /** True iff @p r is a well-formed mask over [0, @p limit) — the
+     *  predicate Range::validate enforces when the mask op is applied,
+     *  evaluated non-throwing for stream scans. */
+    static bool validMask(const Range &r, uint32_t limit);
     /** Raw-stream scan: does any Move in @p ops cross a boundary? */
     bool streamCrossesBoundary(const Word *ops, size_t n) const;
-    void exchangeMove(Word w, const MicroOp &op, const Range &xb);
-    /** The socket-transport exchange: stage reads and landing writes
-     *  batch into one wire message per involved worker. */
-    void exchangeMoveRemote(Word w, const MicroOp &op, const Range &xb,
-                            int64_t dist);
+    /**
+     * Open a Move group at the boundary-crossing Move ops[@p first]
+     * (under crossbar mask @p xb), absorb what the group rule admits,
+     * run the group's stage/broadcast/land exchange and return the
+     * index one past the group. Throws, touching nothing, if the
+     * opening Move is invalid.
+     */
+    size_t exchangeGroup(const Word *ops, size_t n, size_t first,
+                         Range xb);
+    /** Hazard-table index of register @p slot, row @p row. */
+    uint32_t
+    cellOf(uint32_t slot, uint32_t row) const
+    {
+        return slot * geo_.rows + row;
+    }
     /** Advance the shadow crossbar mask past a remotely-submitted
      *  stream (backward walk for its last valid CrossbarMask). */
     void updateShadowMask(const Word *ops, size_t n);
@@ -350,7 +390,7 @@ class SimulatorGroup : public OperationSink
             const OpType t = enc::peekType(ops[i]);
             if (t == OpType::CrossbarMask) {
                 xb = MicroOp::decode(ops[i]).range;
-                maskOk = validXbMask(xb);
+                maskOk = validMask(xb, geo_.numCrossbars);
                 continue;
             }
             if (t != OpType::Move || !maskOk)
@@ -386,12 +426,23 @@ class SimulatorGroup : public OperationSink
     std::vector<std::shared_ptr<FaultInjector>> injectors_;
     Traffic traffic_;
 
-    struct Staged
+    // --- Move-group exchange scratch (reused: steady state allocates
+    // nothing in process) ----------------------------------------------
+    /** One boundary-crossing transfer of the open group. */
+    struct Transfer
     {
-        uint32_t dst;
-        uint32_t value;
+        uint32_t src, dst, srcSlot, srcRow, dstSlot, dstRow, value;
     };
-    std::vector<Staged> staged_;  //!< exchange scratch (reused)
+    std::vector<Transfer> transfers_;
+    /** writtenIn_[cellOf(slot, row)] == group_ iff a Move of the open
+     *  group writes that cell (sized slots x rows on first use). */
+    std::vector<uint32_t> writtenIn_;
+    uint32_t group_ = 0;
+    /** Landing writes per destination sub-device. */
+    std::vector<std::vector<CellWrite>> lands_;
+    /** Socket staging: reads and values per source worker. */
+    std::vector<std::vector<SocketTransport::CellAddr>> reads_;
+    std::vector<std::vector<uint32_t>> values_;
 };
 
 } // namespace pypim

@@ -139,8 +139,9 @@ class FaultInjector
     void corrupt(std::vector<Crossbar> &xbs);
 
     /**
-     * Suppress one-shot/random classes during recovery replay (the
-     * retry models a re-run that does not hit the same transient).
+     * Suppress one-shot/random classes during recovery replay and the
+     * retried call (the retry models a re-run that does not hit the
+     * same transient).
      * Stuck pins stay applied either way: persistent damage does not
      * heal because the host retried.
      */

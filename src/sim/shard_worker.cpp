@@ -134,14 +134,18 @@ handleCellWrite(WorkerContext &ctx, const WireFrame &f)
 {
     ByteReader r(f.payload);
     const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t xb = r.u32();
-        const uint32_t slot = r.u32();
-        const uint32_t value = r.u32();
-        const uint32_t row = r.u32();
-        ctx.sim.crossbar(xb).writeRow(slot, value, row);
+    fatalIf(n > r.remaining() / 16, "cell write: count exceeds payload");
+    std::vector<CellWrite> cells(n);
+    for (CellWrite &c : cells) {
+        c.xb = r.u32();
+        c.slot = r.u32();
+        c.value = r.u32();
+        c.row = r.u32();
     }
     r.expectEnd("cell write");
+    // Verifies, lands, re-blesses: a fault injected since the last
+    // bless is detected here, not adopted.
+    ctx.sim.writeCells(cells);
 }
 
 // --- sync handlers (build the reply payload; errors reply kMsgErr) -----
@@ -206,6 +210,7 @@ handleCellRead(WorkerContext &ctx, const WireFrame &f)
 {
     ByteReader r(f.payload);
     const uint32_t n = r.u32();
+    fatalIf(n > r.remaining() / 12, "cell read: count exceeds payload");
     struct Addr
     {
         uint32_t xb, slot, row;
@@ -217,10 +222,13 @@ handleCellRead(WorkerContext &ctx, const WireFrame &f)
         a.row = r.u32();
     }
     r.expectEnd("cell read");
+    // Const access: staging reads must not mark the checksum
+    // baseline stale (the landing write verifies against it).
+    const Simulator &sim = ctx.sim;
     ByteWriter w;
     w.u32(n);
     for (const Addr &a : addrs)
-        w.u32(ctx.sim.crossbar(a.xb).read(a.slot, a.row));
+        w.u32(sim.crossbar(a.xb).read(a.slot, a.row));
     return w.take();
 }
 

@@ -339,6 +339,20 @@ Simulator::writeBulk(const BulkIoSpec &spec, const uint32_t *values,
     return true;
 }
 
+void
+Simulator::writeCells(std::span<const CellWrite> cells)
+{
+    drainPipeline();
+    verifyChecksums();
+    for (const CellWrite &c : cells) {
+        checkOwned(c.xb);
+        xbs_[c.xb - sliceLo_].writeRow(c.slot, c.value, c.row);
+    }
+    // The landing is a legitimate mutation: re-bless.
+    if (verifyState_)
+        blessChecksums();
+}
+
 uint32_t
 Simulator::performRead(Word op)
 {

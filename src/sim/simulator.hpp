@@ -31,6 +31,7 @@
 #define PYPIM_SIM_SIMULATOR_HPP
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/config.hpp"
@@ -46,6 +47,13 @@ namespace pypim
 {
 
 class FaultInjector;
+
+/** One landing write of a boundary exchange: @p value into register
+ *  @p slot, row @p row of GLOBAL crossbar @p xb. */
+struct CellWrite
+{
+    uint32_t xb = 0, slot = 0, value = 0, row = 0;
+};
 
 /** Full-memory digital PIM simulator. */
 class Simulator : public OperationSink
@@ -168,8 +176,8 @@ class Simulator : public OperationSink
         checkOwned(i);
         drainPipeline();
         // The caller may mutate state the checksum machinery never
-        // sees (direct test writes, the group's Move landing writes):
-        // the next verify point re-blesses instead of comparing.
+        // sees (direct test writes, checkpoint restore): the next
+        // verify point re-blesses instead of comparing.
         checksumsStale_ = true;
         return xbs_[i - sliceLo_];
     }
@@ -180,6 +188,16 @@ class Simulator : public OperationSink
         drainPipeline();
         return xbs_[i - sliceLo_];
     }
+
+    /**
+     * Land boundary-exchange values into owned crossbars: drain, verify
+     * the checksums (a fault injected since the last bless surfaces
+     * here instead of being adopted), write every cell, then re-bless.
+     * Throws pypim::Error for a crossbar outside the owned slice. Stage
+     * the matching reads through the const crossbar(), which leaves
+     * the checksum baseline alone.
+     */
+    void writeCells(std::span<const CellWrite> cells);
 
     // The mask state is advanced at submit time, so it reflects the
     // whole submitted stream without a drain.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include <signal.h>
@@ -15,6 +16,7 @@
 #include "sim/bulk_io.hpp"
 #include "sim/crossbar.hpp"
 #include "sim/shard_worker.hpp"
+#include "sim/simulator.hpp"
 #include "sim/trace_wire.hpp"
 
 namespace pypim
@@ -371,6 +373,12 @@ SocketTransport::roundTrip(uint32_t d, uint32_t type,
                            const uint8_t *payload, size_t n)
 {
     send(d, type, payload, n);
+    return awaitReply(d, type);
+}
+
+WireFrame
+SocketTransport::awaitReply(uint32_t d, uint32_t type)
+{
     WireFrame reply = recv(d);
     ++telemetry_.roundTrips;
     if (reply.type == kMsgErr)
@@ -491,43 +499,64 @@ SocketTransport::bulkWriteAll(const BulkIoSpec &spec,
 }
 
 void
-SocketTransport::readCells(uint32_t d,
-                           const std::vector<CellAddr> &addrs,
-                           std::vector<uint32_t> &values)
+SocketTransport::readCells(
+    const std::vector<std::vector<CellAddr>> &addrs,
+    std::vector<std::vector<uint32_t>> &values)
 {
-    values.clear();
-    if (addrs.empty())
-        return;
-    ByteWriter w;
-    w.u32(static_cast<uint32_t>(addrs.size()));
-    for (const CellAddr &a : addrs) {
-        w.u32(a.xb);
-        w.u32(a.slot);
-        w.u32(a.row);
+    values.resize(devices());
+    std::vector<uint32_t> sent;
+    std::exception_ptr first;
+    for (uint32_t d = 0; d < devices() && !first; ++d) {
+        values[d].clear();
+        if (addrs[d].empty())
+            continue;
+        ByteWriter w;
+        w.u32(static_cast<uint32_t>(addrs[d].size()));
+        for (const CellAddr &a : addrs[d]) {
+            w.u32(a.xb);
+            w.u32(a.slot);
+            w.u32(a.row);
+        }
+        const std::vector<uint8_t> payload = w.take();
+        try {
+            send(d, kMsgCellRead, payload.data(), payload.size());
+            sent.push_back(d);
+        } catch (...) {
+            first = std::current_exception();
+        }
     }
-    const std::vector<uint8_t> payload = w.take();
-    WireFrame reply =
-        roundTrip(d, kMsgCellRead, payload.data(), payload.size());
-    ByteReader r(reply.payload);
-    fatalIf(r.u32() != addrs.size(), "cell read reply: count mismatch");
-    values.resize(addrs.size());
-    for (uint32_t &v : values)
-        v = r.u32();
-    r.expectEnd("cell read reply");
+    for (const uint32_t d : sent) {
+        try {
+            WireFrame reply = awaitReply(d, kMsgCellRead);
+            ByteReader r(reply.payload);
+            fatalIf(r.u32() != addrs[d].size(),
+                    "cell read reply: count mismatch");
+            values[d].resize(addrs[d].size());
+            for (uint32_t &v : values[d])
+                v = r.u32();
+            r.expectEnd("cell read reply");
+        } catch (...) {
+            if (!first)
+                first = std::current_exception();
+        }
+    }
+    if (first)
+        std::rethrow_exception(first);
 }
 
 void
-SocketTransport::writeCells(uint32_t d, const std::vector<CellPut> &puts)
+SocketTransport::writeCells(uint32_t d,
+                            const std::vector<CellWrite> &cells)
 {
-    if (puts.empty())
+    if (cells.empty())
         return;
     ByteWriter w;
-    w.u32(static_cast<uint32_t>(puts.size()));
-    for (const CellPut &p : puts) {
-        w.u32(p.xb);
-        w.u32(p.slot);
-        w.u32(p.value);
-        w.u32(p.row);
+    w.u32(static_cast<uint32_t>(cells.size()));
+    for (const CellWrite &c : cells) {
+        w.u32(c.xb);
+        w.u32(c.slot);
+        w.u32(c.value);
+        w.u32(c.row);
     }
     const std::vector<uint8_t> payload = w.take();
     send(d, kMsgCellWrite, payload.data(), payload.size());

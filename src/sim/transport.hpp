@@ -17,8 +17,10 @@
  *    image (sim/trace_wire.hpp) crosses the wire ONCE per worker and
  *    replays from the worker's signature cache thereafter (the
  *    telemetry's traceHits counts cache-served replays);
- *  - boundary-Move exchange: stage reads and land writes batch into
- *    one message per involved worker per exchange;
+ *  - boundary-Move exchange: one exchange per Move group
+ *    (sim/device_group.hpp). Stage reads and land writes batch into
+ *    one message per involved worker per exchange; the stage requests
+ *    all go out before any reply is awaited;
  *  - bulk I/O: PR 7's packed images are the payload format;
  *  - Stats, storage gauges, compaction: synchronous queries;
  *  - checkpoint/restore: PR 9's canonical images fetched from /
@@ -64,6 +66,7 @@ namespace pypim
 
 struct BatchTrace;
 struct BulkIoSpec;
+struct CellWrite;
 struct BulkIoTelemetry;
 struct StorageGauges;
 
@@ -159,7 +162,7 @@ struct WireTelemetry
     uint64_t roundTrips = 0;   //!< synchronous request/response pairs
     uint64_t traceInstalls = 0; //!< trace images that crossed the wire
     uint64_t traceHits = 0;    //!< replays served from a worker cache
-    uint64_t exchanges = 0;    //!< boundary-Move exchange wire phases
+    uint64_t exchanges = 0;    //!< boundary exchanges (one per Move group)
     uint64_t exchangeNs = 0;   //!< wall time spent in those phases
 };
 
@@ -205,15 +208,18 @@ class SocketTransport
     {
         uint32_t xb = 0, slot = 0, row = 0;
     };
-    struct CellPut
-    {
-        uint32_t xb = 0, slot = 0, value = 0, row = 0;
-    };
-    /** Stage: read @p addrs from worker @p d (one round trip). */
-    void readCells(uint32_t d, const std::vector<CellAddr> &addrs,
-                   std::vector<uint32_t> &values);
-    /** Land: write @p puts into worker @p d (async). */
-    void writeCells(uint32_t d, const std::vector<CellPut> &puts);
+    /**
+     * Stage: read @p addrs[d] from every worker d with a non-empty
+     * list into @p values[d]. Every request is sent before any reply
+     * is awaited, so the workers stage in parallel: one round trip
+     * per involved worker, overlapped. Every sent request's reply is
+     * collected before the first error is rethrown, so the protocol
+     * stays in step with the live workers.
+     */
+    void readCells(const std::vector<std::vector<CellAddr>> &addrs,
+                   std::vector<std::vector<uint32_t>> &values);
+    /** Land: write @p cells into worker @p d (async). */
+    void writeCells(uint32_t d, const std::vector<CellWrite> &cells);
     /** Charge one boundary exchange's wall time to the telemetry. */
     void chargeExchange(uint64_t ns);
 
@@ -259,6 +265,8 @@ class SocketTransport
      *  kMsgErr as the matching exception class. */
     WireFrame roundTrip(uint32_t d, uint32_t type,
                         const uint8_t *payload, size_t n);
+    /** The reply half of roundTrip. */
+    WireFrame awaitReply(uint32_t d, uint32_t type);
 
     Geometry geo_;
     EngineConfig sub_;

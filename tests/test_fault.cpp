@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "pim/pypim.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/device_group.hpp"
 #include "sim/fault.hpp"
 #include "sim/serialize.hpp"
 
@@ -328,6 +329,57 @@ TEST(FaultTerminal, StuckPinsExhaustRetriesIntoStickyTerminal)
     EXPECT_THROW(runProgram(dev, 78, 64), DeviceFault);
     const Stats fs = dev.faultStats();
     EXPECT_GE(fs.faultsDetected, RecoverySink::kRetryCap);
+}
+
+// --- boundary exchange keeps the verifier armed ---------------------------
+
+TEST(FaultBoundary, FlipBeforeBoundaryMoveIsDetectedAndRecovered)
+{
+    // Sub-device 1 is poisoned right after batch 2 (a lone mask op),
+    // so the damage sits in the source slice when batch 3's boundary
+    // Move stages its reads. Staging and landing must not touch the
+    // checksum baseline: the Move's own verify detects the damage and
+    // recovery restores, instead of re-blessing it as legitimate.
+    const Geometry g = faultGeometry();
+    for (const TransportKind tk :
+         {TransportKind::Inproc, TransportKind::Socket}) {
+#if defined(__SANITIZE_THREAD__)
+        if (tk == TransportKind::Socket)
+            continue;  // fork() and ThreadSanitizer do not mix
+#endif
+        const EngineConfig base =
+            EngineConfig::serial().withDevices(2).withTransport(tk);
+        const EngineConfig armed = base.withVerifyState();
+        SimulatorGroup clean(g, base);
+        SimulatorGroup faulty(g, armed.withFaults("seed=4:poison=2:dev=1"));
+        RecoverySink sink(faulty, armed);
+
+        const std::vector<Word> batches[] = {
+            {MicroOp::crossbarMask(Range::all(g.numCrossbars)).encode(),
+             MicroOp::rowMask(Range::all(g.rows)).encode(),
+             MicroOp::write(0, 0x5EED0001u).encode(),
+             MicroOp::write(2, 0x5EED0002u).encode()},
+            {MicroOp::crossbarMask(Range(8, 15, 1)).encode()},
+            {MicroOp::move(0, 5, 9, 0, 1).encode(),
+             MicroOp::move(0, 6, 10, 2, 3).encode()},
+        };
+        for (const std::vector<Word> &b : batches) {
+            clean.submitBatch(b.data(), b.size());
+            sink.submitBatch(b.data(), b.size());
+        }
+        clean.flush();
+        sink.flush();
+
+        const char *name =
+            tk == TransportKind::Socket ? "socket" : "inproc";
+        EXPECT_EQ(faulty.faultsInjected(), 1u) << name;
+        EXPECT_GE(sink.recoveryStats().faultsDetected, 1u) << name;
+        EXPECT_GE(sink.recoveryStats().recoveries, 1u) << name;
+        EXPECT_EQ(encodeCheckpoint(buildGroupImage(faulty)),
+                  encodeCheckpoint(buildGroupImage(clean)))
+            << name;
+        EXPECT_TRUE(faulty.stats() == clean.stats()) << name;
+    }
 }
 
 // --- CI soak: randomized fault campaigns ----------------------------------

@@ -9,7 +9,9 @@
  * runs again through Simulator::performBatch on paged storage and
  * must not reach the heap once: on the serial engine (op-major), and
  * on the one-thread sharded engine, which decodes, compiles and
- * replays every segment. A check that formats its message eagerly,
+ * replays every segment. A two-device in-process group must run a
+ * boundary-crossing Move group (stage, broadcast, land) without
+ * allocating too. A check that formats its message eagerly,
  * or an expansion or a compile that builds a temporary container,
  * shows up here as a nonzero count.
  */
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "sim/device_group.hpp"
 #include "sim/simulator.hpp"
 #include "uarch/microop.hpp"
 #include "uarch/range.hpp"
@@ -197,4 +200,36 @@ TEST(NoAlloc, ShardedRawStreamCompileAndReplayIsAllocationFree)
                   EngineConfig::sharded(1).withStorage(XbarStorage::Paged));
     ASSERT_EQ(sim.engine().threads(), 1u);
     expectAllocationFree(sim);
+}
+
+TEST(NoAlloc, InprocGroupedBoundaryExchangeIsAllocationFree)
+{
+    // Crossbars 8-15 -> 0-7 cross the boundary of a two-device group:
+    // the batch is one Move group of eight Moves (distinct cells), so
+    // each pass stages, broadcasts and lands once through the reused
+    // transfer, hazard and landing tables.
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    SimulatorGroup grp(g, EngineConfig::serial()
+                              .withStorage(XbarStorage::Paged)
+                              .withDevices(2));
+    ASSERT_EQ(grp.devices(), 2u);
+    std::vector<Word> ops = {
+        MicroOp::crossbarMask(Range::all(g.numCrossbars)).encode(),
+        MicroOp::rowMask(Range::all(g.rows)).encode(),
+        MicroOp::write(0, 0xC0FFEE11u).encode(),
+        MicroOp::crossbarMask(Range(8, 15, 1)).encode(),
+    };
+    for (uint32_t r = 0; r < 8; ++r)
+        ops.push_back(MicroOp::move(0, r, r + 8, 0, 1).encode());
+    grp.performBatch(ops.data(), ops.size());  // warm-up
+    const SimulatorGroup::Traffic before = grp.traffic();
+    const uint64_t n = allocationsDuring([&] {
+        for (int rep = 0; rep < 8; ++rep)
+            grp.performBatch(ops.data(), ops.size());
+    });
+    EXPECT_EQ(n, 0u);
+    EXPECT_EQ(grp.traffic().exchanges - before.exchanges, 8u);
+    EXPECT_EQ(grp.traffic().boundaryMoves - before.boundaryMoves, 64u);
+    EXPECT_EQ(grp.crossbar(3).read(1, 12), 0xC0FFEE11u);
 }
