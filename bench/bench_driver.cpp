@@ -11,10 +11,19 @@
  * pipeline (sim/pipeline.hpp): how much of the translation cost
  * disappears end-to-end when the driver streams batches to the
  * simulator through submitBatch instead of blocking in performBatch.
+ *
+ * The trace-build panel times the layer between the driver and
+ * replay: decoding a recorded stream into a segment trace, window-
+ * fusing it and compiling it into replay programs, per source op, as
+ * a cold trace-cache miss pays them, plus the decoded trace's arena
+ * bytes.
  */
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "sim/batch_trace.hpp"
+#include "sim/htree.hpp"
+#include "sim/replay_program.hpp"
 
 using namespace pypim;
 using namespace pypim::bench;
@@ -101,6 +110,99 @@ overlapReport()
                 "overlapped with replay; needs free host cores)\n");
 }
 
+/** One row of the trace-build panel. */
+struct TraceBuildRow
+{
+    const char *name;
+    uint64_t sourceOps;
+    double decodeNs, fuseNs, compileNs;  //!< per source op
+    uint64_t arenaBytes;  //!< decoded + fused segment arenas
+};
+
+/** Bytes held by the decode arenas of @p t's segments. */
+uint64_t
+arenaBytes(const BatchTrace &t)
+{
+    const auto bytes = [](const auto &v) {
+        return v.capacity() * sizeof(v[0]);
+    };
+    uint64_t n = 0;
+    for (uint32_t s = 0; s < t.used; ++s) {
+        const SegmentTrace &seg = t.segments[s];
+        n += bytes(seg.ops) + bytes(seg.halfGates) +
+             bytes(seg.sections) + bytes(seg.rowWords) +
+             bytes(seg.rowMaskFull) + bytes(seg.writePairs);
+    }
+    return n;
+}
+
+/**
+ * Trace-build panel: the driver's self-contained fp32 add and mul
+ * streams (Table III geometry) decoded (buildBatchTrace), fused
+ * (fuseBatchTrace) and compiled (compileBatchTrace) into a fresh
+ * BatchTrace per rep, as a trace-cache miss does. Times are host
+ * nanoseconds per source op; not a gate.
+ */
+std::vector<TraceBuildRow>
+traceBuildReport(double minSeconds = 0.2)
+{
+    using clock = std::chrono::steady_clock;
+    const auto ns = [](clock::duration d) {
+        return std::chrono::duration<double, std::nano>(d).count();
+    };
+    const Geometry g = benchGeometry();
+    const HTree htree(g.numCrossbars);
+    std::printf("\n=== Trace build (cold decode, fuse, compile per "
+                "source op; %u crossbars) ===\n",
+                g.numCrossbars);
+    std::printf("%-10s %10s %12s %12s %12s %14s\n", "kernel",
+                "src ops", "decode [ns]", "fuse [ns]", "compile [ns]",
+                "arena [bytes]");
+    std::vector<TraceBuildRow> rows;
+    for (const Case &c : kCases) {
+        if (c.dt != DType::Float32 ||
+            (c.op != ROp::Add && c.op != ROp::Mul))
+            continue;
+        StreamRecorder cap;
+        {
+            Driver drv(cap, g, Driver::Mode::Parallel);
+            drv.setTraceCacheEnabled(false);
+            drv.execute(fullInstr(g, c.op, c.dt));
+        }
+        const std::vector<Word> &ops = cap.ops;
+        double decode = 0, fuse = 0, compile = 0;
+        uint64_t bytes = 0;
+        const uint64_t reps = timedReps(
+            [&] {
+                BatchTrace t;
+                MaskState mask;
+                mask.reset(g);
+                const auto t0 = clock::now();
+                buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
+                                t);
+                const auto t1 = clock::now();
+                fuseBatchTrace(t, g);
+                const auto t2 = clock::now();
+                compileBatchTrace(t, g);
+                const auto t3 = clock::now();
+                decode += ns(t1 - t0);
+                fuse += ns(t2 - t1);
+                compile += ns(t3 - t2);
+                bytes = arenaBytes(t);
+            },
+            [] {}, minSeconds).first;
+        const double per = static_cast<double>(reps * ops.size());
+        rows.push_back({c.name, ops.size(), decode / per, fuse / per,
+                        compile / per, bytes});
+        const TraceBuildRow &r = rows.back();
+        std::printf("%-10s %10llu %12.1f %12.1f %12.1f %14llu\n",
+                    r.name, static_cast<unsigned long long>(r.sourceOps),
+                    r.decodeNs, r.fuseNs, r.compileNs,
+                    static_cast<unsigned long long>(r.arenaBytes));
+    }
+    return rows;
+}
+
 /**
  * Steady-state warm-cache throughput: the ISSUE 4 acceptance gauge.
  * One repeated instruction (int Mul by default: the heaviest common
@@ -111,10 +213,12 @@ overlapReport()
  * the window fusion pass. Every configuration's destination register
  * is checksummed: cached and fused replay MUST be bit-identical to
  * fresh translation, and the function fails (returns false) when it
- * is not — the CI bench smoke step relies on that.
+ * is not — the CI bench smoke step relies on that. The --json record
+ * carries this table and the trace-build panel @p build.
  */
 bool
-steadyStateReport(double minSeconds = 0.3)
+steadyStateReport(const std::vector<TraceBuildRow> &build,
+                  double minSeconds = 0.3)
 {
     struct Config
     {
@@ -212,6 +316,18 @@ steadyStateReport(double minSeconds = 0.3)
         j.end();
         j.field("warm_cache_speedup", speedup);
         j.field("bit_identical", identical);
+        j.beginArray("trace_build");
+        for (const TraceBuildRow &r : build) {
+            j.beginObject();
+            j.field("name", r.name);
+            j.field("source_ops", r.sourceOps);
+            j.field("decode_ns_per_op", r.decodeNs);
+            j.field("fuse_ns_per_op", r.fuseNs);
+            j.field("compile_ns_per_op", r.compileNs);
+            j.field("arena_bytes", r.arenaBytes);
+            j.end();
+        }
+        j.end();
         j.end();
         j.writeTo(jsonOutPath());
     }
@@ -287,7 +403,8 @@ main(int argc, char **argv)
                 "bottleneck (paper: 6.8x worst case)\n",
                 headMin, headMin >= 1.0 ? "NOT" : "POTENTIALLY");
 
-    const bool identical = steadyStateReport();
+    const std::vector<TraceBuildRow> build = traceBuildReport();
+    const bool identical = steadyStateReport(build);
 
     overlapReport();
 

@@ -20,6 +20,7 @@
 #ifndef PYPIM_DRIVER_DRIVER_HPP
 #define PYPIM_DRIVER_DRIVER_HPP
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <span>
@@ -233,18 +234,6 @@ class Driver
         std::shared_ptr<const BatchTrace> trace;
     };
 
-    /** Sink that appends every op it is handed (stream recording). */
-    struct StreamRecorder : OperationSink
-    {
-        std::vector<Word> ops;
-        void
-        performBatch(const Word *p, size_t n) override
-        {
-            ops.insert(ops.end(), p, p + n);
-        }
-        uint32_t performRead(Word) override { return 0; }
-    };
-
     /** Replay one cache entry (trace handle fast path, else stream). */
     void replayEntry(StreamEntry &e);
     /** Account a freshly built trace (miss + fusion counters). */
@@ -253,19 +242,48 @@ class Driver
     /**
      * Signature of a captured move sequence: the moves, the partition
      * setting (lane NOTs lower differently without partitions) and
-     * the builder's entry masks, or "both unknown".
+     * the builder's entry masks, or "both unknown". The cache owns
+     * its keys' moves; a lookup borrows the caller's (MoveSeqRef), so
+     * a hit copies nothing.
      */
-    struct MoveSeqKey
+    struct MoveSeqHead
     {
-        std::vector<MoveInstr> moves;
         bool partitions = true;
         bool masksKnown = false;
         Range warps, rows;  //!< entry masks iff masksKnown
-        bool operator==(const MoveSeqKey &) const = default;
+        bool operator==(const MoveSeqHead &) const = default;
     };
+    struct MoveSeqKey
+    {
+        MoveSeqHead head;
+        std::vector<MoveInstr> moves;
+    };
+    struct MoveSeqRef
+    {
+        MoveSeqHead head;
+        std::span<const MoveInstr> moves;
+    };
+    /** Hash and equality over both key forms (heterogeneous find). */
     struct MoveSeqKeyHash
     {
-        size_t operator()(const MoveSeqKey &k) const;
+        using is_transparent = void;
+        size_t operator()(const MoveSeqRef &k) const;
+        size_t
+        operator()(const MoveSeqKey &k) const
+        {
+            return (*this)(MoveSeqRef{k.head, k.moves});
+        }
+    };
+    struct MoveSeqKeyEq
+    {
+        using is_transparent = void;
+        template <typename A, typename B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return a.head == b.head &&
+                   std::ranges::equal(a.moves, b.moves);
+        }
     };
     /**
      * One captured sequence: its trace, or — when the sink builds no
@@ -298,7 +316,8 @@ class Driver
     bool bulkIoOn_ = true;
     std::unordered_map<StreamKey, StreamEntry, StreamKeyHash>
         streamCache_;
-    std::unordered_map<MoveSeqKey, MoveSeqEntry, MoveSeqKeyHash>
+    std::unordered_map<MoveSeqKey, MoveSeqEntry, MoveSeqKeyHash,
+                       MoveSeqKeyEq>
         moveCache_;
 };
 

@@ -94,10 +94,10 @@ Driver::execute(const MoveInstr &in)
 }
 
 size_t
-Driver::MoveSeqKeyHash::operator()(const MoveSeqKey &k) const
+Driver::MoveSeqKeyHash::operator()(const MoveSeqRef &k) const
 {
-    uint64_t h = (static_cast<uint64_t>(k.partitions) << 1 |
-                  static_cast<uint64_t>(k.masksKnown)) ^
+    uint64_t h = (static_cast<uint64_t>(k.head.partitions) << 1 |
+                  static_cast<uint64_t>(k.head.masksKnown)) ^
                  k.moves.size();
     const auto mix = [&h](uint64_t v) {
         h = (h ^ v) * 0x9E3779B97F4A7C15ull;
@@ -107,9 +107,9 @@ Driver::MoveSeqKeyHash::operator()(const MoveSeqKey &k) const
         mix(static_cast<uint64_t>(r.start) << 32 | r.stop);
         mix(r.step);
     };
-    if (k.masksKnown) {
-        mixRange(k.warps);
-        mixRange(k.rows);
+    if (k.head.masksKnown) {
+        mixRange(k.head.warps);
+        mixRange(k.head.rows);
     }
     for (const MoveInstr &m : k.moves) {
         mix(static_cast<uint64_t>(m.kind) |
@@ -139,13 +139,12 @@ Driver::execute(std::span<const MoveInstr> moves)
             execute(m);
         return;
     }
-    MoveSeqKey key;
-    key.moves.assign(moves.begin(), moves.end());
-    key.partitions = builder_.partitionsEnabled();
-    key.masksKnown = known;
+    MoveSeqRef key{{}, moves};
+    key.head.partitions = builder_.partitionsEnabled();
+    key.head.masksKnown = known;
     if (known) {
-        key.warps = builder_.warpMask();
-        key.rows = builder_.rowMask();
+        key.head.warps = builder_.warpMask();
+        key.head.rows = builder_.rowMask();
     }
     // Pending ops precede the sequence, as the first move's flush
     // would push them.
@@ -184,7 +183,7 @@ Driver::execute(std::span<const MoveInstr> moves)
     MoveSeqEntry e;
     e.exitWarps = builder_.knownWarpMask();
     e.exitRows = builder_.knownRowMask();
-    const EntryMasks entry{key.warps, key.rows};
+    const EntryMasks entry{key.head.warps, key.head.rows};
     e.trace = sink_->prepareTrace(rec.ops.data(), rec.ops.size(),
                                   traceFusionOn_,
                                   known ? &entry : nullptr);
@@ -198,7 +197,9 @@ Driver::execute(std::span<const MoveInstr> moves)
     }
     if (moveCache_.size() >= kMoveCacheEntries)
         moveCache_.clear();
-    moveCache_.emplace(std::move(key), std::move(e));
+    moveCache_.emplace(
+        MoveSeqKey{key.head, {moves.begin(), moves.end()}},
+        std::move(e));
 }
 
 } // namespace pypim

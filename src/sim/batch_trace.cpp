@@ -120,19 +120,15 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
             for (uint32_t p = 0; p < geo.partitions; ++p)
                 fn(p * pw + op.index);
             break;
-          case OpType::LogicH: {
-            const HalfGates &hg = t.halfGates[op.hg];
-            for (uint32_t s = 0; s < hg.numSections; ++s) {
-                const Section &sec = hg.sections[s];
-                if (!sec.active())
-                    continue;
-                if (sec.outCol >= 0)
-                    fn(static_cast<uint32_t>(sec.outCol));
-                for (uint32_t k = 0; k < sec.numIn; ++k)
-                    fn(static_cast<uint32_t>(sec.inCol[k]));
+          case OpType::LogicH:
+            // Absent inputs repeat a column already visited: fn is
+            // idempotent per column, so all three are safe to visit.
+            for (const ActiveSection &sec : t.run(t.halfGates[op.hg])) {
+                fn(sec.outCol);
+                fn(sec.inA);
+                fn(sec.inB);
             }
             break;
-          }
           default:
             break;
         }
@@ -159,14 +155,11 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
     // True iff no live op after index i touched any active output
     // column of INIT half-gates @p hg (i.e. the INIT may legally move
     // forward past everything since).
-    const auto outsUntouchedSince = [&](const HalfGates &hg,
+    const auto outsUntouchedSince = [&](const HalfGateRun &hg,
                                         int64_t i) {
-        for (uint32_t s = 0; s < hg.numSections; ++s) {
-            const Section &sec = hg.sections[s];
-            if (sec.active() &&
-                touched[static_cast<uint32_t>(sec.outCol)] > i)
+        for (const ActiveSection &sec : t.run(hg))
+            if (touched[sec.outCol] > i)
                 return false;
-        }
         return true;
     };
 
@@ -212,8 +205,8 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 if (init.xb != op.xb ||
                     !rowEqual(init.rowMask, op.rowMask))
                     continue;
-                const HalfGates &ih = t.halfGates[init.hg];
-                if (!fusableInitNor(ih, t.halfGates[op.hg]))
+                const HalfGateRun &ih = t.halfGates[init.hg];
+                if (!fusableInitNor(t, ih, t.halfGates[op.hg]))
                     continue;
                 if (!outsUntouchedSince(ih,
                                         static_cast<int64_t>(i)))
@@ -227,6 +220,8 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
             // INIT1 chain: fold an earlier INIT1 into this one by
             // appending its sections (independent columns; INIT1 on a
             // shared column is idempotent, so overlap is harmless).
+            // Runs are interned (shared by every op of the same word),
+            // so the merge appends a new run and repoints this op.
             for (auto it = initWindow.rbegin();
                  it != initWindow.rend(); ++it) {
                 const size_t i = *it;
@@ -236,25 +231,24 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 if (init.xb != op.xb ||
                     !rowEqual(init.rowMask, op.rowMask))
                     continue;
-                const HalfGates &src = t.halfGates[init.hg];
-                uint32_t active = 0;
-                for (uint32_t s = 0; s < src.numSections; ++s)
-                    active += src.sections[s].active() ? 1 : 0;
-                if (t.halfGates[op.hg].numSections + active >
+                const HalfGateRun src = t.halfGates[init.hg];
+                const HalfGateRun dst = t.halfGates[op.hg];
+                if (uint32_t{dst.count} + dst.idle + src.count >
                     maxPartitions)
-                    continue;  // section arena full: skip this pair
+                    continue;  // chain cap reached: skip this pair
                 if (!outsUntouchedSince(src,
                                         static_cast<int64_t>(i)))
                     continue;
-                // Expansions are interned (shared by every op of the
-                // same word): merge into a private copy.
-                HalfGates dst = t.halfGates[op.hg];
-                for (uint32_t s = 0; s < src.numSections; ++s)
-                    if (src.sections[s].active())
-                        dst.sections[dst.numSections++] =
-                            src.sections[s];
+                HalfGateRun merged = dst;
+                merged.off = static_cast<uint32_t>(t.sections.size());
+                merged.count =
+                    static_cast<uint16_t>(dst.count + src.count);
+                for (uint32_t k = 0; k < dst.count; ++k)
+                    t.sections.push_back(t.sections[dst.off + k]);
+                for (uint32_t k = 0; k < src.count; ++k)
+                    t.sections.push_back(t.sections[src.off + k]);
                 op.hg = static_cast<uint32_t>(t.halfGates.size());
-                t.halfGates.push_back(dst);
+                t.halfGates.push_back(merged);
                 dead[i] = 1;
                 ++fusion.initChain;
                 break;

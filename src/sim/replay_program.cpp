@@ -5,7 +5,6 @@
 
 #include "sim/batch_trace.hpp"
 #include "sim/segment_trace.hpp"
-#include "uarch/partition.hpp"
 
 namespace pypim
 {
@@ -98,7 +97,7 @@ class RunTable
 };
 
 ReplayProgram::SecKind
-sectionKind(const HalfGates &hg, bool fusedInit)
+sectionKind(const HalfGateRun &hg, bool fusedInit)
 {
     if (fusedInit)
         return ReplayProgram::SecKind::FusedNotNor;
@@ -200,9 +199,12 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             break;
           }
           case OpType::LogicH: {
-            const HalfGates &hg = t.halfGates[op.hg];
+            const HalfGateRun &hg = t.halfGates[op.hg];
+            const std::span<const ActiveSection> secs = t.run(hg);
             const ReplayProgram::SecKind kind =
                 sectionKind(hg, op.fusedInit);
+            const bool hasIns =
+                hg.gate == Gate::Nor || hg.gate == Gate::Not;
             // Candidate footprint. A stateful gate also READS its
             // output (out_new = out_old & ...), but only its OWN —
             // covered by keeping candidate outs disjoint from
@@ -210,22 +212,19 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             ColSet candOuts, candIns;
             candOuts.clear(colWords);
             candIns.clear(colWords);
-            uint32_t nActive = 0;
-            for (uint32_t s = 0; s < hg.numSections; ++s) {
-                const Section &sec = hg.sections[s];
-                if (!sec.active())
-                    continue;
-                ++nActive;
-                candOuts.set(static_cast<uint32_t>(sec.outCol));
-                for (uint32_t k = 0; k < sec.numIn; ++k)
-                    candIns.set(static_cast<uint32_t>(sec.inCol[k]));
+            for (const ActiveSection &sec : secs) {
+                candOuts.set(sec.outCol);
+                if (hasIns) {
+                    candIns.set(sec.inA);
+                    candIns.set(sec.inB);
+                }
             }
             const uint32_t maskOff = op.rowMask * t.wordsPerMask;
             bool merged = false;
             if (open >= 0) {
                 ReplayProgram::Instr &pass = p.instrs[open];
                 merged = pass.maskOff == maskOff && pass.xb == op.xb &&
-                         pass.count + nActive <= kMaxPassSections &&
+                         pass.count + hg.count <= kMaxPassSections &&
                          !candIns.intersects(passOuts, colWords) &&
                          !candOuts.intersects(passOuts, colWords) &&
                          !candOuts.intersects(passIns, colWords);
@@ -248,21 +247,15 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             ReplayProgram::Instr &pass = p.instrs[open];
             if (pass.passKind != static_cast<uint8_t>(kind))
                 pass.passKind = ReplayProgram::kMixedPass;
-            for (uint32_t s = 0; s < hg.numSections; ++s) {
-                const Section &sec = hg.sections[s];
-                if (!sec.active())
-                    continue;
+            for (const ActiveSection &sec : secs) {
                 ReplayProgram::PSection ps;
                 ps.kind = kind;
-                ps.outCol =
-                    static_cast<uint16_t>(sec.outCol);
-                ps.inA = static_cast<uint16_t>(
-                    sec.numIn >= 1 ? sec.inCol[0] : sec.outCol);
-                ps.inB = static_cast<uint16_t>(
-                    sec.numIn == 2 ? sec.inCol[1] : ps.inA);
+                ps.outCol = sec.outCol;
+                ps.inA = sec.inA;
+                ps.inB = sec.inB;
                 p.sections.push_back(ps);
-                ++pass.count;
             }
+            pass.count += hg.count;
             pass.work += op.fusedInit ? 2 : 1;
             passOuts.merge(candOuts, colWords);
             passIns.merge(candIns, colWords);
@@ -348,10 +341,19 @@ releaseSegmentArenas(BatchTrace &batch)
     for (uint32_t s = 0; s < batch.used; ++s) {
         SegmentTrace &t = batch.segments[s];
         std::vector<TraceOp>().swap(t.ops);
-        std::vector<HalfGates>().swap(t.halfGates);
+        std::vector<HalfGateRun>().swap(t.halfGates);
+        std::vector<ActiveSection>().swap(t.sections);
         std::vector<uint64_t>().swap(t.rowWords);
         std::vector<uint8_t>().swap(t.rowMaskFull);
         std::vector<StripeWrite>().swap(t.writePairs);
+    }
+    // A frozen program never grows again: drop its push_back slack.
+    for (ReplayProgram &p : batch.programs) {
+        p.instrs.shrink_to_fit();
+        p.sections.shrink_to_fit();
+        p.pairs.shrink_to_fit();
+        p.vgates.shrink_to_fit();
+        p.maskWords.shrink_to_fit();
     }
 }
 

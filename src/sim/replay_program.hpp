@@ -188,13 +188,16 @@ void compileSegmentProgram(const SegmentTrace &trace,
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
 
 /**
- * Free the decode arenas (ops, halfGates, rowWords, rowMaskFull,
- * writePairs) of every segment of @p batch, keeping each segment's
- * hull. Replay reads only the compiled programs, so a frozen trace
- * keeps its programs and nothing else per segment. Called after
- * compiling a frozen trace, and by the host's wire-trace builder,
- * whose traces only ship their source stream and never replay on the
- * host.
+ * Free the decode arenas (ops, halfGates, sections, rowWords,
+ * rowMaskFull, writePairs) of every segment of @p batch, keeping each
+ * segment's hull, and trim every compiled program's vectors to their
+ * size. Replay reads only the compiled programs, so a frozen trace
+ * keeps its programs, at their exact size, and nothing else per
+ * segment. Only for traces that freeze: called after compiling one
+ * (Simulator::prepareTrace, decodeTraceWire) and by the host's
+ * wire-trace builder, whose traces only ship their source stream and
+ * never replay on the host. Never for the pipeline's reused arena
+ * batches, which keep their capacity.
  */
 void releaseSegmentArenas(BatchTrace &batch);
 

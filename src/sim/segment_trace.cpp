@@ -54,6 +54,33 @@ class HalfGateIntern
     int shift_ = 60;
 };
 
+/**
+ * Append the compact form of the validated expansion @p hg to
+ * @p trace: its header, and its active sections to the arena.
+ */
+void
+internExpansion(const HalfGates &hg, SegmentTrace &trace)
+{
+    HalfGateRun run;
+    run.off = static_cast<uint32_t>(trace.sections.size());
+    run.gate = hg.gate;
+    for (uint32_t s = 0; s < hg.numSections; ++s) {
+        const Section &sec = hg.sections[s];
+        if (!sec.active())
+            continue;
+        ActiveSection a;
+        a.outCol = static_cast<uint16_t>(sec.outCol);
+        a.inA = static_cast<uint16_t>(sec.numIn >= 1 ? sec.inCol[0]
+                                                     : sec.outCol);
+        a.inB = static_cast<uint16_t>(sec.numIn == 2 ? sec.inCol[1]
+                                                     : a.inA);
+        trace.sections.push_back(a);
+    }
+    run.count = static_cast<uint16_t>(trace.sections.size() - run.off);
+    run.idle = static_cast<uint8_t>(hg.numSections - run.count);
+    trace.halfGates.push_back(run);
+}
+
 } // namespace
 
 /**
@@ -62,39 +89,28 @@ class HalfGateIntern
  * and no input column of the NOR/NOT may alias any of those outputs
  * (the gate must read pre-INIT state of nothing it initialises —
  * otherwise the fused single pass would observe un-initialised
- * inputs). Active sections are emitted in ascending partition order by
- * expandLogicH, so the output sets compare positionally.
+ * inputs). Runs hold active sections in ascending partition order
+ * (a merged chain in append order), so the output sets compare
+ * positionally.
  */
 bool
-fusableInitNor(const HalfGates &init, const HalfGates &nor)
+fusableInitNor(const SegmentTrace &t, const HalfGateRun &init,
+               const HalfGateRun &nor)
 {
-    if (init.gate != Gate::Init1)
+    if (init.gate != Gate::Init1 || init.count != nor.count)
         return false;
-    int32_t outs[maxPartitions];
-    uint32_t n = 0;
-    for (uint32_t s = 0; s < init.numSections; ++s) {
-        const Section &sec = init.sections[s];
-        if (sec.active())
-            outs[n++] = sec.outCol;
-    }
-    uint32_t m = 0;
-    for (uint32_t s = 0; s < nor.numSections; ++s) {
-        const Section &sec = nor.sections[s];
-        if (!sec.active())
-            continue;
-        if (m >= n || outs[m] != sec.outCol)
+    const std::span<const ActiveSection> outs = t.run(init);
+    const std::span<const ActiveSection> gates = t.run(nor);
+    for (size_t s = 0; s < outs.size(); ++s)
+        if (outs[s].outCol != gates[s].outCol)
             return false;
-        ++m;
-    }
-    if (m != n)
-        return false;
-    for (uint32_t s = 0; s < nor.numSections; ++s) {
-        const Section &sec = nor.sections[s];
-        for (uint32_t i = 0; i < sec.numIn; ++i)
-            for (uint32_t j = 0; j < n; ++j)
-                if (sec.inCol[i] == outs[j])
-                    return false;
-    }
+    // A NOT repeats its input in inB; an INIT has none to alias.
+    if (nor.gate != Gate::Nor && nor.gate != Gate::Not)
+        return true;
+    for (const ActiveSection &g : gates)
+        for (const ActiveSection &o : outs)
+            if (g.inA == o.outCol || g.inB == o.outCol)
+                return false;
     return true;
 }
 
@@ -207,7 +223,7 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
             uint32_t &hg = intern.find(ops[i]);
             if (hg == HalfGateIntern::kEmpty) {
                 hg = static_cast<uint32_t>(trace.halfGates.size());
-                trace.halfGates.push_back(expandLogicH(op, geo));
+                internExpansion(expandLogicH(op, geo), trace);
             }
             t.hg = hg;
             t.rowMask = rowSnapshot();
@@ -216,7 +232,7 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
                 lastInit >= 0) {
                 const TraceOp &init = trace.ops[lastInit];
                 if (init.xb == t.xb && init.rowMask == t.rowMask &&
-                    fusableInitNor(trace.halfGates[init.hg],
+                    fusableInitNor(trace, trace.halfGates[init.hg],
                                    trace.halfGates[t.hg])) {
                     trace.ops.pop_back();
                     t.fusedInit = true;

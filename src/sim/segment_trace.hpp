@@ -17,8 +17,10 @@
  * segment by buildSegmentTrace():
  *
  *  - decoded work ops (Write / LogicH / LogicV) with their LogicH
- *    half-gate expansions pre-computed into an arena, one expansion
- *    per distinct LogicH word;
+ *    half-gate expansions pre-computed, one per distinct LogicH word,
+ *    in compact form: a small header per word and its ACTIVE sections
+ *    only, back to back in one flat arena (the fixed 64-section
+ *    HalfGates that expandLogicH validates into is never stored);
  *  - mask ops ABSORBED: each work op carries a snapshot of the
  *    effective crossbar mask and a handle to the expanded row-mask
  *    bit-vector in force when it executed (snapshots are deduplicated
@@ -119,17 +121,53 @@ struct TraceOp
     Range xb;                   //!< effective crossbar mask snapshot
 };
 
+/**
+ * One active section of a LogicH expansion: its output column and
+ * input columns. A gate with fewer than two inputs repeats its last
+ * operand (inA = outCol for INIT, inB = inA for NOT), the shape of
+ * ReplayProgram::PSection, so consumers visiting all three columns
+ * stay exact. Columns fit 16 bits (cols <= 1024 by the op format).
+ */
+struct ActiveSection
+{
+    uint16_t outCol = 0;
+    uint16_t inA = 0, inB = 0;
+    bool operator==(const ActiveSection &) const = default;
+};
+
+/**
+ * Header of one LogicH expansion: @ref count active sections at
+ * SegmentTrace::sections[@ref off], in ascending partition order for
+ * an interned word (a merged INIT1 chain appends its peers' runs).
+ */
+struct HalfGateRun
+{
+    uint32_t off = 0;
+    uint16_t count = 0;
+    /**
+     * Idle sections of the word's HalfGates expansion. The INIT1
+     * chain merge caps a run at maxPartitions sections counting these
+     * too, as the fixed HalfGates array would hold them, so its
+     * decisions match that array's capacity rule.
+     */
+    uint8_t idle = 0;
+    Gate gate = Gate::Nor;
+    bool operator==(const HalfGateRun &) const = default;
+};
+
 /** One decoded, replay-ready barrier-free segment. */
 struct SegmentTrace
 {
     std::vector<TraceOp> ops;
     /**
      * LogicH expansions referenced by TraceOp::hg, interned: ops with
-     * the same encoded word share one entry, so an entry may be
-     * referenced many times and must never be mutated in place (the
-     * INIT1 chain merge copies first, sim/batch_trace.cpp).
+     * the same encoded word share one header, so a header and its
+     * run may be referenced many times and are never mutated (the
+     * INIT1 chain merge appends a new run, sim/batch_trace.cpp).
      */
-    std::vector<HalfGates> halfGates;
+    std::vector<HalfGateRun> halfGates;
+    /** Section arena of the halfGates runs: active sections only. */
+    std::vector<ActiveSection> sections;
     /** Row-mask snapshots, wordsPerMask words each, back to back. */
     std::vector<uint64_t> rowWords;
     /**
@@ -155,6 +193,7 @@ struct SegmentTrace
         wordsPerMask = (rows + 63) / 64;
         ops.clear();
         halfGates.clear();
+        sections.clear();
         rowWords.clear();
         rowMaskFull.clear();
         writePairs.clear();
@@ -171,20 +210,26 @@ struct SegmentTrace
                 wordsPerMask};
     }
 
+    /** Active sections of expansion @p hg. */
+    std::span<const ActiveSection>
+    run(const HalfGateRun &hg) const
+    {
+        return {sections.data() + hg.off, hg.count};
+    }
+
     bool empty() const { return ops.empty(); }
 };
 
-struct HalfGates;
-
 /**
- * True iff an INIT1 LogicH may be folded into the NOR/NOT @p nor:
- * both must drive exactly the same set of output columns, and no
- * input column of the NOR/NOT may alias any of those outputs (the
- * gate must read pre-INIT state of nothing it initialises). Shared
- * between the builder's adjacent fusion and the window fusion pass
- * (sim/batch_trace.hpp).
+ * True iff the INIT1 LogicH @p init of @p t may be folded into the
+ * NOR/NOT @p nor: both must drive exactly the same set of output
+ * columns, and no input column of the NOR/NOT may alias any of those
+ * outputs (the gate must read pre-INIT state of nothing it
+ * initialises). Shared between the builder's adjacent fusion and the
+ * window fusion pass (sim/batch_trace.hpp).
  */
-bool fusableInitNor(const HalfGates &init, const HalfGates &nor);
+bool fusableInitNor(const SegmentTrace &t, const HalfGateRun &init,
+                    const HalfGateRun &nor);
 
 /**
  * Decode the barrier-free segment @p ops[0..n) into @p trace.

@@ -181,6 +181,22 @@ class BufferSink : public OperationSink
     uint64_t total_ = 0;
 };
 
+/**
+ * Appends every op it is handed, executing nothing: the driver
+ * records instruction streams through it, and benches and tests
+ * capture a driver's stream with it.
+ */
+struct StreamRecorder : OperationSink
+{
+    std::vector<Word> ops;
+    void
+    performBatch(const Word *p, size_t n) override
+    {
+        ops.insert(ops.end(), p, p + n);
+    }
+    uint32_t performRead(Word) override { return 0; }
+};
+
 /** Counts micro-ops by class without executing them. */
 class CountingSink : public OperationSink
 {

@@ -11,7 +11,9 @@
  * on the one-thread sharded engine, which decodes, compiles and
  * replays every segment. A two-device in-process group must run a
  * boundary-crossing Move group (stage, broadcast, land) without
- * allocating too. A check that formats its message eagerly,
+ * allocating too, and a driver's warm captured move sequence must
+ * look itself up and replay without copying its moves or reaching
+ * the heap. A check that formats its message eagerly,
  * or an expansion or a compile that builds a temporary container,
  * shows up here as a nonzero count.
  */
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "driver/driver.hpp"
 #include "sim/device_group.hpp"
 #include "sim/simulator.hpp"
 #include "uarch/microop.hpp"
@@ -232,4 +235,38 @@ TEST(NoAlloc, InprocGroupedBoundaryExchangeIsAllocationFree)
     EXPECT_EQ(grp.traffic().exchanges - before.exchanges, 8u);
     EXPECT_EQ(grp.traffic().boundaryMoves - before.boundaryMoves, 64u);
     EXPECT_EQ(grp.crossbar(3).read(1, 12), 0xC0FFEE11u);
+}
+
+TEST(NoAlloc, WarmCapturedMoveSequenceHitIsAllocationFree)
+{
+    // One device on the serial engine: a hit looks the sequence up by
+    // a borrowed key, submits its compiled trace and assumes the
+    // recorded exit masks.
+    const Geometry g = testGeometry();
+    Simulator sim(g,
+                  EngineConfig::serial().withStorage(XbarStorage::Paged));
+    Driver drv(sim, g, Driver::Mode::Parallel);
+    std::vector<MoveInstr> moves;
+    for (uint32_t r = 0; r + 1 < g.rows; r += 2) {
+        MoveInstr m;
+        m.srcReg = 0;
+        m.dstReg = 1;
+        m.srcRow = r;
+        m.dstRow = r + 1;
+        m.warps = Range::all(g.numCrossbars);
+        moves.push_back(m);
+    }
+    // Warm-up: the first run enters with unknown masks, the second
+    // with the first's exit masks; from then on every run hits.
+    for (int rep = 0; rep < 3; ++rep)
+        drv.execute(std::span<const MoveInstr>(moves));
+    const size_t entries = drv.moveCacheSize();
+    const uint64_t hits = drv.stats().traceCacheHits;
+    const uint64_t n = allocationsDuring([&] {
+        for (int rep = 0; rep < 8; ++rep)
+            drv.execute(std::span<const MoveInstr>(moves));
+    });
+    EXPECT_EQ(n, 0u);
+    EXPECT_EQ(drv.moveCacheSize(), entries);
+    EXPECT_EQ(drv.stats().traceCacheHits - hits, 8 * moves.size());
 }

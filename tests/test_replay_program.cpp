@@ -251,51 +251,98 @@ norH(const Geometry &g, uint32_t a, uint32_t b, uint32_t out)
         .encode();
 }
 
-/** HalfGates held by the segments of @p t. */
-size_t
-halfGatesHeld(const BatchTrace &t)
+/** Expansion headers and arena sections held by a trace. */
+struct HeldExpansions
 {
-    size_t n = 0;
-    for (uint32_t s = 0; s < t.used; ++s)
-        n += t.segments[s].halfGates.size();
-    return n;
+    size_t headers = 0, sections = 0;
+    bool operator==(const HeldExpansions &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const HeldExpansions &h)
+{
+    return os << h.headers << " headers, " << h.sections << " sections";
+}
+
+HeldExpansions
+heldExpansions(const BatchTrace &t)
+{
+    HeldExpansions h;
+    for (uint32_t s = 0; s < t.used; ++s) {
+        h.headers += t.segments[s].halfGates.size();
+        h.sections += t.segments[s].sections.size();
+    }
+    return h;
 }
 
 /**
- * HalfGates a decoded (uncompiled) trace of @p ops holds: each segment
- * interns one expansion per distinct LogicH word, and every INIT1
- * chain merge adds one private copy (the merge must not mutate a
- * shared entry).
+ * What a decoded (uncompiled) trace of @p ops must hold: each segment
+ * interns one header per distinct LogicH word with that word's active
+ * sections only (one per encoded gate, no idle ones), and every INIT1
+ * chain merge appends one header whose run is the two merged runs
+ * back to back (the headers past the segment's distinct words).
  */
-size_t
-internedHalfGates(const std::vector<Word> &ops, const BatchTrace &t)
+HeldExpansions
+internedExpansions(const std::vector<Word> &ops, const BatchTrace &t,
+                   const Geometry &g)
 {
-    size_t n = 0;
-    std::set<Word> seg;
+    HeldExpansions h;
+    uint32_t seg = 0;
+    bool work = false;  //!< the open segment holds a work op
+    std::set<Word> words;
+    const auto closeSegment = [&] {
+        // Mask-only segments are dropped from the trace; the others
+        // map onto its segments in stream order.
+        if (!work)
+            return;
+        const SegmentTrace &st = t.segments[seg++];
+        for (Word w : words)
+            h.sections += expandLogicH(MicroOp::decode(w), g).numGates;
+        for (size_t k = words.size(); k < st.halfGates.size(); ++k)
+            h.sections += st.halfGates[k].count;
+        h.headers += words.size();
+        words.clear();
+        work = false;
+    };
     for (Word w : ops) {
         const OpType type = enc::peekType(w);
         if (isBarrierOp(type)) {
-            n += seg.size();
-            seg.clear();
-        } else if (type == OpType::LogicH) {
-            seg.insert(w);
+            closeSegment();
+        } else if (type != OpType::CrossbarMask &&
+                   type != OpType::RowMask) {
+            work = true;
+            if (type == OpType::LogicH)
+                words.insert(w);
         }
     }
-    return n + seg.size() + t.fusion.initChain;
+    closeSegment();
+    h.headers += t.fusion.initChain;
+    return h;
 }
 
-/** Every decode arena of every segment of @p t is freed. */
+/**
+ * Every decode arena of every segment of @p t is freed, and every
+ * compiled program is trimmed to its size.
+ */
 void
 expectNoDecodeArenas(const BatchTrace &t)
 {
-    EXPECT_EQ(halfGatesHeld(t), 0u);
+    EXPECT_EQ(heldExpansions(t), HeldExpansions{});
     for (uint32_t s = 0; s < t.used; ++s) {
         const SegmentTrace &seg = t.segments[s];
         EXPECT_EQ(seg.halfGates.capacity(), 0u);
+        EXPECT_EQ(seg.sections.capacity(), 0u);
         EXPECT_EQ(seg.ops.capacity(), 0u);
         EXPECT_EQ(seg.rowWords.capacity(), 0u);
         EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
         EXPECT_EQ(seg.writePairs.capacity(), 0u);
+    }
+    for (const ReplayProgram &p : t.programs) {
+        EXPECT_EQ(p.instrs.capacity(), p.instrs.size());
+        EXPECT_EQ(p.sections.capacity(), p.sections.size());
+        EXPECT_EQ(p.pairs.capacity(), p.pairs.size());
+        EXPECT_EQ(p.vgates.capacity(), p.vgates.size());
+        EXPECT_EQ(p.maskWords.capacity(), p.maskWords.size());
     }
 }
 
@@ -332,7 +379,8 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
         const bool sparse = fc.slots < g.slots();
         {
             // Before it is compiled, the fused trace interns exactly
-            // one expansion per distinct LogicH word and segment.
+            // one compact expansion per distinct LogicH word and
+            // segment.
             const HTree htree(g.numCrossbars);
             MaskState mask;
             mask.reset(g);
@@ -340,8 +388,8 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
             buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
                             decoded);
             fuseBatchTrace(decoded, g);
-            EXPECT_EQ(halfGatesHeld(decoded),
-                      internedHalfGates(ops, decoded));
+            EXPECT_EQ(heldExpansions(decoded),
+                      internedExpansions(ops, decoded, g));
         }
         for (uint32_t devices : {1u, 2u, 4u}) {
             const EngineConfig base =
@@ -359,7 +407,7 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
             ASSERT_NE(tc, nullptr);
             ASSERT_EQ(tc->programs.size(), tc->used);
             // Compiled segments drop their half-gate expansions.
-            EXPECT_EQ(halfGatesHeld(*tc), 0u);
+            EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
 
             for (int rep = 0; rep < kReplays; ++rep) {
                 oracle.performBatch(ops.data(), ops.size());

@@ -10,9 +10,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "driver/driver.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/htree.hpp"
 #include "sim/simulator.hpp"
@@ -141,6 +143,29 @@ laneNor(const Geometry &g, uint32_t a, uint32_t b, uint32_t out)
         .encode();
 }
 
+/**
+ * The driver's self-contained stream of one full-mask fp32 @p op at
+ * @p g (stream cache on, trace cache off: the recorded stream reaches
+ * the sink as one batch).
+ */
+std::vector<Word>
+fp32Stream(const Geometry &g, ROp op)
+{
+    StreamRecorder cap;
+    Driver drv(cap, g, Driver::Mode::Parallel);
+    drv.setTraceCacheEnabled(false);
+    RTypeInstr in;
+    in.op = op;
+    in.dtype = DType::Float32;
+    in.rd = 2;
+    in.ra = 0;
+    in.rb = 1;
+    in.warps = Range::all(g.numCrossbars);
+    in.rows = Range::all(g.rows);
+    drv.execute(in);
+    return cap.ops;
+}
+
 } // namespace
 
 TEST(TraceFusion, WawSameSlotEliminated)
@@ -248,6 +273,77 @@ TEST(TraceFusion, InitChainMergeLeavesInternedExpansionIntact)
                       MicroOp::write(3, 0x0BADF00Du).encode(),
                       laneInit1(g, 4)}),
         0, /*initChain=*/1, 0);
+}
+
+TEST(TraceFusion, InitChainMergeAppendsRunAndKeepsInternedRuns)
+{
+    const Geometry g = fusionGeometry();
+    // The stream of the test above, decoded. The merge must leave the
+    // interned headers and their sections exactly as the unfused
+    // decode has them, and append the merged run as a new header.
+    const auto ops =
+        withMasks(g, {laneInit1(g, 3), laneInit1(g, 4),
+                      MicroOp::write(3, 0x0BADF00Du).encode(),
+                      laneInit1(g, 4)});
+    const BatchTrace plain = decodedTrace(g, ops, /*fuse=*/false);
+    const BatchTrace fused = decodedTrace(g, ops, /*fuse=*/true);
+    ASSERT_EQ(plain.used, 1u);
+    ASSERT_EQ(fused.used, 1u);
+    EXPECT_EQ(fused.fusion.initChain, 1u);
+    const SegmentTrace &p = plain.segments[0];
+    const SegmentTrace &f = fused.segments[0];
+    ASSERT_EQ(p.halfGates.size(), 2u);  // INIT1 of slot 3, of slot 4
+    ASSERT_EQ(f.halfGates.size(), 3u);
+    for (size_t k = 0; k < p.halfGates.size(); ++k)
+        EXPECT_EQ(f.halfGates[k], p.halfGates[k]) << "header " << k;
+    ASSERT_GE(f.sections.size(), p.sections.size());
+    EXPECT_TRUE(std::equal(p.sections.begin(), p.sections.end(),
+                           f.sections.begin()));
+
+    // The merged run: slot 4's sections, then slot 3's, appended.
+    const HalfGateRun &init3 = p.halfGates[0];
+    const HalfGateRun &init4 = p.halfGates[1];
+    const HalfGateRun &merged = f.halfGates[2];
+    EXPECT_EQ(merged.gate, Gate::Init1);
+    EXPECT_EQ(merged.off, p.sections.size());
+    EXPECT_EQ(merged.count, init4.count + init3.count);
+    EXPECT_EQ(merged.idle, init4.idle);
+    std::vector<ActiveSection> want(p.run(init4).begin(),
+                                    p.run(init4).end());
+    want.insert(want.end(), p.run(init3).begin(), p.run(init3).end());
+    EXPECT_TRUE(std::ranges::equal(f.run(merged), want));
+    EXPECT_EQ(f.sections.size(), merged.off + merged.count);
+
+    // The survivors: the merged INIT1, the write, and the second INIT1
+    // of slot 4 still on its interned header.
+    ASSERT_EQ(f.ops.size(), 3u);
+    EXPECT_EQ(f.ops[0].hg, 2u);
+    EXPECT_EQ(f.ops[2].hg, 1u);
+}
+
+TEST(TraceFusion, InitChainCapCountsIdleSections)
+{
+    // 64 partitions: an INIT1 on every other partition is 32 gates.
+    // Started at partition 0 its expansion ends in an idle section
+    // (partition 63), started at 1 it has none. The chain cap counts
+    // the later word's idle sections with both runs' active ones, so
+    // 32 + 1 + 32 stays apart and 32 + 0 + 32 merges.
+    Geometry g = fusionGeometry();
+    g.partitions = 64;
+    g.wordBits = 64;
+    const auto everyOther = [&](uint32_t slot, uint32_t first) {
+        return MicroOp::logicH(Gate::Init1, 0, 0, g.column(slot, first),
+                               first + 62, 2)
+            .encode();
+    };
+    const BatchTrace apart = decodedTrace(
+        g, withMasks(g, {everyOther(3, 1), everyOther(4, 0)}), true);
+    ASSERT_EQ(apart.segments[0].halfGates[1].idle, 1u);
+    EXPECT_EQ(apart.fusion.initChain, 0u);
+    const BatchTrace merged = decodedTrace(
+        g, withMasks(g, {everyOther(3, 0), everyOther(4, 1)}), true);
+    ASSERT_EQ(merged.segments[0].halfGates[1].idle, 0u);
+    EXPECT_EQ(merged.fusion.initChain, 1u);
 }
 
 TEST(TraceFusion, InitChainBlockedByMaskChange)
@@ -497,4 +593,97 @@ TEST(TraceFusion, PrepareRefusesNonSelfContainedStreams)
               nullptr);
     // prepareTrace must not have advanced any architectural state.
     EXPECT_EQ(sim.stats().totalOps(), 0u);
+}
+
+TEST(TraceFusion, DriverFp32FusionCountersPinned)
+{
+    // Table III geometry (1024x1024 crossbars, 32 partitions). The
+    // counts were measured on the fixed-array half-gate expansion the
+    // compact arena replaced; the INIT1 chain cap still counts each
+    // word's idle sections, so every fusion decision is unchanged.
+    const Geometry g;
+    struct Case
+    {
+        ROp op;
+        uint64_t waw, initChain, window, writeStripe;
+    };
+    const Case cases[] = {
+        {ROp::Add, 0, 32, 0, 0},
+        {ROp::Mul, 0, 116, 0, 0},
+    };
+    for (const Case &c : cases) {
+        const std::vector<Word> ops = fp32Stream(g, c.op);
+        ASSERT_TRUE(leadsWithMasks(ops.data(), ops.size()));
+        const BatchTrace trace = decodedTrace(g, ops, /*fuse=*/true);
+        EXPECT_EQ(trace.fusion.waw, c.waw) << ropName(c.op);
+        EXPECT_EQ(trace.fusion.initChain, c.initChain) << ropName(c.op);
+        EXPECT_EQ(trace.fusion.window, c.window) << ropName(c.op);
+        EXPECT_EQ(trace.fusion.writeStripe, c.writeStripe)
+            << ropName(c.op);
+    }
+}
+
+TEST(TraceFusion, DecodedTraceInternsOneCompactRunPerWord)
+{
+    const Geometry g = fusionGeometry();
+    const uint32_t last = g.partitions - 1;
+    // Full lanes, a semi-parallel stride-4 NOT and a single
+    // cross-partition NOR, each INIT1 right before its gate (so the
+    // builder fuses every pair and no INIT1 chain forms), and every
+    // word issued twice.
+    const std::vector<Word> words = {
+        laneInit1(g, 3),
+        laneNor(g, 0, 1, 3),
+        MicroOp::logicH(Gate::Init1, 0, 0, g.column(4, 1), last - 2, 4)
+            .encode(),
+        MicroOp::logicH(Gate::Not, g.column(2, 0), 0, g.column(4, 1),
+                        last - 2, 4)
+            .encode(),
+        MicroOp::logicH(Gate::Init1, 0, 0, g.column(5, last), last, 0)
+            .encode(),
+        MicroOp::logicH(Gate::Nor, g.column(0, 0), g.column(1, 3),
+                        g.column(5, last), last, 0)
+            .encode(),
+    };
+    std::vector<Word> body = words;
+    body.insert(body.end(), words.begin(), words.end());
+    const BatchTrace trace =
+        decodedTrace(g, withMasks(g, body), /*fuse=*/true);
+    ASSERT_EQ(trace.used, 1u);
+    EXPECT_EQ(trace.fusion.initChain, 0u);
+    const SegmentTrace &seg = trace.segments[0];
+
+    // Headers in first-use order, one per distinct word, each over
+    // exactly its word's active sections, back to back.
+    ASSERT_EQ(seg.halfGates.size(), words.size());
+    uint32_t off = 0;
+    for (size_t k = 0; k < words.size(); ++k) {
+        const HalfGates hg = expandLogicH(MicroOp::decode(words[k]), g);
+        const HalfGateRun &run = seg.halfGates[k];
+        EXPECT_EQ(run.gate, hg.gate) << "word " << k;
+        EXPECT_EQ(run.off, off) << "word " << k;
+        EXPECT_EQ(run.count, hg.numGates) << "word " << k;
+        EXPECT_EQ(run.idle + run.count, hg.numSections) << "word " << k;
+        std::vector<ActiveSection> want;
+        for (uint32_t s = 0; s < hg.numSections; ++s) {
+            const Section &sec = hg.sections[s];
+            if (!sec.active())
+                continue;
+            ActiveSection a;
+            a.outCol = static_cast<uint16_t>(sec.outCol);
+            a.inA = static_cast<uint16_t>(
+                sec.numIn >= 1 ? sec.inCol[0] : sec.outCol);
+            a.inB = static_cast<uint16_t>(
+                sec.numIn == 2 ? sec.inCol[1] : a.inA);
+            want.push_back(a);
+        }
+        EXPECT_TRUE(std::ranges::equal(seg.run(run), want))
+            << "word " << k;
+        off += run.count;
+    }
+    EXPECT_EQ(seg.sections.size(), off);
+    // Both issues of each word share its header.
+    ASSERT_EQ(seg.ops.size(), 6u);
+    for (size_t k = 0; k < 3; ++k)
+        EXPECT_EQ(seg.ops[k].hg, seg.ops[k + 3].hg);
 }

@@ -259,6 +259,7 @@ TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
             const SegmentTrace &seg = t->segments[s];
             EXPECT_EQ(seg.ops.capacity(), 0u);
             EXPECT_EQ(seg.halfGates.capacity(), 0u);
+            EXPECT_EQ(seg.sections.capacity(), 0u);
             EXPECT_EQ(seg.rowWords.capacity(), 0u);
             EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
             EXPECT_EQ(seg.writePairs.capacity(), 0u);
