@@ -131,7 +131,7 @@ fusionCacheAblation(bool allowTraceCache, bool allowFusion)
 /**
  * Bulk I/O footer: one tensor round-trip on the configured engine,
  * reporting the driver's bulk-transfer observability counters
- * (PYPIM_BULK_IO=0 shows zero transfers — the element-wise oracle).
+ * (--bulk-io=off shows zero transfers — the element-wise oracle).
  */
 void
 bulkIoFooter()

@@ -46,8 +46,9 @@ benchGeometry(uint32_t crossbars = 16)
 
 /**
  * Process-wide execution-engine selection for bench simulators.
- * Defaults from the PYPIM_ENGINE / PYPIM_THREADS environment (serial
- * when unset); overridable on the command line via applyEngineFlags.
+ * Defaults from the PYPIM_* environment (EngineConfig::fromEnv;
+ * serial when unset); overridable on the command line via
+ * applyEngineFlags.
  */
 inline EngineConfig &
 engineConfig()
@@ -69,14 +70,14 @@ jsonOutPath()
 
 /**
  * Parse and strip --engine=serial|sharded, --threads=N,
- * --pipeline=on|off, --trace-cache=on|off, --devices=N,
- * --affinity=on|off, --bulk-io=on|off, --transport=inproc|socket and
- * --json=PATH from argv (before benchmark::Initialize, which rejects
- * unknown flags), storing the result in engineConfig() /
- * jsonOutPath(). Invalid values abort, exactly like the PYPIM_ENGINE /
- * PYPIM_THREADS / PYPIM_PIPELINE / PYPIM_TRACE_CACHE / PYPIM_DEVICES /
- * PYPIM_AFFINITY / PYPIM_BULK_IO / PYPIM_TRANSPORT environment path —
- * a typo must never silently benchmark the wrong engine.
+ * --trace-cache=on|off, --devices=N, --affinity=on|off,
+ * --bulk-io=on|off, --transport=inproc|socket and --json=PATH from
+ * argv (before benchmark::Initialize, which rejects unknown flags),
+ * storing the result in engineConfig() / jsonOutPath(). The trace
+ * cache and bulk I/O have no environment variable; the other flags
+ * override their PYPIM_* variable. Invalid values abort, exactly like
+ * the environment path — a typo must never silently benchmark the
+ * wrong engine.
  */
 inline void
 applyEngineFlags(int &argc, char **argv)
@@ -97,14 +98,6 @@ applyEngineFlags(int &argc, char **argv)
                 cfg.traceCache = false;
             else
                 fatal("--trace-cache=" + v + ": expected on|off");
-        } else if (arg.rfind("--pipeline=", 0) == 0) {
-            const std::string v = arg.substr(11);
-            if (v == "on" || v == "1")
-                cfg.pipeline = true;
-            else if (v == "off" || v == "0")
-                cfg.pipeline = false;
-            else
-                fatal("--pipeline=" + v + ": expected on|off");
         } else if (arg.rfind("--engine=", 0) == 0) {
             const std::string v = arg.substr(9);
             if (v == "sharded")
@@ -172,7 +165,6 @@ printEngineBanner()
     if (cfg.kind == EngineKind::Sharded)
         std::printf(" (%u threads%s)", cfg.resolvedThreads(),
                     cfg.affinity ? ", pinned" : "");
-    std::printf(", pipeline %s", cfg.pipeline ? "on" : "off");
     std::printf(", trace cache %s", cfg.traceCache ? "on" : "off");
     std::printf(", %s storage", xbarStorageName(cfg.storage));
     std::printf(", bulk I/O %s", cfg.bulkIo ? "on" : "off");
@@ -180,12 +172,11 @@ printEngineBanner()
     if (cfg.devices > 1)
         std::printf(", %u sub-devices", cfg.devices);
     std::printf("  [--engine=serial|sharded --threads=N "
-                "--pipeline=on|off --trace-cache=on|off --devices=N "
+                "--trace-cache=on|off --devices=N "
                 "--affinity=on|off --bulk-io=on|off "
                 "--transport=inproc|socket --json=PATH "
-                "or PYPIM_ENGINE/PYPIM_THREADS/PYPIM_PIPELINE/"
-                "PYPIM_TRACE_CACHE/PYPIM_DEVICES/PYPIM_AFFINITY/"
-                "PYPIM_BULK_IO/PYPIM_TRANSPORT]\n");
+                "or PYPIM_ENGINE/PYPIM_THREADS/PYPIM_DEVICES/"
+                "PYPIM_AFFINITY/PYPIM_TRANSPORT]\n");
 }
 
 /**
@@ -302,7 +293,6 @@ jsonConfig(Json &j, const Geometry &g)
     j.beginObject("config");
     j.field("engine", engineKindName(cfg.kind));
     j.field("threads", cfg.resolvedThreads());
-    j.field("pipeline", cfg.pipeline);
     j.field("trace_cache", cfg.traceCache);
     j.field("devices", cfg.devices);
     j.field("affinity", cfg.affinity);
@@ -368,10 +358,10 @@ jsonStorageGauges(Json &j, const char *key, const StorageGauges &g)
 }
 
 /**
- * Timing skeleton shared by the end-to-end pipeline measurements:
- * invoke @p body repeatedly until @p minSeconds of wall clock have
- * elapsed, then @p drain — inside the timed window, so asynchronous
- * sinks pay for all deferred replay — and return {reps, seconds}.
+ * Timing skeleton shared by the end-to-end measurements: invoke
+ * @p body repeatedly until @p minSeconds of wall clock have elapsed,
+ * then @p drain — inside the timed window, so a socket group pays for
+ * all work it streamed — and return {reps, seconds}.
  */
 template <typename BodyFn, typename DrainFn>
 inline std::pair<uint64_t, double>

@@ -7,11 +7,6 @@
  * op per cycle at 300 MHz; as long as the generation rate exceeds
  * that, "a hardware controller is not necessary" — the paper's claim.
  *
- * The overlap report extends the measurement to the asynchronous
- * pipeline (sim/pipeline.hpp): how much of the translation cost
- * disappears end-to-end when the driver streams batches to the
- * simulator through submitBatch instead of blocking in performBatch.
- *
  * The trace-build panel times the layer between the driver and
  * replay: decoding a recorded stream into a segment trace, window-
  * fusing it and compiling it into replay programs, per source op, as
@@ -49,67 +44,6 @@ const Case kCases[] = {
     {"mux", ROp::Mux, DType::Int32},
 };
 
-/**
- * End-to-end seconds per instruction through @p sink with the stream
- * cache off (every rep translates for real). flush() is inside the
- * timed window, so pipelined sinks pay for deferred replay.
- */
-double
-secondsPerInstr(const Geometry &g, OperationSink &sink,
-                const RTypeInstr &in, double minSeconds = 0.2)
-{
-    Driver drv(sink, g, Driver::Mode::Parallel);
-    drv.setStreamCacheEnabled(false);
-    drv.execute(in);  // warm-up
-    sink.flush();
-    const auto [reps, elapsed] = timedReps(
-        [&] { drv.execute(in); }, [&] { sink.flush(); }, minSeconds);
-    return elapsed / static_cast<double>(reps);
-}
-
-/**
- * Overlap-efficiency report for the asynchronous pipeline: per
- * kernel, the translation-only cost (ideal-chip BufferSink), the
- * synchronous translate-then-replay end-to-end cost, and the
- * pipelined cost; the last column is the fraction of translation
- * time the pipeline hid behind replay, (Tsync - Tpipe) / Ttranslate
- * (1.0 = translation fully hidden; ~0 on a single-core host where
- * the stages time-share).
- */
-void
-overlapReport()
-{
-    const Geometry g = benchGeometry(64);
-    EngineConfig cfg = engineConfig();
-    cfg.kind = EngineKind::Sharded;
-    std::printf("\n=== Pipeline overlap efficiency (sharded, %u "
-                "threads, 64 crossbars, stream cache off) ===\n",
-                cfg.resolvedThreads());
-    std::printf("%-10s %16s %16s %16s %10s\n", "kernel",
-                "translate [ms]", "sync e2e [ms]", "piped e2e [ms]",
-                "hidden");
-    for (const Case &c : kCases) {
-        const RTypeInstr in = fullInstr(g, c.op, c.dt);
-        BufferSink buf(1 << 16);
-        const double tT = secondsPerInstr(g, buf, in);
-        double tS, tP;
-        {
-            Simulator sim(g, cfg.withPipeline(false));
-            tS = secondsPerInstr(g, sim, in);
-        }
-        {
-            Simulator sim(g, cfg.withPipeline(true));
-            tP = secondsPerInstr(g, sim, in);
-        }
-        const double hidden =
-            std::clamp((tS - tP) / tT, 0.0, 1.0);
-        std::printf("%-10s %16.3f %16.3f %16.3f %9.0f%%\n", c.name,
-                    tT * 1e3, tS * 1e3, tP * 1e3, 100.0 * hidden);
-    }
-    std::printf("(hidden = fraction of the translation stage "
-                "overlapped with replay; needs free host cores)\n");
-}
-
 /** One row of the trace-build panel. */
 struct TraceBuildRow
 {
@@ -127,8 +61,7 @@ arenaBytes(const BatchTrace &t)
         return v.capacity() * sizeof(v[0]);
     };
     uint64_t n = 0;
-    for (uint32_t s = 0; s < t.used; ++s) {
-        const SegmentTrace &seg = t.segments[s];
+    for (const SegmentTrace &seg : t.segments) {
         n += bytes(seg.ops) + bytes(seg.halfGates) +
              bytes(seg.sections) + bytes(seg.rowWords) +
              bytes(seg.rowMaskFull) + bytes(seg.writePairs);
@@ -236,9 +169,8 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
     const EngineConfig cfg = engineConfig();
     const RTypeInstr in = fullInstr(g, ROp::Mul, DType::Int32);
     std::printf("\n=== Warm-cache steady-state throughput (repeated "
-                "int mul, %u crossbars, engine %s%s) ===\n",
-                g.numCrossbars, engineKindName(cfg.kind),
-                cfg.pipeline ? ", pipelined" : "");
+                "int mul, %u crossbars, engine %s) ===\n",
+                g.numCrossbars, engineKindName(cfg.kind));
     std::printf("%-24s %12s %9s %8s %8s %8s %8s\n", "configuration",
                 "instr/s", "speedup", "hits", "waw", "chain",
                 "window");
@@ -405,8 +337,6 @@ main(int argc, char **argv)
 
     const std::vector<TraceBuildRow> build = traceBuildReport();
     const bool identical = steadyStateReport(build);
-
-    overlapReport();
 
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -9,10 +9,7 @@
  * compiles each segment and replays it crossbar-major, across thread
  * counts) to show how simulation throughput scales with cache
  * blocking and host cores the way real PIM scales with independent
- * compute arrays. The pipelined sweep
- * additionally measures the asynchronous submit path (driver
- * translation overlapped with engine replay, --pipeline=on) against
- * the strictly synchronous one end-to-end, and the storage sweep
+ * compute arrays. The storage sweep
  * gauges paged (block-elided, copy-on-write) crossbar storage against
  * the dense slab — throughput parity on dense data, resident-byte
  * reduction on sparse data, and max-geometry scaling past what dense
@@ -20,7 +17,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <bit>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -235,10 +231,8 @@ engineSweep(Json *json)
  * End-to-end (driver translation + engine replay) micro-ops per
  * second for one engine config: repeated driver-translated fp-add
  * instructions with the stream cache off, so every rep really
- * translates. The trailing flush is inside the timed window, so the
- * pipelined config pays for all replay it deferred. @p checksum
- * digests the destination register so the on/off runs can assert
- * bit-identical results.
+ * translates. @p checksum digests the destination register so
+ * compared runs can assert bit-identical results.
  */
 double
 endToEndRate(const Geometry &g, const EngineConfig &ec,
@@ -270,115 +264,13 @@ endToEndRate(const Geometry &g, const EngineConfig &ec,
 }
 
 /**
- * Bitonic sorts of 256 floats per second on 16 crossbars (serial
- * engine), timed per pass: upload, sort, readback. Each exchange is
- * one captured move sequence, so with the pipeline on it is one
- * hand-off per exchange, not one per move. @p checksum digests the
- * sorted output so the on/off runs can assert identical results.
- */
-double
-sortRate(bool pipeline, uint64_t &checksum, double minSeconds = 0.3)
-{
-    Device dev(benchGeometry(16), Driver::Mode::Parallel,
-               EngineConfig::serial().withPipeline(pipeline));
-    Rng rng(5);
-    std::vector<float> in(256);
-    for (float &x : in)
-        x = static_cast<float>(rng.int32In(-1000000, 1000000)) / 1024.0f;
-    std::vector<float> out;
-    const auto pass = [&] {
-        Tensor t = Tensor::fromVector(in, &dev);
-        t.sort();
-        out = t.toFloatVector();
-    };
-    pass();  // warm-up: captures every exchange
-    const auto [reps, elapsed] =
-        timedReps(pass, [&] { dev.flush(); }, minSeconds);
-    checksum = 0;
-    for (float x : out)
-        checksum = checksum * 1099511628211ull ^ std::bit_cast<uint32_t>(x);
-    return static_cast<double>(reps) / elapsed;
-}
-
-/**
- * Asynchronous-pipeline sweep: the ISSUE 3 acceptance gauge. The same
- * driver-bound workload (per-instruction translation, no stream
- * cache) runs through the sharded engine with the pipeline off
- * (strictly alternating translate/replay) and on (translation of
- * batch k+1 overlapped with replay of batch k on the consumer
- * thread). On a multi-core host the speedup approaches
- * min(2, 1 + min(Tt, Tr) / max(Tt, Tr)); on a single core the two
- * stages time-share and the ratio stays near 1. A last row times the
- * move-heavy bitonic sort both ways (sortRate). Returns false unless
- * every pipelined result is bit-identical to its synchronous twin.
- */
-bool
-pipelineSweep(Json *json)
-{
-    bool identical = true;
-    const uint32_t threads = engineConfig().resolvedThreads();
-    std::printf("\n=== Pipelined end-to-end sweep (driver fp-add + "
-                "replay, sharded engine, %u threads) ===\n", threads);
-    std::printf("%-10s %18s %18s %8s %10s\n", "crossbars",
-                "sync [Kop/s]", "pipelined [Kop/s]", "speedup",
-                "identical");
-    if (json)
-        json->beginArray("pipeline_sweep");
-    for (uint32_t crossbars : {64u, 256u, 1024u}) {
-        const Geometry g = benchGeometry(crossbars);
-        uint64_t ckOff = 0, ckOn = 0;
-        const double off =
-            endToEndRate(g, EngineConfig::sharded(threads), ckOff);
-        const double on = endToEndRate(
-            g, EngineConfig::sharded(threads).withPipeline(), ckOn);
-        std::printf("%-10u %18.2f %18.2f %7.2fx %10s\n", crossbars,
-                    off / 1e3, on / 1e3, on / off,
-                    ckOff == ckOn ? "yes" : "NO");
-        identical = identical && ckOff == ckOn;
-        if (json) {
-            json->beginObject();
-            json->field("crossbars", crossbars);
-            json->field("sync_ops_per_s", off);
-            json->field("pipelined_ops_per_s", on);
-            json->field("speedup", on / off);
-            json->field("bit_identical", ckOff == ckOn);
-            json->end();
-        }
-    }
-    if (json)
-        json->end();
-    std::printf("(>=1.2x at >=256 crossbars on a multi-core host is "
-                "the ISSUE 3 acceptance gauge; 'identical' checks "
-                "bit-equality of the result register)\n");
-
-    uint64_t ckOff = 0, ckOn = 0;
-    const double off = sortRate(false, ckOff);
-    const double on = sortRate(true, ckOn);
-    std::printf("%-10s %18s %18s %8s %10s\n", "sort 256", "sync [sort/s]",
-                "pipelined [sort/s]", "speedup", "identical");
-    std::printf("%-10u %18.1f %18.1f %7.2fx %10s\n", 16u, off, on,
-                on / off, ckOff == ckOn ? "yes" : "NO");
-    if (json) {
-        json->beginObject("pipeline_sort");
-        json->field("sync_sorts_per_s", off);
-        json->field("pipelined_sorts_per_s", on);
-        json->field("speedup", on / off);
-        json->field("bit_identical", ckOff == ckOn);
-        json->end();
-    }
-    return identical && ckOff == ckOn;
-}
-
-/**
  * Multi-device sharding sweep: the same end-to-end workload (driver
  * fp-add translation + replay plus a periodic boundary-crossing
  * inter-warp move) runs on one logical Device sharded across 1, 2
  * and 4 sub-device Simulators (sim/device_group.hpp). Results MUST
  * be bit-identical at every device count — the function returns
  * false otherwise, and the CI bench smoke step exits non-zero on it.
- * With the pipeline enabled each sub-device replays on its own
- * consumer thread, so multi-core hosts see the slices progress in
- * parallel; the move column shows the cost of the explicit boundary
+ * The move column shows the cost of the explicit boundary
  * exchange (the only inter-device traffic).
  */
 bool
@@ -692,8 +584,8 @@ storageSweep(Json *json)
 /**
  * Bulk tensor I/O sweep (the ISSUE 7 acceptance gauge): a 1 Mi-element
  * int tensor round-trips host -> device -> host through the
- * element-wise oracle (PYPIM_BULK_IO=0 semantics: one ReadInstr
- * dispatch and one pipeline drain per element on readback) and through
+ * element-wise oracle (bulk I/O off: one ReadInstr dispatch and one
+ * drain point per element on readback) and through
  * the bulk block-transfer path (64x64 bit-transpose gather/scatter
  * kernels, ONE drain per transfer). Values AND architectural Stats
  * MUST be bit-identical — the function returns false otherwise and
@@ -1055,7 +947,6 @@ main(int argc, char **argv)
         jsonConfig(*j, benchGeometry());
     }
     engineSweep(j);
-    const bool pipelineIdentical = pipelineSweep(j);
     const bool devicesIdentical = deviceSweep(j);
     const bool storageIdentical = storageSweep(j);
     const bool ioIdentical = ioSweep(j);
@@ -1070,13 +961,11 @@ main(int argc, char **argv)
     // Non-zero exit when sharded execution diverged from the
     // monolithic device, paged storage diverged from dense, the bulk
     // I/O path diverged from the element-wise oracle, a checkpoint
-    // failed to restore bit-identical, the cross-process socket fleet
-    // diverged from the in-process group, or a pipelined run diverged
-    // from its synchronous twin: the CI bench smoke step asserts all
-    // six identities.
-    return pipelineIdentical && devicesIdentical && storageIdentical &&
-                   ioIdentical && checkpointIdentical &&
-                   transportIdentical
+    // failed to restore bit-identical, or the cross-process socket
+    // fleet diverged from the in-process group: the CI bench smoke step
+    // asserts all five identities.
+    return devicesIdentical && storageIdentical && ioIdentical &&
+                   checkpointIdentical && transportIdentical
                ? 0
                : 1;
 }

@@ -160,11 +160,6 @@ EngineConfig::fromEnv()
     }
     if (const char *t = std::getenv("PYPIM_THREADS"))
         c.threads = parseCountEnv("PYPIM_THREADS", t, 0, 1u << 20);
-    if (const char *p = std::getenv("PYPIM_PIPELINE"))
-        c.pipeline = parseSwitchEnv("PYPIM_PIPELINE", p, c.pipeline);
-    if (const char *tc = std::getenv("PYPIM_TRACE_CACHE"))
-        c.traceCache =
-            parseSwitchEnv("PYPIM_TRACE_CACHE", tc, c.traceCache);
     if (const char *d = std::getenv("PYPIM_DEVICES")) {
         c.devices = parseCountEnv("PYPIM_DEVICES", d, 1, 1u << 16);
         fatalIf(!isPow2(c.devices),
@@ -174,8 +169,6 @@ EngineConfig::fromEnv()
     }
     if (const char *a = std::getenv("PYPIM_AFFINITY"))
         c.affinity = parseSwitchEnv("PYPIM_AFFINITY", a, c.affinity);
-    if (const char *b = std::getenv("PYPIM_BULK_IO"))
-        c.bulkIo = parseSwitchEnv("PYPIM_BULK_IO", b, c.bulkIo);
     // Validated by FaultSpec::parse at device-group construction, so
     // the error names the bad key/value rather than the variable.
     if (const char *f = std::getenv("PYPIM_FAULTS"))
@@ -195,8 +188,11 @@ EngineConfig::fromEnv()
 }
 
 void
-requireCompiledReplay(const EngineConfig &c)
+rejectRetiredFields(const EngineConfig &c)
 {
+    fatalIf(c.pipeline,
+            "pipeline=true is not supported: the simulator executes "
+            "synchronously");
     fatalIf(!c.compiledReplay,
             "compiledReplay=false is not supported: every segment "
             "replays as a compiled program");

@@ -163,12 +163,11 @@ struct EngineConfig
     /** Worker threads for Sharded (0 = hardware concurrency). */
     uint32_t threads = 0;
     /**
-     * Asynchronous pipelined execution (sim/pipeline.hpp): submitted
-     * batches are decoded into segment traces on the caller thread and
-     * replayed by a dedicated consumer thread, overlapping driver
-     * translation of batch k+1 with replay of batch k. Off by default;
-     * `performBatch` stays synchronous either way, and reads, host
-     * readback, stats queries and engine swaps drain the pipeline.
+     * Must stay false: the Simulator executes synchronously, and
+     * constructing a Simulator or SimulatorGroup with true throws
+     * pypim::Error (rejectRetiredFields). The field remains only
+     * because perfbench/perfbench.cpp sets it; it goes with the next
+     * change to the benchmark.
      */
     bool pipeline = false;
     /**
@@ -179,7 +178,8 @@ struct EngineConfig
      * signature, replay forever. On by default; Device forwards the
      * flag to its Driver. Fused+cached replay is bit-identical to
      * fresh translation on every engine (test_engine_parity,
-     * test_trace_fusion).
+     * test_trace_fusion); tests select the uncached oracle in code
+     * (no environment knob).
      */
     bool traceCache = true;
     /**
@@ -187,7 +187,7 @@ struct EngineConfig
      * space across (sim/device_group.hpp): the crossbar array is cut
      * into equal contiguous slices at 4-ary H-tree group boundaries
      * and each slice is simulated by an independent Simulator with its
-     * own engine (and pipeline queue when enabled). Must be a power of
+     * own engine. Must be a power of
      * two; clamped to the geometry's crossbar count at construction.
      * 1 (the default) is the classic monolithic device. The sharded
      * engine's thread budget (@ref threads) applies to the LOGICAL
@@ -215,19 +215,19 @@ struct EngineConfig
     /**
      * Bulk host I/O (sim/bulk_io.hpp): tensor readback/upload moves
      * whole row blocks through the crossbars' 64x64 bit-transpose
-     * gather/scatter kernels with ONE pipeline drain per transfer,
-     * instead of one ReadInstr/WriteInstr dispatch (and one drain)
-     * per element. On by default; Device forwards the flag to its
-     * Driver. The element-wise path stays the parity oracle: both
-     * paths produce bit-identical values AND bit-identical
-     * architectural Stats (test_bulk_io).
+     * gather/scatter kernels with ONE drain point per transfer,
+     * instead of one ReadInstr/WriteInstr dispatch (and one drain
+     * point) per element. On by default; Device forwards the flag to
+     * its Driver. The element-wise path stays the parity oracle, set
+     * in code (no environment knob): both paths produce bit-identical
+     * values AND bit-identical architectural Stats (test_bulk_io).
      */
     bool bulkIo = true;
     /**
      * Must stay true: every replayed segment is compiled into a
      * ReplayProgram (sim/replay_program.hpp), and constructing a
      * Simulator or SimulatorGroup with false throws pypim::Error
-     * (requireCompiledReplay). The field remains only because
+     * (rejectRetiredFields). The field remains only because
      * perfbench/perfbench.cpp sets it; it goes with the next change
      * to the benchmark.
      */
@@ -269,15 +269,6 @@ struct EngineConfig
         EngineConfig c;
         c.kind = EngineKind::Sharded;
         c.threads = threads;
-        return c;
-    }
-
-    /** Copy of this config with the pipeline toggled. */
-    EngineConfig
-    withPipeline(bool on = true) const
-    {
-        EngineConfig c = *this;
-        c.pipeline = on;
         return c;
     }
 
@@ -328,17 +319,15 @@ struct EngineConfig
 
     /**
      * Engine selection from the environment: PYPIM_ENGINE=serial|
-     * sharded, PYPIM_THREADS=N, PYPIM_PIPELINE=on|off,
-     * PYPIM_TRACE_CACHE=on|off|1|0, PYPIM_DEVICES=N (power of two),
-     * PYPIM_AFFINITY=on|off, PYPIM_BULK_IO=on|off|1|0,
-     * PYPIM_FAULTS=<spec>, PYPIM_VERIFY_STATE=on|off|1|0 and
-     * PYPIM_TRANSPORT=inproc|socket (worker count via PYPIM_DEVICES).
-     * Unset values fall back to the defaults (serial, synchronous,
-     * trace cache on, one device, no pinning, paged storage, inproc
-     * transport; storage and compiled replay have no knob), so
-     * existing callers are unaffected; unrecognised or malformed
-     * values throw pypim::Error — a typo must never silently
-     * misconfigure the stack.
+     * sharded, PYPIM_THREADS=N, PYPIM_DEVICES=N (power of two),
+     * PYPIM_AFFINITY=on|off, PYPIM_FAULTS=<spec>,
+     * PYPIM_VERIFY_STATE=on|off|1|0 and PYPIM_TRANSPORT=inproc|socket
+     * (worker count via PYPIM_DEVICES). Unset values fall back to the
+     * defaults (serial, one device, no pinning, inproc transport);
+     * the remaining fields have no knob and keep their defaults
+     * (trace cache and bulk I/O on, paged storage). Unrecognised or
+     * malformed values throw pypim::Error — a typo must never
+     * silently misconfigure the stack.
      */
     static EngineConfig fromEnv();
 
@@ -346,9 +335,9 @@ struct EngineConfig
     uint32_t resolvedThreads() const;
 };
 
-/** Throw pypim::Error if @p c turns compiled replay off (see
- *  EngineConfig::compiledReplay). */
-void requireCompiledReplay(const EngineConfig &c);
+/** Throw pypim::Error if @p c sets a retired field away from its one
+ *  supported value (EngineConfig::pipeline, ::compiledReplay). */
+void rejectRetiredFields(const EngineConfig &c);
 
 } // namespace pypim
 

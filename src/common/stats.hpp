@@ -87,8 +87,8 @@ struct Stats
     uint64_t bulkWrites = 0;
     /** 64-bit words moved through the 64x64 bit transpose. */
     uint64_t ioWordsTransposed = 0;
-    /** Pipeline drain points taken by bulk transfers (one per
-     *  transfer per sub-device). */
+    /** Drain points (checksum verifies) taken by bulk transfers (one
+     *  per transfer per sub-device). */
     uint64_t ioDrains = 0;
 
     // --- host-side fault-tolerance observability ---------------------

@@ -78,8 +78,8 @@ class Driver
      * (sim/batch_trace.hpp): per signature, the recorded stream is
      * decoded, validated and fusion-optimised ONCE into a shared
      * immutable BatchTrace, and every subsequent hit submits the
-     * pre-built trace handle — the pipeline and all engines replay it
-     * with zero decode work. Sinks without trace support (e.g. the
+     * pre-built trace handle — every engine replays it with zero
+     * decode work. Sinks without trace support (e.g. the
      * bench BufferSink) fall back to raw stream replay transparently.
      * Observability: Stats::traceCacheHits/Misses and the fusion*
      * counters on stats().
@@ -125,7 +125,7 @@ class Driver
      * Enable/disable the bulk block-transfer I/O path
      * (sim/bulk_io.hpp). When on (the default) readBulk/writeBulk
      * hand whole transfers to the sink's gather/scatter kernels with
-     * one pipeline drain per transfer; when off they fall back to the
+     * one drain point per transfer; when off they fall back to the
      * element-wise oracle. Both settings are bit-identical in values
      * AND architectural Stats (test_bulk_io).
      */
@@ -149,7 +149,7 @@ class Driver
      * Bulk register upload: the write mirror of readBulk. Never
      * fails: when the bulk path is unavailable it EMITS the same
      * canonical coalesced run stream through the builder in one
-     * submitted batch (the PYPIM_BULK_IO=0 fallback — still far
+     * submitted batch (the bulk-I/O-off fallback — still far
      * cheaper than per-element WriteInstr dispatch). Runs of equal
      * consecutive values coalesce into one masked Range write
      * (zeros/full cost O(runs), matching the constant-fill
@@ -225,8 +225,7 @@ class Driver
      * One memoised translation: the recorded self-contained micro-op
      * stream plus (lazily, when the trace cache is on and the sink
      * supports it) the decoded, fused, shared immutable trace built
-     * from it. The shared_ptr keeps in-flight pipelined replays alive
-     * even if this cache is cleared.
+     * from it.
      */
     struct StreamEntry
     {

@@ -45,9 +45,9 @@ GateBuilder::flush()
 {
     if (buf_.empty())
         return;
-    // Submit rather than perform: a pipelined sink overlaps replay of
-    // this batch with translation of the next; the buffer is only
-    // read during the call, so reusing it immediately is safe.
+    // Submit rather than perform: a socket group streams the batch
+    // without a round trip; the buffer is only read during the call,
+    // so reusing it immediately is safe.
     sink_->submitBatch(buf_.data(), buf_.size());
     buf_.clear();
 }

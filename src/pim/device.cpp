@@ -30,10 +30,10 @@ Device::flush()
 uint64_t
 Device::checkpoint(const std::string &path)
 {
-    // Quiesce at the drain contract: pending driver batches land,
-    // every pipeline drains (and any sticky error rethrows HERE, not
-    // into the checkpoint — a checkpoint of a faulted device would be
-    // a checkpoint of corruption).
+    // Quiesce at the drain contract: pending driver batches land and
+    // every sub-device takes a sync point (any held error rethrows
+    // HERE, not into the checkpoint — a checkpoint of a faulted
+    // device would be a checkpoint of corruption).
     flush();
     CheckpointImage img = buildGroupImage(group_);
     img.allocState = mm_.exportState();

@@ -37,12 +37,10 @@ class Device
      * @param geo memory geometry (validated)
      * @param mode driver arithmetic mode (paper Fig. 4)
      * @param ec simulator execution backend; the default honours the
-     *           PYPIM_ENGINE / PYPIM_THREADS / PYPIM_PIPELINE /
-     *           PYPIM_TRACE_CACHE / PYPIM_DEVICES / PYPIM_AFFINITY
-     *           environment knobs and falls back
-     *           to one synchronous
-     *           serial sub-device with the driver trace cache enabled
-     *           (ec.traceCache is forwarded to the Driver)
+     *           PYPIM_* environment knobs (EngineConfig::fromEnv) and
+     *           falls back to one serial sub-device with the driver
+     *           trace cache enabled (ec.traceCache is forwarded to the
+     *           Driver)
      */
     explicit Device(const Geometry &geo,
                     Driver::Mode mode = Driver::Mode::Parallel,
@@ -84,16 +82,16 @@ class Device
 
     /**
      * Push any micro-ops still batched in the driver to the simulator
-     * and drain every sub-device's asynchronous pipeline (no-op when
-     * the pipeline is off). Reads and stats queries synchronise
-     * implicitly; call this before inspecting simulator state
-     * directly.
+     * and take a sync point on every sub-device (checksum verify;
+     * socket workers report held errors). Reads and stats queries
+     * synchronise implicitly; call this before inspecting simulator
+     * state directly.
      */
     void flush();
 
     /**
-     * Simulator-side micro-op statistics (drains the pipeline, so the
-     * counters cover every submitted batch). Replicated across
+     * Simulator-side micro-op statistics (covering every submitted
+     * batch). Replicated across
      * sub-devices, so one view is the logical device's truth —
      * deliberately read-only: mutating one replica would break the
      * invariant. Reset with clearStats().
@@ -120,7 +118,7 @@ class Device
      * Rebuild this device's full state from a checkpoint written by
      * ANY device of the same geometry — the sub-device count and
      * storage mode of the writer are free (the image is global-
-     * coordinate and canonical). Clears sticky pipeline errors and
+     * coordinate and canonical). Clears socket workers' sticky errors and
      * any terminal recovery error: a restored device is a healthy
      * device. Crossbar state, mask state and architectural Stats are
      * bit-identical to the checkpointed device's.

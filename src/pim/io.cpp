@@ -4,19 +4,19 @@
  * read/write instructions (the standard memory interface retained by
  * the PIM architecture, paper §III-C).
  *
- * Host readback is a synchronisation point of the asynchronous
- * execution pipeline: every read funnels through the driver into
- * OperationSink::performRead, which drains all submitted batches
- * before touching state, so readback always observes the full
- * submitted stream. Writes stream through submitBatch like any other
+ * Host readback is a synchronisation point: every read funnels
+ * through the driver into OperationSink::performRead, which observes
+ * every submitted batch (and surfaces any error a socket worker is
+ * holding). Writes stream through submitBatch like any other
  * instruction.
  *
  * Vector transfers take the bulk block-transfer path
  * (Driver::readBulk/writeBulk over the crossbars' 64x64 bit-transpose
- * gather/scatter kernels, sim/bulk_io.hpp): ONE pipeline drain per
+ * gather/scatter kernels, sim/bulk_io.hpp): ONE drain point per
  * transfer instead of one per element, with values and architectural
  * Stats bit-identical to the element loop kept below as the fallback
- * oracle (PYPIM_BULK_IO=0, or a sink without bulk support).
+ * oracle (Driver::setBulkIoEnabled(false), or a sink without bulk
+ * support).
  */
 #include "pim/tensor.hpp"
 

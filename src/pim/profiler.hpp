@@ -4,8 +4,8 @@
  * counterpart of the paper's `with pim.Profiler():` context (artifact
  * §F): captures the simulator counters at construction and reports the
  * delta, including the derived PIM execution time at the configured
- * clock. Every stats query drains the device's asynchronous pipeline
- * (Simulator::stats), so windows always cover whole submitted batches.
+ * clock. Every stats query covers every submitted batch, so windows
+ * always cover whole batches.
  */
 #ifndef PYPIM_PIM_PROFILER_HPP
 #define PYPIM_PIM_PROFILER_HPP

@@ -101,7 +101,7 @@ class Tensor
     std::vector<float> toFloatVector() const;
     std::vector<int32_t> toIntVector() const;
     /** Overwrite all elements from @p v (v.size() == size()), in one
-     *  bulk transfer (sim/bulk_io.hpp) — one pipeline drain instead of
+     *  bulk transfer (sim/bulk_io.hpp) — one drain point instead of
      *  one per element; equal-value runs coalesce into masked Range
      *  writes even on the element-wise fallback path. */
     void setVector(const std::vector<float> &v);

@@ -63,15 +63,16 @@ buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
         size_t j = i + 1;
         while (j < n && !isBarrierOp(enc::peekType(ops[j])))
             ++j;
-        SegmentTrace &trace = batch.nextSegment(geo.rows);
+        SegmentTrace &trace = batch.segments.emplace_back();
         buildSegmentTrace(ops + i, j - i, geo, mask, batch.stats,
                           trace);
         if (trace.empty()) {
-            --batch.used;  // mask-only segment: arena back to the pool
+            batch.segments.pop_back();  // mask-only segment
         } else {
             BatchTrace::Item item;
             item.kind = BatchTrace::Item::Kind::Segment;
-            item.seg = batch.used - 1;
+            item.seg =
+                static_cast<uint32_t>(batch.segments.size() - 1);
             batch.items.push_back(item);
         }
         i = j;
@@ -345,9 +346,9 @@ mergeWriteStripes(SegmentTrace &t, BatchTrace::Fusion &fusion)
 void
 fuseBatchTrace(BatchTrace &batch, const Geometry &geo)
 {
-    for (uint32_t s = 0; s < batch.used; ++s) {
-        fuseSegment(batch.segments[s], geo, batch.fusion);
-        mergeWriteStripes(batch.segments[s], batch.fusion);
+    for (SegmentTrace &t : batch.segments) {
+        fuseSegment(t, geo, batch.fusion);
+        mergeWriteStripes(t, batch.fusion);
     }
 }
 

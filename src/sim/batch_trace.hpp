@@ -6,19 +6,13 @@
  * A BatchTrace is one submitted micro-op batch after the shared
  * pre-pass (sim/segment_trace.hpp): segment traces and pre-validated
  * barrier Moves in stream order, plus the architectural Stats the
- * batch records and the mask state it leaves behind. It exists in two
- * ownership regimes:
- *
- *  - ARENA: the asynchronous pipeline (sim/pipeline.hpp) cycles two
- *    mutable BatchTrace arenas through its hand-off queue; clear()
- *    keeps capacity (segments and programs alike), so one-shot
- *    batches build and compile allocation-free.
- *  - SHARED IMMUTABLE: the trace cache (Driver stream cache +
- *    Simulator::prepareTrace) builds a BatchTrace once per instruction
- *    signature, freezes it behind shared_ptr<const BatchTrace>, and
- *    replays the same object forever — OperationSink::submitTrace is
- *    pure replay with zero decode work. Refcounting keeps in-flight
- *    pipelined replays alive even if the owning cache is cleared.
+ * batch records and the mask state it leaves behind. Every BatchTrace
+ * is built once and then frozen: the trace cache (Driver stream cache
+ * + Simulator::prepareTrace) builds one per instruction signature,
+ * freezes it behind shared_ptr<const BatchTrace>, and replays the
+ * same object forever — OperationSink::submitTrace is pure replay
+ * with zero decode work. The shard wire builds and decodes frozen
+ * traces the same way (sim/trace_wire.hpp).
  *
  * Because the expensive translation now runs once per signature, it
  * can afford a real optimisation pass: fuseBatchTrace() is a
@@ -49,9 +43,7 @@ class HTree;
 
 /**
  * One decoded, replay-ready batch: segment traces and pre-validated
- * barrier Moves in stream order. The segment arenas are reused across
- * batches (clear() keeps capacity), so steady-state building is
- * allocation-free.
+ * barrier Moves in stream order.
  */
 struct BatchTrace
 {
@@ -80,12 +72,10 @@ struct BatchTrace
 
     std::vector<Item> items;
     std::vector<SegmentTrace> segments;
-    uint32_t used = 0;  //!< segment arenas in use this batch
     /**
-     * Compiled form of segments[0..used), filled by compileBatchTrace
-     * (sim/replay_program.hpp) before the batch replays; the only form
-     * replay reads. Arena batches may hold more (capacity kept across
-     * batches); only the first @ref used are this batch's.
+     * Compiled form of segments (one program per segment), filled by
+     * compileBatchTrace (sim/replay_program.hpp) before the batch
+     * replays; the only form replay reads.
      */
     std::vector<ReplayProgram> programs;
 
@@ -125,34 +115,6 @@ struct BatchTrace
     uint64_t wireSig = 0;
     std::vector<Word> sourceOps;
     bool sourceFuse = false;
-
-    /** Fresh (cleared) segment arena for the next segment. */
-    SegmentTrace &
-    nextSegment(uint32_t rows)
-    {
-        if (used == segments.size())
-            segments.emplace_back();
-        SegmentTrace &t = segments[used++];
-        t.clear(rows);
-        return t;
-    }
-
-    void
-    clear()
-    {
-        items.clear();
-        used = 0;
-        stats.clear();
-        finalXb = Range();
-        finalRow = Range();
-        hasEntry = false;
-        entryXb = Range();
-        entryRow = Range();
-        fusion = Fusion();
-        wireSig = 0;
-        sourceOps.clear();
-        sourceFuse = false;
-    }
 };
 
 /**
@@ -167,9 +129,9 @@ struct BatchTrace
 bool leadsWithMasks(const Word *ops, size_t n);
 
 /**
- * Decode the batch @p ops[0..n) into @p batch (which the caller has
- * clear()ed): segments via buildSegmentTrace, barrier Moves validated
- * and snapshotted, data-less Reads validated and absorbed. Records
+ * Decode the batch @p ops[0..n) into the fresh @p batch: segments
+ * via buildSegmentTrace, barrier Moves validated and snapshotted,
+ * data-less Reads validated and absorbed. Records
  * the architectural stats into batch.stats — including the valid
  * prefix when a malformed op throws — and advances @p mask past the
  * stream, capturing the final state in the batch.

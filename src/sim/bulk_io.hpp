@@ -5,10 +5,10 @@
  *
  * The PIM architecture keeps the standard memory read/write interface
  * as the host's window into the arrays (paper §III-C). The scalar
- * path models it one element at a time: every element costs a full
- * pipeline drain (performRead) plus 32 single-bit column probes. A
- * bulk transfer moves the same values with ONE drain per transfer and
- * a 64x64 word-level bit-matrix transpose per 64 rows
+ * path models it one element at a time: every element costs a drain
+ * point (performRead) plus 32 single-bit column probes. A bulk
+ * transfer moves the same values with ONE drain point per transfer
+ * and a 64x64 word-level bit-matrix transpose per 64 rows
  * (Crossbar::gatherRows / scatterRows), while recording architectural
  * Stats identical to the element-wise instruction loop — the cost
  * model is unchanged, only the host-side simulation of it is faster.
@@ -20,8 +20,8 @@
  *    would have emitted. The plan is a BulkIoSpec: addressing plus
  *    the architectural stats delta and final mask state.
  *  - the SINK applies it (OperationSink::readBulk / writeBulk): the
- *    Simulator drains its pipeline once, adds the delta, installs the
- *    final masks (exactly the submitTrace pattern) and hands the
+ *    Simulator verifies its checksums once, adds the delta, installs
+ *    the final masks (exactly the submitTrace pattern) and hands the
  *    gather/scatter to its ExecutionEngine, which clips to its owned
  *    crossbar slice. A SimulatorGroup broadcasts the spec to every
  *    sub-device — stats and mask state stay replicated bit-identically
@@ -36,7 +36,7 @@
  *    end. Mask comparisons are exact Range equality — the
  *    GateBuilder's dedup rule.
  *  - WRITES replicate the canonical coalesced stream that the
- *    PYPIM_BULK_IO=0 fallback actually emits: maximal runs of
+ *    bulk-I/O-off fallback actually emits: maximal runs of
  *    consecutive same-warp equal-value elements become one
  *    setMasks+Write (runs of length 1 — the general case of distinct
  *    values — degenerate to exactly the historical per-element
@@ -87,7 +87,7 @@ struct BulkIoSpec
 struct BulkIoTelemetry
 {
     uint64_t wordsTransposed = 0;  //!< 64-bit words through transpose64
-    uint64_t drains = 0;           //!< pipeline drain points taken
+    uint64_t drains = 0;           //!< drain points taken
 };
 
 /** One coalesced write run: consecutive same-warp equal-value
@@ -104,9 +104,9 @@ struct BulkWriteRun
 /**
  * Enumerate the canonical write runs of @p spec over @p values in
  * element order: maximal runs of consecutive elements sharing one
- * warp and one value. Shared by the stats planner, the
- * PYPIM_BULK_IO=0 emission fallback and nothing else — one source of
- * truth, so the two knob settings can never drift.
+ * warp and one value. Shared by the stats planner, the bulk-I/O-off
+ * emission fallback and nothing else — one source of truth, so the
+ * two settings can never drift.
  */
 template <typename Fn>
 void

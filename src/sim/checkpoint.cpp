@@ -43,9 +43,6 @@ buildGroupImage(const SimulatorGroup &group)
     img.maskRow = sub0.rowMask();
     img.archStats = group.stats();
     for (uint32_t xb = 0; xb < img.geo.numCrossbars; ++xb) {
-        // The const accessor drains the owning sub-device — after the
-        // first crossbar of a slice this is a no-op, so the whole
-        // walk quiesces each pipeline exactly once.
         const Crossbar &cxb = group.crossbar(xb);
         if (xb == 0)
             img.storage = cxb.storage();
@@ -79,16 +76,11 @@ restoreGroupImage(SimulatorGroup &group, const CheckpointImage &img)
         group.restoreRemoteImage(img);
         return;
     }
-    // 1. Clear sticky pipeline errors FIRST: the restore below drains
-    // every pipeline, and a drain rethrows — but restoring IS the
-    // recovery from whatever made the error sticky.
-    for (uint32_t d = 0; d < group.devices(); ++d)
-        group.sub(d).clearPipelineError();
-    // 2. Replicated architectural state on every sub-device.
+    // 1. Replicated architectural state on every sub-device.
     for (uint32_t d = 0; d < group.devices(); ++d)
         group.sub(d).restoreArchState(img.maskXb, img.maskRow,
                                       img.archStats);
-    // 3. Crossbar state: zero everything owned, then load the image's
+    // 2. Crossbar state: zero everything owned, then load the image's
     // non-zero blocks into the owning slices. Global-coordinate
     // records make any source-to-target device count reassembly plain
     // deviceOf() routing.
@@ -103,7 +95,7 @@ restoreGroupImage(SimulatorGroup &group, const CheckpointImage &img)
             xb.loadBlock(rec.col, rec.block, rec.words.data(),
                          static_cast<uint32_t>(rec.words.size()));
     }
-    // 4. The rewrite went through non-const crossbar() (which marks
+    // 3. The rewrite went through non-const crossbar() (which marks
     // the checksum baseline stale); re-bless so verification resumes
     // from the restored state.
     for (uint32_t d = 0; d < group.devices(); ++d)
@@ -266,9 +258,9 @@ RecoverySink::flush()
         group_.flush();
         return;
     }
-    // No journal entry: a flush has no architectural effect, but its
-    // drain is where pipelined faults surface — the retry loop is
-    // what turns that sticky error into a recovery.
+    // No journal entry: a flush has no architectural effect, but it
+    // is where checksum mismatches and a socket worker's sticky
+    // faults surface — the retry loop turns them into a recovery.
     runRecovered([&] { group_.flush(); });
 }
 

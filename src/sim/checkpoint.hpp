@@ -12,8 +12,9 @@
  *    Mask state and architectural Stats are replicated across
  *    sub-devices, so sub-device 0's view is the device's.
  *
- *  - restoreGroupImage: the inverse — clear any sticky pipeline
- *    errors, rewrite mask + Stats on every sub-device, reset every
+ *  - restoreGroupImage: the inverse — rewrite mask + Stats on every
+ *    sub-device (on a socket worker this also drops its sticky
+ *    error), reset every
  *    owned crossbar and reload the image's non-zero blocks into the
  *    owning slices, then re-bless the state checksums. Because the
  *    image is global-coordinate and canonical, a checkpoint taken at
@@ -28,7 +29,7 @@
  *    journal of every state-affecting call since, and wraps each
  *    forwarded call in a bounded retry loop: a DeviceFault
  *    (sim/fault.hpp — a failed checksum verify or an injected replay
- *    abort, including one rethrown from a pipeline's sticky error)
+ *    abort, including one a socket worker reports at sync)
  *    triggers restore-baseline + re-replay-journal, then the call
  *    retries; both run with the injector's one-shot/transient classes
  *    suppressed. Unrecoverable damage (stuck-at pins re-corrupting every
@@ -36,8 +37,9 @@
  *    error rethrown at this and every later call — the PR 3
  *    report-at-sync contract, never silent corruption. When
  *    verifyState is off the sink is a zero-overhead forwarder: faults
- *    are injected but undetected, and a failed replay surfaces as the
- *    pipeline's own sticky error until Device::restore clears it.
+ *    are injected but undetected: a failed replay throws at the call
+ *    that replayed it, or, on a socket worker, surfaces as the
+ *    worker's sticky error until Device::restore clears it.
  */
 #ifndef PYPIM_SIM_CHECKPOINT_HPP
 #define PYPIM_SIM_CHECKPOINT_HPP
@@ -60,18 +62,16 @@ class SimulatorGroup;
 
 /**
  * Snapshot the group's architectural state (crossbars, mask, Stats)
- * into a canonical global-coordinate image. Drains every sub-device;
- * the opaque host-layer blobs (allocator, driver cache) stay empty —
- * Device::checkpoint fills them. @p group is mutated only through
- * drain points (const access would also drain, but snapshot() is
- * routed through the owning sub-device's crossbar accessor).
+ * into a canonical global-coordinate image. The opaque host-layer
+ * blobs (allocator, driver cache) stay empty — Device::checkpoint
+ * fills them.
  */
 CheckpointImage buildGroupImage(const SimulatorGroup &group);
 
 /**
  * Rewrite the group's architectural state from @p img (which must
  * match the group's geometry; device count and storage mode of the
- * source are free). Clears sticky pipeline errors first — restoring
+ * source are free). Clears socket workers' sticky errors — restoring
  * IS the recovery from whatever made them sticky.
  */
 void restoreGroupImage(SimulatorGroup &group,

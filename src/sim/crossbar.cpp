@@ -1548,9 +1548,6 @@ Crossbar::Snapshot::bit(uint32_t row, uint32_t col) const
 Crossbar::Snapshot
 Crossbar::snapshot() const
 {
-    panicIf(busy_ && busy_->load(std::memory_order_acquire),
-            "snapshot: pipeline replay in flight (snapshots are only "
-            "valid at drain points)");
     Snapshot s;
     s.geo_ = geo_;
     s.wordsPerCol_ = wordsPerCol_;
@@ -1574,9 +1571,6 @@ Crossbar::snapshot() const
 void
 Crossbar::restore(const Snapshot &s)
 {
-    panicIf(busy_ && busy_->load(std::memory_order_acquire),
-            "restore: pipeline replay in flight (restores are only "
-            "valid at drain points)");
     panicIf(s.wordsPerCol_ != wordsPerCol_ ||
                 (s.geo_ && s.geo_->cols != geo_->cols),
             "restore: snapshot from a different geometry");

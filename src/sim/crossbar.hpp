@@ -64,7 +64,7 @@
  * (a slab crossbar's snapshot deep-copies the slab).
  * Refcounts are NOT atomic: snapshots must be created, restored and
  * destroyed only while no replay is mutating the source crossbar
- * (the Simulator's drain points provide exactly this), and a
+ * (the Simulator replays synchronously, so between its calls), and a
  * crossbar's blocks are only ever mutated by one thread at a time
  * (the sharded engine partitions work by crossbar), so block cloning
  * — and promotion — during concurrent replay of DIFFERENT crossbars
@@ -80,7 +80,6 @@
 #ifndef PYPIM_SIM_CROSSBAR_HPP
 #define PYPIM_SIM_CROSSBAR_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -364,14 +363,6 @@ class Crossbar
                    uint32_t n);
 
     /**
-     * Install the owning pipeline's replaying flag: snapshot() and
-     * restore() then panic if called while a batch replay is in
-     * flight — enforcing the drain-point synchronisation contract
-     * (file header) instead of relying on it.
-     */
-    void setBusyFlag(const std::atomic<bool> *busy) { busy_ = busy; }
-
-    /**
      * Bit-exact state comparison (engine-parity tests). Both crossbars
      * must share a geometry; storage modes may differ — an absent
      * block compares equal to an all-zero dense region, so a paged
@@ -507,8 +498,6 @@ class Crossbar
     std::vector<uint64_t> state_;      //!< slab (empty if paged)
     std::vector<uint32_t> table_;      //!< paged block ids (lazy)
     std::shared_ptr<BlockPool> pool_;  //!< paged block pool (lazy)
-    /** Pipeline's replaying flag (null when not pipelined). */
-    const std::atomic<bool> *busy_ = nullptr;
 };
 
 } // namespace pypim

@@ -21,7 +21,7 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
 {
     geo_.validate();
     // Before any fork: a worker must never be the first to object.
-    requireCompiledReplay(ec);
+    rejectRetiredFields(ec);
     uint32_t n = std::max(1u, ec.devices);
     fatalIf(!isPow2(n),
             "devices: " + std::to_string(n) +
@@ -248,8 +248,8 @@ SimulatorGroup::exchangeGroup(const Word *ops, size_t n, size_t first,
     // 1. Stage every crossing source value from the pre-group state:
     // the ops before the group have been forwarded, none of it has,
     // and no Move of the group reads a cell an earlier one writes.
-    // Const access drains the owning sub-device and leaves its
-    // checksum baseline alone. Storage-transparent: a read of a
+    // Const access leaves the owning sub-device's checksum baseline
+    // alone. Storage-transparent: a read of a
     // still-absent paged block yields 0.
     if (remote()) {
         for (auto &r : reads_)
@@ -276,8 +276,9 @@ SimulatorGroup::exchangeGroup(const Word *ops, size_t n, size_t first,
     forwardAll(ops + first, end - first);
 
     // 3. Land every staged value, one write per destination
-    // sub-device. The landing drains the destination first, so its
-    // local application — which may READ a boundary destination as
+    // sub-device. The broadcast has returned (or, on a worker, ran
+    // before the landing message), so the destination's local
+    // application — which may READ a boundary destination as
     // the source of a chained intra-slice transfer — is complete; no
     // two Moves of the group write the same cell, so landing after
     // all of them equals landing after each.
@@ -361,7 +362,7 @@ SimulatorGroup::flush()
 uint32_t
 SimulatorGroup::performRead(Word op)
 {
-    // Broadcast: every sub-device drains, validates and counts the
+    // Broadcast: every sub-device validates and counts the
     // Read (keeping the replicated-stats invariant); only the slice
     // owning the masked crossbar holds the data.
     if (remote())

@@ -23,10 +23,7 @@
  *    on every sub-device and to a monolithic device, by construction;
  *  - a warm trace-cache hit submits ONE shared immutable BatchTrace
  *    to all sub-devices with zero re-decoding (the handles are
- *    geometry-bound, not slice-bound);
- *  - with the pipeline enabled every sub-device is an independent
- *    trace consumer with its own hand-off queue and engine — replay
- *    of the N slices overlaps across N consumer threads.
+ *    geometry-bound, not slice-bound).
  *
  * The ONLY inter-device traffic is a Move whose (source, destination)
  * pair straddles a slice boundary. The group scans each raw batch
@@ -51,16 +48,16 @@
  * read-all-then-write-all semantics:
  *
  *   1. stage: read every boundary-crossing source value of the group
- *      from its owning sub-device (draining it first — all prior ops
- *      have landed, none of the group's has been submitted, and no
- *      Move reads a cell an earlier one writes, so this observes what
- *      each Move would read). Under the socket transport every source
+ *      from its owning sub-device (all prior ops have landed, none
+ *      of the group's has been submitted, and no Move reads a cell an
+ *      earlier one writes, so this observes what each Move would
+ *      read). Under the socket transport every source
  *      worker gets its request before any reply is awaited;
  *   2. broadcast the group's ops once to all sub-devices: each one
  *      validates them, records the identical full-mask H-tree cycle
  *      cost of every Move and applies its intra-slice transfers;
  *   3. land: write the staged values into the destination
- *      sub-devices, one write per destination (draining each first,
+ *      sub-devices, one write per destination (after the broadcast,
  *      so the local application — which may READ a boundary
  *      destination as the source of a chained transfer — is
  *      complete; no two Moves write the same cell, so landing after
@@ -135,7 +132,7 @@ class SimulatorGroup : public OperationSink
      * Shard @p geo's crossbar space across ec.devices sub-devices
      * (power of two; clamped to the crossbar count, so small test
      * geometries degrade gracefully instead of failing). Every
-     * sub-device runs the engine/pipeline configuration of @p ec.
+     * sub-device runs the engine configuration of @p ec.
      */
     SimulatorGroup(const Geometry &geo, const EngineConfig &ec);
 
@@ -177,8 +174,8 @@ class SimulatorGroup : public OperationSink
         return *sims_.at(d);
     }
 
-    /** Crossbar state by GLOBAL id, routed to the owning sub-device
-     *  (which drains its pipeline first). */
+    /** Crossbar state by GLOBAL id, routed to the owning
+     *  sub-device. */
     Crossbar &
     crossbar(uint32_t xb)
     {
@@ -273,8 +270,8 @@ class SimulatorGroup : public OperationSink
      *  (EngineConfig::faults; 0 when injection is off). */
     uint64_t faultsInjected() const;
 
-    /** Aggregate storage footprint across every sub-device (each
-     *  drains its pipeline). Observability only — see Simulator. */
+    /** Aggregate storage footprint across every sub-device.
+     *  Observability only — see Simulator. */
     StorageGauges
     storageGauges() const
     {
@@ -304,7 +301,8 @@ class SimulatorGroup : public OperationSink
     void performBatch(const Word *ops, size_t n) override;
     /** Fan out to every sub-device, splitting at boundary Moves. */
     void submitBatch(const Word *ops, size_t n) override;
-    /** Drain every sub-device's pipeline. */
+    /** Sync point: every sub-device verifies its checksums, and a
+     *  socket worker reports any error it is holding. */
     void flush() override;
     /** Broadcast for stats parity; response from the owning slice. */
     uint32_t performRead(Word op) override;
@@ -371,8 +369,7 @@ class SimulatorGroup : public OperationSink
      * THE raw-stream Move scan, shared by submitBatch (exchange
      * splitting + traffic counting) and prepareTrace (boundary
      * refusal) so the two can never drift: tracks the in-stream
-     * crossbar mask seeded from sub-device 0's live state (mask state
-     * advances at submit time, so it is current even mid-pipeline),
+     * crossbar mask seeded from sub-device 0's live state,
      * skipping Moves under an ill-formed mask (the sub-devices throw
      * at the mask op when the stream is forwarded). Invokes
      * fn(i, op, xb, crossing) for every analysable Move op; fn

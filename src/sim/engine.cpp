@@ -280,7 +280,7 @@ makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
            const HTree &htree, MaskState &mask, Stats &stats)
 {
-    requireCompiledReplay(cfg);
+    rejectRetiredFields(cfg);
     switch (cfg.kind) {
       case EngineKind::Sharded:
         return std::make_unique<ShardedEngine>(

@@ -20,8 +20,7 @@
  *    H-tree Move), which serialise.
  *
  * A segment replays in exactly one form, the compiled program: every
- * engine replays prepared traces through replayBatch, and the
- * pipeline compiles its one-shot batches before handing them over.
+ * engine replays prepared traces through replayBatch.
  * SerialEngine's op-major path is the one oracle.
  *
  * Engines operate on state OWNED BY the Simulator (crossbars, H-tree,
@@ -106,21 +105,12 @@ class ExecutionEngine
 
     /**
      * Replay one pre-built, compiled batch in stream order: Moves via
-     * applyMove, segments via replayProgram. Shared by the pipelined
-     * consumer and the synchronous trace-cache hit path — either way
-     * the batch was validated and its stats recorded at build time, so
-     * this is pure state application on any backend. Panics if a
-     * segment has no compiled program.
+     * applyMove, segments via replayProgram. The batch was validated
+     * and its stats recorded at build time, so this is pure state
+     * application on any backend. Panics if a segment has no compiled
+     * program.
      */
     void replayBatch(const BatchTrace &batch);
-
-    /**
-     * Apply a pre-validated Move under the crossbar-mask snapshot
-     * @p xb: pure data movement, no validation, no stats. The
-     * pipelined consumer thread calls this for queued Move items
-     * (validation and stats were recorded at submit time).
-     */
-    void applyMove(const MicroOp &op, const Range &xb);
 
     /**
      * Execute a Read micro-op and return the N-bit response. Reads
@@ -138,7 +128,7 @@ class ExecutionEngine
      * disjoint share of the common host buffer. Stats were applied by
      * the caller (the spec carries the pre-planned delta). Returns
      * 64-bit words transposed. Shared by all backends: the transfer
-     * runs after a drain, so the array is quiescent.
+     * runs between replays, so the array is quiescent.
      */
     uint64_t executeReadBulk(const BulkIoSpec &spec, uint32_t *out);
 
@@ -150,6 +140,14 @@ class ExecutionEngine
   protected:
     /** Reference semantics: apply one op to the full crossbar array. */
     void serialPerform(const MicroOp &op);
+
+    /**
+     * Apply a pre-validated Move under the crossbar-mask snapshot
+     * @p xb: pure data movement, no validation, no stats. replayBatch
+     * calls this for a trace's Move items (validation and stats were
+     * recorded at build time).
+     */
+    void applyMove(const MicroOp &op, const Range &xb);
 
     /**
      * Split @p ops at the cross-crossbar barriers: barrier ops run
@@ -246,9 +244,9 @@ makeEngine(const EngineConfig &cfg, const Geometry &geo,
 /**
  * Validate a Read against the mask state exactly as the serial
  * reference would, without touching any crossbar. Shared between
- * executeRead and the pipeline pre-pass (which validates at submit
- * time so a malformed op is reported at the submitBatch containing
- * it).
+ * executeRead and the trace pre-pass (buildBatchTrace, which
+ * validates at build time so a malformed op is reported by the call
+ * containing it).
  */
 void validateRead(const MicroOp &op, const Range &xb, const Range &row,
                   const Geometry &geo);

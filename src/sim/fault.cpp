@@ -98,7 +98,7 @@ FaultInjector::maybeFail()
     if (!active_)
         return;
     ++batch_;
-    if (suppressed_.load(std::memory_order_acquire) || failFired_ ||
+    if (suppressed_ || failFired_ ||
         spec_.failAtBatch == 0 || batch_ != spec_.failAtBatch)
         return;
     failFired_ = true;
@@ -136,7 +136,7 @@ FaultInjector::corrupt(std::vector<Crossbar> &xbs)
         }
     }
 
-    if (suppressed_.load(std::memory_order_acquire))
+    if (suppressed_)
         return;
 
     // Transient single-bit upset with per-batch probability flip%.

@@ -20,7 +20,7 @@
  *               (a sub-device dying mid-batch; one-shot, so the
  *               journaled re-replay succeeds);
  *  - poison=N : silently scribble a multi-bit pattern over the state
- *               after the N-th batch (a corrupted pipeline hand-off;
+ *               after the N-th batch (a corrupted batch hand-off;
  *               one-shot, caught by the next checksum verify);
  *  - dev=K    : restrict injection to sub-device K (default: all);
  *  - seed=S   : base RNG seed; each sub-device derives its own stream
@@ -43,7 +43,6 @@
 #ifndef PYPIM_SIM_FAULT_HPP
 #define PYPIM_SIM_FAULT_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -109,9 +108,9 @@ struct FaultSpec
 
 /**
  * Per-sub-device deterministic injector. Owned by the SimulatorGroup,
- * driven by the Simulator's post-replay hook; all methods run on
- * whichever thread replays batches (the pipeline consumer when
- * pipelined), never concurrently with each other.
+ * driven by the Simulator's post-replay hook; all methods run on the
+ * thread that calls into the Simulator, never concurrently with each
+ * other.
  */
 class FaultInjector
 {
@@ -148,7 +147,7 @@ class FaultInjector
     void
     setSuppressed(bool on)
     {
-        suppressed_.store(on, std::memory_order_release);
+        suppressed_ = on;
     }
 
     /** Faults injected so far (flips + poisons + fails + stuck-at
@@ -172,9 +171,8 @@ class FaultInjector
     uint64_t batch_ = 0;
     bool failFired_ = false;
     bool poisonFired_ = false;
-    /** Written by the host thread (RecoverySink), read by a pipeline
-     *  consumer in maybeFail/corrupt. */
-    std::atomic<bool> suppressed_{false};
+    /** Set by the recovery path (RecoverySink) around its re-replay. */
+    bool suppressed_ = false;
     std::vector<StuckPin> stuck_;  //!< chosen lazily on first corrupt
     uint64_t injected_ = 0;
 };

@@ -326,11 +326,8 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
 void
 compileBatchTrace(BatchTrace &batch, const Geometry &geo)
 {
-    // Grow-only: a pipeline arena batch keeps its programs' capacity
-    // across batches, as it keeps its segments'.
-    if (batch.programs.size() < batch.used)
-        batch.programs.resize(batch.used);
-    for (uint32_t s = 0; s < batch.used; ++s)
+    batch.programs.resize(batch.segments.size());
+    for (size_t s = 0; s < batch.segments.size(); ++s)
         compileSegmentProgram(batch.segments[s], geo,
                               batch.programs[s]);
 }
@@ -338,8 +335,7 @@ compileBatchTrace(BatchTrace &batch, const Geometry &geo)
 void
 releaseSegmentArenas(BatchTrace &batch)
 {
-    for (uint32_t s = 0; s < batch.used; ++s) {
-        SegmentTrace &t = batch.segments[s];
+    for (SegmentTrace &t : batch.segments) {
         std::vector<TraceOp>().swap(t.ops);
         std::vector<HalfGateRun>().swap(t.halfGates);
         std::vector<ActiveSection>().swap(t.sections);

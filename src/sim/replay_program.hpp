@@ -41,18 +41,16 @@
  *
  * Every segment is compiled where it replays: Simulator::prepareTrace
  * compiles a trace before freezing it, ShardedEngine::execute
- * compiles each raw segment into a reused member program, the
- * pipeline's consumer thread compiles each one-shot arena batch just
- * before replaying it, and a socket worker compiles each trace it
- * decodes from the wire. Compiling ties or wins even on segments
- * that replay once. On one-shot raw batches (4-vCPU Xeon, Release,
- * bench_simulator's INIT+NOR batch on 1024-row crossbars, one thread,
- * medians of 11 alternating runs) compile-then-replay ran 1.13x,
- * 1.12x and 0.99x the rate of the retired per-op segment interpreter
- * at 64, 256 and 1024 crossbars (0.89-0.96x at 16, inside the host's
- * noise), and 1.3-1.5x on the driver-translated fp-add batches of
- * bench_simulator's pipelined sweep at 4 threads. SerialEngine's
- * op-major raw path is the parity oracle
+ * compiles each raw segment into a reused member program, and a
+ * socket worker compiles each trace it decodes from the wire.
+ * Compiling ties or wins even on segments that replay once. On
+ * one-shot raw batches (4-vCPU Xeon, Release, bench_simulator's
+ * INIT+NOR batch on 1024-row crossbars, one thread, medians of 11
+ * alternating runs) compile-then-replay ran 1.13x, 1.12x and 0.99x
+ * the rate of the retired per-op segment interpreter at 64, 256 and
+ * 1024 crossbars (0.89-0.96x at 16, inside the host's noise), and
+ * 1.3-1.4x on driver-translated fp-add batches at 4 threads (64-1024
+ * crossbars). SerialEngine's op-major raw path is the parity oracle
  * (tests/test_replay_program.cpp).
  */
 #ifndef PYPIM_SIM_REPLAY_PROGRAM_HPP
@@ -178,12 +176,10 @@ void compileSegmentProgram(const SegmentTrace &trace,
                            const Geometry &geo, ReplayProgram &prog);
 
 /**
- * Compile segments[0..used) of @p batch into programs[0..used) —
- * called by Simulator::prepareTrace after window fusion (just before
- * the batch is frozen behind shared_ptr<const>), by the pipeline's
- * consumer for each one-shot arena batch, and by the trace-wire
- * decoder on a socket worker. Grow-only over programs, so a reused
- * arena batch compiles without reaching the heap.
+ * Compile every segment of @p batch into its program — called by
+ * Simulator::prepareTrace after window fusion (just before the batch
+ * is frozen behind shared_ptr<const>) and by the trace-wire decoder
+ * on a socket worker.
  */
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
 
@@ -196,8 +192,7 @@ void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
  * segment. Only for traces that freeze: called after compiling one
  * (Simulator::prepareTrace, decodeTraceWire) and by the host's
  * wire-trace builder, whose traces only ship their source stream and
- * never replay on the host. Never for the pipeline's reused arena
- * batches, which keep their capacity.
+ * never replay on the host.
  */
 void releaseSegmentArenas(BatchTrace &batch);
 

@@ -5,7 +5,7 @@
  * decoded and applied to all mask-selected crossbars on the calling
  * thread, in stream order (op-major). This is the default backend and,
  * over XbarStorage::Dense, the one behavioural oracle the sharded
- * engine, the pipeline and every compiled ReplayProgram are tested
+ * engine and every compiled ReplayProgram are tested
  * against — deliberately free of the decode-once/fusion/compile
  * machinery it validates.
  */

@@ -102,7 +102,10 @@ handleSubmit(WorkerContext &ctx, const WireFrame &f)
 {
     ByteReader r(f.payload);
     const uint64_t n = r.u64();
-    fatalIf(n * 8 != r.remaining(), "submit: op count mismatch");
+    // Division, not n * 8: the product wraps for n >= 2^61.
+    fatalIf(n != r.remaining() / 8 || r.remaining() % 8 != 0,
+            "submit: op count " + std::to_string(n) +
+                " does not match the payload");
     std::vector<Word> ops(static_cast<size_t>(n));
     for (Word &op : ops)
         op = r.u64();
@@ -174,6 +177,9 @@ handleBulkRead(WorkerContext &ctx, const WireFrame &f)
     ByteReader r(f.payload);
     const BulkIoSpec spec = readBulkSpec(r);
     r.expectEnd("bulk read");
+    fatalIf(spec.count > ctx.geo.totalRows(),
+            "bulk read: count " + std::to_string(spec.count) +
+                " exceeds the device's rows");
     // Elements outside the owned slice stay zero; the host ORs the
     // per-worker buffers together.
     std::vector<uint32_t> values(static_cast<size_t>(spec.count), 0);
@@ -193,6 +199,9 @@ handleBulkWrite(WorkerContext &ctx, const WireFrame &f)
 {
     ByteReader r(f.payload);
     const BulkIoSpec spec = readBulkSpec(r);
+    fatalIf(spec.count > r.remaining() / 4,
+            "bulk write: count " + std::to_string(spec.count) +
+                " exceeds the payload");
     std::vector<uint32_t> values(static_cast<size_t>(spec.count));
     for (uint32_t &v : values)
         v = r.u32();
@@ -235,7 +244,7 @@ handleCellRead(WorkerContext &ctx, const WireFrame &f)
 std::vector<uint8_t>
 handleStats(WorkerContext &ctx)
 {
-    const Stats &s = ctx.sim.stats();  // drains the pipeline
+    const Stats &s = ctx.sim.stats();
     ByteWriter w;
     writeStats(w, s);
     writeRange(w, ctx.sim.crossbarMask());
@@ -247,7 +256,6 @@ handleStats(WorkerContext &ctx)
 std::vector<uint8_t>
 handleStateFetch(WorkerContext &ctx)
 {
-    (void)ctx.sim.stats();  // drain so the image reflects every submit
     const Simulator &cs = ctx.sim;
     std::vector<CrossbarImage> images;
     for (uint32_t i = 0; i < ctx.sliceCount; ++i) {
@@ -289,10 +297,9 @@ handleStateRestore(WorkerContext &ctx, const WireFrame &f)
     fatalIf(!sameGeometry(img.geo, ctx.geo),
             "state restore: image geometry does not match this worker");
     // The worker-side mirror of restoreGroupImage, clipped to the
-    // owned slice: clear any pipeline error, rewrite the architectural
-    // state, rebuild owned crossbars from the canonical records, and
-    // re-bless the checksums.
-    ctx.sim.clearPipelineError();
+    // owned slice: rewrite the architectural state, rebuild owned
+    // crossbars from the canonical records, and re-bless the
+    // checksums.
     ctx.sim.restoreArchState(img.maskXb, img.maskRow, img.archStats);
     for (uint32_t i = 0; i < ctx.sliceCount; ++i)
         ctx.sim.crossbar(ctx.sliceLo + i).resetState();

@@ -35,7 +35,7 @@ namespace pypim
  * Run the worker message loop for the slice
  * [@p sliceLo, @p sliceLo + @p sliceCount) of @p geo, speaking the
  * framed protocol on @p fd. @p sub is the group's per-sub-device
- * config (faults, verify-state and pipeline flags included);
+ * config (fault and verify-state flags included);
  * @p deviceIndex seeds the fault injector exactly as the in-process
  * group would. Returns only when the host shuts the channel down (or
  * the stream is damaged beyond recovery); never throws.

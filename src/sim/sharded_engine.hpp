@@ -34,11 +34,6 @@
  *  5. Move/Read ops form a barrier: they run on the coordinator over
  *     the full array via the shared base-class implementation.
  *
- * In the pipelined path (sim/pipeline.hpp) the consumer thread plays
- * the coordinator role: it compiles each one-shot batch and hands the
- * programs to replayProgram while the caller thread translates and
- * decodes the next batch.
- *
  * Guarantees for well-formed streams: crossbar state is bit-identical
  * to SerialEngine at any thread count (each crossbar sees the same
  * ops under the same mask snapshots, in segment order), and Stats

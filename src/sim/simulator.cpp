@@ -32,23 +32,7 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
     mask_.reset(geo_);
     engine_ =
         makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
-    if (ec.pipeline)
-        makePipeline();
 }
-
-void
-Simulator::makePipeline()
-{
-    pipeline_ = std::make_unique<SimulatorPipeline>(
-        geo_, htree_, mask_, stats_, engine_,
-        [this] { verifyChecksums(); }, [this] { postReplayHook(); });
-    // Satellite contract enforcement: snapshot()/restore() panic if a
-    // replay is in flight instead of silently racing it.
-    for (Crossbar &xb : xbs_)
-        xb.setBusyFlag(&pipeline_->busyFlag());
-}
-
-Simulator::~Simulator() = default;
 
 void
 Simulator::checkOwned(uint32_t i) const
@@ -65,7 +49,6 @@ Simulator::checkOwned(uint32_t i) const
 StorageGauges
 Simulator::storageGauges() const
 {
-    drainPipeline();
     StorageGauges g;
     for (const Crossbar &xb : xbs_)
         g += xb.storageGauges();
@@ -75,7 +58,6 @@ Simulator::storageGauges() const
 uint64_t
 Simulator::compactStorage()
 {
-    drainPipeline();
     uint64_t elided = 0;
     for (Crossbar &xb : xbs_)
         elided += xb.compact();
@@ -87,16 +69,8 @@ Simulator::setEngine(const EngineConfig &ec)
 {
     // The crossbar state (and with it the storage representation)
     // survives the swap: ec.storage is applied at construction only.
-    drainPipeline();
     engine_ =
         makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
-    if (ec.pipeline && !pipeline_) {
-        makePipeline();
-    } else if (!ec.pipeline) {
-        pipeline_.reset();
-        for (Crossbar &xb : xbs_)
-            xb.setBusyFlag(nullptr);
-    }
 }
 
 // --- fault-tolerance plumbing -------------------------------------------
@@ -145,7 +119,6 @@ template <typename Fn>
 void
 Simulator::replayGuarded(Fn &&fn)
 {
-    // The synchronous mirror of the pipeline consumer's hook path.
     verifyChecksums();
     try {
         fn();
@@ -163,7 +136,6 @@ Simulator::replayGuarded(Fn &&fn)
 void
 Simulator::setVerifyState(bool on)
 {
-    drainPipeline();
     verifyState_ = on;
     if (on)
         blessChecksums();
@@ -174,22 +146,13 @@ Simulator::setVerifyState(bool on)
 void
 Simulator::setFaultInjector(std::shared_ptr<FaultInjector> inj)
 {
-    drainPipeline();
     injector_ = std::move(inj);
-}
-
-void
-Simulator::clearPipelineError()
-{
-    if (pipeline_)
-        pipeline_->clearError();
 }
 
 void
 Simulator::restoreArchState(const Range &maskXb, const Range &maskRow,
                             const Stats &stats)
 {
-    drainPipeline();
     mask_.xb = maskXb;
     mask_.setRow(maskRow, geo_.rows);
     stats_ = stats;
@@ -198,7 +161,6 @@ Simulator::restoreArchState(const Range &maskXb, const Range &maskRow,
 void
 Simulator::rebaselineChecksums()
 {
-    drainPipeline();
     if (verifyState_)
         blessChecksums();
 }
@@ -206,29 +168,12 @@ Simulator::rebaselineChecksums()
 void
 Simulator::performBatch(const Word *ops, size_t n)
 {
-    if (pipeline_) {
-        pipeline_->submit(ops, n);
-        pipeline_->drain();
-        verifyChecksums();
-        return;
-    }
-    replayGuarded([&] { engine_->execute(ops, n); });
-}
-
-void
-Simulator::submitBatch(const Word *ops, size_t n)
-{
-    if (pipeline_) {
-        pipeline_->submit(ops, n);
-        return;
-    }
     replayGuarded([&] { engine_->execute(ops, n); });
 }
 
 void
 Simulator::flush()
 {
-    drainPipeline();
     // Drain-point verify: faults injected after the last batch's
     // bless (or corruption from any other source) surface here, at a
     // sync point, never silently.
@@ -286,16 +231,11 @@ Simulator::submitTrace(std::shared_ptr<const BatchTrace> trace)
                 trace->geoCrossbars != geo_.numCrossbars,
             "submitTrace: trace was built for a different geometry");
     // Entry guard: a trace decoded from an entry mask state replays
-    // correctly only under that state. The live masks advance at
-    // submit time, so this holds with the pipeline too.
+    // correctly only under that state.
     panicIf(trace->hasEntry && (!(mask_.xb == trace->entryXb) ||
                                 !(mask_.row == trace->entryRow)),
             "submitTrace: live masks differ from the trace's entry "
             "mask state");
-    if (pipeline_) {
-        pipeline_->submitShared(std::move(trace));
-        return;
-    }
     stats_ += trace->stats;
     mask_.xb = trace->finalXb;
     mask_.setRow(trace->finalRow, geo_.rows);
@@ -306,10 +246,8 @@ bool
 Simulator::readBulk(const BulkIoSpec &spec, uint32_t *out,
                     BulkIoTelemetry &tel)
 {
-    // The one drain of the transfer: the array is quiescent for the
-    // whole gather, exactly as it would be after the first
-    // per-element performRead of the oracle loop.
-    drainPipeline();
+    // The one drain point of the transfer, as the first per-element
+    // performRead of the oracle loop would be.
     verifyChecksums();
     // Apply the pre-planned architectural effect — the submitTrace
     // pattern: the stats delta and final mask state were computed by
@@ -326,7 +264,6 @@ bool
 Simulator::writeBulk(const BulkIoSpec &spec, const uint32_t *values,
                      BulkIoTelemetry &tel)
 {
-    drainPipeline();
     verifyChecksums();
     stats_ += spec.stats;
     mask_.xb = spec.finalXb;
@@ -342,7 +279,6 @@ Simulator::writeBulk(const BulkIoSpec &spec, const uint32_t *values,
 void
 Simulator::writeCells(std::span<const CellWrite> cells)
 {
-    drainPipeline();
     verifyChecksums();
     for (const CellWrite &c : cells) {
         checkOwned(c.xb);
@@ -356,7 +292,6 @@ Simulator::writeCells(std::span<const CellWrite> cells)
 uint32_t
 Simulator::performRead(Word op)
 {
-    drainPipeline();
     verifyChecksums();
     return engine_->executeRead(MicroOp::decode(op));
 }
@@ -371,7 +306,6 @@ Simulator::perform(const MicroOp &op)
 uint32_t
 Simulator::read(const MicroOp &op)
 {
-    drainPipeline();
     return engine_->executeRead(op);
 }
 

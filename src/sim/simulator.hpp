@@ -19,13 +19,9 @@
  * host cores like real PIM scales with crossbars. Engines can be
  * swapped at runtime without losing memory contents.
  *
- * With EngineConfig::pipeline enabled the simulator additionally owns
- * an asynchronous execution pipeline (sim/pipeline.hpp): submitBatch
- * decodes batches into segment traces on the caller thread and a
- * consumer thread compiles and replays them, overlapping driver
- * translation with engine replay. Reads, direct state access, stats queries and engine
- * swaps drain the pipeline, so synchronous callers observe identical
- * behaviour.
+ * Execution is synchronous: every batch, trace and bulk transfer has
+ * taken effect (or thrown) when its call returns, so reads, direct
+ * state access and stats queries need no synchronisation.
  */
 #ifndef PYPIM_SIM_SIMULATOR_HPP
 #define PYPIM_SIM_SIMULATOR_HPP
@@ -39,7 +35,6 @@
 #include "sim/crossbar.hpp"
 #include "sim/engine.hpp"
 #include "sim/htree.hpp"
-#include "sim/pipeline.hpp"
 #include "sim/sink.hpp"
 #include "uarch/microop.hpp"
 
@@ -83,16 +78,9 @@ class Simulator : public OperationSink
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    ~Simulator() override;
-
-    // OperationSink interface. With the pipeline enabled
-    // (EngineConfig::pipeline), submitBatch decodes on the calling
-    // thread and replays asynchronously; performBatch remains the
-    // synchronous wrapper (submit + flush), and performRead, direct
-    // crossbar access, stats queries and setEngine drain the pipeline
-    // first.
+    // OperationSink interface. submitBatch keeps the default forward
+    // to performBatch; flush is the drain-point checksum verify.
     void performBatch(const Word *ops, size_t n) override;
-    void submitBatch(const Word *ops, size_t n) override;
     void flush() override;
     uint32_t performRead(Word op) override;
 
@@ -115,19 +103,17 @@ class Simulator : public OperationSink
 
     /**
      * Execute a trace built by prepareTrace on this simulator:
-     * equivalent to submitBatch of the original stream — stats and
-     * final mask state apply at submit, replay is enqueued behind the
-     * pipeline when enabled and runs inline otherwise — but with zero
-     * decode work. Panics if the trace has an entry mask state and
-     * the live masks differ from it.
+     * equivalent to performBatch of the original stream (stats, final
+     * mask state and replay) but with zero decode work. Panics if the
+     * trace has an entry mask state and the live masks differ from it.
      */
     void submitTrace(std::shared_ptr<const BatchTrace> trace) override;
 
     /**
-     * Bulk block-transfer read: drain the pipeline ONCE (the drain
-     * contract — one drain per transfer, not one per element), apply
-     * the spec's pre-planned stats delta and final mask state exactly
-     * as a submitTrace would, then gather via the engine's transpose
+     * Bulk block-transfer read: verify the checksums ONCE (one drain
+     * point per transfer, not one per element), apply the spec's
+     * pre-planned stats delta and final mask state exactly as a
+     * submitTrace would, then gather via the engine's transpose
      * kernels. Elements outside the owned slice are left untouched in
      * @p out (the device group assembles the full buffer from its
      * sub-devices). Always returns true.
@@ -167,14 +153,12 @@ class Simulator : public OperationSink
     /**
      * Direct crossbar state access by GLOBAL id (tests and host-side
      * loaders); throws pypim::Error for crossbars outside the owned
-     * slice. Drains the pipeline so the returned state reflects every
-     * submitted batch.
+     * slice.
      */
     Crossbar &
     crossbar(uint32_t i)
     {
         checkOwned(i);
-        drainPipeline();
         // The caller may mutate state the checksum machinery never
         // sees (direct test writes, checkpoint restore): the next
         // verify point re-blesses instead of comparing.
@@ -185,13 +169,12 @@ class Simulator : public OperationSink
     crossbar(uint32_t i) const
     {
         checkOwned(i);
-        drainPipeline();
         return xbs_[i - sliceLo_];
     }
 
     /**
-     * Land boundary-exchange values into owned crossbars: drain, verify
-     * the checksums (a fault injected since the last bless surfaces
+     * Land boundary-exchange values into owned crossbars: verify the
+     * checksums (a fault injected since the last bless surfaces
      * here instead of being adopted), write every cell, then re-bless.
      * Throws pypim::Error for a crossbar outside the owned slice. Stage
      * the matching reads through the const crossbar(), which leaves
@@ -199,66 +182,33 @@ class Simulator : public OperationSink
      */
     void writeCells(std::span<const CellWrite> cells);
 
-    // The mask state is advanced at submit time, so it reflects the
-    // whole submitted stream without a drain.
     const Range &crossbarMask() const { return mask_.xb; }
     const Range &rowMask() const { return mask_.row; }
 
     /**
-     * Aggregate storage footprint of every owned crossbar (drains
-     * the pipeline first). Pure observability: never part of the
+     * Aggregate storage footprint of every owned crossbar. Pure
+     * observability: never part of the
      * architectural Stats the parity suites compare exactly.
      */
     StorageGauges storageGauges() const;
 
     /**
      * Re-elide every materialised block that has decayed to all-zero
-     * across the owned slice (paged storage; no-op for dense). Drains
-     * the pipeline — compaction must not race replay. Returns the
-     * number of blocks returned to the pool.
+     * across the owned slice (paged storage; no-op for dense).
+     * Returns the number of blocks returned to the pool.
      */
     uint64_t compactStorage();
 
-    /** Statistics queries drain the pipeline. */
-    Stats &
-    stats()
-    {
-        drainPipeline();
-        return stats_;
-    }
-    const Stats &
-    stats() const
-    {
-        drainPipeline();
-        return stats_;
-    }
+    Stats &stats() { return stats_; }
+    const Stats &stats() const { return stats_; }
 
-    /** True iff the asynchronous pipeline is active. */
-    bool pipelined() const { return pipeline_ != nullptr; }
+    /** Active execution backend. */
+    ExecutionEngine &engine() { return *engine_; }
+    const ExecutionEngine &engine() const { return *engine_; }
 
     /**
-     * Active execution backend. Drains the pipeline: the engine's
-     * per-worker diagnostics (e.g. ShardedEngine::shardWork) are
-     * written by the consumer thread while batches are in flight.
-     */
-    ExecutionEngine &
-    engine()
-    {
-        drainPipeline();
-        return *engine_;
-    }
-    const ExecutionEngine &
-    engine() const
-    {
-        drainPipeline();
-        return *engine_;
-    }
-
-    /**
-     * Replace the execution backend (draining the pipeline first).
-     * Crossbar contents, mask state and statistics are owned by the
-     * simulator and survive the swap; the pipeline is enabled or
-     * disabled per @p ec.
+     * Replace the execution backend. Crossbar contents, mask state
+     * and statistics are owned by the simulator and survive the swap.
      */
     void setEngine(const EngineConfig &ec);
 
@@ -269,12 +219,12 @@ class Simulator : public OperationSink
      * verified before every batch replay and at every drain point,
      * re-blessed after every legitimate mutation. A mismatch throws
      * StateCorruption — the signal the RecoverySink's retry-with-
-     * restore policy acts on. Drains and blesses the current state.
+     * restore policy acts on. Blesses the current state.
      */
     void setVerifyState(bool on);
     bool verifyState() const { return verifyState_; }
 
-    /** Install the deterministic fault injector (drains first). */
+    /** Install the deterministic fault injector. */
     void setFaultInjector(std::shared_ptr<FaultInjector> inj);
     const std::shared_ptr<FaultInjector> &
     faultInjector() const
@@ -283,34 +233,18 @@ class Simulator : public OperationSink
     }
 
     /**
-     * Drop the pipeline's sticky error once the queue is idle (no-op
-     * when not pipelined) — the recovery path's first step before it
-     * restores state through crossbar(), whose drain would otherwise
-     * rethrow.
-     */
-    void clearPipelineError();
-
-    /**
      * Checkpoint-restore of the non-crossbar architectural state:
-     * mask ranges and the Stats block (drains first). Crossbar state
+     * mask ranges and the Stats block. Crossbar state
      * is restored separately via resetState + loadBlock.
      */
     void restoreArchState(const Range &maskXb, const Range &maskRow,
                           const Stats &stats);
 
     /** Re-bless the checksums after an external state rewrite (the
-     *  restore path's last step; drains first). */
+     *  restore path's last step). */
     void rebaselineChecksums();
 
   private:
-    /** Synchronise with the consumer thread (no-op when pipeline off). */
-    void
-    drainPipeline() const
-    {
-        if (pipeline_)
-            pipeline_->drain();
-    }
-
     void checkOwned(uint32_t i) const;
 
     /**
@@ -328,12 +262,8 @@ class Simulator : public OperationSink
      * re-blessing (sim/fault.hpp) — so the next verify detects it.
      */
     void postReplayHook();
-    /** Run @p fn between the verify and post-replay hooks — the
-     *  synchronous (non-pipelined) mirror of the consumer's path. */
+    /** Run @p fn between the verify and post-replay hooks. */
     template <typename Fn> void replayGuarded(Fn &&fn);
-    /** Construct the pipeline with the hook lambdas installed and
-     *  point every owned crossbar at its busy flag. */
-    void makePipeline();
 
     Geometry geo_;
     uint32_t sliceLo_ = 0;
@@ -348,11 +278,6 @@ class Simulator : public OperationSink
     /** Host mutated state directly: next verify blesses, not compares. */
     bool checksumsStale_ = false;
     std::shared_ptr<FaultInjector> injector_;
-    // Declared after engine_/xbs_ so the consumer thread is joined
-    // before the state it replays into is destroyed. Mutable: draining
-    // is not an observable state change, and const accessors
-    // synchronise through it.
-    mutable std::unique_ptr<SimulatorPipeline> pipeline_;
 };
 
 } // namespace pypim

@@ -60,8 +60,11 @@ class OperationSink
      * call may return before the ops have taken effect. Effects become
      * observable in submission order, at the latest after flush().
      * performRead is an implicit flush. The default forwards to the
-     * synchronous performBatch, so plain sinks need not care; the
-     * pipelined Simulator overrides it (sim/pipeline.hpp).
+     * synchronous performBatch, so plain sinks (the Simulator among
+     * them) need not care. SimulatorGroup overrides it; under the
+     * socket transport it streams the batch to its workers without a
+     * round trip and reports their errors at the next sync point
+     * (sim/device_group.hpp).
      */
     virtual void
     submitBatch(const Word *ops, size_t n)

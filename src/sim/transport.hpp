@@ -12,7 +12,7 @@
  *
  *  - submit/flush: micro-op batches stream asynchronously; errors a
  *    worker hits go sticky and surface at the next synchronous
- *    message (the pipelined report-at-sync contract), never silently;
+ *    message (the report-at-sync contract), never silently;
  *  - frozen traces: content-addressed by traceSignature — the trace
  *    image (sim/trace_wire.hpp) crosses the wire ONCE per worker and
  *    replays from the worker's signature cache thereafter (the
@@ -224,7 +224,7 @@ class SocketTransport
     void chargeExchange(uint64_t ns);
 
     // --- observability / state -------------------------------------
-    /** Fetch worker @p d's replicated Stats block (drains it). */
+    /** Fetch worker @p d's replicated Stats block (a sync point). */
     Stats fetchStats(uint32_t d, Range *maskXb = nullptr,
                      Range *maskRow = nullptr,
                      uint64_t *faultsInjected = nullptr);

@@ -6,10 +6,9 @@
  * per-crossbar (fuzzed gather/scatter vs read/writeRow on both
  * storage modes, block seams, absent blocks, elision preservation)
  * and end-to-end (full tensor programs on bulk-on vs bulk-off
- * devices across storage x device-count x engine x sync/pipelined),
- * plus the drain contract (ONE pipeline drain per transfer per
- * sub-device) and the equal-value run coalescing shared by both knob
- * settings.
+ * devices across storage x device-count x engine), plus the drain
+ * contract (ONE drain point per transfer per sub-device) and the
+ * equal-value run coalescing shared by both settings.
  */
 #include <gtest/gtest.h>
 
@@ -210,13 +209,10 @@ engineCase(size_t i)
         {"serial", EngineConfig::serial()},
         {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 6;
+constexpr size_t numEngineCases = 3;
 
 /**
  * One representative tensor program: random uploads, arithmetic, a
@@ -300,7 +296,7 @@ TEST(BulkIoDrains, OneDrainPerTransferPerSubDevice)
 {
     const Geometry g = multiGeometry();
     const EngineConfig cfg =
-        EngineConfig::sharded(1).withPipeline().withDevices(2);
+        EngineConfig::sharded(1).withDevices(2);
     Device dev(g, Driver::Mode::Parallel, cfg);
     std::vector<int32_t> v(300);
     for (size_t i = 0; i < v.size(); ++i)

@@ -6,9 +6,9 @@
  * instead of silently misconfiguring the stack (atol-style parsing
  * read "abc" as 0 and "12abc" as 12), and the boolean knobs must
  * reject anything but on|off|1|0. Retired knobs (the trace engine,
- * the storage and compiled-replay switches) must not steer anything,
- * and a config that turns compiled replay off is refused when a
- * simulator is built from it.
+ * the storage, compiled-replay, trace-cache and bulk-I/O switches)
+ * must not steer anything, and a config that turns the pipeline on or
+ * compiled replay off is refused when a simulator is built from it.
  */
 #include <gtest/gtest.h>
 
@@ -124,18 +124,8 @@ TEST(ConfigEnv, DevicesParsesPowersOfTwo)
 
 TEST(ConfigEnv, SwitchKnobsRejectJunk)
 {
-    {
-        EnvVar v("PYPIM_PIPELINE", "yes");
-        EXPECT_THROW(EngineConfig::fromEnv(), Error);
-    }
-    {
-        EnvVar v("PYPIM_TRACE_CACHE", "2");
-        EXPECT_THROW(EngineConfig::fromEnv(), Error);
-    }
-    {
-        EnvVar v("PYPIM_AFFINITY", "true");
-        EXPECT_THROW(EngineConfig::fromEnv(), Error);
-    }
+    EnvVar v("PYPIM_AFFINITY", "true");
+    EXPECT_THROW(EngineConfig::fromEnv(), Error);
 }
 
 TEST(ConfigEnv, AffinityParses)
@@ -158,32 +148,16 @@ TEST(ConfigEnv, StorageHasNoKnob)
     EXPECT_EQ(EngineConfig::fromEnv().storage, XbarStorage::Paged);
 }
 
-TEST(ConfigEnv, BulkIoParses)
+TEST(ConfigEnv, TraceCacheAndBulkIoHaveNoKnob)
 {
-    {
-        EnvVar v("PYPIM_BULK_IO", "on");
-        EXPECT_TRUE(EngineConfig::fromEnv().bulkIo);
-    }
-    {
-        EnvVar v("PYPIM_BULK_IO", "1");
-        EXPECT_TRUE(EngineConfig::fromEnv().bulkIo);
-    }
-    {
-        EnvVar v("PYPIM_BULK_IO", "off");
-        EXPECT_FALSE(EngineConfig::fromEnv().bulkIo);
-    }
-    {
-        EnvVar v("PYPIM_BULK_IO", "0");
-        EXPECT_FALSE(EngineConfig::fromEnv().bulkIo);
-    }
-}
-
-TEST(ConfigEnv, BulkIoRejectsJunk)
-{
-    for (const char *bad : {"yes", "true", "2", "ON", " on"}) {
-        EnvVar v("PYPIM_BULK_IO", bad);
-        EXPECT_THROW(EngineConfig::fromEnv(), Error)
-            << "PYPIM_BULK_IO='" << bad << "'";
+    // The uncached and element-wise oracles are selected in code: the
+    // retired variables must not steer anything, whatever their value.
+    for (const char *v : {"off", "0", "on", "junk"}) {
+        EnvVar t("PYPIM_TRACE_CACHE", v);
+        EnvVar b("PYPIM_BULK_IO", v);
+        const EngineConfig c = EngineConfig::fromEnv();
+        EXPECT_TRUE(c.traceCache) << "'" << v << "'";
+        EXPECT_TRUE(c.bulkIo) << "'" << v << "'";
     }
 }
 
@@ -198,33 +172,37 @@ TEST(ConfigEnv, CompiledReplayHasNoKnob)
     }
 }
 
-TEST(ConfigEnv, CompiledReplayOffIsRejectedAtConstruction)
+TEST(ConfigEnv, RetiredFieldsAreRejectedAtConstruction)
 {
     const Geometry g = testGeometry();
+    EXPECT_NO_THROW(rejectRetiredFields(EngineConfig::serial()));
     EngineConfig off = EngineConfig::serial();
     off.compiledReplay = false;
-    EXPECT_THROW(requireCompiledReplay(off), Error);
-    EXPECT_NO_THROW(requireCompiledReplay(EngineConfig::serial()));
-    EXPECT_THROW(Simulator s(g, off), Error);
-    EngineConfig shardedOff = EngineConfig::sharded(2);
-    shardedOff.compiledReplay = false;
-    EXPECT_THROW(Simulator s(g, shardedOff), Error);
-    EXPECT_THROW(SimulatorGroup grp(g, off), Error);
-    EXPECT_THROW(SimulatorGroup grp(g, off.withDevices(2)), Error);
-    // Refused before any worker process is forked.
-    EXPECT_THROW(SimulatorGroup grp(g, off.withDevices(2).withTransport(
-                                           TransportKind::Socket)),
-                 Error);
-    // An engine swap is a construction too.
-    Simulator sim(g, EngineConfig::serial());
-    EXPECT_THROW(sim.setEngine(shardedOff), Error);
+    EngineConfig piped = EngineConfig::serial();
+    piped.pipeline = true;
+    for (const EngineConfig &bad : {off, piped}) {
+        EXPECT_THROW(rejectRetiredFields(bad), Error);
+        EXPECT_THROW(Simulator s(g, bad), Error);
+        EngineConfig sharded = bad;
+        sharded.kind = EngineKind::Sharded;
+        sharded.threads = 2;
+        EXPECT_THROW(Simulator s(g, sharded), Error);
+        EXPECT_THROW(SimulatorGroup grp(g, bad), Error);
+        EXPECT_THROW(SimulatorGroup grp(g, bad.withDevices(2)), Error);
+        // Refused before any worker process is forked.
+        EXPECT_THROW(SimulatorGroup grp(g, bad.withDevices(2).withTransport(
+                                               TransportKind::Socket)),
+                     Error);
+        // An engine swap is a construction too.
+        Simulator sim(g, EngineConfig::serial());
+        EXPECT_THROW(sim.setEngine(sharded), Error);
+    }
 }
 
 TEST(ConfigEnv, DefaultsWhenUnset)
 {
     ::unsetenv("PYPIM_DEVICES");
     ::unsetenv("PYPIM_AFFINITY");
-    ::unsetenv("PYPIM_BULK_IO");
     const EngineConfig c = EngineConfig::fromEnv();
     EXPECT_EQ(c.devices, 1u);
     EXPECT_FALSE(c.affinity);

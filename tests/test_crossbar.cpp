@@ -521,8 +521,8 @@ fillStep(const Geometry &geo, uint32_t k)
 void
 replayOn(Crossbar &xb, const BatchTrace &t)
 {
-    for (uint32_t s = 0; s < t.used; ++s)
-        xb.replayProgram(t.programs[s], 0, nullptr);
+    for (const ReplayProgram &prog : t.programs)
+        xb.replayProgram(prog, 0, nullptr);
 }
 
 /** Run fill steps [from, to) on every crossbar in @p xbs. */
@@ -610,7 +610,7 @@ TEST(AdaptiveCrossbar, ProgramNeverPromotesMidway)
     Simulator sim(geo, EngineConfig::serial());
     const auto t = sim.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_NE(t, nullptr);
-    ASSERT_EQ(t->used, 1u);
+    ASSERT_EQ(t->segments.size(), 1u);
     Crossbar xb(geo, XbarStorage::Paged);
     Crossbar oracle(geo, XbarStorage::Dense);
     replayOn(xb, *t);

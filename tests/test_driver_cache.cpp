@@ -222,22 +222,21 @@ TEST(TraceCacheDevice, EngineConfigKnobReachesDriver)
     EXPECT_TRUE(devOn.driver().traceCacheEnabled());
 }
 
-TEST(TraceCacheDevice, PipelinedCachedRepliesMatchSynchronousSerial)
+TEST(TraceCacheDevice, ShardedCachedRepliesMatchSerial)
 {
-    // Warm-cache replay through the asynchronous pipeline: repeated
-    // instructions stream shared trace handles through the hand-off
-    // queue; results must match the synchronous serial device.
+    // Warm-cache replay on the sharded engine: repeated instructions
+    // replay shared trace handles; results must match the serial
+    // device.
     const Geometry g = testGeometry();
-    Device sync(g, Driver::Mode::Parallel, EngineConfig::serial());
-    Device piped(g, Driver::Mode::Parallel,
-                 EngineConfig::sharded(2).withPipeline());
+    Device serial(g, Driver::Mode::Parallel, EngineConfig::serial());
+    Device sharded(g, Driver::Mode::Parallel, EngineConfig::sharded(2));
     const uint64_t n = g.rows * g.numCrossbars;
     std::vector<int32_t> a(n), b(n);
     for (uint64_t i = 0; i < n; ++i) {
         a[i] = static_cast<int32_t>(i * 2654435761u);
         b[i] = static_cast<int32_t>(i * 40503u + 9);
     }
-    for (Device *dev : {&sync, &piped}) {
+    for (Device *dev : {&serial, &sharded}) {
         Tensor ta = Tensor::fromVector(a, dev);
         Tensor tb = Tensor::fromVector(b, dev);
         Tensor s = ta + tb;
@@ -256,11 +255,10 @@ TEST(TraceCacheDevice, PipelinedCachedRepliesMatchSynchronousSerial)
     }
 }
 
-TEST(TraceCacheDevice, PipelinedWarmHitsGoThroughSharedHandles)
+TEST(TraceCacheDevice, ShardedWarmHitsGoThroughSharedHandles)
 {
     const Geometry g = testGeometry();
-    Device dev(g, Driver::Mode::Parallel,
-               EngineConfig::sharded(2).withPipeline());
+    Device dev(g, Driver::Mode::Parallel, EngineConfig::sharded(2));
     RTypeInstr in;
     in.op = ROp::Mul;
     in.dtype = DType::Int32;
@@ -276,15 +274,13 @@ TEST(TraceCacheDevice, PipelinedWarmHitsGoThroughSharedHandles)
     EXPECT_EQ(dev.driver().stats().traceCacheHits, 4u);
 }
 
-TEST(TraceCacheDevice, ClearMidFlightKeepsQueuedReplaysAlive)
+TEST(TraceCacheDevice, ClearAfterWarmHitsReRecords)
 {
-    // The refcounting contract: clearing the driver's cache while
-    // pipelined shared-trace replays are still queued must not free
-    // the traces under the consumer — results stay correct, and the
-    // next execution re-records (a fresh miss).
+    // Clearing the driver's cache after a run of warm hits keeps the
+    // results they produced, and the next execution re-records (a
+    // fresh miss).
     const Geometry g = testGeometry();
-    Device piped(g, Driver::Mode::Serial,
-                 EngineConfig::sharded(2).withPipeline());
+    Device sharded(g, Driver::Mode::Serial, EngineConfig::sharded(2));
     Device oracle(g, Driver::Mode::Serial, EngineConfig::serial());
     const uint64_t n = g.rows * g.numCrossbars;
     std::vector<uint32_t> a(n), b(n);
@@ -300,7 +296,7 @@ TEST(TraceCacheDevice, ClearMidFlightKeepsQueuedReplaysAlive)
     in.rb = 1;
     in.warps = Range::all(g.numCrossbars);
     in.rows = Range::all(g.rows);
-    for (Device *dev : {&piped, &oracle}) {
+    for (Device *dev : {&sharded, &oracle}) {
         for (uint32_t w = 0; w < g.numCrossbars; ++w)
             for (uint32_t r = 0; r < g.rows; ++r) {
                 dev->simulator().crossbar(w).writeRow(
@@ -309,22 +305,21 @@ TEST(TraceCacheDevice, ClearMidFlightKeepsQueuedReplaysAlive)
                     1, b[w * g.rows + r], r);
             }
     }
-    // Queue several warm hits asynchronously, then clear the cache
-    // with the replays (potentially) still in flight — no flush.
+    // Several warm hits, then clear the cache — no flush.
     for (int i = 0; i < 6; ++i)
-        piped.driver().execute(in);
-    piped.driver().clearStreamCache();
-    EXPECT_EQ(piped.driver().streamCacheSize(), 0u);
+        sharded.driver().execute(in);
+    sharded.driver().clearStreamCache();
+    EXPECT_EQ(sharded.driver().streamCacheSize(), 0u);
     oracle.driver().execute(in);
     for (uint32_t w = 0; w < g.numCrossbars; ++w)
-        ASSERT_TRUE(piped.simulator().crossbar(w).sameState(
+        ASSERT_TRUE(sharded.simulator().crossbar(w).sameState(
             oracle.simulator().crossbar(w)))
             << "crossbar " << w;
     // Next execution of the same signature re-records: a fresh miss.
-    const uint64_t misses = piped.driver().stats().traceCacheMisses;
-    piped.driver().execute(in);
-    piped.flush();
-    EXPECT_EQ(piped.driver().stats().traceCacheMisses, misses + 1);
+    const uint64_t misses = sharded.driver().stats().traceCacheMisses;
+    sharded.driver().execute(in);
+    sharded.flush();
+    EXPECT_EQ(sharded.driver().stats().traceCacheMisses, misses + 1);
 }
 
 namespace

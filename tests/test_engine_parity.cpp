@@ -3,14 +3,9 @@
  * Engine-parity tests (the non-reference backends' correctness
  * contract): for fuzzed valid micro-op streams, directed
  * mask-interleaved segments and driver-level tensor programs, the
- * ShardedEngine (at 1, 2 and 8 threads) and both engines behind the
- * asynchronous pipeline must leave every
- * crossbar in a bit-identical state and produce identical
- * architectural Stats compared to the synchronous op-major
- * SerialEngine. Pipelined cases stream batches through submitBatch
- * (genuinely asynchronous; state compares drain), plus directed tests
- * for flush ordering around performRead/readback and for the
- * report-at-submit error contract.
+ * ShardedEngine (at 1, 2 and 8 threads) must leave every crossbar in
+ * a bit-identical state and produce identical architectural Stats
+ * compared to the op-major SerialEngine.
  */
 #include <gtest/gtest.h>
 
@@ -38,9 +33,7 @@ parityGeometry()
 /**
  * The candidate backends tested against the serial oracle: sharded at
  * the contract's thread counts (at one thread it exercises decode,
- * INIT+gate fusion and compiled replay without threading), and
- * pipelined variants of both engine kinds (asynchronous submit on the
- * caller thread, compile and replay on the consumer).
+ * INIT+gate fusion and compiled replay without threading).
  */
 struct EngineCase
 {
@@ -55,14 +48,10 @@ engineCase(size_t i)
         {"sharded", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
         {"sharded", EngineConfig::sharded(8)},
-        {"serial", EngineConfig::serial().withPipeline()},
-        {"sharded", EngineConfig::sharded(1).withPipeline()},
-        {"sharded", EngineConfig::sharded(2).withPipeline()},
-        {"sharded", EngineConfig::sharded(8).withPipeline()},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 7;
+constexpr size_t numEngineCases = 3;
 
 /** Seed both simulators with identical random register contents. */
 void
@@ -257,10 +246,7 @@ TEST_P(EngineParity, FuzzedStreamsBitIdentical)
     const std::vector<Word> ops = randomStream(rng, g, 600);
 
     // Feed both engines the identical stream in identical random-size
-    // batches, so segmenting boundaries vary across seeds. The
-    // candidate streams through submitBatch: for pipelined cases the
-    // batches queue up asynchronously (no drain between them), for
-    // synchronous cases it is identical to performBatch.
+    // batches, so segmenting boundaries vary across seeds.
     size_t i = 0;
     while (i < ops.size()) {
         const size_t n =
@@ -428,18 +414,18 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
             << "threads=" << threads;
     }
 
-    // Pipelined cached replay: the same shared trace, streamed
-    // asynchronously several times, must match the oracle replaying
-    // the raw stream the same number of times.
+    // Repeated cached replay: the same shared trace, submitted
+    // several times, must match the oracle replaying the raw stream
+    // the same number of times.
     {
-        Simulator piped(g, EngineConfig::sharded(2).withPipeline());
+        Simulator repeated(g, EngineConfig::sharded(2));
         {
             Rng r(seed);
             Simulator tmp(g);
-            seedState(piped, tmp, r);
+            seedState(repeated, tmp, r);
         }
         const auto trace =
-            piped.prepareTrace(ops.data(), ops.size(), true);
+            repeated.prepareTrace(ops.data(), ops.size(), true);
         ASSERT_TRUE(trace != nullptr);
         Simulator oracle3(g);
         {
@@ -448,12 +434,12 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
             seedState(oracle3, tmp, r);
         }
         for (int rep = 0; rep < 3; ++rep) {
-            piped.submitTrace(trace);
+            repeated.submitTrace(trace);
             oracle3.performBatch(ops.data(), ops.size());
         }
-        piped.flush();
-        EXPECT_TRUE(sameCrossbarState(oracle3, piped));
-        EXPECT_EQ(oracle3.stats(), piped.stats());
+        repeated.flush();
+        EXPECT_TRUE(sameCrossbarState(oracle3, repeated));
+        EXPECT_EQ(oracle3.stats(), repeated.stats());
     }
 }
 
@@ -664,10 +650,8 @@ TEST(EngineParityDriver, TensorProgramsMatchSerial)
             EXPECT_EQ(otherDev.simulator().engine().threads(),
                       std::min(ec.cfg.threads, g.numCrossbars));
         }
-        EXPECT_EQ(otherDev.simulator().pipelined(), ec.cfg.pipeline);
         runDriverProgram(otherDev);
-        // No explicit flush: crossbar() and stats() drain the
-        // pipeline themselves, and a Device::flush here would push
+        // No explicit flush: a Device::flush here would push
         // builder-buffered mask ops the serial oracle never flushed.
         for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
             ASSERT_TRUE(serialDev.simulator().crossbar(xb).sameState(
@@ -730,87 +714,4 @@ TEST(EngineParityDirected, LogicVRunsBitIdentical)
         EXPECT_TRUE(sameCrossbarState(serial, other)) << ec.name;
         EXPECT_EQ(serial.stats(), other.stats()) << ec.name;
     }
-}
-
-TEST(EnginePipelineFlush, ReadDrainsAllSubmittedBatches)
-{
-    // Flush ordering around performRead: several asynchronously
-    // submitted batches write successive values; a read without any
-    // explicit flush must observe the last one.
-    const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4).withPipeline());
-    for (uint32_t v = 1; v <= 8; ++v) {
-        const std::vector<Word> batch = {
-            MicroOp::write(2, 1000u + v).encode(),
-        };
-        sim.submitBatch(batch.data(), batch.size());
-    }
-    const std::vector<Word> sel = {
-        MicroOp::crossbarMask(Range::single(1)).encode(),
-        MicroOp::rowMask(Range::single(3)).encode(),
-    };
-    sim.submitBatch(sel.data(), sel.size());
-    EXPECT_EQ(sim.performRead(enc::read(2)), 1008u);
-    // Stats queries drain too and cover every submitted batch.
-    EXPECT_EQ(sim.stats().opCount[size_t(OpClass::Write)], 8u);
-}
-
-TEST(EnginePipelineFlush, TensorReadbackDrainsPipeline)
-{
-    // Host readback (pim/io.cpp) goes through performRead, which is
-    // an implicit flush: a pipelined device must return the same
-    // vectors as a synchronous serial one with no explicit flush.
-    const Geometry g = parityGeometry();
-    Device sync(g, Driver::Mode::Parallel, EngineConfig::serial());
-    Device piped(g, Driver::Mode::Parallel,
-                 EngineConfig::sharded(4).withPipeline());
-    for (Device *dev : {&sync, &piped}) {
-        const uint64_t n = 2 * g.rows;
-        std::vector<int32_t> a(n), b(n);
-        for (uint64_t i = 0; i < n; ++i) {
-            a[i] = static_cast<int32_t>(i * 7 + 1);
-            b[i] = static_cast<int32_t>(i * 3 + 2);
-        }
-        Tensor ta = Tensor::fromVector(a, dev);
-        Tensor tb = Tensor::fromVector(b, dev);
-        Tensor sum = ta + tb;
-        const std::vector<int32_t> out = sum.toIntVector();
-        for (uint64_t i = 0; i < n; ++i)
-            ASSERT_EQ(out[i], a[i] + b[i]) << "element " << i;
-    }
-}
-
-TEST(EnginePipelineErrors, MalformedOpReportedAtSubmit)
-{
-    // The pipelined path validates in the pre-pass on the caller
-    // thread: a malformed op must throw at the submitBatch that
-    // contained it (not at a later flush), and nothing from that
-    // batch — not even its valid prefix — may touch a crossbar.
-    const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(2).withPipeline());
-    Simulator before(g);
-    Rng rng(5150);
-    seedState(sim, before, rng);
-
-    const std::vector<Word> good = {
-        MicroOp::write(1, 0x1234u).encode(),
-    };
-    sim.submitBatch(good.data(), good.size());
-    before.performBatch(good.data(), good.size());
-
-    const std::vector<Word> bad = {
-        MicroOp::write(2, 0x5678u).encode(),  // valid prefix
-        MicroOp::write(g.slots(), 0u).encode(),  // slot out of range
-    };
-    EXPECT_THROW(sim.submitBatch(bad.data(), bad.size()), Error);
-
-    // The earlier good batch applied; the bad batch left no trace.
-    EXPECT_TRUE(sameCrossbarState(sim, before));
-    // The pipeline stays usable after the rejected submit. The
-    // architectural counters include the rejected batch's valid
-    // prefix — exactly like the synchronous sharded engine, whose
-    // pre-pass also records ops up to the point of failure.
-    sim.submitBatch(good.data(), good.size());
-    sim.flush();
-    EXPECT_EQ(sim.stats().opCount[size_t(OpClass::Write)], 3u);
 }

@@ -5,7 +5,7 @@
  * from the same moves executed one by one — bit-identical crossbar
  * state, architectural Stats, driver instruction count and builder
  * exit masks — whatever the entry mask state (known, unknown, half
- * known), engine, pipeline, storage, device count and transport. Plus
+ * known), engine, storage, device count and transport. Plus
  * the entry-mask guard of entry-dependent traces, fault recovery and
  * checkpoint/restore around captured hits.
  */
@@ -188,16 +188,8 @@ captureCases()
         const bool dense = st == XbarStorage::Dense;
         cases.push_back({dense ? "serial/dense" : "serial/paged",
                          EngineConfig::serial().withStorage(st), false});
-        cases.push_back({dense ? "serial+pipe/dense" : "serial+pipe/paged",
-                         EngineConfig::serial().withStorage(st)
-                             .withPipeline(),
-                         false});
         cases.push_back({dense ? "sharded/dense" : "sharded/paged",
                          EngineConfig::sharded(2).withStorage(st), false});
-        cases.push_back(
-            {dense ? "sharded+pipe/dense" : "sharded+pipe/paged",
-             EngineConfig::sharded(2).withStorage(st).withPipeline(),
-             false});
     }
     cases.push_back({"inproc x2", EngineConfig::serial().withDevices(2),
                      false});
@@ -359,32 +351,30 @@ TEST(MoveCapture, GroupsTakeTheRawFallbackForEntryDependentStreams)
 TEST(MoveCapture, EntryMaskGuardPanicsUnderWrongMasks)
 {
     const Geometry g = captureGeometry();
-    for (bool pipe : {false, true}) {
-        Simulator sim(g, EngineConfig::serial().withPipeline(pipe));
-        // A stream with no leading masks: only valid from an entry.
-        const std::vector<Word> ops = {
-            MicroOp::logicV(Gate::Init1, 0, 3, 5).encode(),
-            MicroOp::logicV(Gate::Not, 1, 3, 5).encode(),
-        };
-        EXPECT_EQ(sim.prepareTrace(ops.data(), ops.size(), true), nullptr);
-        const EntryMasks entry{Range(1, 5, 2), Range::single(3)};
-        const auto trace =
-            sim.prepareTrace(ops.data(), ops.size(), true, &entry);
-        ASSERT_NE(trace, nullptr);
-        EXPECT_TRUE(trace->hasEntry);
-        // Power-on masks are not the entry state.
-        EXPECT_THROW(sim.submitTrace(trace), InternalError);
-        const std::vector<Word> masks = {
-            MicroOp::crossbarMask(entry.xb).encode(),
-            MicroOp::rowMask(Range(0, 1, 1)).encode(),
-        };
-        sim.performBatch(masks.data(), masks.size());
-        EXPECT_THROW(sim.submitTrace(trace), InternalError);
-        const Word row = MicroOp::rowMask(entry.row).encode();
-        sim.performBatch(&row, 1);
-        EXPECT_NO_THROW(sim.submitTrace(trace));
-        sim.flush();
-    }
+    Simulator sim(g);
+    // A stream with no leading masks: only valid from an entry.
+    const std::vector<Word> ops = {
+        MicroOp::logicV(Gate::Init1, 0, 3, 5).encode(),
+        MicroOp::logicV(Gate::Not, 1, 3, 5).encode(),
+    };
+    EXPECT_EQ(sim.prepareTrace(ops.data(), ops.size(), true), nullptr);
+    const EntryMasks entry{Range(1, 5, 2), Range::single(3)};
+    const auto trace =
+        sim.prepareTrace(ops.data(), ops.size(), true, &entry);
+    ASSERT_NE(trace, nullptr);
+    EXPECT_TRUE(trace->hasEntry);
+    // Power-on masks are not the entry state.
+    EXPECT_THROW(sim.submitTrace(trace), InternalError);
+    const std::vector<Word> masks = {
+        MicroOp::crossbarMask(entry.xb).encode(),
+        MicroOp::rowMask(Range(0, 1, 1)).encode(),
+    };
+    sim.performBatch(masks.data(), masks.size());
+    EXPECT_THROW(sim.submitTrace(trace), InternalError);
+    const Word row = MicroOp::rowMask(entry.row).encode();
+    sim.performBatch(&row, 1);
+    EXPECT_NO_THROW(sim.submitTrace(trace));
+    sim.flush();
 }
 
 TEST(MoveCapture, FaultRecoveryAcrossCapturedTracesBitIdentical)

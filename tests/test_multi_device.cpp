@@ -5,7 +5,7 @@
  * boundaries must be indistinguishable from the monolithic simulator
  * — bit-identical crossbar state, readback and architectural Stats on
  * fuzzed micro-op streams (Moves included) and full driver tensor
- * programs, sync and pipelined, with the architectural counters
+ * programs, with the architectural counters
  * replicated across sub-devices and cross-device traffic consisting
  * solely of boundary-crossing Move transfers (directed H-tree
  * boundary tests assert intra-group traffic never leaves its slice).
@@ -48,13 +48,10 @@ engineCase(size_t i)
         {"serial", EngineConfig::serial()},
         {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 6;
+constexpr size_t numEngineCases = 3;
 
 /** Random valid Range over [0, limit). */
 Range
@@ -459,20 +456,17 @@ TEST(MultiDeviceAlloc, TensorsPreferOneSubDeviceSlice)
 
 TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderShardedReplay)
 {
-    // Copy-on-write snapshots under the most concurrent configuration
-    // in the repo: 4 sub-devices, each with a pipelined 2-thread
-    // sharded engine. Snapshots are taken at a drain point (the
-    // crossbar() accessor drains the owning sub-device), then a heavy
-    // random stream replays on the consumer/worker threads while the
-    // main thread holds the frozen images. Replay must CLONE every
-    // shared block it mutates — the snapshots keep the exact
-    // pre-replay state — and restoring rewinds the group bit-exactly.
-    // TSan-clean by the storage sync contract: the main thread only
-    // holds (never reads or refcounts) the images while replay is in
-    // flight.
+    // Copy-on-write snapshots under the most concurrent in-process
+    // configuration in the repo: 4 sub-devices, each with a 2-thread
+    // sharded engine. Snapshots are taken between calls, then a heavy
+    // random stream replays on the pool workers while the main thread
+    // holds the frozen images. Replay must CLONE every shared block it
+    // mutates — the snapshots keep the exact pre-replay state — and
+    // restoring rewinds the group bit-exactly. TSan-clean by the
+    // storage sync contract: the main thread only holds (never reads
+    // or refcounts) the images while replay is in flight.
     const Geometry g = multiGeometry();
     const EngineConfig cfg = EngineConfig::sharded(2)
-                                 .withPipeline()
                                  .withDevices(4)
                                  .withStorage(XbarStorage::Paged);
     Simulator pre(g);     // frozen pre-replay reference (never run)
@@ -498,7 +492,7 @@ TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderShardedReplay)
     for (int batch = 0; batch < 4; ++batch) {
         const std::vector<Word> ops = randomStream(rng, g, 200);
         oracle.performBatch(ops.data(), ops.size());
-        grp.submitBatch(ops.data(), ops.size());  // async replay
+        grp.submitBatch(ops.data(), ops.size());
     }
     grp.flush();
     EXPECT_TRUE(sameState(oracle, grp));

@@ -6,7 +6,7 @@
  * must be invisible: for any self-contained stream, a prepared trace
  * replays BIT-IDENTICALLY to the serial op-major raw-stream oracle on
  * Dense storage — same crossbar state, same architectural Stats —
- * across every engine, sync and pipelined, at 1/2/4 devices and on
+ * across every engine, at 1/2/4 devices and on
  * both storage representations, and the sharded engine's applied-work
  * diagnostics equal architectural work ops x touched crossbars. The
  * directed tests pin the COMPILER's decisions — when LogicH ops may
@@ -24,6 +24,7 @@
 
 #include "common/rng.hpp"
 #include "pim/pypim.hpp"
+#include "sim/batch_trace.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/device_group.hpp"
 #include "sim/htree.hpp"
@@ -58,13 +59,10 @@ engineCase(size_t i)
         {"serial", EngineConfig::serial()},
         {"sharded1", EngineConfig::sharded(1)},
         {"sharded", EngineConfig::sharded(2)},
-        {"serial+pipe", EngineConfig::serial().withPipeline()},
-        {"sharded1+pipe", EngineConfig::sharded(1).withPipeline()},
-        {"sharded+pipe", EngineConfig::sharded(2).withPipeline()},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 6;
+constexpr size_t numEngineCases = 3;
 
 /** Random valid Range over [0, limit). */
 Range
@@ -268,9 +266,9 @@ HeldExpansions
 heldExpansions(const BatchTrace &t)
 {
     HeldExpansions h;
-    for (uint32_t s = 0; s < t.used; ++s) {
-        h.headers += t.segments[s].halfGates.size();
-        h.sections += t.segments[s].sections.size();
+    for (const SegmentTrace &seg : t.segments) {
+        h.headers += seg.halfGates.size();
+        h.sections += seg.sections.size();
     }
     return h;
 }
@@ -328,8 +326,7 @@ void
 expectNoDecodeArenas(const BatchTrace &t)
 {
     EXPECT_EQ(heldExpansions(t), HeldExpansions{});
-    for (uint32_t s = 0; s < t.used; ++s) {
-        const SegmentTrace &seg = t.segments[s];
+    for (const SegmentTrace &seg : t.segments) {
         EXPECT_EQ(seg.halfGates.capacity(), 0u);
         EXPECT_EQ(seg.sections.capacity(), 0u);
         EXPECT_EQ(seg.ops.capacity(), 0u);
@@ -405,7 +402,7 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
             auto tc =
                 compiled.prepareTrace(ops.data(), ops.size(), true);
             ASSERT_NE(tc, nullptr);
-            ASSERT_EQ(tc->programs.size(), tc->used);
+            ASSERT_EQ(tc->programs.size(), tc->segments.size());
             // Compiled segments drop their half-gate expansions.
             EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
 
@@ -713,8 +710,8 @@ TEST(ReplayProgramRetention, PreparedTraceHoldsNoDecodeArenas)
         seedState(compiled, 77, g);
         const auto tc = compiled.prepareTrace(ops.data(), ops.size(), fuse);
         ASSERT_NE(tc, nullptr);
-        ASSERT_EQ(tc->used, 2u);
-        ASSERT_EQ(tc->programs.size(), tc->used);
+        ASSERT_EQ(tc->segments.size(), 2u);
+        ASSERT_EQ(tc->programs.size(), tc->segments.size());
         expectNoDecodeArenas(*tc);
         for (int rep = 0; rep < 3; ++rep) {
             oracle.performBatch(ops.data(), ops.size());
@@ -745,7 +742,7 @@ TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
     const std::vector<uint8_t> image = encodeTraceWire(*sent);
     const auto got = decodeTraceWire(image.data(), image.size(), g, htree);
     ASSERT_NE(got, nullptr);
-    ASSERT_EQ(got->programs.size(), got->used);
+    ASSERT_EQ(got->programs.size(), got->segments.size());
     expectNoDecodeArenas(*got);
 
     Simulator oracle(g);

@@ -5,8 +5,8 @@
  * merging and windowed INIT1->NOR/NOT fusion must fire exactly on the
  * legal patterns (counters checked), never on the alias/conflict
  * negatives, and every prepared trace — fused or not — must replay
- * bit-identically to the serial oracle, repeatedly, on synchronous
- * and pipelined simulators.
+ * bit-identically to the serial oracle, repeatedly, on the serial and
+ * sharded engines.
  */
 #include <gtest/gtest.h>
 
@@ -255,7 +255,7 @@ TEST(TraceFusion, InitChainMergedOpsReplayOnce)
     const auto ops =
         withMasks(g, {laneInit1(g, 3), laneInit1(g, 4)});
     const BatchTrace trace = decodedTrace(g, ops, /*fuse=*/true);
-    ASSERT_EQ(trace.used, 1u);
+    ASSERT_EQ(trace.segments.size(), 1u);
     // Two architectural LogicH ops, one surviving replay op.
     EXPECT_EQ(trace.segments[0].ops.size(), 1u);
     EXPECT_EQ(trace.stats.opCount[size_t(OpClass::LogicH)], 2u);
@@ -287,8 +287,8 @@ TEST(TraceFusion, InitChainMergeAppendsRunAndKeepsInternedRuns)
                       laneInit1(g, 4)});
     const BatchTrace plain = decodedTrace(g, ops, /*fuse=*/false);
     const BatchTrace fused = decodedTrace(g, ops, /*fuse=*/true);
-    ASSERT_EQ(plain.used, 1u);
-    ASSERT_EQ(fused.used, 1u);
+    ASSERT_EQ(plain.segments.size(), 1u);
+    ASSERT_EQ(fused.segments.size(), 1u);
     EXPECT_EQ(fused.fusion.initChain, 1u);
     const SegmentTrace &p = plain.segments[0];
     const SegmentTrace &f = fused.segments[0];
@@ -523,7 +523,7 @@ TEST(TraceFusion, EquivalentRangeDedupEnablesBuilderInitNorFusion)
         laneNor(g, 1, 2, 5),
     };
     const BatchTrace trace = decodedTrace(g, ops, /*fuse=*/false);
-    ASSERT_EQ(trace.used, 1u);
+    ASSERT_EQ(trace.segments.size(), 1u);
     const SegmentTrace &seg = trace.segments[0];
     ASSERT_EQ(seg.ops.size(), 1u);
     EXPECT_TRUE(seg.ops[0].fusedInit);
@@ -554,7 +554,7 @@ TEST(TraceFusion, PreparedTraceReplaysRepeatedly)
     EXPECT_EQ(oracle.stats(), cand.stats());
 }
 
-TEST(TraceFusion, PipelinedSubmitTraceMatchesOracle)
+TEST(TraceFusion, ShardedSubmitTraceMatchesOracle)
 {
     const Geometry g = fusionGeometry();
     const auto ops = withMasks(
@@ -562,13 +562,13 @@ TEST(TraceFusion, PipelinedSubmitTraceMatchesOracle)
             MicroOp::write(4, 0x10101010u).encode(),
             laneNor(g, 0, 2, 3)});
     Simulator oracle(g);
-    Simulator cand(g, EngineConfig::sharded(2).withPipeline());
+    Simulator cand(g, EngineConfig::sharded(2));
     seedState(oracle, cand, 777);
     const auto trace = cand.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_TRUE(trace != nullptr);
     for (int rep = 0; rep < 4; ++rep) {
         oracle.performBatch(ops.data(), ops.size());
-        cand.submitTrace(trace);  // queues asynchronously
+        cand.submitTrace(trace);
     }
     cand.flush();
     EXPECT_TRUE(sameCrossbarState(oracle, cand));
@@ -649,7 +649,7 @@ TEST(TraceFusion, DecodedTraceInternsOneCompactRunPerWord)
     body.insert(body.end(), words.begin(), words.end());
     const BatchTrace trace =
         decodedTrace(g, withMasks(g, body), /*fuse=*/true);
-    ASSERT_EQ(trace.used, 1u);
+    ASSERT_EQ(trace.segments.size(), 1u);
     EXPECT_EQ(trace.fusion.initChain, 0u);
     const SegmentTrace &seg = trace.segments[0];
 

@@ -10,7 +10,8 @@
  * compiles) and reject corruption and old versions; and the live
  * fork/socketpair fleet ships each frozen trace once per worker,
  * surfaces a killed worker as a DeviceFault and rebuilds it through
- * checkpoint restore and journaled recovery.
+ * checkpoint restore and journaled recovery. A worker bounds every
+ * count a message claims before it allocates for it.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,8 @@
 #include <dirent.h>
 #include <fstream>
 #include <string>
+#include <sys/socket.h>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -29,6 +32,7 @@
 #include "sim/htree.hpp"
 #include "sim/replay_program.hpp"
 #include "sim/serialize.hpp"
+#include "sim/shard_worker.hpp"
 #include "sim/trace_wire.hpp"
 #include "sim/transport.hpp"
 
@@ -207,6 +211,66 @@ TEST(WireError, MalformedPayloadThrowsLoudly)
     }
 }
 
+// --- untrusted counts ------------------------------------------------------
+
+TEST(WorkerBounds, OversizedCountsAreRejectedBeforeAllocating)
+{
+    // A worker served in a thread over a socketpair (no fork, so this
+    // also runs under TSan). Every count below exceeds
+    // vector::max_size: an unchecked worker would fail with a bare
+    // length_error; a bounded one names the count it refused.
+    const Geometry g = testGeometry();
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread worker([&] {
+        runShardWorker(fds[1], g, EngineConfig::serial(), 0,
+                       g.numCrossbars, 0);
+    });
+    const auto send = [&](uint32_t type, const std::vector<uint8_t> &p) {
+        sendFrame(fds[0], type, p.data(), p.size());
+    };
+    const auto expectErrorNaming = [&](uint64_t count) {
+        const WireFrame reply = recvFrame(fds[0]);
+        ASSERT_EQ(reply.type, uint32_t{kMsgErr});
+        try {
+            rethrowWireError(reply.payload);
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find(std::to_string(count)),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    // Bulk write claiming 2^62 values, carrying none.
+    BulkIoSpec spec;
+    spec.count = uint64_t{1} << 62;
+    ByteWriter bw;
+    writeBulkSpec(bw, spec);
+    send(kMsgBulkWrite, bw.take());
+    expectErrorNaming(spec.count);
+
+    // Bulk read of 2^62 elements from a 256-row device.
+    ByteWriter br;
+    writeBulkSpec(br, spec);
+    send(kMsgBulkRead, br.take());
+    expectErrorNaming(spec.count);
+
+    // Submit claiming 2^61 + 1 ops with one op word: n * 8 wraps to 8.
+    // Submits are asynchronous, so the error goes sticky and the next
+    // flush reports it.
+    const uint64_t n = (uint64_t{1} << 61) + 1;
+    ByteWriter sw;
+    sw.u64(n);
+    sw.u64(0);
+    send(kMsgSubmit, sw.take());
+    send(kMsgFlush, {});
+    expectErrorNaming(n);
+
+    send(kMsgShutdown, {});
+    worker.join();
+    ::close(fds[0]);
+}
+
 // --- trace wire format ----------------------------------------------------
 
 TEST(TraceWire, SignatureIsContentAddressed)
@@ -253,10 +317,9 @@ TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
         const std::shared_ptr<const BatchTrace> t =
             buildWireTrace(ops.data(), ops.size(), fuse, g, ht);
         ASSERT_TRUE(t);
-        ASSERT_GT(t->used, 0u);
+        ASSERT_FALSE(t->segments.empty());
         EXPECT_TRUE(t->programs.empty());
-        for (uint32_t s = 0; s < t->used; ++s) {
-            const SegmentTrace &seg = t->segments[s];
+        for (const SegmentTrace &seg : t->segments) {
             EXPECT_EQ(seg.ops.capacity(), 0u);
             EXPECT_EQ(seg.halfGates.capacity(), 0u);
             EXPECT_EQ(seg.sections.capacity(), 0u);
@@ -326,7 +389,7 @@ TEST(TraceWire, WorkerCompiledTraceReplaysLikePrepareTrace)
         inproc.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_TRUE(worker);
     ASSERT_TRUE(local);
-    ASSERT_EQ(worker->programs.size(), worker->used);
+    ASSERT_EQ(worker->programs.size(), worker->segments.size());
     ASSERT_EQ(worker->programs.size(), local->programs.size());
     for (size_t p = 0; p < local->programs.size(); ++p) {
         const ReplayProgram &w = worker->programs[p];
