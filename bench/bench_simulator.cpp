@@ -13,14 +13,17 @@
  * gauges paged (block-elided, copy-on-write) crossbar storage against
  * the dense slab — throughput parity on dense data, resident-byte
  * reduction on sparse data, and max-geometry scaling past what dense
- * slabs can allocate.
+ * slabs can allocate. The replay panel times the compiled-replay
+ * executor alone, in every ISA build the host supports.
  */
 #include <benchmark/benchmark.h>
 
 #include <thread>
 
 #include "bench_common.hpp"
+#include "sim/batch_trace.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/replay_program.hpp"
 #include "sim/serialize.hpp"
 #include "sim/sharded_engine.hpp"
 
@@ -914,6 +917,127 @@ transportSweep(Json *json)
     return allIdentical;
 }
 
+/**
+ * Replay panel (one layer: the compiled-replay executor). The driver's
+ * fp32 add and mul streams at the Table III geometry are compiled once
+ * (fused, as a trace-cache miss does), then replayed segment by
+ * segment straight onto 16 slab crossbars, with no engine, by every
+ * executor build the host supports. It reports the HPass instructions
+ * (merged LogicH passes) one crossbar replays, sections per HPass, and
+ * host ns per replayed section (the whole replay time, stripes and
+ * vertical runs included, over the sections). Each build replays once
+ * from one seeded state first; the function returns false unless
+ * every build's final state checksum equals the first build's.
+ */
+bool
+replayPanel(Json *json, double minSeconds = 0.2)
+{
+    const Geometry g = benchGeometry();
+    const Crossbar::ReplayBuild &hostBuild = Crossbar::replayBuild();
+    std::printf("\n=== Compiled replay per ISA build (%u slab crossbars, "
+                "%u rows; host pick: %s) ===\n",
+                g.numCrossbars, g.rows, hostBuild.name);
+    std::printf("%-8s %-10s %8s %10s %12s %10s\n", "kernel", "build",
+                "HPass", "secs/HPass", "ns/section", "identical");
+    if (json)
+        json->beginArray("replay");
+    bool allIdentical = true;
+    const struct
+    {
+        const char *name;
+        ROp op;
+    } kernels[] = {{"fp add", ROp::Add}, {"fp mul", ROp::Mul}};
+    for (const auto &k : kernels) {
+        StreamRecorder cap;
+        {
+            Driver drv(cap, g, Driver::Mode::Parallel);
+            drv.setTraceCacheEnabled(false);
+            drv.execute(fullInstr(g, k.op, DType::Float32));
+        }
+        Simulator prep(g, EngineConfig::serial());
+        const auto trace =
+            prep.prepareTrace(cap.ops.data(), cap.ops.size(), true);
+        if (!trace) {
+            std::printf("%-8s stream is not self-contained: skipped\n",
+                        k.name);
+            continue;
+        }
+        // The work one crossbar replays (full warps: every crossbar
+        // runs every instruction).
+        uint64_t hpass = 0, sections = 0;
+        for (const ReplayProgram &prog : trace->programs)
+            for (const ReplayProgram::Instr &in : prog.instrs)
+                if (in.kind == ReplayProgram::Kind::HPass) {
+                    ++hpass;
+                    sections += in.count;
+                }
+        const auto replayAll = [&](Simulator &sim) {
+            for (const ReplayProgram &prog : trace->programs)
+                for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+                    sim.crossbar(xb).replayProgram(prog, xb, nullptr);
+        };
+        if (json) {
+            json->beginObject();
+            json->field("kernel", k.name);
+            json->field("hpass_instrs", hpass);
+            json->field("sections_per_hpass",
+                        hpass ? static_cast<double>(sections) / hpass
+                              : 0.0);
+            json->beginArray("builds");
+        }
+        bool haveRef = false;
+        uint64_t ckRef = 0;
+        for (const Crossbar::ReplayBuild &b : Crossbar::replayBuilds()) {
+            if (!b.supported())
+                continue;
+            Crossbar::useReplayBuild(b);
+            Simulator sim(
+                g, EngineConfig::serial().withStorage(XbarStorage::Dense));
+            Rng rng(2024);
+            for (uint32_t slot = 0; slot < 4; ++slot)
+                fillRegister(sim, slot, rng, true);
+            replayAll(sim);
+            uint64_t ck = 0;
+            for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+                ck = ck * 0x100000001B3ull ^ sim.crossbar(xb).stateChecksum();
+            if (!haveRef) {
+                ckRef = ck;
+                haveRef = true;
+            }
+            const bool identical = ck == ckRef;
+            allIdentical = allIdentical && identical;
+            const auto [reps, elapsed] =
+                timedReps([&] { replayAll(sim); }, [] {}, minSeconds);
+            const double nsPerSection =
+                elapsed * 1e9 /
+                (static_cast<double>(reps) * sections * g.numCrossbars);
+            std::printf("%-8s %-10s %8llu %10.2f %12.2f %10s\n", k.name,
+                        b.name, static_cast<unsigned long long>(hpass),
+                        hpass ? static_cast<double>(sections) / hpass
+                              : 0.0,
+                        nsPerSection, identical ? "yes" : "NO — BUG");
+            if (json) {
+                json->beginObject();
+                json->field("build", b.name);
+                json->field("ns_per_section", nsPerSection);
+                json->field("bit_identical", identical);
+                json->end();
+            }
+        }
+        if (json) {
+            json->end();  // builds
+            json->end();  // kernel row
+        }
+    }
+    Crossbar::useReplayBuild(hostBuild);
+    if (json)
+        json->end();
+    std::printf("(HPass = merged LogicH pass one crossbar replays; "
+                "'identical' compares each build's final state checksum "
+                "with the first build's)\n");
+    return allIdentical;
+}
+
 } // namespace
 
 BENCHMARK(simScaling)
@@ -952,6 +1076,7 @@ main(int argc, char **argv)
     const bool ioIdentical = ioSweep(j);
     const bool checkpointIdentical = checkpointSweep(j);
     const bool transportIdentical = transportSweep(j);
+    const bool replayIdentical = replayPanel(j);
     if (j) {
         j->end();
         j->writeTo(jsonOutPath());
@@ -961,11 +1086,13 @@ main(int argc, char **argv)
     // Non-zero exit when sharded execution diverged from the
     // monolithic device, paged storage diverged from dense, the bulk
     // I/O path diverged from the element-wise oracle, a checkpoint
-    // failed to restore bit-identical, or the cross-process socket
-    // fleet diverged from the in-process group: the CI bench smoke step
-    // asserts all five identities.
+    // failed to restore bit-identical, the cross-process socket fleet
+    // diverged from the in-process group, or two replay ISA builds
+    // left different states: the CI bench smoke step asserts all six
+    // identities.
     return devicesIdentical && storageIdentical && ioIdentical &&
-                   checkpointIdentical && transportIdentical
+                   checkpointIdentical && transportIdentical &&
+                   replayIdentical
                ? 0
                : 1;
 }

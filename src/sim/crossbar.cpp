@@ -2,10 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <iterator>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "sim/replay_program.hpp"
+
+// The x86-64-v3/v4 replay builds need GCC's target attribute with
+// x86-64-vN arch names and __builtin_cpu_supports for them (GCC 12).
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    __GNUC__ >= 12
+#define PYPIM_REPLAY_X86_BUILDS 1
+#else
+#define PYPIM_REPLAY_X86_BUILDS 0
+#endif
 
 namespace pypim
 {
@@ -58,6 +70,57 @@ windowMask(uint32_t off, uint32_t take)
     // first), and 1ull << 64 would be UB.
     return take == 64 ? ~0ull : ((1ull << take) - 1) << off;
 }
+
+/** Eight words: one AVX-512 register, two AVX2 or four SSE2 ones. */
+using Words8 = uint64_t __attribute__((vector_size(64)));
+
+/**
+ * The compiled-replay word loop: f(out[w], {in[w]...}) for w < @p n.
+ * It runs eight words at a time through Words8, so each replay build
+ * (ReplayKernels) applies @p f at its own register width at every
+ * optimisation level, then word by word for a column shorter than
+ * eight words. Operands go by reference: a vector passed by value
+ * would take a different calling convention in each build.
+ */
+template <typename F, typename... In>
+[[gnu::always_inline]] inline void
+sweep(uint32_t n, F f, uint64_t *out, const In *...in)
+{
+    constexpr size_t kIn = sizeof...(In);
+    const uint64_t *src[kIn] = {in...};
+    uint32_t w = 0;
+    for (; w + 8 <= n; w += 8) {
+        Words8 o, x[kIn];
+        std::memcpy(&o, out + w, sizeof o);
+        for (size_t k = 0; k < kIn; ++k)
+            std::memcpy(&x[k], src[k] + w, sizeof o);
+        f(o, x);
+        std::memcpy(out + w, &o, sizeof o);
+    }
+    for (; w < n; ++w) {
+        const uint64_t x[kIn] = {in[w]...};
+        f(out[w], x);
+    }
+}
+
+// The executor's gate bodies, on one word or on Words8 (x holds the
+// sweep inputs in order). Stateful NOT/NOR can only clear the output;
+// the fused INIT1+NOT/NOR overwrites it. In the masked forms the last
+// input is the row mask, and unselected rows keep their bits.
+constexpr auto kNorInto = [](auto &o, const auto *x)
+    __attribute__((always_inline)) { o &= ~(x[0] | x[1]); };
+constexpr auto kNorSet = [](auto &o, const auto *x)
+    __attribute__((always_inline)) { o = ~(x[0] | x[1]); };
+constexpr auto kClearMasked = [](auto &o, const auto *x)
+    __attribute__((always_inline)) { o &= ~x[0]; };
+constexpr auto kSetMasked = [](auto &o, const auto *x)
+    __attribute__((always_inline)) { o |= x[0]; };
+constexpr auto kNorIntoMasked = [](auto &o, const auto *x)
+    __attribute__((always_inline)) { o &= ~((x[0] | x[1]) & x[2]); };
+constexpr auto kNorSetMasked = [](auto &o, const auto *x)
+    __attribute__((always_inline)) {
+        o = (o & ~x[2]) | (~(x[0] | x[1]) & x[2]);
+    };
 
 /** Source of Crossbar::poolOwner_ tags (0 is never handed out). */
 std::atomic<uint64_t> nextPoolOwner{1};
@@ -467,29 +530,8 @@ Crossbar::logicVPaged(Gate g, uint32_t rowIn, uint32_t rowOut,
 
 // --- compiled-program replay --------------------------------------------
 
-void
-Crossbar::replayProgram(const ReplayProgram &prog, uint32_t self,
-                        Stats *work)
-{
-    // One dispatch per (segment, crossbar) into the specialization
-    // lattice: the storage test and the blend-vs-fill choice are
-    // decided here, outside the hot loops.
-    maybePromote();
-    if (!slab_) {
-        if (prog.allMasksFull)
-            replayProgramT<true, true>(prog, self, work);
-        else
-            replayProgramT<true, false>(prog, self, work);
-    } else {
-        if (prog.allMasksFull)
-            replayProgramT<false, true>(prog, self, work);
-        else
-            replayProgramT<false, false>(prog, self, work);
-    }
-}
-
 template <bool kPaged, bool kFull>
-void
+[[gnu::always_inline]] inline void
 Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                          Stats *work)
 {
@@ -572,8 +614,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             const uint64_t *b =
                                 base +
                                 static_cast<size_t>(sec.inB) * wpc;
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] &= ~(a[w] | b[w]);
+                            sweep(wpc, kNorInto, out, a, b);
                         }
                         break;
                       case SecKind::FusedNotNor:
@@ -596,8 +637,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             const uint64_t *b =
                                 base +
                                 static_cast<size_t>(sec.inB) * wpc;
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] = ~(a[w] | b[w]);
+                            sweep(wpc, kNorSet, out, a, b);
                         }
                         break;
                     }
@@ -644,8 +684,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                                 bIn ? blockRO(sec.inB, b)
                                     : kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] &= ~(a[w] | bb[w]);
+                            sweep(used, kNorInto, out, a, bb);
                         }
                     }
                     break;
@@ -665,8 +704,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                                 a = kZeroBlock;
                             if (!bb)
                                 bb = kZeroBlock;
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
+                            sweep(used, kNorSet, out, a, bb);
                         }
                         break;
                     }
@@ -681,8 +719,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             if (!bb)
                                 bb = kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
+                            sweep(used, kNorSet, out, a, bb);
                         }
                     }
                     break;
@@ -705,15 +742,13 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                           case SecKind::NotNor: {
                             const uint64_t *a = colWords(sec.inA);
                             const uint64_t *b = colWords(sec.inB);
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] &= ~(a[w] | b[w]);
+                            sweep(wpc, kNorInto, out, a, b);
                             break;
                           }
                           case SecKind::FusedNotNor: {
                             const uint64_t *a = colWords(sec.inA);
                             const uint64_t *b = colWords(sec.inB);
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] = ~(a[w] | b[w]);
+                            sweep(wpc, kNorSet, out, a, b);
                             break;
                           }
                         }
@@ -756,8 +791,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                                 bIn ? blockRO(sec.inB, b)
                                     : kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] &= ~(a[w] | bb[w]);
+                            sweep(used, kNorInto, out, a, bb);
                         }
                         break;
                       case SecKind::FusedNotNor:
@@ -770,8 +804,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             if (!bb)
                                 bb = kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
+                            sweep(used, kNorSet, out, a, bb);
                         }
                         break;
                     }
@@ -790,26 +823,21 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                     uint64_t *out = colWords(sec.outCol);
                     switch (sec.kind) {
                       case SecKind::Init0:
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] &= ~m[w];
+                        sweep(wpc, kClearMasked, out, m);
                         break;
                       case SecKind::Init1:
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] |= m[w];
+                        sweep(wpc, kSetMasked, out, m);
                         break;
                       case SecKind::NotNor: {
                         const uint64_t *a = colWords(sec.inA);
                         const uint64_t *b = colWords(sec.inB);
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] &= ~((a[w] | b[w]) & m[w]);
+                        sweep(wpc, kNorIntoMasked, out, a, b, m);
                         break;
                       }
                       case SecKind::FusedNotNor: {
                         const uint64_t *a = colWords(sec.inA);
                         const uint64_t *b = colWords(sec.inB);
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] = (out[w] & ~m[w]) |
-                                     (~(a[w] | b[w]) & m[w]);
+                        sweep(wpc, kNorSetMasked, out, a, b, m);
                         break;
                       }
                     }
@@ -825,8 +853,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             continue;
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] &= ~mb[w];
+                        sweep(used, kClearMasked, out, mb);
                     }
                     break;
                   case SecKind::Init1:
@@ -836,8 +863,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                         uint64_t *out = blockRW(sec.outCol, b);
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] |= mb[w];
+                        sweep(used, kSetMasked, out, mb);
                     }
                     break;
                   case SecKind::NotNor:
@@ -859,8 +885,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             bIn ? blockRO(sec.inB, b) : kZeroBlock;
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] &= ~((a[w] | bb[w]) & mb[w]);
+                        sweep(used, kNorIntoMasked, out, a, bb, mb);
                     }
                     break;
                   case SecKind::FusedNotNor:
@@ -876,9 +901,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             bb = kZeroBlock;
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] = (out[w] & ~mb[w]) |
-                                     (~(a[w] | bb[w]) & mb[w]);
+                        sweep(used, kNorSetMasked, out, a, bb, mb);
                     }
                     break;
                 }
@@ -976,6 +999,126 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
           }
         }
     }
+}
+
+/**
+ * The ISA builds of the compiled-replay executor. Each entry is the one
+ * replayProgramT source, forced inline into a function compiled for
+ * one target, so its sweep steps run at that ISA's register width.
+ * Only these entries carry a target attribute: every inline or
+ * template function the executor calls without inlining it (std::fill,
+ * the block-table helpers) keeps the default target, so no code shared
+ * with other translation units is ever built for an ISA the host may
+ * lack. The builds are picked through a plain table, never an ifunc,
+ * so tests can run each one and sanitizer builds need no resolver.
+ *
+ * To add a build: one entry with its target attribute, and one row in
+ * kReplayBuilds (widest ISA first) whose supported() tests the host
+ * for that target with __builtin_cpu_supports.
+ */
+struct ReplayKernels
+{
+    /** The four specialisations; the representation is fixed. */
+    [[gnu::always_inline]] static inline void
+    dispatch(Crossbar &x, const ReplayProgram &prog, uint32_t self,
+             Stats *work)
+    {
+        if (!x.slab_) {
+            if (prog.allMasksFull)
+                x.replayProgramT<true, true>(prog, self, work);
+            else
+                x.replayProgramT<true, false>(prog, self, work);
+        } else {
+            if (prog.allMasksFull)
+                x.replayProgramT<false, true>(prog, self, work);
+            else
+                x.replayProgramT<false, false>(prog, self, work);
+        }
+    }
+
+#if PYPIM_REPLAY_X86_BUILDS
+    [[gnu::target("arch=x86-64-v4")]] static void
+    x86v4(Crossbar &x, const ReplayProgram &prog, uint32_t self,
+          Stats *work)
+    {
+        dispatch(x, prog, self, work);
+    }
+    static bool hostV4() { return __builtin_cpu_supports("x86-64-v4"); }
+
+    [[gnu::target("arch=x86-64-v3")]] static void
+    x86v3(Crossbar &x, const ReplayProgram &prog, uint32_t self,
+          Stats *work)
+    {
+        dispatch(x, prog, self, work);
+    }
+    static bool hostV3() { return __builtin_cpu_supports("x86-64-v3"); }
+#endif
+
+    static void
+    base(Crossbar &x, const ReplayProgram &prog, uint32_t self,
+         Stats *work)
+    {
+        dispatch(x, prog, self, work);
+    }
+    static bool always() { return true; }
+};
+
+namespace
+{
+
+const Crossbar::ReplayBuild kReplayBuilds[] = {
+#if PYPIM_REPLAY_X86_BUILDS
+    {"x86-64-v4", &ReplayKernels::hostV4, &ReplayKernels::x86v4},
+    {"x86-64-v3", &ReplayKernels::hostV3, &ReplayKernels::x86v3},
+#endif
+    {"default", &ReplayKernels::always, &ReplayKernels::base},
+};
+
+/** The build replayProgram runs (first use picks the host's widest). */
+std::atomic<const Crossbar::ReplayBuild *> &
+activeReplayBuild()
+{
+    static std::atomic<const Crossbar::ReplayBuild *> active{[] {
+        for (const Crossbar::ReplayBuild &b : kReplayBuilds)
+            if (b.supported())
+                return &b;
+        return &kReplayBuilds[std::size(kReplayBuilds) - 1];
+    }()};
+    return active;
+}
+
+} // namespace
+
+std::span<const Crossbar::ReplayBuild>
+Crossbar::replayBuilds()
+{
+    return kReplayBuilds;
+}
+
+const Crossbar::ReplayBuild &
+Crossbar::replayBuild()
+{
+    return *activeReplayBuild().load(std::memory_order_relaxed);
+}
+
+void
+Crossbar::useReplayBuild(const ReplayBuild &b)
+{
+    fatalIf(!b.supported(), std::string("replay build '") + b.name +
+                                "' needs an ISA this host lacks");
+    activeReplayBuild().store(&b, std::memory_order_relaxed);
+}
+
+void
+Crossbar::replayProgram(const ReplayProgram &prog, uint32_t self,
+                        Stats *work)
+{
+    // One dispatch per (segment, crossbar) into the specialization
+    // lattice: the storage test and the blend-vs-fill choice are
+    // decided in the build, outside the hot loops.
+    maybePromote();
+    activeReplayBuild().load(std::memory_order_relaxed)->run(*this, prog,
+                                                              self, work);
 }
 
 // --- strided read/write -------------------------------------------------
@@ -1593,7 +1736,7 @@ Crossbar::restore(const Snapshot &s)
     panicIf(s.pool_ && s.pool_->owner() != poolOwner_,
             "restore: snapshot was taken from a different crossbar");
     if (slab_) {
-        std::vector<uint64_t>().swap(state_);
+        Slab().swap(state_);
         slab_ = false;
     }
     // Re-adopt the snapshot's shared blocks: ref the incoming set
@@ -1631,7 +1774,7 @@ Crossbar::compact()
                                     blockWords(b));
         if (atPromoteShare(nonZero))
             return 0;
-        std::vector<uint64_t> slab;
+        Slab slab;
         slab.swap(state_);
         slab_ = false;
         for (uint32_t col = 0; col < geo_->cols; ++col) {

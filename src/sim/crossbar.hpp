@@ -9,8 +9,9 @@
  *
  * Two representations exist behind one interface:
  *
- *  - SLAB: one flat cols x wordsPerCol slab, the historical layout.
- *    Replay runs the dense kernels, with no per-block lookups.
+ *  - SLAB: one flat cols x wordsPerCol slab, the historical layout,
+ *    kSlabAlign-aligned. Replay runs the dense kernels, with no
+ *    per-block lookups, in the widest ISA build the host supports.
  *  - PAGED: each column is a run of kBlockWords-word BLOCKS behind a
  *    per-column block table into a refcounted BlockPool. An all-zero
  *    block is the sentinel entry kAbsent and costs zero bytes; it
@@ -86,6 +87,7 @@
 #include <span>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/config.hpp"
 #include "uarch/microop.hpp"
 #include "uarch/partition.hpp"
@@ -96,6 +98,7 @@ namespace pypim
 struct ReplayProgram;
 struct Stats;
 class BlockPool;
+struct ReplayKernels;
 
 /** One strided write of a stripe: slot @p slot takes @p value. */
 struct StripeWrite
@@ -147,6 +150,17 @@ class Crossbar
      * block counts alone, not tuned to any workload.
      */
     static constexpr uint32_t kPromoteDivisor = 2;
+    /**
+     * Byte alignment of every dense slab (the live slab and a slab
+     * Snapshot): one cache line, and one AVX-512 register. At the
+     * Table III geometry a column is 16 words, so every column then
+     * starts on a cache line and the executor's word loops never split
+     * a vector load across two lines.
+     */
+    static constexpr size_t kSlabAlign = 64;
+    /** Dense slab storage, kSlabAlign-aligned wherever the heap is. */
+    using Slab =
+        std::vector<uint64_t, AlignedAllocator<uint64_t, kSlabAlign>>;
 
     /**
      * @p storage defaults to Dense so direct constructions (unit
@@ -190,6 +204,41 @@ class Crossbar
      */
     void replayProgram(const ReplayProgram &prog, uint32_t self,
                        Stats *work);
+
+    /**
+     * One ISA build of the compiled-replay executor: crossbar.cpp
+     * compiles the one replayProgramT source once per build, each for
+     * its own target, so the word loops vectorise at that ISA's width.
+     */
+    struct ReplayBuild
+    {
+        const char *name;     //!< "x86-64-v4", "x86-64-v3" or "default"
+        bool (*supported)();  //!< the host can run this build
+        /** The executor on @p xb, whose representation is fixed. */
+        void (*run)(Crossbar &xb, const ReplayProgram &prog,
+                    uint32_t self, Stats *work);
+    };
+
+    /**
+     * Every build compiled into this binary, widest ISA first. The
+     * last, "default", runs on every host; on non-x86 hosts and other
+     * compilers it is the only one.
+     */
+    static std::span<const ReplayBuild> replayBuilds();
+
+    /**
+     * The build replayProgram runs: the widest one the host supports,
+     * picked once per process, unless useReplayBuild chose another.
+     */
+    static const ReplayBuild &replayBuild();
+
+    /**
+     * Make replayProgram run @p b (an entry of replayBuilds()) from now
+     * on, process-wide: the seam through which the tests and the replay
+     * bench drive every build the host supports. Throws if the host
+     * cannot run @p b. Call it only while no replay is running.
+     */
+    static void useReplayBuild(const ReplayBuild &b);
 
     /**
      * Execute a vertical logic op: gate from @p rowIn to @p rowOut on
@@ -293,7 +342,7 @@ class Crossbar
         uint32_t blocksPerCol_ = 0;
         std::shared_ptr<BlockPool> pool_;  //!< paged: shared block pool
         std::vector<uint32_t> table_;      //!< paged: refcounted ids
-        std::vector<uint64_t> dense_;      //!< dense: deep slab copy
+        Slab dense_;                       //!< dense: deep slab copy
     };
 
     /** Checkpoint the current state (see Snapshot). */
@@ -470,13 +519,16 @@ class Crossbar
     /**
      * The compiled-replay executor, specialized over the storage
      * representation and the all-masks-full fast path (crossbar.cpp
-     * instantiates all four). kFull deletes the mask blend from every
-     * inner loop; the kFull=false body still takes the blend-free
-     * kernels per instruction when that instruction's mask is full.
+     * inlines all four into every ReplayBuild). kFull deletes the mask
+     * blend from every inner loop; the kFull=false body still takes
+     * the blend-free kernels per instruction when that instruction's
+     * mask is full.
      */
     template <bool kPaged, bool kFull>
     void replayProgramT(const ReplayProgram &prog, uint32_t self,
                         Stats *work);
+    /** The ISA builds of the executor (crossbar.cpp). */
+    friend struct ReplayKernels;
     void writePaged(uint32_t slot, uint32_t value,
                     std::span<const uint64_t> rowMask);
     void writeStripePaged(std::span<const StripeWrite> ws,
@@ -495,7 +547,7 @@ class Crossbar
     bool slab_;                        //!< current form: slab or paged
     uint32_t present_ = 0;             //!< paged: non-absent table ids
     uint64_t poolOwner_;               //!< tags this crossbar's pools
-    std::vector<uint64_t> state_;      //!< slab (empty if paged)
+    Slab state_;                       //!< slab (empty if paged)
     std::vector<uint32_t> table_;      //!< paged block ids (lazy)
     std::shared_ptr<BlockPool> pool_;  //!< paged block pool (lazy)
 };

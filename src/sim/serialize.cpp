@@ -26,20 +26,30 @@ constexpr uint32_t kSecAlloc = 4;
 constexpr uint32_t kSecDriverCache = 5;
 constexpr uint32_t kSecDriverStats = 6;
 
-const std::array<uint32_t, 256> &
-crcTable()
+/**
+ * Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+ * t[0] is the bytewise table, and t[k][i] advances t[k-1][i] by one
+ * zero byte, so eight input bytes fold in with eight lookups.
+ */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables &
+crcTables()
 {
-    static const std::array<uint32_t, 256> table = [] {
-        std::array<uint32_t, 256> t{};
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (uint32_t i = 0; i < 256; ++i)
+            for (size_t k = 1; k < t.size(); ++k)
+                t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
         return t;
     }();
-    return table;
+    return tables;
 }
 
 void
@@ -111,10 +121,22 @@ ByteReader::expectEnd(const char *what) const
 uint32_t
 crc32(const uint8_t *p, size_t n)
 {
-    const auto &t = crcTable();
+    const CrcTables &t = crcTables();
     uint32_t c = 0xFFFFFFFFu;
-    for (size_t i = 0; i < n; ++i)
-        c = t[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        // Bytes are assembled little-endian by hand, so the result does
+        // not depend on the host's byte order or on p's alignment.
+        const uint32_t lo = (static_cast<uint32_t>(p[0]) |
+                             static_cast<uint32_t>(p[1]) << 8 |
+                             static_cast<uint32_t>(p[2]) << 16 |
+                             static_cast<uint32_t>(p[3]) << 24) ^
+                            c;
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+            t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; n; ++p, --n)
+        c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -294,6 +316,10 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
         const uint32_t tag = r.u32();
         const uint64_t len = r.u64();
         const uint32_t crc = r.u32();
+        if (len > r.remaining())
+            fatal("checkpoint: section " + std::to_string(tag) +
+                  " claims " + std::to_string(len) + " bytes, " +
+                  std::to_string(r.remaining()) + " left");
         std::vector<uint8_t> payload(len);
         r.bytes(payload.data(), payload.size());
         if (crc32(payload.data(), payload.size()) != crc)
@@ -316,7 +342,16 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
             sawStats = true;
             break;
           case kSecCrossbars: {
+            // Bound each count by the records the bytes left can hold
+            // before reserving: a crossbar record is at least its id
+            // and block count, a block record at least col, block,
+            // word count and one word.
+            constexpr size_t kMinCrossbarRecord = 8;
+            constexpr size_t kMinBlockRecord = 20;
             const uint32_t nXb = p.u32();
+            if (nXb > p.remaining() / kMinCrossbarRecord)
+                fatal("checkpoint: crossbar count " + std::to_string(nXb) +
+                      " exceeds the section");
             img.crossbars.reserve(nXb);
             for (uint32_t i = 0; i < nXb; ++i) {
                 CrossbarImage ci;
@@ -326,6 +361,9 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
                               std::to_string(ci.xb) +
                               " outside the geometry");
                 const uint32_t nBlocks = p.u32();
+                if (nBlocks > p.remaining() / kMinBlockRecord)
+                    fatal("checkpoint: block count " +
+                          std::to_string(nBlocks) + " exceeds the section");
                 ci.blocks.reserve(nBlocks);
                 for (uint32_t b = 0; b < nBlocks; ++b) {
                     BlockRecord rec;

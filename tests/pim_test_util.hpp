@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -17,10 +19,51 @@
 #include "driver/bitvec.hpp"
 #include "driver/driver.hpp"
 #include "driver/gatebuilder.hpp"
+#include "sim/crossbar.hpp"
 #include "sim/simulator.hpp"
 
 namespace pypim::test
 {
+
+/**
+ * Runs every compiled replay in its scope, process-wide, on one
+ * executor build (Crossbar::replayBuilds), then restores the one that
+ * ran before. Tests that take a build index skip a build the host
+ * cannot run.
+ */
+class ScopedReplayBuild
+{
+  public:
+    explicit ScopedReplayBuild(const Crossbar::ReplayBuild &b)
+        : prev_(Crossbar::replayBuild())
+    {
+        Crossbar::useReplayBuild(b);
+    }
+    ~ScopedReplayBuild() { Crossbar::useReplayBuild(prev_); }
+    ScopedReplayBuild(const ScopedReplayBuild &) = delete;
+    ScopedReplayBuild &operator=(const ScopedReplayBuild &) = delete;
+
+  private:
+    const Crossbar::ReplayBuild &prev_;
+};
+
+/** Run the rest of a test on replay build @p i, or skip it if the
+ *  host cannot run that build. */
+#define PYPIM_USE_REPLAY_BUILD(i)                                       \
+    const ::pypim::Crossbar::ReplayBuild &replayBuild_ =                \
+        ::pypim::Crossbar::replayBuilds()[i];                           \
+    if (!replayBuild_.supported())                                      \
+        GTEST_SKIP() << "host cannot run " << replayBuild_.name;        \
+    ::pypim::test::ScopedReplayBuild useReplayBuild_(replayBuild_)
+
+/** Test-name form of replay build @p i ("x86-64-v4" -> "x86_64_v4"). */
+inline std::string
+replayBuildName(size_t i)
+{
+    std::string s = Crossbar::replayBuilds()[i].name;
+    std::replace(s.begin(), s.end(), '-', '_');
+    return s;
+}
 
 /** Simulator + builder + BV ops over the small test geometry. */
 class PimFixture : public ::testing::Test

@@ -382,6 +382,155 @@ TEST(CheckpointCorruption, DecodeRejectsGarbage)
     EXPECT_THROW(loadCheckpoint("/nonexistent/path/x.ckpt"), Error);
 }
 
+// --- bounded decode and the frame checksum --------------------------------
+
+namespace
+{
+
+/**
+ * A small fixed image built field by field, independent of the driver
+ * and the simulator: two crossbars, one with a short tail block.
+ */
+CheckpointImage
+fixedImage()
+{
+    CheckpointImage img;
+    img.geo = ckptGeometry();
+    img.maskXb = Range(1, 9, 2);
+    img.maskRow = Range(0, 31, 1);
+    img.archStats.instructions = 7;
+    img.archStats.logicGates = 1234;
+    img.archStats.wireBytesTx = 99;
+    for (uint32_t xb : {2u, 11u}) {
+        CrossbarImage ci;
+        ci.xb = xb;
+        for (uint32_t col : {3u, 640u}) {
+            BlockRecord b;
+            b.col = col;
+            b.words.assign(col == 3 ? 1 : 8, 0);
+            for (size_t w = 0; w < b.words.size(); ++w)
+                b.words[w] = 0x9E3779B97F4A7C15ull * (xb + col + w + 1);
+            ci.blocks.push_back(b);
+        }
+        img.crossbars.push_back(ci);
+    }
+    img.allocState = {1, 2, 3};
+    return img;
+}
+
+/** The bytewise CRC-32 (reflected 0xEDB88320), the reference that
+ *  the slicing-by-8 crc32 must reproduce. */
+uint32_t
+crc32Bytewise(const uint8_t *p, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+void
+putLE(std::vector<uint8_t> &bytes, size_t at, uint64_t v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** Offset of the first section header: magic, version, six u32
+ *  geometry fields, clock, storage byte, device and section counts. */
+constexpr size_t kFirstSection = 8 + 4 + 6 * 4 + 8 + 1 + 4 + 4;
+
+// encodeCheckpoint(fixedImage()) as the bytewise-CRC format wrote it.
+constexpr size_t kPinnedSize = 636;
+constexpr uint32_t kPinnedCrc = 0x66D10069u;
+
+/** Offset of the header of the first section tagged @p tag. */
+size_t
+sectionAt(const std::vector<uint8_t> &bytes, uint32_t tag)
+{
+    size_t at = kFirstSection;
+    for (;;) {
+        uint64_t len = 0;
+        for (int i = 0; i < 8; ++i)
+            len |= static_cast<uint64_t>(bytes[at + 4 + i]) << (8 * i);
+        if (bytes[at] == tag)
+            return at;
+        at += 16 + len;
+    }
+}
+
+/** Decoding @p bytes must fail with a "checkpoint: ..." error. */
+::testing::AssertionResult
+failsAsCheckpointError(const std::vector<uint8_t> &bytes)
+{
+    try {
+        decodeCheckpoint(bytes);
+    } catch (const Error &e) {
+        if (std::string(e.what()).find("checkpoint: ") != std::string::npos)
+            return ::testing::AssertionSuccess() << e.what();
+        return ::testing::AssertionFailure() << "message: " << e.what();
+    }
+    return ::testing::AssertionFailure() << "decoded";
+}
+
+} // namespace
+
+TEST(CheckpointCorruption, OversizedLengthsAndCountsFailLoudly)
+{
+    const std::vector<uint8_t> good = encodeCheckpoint(fixedImage());
+    ASSERT_NO_THROW(decodeCheckpoint(good));
+
+    // The first section's length, 2^62: rejected before allocating.
+    std::vector<uint8_t> bad = good;
+    putLE(bad, kFirstSection + 4, 1ull << 62, 8);
+    EXPECT_TRUE(failsAsCheckpointError(bad));
+
+    // The crossbar and block counts, 2^32 - 1, with the section CRC
+    // recomputed so the counts are what fails.
+    constexpr uint32_t kSecCrossbars = 3;
+    const size_t sec = sectionAt(good, kSecCrossbars);
+    const size_t payload = sec + 16;
+    uint64_t len = 0;
+    for (int i = 0; i < 8; ++i)
+        len |= static_cast<uint64_t>(good[sec + 4 + i]) << (8 * i);
+    for (size_t countAt : {payload, payload + 8}) {
+        bad = good;
+        putLE(bad, countAt, 0xFFFFFFFFu, 4);
+        putLE(bad, sec + 12, crc32(bad.data() + payload, len), 4);
+        EXPECT_TRUE(failsAsCheckpointError(bad))
+            << "count at payload offset " << countAt - payload;
+    }
+}
+
+TEST(CheckpointCrc, SlicingBy8MatchesTheBytewiseReference)
+{
+    const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+    EXPECT_EQ(crc32(check, sizeof(check)), 0xCBF43926u);
+    Rng rng(4096);
+    std::vector<uint8_t> buf(4096 + 8);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.word());
+    for (int i = 0; i < 300; ++i) {
+        const size_t n = i < 64 ? i : rng.word() % 4097;
+        for (size_t start = 0; start < 8; ++start)
+            ASSERT_EQ(crc32(buf.data() + start, n),
+                      crc32Bytewise(buf.data() + start, n))
+                << n << " bytes at offset " << start;
+    }
+}
+
+TEST(CheckpointCrc, FixedImageBytesArePinned)
+{
+    // Checkpoint files and wire frames embed crc32 values: a change to
+    // the checksum or the encoding shows here as changed bytes.
+    const std::vector<uint8_t> bytes = encodeCheckpoint(fixedImage());
+    EXPECT_EQ(bytes.size(), kPinnedSize);
+    EXPECT_EQ(crc32Bytewise(bytes.data(), bytes.size()), kPinnedCrc);
+}
+
 // --- compact() under live COW snapshots -----------------------------------
 
 TEST(CheckpointCompact, CompactUnderLiveSnapshotsPreservesImages)

@@ -13,9 +13,12 @@
  * AdaptiveCrossbar suite covers promotion to the dense slab: parity
  * with the Dense oracle across the switch through both replay tiers,
  * snapshots restored across it in both directions, and demotion by
- * compact().
+ * compact(). Every slab and slab image, however it was built, starts
+ * on a Crossbar::kSlabAlign boundary.
  */
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -554,6 +557,31 @@ identical(const Crossbar &a, const Crossbar &b)
 // half-grid threshold (2,048 of 4,096 blocks) is 16 filled slots.
 constexpr uint32_t kSlotsAtThreshold = 16;
 
+/**
+ * Every block the canonical walk of a slab (or slab image) @p img
+ * visits starts on a kSlabAlign boundary. Columns here are a multiple
+ * of eight words, so that holds iff the slab itself is aligned. At
+ * least one block must be walked.
+ */
+template <typename Image>
+::testing::AssertionResult
+slabAligned(const Image &img)
+{
+    uint64_t blocks = 0, misaligned = 0;
+    img.forEachNonZeroBlock(
+        [&](uint32_t, uint32_t, const uint64_t *w, uint32_t) {
+            ++blocks;
+            misaligned +=
+                reinterpret_cast<uintptr_t>(w) % Crossbar::kSlabAlign != 0;
+        });
+    if (blocks == 0)
+        return ::testing::AssertionFailure() << "no block walked";
+    if (misaligned)
+        return ::testing::AssertionFailure()
+               << misaligned << " of " << blocks << " blocks misaligned";
+    return ::testing::AssertionSuccess();
+}
+
 } // namespace
 
 TEST(AdaptiveCrossbar, FillAcrossThresholdMatchesDenseOracle)
@@ -567,6 +595,10 @@ TEST(AdaptiveCrossbar, FillAcrossThresholdMatchesDenseOracle)
         fill(geo, {&xb, &oracle}, k, k + 1);
         ASSERT_EQ(xb.isSlab(), k >= kSlotsAtThreshold) << "step " << k;
         ASSERT_TRUE(identical(xb, oracle)) << "step " << k;
+        ASSERT_TRUE(slabAligned(oracle)) << "step " << k;
+        if (xb.isSlab()) {
+            ASSERT_TRUE(slabAligned(xb)) << "step " << k;
+        }
         ASSERT_EQ(xb.storage(), XbarStorage::Paged);
         ASSERT_EQ(xb.storageGauges().slabCrossbars,
                   xb.isSlab() ? 1u : 0u);
@@ -718,4 +750,52 @@ TEST(AdaptiveCrossbar, CompactDemotesADecayedSlab)
     Crossbar other(geo, XbarStorage::Paged);
     other.writeRow(1, 0x1234u, 3);
     EXPECT_THROW(xb.restore(other.snapshot()), InternalError);
+}
+
+TEST(AdaptiveCrossbar, SlabsAreCacheLineAligned)
+{
+    const Geometry geo = tallGeometry();
+    // Construction: a Dense crossbar is a slab from the start, and its
+    // snapshot (and a copy of that) is a slab image.
+    Crossbar dense(geo, XbarStorage::Dense);
+    dense.setBit(0, 0, true);
+    EXPECT_TRUE(slabAligned(dense));
+    const Crossbar::Snapshot denseImage = dense.snapshot();
+    EXPECT_TRUE(slabAligned(denseImage));
+    const Crossbar::Snapshot copied = denseImage;
+    EXPECT_TRUE(slabAligned(copied));
+
+    // Promotion builds the slab.
+    Crossbar xb(geo, XbarStorage::Paged);
+    fill(geo, {&xb}, 0, kSlotsAtThreshold + 1);
+    ASSERT_TRUE(xb.isSlab());
+    EXPECT_TRUE(slabAligned(xb));
+    const Crossbar::Snapshot slab = xb.snapshot();
+    EXPECT_TRUE(slabAligned(slab));
+
+    // Restoring a slab image into a paged crossbar, and into a slab.
+    Crossbar fresh(geo, XbarStorage::Paged);
+    fill(geo, {&fresh}, 0, 3);
+    ASSERT_FALSE(fresh.isSlab());
+    fresh.restore(slab);
+    ASSERT_TRUE(fresh.isSlab());
+    EXPECT_TRUE(slabAligned(fresh));
+    dense.restore(slab);
+    EXPECT_TRUE(slabAligned(dense));
+
+    // compact() keeps a full slab; a demoted one promotes to a new slab.
+    EXPECT_EQ(xb.compact(), 0u);
+    EXPECT_TRUE(slabAligned(xb));
+    const auto fullMask = Range::all(geo.rows).expand(geo.rows);
+    for (uint32_t k = 0; k <= kSlotsAtThreshold; ++k)
+        xb.logicH(expandLogicH(MicroOp::logicH(Gate::Init0, 0, 0,
+                                               geo.column(k, 0),
+                                               geo.partitions - 1, 1),
+                               geo),
+                  fullMask);
+    EXPECT_GT(xb.compact(), 0u);
+    ASSERT_FALSE(xb.isSlab());
+    fill(geo, {&xb}, 0, kSlotsAtThreshold + 1);
+    ASSERT_TRUE(xb.isSlab());
+    EXPECT_TRUE(slabAligned(xb));
 }

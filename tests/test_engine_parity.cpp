@@ -5,7 +5,9 @@
  * mask-interleaved segments and driver-level tensor programs, the
  * ShardedEngine (at 1, 2 and 8 threads) must leave every crossbar in
  * a bit-identical state and produce identical architectural Stats
- * compared to the op-major SerialEngine.
+ * compared to the op-major SerialEngine. The EngineParity fuzz runs
+ * once per compiled-replay ISA build the host supports, at a shallow
+ * (one word per column) and a deep (eight words) geometry.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "pim/pypim.hpp"
+#include "pim_test_util.hpp"
 #include "sim/sharded_engine.hpp"
 
 using namespace pypim;
@@ -23,10 +26,11 @@ namespace
 {
 
 Geometry
-parityGeometry()
+parityGeometry(uint32_t rows = 64)
 {
     Geometry g = testGeometry();
     g.numCrossbars = 16;  // enough crossbars for 8 shards to matter
+    g.rows = rows;
     return g;
 }
 
@@ -53,18 +57,19 @@ engineCase(size_t i)
 }
 constexpr size_t numEngineCases = 3;
 
-/** Seed both simulators with identical random register contents. */
+/** Seed both simulators with identical random register contents,
+ *  one bulk scatter per register column. */
 void
 seedState(Simulator &a, Simulator &b, Rng &rng)
 {
     const Geometry &g = a.geometry();
+    std::vector<uint32_t> column(g.rows);
     for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
-        for (uint32_t row = 0; row < g.rows; ++row) {
-            for (uint32_t slot = 0; slot < g.slots(); ++slot) {
-                const uint32_t v = rng.word();
-                a.crossbar(xb).writeRow(slot, v, row);
-                b.crossbar(xb).writeRow(slot, v, row);
-            }
+        for (uint32_t slot = 0; slot < g.slots(); ++slot) {
+            for (uint32_t &v : column)
+                v = rng.word();
+            a.crossbar(xb).scatterRows(slot, 0, g.rows, column.data());
+            b.crossbar(xb).scatterRows(slot, 0, g.rows, column.data());
         }
     }
 }
@@ -224,8 +229,9 @@ randomStream(Rng &rng, const Geometry &g, size_t len)
     return ops;
 }
 
+/** (seed, engine case, replay build, rows). */
 class EngineParity : public ::testing::TestWithParam<
-                         std::tuple<uint64_t, size_t>>
+                         std::tuple<uint64_t, size_t, size_t, uint32_t>>
 {
 };
 
@@ -233,9 +239,10 @@ class EngineParity : public ::testing::TestWithParam<
 
 TEST_P(EngineParity, FuzzedStreamsBitIdentical)
 {
-    const auto [seed, caseIdx] = GetParam();
+    const auto [seed, caseIdx, buildIdx, rows] = GetParam();
+    PYPIM_USE_REPLAY_BUILD(buildIdx);
     const EngineCase &ec = engineCase(caseIdx);
-    const Geometry g = parityGeometry();
+    const Geometry g = parityGeometry(rows);
     Simulator serial(g);
     Simulator other(g, ec.cfg);
     ASSERT_STREQ(serial.engine().name(), "serial");
@@ -267,9 +274,10 @@ TEST_P(EngineParity, FuzzedStreamsBitIdentical)
 
 TEST_P(EngineParity, ReadsReturnIdenticalValues)
 {
-    const auto [seed, caseIdx] = GetParam();
+    const auto [seed, caseIdx, buildIdx, rows] = GetParam();
+    PYPIM_USE_REPLAY_BUILD(buildIdx);
     const EngineCase &ec = engineCase(caseIdx);
-    const Geometry g = parityGeometry();
+    const Geometry g = parityGeometry(rows);
     Simulator serial(g);
     Simulator other(g, ec.cfg);
     Rng rng(seed ^ 0xBEEF);
@@ -296,9 +304,10 @@ TEST_P(EngineParity, ReadsReturnIdenticalValues)
 
 TEST_P(EngineParity, EngineSwapPreservesState)
 {
-    const auto [seed, caseIdx] = GetParam();
+    const auto [seed, caseIdx, buildIdx, rows] = GetParam();
+    PYPIM_USE_REPLAY_BUILD(buildIdx);
     const EngineCase &ec = engineCase(caseIdx);
-    const Geometry g = parityGeometry();
+    const Geometry g = parityGeometry(rows);
     Simulator oracle(g);
     Simulator swapped(g);  // starts serial, swaps mid-stream
     Rng rng(seed * 7 + 5);
@@ -317,8 +326,18 @@ TEST_P(EngineParity, EngineSwapPreservesState)
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndEngines, EngineParity,
-    ::testing::Combine(::testing::Values(11ull, 404ull, 90210ull),
-                       ::testing::Range<size_t>(0, numEngineCases)));
+    ::testing::Combine(
+        ::testing::Values(11ull, 404ull, 90210ull),
+        ::testing::Range<size_t>(0, numEngineCases),
+        ::testing::Range<size_t>(0, Crossbar::replayBuilds().size()),
+        ::testing::Values(64u, 512u)),
+    [](const auto &info) {
+        return std::to_string(std::get<0>(info.param)) + "_threads" +
+               std::to_string(
+                   engineCase(std::get<1>(info.param)).cfg.threads) +
+               "_" + test::replayBuildName(std::get<2>(info.param)) +
+               "_rows" + std::to_string(std::get<3>(info.param));
+    });
 
 namespace
 {

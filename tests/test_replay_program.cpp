@@ -9,6 +9,10 @@
  * across every engine, at 1/2/4 devices and on
  * both storage representations, and the sharded engine's applied-work
  * diagnostics equal architectural work ops x touched crossbars. The
+ * fuzz and the device-path test run once per executor ISA build the
+ * host supports (Crossbar::replayBuilds); the fuzz runs at a shallow
+ * geometry (one word per column: the word-at-a-time tail) and a deep
+ * one (eight words: the eight-word vector step). The
  * directed tests pin the COMPILER's decisions — when LogicH ops may
  * and may not merge into one pass (mask change, section capacity,
  * stateful-gate aliasing), how stripes and LogicV runs chunk, and
@@ -24,6 +28,7 @@
 
 #include "common/rng.hpp"
 #include "pim/pypim.hpp"
+#include "pim_test_util.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/device_group.hpp"
@@ -199,18 +204,32 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len,
     return ops;
 }
 
+/** Geometries the fuzz runs at: one word per column, and eight (one
+ *  paged block; the replay kernels' eight-word vector step). */
+std::vector<Geometry>
+fuzzGeometries()
+{
+    Geometry deep = fuzzGeometry();
+    deep.rows = 512;
+    return {fuzzGeometry(), deep};
+}
+
 /** Seed every sink with identical random register contents in the
- *  slots below @p slots (0: all of them). */
+ *  slots below @p slots (0: all of them), one bulk scatter per
+ *  register column. */
 template <typename Sink>
 void
 seedState(Sink &s, uint64_t seed, const Geometry &g, uint32_t slots = 0)
 {
     Rng rng(seed);
     const uint32_t ns = slots ? slots : g.slots();
+    std::vector<uint32_t> column(g.rows);
     for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-        for (uint32_t row = 0; row < g.rows; ++row)
-            for (uint32_t slot = 0; slot < ns; ++slot)
-                s.crossbar(xb).writeRow(slot, rng.word(), row);
+        for (uint32_t slot = 0; slot < ns; ++slot) {
+            for (uint32_t &v : column)
+                v = rng.word();
+            s.crossbar(xb).scatterRows(slot, 0, g.rows, column.data());
+        }
 }
 
 /**
@@ -344,7 +363,7 @@ expectNoDecodeArenas(const BatchTrace &t)
 }
 
 class ReplayProgramFuzz
-    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>>
+    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t, size_t>>
 {
 };
 
@@ -352,92 +371,102 @@ class ReplayProgramFuzz
 
 TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
 {
-    const auto [seed, caseIdx] = GetParam();
+    const auto [seed, caseIdx, buildIdx] = GetParam();
+    PYPIM_USE_REPLAY_BUILD(buildIdx);
     const EngineCase &ec = engineCase(caseIdx);
-    const Geometry g = fuzzGeometry();
     constexpr int kReplays = 3;
+    for (const Geometry &g : fuzzGeometries()) {
+        SCOPED_TRACE(std::to_string(g.rows) + " rows");
 
-    // Paged runs twice. Seeded in full, a crossbar is promoted to the
-    // dense slab at its first replay. Seeded and driven on a quarter
-    // of the slots, it stays under the promotion threshold and every
-    // replay runs the paged kernels.
-    struct FillCase
-    {
-        XbarStorage storage;
-        uint32_t slots;
-    };
-    const FillCase fills[] = {{XbarStorage::Dense, g.slots()},
-                              {XbarStorage::Paged, g.slots()},
-                              {XbarStorage::Paged, g.slots() / 4}};
-    for (const FillCase &fc : fills) {
-        Rng streamRng(seed);
-        const std::vector<Word> ops =
-            randomTraceStream(streamRng, g, 140, fc.slots);
-        const bool sparse = fc.slots < g.slots();
+        // Paged runs twice. Seeded in full, a crossbar is promoted to the
+        // dense slab at its first replay. Seeded and driven on a quarter
+        // of the slots, it stays under the promotion threshold and every
+        // replay runs the paged kernels.
+        struct FillCase
         {
-            // Before it is compiled, the fused trace interns exactly
-            // one compact expansion per distinct LogicH word and
-            // segment.
-            const HTree htree(g.numCrossbars);
-            MaskState mask;
-            mask.reset(g);
-            BatchTrace decoded;
-            buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
-                            decoded);
-            fuseBatchTrace(decoded, g);
-            EXPECT_EQ(heldExpansions(decoded),
-                      internedExpansions(ops, decoded, g));
-        }
-        for (uint32_t devices : {1u, 2u, 4u}) {
-            const EngineConfig base =
-                ec.cfg.withStorage(fc.storage).withDevices(devices);
-            // Raw-stream serial Dense reference and compiled replay of
-            // ONE stream from ONE seeded state.
-            Simulator oracle(
-                g, EngineConfig::serial().withStorage(XbarStorage::Dense));
-            SimulatorGroup compiled(g, base);
-            seedState(oracle, seed, g, fc.slots);
-            seedState(compiled, seed, g, fc.slots);
-
-            auto tc =
-                compiled.prepareTrace(ops.data(), ops.size(), true);
-            ASSERT_NE(tc, nullptr);
-            ASSERT_EQ(tc->programs.size(), tc->segments.size());
-            // Compiled segments drop their half-gate expansions.
-            EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
-
-            for (int rep = 0; rep < kReplays; ++rep) {
-                oracle.performBatch(ops.data(), ops.size());
-                compiled.submitTrace(tc);
+            XbarStorage storage;
+            uint32_t slots;
+        };
+        const FillCase fills[] = {{XbarStorage::Dense, g.slots()},
+                                  {XbarStorage::Paged, g.slots()},
+                                  {XbarStorage::Paged, g.slots() / 4}};
+        for (const FillCase &fc : fills) {
+            Rng streamRng(seed);
+            const std::vector<Word> ops =
+                randomTraceStream(streamRng, g, 140, fc.slots);
+            const bool sparse = fc.slots < g.slots();
+            {
+                // Before it is compiled, the fused trace interns exactly
+                // one compact expansion per distinct LogicH word and
+                // segment.
+                const HTree htree(g.numCrossbars);
+                MaskState mask;
+                mask.reset(g);
+                BatchTrace decoded;
+                buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
+                                decoded);
+                fuseBatchTrace(decoded, g);
+                EXPECT_EQ(heldExpansions(decoded),
+                          internedExpansions(ops, decoded, g));
             }
-            compiled.flush();
-            for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-                ASSERT_TRUE(oracle.crossbar(xb).sameState(
-                    compiled.crossbar(xb)))
-                    << ec.name << " compiled crossbar " << xb;
-            EXPECT_EQ(oracle.stats(), compiled.stats()) << ec.name;
-            for (uint32_t d = 1; d < devices; ++d)
-                EXPECT_EQ(compiled.sub(0).stats(),
-                          compiled.sub(d).stats())
-                    << ec.name << " sub " << d;
-            const uint64_t slabs =
-                compiled.storageGauges().slabCrossbars;
-            if (fc.storage == XbarStorage::Dense)
-                EXPECT_EQ(slabs, g.numCrossbars) << ec.name;
-            else if (sparse)
-                EXPECT_EQ(slabs, 0u)
-                    << ec.name << ": a sparse crossbar must stay paged";
-            else
-                EXPECT_GT(slabs, 0u)
-                    << ec.name << ": a full crossbar must promote";
+            for (uint32_t devices : {1u, 2u, 4u}) {
+                const EngineConfig base =
+                    ec.cfg.withStorage(fc.storage).withDevices(devices);
+                // Raw-stream serial Dense reference and compiled replay of
+                // ONE stream from ONE seeded state.
+                Simulator oracle(
+                    g, EngineConfig::serial().withStorage(XbarStorage::Dense));
+                SimulatorGroup compiled(g, base);
+                seedState(oracle, seed, g, fc.slots);
+                seedState(compiled, seed, g, fc.slots);
+
+                auto tc =
+                    compiled.prepareTrace(ops.data(), ops.size(), true);
+                ASSERT_NE(tc, nullptr);
+                ASSERT_EQ(tc->programs.size(), tc->segments.size());
+                // Compiled segments drop their half-gate expansions.
+                EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
+
+                for (int rep = 0; rep < kReplays; ++rep) {
+                    oracle.performBatch(ops.data(), ops.size());
+                    compiled.submitTrace(tc);
+                }
+                compiled.flush();
+                for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+                    ASSERT_TRUE(oracle.crossbar(xb).sameState(
+                        compiled.crossbar(xb)))
+                        << ec.name << " compiled crossbar " << xb;
+                EXPECT_EQ(oracle.stats(), compiled.stats()) << ec.name;
+                for (uint32_t d = 1; d < devices; ++d)
+                    EXPECT_EQ(compiled.sub(0).stats(),
+                              compiled.sub(d).stats())
+                        << ec.name << " sub " << d;
+                const uint64_t slabs =
+                    compiled.storageGauges().slabCrossbars;
+                if (fc.storage == XbarStorage::Dense)
+                    EXPECT_EQ(slabs, g.numCrossbars) << ec.name;
+                else if (sparse)
+                    EXPECT_EQ(slabs, 0u)
+                        << ec.name << ": a sparse crossbar must stay paged";
+                else
+                    EXPECT_GT(slabs, 0u)
+                        << ec.name << ": a full crossbar must promote";
+            }
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Streams, ReplayProgramFuzz,
-    ::testing::Combine(::testing::Values(101ull, 211ull, 307ull),
-                       ::testing::Range<size_t>(0, numEngineCases)));
+    ::testing::Combine(
+        ::testing::Values(101ull, 211ull, 307ull),
+        ::testing::Range<size_t>(0, numEngineCases),
+        ::testing::Range<size_t>(0, Crossbar::replayBuilds().size())),
+    [](const auto &info) {
+        return std::to_string(std::get<0>(info.param)) + "_" +
+               engineCase(std::get<1>(info.param)).name + "_" +
+               test::replayBuildName(std::get<2>(info.param));
+    });
 
 TEST(ReplayProgramWork, ShardedDiagnosticsCountOpsTimesCrossbars)
 {
@@ -809,11 +838,16 @@ stepMatches(Device &cand, Device &oracle, uint64_t seed)
 
 } // namespace
 
-TEST(ReplayProgramRetention, DevicePathsMatchSerialOracle)
+class ReplayProgramDevicePaths : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(ReplayProgramDevicePaths, MatchSerialOracle)
 {
     // The candidate follows the environment (under the socket rows it
     // is a worker fleet that installs traces from the wire); the
     // oracle is the serial raw-stream device.
+    PYPIM_USE_REPLAY_BUILD(GetParam());
     const Geometry g = fuzzGeometry();
     EngineConfig oracleCfg = EngineConfig::serial();
     oracleCfg.traceCache = false;
@@ -844,3 +878,8 @@ TEST(ReplayProgramRetention, DevicePathsMatchSerialOracle)
     ASSERT_TRUE(stepMatches(restored, oracle, 9)) << "restored";
     ASSERT_TRUE(stepMatches(restored, oracle, 10)) << "restored warm";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Builds, ReplayProgramDevicePaths,
+    ::testing::Range<size_t>(0, Crossbar::replayBuilds().size()),
+    [](const auto &info) { return test::replayBuildName(info.param); });
