@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <iterator>
 #include <string>
 
@@ -70,57 +69,6 @@ windowMask(uint32_t off, uint32_t take)
     // first), and 1ull << 64 would be UB.
     return take == 64 ? ~0ull : ((1ull << take) - 1) << off;
 }
-
-/** Eight words: one AVX-512 register, two AVX2 or four SSE2 ones. */
-using Words8 = uint64_t __attribute__((vector_size(64)));
-
-/**
- * The compiled-replay word loop: f(out[w], {in[w]...}) for w < @p n.
- * It runs eight words at a time through Words8, so each replay build
- * (ReplayKernels) applies @p f at its own register width at every
- * optimisation level, then word by word for a column shorter than
- * eight words. Operands go by reference: a vector passed by value
- * would take a different calling convention in each build.
- */
-template <typename F, typename... In>
-[[gnu::always_inline]] inline void
-sweep(uint32_t n, F f, uint64_t *out, const In *...in)
-{
-    constexpr size_t kIn = sizeof...(In);
-    const uint64_t *src[kIn] = {in...};
-    uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        Words8 o, x[kIn];
-        std::memcpy(&o, out + w, sizeof o);
-        for (size_t k = 0; k < kIn; ++k)
-            std::memcpy(&x[k], src[k] + w, sizeof o);
-        f(o, x);
-        std::memcpy(out + w, &o, sizeof o);
-    }
-    for (; w < n; ++w) {
-        const uint64_t x[kIn] = {in[w]...};
-        f(out[w], x);
-    }
-}
-
-// The executor's gate bodies, on one word or on Words8 (x holds the
-// sweep inputs in order). Stateful NOT/NOR can only clear the output;
-// the fused INIT1+NOT/NOR overwrites it. In the masked forms the last
-// input is the row mask, and unselected rows keep their bits.
-constexpr auto kNorInto = [](auto &o, const auto *x)
-    __attribute__((always_inline)) { o &= ~(x[0] | x[1]); };
-constexpr auto kNorSet = [](auto &o, const auto *x)
-    __attribute__((always_inline)) { o = ~(x[0] | x[1]); };
-constexpr auto kClearMasked = [](auto &o, const auto *x)
-    __attribute__((always_inline)) { o &= ~x[0]; };
-constexpr auto kSetMasked = [](auto &o, const auto *x)
-    __attribute__((always_inline)) { o |= x[0]; };
-constexpr auto kNorIntoMasked = [](auto &o, const auto *x)
-    __attribute__((always_inline)) { o &= ~((x[0] | x[1]) & x[2]); };
-constexpr auto kNorSetMasked = [](auto &o, const auto *x)
-    __attribute__((always_inline)) {
-        o = (o & ~x[2]) | (~(x[0] | x[1]) & x[2]);
-    };
 
 /** Source of Crossbar::poolOwner_ tags (0 is never handed out). */
 std::atomic<uint64_t> nextPoolOwner{1};
@@ -614,7 +562,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             const uint64_t *b =
                                 base +
                                 static_cast<size_t>(sec.inB) * wpc;
-                            sweep(wpc, kNorInto, out, a, b);
+                            for (uint32_t w = 0; w < wpc; ++w)
+                                out[w] &= ~(a[w] | b[w]);
                         }
                         break;
                       case SecKind::FusedNotNor:
@@ -637,7 +586,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             const uint64_t *b =
                                 base +
                                 static_cast<size_t>(sec.inB) * wpc;
-                            sweep(wpc, kNorSet, out, a, b);
+                            for (uint32_t w = 0; w < wpc; ++w)
+                                out[w] = ~(a[w] | b[w]);
                         }
                         break;
                     }
@@ -684,7 +634,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                                 bIn ? blockRO(sec.inB, b)
                                     : kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            sweep(used, kNorInto, out, a, bb);
+                            for (uint32_t w = 0; w < used; ++w)
+                                out[w] &= ~(a[w] | bb[w]);
                         }
                     }
                     break;
@@ -704,7 +655,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                                 a = kZeroBlock;
                             if (!bb)
                                 bb = kZeroBlock;
-                            sweep(used, kNorSet, out, a, bb);
+                            for (uint32_t w = 0; w < used; ++w)
+                                out[w] = ~(a[w] | bb[w]);
                         }
                         break;
                     }
@@ -719,7 +671,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             if (!bb)
                                 bb = kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            sweep(used, kNorSet, out, a, bb);
+                            for (uint32_t w = 0; w < used; ++w)
+                                out[w] = ~(a[w] | bb[w]);
                         }
                     }
                     break;
@@ -742,13 +695,15 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                           case SecKind::NotNor: {
                             const uint64_t *a = colWords(sec.inA);
                             const uint64_t *b = colWords(sec.inB);
-                            sweep(wpc, kNorInto, out, a, b);
+                            for (uint32_t w = 0; w < wpc; ++w)
+                                out[w] &= ~(a[w] | b[w]);
                             break;
                           }
                           case SecKind::FusedNotNor: {
                             const uint64_t *a = colWords(sec.inA);
                             const uint64_t *b = colWords(sec.inB);
-                            sweep(wpc, kNorSet, out, a, b);
+                            for (uint32_t w = 0; w < wpc; ++w)
+                                out[w] = ~(a[w] | b[w]);
                             break;
                           }
                         }
@@ -791,7 +746,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                                 bIn ? blockRO(sec.inB, b)
                                     : kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            sweep(used, kNorInto, out, a, bb);
+                            for (uint32_t w = 0; w < used; ++w)
+                                out[w] &= ~(a[w] | bb[w]);
                         }
                         break;
                       case SecKind::FusedNotNor:
@@ -804,7 +760,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             if (!bb)
                                 bb = kZeroBlock;
                             const uint32_t used = blockWords(b);
-                            sweep(used, kNorSet, out, a, bb);
+                            for (uint32_t w = 0; w < used; ++w)
+                                out[w] = ~(a[w] | bb[w]);
                         }
                         break;
                     }
@@ -823,21 +780,26 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                     uint64_t *out = colWords(sec.outCol);
                     switch (sec.kind) {
                       case SecKind::Init0:
-                        sweep(wpc, kClearMasked, out, m);
+                        for (uint32_t w = 0; w < wpc; ++w)
+                            out[w] &= ~m[w];
                         break;
                       case SecKind::Init1:
-                        sweep(wpc, kSetMasked, out, m);
+                        for (uint32_t w = 0; w < wpc; ++w)
+                            out[w] |= m[w];
                         break;
                       case SecKind::NotNor: {
                         const uint64_t *a = colWords(sec.inA);
                         const uint64_t *b = colWords(sec.inB);
-                        sweep(wpc, kNorIntoMasked, out, a, b, m);
+                        for (uint32_t w = 0; w < wpc; ++w)
+                            out[w] &= ~((a[w] | b[w]) & m[w]);
                         break;
                       }
                       case SecKind::FusedNotNor: {
                         const uint64_t *a = colWords(sec.inA);
                         const uint64_t *b = colWords(sec.inB);
-                        sweep(wpc, kNorSetMasked, out, a, b, m);
+                        for (uint32_t w = 0; w < wpc; ++w)
+                            out[w] = (out[w] & ~m[w]) |
+                                     (~(a[w] | b[w]) & m[w]);
                         break;
                       }
                     }
@@ -853,7 +815,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             continue;
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        sweep(used, kClearMasked, out, mb);
+                        for (uint32_t w = 0; w < used; ++w)
+                            out[w] &= ~mb[w];
                     }
                     break;
                   case SecKind::Init1:
@@ -863,7 +826,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                         uint64_t *out = blockRW(sec.outCol, b);
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        sweep(used, kSetMasked, out, mb);
+                        for (uint32_t w = 0; w < used; ++w)
+                            out[w] |= mb[w];
                     }
                     break;
                   case SecKind::NotNor:
@@ -885,7 +849,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             bIn ? blockRO(sec.inB, b) : kZeroBlock;
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        sweep(used, kNorIntoMasked, out, a, bb, mb);
+                        for (uint32_t w = 0; w < used; ++w)
+                            out[w] &= ~((a[w] | bb[w]) & mb[w]);
                     }
                     break;
                   case SecKind::FusedNotNor:
@@ -901,7 +866,9 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                             bb = kZeroBlock;
                         const uint64_t *mb = m + b * kBlockWords;
                         const uint32_t used = blockWords(b);
-                        sweep(used, kNorSetMasked, out, a, bb, mb);
+                        for (uint32_t w = 0; w < used; ++w)
+                            out[w] = (out[w] & ~mb[w]) |
+                                     (~(a[w] | bb[w]) & mb[w]);
                     }
                     break;
                 }
@@ -1004,7 +971,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
 /**
  * The ISA builds of the compiled-replay executor. Each entry is the one
  * replayProgramT source, forced inline into a function compiled for
- * one target, so its sweep steps run at that ISA's register width.
+ * one target, so its word loops vectorise at that ISA's register width
+ * (at -O3, which is how Release and the end-to-end benchmark build).
  * Only these entries carry a target attribute: every inline or
  * template function the executor calls without inlining it (std::fill,
  * the block-table helpers) keeps the default target, so no code shared

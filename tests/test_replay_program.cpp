@@ -11,8 +11,8 @@
  * diagnostics equal architectural work ops x touched crossbars. The
  * fuzz and the device-path test run once per executor ISA build the
  * host supports (Crossbar::replayBuilds); the fuzz runs at a shallow
- * geometry (one word per column: the word-at-a-time tail) and a deep
- * one (eight words: the eight-word vector step). The
+ * geometry (one word per column) and a deep one (eight words: one
+ * paged block, long enough for the vectorised word loops). The
  * directed tests pin the COMPILER's decisions — when LogicH ops may
  * and may not merge into one pass (mask change, section capacity,
  * stateful-gate aliasing), how stripes and LogicV runs chunk, and
@@ -205,7 +205,7 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len,
 }
 
 /** Geometries the fuzz runs at: one word per column, and eight (one
- *  paged block; the replay kernels' eight-word vector step). */
+ *  paged block, long enough for the vectorised word loops). */
 std::vector<Geometry>
 fuzzGeometries()
 {
