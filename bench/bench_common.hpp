@@ -69,15 +69,14 @@ jsonOutPath()
 }
 
 /**
- * Parse and strip --engine=serial|sharded, --threads=N,
- * --trace-cache=on|off, --devices=N, --affinity=on|off,
+ * Parse and strip --threads=N, --trace-cache=on|off, --devices=N,
  * --bulk-io=on|off, --transport=inproc|socket and --json=PATH from
  * argv (before benchmark::Initialize, which rejects unknown flags),
  * storing the result in engineConfig() / jsonOutPath(). The trace
  * cache and bulk I/O have no environment variable; the other flags
  * override their PYPIM_* variable. Invalid values abort, exactly like
  * the environment path — a typo must never silently benchmark the
- * wrong engine.
+ * wrong configuration.
  */
 inline void
 applyEngineFlags(int &argc, char **argv)
@@ -98,15 +97,6 @@ applyEngineFlags(int &argc, char **argv)
                 cfg.traceCache = false;
             else
                 fatal("--trace-cache=" + v + ": expected on|off");
-        } else if (arg.rfind("--engine=", 0) == 0) {
-            const std::string v = arg.substr(9);
-            if (v == "sharded")
-                cfg.kind = EngineKind::Sharded;
-            else if (v == "serial")
-                cfg.kind = EngineKind::Serial;
-            else
-                fatal("--engine=" + v +
-                      ": unknown engine (expected serial|sharded)");
         } else if (arg.rfind("--threads=", 0) == 0) {
             const char *s = arg.c_str() + 10;
             char *end = nullptr;
@@ -125,14 +115,6 @@ applyEngineFlags(int &argc, char **argv)
                     "--devices=" + arg.substr(10) +
                         ": expected a power-of-two sub-device count");
             cfg.devices = static_cast<uint32_t>(n);
-        } else if (arg.rfind("--affinity=", 0) == 0) {
-            const std::string v = arg.substr(11);
-            if (v == "on" || v == "1")
-                cfg.affinity = true;
-            else if (v == "off" || v == "0")
-                cfg.affinity = false;
-            else
-                fatal("--affinity=" + v + ": expected on|off");
         } else if (arg.rfind("--bulk-io=", 0) == 0) {
             const std::string v = arg.substr(10);
             if (v == "on" || v == "1")
@@ -161,22 +143,17 @@ inline void
 printEngineBanner()
 {
     const EngineConfig &cfg = engineConfig();
-    std::printf("simulator engine: %s", engineKindName(cfg.kind));
-    if (cfg.kind == EngineKind::Sharded)
-        std::printf(" (%u threads%s)", cfg.resolvedThreads(),
-                    cfg.affinity ? ", pinned" : "");
+    std::printf("simulator: %u replay threads", cfg.resolvedThreads());
     std::printf(", trace cache %s", cfg.traceCache ? "on" : "off");
     std::printf(", %s storage", xbarStorageName(cfg.storage));
     std::printf(", bulk I/O %s", cfg.bulkIo ? "on" : "off");
     std::printf(", %s transport", transportKindName(cfg.transport));
     if (cfg.devices > 1)
         std::printf(", %u sub-devices", cfg.devices);
-    std::printf("  [--engine=serial|sharded --threads=N "
-                "--trace-cache=on|off --devices=N "
-                "--affinity=on|off --bulk-io=on|off "
-                "--transport=inproc|socket --json=PATH "
-                "or PYPIM_ENGINE/PYPIM_THREADS/PYPIM_DEVICES/"
-                "PYPIM_AFFINITY/PYPIM_TRANSPORT]\n");
+    std::printf("  [--threads=N --trace-cache=on|off --devices=N "
+                "--bulk-io=on|off --transport=inproc|socket "
+                "--json=PATH or PYPIM_THREADS/PYPIM_DEVICES/"
+                "PYPIM_TRANSPORT]\n");
 }
 
 /**
@@ -291,11 +268,9 @@ jsonConfig(Json &j, const Geometry &g)
 {
     const EngineConfig &cfg = engineConfig();
     j.beginObject("config");
-    j.field("engine", engineKindName(cfg.kind));
     j.field("threads", cfg.resolvedThreads());
     j.field("trace_cache", cfg.traceCache);
     j.field("devices", cfg.devices);
-    j.field("affinity", cfg.affinity);
     j.field("storage", xbarStorageName(cfg.storage));
     j.field("bulk_io", cfg.bulkIo);
     j.field("transport", transportKindName(cfg.transport));

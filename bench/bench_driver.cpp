@@ -169,8 +169,8 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
     const EngineConfig cfg = engineConfig();
     const RTypeInstr in = fullInstr(g, ROp::Mul, DType::Int32);
     std::printf("\n=== Warm-cache steady-state throughput (repeated "
-                "int mul, %u crossbars, engine %s) ===\n",
-                g.numCrossbars, engineKindName(cfg.kind));
+                "int mul, %u crossbars, %u replay threads) ===\n",
+                g.numCrossbars, cfg.resolvedThreads());
     std::printf("%-24s %12s %9s %8s %8s %8s %8s\n", "configuration",
                 "instr/s", "speedup", "hits", "waw", "chain",
                 "window");

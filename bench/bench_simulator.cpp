@@ -5,11 +5,11 @@
  * the host-side micro-op execution rate as the simulated memory scales
  * in crossbar count and rows — the quantities that determine the cost
  * of one broadcast logic op (O(crossbars * rows/64) word operations) —
- * and sweeps the execution engines (op-major serial; sharded, which
- * compiles each segment and replays it crossbar-major, across thread
- * counts) to show how simulation throughput scales with cache
- * blocking and host cores the way real PIM scales with independent
- * compute arrays. The storage sweep
+ * and sweeps the replay thread count of a prepared trace (compiled,
+ * crossbar-major) against the op-major raw stream, to show how
+ * simulation throughput scales with cache blocking and host cores
+ * the way real PIM scales with independent compute arrays. The
+ * storage sweep
  * gauges paged (block-elided, copy-on-write) crossbar storage against
  * the dense slab — throughput parity on dense data, resident-byte
  * reduction on sparse data, and max-geometry scaling past what dense
@@ -25,7 +25,6 @@
 #include "sim/checkpoint.hpp"
 #include "sim/replay_program.hpp"
 #include "sim/serialize.hpp"
-#include "sim/sharded_engine.hpp"
 
 using namespace pypim;
 using namespace pypim::bench;
@@ -56,7 +55,7 @@ simScaling(benchmark::State &state)
         static_cast<double>(g.totalRows());
 }
 
-/** The raw-logic batch both engine benchmarks replay. */
+/** The raw-logic batch the logic-rate benchmarks replay. */
 std::vector<Word>
 logicBatch(const Geometry &g, int pairs = 512)
 {
@@ -89,19 +88,34 @@ rawLogicOps(benchmark::State &state)
         static_cast<int64_t>(batch.size()));
 }
 
-/** Sharded-engine logic rate: Args({crossbars, threads}). */
+/** The logic batch as one prepared trace: both masks lead, so the
+ *  stream is self-contained. */
+std::shared_ptr<const BatchTrace>
+logicTrace(Simulator &sim)
+{
+    const Geometry &g = sim.geometry();
+    std::vector<Word> ops = {
+        MicroOp::crossbarMask(Range::all(g.numCrossbars)).encode(),
+        MicroOp::rowMask(Range::all(g.rows)).encode(),
+    };
+    const std::vector<Word> body = logicBatch(g);
+    ops.insert(ops.end(), body.begin(), body.end());
+    return sim.prepareTrace(ops.data(), ops.size(), false);
+}
+
+/** Compiled trace replay rate: Args({crossbars, threads}). */
 void
-shardedLogicOps(benchmark::State &state)
+tracedLogicOps(benchmark::State &state)
 {
     Geometry g = benchGeometry(static_cast<uint32_t>(state.range(0)));
-    Simulator sim(g, EngineConfig::sharded(
+    Simulator sim(g, EngineConfig{}.withThreads(
                          static_cast<uint32_t>(state.range(1))));
-    const std::vector<Word> batch = logicBatch(g);
+    const auto trace = logicTrace(sim);
     for (auto _ : state)
-        sim.performBatch(batch.data(), batch.size());
+        sim.submitTrace(trace);
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *
-        static_cast<int64_t>(batch.size()));
+        static_cast<int64_t>(trace->stats.totalOps()));
     state.counters["threads"] =
         static_cast<double>(sim.engine().threads());
 }
@@ -127,107 +141,110 @@ moveOps(benchmark::State &state)
         static_cast<int64_t>(state.iterations()) * 256);
 }
 
-/** Micro-ops per second replaying @p batch on @p sim. */
+/** Micro-ops per second of @p pass, which replays @p ops micro-ops. */
+template <typename Pass>
 double
-replayRate(Simulator &sim, const std::vector<Word> &batch,
-           double minSeconds = 0.25)
+replayRate(Pass &&pass, uint64_t ops, double minSeconds = 0.25)
 {
-    sim.performBatch(batch.data(), batch.size());  // warm-up
+    pass();  // warm-up
     using clock = std::chrono::steady_clock;
     uint64_t reps = 0;
     const auto t0 = clock::now();
     double elapsed = 0.0;
     do {
-        sim.performBatch(batch.data(), batch.size());
+        pass();
         ++reps;
         elapsed = std::chrono::duration<double>(clock::now() - t0)
                       .count();
     } while (elapsed < minSeconds);
-    return static_cast<double>(reps * batch.size()) / elapsed;
+    return static_cast<double>(reps * ops) / elapsed;
 }
 
 /**
- * Serial-vs-sharded scaling sweep: the headline table for the engine
- * work. Broadcast logic dominates every workload in the repo, so the
- * sweep replays the canonical INIT+NOR batch as a raw stream: every
- * batch is decoded, compiled and replayed once, the one-shot path.
- * Speedups over the op-major serial reference come from two
- * separable mechanisms, both visible here: the one-thread sharded
- * row isolates decode-once + compile + crossbar-major cache blocking
- * + INIT/NOR fusion, and the wider rows add shard parallelism on
- * top. The 1024-crossbar row is the scaling gauge:
- * op-major replay streams the whole 128 MB array through the cache
- * once per op there, while crossbar-major keeps a 128 KB crossbar hot
- * for the entire segment.
+ * Replay-thread scaling sweep: the headline table for the engine.
+ * Broadcast logic dominates every workload in the repo, so the sweep
+ * replays the canonical INIT+NOR batch as one prepared trace — the
+ * form every warm driver instruction takes — at 1, 2, 4 and 8
+ * threads, against the same batch applied op-major as a raw stream.
+ * Speedups over the op-major reference come from two separable
+ * mechanisms, both visible here: the one-thread row isolates
+ * compiled crossbar-major replay (cache blocking + INIT/NOR fusion),
+ * and the wider rows add crossbar parallelism on top. The
+ * 1024-crossbar row is the scaling gauge: op-major replay streams
+ * the whole 128 MB array through the cache once per op there, while
+ * crossbar-major keeps a 128 KB crossbar hot for the entire segment.
  */
 void
 engineSweep(Json *json)
 {
     if (json)
         json->beginArray("engine_sweep");
-    std::printf("\n=== Execution-engine scaling sweep (INIT+NOR "
+    std::printf("\n=== Replay-thread scaling sweep (INIT+NOR "
                 "batch, 1024 rows) ===\n");
     std::printf("host hardware concurrency: %u\n",
                 std::thread::hardware_concurrency());
     std::printf("%-10s %14s | %7s %25s %8s\n", "crossbars",
-                "serial [Kop/s]", "threads",
-                "sharded [Kop/s] (speedup)", "balance");
+                "raw [Kop/s]", "threads",
+                "trace [Kop/s] (speedup)", "balance");
     for (uint32_t crossbars : {16u, 64u, 256u, 1024u}) {
         const Geometry g = benchGeometry(crossbars);
         const std::vector<Word> batch = logicBatch(g);
-        double serialRate = 0.0;
+        double rawRate = 0.0;
         {
             Simulator sim(g);
-            serialRate = replayRate(sim, batch);
+            rawRate = replayRate(
+                [&] { sim.performBatch(batch.data(), batch.size()); },
+                batch.size());
         }
         if (json) {
             json->beginObject();
             json->field("crossbars", crossbars);
-            json->field("serial_ops_per_s", serialRate);
-            json->beginArray("sharded");
+            json->field("raw_ops_per_s", rawRate);
+            json->beginArray("trace");
         }
         bool first = true;
         for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-            Simulator sim(g, EngineConfig::sharded(threads));
-            const double rate = replayRate(sim, batch);
+            Simulator sim(g, EngineConfig{}.withThreads(threads));
+            const auto trace = logicTrace(sim);
+            const double rate =
+                replayRate([&] { sim.submitTrace(trace); },
+                           trace->stats.totalOps());
             if (json) {
                 json->beginObject();
                 json->field("threads", threads);
                 json->field("ops_per_s", rate);
-                json->field("speedup", rate / serialRate);
+                json->field("speedup", rate / rawRate);
                 json->end();
             }
-            // Shard load balance: min/max applied work across shards
-            // (1.00 = perfectly even).
-            const auto &eng =
-                static_cast<const ShardedEngine &>(sim.engine());
+            // Pool load balance: min/max applied work across workers
+            // (1.00 = perfectly even; the one-thread row keeps no
+            // diagnostics).
             uint64_t lo = UINT64_MAX, hi = 0;
-            for (const Stats &w : eng.shardWork()) {
+            for (const Stats &w : sim.engine().shardWork()) {
                 lo = std::min(lo, w.totalOps());
                 hi = std::max(hi, w.totalOps());
             }
             if (first)
-                std::printf("%-10u %14.2f", crossbars,
-                            serialRate / 1e3);
+                std::printf("%-10u %14.2f", crossbars, rawRate / 1e3);
             else
                 std::printf("%-10s %14s", "", "");
             std::printf(" | %7u %15.2f (%5.2fx) %7.2f\n", threads,
-                        rate / 1e3, rate / serialRate,
+                        rate / 1e3, rate / rawRate,
                         hi ? static_cast<double>(lo) /
                                  static_cast<double>(hi)
                            : 0.0);
             first = false;
         }
         if (json) {
-            json->end();  // sharded
+            json->end();  // trace
             json->end();  // row
         }
     }
     if (json)
         json->end();  // engine_sweep
-    std::printf("(sharded speedups above one thread require free "
-                "host cores; the one-thread rows and the 1024-crossbar "
-                "row are the scaling gauges)\n");
+    std::printf("(speedups above one thread require free host cores; "
+                "the one-thread rows and the 1024-crossbar row are the "
+                "scaling gauges; raw = the batch applied op-major)\n");
 }
 
 /**
@@ -1048,7 +1065,7 @@ BENCHMARK(simScaling)
     ->Args({16, 256})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(rawLogicOps)->Arg(4)->Arg(16)->Arg(64);
-BENCHMARK(shardedLogicOps)
+BENCHMARK(tracedLogicOps)
     ->Args({64, 1})
     ->Args({64, 2})
     ->Args({64, 4})
@@ -1083,7 +1100,7 @@ main(int argc, char **argv)
     }
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    // Non-zero exit when sharded execution diverged from the
+    // Non-zero exit when sub-device execution diverged from the
     // monolithic device, paged storage diverged from dense, the bulk
     // I/O path diverged from the element-wise oracle, a checkpoint
     // failed to restore bit-identical, the cross-process socket fleet

@@ -68,11 +68,7 @@ tableIIIGeometry()
 const char *
 engineKindName(EngineKind k)
 {
-    switch (k) {
-      case EngineKind::Serial:  return "serial";
-      case EngineKind::Sharded: return "sharded";
-      default:                  return "unknown";
-    }
+    return k == EngineKind::Serial ? "serial" : "unknown";
 }
 
 const char *
@@ -150,14 +146,6 @@ EngineConfig
 EngineConfig::fromEnv()
 {
     EngineConfig c;
-    if (const char *e = std::getenv("PYPIM_ENGINE")) {
-        const std::string s(e);
-        if (s == "sharded")
-            c.kind = EngineKind::Sharded;
-        else if (!s.empty() && s != "serial")
-            fatal("PYPIM_ENGINE: unknown engine '" + s +
-                  "' (expected serial|sharded)");
-    }
     if (const char *t = std::getenv("PYPIM_THREADS"))
         c.threads = parseCountEnv("PYPIM_THREADS", t, 0, 1u << 20);
     if (const char *d = std::getenv("PYPIM_DEVICES")) {
@@ -167,8 +155,6 @@ EngineConfig::fromEnv()
                     " is not a power of two (sub-devices cut the "
                     "crossbar space at H-tree group boundaries)");
     }
-    if (const char *a = std::getenv("PYPIM_AFFINITY"))
-        c.affinity = parseSwitchEnv("PYPIM_AFFINITY", a, c.affinity);
     // Validated by FaultSpec::parse at device-group construction, so
     // the error names the bad key/value rather than the variable.
     if (const char *f = std::getenv("PYPIM_FAULTS"))
@@ -196,6 +182,9 @@ rejectRetiredFields(const EngineConfig &c)
     fatalIf(!c.compiledReplay,
             "compiledReplay=false is not supported: every segment "
             "replays as a compiled program");
+    fatalIf(c.affinity,
+            "affinity=true is not supported: replay threads are not "
+            "pinned to cores");
 }
 
 uint32_t

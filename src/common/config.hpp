@@ -91,21 +91,14 @@ Geometry tableIIIGeometry();
 Geometry testGeometry();
 
 /**
- * Execution-engine backend of the simulator (sim/engine.hpp).
- *
- * Both engines are bit-accurate and produce identical crossbar state
- * and statistics; they differ only in how the host simulates the
- * broadcast: Serial replays every micro-op over all mask-selected
- * crossbars on the calling thread (op-major; the reference oracle),
- * and Sharded compiles each barrier-free segment once and replays it
- * crossbar-major (one crossbar's state stays hot in cache for the
- * whole segment) across a persistent worker pool, inline at one
- * thread, serialising only at cross-crossbar ops.
+ * Retired engine selector. The simulator has one execution engine
+ * (sim/engine.hpp); the enum keeps its one value only because
+ * perfbench/perfbench.cpp sets EngineConfig::kind and prints
+ * engineKindName. Both go with the next change to the benchmark.
  */
 enum class EngineKind : uint8_t
 {
-    Serial = 0,
-    Sharded
+    Serial = 0
 };
 
 const char *engineKindName(EngineKind k);
@@ -159,9 +152,15 @@ const char *transportKindName(TransportKind t);
 /** Simulator execution-engine selection knob. */
 struct EngineConfig
 {
+    /** Retired (see EngineKind): there is one engine. */
     EngineKind kind = EngineKind::Serial;
-    /** Worker threads for Sharded (0 = hardware concurrency). */
-    uint32_t threads = 0;
+    /**
+     * Host threads that replay compiled programs crossbar-parallel
+     * (sim/engine.hpp); 0 means the hardware concurrency. 1 (the
+     * default) replays inline on the calling thread. Raw micro-op
+     * batches apply op-major on the calling thread at every count.
+     */
+    uint32_t threads = 1;
     /**
      * Must stay false: the Simulator executes synchronously, and
      * constructing a Simulator or SimulatorGroup with true throws
@@ -189,16 +188,17 @@ struct EngineConfig
      * and each slice is simulated by an independent Simulator with its
      * own engine. Must be a power of
      * two; clamped to the geometry's crossbar count at construction.
-     * 1 (the default) is the classic monolithic device. The sharded
-     * engine's thread budget (@ref threads) applies to the LOGICAL
-     * device and is divided across the sub-device pools.
+     * 1 (the default) is the classic monolithic device. The thread
+     * budget (@ref threads) applies to the LOGICAL device and is
+     * divided across the sub-device engines.
      */
     uint32_t devices = 1;
     /**
-     * Pin the sharded engine's pool workers to distinct host cores
-     * (pthread_setaffinity_np; silently a no-op on platforms without
-     * it). Off by default — pinning helps steady-state NUMA locality
-     * but hurts on oversubscribed hosts.
+     * Must stay false: replay threads are never pinned to cores, and
+     * constructing a Simulator or SimulatorGroup with true throws
+     * pypim::Error (rejectRetiredFields). The field remains only
+     * because perfbench/perfbench.cpp sets it; it goes with the next
+     * change to the benchmark.
      */
     bool affinity = false;
     /**
@@ -263,12 +263,13 @@ struct EngineConfig
 
     static EngineConfig serial() { return {}; }
 
-    static EngineConfig
-    sharded(uint32_t threads = 0)
+    /** Copy of this config replaying on @p n threads (0 = hardware
+     *  concurrency). */
+    EngineConfig
+    withThreads(uint32_t n) const
     {
-        EngineConfig c;
-        c.kind = EngineKind::Sharded;
-        c.threads = threads;
+        EngineConfig c = *this;
+        c.threads = n;
         return c;
     }
 
@@ -318,14 +319,13 @@ struct EngineConfig
     }
 
     /**
-     * Engine selection from the environment: PYPIM_ENGINE=serial|
-     * sharded, PYPIM_THREADS=N, PYPIM_DEVICES=N (power of two),
-     * PYPIM_AFFINITY=on|off, PYPIM_FAULTS=<spec>,
+     * Configuration from the environment: PYPIM_THREADS=N,
+     * PYPIM_DEVICES=N (power of two), PYPIM_FAULTS=<spec>,
      * PYPIM_VERIFY_STATE=on|off|1|0 and PYPIM_TRANSPORT=inproc|socket
      * (worker count via PYPIM_DEVICES). Unset values fall back to the
-     * defaults (serial, one device, no pinning, inproc transport);
-     * the remaining fields have no knob and keep their defaults
-     * (trace cache and bulk I/O on, paged storage). Unrecognised or
+     * defaults (one thread, one device, inproc transport); the
+     * remaining fields have no knob and keep their defaults (trace
+     * cache and bulk I/O on, paged storage). Unrecognised or
      * malformed values throw pypim::Error — a typo must never
      * silently misconfigure the stack.
      */
@@ -336,7 +336,8 @@ struct EngineConfig
 };
 
 /** Throw pypim::Error if @p c sets a retired field away from its one
- *  supported value (EngineConfig::pipeline, ::compiledReplay). */
+ *  supported value (EngineConfig::pipeline, ::compiledReplay,
+ *  ::affinity). */
 void rejectRetiredFields(const EngineConfig &c);
 
 } // namespace pypim

@@ -160,8 +160,8 @@ struct Stats
     bool operator==(const Stats &other) const = default;
 
     /**
-     * Element-wise sum of per-shard counter blocks. The sharded
-     * execution engine keeps one Stats per worker shard so the hot
+     * Element-wise sum of per-shard counter blocks. The execution
+     * engine's thread pool keeps one Stats per worker so the hot
      * path records without synchronisation; merge when reporting.
      */
     static Stats merged(std::span<const Stats> shards);

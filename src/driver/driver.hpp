@@ -78,7 +78,7 @@ class Driver
      * (sim/batch_trace.hpp): per signature, the recorded stream is
      * decoded, validated and fusion-optimised ONCE into a shared
      * immutable BatchTrace, and every subsequent hit submits the
-     * pre-built trace handle — every engine replays it with zero
+     * pre-built trace handle — the engine replays it with zero
      * decode work. Sinks without trace support (e.g. the
      * bench BufferSink) fall back to raw stream replay transparently.
      * Observability: Stats::traceCacheHits/Misses and the fusion*

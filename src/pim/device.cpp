@@ -5,6 +5,31 @@
 namespace pypim
 {
 
+namespace
+{
+
+/** One builder mask of the checkpoint's driver-mask section: a known
+ *  flag, then the range when known. */
+void
+writeKnownMask(ByteWriter &w, const std::optional<Range> &mask)
+{
+    w.u8(mask.has_value());
+    if (mask)
+        writeRange(w, *mask);
+}
+
+std::optional<Range>
+readKnownMask(ByteReader &r, uint32_t limit, const char *what)
+{
+    if (r.u8() == 0)
+        return std::nullopt;
+    const Range mask = readRange(r);
+    mask.validate(limit, what);
+    return mask;
+}
+
+} // namespace
+
 Device::Device(const Geometry &geo, Driver::Mode mode,
                const EngineConfig &ec)
     : geo_(geo),
@@ -41,6 +66,12 @@ Device::checkpoint(const std::string &path)
     ByteWriter w;
     writeStats(w, drv_.stats());
     img.driverStats = w.take();
+    // The builder's known masks decide which mask ops it emits next;
+    // the restored builder must make the same decisions.
+    ByteWriter m;
+    writeKnownMask(m, drv_.builder().knownWarpMask());
+    writeKnownMask(m, drv_.builder().knownRowMask());
+    img.driverMasks = m.take();
     const uint64_t bytes = saveCheckpoint(img, path);
     recovery_.recoveryStats().checkpointBytes += bytes;
     // The journal restarts at this durable point: recovery never
@@ -66,9 +97,20 @@ Device::restore(const std::string &path)
     // this restore discards — drop them (a flush would submit them,
     // and could rethrow the very sticky error restore is clearing).
     drv_.builder().discardBatch();
-    // The chip's mask state changed under the builder: force the next
-    // mask op to re-emit instead of trusting a stale dedup cache.
-    drv_.builder().resetMaskState();
+    // The chip's mask state changed under the builder: adopt the
+    // source builder's known masks (each unknown if it was), so the
+    // restored driver emits exactly the mask ops the source would.
+    if (img.driverMasks.empty()) {
+        drv_.builder().resetMaskState();
+    } else {
+        ByteReader r(img.driverMasks.data(), img.driverMasks.size());
+        const std::optional<Range> warps =
+            readKnownMask(r, geo_.numCrossbars, "checkpoint warp mask");
+        const std::optional<Range> rows =
+            readKnownMask(r, geo_.rows, "checkpoint row mask");
+        r.expectEnd("driver masks");
+        drv_.builder().assumeMasks(warps, rows);
+    }
     recovery_.rebaseline();
 }
 

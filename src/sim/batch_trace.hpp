@@ -1,7 +1,7 @@
 /**
  * @file
  * Decoded, replay-ready batches: the hand-off unit between the
- * translation pre-pass and the execution engines.
+ * translation pre-pass and the execution engine.
  *
  * A BatchTrace is one submitted micro-op batch after the shared
  * pre-pass (sim/segment_trace.hpp): segment traces and pre-validated

@@ -35,7 +35,7 @@
  *    kernel that holds block pointers: at the entry of a compiled
  *    program (replayProgram), never between its instructions, and of
  *    each single replayed op (logicH, logicV, write and writeStripe),
- *    which is the only entry the serial engine's raw op-by-op path
+ *    which is the only entry the engine's raw op-by-op path
  *    has. Direct state access (writeRow,
  *    setBit, bulk gather/scatter, loadBlock) never promotes.
  *    Promotion copies every present block into the slab and drops the
@@ -67,9 +67,9 @@
  * destroyed only while no replay is mutating the source crossbar
  * (the Simulator replays synchronously, so between its calls), and a
  * crossbar's blocks are only ever mutated by one thread at a time
- * (the sharded engine partitions work by crossbar), so block cloning
- * — and promotion — during concurrent replay of DIFFERENT crossbars
- * is race-free.
+ * (the engine's thread pool partitions work by crossbar), so block
+ * cloning — and promotion — during concurrent replay of DIFFERENT
+ * crossbars is race-free.
  *
  * Stateful-logic fidelity: NOT/NOR can only switch the output memristor
  * from 1 towards 0 (paper §II-A — the output is expected to be
@@ -200,7 +200,7 @@ class Crossbar
      * into a {slab, paged} x {all-full masks, partial} template
      * executor. @p work, if non-null, accumulates the applied
      * architectural ops (two for a fused INIT+gate pair, one per Write
-     * of a stripe): the sharded engine's load-balance diagnostic.
+     * of a stripe): the thread pool's load-balance diagnostic.
      */
     void replayProgram(const ReplayProgram &prog, uint32_t self,
                        Stats *work);
@@ -494,7 +494,7 @@ class Crossbar
             promote();
     }
     /**
-     * Entry of one replayed op (the serial engine's raw op-by-op
+     * Entry of one replayed op (the engine's raw op-by-op
      * path): promote a filled paged crossbar, then report whether the
      * op runs on the paged kernels. No block pointer is live at this
      * point.

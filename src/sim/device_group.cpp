@@ -33,12 +33,11 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     // sub-device), not abort the suite.
     n = std::min(n, geo_.numCrossbars);
     perDevice_ = geo_.numCrossbars / n;
-    // The sharded engine's thread budget is per LOGICAL device:
-    // divide it across the sub-device pools so devices=N never
-    // oversubscribes the host N-fold (each pool further clamps to
-    // its slice size).
+    // The thread budget is per LOGICAL device: divide it across the
+    // sub-device engines so devices=N never oversubscribes the host
+    // N-fold (each pool further clamps to its slice size).
     EngineConfig sub = ec;
-    if (ec.kind == EngineKind::Sharded && n > 1)
+    if (n > 1)
         sub.threads = std::max(1u, ec.resolvedThreads() / n);
     devices_ = n;
     reads_.resize(n);
@@ -183,7 +182,7 @@ SimulatorGroup::exchangeGroup(const Word *ops, size_t n, size_t first,
 {
     const auto t0 = std::chrono::steady_clock::now();
     // The opening Move: same validation (and failure point) as the
-    // engines' doMove — an invalid one throws here, before any
+    // engine's doMove — an invalid one throws here, before any
     // crossbar is touched by it.
     const MicroOp head = MicroOp::decode(ops[first]);
     const int64_t headDist = validateMove(head, xb, geo_);

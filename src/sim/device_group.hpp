@@ -80,10 +80,10 @@
  * and so cut into as few Move groups as the hazard rule allows.
  *
  * Error streams: a malformed op throws at the submit containing it,
- * after the valid prefix was forwarded (the serial engine's
+ * after the valid prefix was forwarded (the engine's op-major
  * semantics). Sub-devices not yet fed when the first one throws may
  * diverge from that point on — error recovery across shards is
- * explicitly out of scope, as it is for the engines.
+ * explicitly out of scope.
  *
  * TRANSPORT. The fan-out above is a TRANSPORT decision, selected by
  * EngineConfig::transport (PYPIM_TRANSPORT):
@@ -132,7 +132,8 @@ class SimulatorGroup : public OperationSink
      * Shard @p geo's crossbar space across ec.devices sub-devices
      * (power of two; clamped to the crossbar count, so small test
      * geometries degrade gracefully instead of failing). Every
-     * sub-device runs the engine configuration of @p ec.
+     * sub-device runs the engine configuration of @p ec, with the
+     * thread budget divided among them.
      */
     SimulatorGroup(const Geometry &geo, const EngineConfig &ec);
 

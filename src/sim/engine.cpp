@@ -6,12 +6,31 @@
 #include "common/error.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/bulk_io.hpp"
-#include "sim/serial_engine.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/replay_program.hpp"
 #include "uarch/partition.hpp"
 
 namespace pypim
 {
+
+ExecutionEngine::ExecutionEngine(const Geometry &geo,
+                                 std::vector<Crossbar> &xbs,
+                                 uint32_t xbBase, const HTree &htree,
+                                 MaskState &mask, Stats &stats,
+                                 uint32_t threads)
+    : geo_(geo), xbs_(xbs), xbBase_(xbBase), htree_(htree),
+      mask_(mask), stats_(stats),
+      pool_(std::min(std::max(1u, threads),
+                     std::max(1u, static_cast<uint32_t>(xbs.size())))),
+      work_(pool_.size())
+{
+}
+
+void
+ExecutionEngine::execute(const Word *ops, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        serialPerform(MicroOp::decode(ops[i]));
+}
 
 void
 ExecutionEngine::serialPerform(const MicroOp &op)
@@ -182,8 +201,42 @@ ExecutionEngine::replayProgram(const ReplayProgram &prog)
 {
     const uint32_t lo = std::max(prog.xbLo, sliceLo());
     const uint32_t hi = std::min(prog.xbHi, sliceHi());
-    for (uint32_t xb = lo; xb < hi; ++xb)
-        xbAt(xb).replayProgram(prog, xb, nullptr);
+    const uint32_t workers = pool_.size();
+    if (workers == 1) {
+        for (uint32_t xb = lo; xb < hi; ++xb)
+            xbAt(xb).replayProgram(prog, xb, nullptr);
+        return;
+    }
+    if (lo >= hi)
+        return;  // hull entirely outside this sub-device's slice
+    // Work-stealing schedule over the segment's crossbar hull: chunks
+    // are claimed from a shared atomic counter instead of fixed
+    // contiguous per-worker blocks, so a strided crossbar mask (which
+    // leaves some blocks mostly masked-out) cannot load-imbalance the
+    // workers. The chunk is kept a few crossbars wide: small enough
+    // that expensive crossbars spread over the pool, large enough to
+    // amortise the atomic claim and preserve block locality. A hull
+    // narrower than the pool wakes only as many tasks as it has
+    // crossbars; a one-crossbar hull runs inline.
+    const uint32_t chunk = std::max(1u, (hi - lo) / (workers * 8));
+    next_.store(lo, std::memory_order_relaxed);
+    pool_.parallelFor(std::min(workers, hi - lo), [&](uint32_t w) {
+        // Accumulate the applied-work diagnostics on the stack and
+        // flush once per segment: work_ entries are adjacent in
+        // memory, and per-application increments there would
+        // ping-pong cache lines between workers.
+        Stats local;
+        for (;;) {
+            const uint32_t start =
+                next_.fetch_add(chunk, std::memory_order_relaxed);
+            if (start >= hi)
+                break;
+            const uint32_t end = std::min(start + chunk, hi);
+            for (uint32_t xb = start; xb < end; ++xb)
+                xbAt(xb).replayProgram(prog, xb, &local);
+        }
+        work_[w] += local;
+    });
 }
 
 void
@@ -273,24 +326,6 @@ ExecutionEngine::applyMove(const MicroOp &op, const Range &xb)
     for (size_t i = 0; i < moveDsts_.size(); ++i)
         xbAt(moveDsts_[i]).writeRow(op.dstIdx, moveValues_[i],
                                     op.dstRow);
-}
-
-std::unique_ptr<ExecutionEngine>
-makeEngine(const EngineConfig &cfg, const Geometry &geo,
-           std::vector<Crossbar> &xbs, uint32_t xbBase,
-           const HTree &htree, MaskState &mask, Stats &stats)
-{
-    rejectRetiredFields(cfg);
-    switch (cfg.kind) {
-      case EngineKind::Sharded:
-        return std::make_unique<ShardedEngine>(
-            geo, xbs, xbBase, htree, mask, stats,
-            cfg.resolvedThreads(), cfg.affinity);
-      case EngineKind::Serial:
-      default:
-        return std::make_unique<SerialEngine>(geo, xbs, xbBase, htree,
-                                              mask, stats);
-    }
 }
 
 } // namespace pypim

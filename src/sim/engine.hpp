@@ -1,38 +1,37 @@
 /**
  * @file
- * Pluggable micro-op execution engines for the simulator.
+ * The simulator's execution engine.
  *
  * The simulator's job splits cleanly in two: *what* a micro-op does to
  * the crossbar state (bit-accurate semantics, paper §III) and *how*
- * the host machine replays it over the simulated memory. ExecutionEngine
- * captures the "how" behind a narrow seam so the semantics are written
- * once (in this base class) and backends only choose a replay strategy:
+ * the host machine replays it over the simulated memory. The engine
+ * owns the "how", in two forms:
  *
- *  - SerialEngine (serial_engine.hpp): the reference backend; every op
- *    is applied to all mask-selected crossbars on the calling thread,
- *    op-major.
- *  - ShardedEngine (sharded_engine.hpp): decodes each barrier-free
- *    segment once (sim/segment_trace.hpp), compiles it into a
- *    ReplayProgram (sim/replay_program.hpp) and replays that
- *    crossbar-major on a persistent thread pool, inline at one thread
- *    — the host-side analogue of the paper's observation (§VI) that
+ *  - Raw micro-op batches apply OP-MAJOR on the calling thread: each
+ *    op is decoded, validated, recorded in the Stats and applied to
+ *    every mask-selected crossbar before the next op. This is the
+ *    reference semantics and the one oracle; a malformed op throws
+ *    after its valid prefix has taken effect.
+ *  - Compiled programs (sim/replay_program.hpp), which a prepared
+ *    trace carries, replay CROSSBAR-MAJOR: one crossbar's state stays
+ *    hot in cache for the whole segment. With several threads the
+ *    crossbar hull fans out over a persistent work-stealing pool —
+ *    the host-side analogue of the paper's observation (§VI) that
  *    crossbars are independent between the cross-crossbar ops (Read,
- *    H-tree Move), which serialise.
+ *    H-tree Move), which serialise. With one thread the same loop
+ *    runs inline.
  *
- * A segment replays in exactly one form, the compiled program: every
- * engine replays prepared traces through replayBatch.
- * SerialEngine's op-major path is the one oracle.
- *
- * Engines operate on state OWNED BY the Simulator (crossbars, H-tree,
- * in-stream mask state, stats), so engines can be swapped at runtime
- * without losing memory contents, and all engines are guaranteed
- * bit-identical by the parity test suite (tests/test_engine_parity.cpp).
+ * The engine operates on state OWNED BY the Simulator (crossbars,
+ * H-tree, in-stream mask state, stats), so it can be rebuilt at a new
+ * thread count without losing memory contents. Compiled replay at
+ * every thread count is bit-identical to the op-major oracle
+ * (tests/test_engine_parity.cpp, tests/test_replay_program.cpp).
  */
 #ifndef PYPIM_SIM_ENGINE_HPP
 #define PYPIM_SIM_ENGINE_HPP
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
 #include <vector>
 
 #include "common/config.hpp"
@@ -40,6 +39,7 @@
 #include "sim/crossbar.hpp"
 #include "sim/htree.hpp"
 #include "sim/segment_trace.hpp"
+#include "sim/thread_pool.hpp"
 #include "uarch/microop.hpp"
 
 namespace pypim
@@ -50,9 +50,10 @@ struct BulkIoSpec;
 struct ReplayProgram;
 
 /**
- * One micro-op replay backend. Owns no simulated state; executes
- * encoded micro-op batches against the Simulator's crossbars, mask
- * state and statistics counters (all passed in by reference).
+ * The one execution engine. Owns no simulated state; executes
+ * encoded micro-op batches and compiled programs against the
+ * Simulator's crossbars, mask state and statistics counters (all
+ * passed in by reference).
  *
  * Crossbar slices: @p xbs may hold only a contiguous SLICE of the
  * geometry's crossbar space — xbs[0] is global crossbar @p xbBase —
@@ -69,53 +70,46 @@ struct ReplayProgram;
 class ExecutionEngine
 {
   public:
+    /**
+     * @p threads is the replay parallelism (resolved, >= 1); more
+     * workers than owned crossbars never help, so the pool is clamped
+     * to the slice size.
+     */
     ExecutionEngine(const Geometry &geo, std::vector<Crossbar> &xbs,
                     uint32_t xbBase, const HTree &htree,
-                    MaskState &mask, Stats &stats)
-        : geo_(geo), xbs_(xbs), xbBase_(xbBase), htree_(htree),
-          mask_(mask), stats_(stats)
-    {
-    }
-
-    virtual ~ExecutionEngine() = default;
+                    MaskState &mask, Stats &stats, uint32_t threads);
 
     ExecutionEngine(const ExecutionEngine &) = delete;
     ExecutionEngine &operator=(const ExecutionEngine &) = delete;
 
-    /** Backend name ("serial", "sharded") for reporting. */
-    virtual const char *name() const = 0;
+    /** Host threads that replay compiled programs. */
+    uint32_t threads() const { return pool_.size(); }
 
-    /** Host threads participating in execution (1 for serial). */
-    virtual uint32_t threads() const { return 1; }
-
-    /** Execute @p n encoded micro-operations in order. */
-    virtual void execute(const Word *ops, size_t n) = 0;
+    /** Execute @p n encoded micro-operations in order, op-major. */
+    void execute(const Word *ops, size_t n);
 
     /**
      * Replay one compiled segment (sim/replay_program.hpp) over the
      * owned slice of its crossbar hull. The program was validated and
      * recorded in the architectural stats when its segment was built,
-     * so the engine only applies state changes. The default replays
-     * crossbar-major inline on the calling thread; ShardedEngine fans
-     * the hull out over its pool. The per-crossbar work is
-     * Crossbar::replayProgram, whose executor is specialized over
-     * storage mode and mask shape.
+     * so the engine only applies state changes: crossbar-major inline
+     * at one thread, work-stealing over the pool otherwise. The
+     * per-crossbar work is Crossbar::replayProgram, whose executor is
+     * specialized over storage mode and mask shape.
      */
-    virtual void replayProgram(const ReplayProgram &prog);
+    void replayProgram(const ReplayProgram &prog);
 
     /**
      * Replay one pre-built, compiled batch in stream order: Moves via
      * applyMove, segments via replayProgram. The batch was validated
      * and its stats recorded at build time, so this is pure state
-     * application on any backend. Panics if a segment has no compiled
-     * program.
+     * application. Panics if a segment has no compiled program.
      */
     void replayBatch(const BatchTrace &batch);
 
     /**
      * Execute a Read micro-op and return the N-bit response. Reads
-     * address exactly one (crossbar, row) and are inherently serial,
-     * so all backends share this implementation.
+     * address exactly one (crossbar, row) and are inherently serial.
      */
     uint32_t executeRead(const MicroOp &op);
 
@@ -127,8 +121,8 @@ class ExecutionEngine
      * untouched — on a sharded device every sub-device fills its
      * disjoint share of the common host buffer. Stats were applied by
      * the caller (the spec carries the pre-planned delta). Returns
-     * 64-bit words transposed. Shared by all backends: the transfer
-     * runs between replays, so the array is quiescent.
+     * 64-bit words transposed. The transfer runs between replays, so
+     * the array is quiescent.
      */
     uint64_t executeReadBulk(const BulkIoSpec &spec, uint32_t *out);
 
@@ -137,8 +131,19 @@ class ExecutionEngine
     uint64_t applyWriteBulk(const BulkIoSpec &spec,
                             const uint32_t *values);
 
-  protected:
-    /** Reference semantics: apply one op to the full crossbar array. */
+    /**
+     * Per-worker applied-work counters of the pool path (one op
+     * recorded per crossbar a worker touched): a load-balance
+     * diagnostic, NOT the architectural stats. Which worker claims
+     * which chunk is scheduling-dependent, but at more than one
+     * thread the merged total (Stats::merged) equals architectural
+     * work ops x touched crossbars. The one-thread path charges
+     * nothing.
+     */
+    const std::vector<Stats> &shardWork() const { return work_; }
+
+  private:
+    /** Reference semantics: apply one op to the owned crossbars. */
     void serialPerform(const MicroOp &op);
 
     /**
@@ -148,31 +153,6 @@ class ExecutionEngine
      * recorded at build time).
      */
     void applyMove(const MicroOp &op, const Range &xb);
-
-    /**
-     * Split @p ops at the cross-crossbar barriers: barrier ops run
-     * immediately via the reference semantics, and @p fn(seg, len) is
-     * invoked for each maximal barrier-free segment in between — the
-     * segmentation every trace-consuming backend shares.
-     */
-    template <typename Fn>
-    void
-    forEachSegment(const Word *ops, size_t n, Fn &&fn)
-    {
-        size_t i = 0;
-        while (i < n) {
-            if (isBarrierOp(enc::peekType(ops[i]))) {
-                serialPerform(MicroOp::decode(ops[i]));
-                ++i;
-                continue;
-            }
-            size_t j = i + 1;
-            while (j < n && !isBarrierOp(enc::peekType(ops[j])))
-                ++j;
-            fn(ops + i, j - i);
-            i = j;
-        }
-    }
 
     void doCrossbarMask(const MicroOp &op);
     void doRowMask(const MicroOp &op);
@@ -227,19 +207,15 @@ class ExecutionEngine
     MaskState &mask_;
     Stats &stats_;
 
-  private:
     /** doMove scratch (read-all-then-write-all staging), reused so
      *  the per-op hot path never allocates. */
     std::vector<uint32_t> moveValues_;
     std::vector<uint32_t> moveDsts_;
-};
 
-/** Instantiate the backend selected by @p cfg over the given state.
- *  Throws pypim::Error if @p cfg turns compiled replay off. */
-std::unique_ptr<ExecutionEngine>
-makeEngine(const EngineConfig &cfg, const Geometry &geo,
-           std::vector<Crossbar> &xbs, uint32_t xbBase,
-           const HTree &htree, MaskState &mask, Stats &stats);
+    ThreadPool pool_;
+    std::vector<Stats> work_;
+    std::atomic<uint32_t> next_{0};  //!< pool path's chunk claim counter
+};
 
 /**
  * Validate a Read against the mask state exactly as the serial

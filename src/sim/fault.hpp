@@ -5,7 +5,7 @@
  * Real PIM deployments are host runtimes feeding thousands of
  * accelerator arrays where bit errors and unit loss are operational
  * facts; this injector models them INSIDE the simulator stack, behind
- * the OperationSink seam, so every engine x storage x device
+ * the OperationSink seam, so every thread x storage x device
  * combination is injectable with no code path of its own:
  *
  *  - flip=P   : with probability P% after each replayed batch, toggle

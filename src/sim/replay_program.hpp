@@ -40,18 +40,14 @@
  * upload-once device-side object for the ROADMAP's GPU engine.
  *
  * Every segment is compiled where it replays: Simulator::prepareTrace
- * compiles a trace before freezing it, ShardedEngine::execute
- * compiles each raw segment into a reused member program, and a
- * socket worker compiles each trace it decodes from the wire.
- * Compiling ties or wins even on segments that replay once. On
- * one-shot raw batches (4-vCPU Xeon, Release, bench_simulator's
- * INIT+NOR batch on 1024-row crossbars, one thread, medians of 11
- * alternating runs) compile-then-replay ran 1.13x, 1.12x and 0.99x
- * the rate of the retired per-op segment interpreter at 64, 256 and
- * 1024 crossbars (0.89-0.96x at 16, inside the host's noise), and
- * 1.3-1.4x on driver-translated fp-add batches at 4 threads (64-1024
- * crossbars). SerialEngine's op-major raw path is the parity oracle
- * (tests/test_replay_program.cpp).
+ * compiles a trace before freezing it, and a socket worker compiles
+ * each trace it decodes from the wire. Raw micro-op batches never
+ * compile: the engine applies them op-major, which is also the parity
+ * oracle (tests/test_replay_program.cpp). Compiling each raw segment
+ * to replay it once was slower than applying it op-major (4-vCPU
+ * Xeon, Release perfbench, one thread, wall_s: fleet 0.059 against
+ * 0.043 s, sort 0.026 against 0.020 s), so only traces, which replay
+ * many times, pay for compiling.
  */
 #ifndef PYPIM_SIM_REPLAY_PROGRAM_HPP
 #define PYPIM_SIM_REPLAY_PROGRAM_HPP

@@ -6,12 +6,12 @@
  * A batch of micro-ops splits into SEGMENTS at every cross-crossbar
  * barrier op (Read, H-tree Move). Within a segment every op is a
  * broadcast over independent crossbars, so the order of the loops
- * "for op / for crossbar" may be interchanged freely. The engines'
- * historical replay was op-major: each op swept the whole crossbar
- * array before the next op, streaming a multi-megabyte working set
- * through the cache once PER OP at large crossbar counts, and
- * re-decoding (and re-expanding every LogicH) once per batch replay
- * even though the decoded form is loop-invariant across crossbars.
+ * "for op / for crossbar" may be interchanged freely. Raw-stream
+ * replay is op-major: each op sweeps the whole crossbar array before
+ * the next op, streaming a multi-megabyte working set through the
+ * cache once PER OP at large crossbar counts, and re-decoding (and
+ * re-expanding every LogicH) once per batch replay even though the
+ * decoded form is loop-invariant across crossbars.
  *
  * SegmentTrace is the loop-invariant part, computed exactly once per
  * segment by buildSegmentTrace():
@@ -234,8 +234,8 @@ bool fusableInitNor(const SegmentTrace &t, const HalfGateRun &init,
 /**
  * Decode the barrier-free segment @p ops[0..n) into @p trace.
  *
- * This is the engines' shared pre-pass: it validates every op exactly
- * as the serial reference would (so a malformed op aborts BEFORE any
+ * This is the trace builder's pre-pass: it validates every op exactly
+ * as the op-major reference would (so a malformed op aborts BEFORE any
  * crossbar is touched), records the architectural @p stats, and
  * advances the authoritative @p mask state past the segment. It
  * touches no crossbar: O(n), not O(n * crossbars).

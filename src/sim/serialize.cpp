@@ -14,7 +14,8 @@ namespace
 
 constexpr char kMagic[8] = {'P', 'Y', 'P', 'I', 'M', 'C', 'K', '1'};
 // v2: the Stats block grew the shard-transport wire counters.
-constexpr uint32_t kVersion = 2;
+// v3: the driver's known-mask section.
+constexpr uint32_t kVersion = 3;
 
 // Section tags. New sections get new tags; unknown tags are an error
 // (version bumps cover format evolution — a checkpoint is a precise
@@ -25,6 +26,7 @@ constexpr uint32_t kSecCrossbars = 3;
 constexpr uint32_t kSecAlloc = 4;
 constexpr uint32_t kSecDriverCache = 5;
 constexpr uint32_t kSecDriverStats = 6;
+constexpr uint32_t kSecDriverMasks = 7;
 
 /**
  * Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
@@ -274,6 +276,8 @@ encodeCheckpoint(const CheckpointImage &img)
         sections.emplace_back(kSecDriverCache, img.driverCache);
     if (!img.driverStats.empty())
         sections.emplace_back(kSecDriverStats, img.driverStats);
+    if (!img.driverMasks.empty())
+        sections.emplace_back(kSecDriverMasks, img.driverMasks);
 
     w.u32(static_cast<uint32_t>(sections.size()));
     for (const auto &[tag, payload] : sections)
@@ -394,6 +398,9 @@ decodeCheckpoint(const std::vector<uint8_t> &bytes)
             break;
           case kSecDriverStats:
             img.driverStats = std::move(payload);
+            break;
+          case kSecDriverMasks:
+            img.driverMasks = std::move(payload);
             break;
           default:
             fatal("checkpoint: unknown section tag " +

@@ -28,7 +28,8 @@
  * load it).
  *
  * The allocator and driver sections are OPAQUE BLOBS produced by
- * MemoryManager::exportState and Driver::exportStreamCache with the
+ * MemoryManager::exportState, Driver::exportStreamCache and Device
+ * (driver Stats, the gate builder's known masks) with the
  * ByteWriter/ByteReader helpers below: the sim layer frames and
  * checksums them without depending on the host layers above it.
  */
@@ -151,6 +152,9 @@ struct CheckpointImage
     std::vector<uint8_t> driverCache;
     /** Serialized driver-side Stats (may be empty). */
     std::vector<uint8_t> driverStats;
+    /** Serialized known masks of the driver's gate builder, which
+     *  decide the mask ops it emits next (may be empty). */
+    std::vector<uint8_t> driverMasks;
 };
 
 /** Write @p img to @p path; returns bytes written. Throws on I/O. */

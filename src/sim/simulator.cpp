@@ -30,8 +30,7 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
     for (uint32_t i = 0; i < sliceCount; ++i)
         xbs_.emplace_back(geo_, ec.storage);
     mask_.reset(geo_);
-    engine_ =
-        makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
+    setEngine(ec);
 }
 
 void
@@ -69,8 +68,10 @@ Simulator::setEngine(const EngineConfig &ec)
 {
     // The crossbar state (and with it the storage representation)
     // survives the swap: ec.storage is applied at construction only.
-    engine_ =
-        makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
+    rejectRetiredFields(ec);
+    engine_ = std::make_unique<ExecutionEngine>(
+        geo_, xbs_, sliceLo_, htree_, mask_, stats_,
+        ec.resolvedThreads());
 }
 
 // --- fault-tolerance plumbing -------------------------------------------

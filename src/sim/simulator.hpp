@@ -13,11 +13,12 @@
  * the in-stream mask state (the volatile crossbar activation bit and
  * the stored row mask of §III-B, expanded once per row-mask op), and
  * statistics — while HOW a micro-op stream is replayed over that
- * state is delegated to a pluggable ExecutionEngine (sim/engine.hpp):
- * the serial op-major reference backend, or a sharded backend that
- * compiles each segment and replays it crossbar-major, scaling with
- * host cores like real PIM scales with crossbars. Engines can be
- * swapped at runtime without losing memory contents.
+ * state is delegated to the ExecutionEngine (sim/engine.hpp): raw
+ * batches apply op-major, and prepared traces replay their compiled
+ * programs crossbar-major, over a thread pool when configured with
+ * more than one thread — scaling with host cores like real PIM
+ * scales with crossbars. The engine can be rebuilt at another thread
+ * count without losing memory contents.
  *
  * Execution is synchronous: every batch, trace and bulk transfer has
  * taken effect (or thrown) when its call returns, so reads, direct
@@ -54,7 +55,7 @@ struct CellWrite
 class Simulator : public OperationSink
 {
   public:
-    /** @p ec selects the execution backend (default: serial). */
+    /** @p ec sets the replay threads (default: one). */
     explicit Simulator(const Geometry &geo,
                        const EngineConfig &ec = {});
 
@@ -202,13 +203,15 @@ class Simulator : public OperationSink
     Stats &stats() { return stats_; }
     const Stats &stats() const { return stats_; }
 
-    /** Active execution backend. */
+    /** The execution engine. */
     ExecutionEngine &engine() { return *engine_; }
     const ExecutionEngine &engine() const { return *engine_; }
 
     /**
-     * Replace the execution backend. Crossbar contents, mask state
-     * and statistics are owned by the simulator and survive the swap.
+     * Rebuild the execution engine at @p ec's thread count. Crossbar
+     * contents, mask state and statistics are owned by the simulator
+     * and survive the swap. Throws pypim::Error if @p ec sets a
+     * retired field.
      */
     void setEngine(const EngineConfig &ec);
 

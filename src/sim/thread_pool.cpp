@@ -2,59 +2,15 @@
 
 #include <algorithm>
 
-#if defined(__linux__) && defined(__GLIBC__)
-#define PYPIM_HAVE_AFFINITY 1
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace pypim
 {
 
-namespace
-{
-
-/**
- * Pin @p t to host core @p core (NUMA/affinity knob of the sharded
- * engine): keeps each worker's shard of condensed crossbar state in
- * one core's cache hierarchy across batches instead of migrating with
- * the scheduler. Returns false where unsupported — the knob is
- * explicitly a no-op there (ROADMAP: "no-op where
- * pthread_setaffinity_np is unavailable").
- */
-bool
-pinThreadToCore(std::thread &t, uint32_t core)
-{
-#if defined(PYPIM_HAVE_AFFINITY)
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(core % CPU_SETSIZE, &set);
-    return pthread_setaffinity_np(t.native_handle(), sizeof(set),
-                                  &set) == 0;
-#else
-    (void)t;
-    (void)core;
-    return false;
-#endif
-}
-
-} // namespace
-
-ThreadPool::ThreadPool(uint32_t threads, bool pinWorkers,
-                       uint32_t pinBase)
+ThreadPool::ThreadPool(uint32_t threads)
     : nThreads_(std::max(1u, threads))
 {
-    const uint32_t hw =
-        std::max(1u, std::thread::hardware_concurrency());
     workers_.reserve(nThreads_ - 1);
-    for (uint32_t i = 0; i + 1 < nThreads_; ++i) {
+    for (uint32_t i = 0; i + 1 < nThreads_; ++i)
         workers_.emplace_back([this] { workerLoop(); });
-        // Core 0 is left to the calling thread, which takes its own
-        // share of every parallelFor; pinBase staggers sibling pools.
-        if (pinWorkers &&
-            pinThreadToCore(workers_.back(), (pinBase + i + 1) % hw))
-            ++pinned_;
-    }
 }
 
 ThreadPool::~ThreadPool()
@@ -76,7 +32,7 @@ ThreadPool::runTasks()
         if (i >= tasks_)
             return;
         try {
-            (*fn_)(i);
+            call_(ctx_, i);
         } catch (...) {
             std::lock_guard<std::mutex> lock(mu_);
             if (!error_)
@@ -109,19 +65,19 @@ ThreadPool::workerLoop()
 }
 
 void
-ThreadPool::parallelFor(uint32_t tasks,
-                        const std::function<void(uint32_t)> &fn)
+ThreadPool::run(uint32_t tasks, void *ctx, TaskFn call)
 {
     if (tasks == 0)
         return;
     if (workers_.empty() || tasks == 1) {
         for (uint32_t i = 0; i < tasks; ++i)
-            fn(i);
+            call(ctx, i);
         return;
     }
     {
         std::lock_guard<std::mutex> lock(mu_);
-        fn_ = &fn;
+        ctx_ = ctx;
+        call_ = call;
         tasks_ = tasks;
         next_.store(0, std::memory_order_relaxed);
         error_ = nullptr;
@@ -133,7 +89,8 @@ ThreadPool::parallelFor(uint32_t tasks,
     {
         std::unique_lock<std::mutex> lock(mu_);
         cvDone_.wait(lock, [&] { return busyWorkers_ == 0; });
-        fn_ = nullptr;
+        ctx_ = nullptr;
+        call_ = nullptr;
         if (error_)
             std::rethrow_exception(error_);
     }

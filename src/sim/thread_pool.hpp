@@ -1,14 +1,13 @@
 /**
  * @file
- * Persistent worker pool for the sharded execution engine.
+ * Persistent worker pool for the execution engine's compiled replay.
  *
  * Batch execution dispatches one task per shard many thousands of
  * times per second, so workers must be persistent (spawning threads
  * per batch would dwarf the simulation work). The pool spawns
  * size()-1 workers and the calling thread executes its own share
  * inside parallelFor, so a pool of size 1 degenerates to an inline
- * loop with zero synchronisation — which is how the sharded engine
- * stays usable (and testable) on single-core hosts.
+ * loop with zero synchronisation.
  */
 #ifndef PYPIM_SIM_THREAD_POOL_HPP
 #define PYPIM_SIM_THREAD_POOL_HPP
@@ -17,9 +16,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace pypim
@@ -32,17 +31,8 @@ class ThreadPool
     /**
      * @p threads is the TOTAL parallelism including the calling
      * thread; the pool spawns threads-1 workers. 0 is clamped to 1.
-     * @p pinWorkers pins each spawned worker to a distinct host core
-     * (worker i to core (pinBase + i + 1) mod hardware_concurrency;
-     * the calling thread is never pinned — it belongs to the
-     * application). @p pinBase staggers multiple pools in one process
-     * onto disjoint cores (the multi-device sharded engine passes its
-     * sub-device offset; see sharded_engine.cpp). A no-op on
-     * platforms without pthread_setaffinity_np; whether pinning
-     * actually took is reported by pinnedWorkers().
      */
-    explicit ThreadPool(uint32_t threads, bool pinWorkers = false,
-                        uint32_t pinBase = 0);
+    explicit ThreadPool(uint32_t threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -51,26 +41,33 @@ class ThreadPool
     /** Total parallelism (workers + calling thread). */
     uint32_t size() const { return nThreads_; }
 
-    /** Workers successfully pinned to a core (0 when not requested
-     *  or unsupported on this platform). */
-    uint32_t pinnedWorkers() const { return pinned_; }
-
     /**
      * Invoke fn(i) for every i in [0, tasks), distributing indices
      * over the workers and the calling thread; returns when all
      * invocations completed. The first exception thrown by any fn is
      * rethrown here (remaining tasks still run to completion).
-     * Not reentrant: one parallelFor at a time per pool.
+     * Not reentrant: one parallelFor at a time per pool. @p fn is
+     * called through a plain pointer, never copied, so dispatch
+     * allocates nothing.
      */
-    void parallelFor(uint32_t tasks,
-                     const std::function<void(uint32_t)> &fn);
+    template <typename Fn>
+    void
+    parallelFor(uint32_t tasks, Fn &&fn)
+    {
+        run(tasks, const_cast<void *>(static_cast<const void *>(&fn)),
+            [](void *f, uint32_t i) {
+                (*static_cast<std::remove_reference_t<Fn> *>(f))(i);
+            });
+    }
 
   private:
+    using TaskFn = void (*)(void *, uint32_t);
+
+    void run(uint32_t tasks, void *ctx, TaskFn call);
     void workerLoop();
     void runTasks();
 
     const uint32_t nThreads_;
-    uint32_t pinned_ = 0;
     std::vector<std::thread> workers_;
 
     std::mutex mu_;
@@ -79,7 +76,8 @@ class ThreadPool
     uint64_t generation_ = 0;
     uint32_t tasks_ = 0;
     uint32_t busyWorkers_ = 0;
-    const std::function<void(uint32_t)> *fn_ = nullptr;
+    void *ctx_ = nullptr;     //!< the running parallelFor's callable
+    TaskFn call_ = nullptr;   //!< invokes ctx_ on one task index
     std::atomic<uint32_t> next_{0};
     std::exception_ptr error_;
     bool stop_ = false;

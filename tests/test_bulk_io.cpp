@@ -206,13 +206,12 @@ const EngineCase &
 engineCase(size_t i)
 {
     static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"sharded1", EngineConfig::sharded(1)},
-        {"sharded", EngineConfig::sharded(2)},
+        {"threads1", EngineConfig::serial()},
+        {"threads2", EngineConfig{}.withThreads(2)},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 3;
+constexpr size_t numEngineCases = 2;
 
 /**
  * One representative tensor program: random uploads, arithmetic, a
@@ -296,7 +295,7 @@ TEST(BulkIoDrains, OneDrainPerTransferPerSubDevice)
 {
     const Geometry g = multiGeometry();
     const EngineConfig cfg =
-        EngineConfig::sharded(1).withDevices(2);
+        EngineConfig{}.withDevices(2);
     Device dev(g, Driver::Mode::Parallel, cfg);
     std::vector<int32_t> v(300);
     for (size_t i = 0; i < v.size(); ++i)

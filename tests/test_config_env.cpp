@@ -5,10 +5,11 @@
  * PYPIM_THREADS / PYPIM_DEVICES must throw a clear pypim::Error
  * instead of silently misconfiguring the stack (atol-style parsing
  * read "abc" as 0 and "12abc" as 12), and the boolean knobs must
- * reject anything but on|off|1|0. Retired knobs (the trace engine,
- * the storage, compiled-replay, trace-cache and bulk-I/O switches)
- * must not steer anything, and a config that turns the pipeline on or
- * compiled replay off is refused when a simulator is built from it.
+ * reject anything but on|off|1|0. Retired knobs (the engine kind,
+ * affinity, storage, compiled-replay, trace-cache and bulk-I/O
+ * switches) must not steer anything, and a config that turns the
+ * pipeline or affinity on or compiled replay off is refused when a
+ * simulator is built from it.
  */
 #include <gtest/gtest.h>
 
@@ -53,26 +54,17 @@ class EnvVar
 
 } // namespace
 
-TEST(ConfigEnv, EngineParsesSerialAndSharded)
+TEST(ConfigEnv, EngineAndAffinityHaveNoKnob)
 {
-    {
-        EnvVar v("PYPIM_ENGINE", "serial");
-        EXPECT_EQ(EngineConfig::fromEnv().kind, EngineKind::Serial);
-    }
-    {
-        EnvVar v("PYPIM_ENGINE", "sharded");
-        EXPECT_EQ(EngineConfig::fromEnv().kind, EngineKind::Sharded);
-    }
-}
-
-TEST(ConfigEnv, EngineRejectsRetiredTraceAndJunk)
-{
-    // The single-threaded trace engine is gone: sharded at one thread
-    // runs the same crossbar-major loop inline.
-    for (const char *bad : {"trace", "Serial", "op-major", " serial"}) {
-        EnvVar v("PYPIM_ENGINE", bad);
-        EXPECT_THROW(EngineConfig::fromEnv(), Error)
-            << "PYPIM_ENGINE='" << bad << "'";
+    // One engine, unpinned threads: the retired PYPIM_ENGINE and
+    // PYPIM_AFFINITY variables must not steer anything, whatever
+    // their value.
+    for (const char *v : {"serial", "sharded", "on", "junk"}) {
+        EnvVar e("PYPIM_ENGINE", v);
+        EnvVar a("PYPIM_AFFINITY", v);
+        const EngineConfig c = EngineConfig::fromEnv();
+        EXPECT_EQ(c.kind, EngineKind::Serial) << "'" << v << "'";
+        EXPECT_FALSE(c.affinity) << "'" << v << "'";
     }
 }
 
@@ -95,6 +87,11 @@ TEST(ConfigEnv, ThreadsRejectsOutOfRange)
 
 TEST(ConfigEnv, ThreadsParsesValidValues)
 {
+    {
+        ::unsetenv("PYPIM_THREADS");
+        EXPECT_EQ(EngineConfig::fromEnv().threads, 1u)
+            << "one replay thread unless asked for more";
+    }
     {
         EnvVar v("PYPIM_THREADS", "0");
         EXPECT_EQ(EngineConfig::fromEnv().threads, 0u);
@@ -119,24 +116,6 @@ TEST(ConfigEnv, DevicesParsesPowersOfTwo)
     for (uint32_t n : {1u, 2u, 4u, 16u}) {
         EnvVar v("PYPIM_DEVICES", std::to_string(n).c_str());
         EXPECT_EQ(EngineConfig::fromEnv().devices, n);
-    }
-}
-
-TEST(ConfigEnv, SwitchKnobsRejectJunk)
-{
-    EnvVar v("PYPIM_AFFINITY", "true");
-    EXPECT_THROW(EngineConfig::fromEnv(), Error);
-}
-
-TEST(ConfigEnv, AffinityParses)
-{
-    {
-        EnvVar v("PYPIM_AFFINITY", "on");
-        EXPECT_TRUE(EngineConfig::fromEnv().affinity);
-    }
-    {
-        EnvVar v("PYPIM_AFFINITY", "0");
-        EXPECT_FALSE(EngineConfig::fromEnv().affinity);
     }
 }
 
@@ -180,13 +159,13 @@ TEST(ConfigEnv, RetiredFieldsAreRejectedAtConstruction)
     off.compiledReplay = false;
     EngineConfig piped = EngineConfig::serial();
     piped.pipeline = true;
-    for (const EngineConfig &bad : {off, piped}) {
+    EngineConfig pinned = EngineConfig::serial();
+    pinned.affinity = true;
+    for (const EngineConfig &bad : {off, piped, pinned}) {
         EXPECT_THROW(rejectRetiredFields(bad), Error);
         EXPECT_THROW(Simulator s(g, bad), Error);
-        EngineConfig sharded = bad;
-        sharded.kind = EngineKind::Sharded;
-        sharded.threads = 2;
-        EXPECT_THROW(Simulator s(g, sharded), Error);
+        const EngineConfig threaded = bad.withThreads(2);
+        EXPECT_THROW(Simulator s(g, threaded), Error);
         EXPECT_THROW(SimulatorGroup grp(g, bad), Error);
         EXPECT_THROW(SimulatorGroup grp(g, bad.withDevices(2)), Error);
         // Refused before any worker process is forked.
@@ -195,17 +174,17 @@ TEST(ConfigEnv, RetiredFieldsAreRejectedAtConstruction)
                      Error);
         // An engine swap is a construction too.
         Simulator sim(g, EngineConfig::serial());
-        EXPECT_THROW(sim.setEngine(sharded), Error);
+        EXPECT_THROW(sim.setEngine(threaded), Error);
     }
 }
 
 TEST(ConfigEnv, DefaultsWhenUnset)
 {
+    ::unsetenv("PYPIM_THREADS");
     ::unsetenv("PYPIM_DEVICES");
-    ::unsetenv("PYPIM_AFFINITY");
     const EngineConfig c = EngineConfig::fromEnv();
+    EXPECT_EQ(c.threads, 1u);
     EXPECT_EQ(c.devices, 1u);
-    EXPECT_FALSE(c.affinity);
     EXPECT_EQ(c.storage, XbarStorage::Paged)
         << "adaptive paged is the default storage; dense is the "
            "parity oracle set in code";

@@ -222,14 +222,14 @@ TEST(TraceCacheDevice, EngineConfigKnobReachesDriver)
     EXPECT_TRUE(devOn.driver().traceCacheEnabled());
 }
 
-TEST(TraceCacheDevice, ShardedCachedRepliesMatchSerial)
+TEST(TraceCacheDevice, ThreadedCachedRepliesMatchSerial)
 {
-    // Warm-cache replay on the sharded engine: repeated instructions
-    // replay shared trace handles; results must match the serial
+    // Warm-cache replay on two threads: repeated instructions replay
+    // shared trace handles; results must match the one-thread
     // device.
     const Geometry g = testGeometry();
     Device serial(g, Driver::Mode::Parallel, EngineConfig::serial());
-    Device sharded(g, Driver::Mode::Parallel, EngineConfig::sharded(2));
+    Device sharded(g, Driver::Mode::Parallel, EngineConfig{}.withThreads(2));
     const uint64_t n = g.rows * g.numCrossbars;
     std::vector<int32_t> a(n), b(n);
     for (uint64_t i = 0; i < n; ++i) {
@@ -258,7 +258,7 @@ TEST(TraceCacheDevice, ShardedCachedRepliesMatchSerial)
 TEST(TraceCacheDevice, ShardedWarmHitsGoThroughSharedHandles)
 {
     const Geometry g = testGeometry();
-    Device dev(g, Driver::Mode::Parallel, EngineConfig::sharded(2));
+    Device dev(g, Driver::Mode::Parallel, EngineConfig{}.withThreads(2));
     RTypeInstr in;
     in.op = ROp::Mul;
     in.dtype = DType::Int32;
@@ -280,7 +280,7 @@ TEST(TraceCacheDevice, ClearAfterWarmHitsReRecords)
     // results they produced, and the next execution re-records (a
     // fresh miss).
     const Geometry g = testGeometry();
-    Device sharded(g, Driver::Mode::Serial, EngineConfig::sharded(2));
+    Device sharded(g, Driver::Mode::Serial, EngineConfig{}.withThreads(2));
     Device oracle(g, Driver::Mode::Serial, EngineConfig::serial());
     const uint64_t n = g.rows * g.numCrossbars;
     std::vector<uint32_t> a(n), b(n);

@@ -1,24 +1,28 @@
 /**
  * @file
- * Engine-parity tests (the non-reference backends' correctness
- * contract): for fuzzed valid micro-op streams, directed
- * mask-interleaved segments and driver-level tensor programs, the
- * ShardedEngine (at 1, 2 and 8 threads) must leave every crossbar in
- * a bit-identical state and produce identical architectural Stats
- * compared to the op-major SerialEngine. The EngineParity fuzz runs
- * once per compiled-replay ISA build the host supports, at a shallow
- * (one word per column) and a deep (eight words) geometry.
+ * Engine-parity tests (the compiled path's correctness contract): for
+ * fuzzed valid micro-op streams, directed mask-interleaved segments
+ * and driver-level tensor programs, replaying them as prepared traces
+ * — compiled programs, crossbar-major, at 1, 2 and 8 threads — must
+ * leave every crossbar in a bit-identical state and produce identical
+ * architectural Stats and masks compared to the op-major raw-stream
+ * oracle. Raw batches apply op-major at every thread count, so a
+ * malformed op applies its valid prefix the same way at any count.
+ * The EngineParity fuzz runs once per compiled-replay ISA build the
+ * host supports, at a shallow (one word per column) and a deep
+ * (eight words) geometry.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "pim/pypim.hpp"
 #include "pim_test_util.hpp"
-#include "sim/sharded_engine.hpp"
 
 using namespace pypim;
 
@@ -34,28 +38,35 @@ parityGeometry(uint32_t rows = 64)
     return g;
 }
 
-/**
- * The candidate backends tested against the serial oracle: sharded at
- * the contract's thread counts (at one thread it exercises decode,
- * INIT+gate fusion and compiled replay without threading).
- */
-struct EngineCase
-{
-    const char *name;
-    EngineConfig cfg;
-};
+/** The thread counts of the contract (one thread replays the
+ *  compiled programs inline, without the pool). */
+constexpr uint32_t kThreadCases[] = {1, 2, 8};
+constexpr size_t numThreadCases = std::size(kThreadCases);
 
-const EngineCase &
-engineCase(size_t i)
+/** Engine configuration of thread case @p i. */
+EngineConfig
+threadCase(size_t i)
 {
-    static const EngineCase cases[] = {
-        {"sharded", EngineConfig::sharded(1)},
-        {"sharded", EngineConfig::sharded(2)},
-        {"sharded", EngineConfig::sharded(8)},
-    };
-    return cases[i];
+    return EngineConfig{}.withThreads(kThreadCases[i]);
 }
-constexpr size_t numEngineCases = 3;
+
+/**
+ * Replay @p ops[0..n) on @p sim as one prepared trace decoded from
+ * the live masks: decode, fuse (if @p fuse), compile, then replay
+ * the compiled programs — the path every thread count fans out.
+ */
+void
+replayAsTrace(Simulator &sim, const Word *ops, size_t n, bool fuse)
+{
+    const EntryMasks entry{sim.crossbarMask(), sim.rowMask()};
+    sim.submitTrace(sim.prepareTrace(ops, n, fuse, &entry));
+}
+
+void
+replayAsTrace(Simulator &sim, const std::vector<Word> &ops, bool fuse)
+{
+    replayAsTrace(sim, ops.data(), ops.size(), fuse);
+}
 
 /** Seed both simulators with identical random register contents,
  *  one bulk scatter per register column. */
@@ -241,50 +252,48 @@ TEST_P(EngineParity, FuzzedStreamsBitIdentical)
 {
     const auto [seed, caseIdx, buildIdx, rows] = GetParam();
     PYPIM_USE_REPLAY_BUILD(buildIdx);
-    const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = parityGeometry(rows);
-    Simulator serial(g);
-    Simulator other(g, ec.cfg);
-    ASSERT_STREQ(serial.engine().name(), "serial");
-    ASSERT_STREQ(other.engine().name(), ec.name);
+    Simulator oracle(g);
+    Simulator cand(g, threadCase(caseIdx));
+    ASSERT_EQ(cand.engine().threads(), kThreadCases[caseIdx]);
 
     Rng rng(seed);
-    seedState(serial, other, rng);
+    seedState(oracle, cand, rng);
     const std::vector<Word> ops = randomStream(rng, g, 600);
 
-    // Feed both engines the identical stream in identical random-size
-    // batches, so segmenting boundaries vary across seeds.
+    // The oracle applies each batch op-major; the candidate replays
+    // the same batch as a compiled trace, fused or not. Random batch
+    // sizes vary the segment boundaries across seeds.
     size_t i = 0;
     while (i < ops.size()) {
         const size_t n =
             std::min<size_t>(1 + rng.word() % 64, ops.size() - i);
-        serial.performBatch(ops.data() + i, n);
-        other.submitBatch(ops.data() + i, n);
+        oracle.performBatch(ops.data() + i, n);
+        replayAsTrace(cand, ops.data() + i, n, rng.word() % 2);
         i += n;
     }
-    other.flush();
+    cand.flush();
 
-    EXPECT_TRUE(sameCrossbarState(serial, other));
-    EXPECT_EQ(serial.stats(), other.stats())
-        << "serial:\n" << serial.stats().summary()
-        << ec.name << ":\n" << other.stats().summary();
-    EXPECT_EQ(serial.crossbarMask(), other.crossbarMask());
-    EXPECT_EQ(serial.rowMask(), other.rowMask());
+    EXPECT_TRUE(sameCrossbarState(oracle, cand));
+    EXPECT_EQ(oracle.stats(), cand.stats())
+        << "oracle:\n" << oracle.stats().summary()
+        << "candidate:\n" << cand.stats().summary();
+    EXPECT_EQ(oracle.crossbarMask(), cand.crossbarMask());
+    EXPECT_EQ(oracle.rowMask(), cand.rowMask());
 }
 
 TEST_P(EngineParity, ReadsReturnIdenticalValues)
 {
     const auto [seed, caseIdx, buildIdx, rows] = GetParam();
     PYPIM_USE_REPLAY_BUILD(buildIdx);
-    const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = parityGeometry(rows);
-    Simulator serial(g);
-    Simulator other(g, ec.cfg);
+    Simulator oracle(g);
+    Simulator cand(g, threadCase(caseIdx));
     Rng rng(seed ^ 0xBEEF);
-    seedState(serial, other, rng);
+    seedState(oracle, cand, rng);
     const std::vector<Word> ops = randomStream(rng, g, 200);
-    serial.performBatch(ops.data(), ops.size());
-    other.submitBatch(ops.data(), ops.size());
+    oracle.performBatch(ops.data(), ops.size());
+    replayAsTrace(cand, ops, true);
     for (int i = 0; i < 50; ++i) {
         const uint32_t xb = rng.word() % g.numCrossbars;
         const uint32_t row = rng.word() % g.rows;
@@ -293,12 +302,10 @@ TEST_P(EngineParity, ReadsReturnIdenticalValues)
             MicroOp::crossbarMask(Range::single(xb)).encode(),
             MicroOp::rowMask(Range::single(row)).encode(),
         };
-        // performRead is an implicit flush, so no explicit drain is
-        // needed between the submitted batches and the reads.
-        serial.performBatch(sel.data(), sel.size());
-        other.submitBatch(sel.data(), sel.size());
-        EXPECT_EQ(serial.performRead(enc::read(slot)),
-                  other.performRead(enc::read(slot)));
+        oracle.performBatch(sel.data(), sel.size());
+        cand.submitBatch(sel.data(), sel.size());
+        EXPECT_EQ(oracle.performRead(enc::read(slot)),
+                  cand.performRead(enc::read(slot)));
     }
 }
 
@@ -306,19 +313,18 @@ TEST_P(EngineParity, EngineSwapPreservesState)
 {
     const auto [seed, caseIdx, buildIdx, rows] = GetParam();
     PYPIM_USE_REPLAY_BUILD(buildIdx);
-    const EngineCase &ec = engineCase(caseIdx);
     const Geometry g = parityGeometry(rows);
     Simulator oracle(g);
-    Simulator swapped(g);  // starts serial, swaps mid-stream
+    Simulator swapped(g);  // starts at one thread, swaps mid-stream
     Rng rng(seed * 7 + 5);
     seedState(oracle, swapped, rng);
     const std::vector<Word> ops = randomStream(rng, g, 400);
     const size_t half = ops.size() / 2;
 
     oracle.performBatch(ops.data(), ops.size());
-    swapped.performBatch(ops.data(), half);
-    swapped.setEngine(ec.cfg);
-    swapped.performBatch(ops.data() + half, ops.size() - half);
+    replayAsTrace(swapped, ops.data(), half, false);
+    swapped.setEngine(threadCase(caseIdx));
+    replayAsTrace(swapped, ops.data() + half, ops.size() - half, false);
 
     EXPECT_TRUE(sameCrossbarState(oracle, swapped));
     EXPECT_EQ(oracle.stats(), swapped.stats());
@@ -328,16 +334,59 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndEngines, EngineParity,
     ::testing::Combine(
         ::testing::Values(11ull, 404ull, 90210ull),
-        ::testing::Range<size_t>(0, numEngineCases),
+        ::testing::Range<size_t>(0, numThreadCases),
         ::testing::Range<size_t>(0, Crossbar::replayBuilds().size()),
         ::testing::Values(64u, 512u)),
     [](const auto &info) {
         return std::to_string(std::get<0>(info.param)) + "_threads" +
-               std::to_string(
-                   engineCase(std::get<1>(info.param)).cfg.threads) +
+               std::to_string(kThreadCases[std::get<1>(info.param)]) +
                "_" + test::replayBuildName(std::get<2>(info.param)) +
                "_rows" + std::to_string(std::get<3>(info.param));
     });
+
+TEST(EngineErrorContract, MalformedOpAppliesItsPrefixAtEveryThreadCount)
+{
+    // One error contract: a raw batch applies op-major at every
+    // thread count, so a malformed op mid-segment throws after the
+    // ops before it have taken effect — the same crossbar state,
+    // Stats and masks whatever the replay thread count.
+    const Geometry g = parityGeometry();
+    std::vector<Word> ops = {
+        MicroOp::crossbarMask(Range(1, g.numCrossbars - 3, 2)).encode(),
+        MicroOp::rowMask(Range(0, g.rows - 2, 2)).encode(),
+        MicroOp::write(0, 0xA5A5A5A5u).encode(),
+        MicroOp::logicH(Gate::Init1, 0, 0, g.column(4, 0),
+                        g.partitions - 1, 1).encode(),
+        MicroOp::logicH(Gate::Nor, g.column(0, 0), g.column(1, 0),
+                        g.column(4, 0), g.partitions - 1, 1).encode(),
+        MicroOp::rowMask(Range(1, g.rows - 3, 4)).encode(),
+        MicroOp::logicV(Gate::Not, 0, 3, 5).encode(),
+        // Malformed: a LogicV row past the geometry.
+        MicroOp::logicV(Gate::Not, g.rows + 3, 0, 5).encode(),
+        MicroOp::write(1, 0xFFFFFFFFu).encode(),
+    };
+    std::vector<std::unique_ptr<Simulator>> sims;
+    for (size_t c = 0; c < numThreadCases; ++c) {
+        sims.push_back(std::make_unique<Simulator>(g, threadCase(c)));
+        Simulator &sim = *sims.back();
+        Rng seedRng(31337);
+        Simulator tmp(g);
+        seedState(sim, tmp, seedRng);
+        EXPECT_THROW(sim.performBatch(ops.data(), ops.size()), Error)
+            << kThreadCases[c] << " threads";
+    }
+    // The prefix took effect: the write landed on a selected crossbar.
+    EXPECT_EQ(sims[0]->crossbar(1).read(0, 0), 0xA5A5A5A5u);
+    EXPECT_EQ(sims[0]->stats().opCount[size_t(OpClass::LogicV)], 1u);
+    for (size_t c = 1; c < numThreadCases; ++c) {
+        EXPECT_TRUE(sameCrossbarState(*sims[0], *sims[c]))
+            << kThreadCases[c] << " threads";
+        EXPECT_EQ(sims[0]->stats(), sims[c]->stats())
+            << kThreadCases[c] << " threads";
+        EXPECT_EQ(sims[0]->crossbarMask(), sims[c]->crossbarMask());
+        EXPECT_EQ(sims[0]->rowMask(), sims[c]->rowMask());
+    }
+}
 
 namespace
 {
@@ -365,15 +414,14 @@ class CachedTraceParity : public ::testing::TestWithParam<uint64_t>
 {
 };
 
-TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
+TEST_P(CachedTraceParity, ReplayBitIdenticalToOracle)
 {
     // The trace-cache contract over fuzzed streams: prepareTrace +
-    // submitTrace must equal an uncached submitBatch of the same
-    // stream — bit-identical crossbar state, identical architectural
-    // stats — at every sharded thread count, and with fusion OFF the
-    // applied work must be conserved exactly (same trace, same
-    // applications). Fused traces keep state and stats identical
-    // while applying at most as much work.
+    // submitTrace must equal the op-major raw stream — bit-identical
+    // crossbar state, identical architectural stats and masks — at
+    // every thread count, fused or not. At more than one thread the
+    // pool's work diagnostics show the fused trace applying at most
+    // as much work as the unfused one.
     const uint64_t seed = GetParam();
     const Geometry g = parityGeometry();
     Rng rng(seed);
@@ -386,18 +434,14 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
     const std::vector<Word> ops = cacheableStream(streamRng, g, 400);
     oracle.performBatch(ops.data(), ops.size());
 
-    for (const uint32_t threads : {1u, 2u, 8u}) {
-        Simulator uncached(g, EngineConfig::sharded(threads));
-        Simulator cached(g, EngineConfig::sharded(threads));
-        Simulator fused(g, EngineConfig::sharded(threads));
+    for (const uint32_t threads : kThreadCases) {
+        const EngineConfig cfg = EngineConfig{}.withThreads(threads);
+        Simulator cached(g, cfg);
+        Simulator fused(g, cfg);
         {
-            Rng r1(seed), r2(seed);
-            seedState(uncached, cached, r1);
-            Simulator tmp(g);
-            seedState(fused, tmp, r2);
+            Rng r1(seed);
+            seedState(cached, fused, r1);
         }
-        uncached.submitBatch(ops.data(), ops.size());
-
         const auto plain =
             cached.prepareTrace(ops.data(), ops.size(), false);
         ASSERT_TRUE(plain != nullptr);
@@ -416,28 +460,22 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalAndWorkConserving)
             EXPECT_EQ(oracle.crossbarMask(), cand->crossbarMask());
             EXPECT_EQ(oracle.rowMask(), cand->rowMask());
         }
-
-        // Work conservation: without the window pass the cached trace
-        // is the same trace the uncached path built internally.
-        const Stats wUncached = Stats::merged(
-            static_cast<const ShardedEngine &>(uncached.engine())
-                .shardWork());
-        const Stats wCached = Stats::merged(
-            static_cast<const ShardedEngine &>(cached.engine())
-                .shardWork());
-        const Stats wFused = Stats::merged(
-            static_cast<const ShardedEngine &>(fused.engine())
-                .shardWork());
-        EXPECT_EQ(wUncached, wCached) << "threads=" << threads;
-        EXPECT_LE(wFused.totalOps(), wCached.totalOps())
-            << "threads=" << threads;
+        if (threads > 1) {
+            const Stats wCached =
+                Stats::merged(cached.engine().shardWork());
+            const Stats wFused =
+                Stats::merged(fused.engine().shardWork());
+            EXPECT_GT(wCached.totalOps(), 0u) << "threads=" << threads;
+            EXPECT_LE(wFused.totalOps(), wCached.totalOps())
+                << "threads=" << threads;
+        }
     }
 
     // Repeated cached replay: the same shared trace, submitted
     // several times, must match the oracle replaying the raw stream
     // the same number of times.
     {
-        Simulator repeated(g, EngineConfig::sharded(2));
+        Simulator repeated(g, EngineConfig{}.withThreads(2));
         {
             Rng r(seed);
             Simulator tmp(g);
@@ -472,8 +510,8 @@ namespace
  * One directed batch interleaving mask ops with Write/LogicH/LogicV
  * inside single segments: strided masks, fusable and fusion-defeated
  * INIT1+NOR pairs, an input-aliases-output NOR (must not fuse), and a
- * barrier in the middle. Deterministic — every engine must reproduce
- * the serial oracle bit for bit.
+ * barrier in the middle. Deterministic — compiled replay at every
+ * thread count must reproduce the op-major oracle bit for bit.
  */
 std::vector<Word>
 maskInterleavedBatch(const Geometry &g)
@@ -548,29 +586,33 @@ TEST(EngineParityDirected, MaskInterleavedSegments)
 {
     const Geometry g = parityGeometry();
     const std::vector<Word> ops = maskInterleavedBatch(g);
-    for (size_t c = 0; c < numEngineCases; ++c) {
-        const EngineCase &ec = engineCase(c);
-        Simulator serial(g);
-        Simulator other(g, ec.cfg);
-        Rng seedRng(2024);
-        seedState(serial, other, seedRng);
-        serial.performBatch(ops.data(), ops.size());
-        other.performBatch(ops.data(), ops.size());
-        EXPECT_TRUE(sameCrossbarState(serial, other)) << ec.name;
-        EXPECT_EQ(serial.stats(), other.stats()) << ec.name;
+    for (size_t c = 0; c < numThreadCases; ++c) {
+        for (bool fuse : {false, true}) {
+            Simulator oracle(g);
+            Simulator cand(g, threadCase(c));
+            Rng seedRng(2024);
+            seedState(oracle, cand, seedRng);
+            oracle.performBatch(ops.data(), ops.size());
+            replayAsTrace(cand, ops, fuse);
+            EXPECT_TRUE(sameCrossbarState(oracle, cand))
+                << kThreadCases[c] << " threads, fuse=" << fuse;
+            EXPECT_EQ(oracle.stats(), cand.stats())
+                << kThreadCases[c] << " threads, fuse=" << fuse;
+        }
     }
 }
 
 TEST(EngineParityWork, ShardWorkCountsEveryApplication)
 {
     // Under full masks every work op applies to every crossbar, so
-    // the merged per-worker diagnostics must equal the architectural
-    // op counts scaled by the crossbar count. The stream alternates
-    // Write and INIT1 (no fusion), so applications map 1:1 to ops.
-    // Which worker claims which chunk is scheduling-dependent under
-    // the work-stealing schedule, so only the merged total is exact.
+    // the merged per-worker diagnostics of a 4-thread trace replay
+    // must equal the architectural op counts scaled by the crossbar
+    // count. The stream alternates Write and INIT1 (no fusion), so
+    // applications map 1:1 to ops. Which worker claims which chunk is
+    // scheduling-dependent under the work-stealing schedule, so only
+    // the merged total is exact.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4));
+    Simulator sim(g, EngineConfig{}.withThreads(4));
     std::vector<Word> ops;
     for (int i = 0; i < 10; ++i) {
         ops.push_back(MicroOp::write(0, 42u + i).encode());
@@ -578,10 +620,8 @@ TEST(EngineParityWork, ShardWorkCountsEveryApplication)
                                       g.column(1, 0),
                                       g.partitions - 1, 1).encode());
     }
-    sim.performBatch(ops.data(), ops.size());
-    const auto &eng =
-        static_cast<const ShardedEngine &>(sim.engine());
-    const Stats merged = Stats::merged(eng.shardWork());
+    replayAsTrace(sim, ops, false);
+    const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::Write)],
               10ull * g.numCrossbars);
     EXPECT_EQ(merged.opCount[size_t(OpClass::LogicH)],
@@ -595,16 +635,14 @@ TEST(EngineParityWork, StridedMaskWorkCoversSelectedCrossbarsOnly)
     // selected crossbars, and the work-stealing claim must account
     // for every application exactly once across the workers.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4));
+    Simulator sim(g, EngineConfig{}.withThreads(4));
     const Range strided(1, g.numCrossbars - 3, 2);
     std::vector<Word> ops;
     ops.push_back(MicroOp::crossbarMask(strided).encode());
     for (int i = 0; i < 12; ++i)
         ops.push_back(MicroOp::write(0, 7u * i).encode());
-    sim.performBatch(ops.data(), ops.size());
-    const auto &eng =
-        static_cast<const ShardedEngine &>(sim.engine());
-    const Stats merged = Stats::merged(eng.shardWork());
+    replayAsTrace(sim, ops, false);
+    const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::Write)],
               12ull * strided.count());
 }
@@ -615,7 +653,7 @@ TEST(EngineParityWork, FusedPairsCountBothApplications)
     // architectural ops; the work diagnostic must count both, keeping
     // merged work == architectural ops * crossbars.
     const Geometry g = parityGeometry();
-    Simulator sim(g, EngineConfig::sharded(4));
+    Simulator sim(g, EngineConfig{}.withThreads(4));
     std::vector<Word> ops;
     for (int i = 0; i < 8; ++i) {
         ops.push_back(MicroOp::logicH(Gate::Init1, 0, 0,
@@ -625,18 +663,31 @@ TEST(EngineParityWork, FusedPairsCountBothApplications)
                                       g.column(1, 0), g.column(4, 0),
                                       g.partitions - 1, 1).encode());
     }
-    sim.performBatch(ops.data(), ops.size());
-    const auto &eng =
-        static_cast<const ShardedEngine &>(sim.engine());
-    const Stats merged = Stats::merged(eng.shardWork());
+    replayAsTrace(sim, ops, false);
+    const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::LogicH)],
               16ull * g.numCrossbars);
+}
+
+TEST(EngineParityWork, OneThreadChargesNothing)
+{
+    // The inline path keeps no diagnostics, and raw batches apply
+    // op-major, off the pool, at any thread count.
+    const Geometry g = parityGeometry();
+    const std::vector<Word> ops = maskInterleavedBatch(g);
+    Simulator inlineSim(g);
+    replayAsTrace(inlineSim, ops, true);
+    EXPECT_EQ(Stats::merged(inlineSim.engine().shardWork()).totalOps(),
+              0u);
+    Simulator pooled(g, EngineConfig{}.withThreads(4));
+    pooled.performBatch(ops.data(), ops.size());
+    EXPECT_EQ(Stats::merged(pooled.engine().shardWork()).totalOps(), 0u);
 }
 
 namespace
 {
 
-/** Driver-level program parity: full tensor ops through both engines. */
+/** Driver-level program parity: full tensor ops on one device. */
 void
 runDriverProgram(Device &dev)
 {
@@ -656,29 +707,35 @@ runDriverProgram(Device &dev)
 
 } // namespace
 
-TEST(EngineParityDriver, TensorProgramsMatchSerial)
+TEST(EngineParityDriver, TensorProgramsMatchOpMajorOracle)
 {
+    // The candidates replay their cached traces on 1, 2 and 8
+    // threads; the oracle translates every instruction afresh and
+    // applies it op-major.
     const Geometry g = parityGeometry();
-    Device serialDev(g, Driver::Mode::Parallel,
-                     EngineConfig::serial());
-    runDriverProgram(serialDev);
-    for (size_t c = 0; c < numEngineCases; ++c) {
-        const EngineCase &ec = engineCase(c);
-        Device otherDev(g, Driver::Mode::Parallel, ec.cfg);
-        if (ec.cfg.kind == EngineKind::Sharded) {
-            EXPECT_EQ(otherDev.simulator().engine().threads(),
-                      std::min(ec.cfg.threads, g.numCrossbars));
-        }
-        runDriverProgram(otherDev);
-        // No explicit flush: a Device::flush here would push
-        // builder-buffered mask ops the serial oracle never flushed.
+    EngineConfig oracleCfg = EngineConfig::serial();
+    oracleCfg.traceCache = false;
+    Device oracle(g, Driver::Mode::Parallel, oracleCfg);
+    runDriverProgram(oracle);
+    runDriverProgram(oracle);
+    oracle.flush();
+    for (size_t c = 0; c < numThreadCases; ++c) {
+        Device cand(g, Driver::Mode::Parallel, threadCase(c));
+        EXPECT_EQ(cand.simulator().engine().threads(),
+                  std::min(kThreadCases[c], g.numCrossbars));
+        // The second pass hits the trace cache.
+        runDriverProgram(cand);
+        runDriverProgram(cand);
+        cand.flush();
+        EXPECT_GT(cand.driver().stats().traceCacheHits, 0u);
         for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
-            ASSERT_TRUE(serialDev.simulator().crossbar(xb).sameState(
-                otherDev.simulator().crossbar(xb)))
-                << "crossbar " << xb << " under " << ec.name
-                << " engine";
+            ASSERT_TRUE(oracle.simulator().crossbar(xb).sameState(
+                cand.simulator().crossbar(xb)))
+                << "crossbar " << xb << " at " << kThreadCases[c]
+                << " threads";
         }
-        EXPECT_EQ(serialDev.stats(), otherDev.stats()) << ec.name;
+        EXPECT_EQ(oracle.stats(), cand.stats())
+            << kThreadCases[c] << " threads";
     }
 }
 
@@ -721,16 +778,17 @@ TEST(EngineParityDirected, LogicVRunsBitIdentical)
 {
     const Geometry g = parityGeometry();
     const std::vector<Word> ops = logicVRunBatch(g);
-    for (size_t c = 0; c < numEngineCases; ++c) {
-        const EngineCase &ec = engineCase(c);
-        Simulator serial(g);
-        Simulator other(g, ec.cfg);
+    for (size_t c = 0; c < numThreadCases; ++c) {
+        Simulator oracle(g);
+        Simulator cand(g, threadCase(c));
         Rng seedRng(77);
-        seedState(serial, other, seedRng);
-        serial.performBatch(ops.data(), ops.size());
-        other.submitBatch(ops.data(), ops.size());
-        other.flush();
-        EXPECT_TRUE(sameCrossbarState(serial, other)) << ec.name;
-        EXPECT_EQ(serial.stats(), other.stats()) << ec.name;
+        seedState(oracle, cand, seedRng);
+        oracle.performBatch(ops.data(), ops.size());
+        replayAsTrace(cand, ops, false);
+        cand.flush();
+        EXPECT_TRUE(sameCrossbarState(oracle, cand))
+            << kThreadCases[c] << " threads";
+        EXPECT_EQ(oracle.stats(), cand.stats())
+            << kThreadCases[c] << " threads";
     }
 }

@@ -49,13 +49,12 @@ const EngineCase &
 engineCase(size_t i)
 {
     static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"sharded1", EngineConfig::sharded(1)},
-        {"sharded", EngineConfig::sharded(2)},
+        {"threads1", EngineConfig::serial()},
+        {"threads2", EngineConfig{}.withThreads(2)},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 3;
+constexpr size_t numEngineCases = 2;
 
 class TempFile
 {
@@ -387,8 +386,8 @@ TEST(FaultBoundary, FlipBeforeBoundaryMoveIsDetectedAndRecovered)
 
 TEST(FaultSoak, EverySeedRecoversOrFailsLoudly)
 {
-    // Honours the CI matrix knobs (PYPIM_ENGINE / PYPIM_THREADS /
-    // PYPIM_DEVICES) as the base configuration;
+    // Honours the CI matrix knobs (PYPIM_THREADS / PYPIM_DEVICES /
+    // PYPIM_TRANSPORT) as the base configuration;
     // fault spec and verification are pinned per iteration.
     EngineConfig base = EngineConfig::fromEnv();
     base.faults.clear();  // spec pinned per iteration below

@@ -186,10 +186,11 @@ captureCases()
     std::vector<CaptureCase> cases;
     for (XbarStorage st : {XbarStorage::Dense, XbarStorage::Paged}) {
         const bool dense = st == XbarStorage::Dense;
-        cases.push_back({dense ? "serial/dense" : "serial/paged",
+        cases.push_back({dense ? "threads1/dense" : "threads1/paged",
                          EngineConfig::serial().withStorage(st), false});
-        cases.push_back({dense ? "sharded/dense" : "sharded/paged",
-                         EngineConfig::sharded(2).withStorage(st), false});
+        cases.push_back({dense ? "threads2/dense" : "threads2/paged",
+                         EngineConfig{}.withThreads(2).withStorage(st),
+                         false});
     }
     cases.push_back({"inproc x2", EngineConfig::serial().withDevices(2),
                      false});

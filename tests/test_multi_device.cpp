@@ -45,13 +45,12 @@ const EngineCase &
 engineCase(size_t i)
 {
     static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"sharded1", EngineConfig::sharded(1)},
-        {"sharded", EngineConfig::sharded(2)},
+        {"threads1", EngineConfig::serial()},
+        {"threads2", EngineConfig{}.withThreads(2)},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 3;
+constexpr size_t numEngineCases = 2;
 
 /** Random valid Range over [0, limit). */
 Range
@@ -454,19 +453,20 @@ TEST(MultiDeviceAlloc, TensorsPreferOneSubDeviceSlice)
     EXPECT_EQ(mm.liveAllocations(), 0u);
 }
 
-TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderShardedReplay)
+TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderPoolReplay)
 {
     // Copy-on-write snapshots under the most concurrent in-process
-    // configuration in the repo: 4 sub-devices, each with a 2-thread
-    // sharded engine. Snapshots are taken between calls, then a heavy
-    // random stream replays on the pool workers while the main thread
-    // holds the frozen images. Replay must CLONE every shared block it
+    // configuration in the repo: 4 sub-devices, each replaying on 2
+    // threads. Snapshots are taken between calls, then heavy random
+    // traces replay on the pool workers while the main thread holds
+    // the frozen images. Replay must CLONE every shared block it
     // mutates — the snapshots keep the exact pre-replay state — and
     // restoring rewinds the group bit-exactly. TSan-clean by the
     // storage sync contract: the main thread only holds (never reads
     // or refcounts) the images while replay is in flight.
     const Geometry g = multiGeometry();
-    const EngineConfig cfg = EngineConfig::sharded(2)
+    const EngineConfig cfg = EngineConfig{}
+                                 .withThreads(8)
                                  .withDevices(4)
                                  .withStorage(XbarStorage::Paged);
     Simulator pre(g);     // frozen pre-replay reference (never run)
@@ -488,11 +488,21 @@ TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderShardedReplay)
     // Every present block is now shared with its frozen image.
     EXPECT_GT(grp.storageGauges().cowShared, 0u);
 
+    // Self-contained, Move-free batches, so every one replays as a
+    // compiled trace on the sub-device pools.
     Rng rng(777);
     for (int batch = 0; batch < 4; ++batch) {
-        const std::vector<Word> ops = randomStream(rng, g, 200);
+        std::vector<Word> ops = {
+            MicroOp::crossbarMask(Range::all(g.numCrossbars)).encode(),
+            MicroOp::rowMask(Range::all(g.rows)).encode(),
+        };
+        for (Word w : randomStream(rng, g, 200))
+            if (enc::peekType(w) != OpType::Move)
+                ops.push_back(w);
         oracle.performBatch(ops.data(), ops.size());
-        grp.submitBatch(ops.data(), ops.size());
+        const auto trace = grp.prepareTrace(ops.data(), ops.size(), true);
+        ASSERT_NE(trace, nullptr);
+        grp.submitTrace(trace);
     }
     grp.flush();
     EXPECT_TRUE(sameState(oracle, grp));

@@ -1,15 +1,17 @@
 /**
  * @file
- * The raw micro-op path allocates nothing in steady state.
+ * The raw micro-op path and cached trace replay allocate nothing in
+ * steady state.
  *
  * This executable replaces the global operator new with a counting
  * version. After one warm-up pass has sized every arena and
- * materialised every paged block the stream touches, the same raw
- * stream of mask, write, LogicH (repeated gates), LogicV and Move ops
- * runs again through Simulator::performBatch on paged storage and
- * must not reach the heap once: on the serial engine (op-major), and
- * on the one-thread sharded engine, which decodes, compiles and
- * replays every segment. A two-device in-process group must run a
+ * materialised every paged block the stream touches, the same stream
+ * of mask, write, LogicH (repeated gates), LogicV and Move ops runs
+ * again on paged storage and must not reach the heap once, at one
+ * replay thread (inline) and at two (the pool): raw through
+ * Simulator::performBatch (op-major), and as one prepared trace
+ * through Simulator::submitTrace (compiled, crossbar-major). A
+ * two-device in-process group must run a
  * boundary-crossing Move group (stage, broadcast, land) without
  * allocating too, and a driver's warm captured move sequence must
  * look itself up and replay without copying its moves or reaching
@@ -107,8 +109,8 @@ col(const Geometry &g, uint32_t slot, uint32_t bit)
     return g.column(slot, bit);
 }
 
-/** A raw stream covering every op type the serial engine executes
- *  without a host response. */
+/** A raw stream covering every op type the engine executes without
+ *  a host response. */
 std::vector<Word>
 rawStream(const Geometry &g)
 {
@@ -165,19 +167,20 @@ TEST(NoAlloc, CounterSeesHeapAllocations)
 namespace
 {
 
-/** Warm @p sim up on the raw stream, then count the heap allocations
- *  of eight more passes; they must record every op. */
+/** Warm @p sim up with one @p pass, then count the heap allocations
+ *  of eight more; each pass must record every op of @p ops. */
+template <typename Pass>
 void
-expectAllocationFree(Simulator &sim)
+expectAllocationFree(Simulator &sim, const std::vector<Word> &ops,
+                     Pass &&pass)
 {
-    const std::vector<Word> ops = rawStream(sim.geometry());
     // Warm-up: sizes the move staging buffers and materialises every
     // block the stream writes.
-    sim.performBatch(ops.data(), ops.size());
+    pass();
     const Stats before = sim.stats();
     const uint64_t n = allocationsDuring([&] {
         for (int rep = 0; rep < 8; ++rep)
-            sim.performBatch(ops.data(), ops.size());
+            pass();
     });
     EXPECT_EQ(n, 0u);
     // The stream really ran: every pass records all of its ops.
@@ -185,25 +188,49 @@ expectAllocationFree(Simulator &sim)
     EXPECT_EQ(after.totalOps() - before.totalOps(), 8 * ops.size());
 }
 
+class NoAllocThreads : public ::testing::TestWithParam<uint32_t>
+{
+};
+
 } // namespace
 
-TEST(NoAlloc, RawStreamPerformBatchIsAllocationFree)
+TEST_P(NoAllocThreads, RawStreamPerformBatchIsAllocationFree)
 {
-    Simulator sim(testGeometry(),
-                  EngineConfig::serial().withStorage(XbarStorage::Paged));
-    expectAllocationFree(sim);
+    Simulator sim(testGeometry(), EngineConfig{}
+                                      .withThreads(GetParam())
+                                      .withStorage(XbarStorage::Paged));
+    ASSERT_EQ(sim.engine().threads(), GetParam());
+    const std::vector<Word> ops = rawStream(sim.geometry());
+    expectAllocationFree(sim, ops, [&] {
+        sim.performBatch(ops.data(), ops.size());
+    });
 }
 
-TEST(NoAlloc, ShardedRawStreamCompileAndReplayIsAllocationFree)
+TEST_P(NoAllocThreads, CachedTraceReplayIsAllocationFree)
 {
-    // One worker: the engine decodes each segment into its member
-    // trace, compiles it into its member program (the run dedup table
-    // is per thread and reused) and replays it inline.
-    Simulator sim(testGeometry(),
-                  EngineConfig::sharded(1).withStorage(XbarStorage::Paged));
-    ASSERT_EQ(sim.engine().threads(), 1u);
-    expectAllocationFree(sim);
+    // The compiled programs replay inline at one thread and over the
+    // work-stealing pool at two.
+    Simulator sim(testGeometry(), EngineConfig{}
+                                      .withThreads(GetParam())
+                                      .withStorage(XbarStorage::Paged));
+    ASSERT_EQ(sim.engine().threads(), GetParam());
+    const std::vector<Word> ops = rawStream(sim.geometry());
+    const auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
+    ASSERT_NE(trace, nullptr);
+    expectAllocationFree(sim, ops, [&] { sim.submitTrace(trace); });
+    if (GetParam() > 1) {
+        EXPECT_GT(Stats::merged(sim.engine().shardWork()).totalOps(),
+                  0u)
+            << "the trace must have replayed on the pool";
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, NoAllocThreads,
+                         ::testing::Values(1u, 2u),
+                         [](const auto &info) {
+                             return "threads" +
+                                    std::to_string(info.param);
+                         });
 
 TEST(NoAlloc, InprocGroupedBoundaryExchangeIsAllocationFree)
 {
@@ -239,7 +266,7 @@ TEST(NoAlloc, InprocGroupedBoundaryExchangeIsAllocationFree)
 
 TEST(NoAlloc, WarmCapturedMoveSequenceHitIsAllocationFree)
 {
-    // One device on the serial engine: a hit looks the sequence up by
+    // One device at one thread: a hit looks the sequence up by
     // a borrowed key, submits its compiled trace and assumes the
     // recorded exit masks.
     const Geometry g = testGeometry();

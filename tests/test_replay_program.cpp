@@ -6,13 +6,13 @@
  * must be invisible: for any self-contained stream, a prepared trace
  * replays BIT-IDENTICALLY to the serial op-major raw-stream oracle on
  * Dense storage — same crossbar state, same architectural Stats —
- * across every engine, at 1/2/4 devices and on
- * both storage representations, and the sharded engine's applied-work
+ * at 1 and 2 replay threads, at 1/2/4 devices and on
+ * both storage representations, and the thread pool's applied-work
  * diagnostics equal architectural work ops x touched crossbars. The
  * fuzz and the device-path test run once per executor ISA build the
- * host supports (Crossbar::replayBuilds); the fuzz runs at a shallow
- * geometry (one word per column) and a deep one (eight words: one
- * paged block, long enough for the vectorised word loops). The
+ * host supports (Crossbar::replayBuilds), at a shallow geometry (one
+ * word per column) and a deep one (eight words: one paged block, long
+ * enough for the vectorised word loops). The
  * directed tests pin the COMPILER's decisions — when LogicH ops may
  * and may not merge into one pass (mask change, section capacity,
  * stateful-gate aliasing), how stripes and LogicV runs chunk, and
@@ -35,7 +35,6 @@
 #include "sim/htree.hpp"
 #include "sim/replay_program.hpp"
 #include "sim/serialize.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/trace_wire.hpp"
 
 using namespace pypim;
@@ -61,13 +60,12 @@ const EngineCase &
 engineCase(size_t i)
 {
     static const EngineCase cases[] = {
-        {"serial", EngineConfig::serial()},
-        {"sharded1", EngineConfig::sharded(1)},
-        {"sharded", EngineConfig::sharded(2)},
+        {"threads1", EngineConfig::serial()},
+        {"threads2", EngineConfig{}.withThreads(2)},
     };
     return cases[i];
 }
-constexpr size_t numEngineCases = 3;
+constexpr size_t numEngineCases = 2;
 
 /** Random valid Range over [0, limit). */
 Range
@@ -468,16 +466,15 @@ INSTANTIATE_TEST_SUITE_P(
                test::replayBuildName(std::get<2>(info.param));
     });
 
-TEST(ReplayProgramWork, ShardedDiagnosticsCountOpsTimesCrossbars)
+TEST(ReplayProgramWork, PoolDiagnosticsCountOpsTimesCrossbars)
 {
-    // The compiled path charges the work-stealing diagnostics through
+    // The pool path charges the work-stealing diagnostics through
     // precomputed per-instruction (or per-crossbar) counts. Unfused,
     // the merged total must equal every architectural work op times
     // the crossbars its mask selects (a fused INIT+gate pair charges
     // both ops). Which worker claims which chunk is scheduling-
-    // dependent, so only the merged totals compare. Cached replay and
-    // the raw stream, which compiles each segment on the fly, charge
-    // alike.
+    // dependent, so only the merged totals compare. The one-thread
+    // path replays inline and charges nothing.
     const Geometry g = fuzzGeometry();
     Rng rng(4242);
     const std::vector<Word> ops = randomTraceStream(rng, g, 200);
@@ -505,25 +502,18 @@ TEST(ReplayProgramWork, ShardedDiagnosticsCountOpsTimesCrossbars)
     ASSERT_GT(expected.opCount[static_cast<size_t>(OpClass::LogicH)],
               0u);
     constexpr uint64_t kReps = 2;
-    for (bool cached : {false, true}) {
-        Simulator sim(g, EngineConfig::sharded(3));
+    for (uint32_t threads : {1u, 3u}) {
+        Simulator sim(g, EngineConfig{}.withThreads(threads));
         seedState(sim, 4242, g);
         auto trace = sim.prepareTrace(ops.data(), ops.size(), false);
         ASSERT_NE(trace, nullptr);
-        for (uint64_t rep = 0; rep < kReps; ++rep) {
-            if (cached)
-                sim.submitTrace(trace);
-            else
-                sim.performBatch(ops.data(), ops.size());
-        }
-        const auto &eng =
-            dynamic_cast<const ShardedEngine &>(sim.engine());
-        Stats merged;
-        for (const Stats &w : eng.shardWork())
-            merged += w;
+        for (uint64_t rep = 0; rep < kReps; ++rep)
+            sim.submitTrace(trace);
+        const Stats merged = Stats::merged(sim.engine().shardWork());
         for (size_t c = 0; c < Stats::numClasses; ++c)
-            EXPECT_EQ(merged.opCount[c], kReps * expected.opCount[c])
-                << "cached=" << cached << " class " << c;
+            EXPECT_EQ(merged.opCount[c],
+                      threads == 1 ? 0u : kReps * expected.opCount[c])
+                << threads << " threads, class " << c;
     }
 }
 
@@ -838,7 +828,8 @@ stepMatches(Device &cand, Device &oracle, uint64_t seed)
 
 } // namespace
 
-class ReplayProgramDevicePaths : public ::testing::TestWithParam<size_t>
+class ReplayProgramDevicePaths
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
 {
 };
 
@@ -847,8 +838,9 @@ TEST_P(ReplayProgramDevicePaths, MatchSerialOracle)
     // The candidate follows the environment (under the socket rows it
     // is a worker fleet that installs traces from the wire); the
     // oracle is the serial raw-stream device.
-    PYPIM_USE_REPLAY_BUILD(GetParam());
-    const Geometry g = fuzzGeometry();
+    const auto [buildIdx, geoIdx] = GetParam();
+    PYPIM_USE_REPLAY_BUILD(buildIdx);
+    const Geometry g = fuzzGeometries()[geoIdx];
     EngineConfig oracleCfg = EngineConfig::serial();
     oracleCfg.traceCache = false;
     const EngineConfig candCfg = EngineConfig::fromEnv();
@@ -881,5 +873,11 @@ TEST_P(ReplayProgramDevicePaths, MatchSerialOracle)
 
 INSTANTIATE_TEST_SUITE_P(
     Builds, ReplayProgramDevicePaths,
-    ::testing::Range<size_t>(0, Crossbar::replayBuilds().size()),
-    [](const auto &info) { return test::replayBuildName(info.param); });
+    ::testing::Combine(
+        ::testing::Range<size_t>(0, Crossbar::replayBuilds().size()),
+        ::testing::Range<size_t>(0, fuzzGeometries().size())),
+    [](const auto &info) {
+        return test::replayBuildName(std::get<0>(info.param)) + "_rows" +
+               std::to_string(
+                   fuzzGeometries()[std::get<1>(info.param)].rows);
+    });

@@ -1,20 +1,14 @@
 /**
  * @file
- * Tests for the sharded engine's persistent worker pool: full task
+ * Tests for the execution engine's persistent worker pool: full task
  * coverage, caller participation, reuse across generations, and
  * exception propagation.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
-
-#if defined(__linux__) && defined(__GLIBC__)
-#include <sched.h>
-#endif
 
 #include "sim/thread_pool.hpp"
 
@@ -75,42 +69,4 @@ TEST(ThreadPool, ClampsZeroThreadsToOne)
     uint32_t hits = 0;
     pool.parallelFor(5, [&](uint32_t) { ++hits; });
     EXPECT_EQ(hits, 5u);
-}
-
-TEST(ThreadPool, AffinityPinningIsBestEffort)
-{
-    // The NUMA/affinity knob: a pinned pool must behave identically
-    // (pinning changes scheduling, never results) and report how many
-    // workers it actually pinned — best-effort by design: pinning may
-    // legitimately fail where thread affinity is unsupported or the
-    // process runs under a restricted cpuset (taskset / container
-    // cgroups) that excludes the target cores.
-    ThreadPool pool(4, /*pinWorkers=*/true);
-    EXPECT_LE(pool.pinnedWorkers(), pool.size() - 1);
-    std::atomic<uint64_t> sum{0};
-    pool.parallelFor(64, [&](uint32_t i) { sum += i; });
-    EXPECT_EQ(sum.load(), 64ull * 63 / 2);
-#if defined(__linux__) && defined(__GLIBC__)
-    // Only when the current affinity mask spans every core the pool
-    // targets can full pinning be asserted.
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        bool allAllowed = true;
-        for (uint32_t i = 0; i + 1 < pool.size(); ++i)
-            allAllowed =
-                allAllowed && CPU_ISSET((i + 1) % hw, &allowed);
-        if (allAllowed) {
-            EXPECT_EQ(pool.pinnedWorkers(), pool.size() - 1);
-        }
-    }
-#endif
-}
-
-TEST(ThreadPool, UnpinnedByDefault)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.pinnedWorkers(), 0u);
 }

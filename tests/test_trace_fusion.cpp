@@ -5,8 +5,8 @@
  * merging and windowed INIT1->NOR/NOT fusion must fire exactly on the
  * legal patterns (counters checked), never on the alias/conflict
  * negatives, and every prepared trace — fused or not — must replay
- * bit-identically to the serial oracle, repeatedly, on the serial and
- * sharded engines.
+ * bit-identically to the op-major oracle, repeatedly, at one and two
+ * replay threads.
  */
 #include <gtest/gtest.h>
 
@@ -562,7 +562,7 @@ TEST(TraceFusion, ShardedSubmitTraceMatchesOracle)
             MicroOp::write(4, 0x10101010u).encode(),
             laneNor(g, 0, 2, 3)});
     Simulator oracle(g);
-    Simulator cand(g, EngineConfig::sharded(2));
+    Simulator cand(g, EngineConfig{}.withThreads(2));
     seedState(oracle, cand, 777);
     const auto trace = cand.prepareTrace(ops.data(), ops.size(), true);
     ASSERT_TRUE(trace != nullptr);
