@@ -11,7 +11,8 @@
  * replay: decoding a recorded stream into a segment trace, window-
  * fusing it and compiling it into replay programs, per source op, as
  * a cold trace-cache miss pays them, plus the decoded trace's arena
- * bytes.
+ * bytes and its LogicH sections per source op before and after the
+ * replay compiler's liveness scan.
  */
 #include <benchmark/benchmark.h>
 
@@ -51,6 +52,9 @@ struct TraceBuildRow
     uint64_t sourceOps;
     double decodeNs, fuseNs, compileNs;  //!< per source op
     uint64_t arenaBytes;  //!< decoded + fused segment arenas
+    /** LogicH sections per source op before and after the replay
+     *  compiler's liveness scan (ReplayProgram::Liveness). */
+    double sectionsIn, sectionsOut;
 };
 
 /** Bytes held by the decode arenas of @p t's segments. */
@@ -74,7 +78,9 @@ arenaBytes(const BatchTrace &t)
  * streams (Table III geometry) decoded (buildBatchTrace), fused
  * (fuseBatchTrace) and compiled (compileBatchTrace) into a fresh
  * BatchTrace per rep, as a trace-cache miss does. Times are host
- * nanoseconds per source op; not a gate.
+ * nanoseconds per source op; not a gate. The two section columns are
+ * the LogicH sections per source op before and after the compiler's
+ * liveness scan.
  */
 std::vector<TraceBuildRow>
 traceBuildReport(double minSeconds = 0.2)
@@ -88,9 +94,9 @@ traceBuildReport(double minSeconds = 0.2)
     std::printf("\n=== Trace build (cold decode, fuse, compile per "
                 "source op; %u crossbars) ===\n",
                 g.numCrossbars);
-    std::printf("%-10s %10s %12s %12s %12s %14s\n", "kernel",
+    std::printf("%-10s %10s %12s %12s %12s %14s %9s %9s\n", "kernel",
                 "src ops", "decode [ns]", "fuse [ns]", "compile [ns]",
-                "arena [bytes]");
+                "arena [bytes]", "secs/op", "live/op");
     std::vector<TraceBuildRow> rows;
     for (const Case &c : kCases) {
         if (c.dt != DType::Float32 ||
@@ -105,6 +111,7 @@ traceBuildReport(double minSeconds = 0.2)
         const std::vector<Word> &ops = cap.ops;
         double decode = 0, fuse = 0, compile = 0;
         uint64_t bytes = 0;
+        ReplayProgram::Liveness live;
         const uint64_t reps = timedReps(
             [&] {
                 BatchTrace t;
@@ -122,16 +129,22 @@ traceBuildReport(double minSeconds = 0.2)
                 fuse += ns(t2 - t1);
                 compile += ns(t3 - t2);
                 bytes = arenaBytes(t);
+                live = t.liveness;
             },
             [] {}, minSeconds).first;
         const double per = static_cast<double>(reps * ops.size());
+        const double src = static_cast<double>(ops.size());
         rows.push_back({c.name, ops.size(), decode / per, fuse / per,
-                        compile / per, bytes});
+                        compile / per, bytes,
+                        static_cast<double>(live.sections) / src,
+                        static_cast<double>(live.replayed()) / src});
         const TraceBuildRow &r = rows.back();
-        std::printf("%-10s %10llu %12.1f %12.1f %12.1f %14llu\n",
+        std::printf("%-10s %10llu %12.1f %12.1f %12.1f %14llu %9.2f "
+                    "%9.2f\n",
                     r.name, static_cast<unsigned long long>(r.sourceOps),
                     r.decodeNs, r.fuseNs, r.compileNs,
-                    static_cast<unsigned long long>(r.arenaBytes));
+                    static_cast<unsigned long long>(r.arenaBytes),
+                    r.sectionsIn, r.sectionsOut);
     }
     return rows;
 }
@@ -257,6 +270,8 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
             j.field("fuse_ns_per_op", r.fuseNs);
             j.field("compile_ns_per_op", r.compileNs);
             j.field("arena_bytes", r.arenaBytes);
+            j.field("sections_per_op", r.sectionsIn);
+            j.field("live_sections_per_op", r.sectionsOut);
             j.end();
         }
         j.end();

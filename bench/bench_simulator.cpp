@@ -939,12 +939,15 @@ transportSweep(Json *json)
  * fp32 add and mul streams at the Table III geometry are compiled once
  * (fused, as a trace-cache miss does), then replayed segment by
  * segment straight onto 16 slab crossbars, with no engine, by every
- * executor build the host supports. It reports the HPass instructions
- * (merged LogicH passes) one crossbar replays, sections per HPass, and
- * host ns per replayed section (the whole replay time, stripes and
- * vertical runs included, over the sections). Each build replays once
- * from one seeded state first; the function returns false unless
- * every build's final state checksum equals the first build's.
+ * executor build the host supports. It reports the LogicH sections
+ * per source op before and after the compiler's liveness scan, the
+ * HPass instructions (merged LogicH passes) one crossbar replays,
+ * sections per HPass, and host ns per replayed section (the whole
+ * replay time, stripes and vertical runs included, over the sections).
+ * Each build replays once from one seeded state first; the function
+ * returns false unless every build's final state checksum equals the
+ * first build's, and unless the liveness scan removed at least one
+ * section from each stream (a count gate, never a time gate).
  */
 bool
 replayPanel(Json *json, double minSeconds = 0.2)
@@ -954,11 +957,12 @@ replayPanel(Json *json, double minSeconds = 0.2)
     std::printf("\n=== Compiled replay per ISA build (%u slab crossbars, "
                 "%u rows; host pick: %s) ===\n",
                 g.numCrossbars, g.rows, hostBuild.name);
-    std::printf("%-8s %-10s %8s %10s %12s %10s\n", "kernel", "build",
-                "HPass", "secs/HPass", "ns/section", "identical");
+    std::printf("%-8s %-10s %8s %8s %8s %10s %12s %10s\n", "kernel",
+                "build", "secs/op", "live/op", "HPass", "secs/HPass",
+                "ns/section", "identical");
     if (json)
         json->beginArray("replay");
-    bool allIdentical = true;
+    bool ok = true;
     const struct
     {
         const char *name;
@@ -975,10 +979,22 @@ replayPanel(Json *json, double minSeconds = 0.2)
         const auto trace =
             prep.prepareTrace(cap.ops.data(), cap.ops.size(), true);
         if (!trace) {
-            std::printf("%-8s stream is not self-contained: skipped\n",
+            std::printf("%-8s stream is not self-contained — BUG\n",
                         k.name);
+            ok = false;
             continue;
         }
+        // The liveness scan must have removed sections from the
+        // driver's stream: zero means the pass silently stopped firing.
+        const ReplayProgram::Liveness &live = trace->liveness;
+        const double src = static_cast<double>(cap.ops.size());
+        const double secsPerOp = static_cast<double>(live.sections) / src;
+        const double livePerOp = static_cast<double>(live.replayed()) / src;
+        const bool livenessFired = live.fused + live.dead > 0;
+        ok = ok && livenessFired;
+        if (!livenessFired)
+            std::printf("%-8s liveness removed no section — BUG\n",
+                        k.name);
         // The work one crossbar replays (full warps: every crossbar
         // runs every instruction).
         uint64_t hpass = 0, sections = 0;
@@ -996,6 +1012,10 @@ replayPanel(Json *json, double minSeconds = 0.2)
         if (json) {
             json->beginObject();
             json->field("kernel", k.name);
+            json->field("sections_per_op", secsPerOp);
+            json->field("live_sections_per_op", livePerOp);
+            json->field("sections_fused", live.fused);
+            json->field("sections_dead", live.dead);
             json->field("hpass_instrs", hpass);
             json->field("sections_per_hpass",
                         hpass ? static_cast<double>(sections) / hpass
@@ -1022,14 +1042,15 @@ replayPanel(Json *json, double minSeconds = 0.2)
                 haveRef = true;
             }
             const bool identical = ck == ckRef;
-            allIdentical = allIdentical && identical;
+            ok = ok && identical;
             const auto [reps, elapsed] =
                 timedReps([&] { replayAll(sim); }, [] {}, minSeconds);
             const double nsPerSection =
                 elapsed * 1e9 /
                 (static_cast<double>(reps) * sections * g.numCrossbars);
-            std::printf("%-8s %-10s %8llu %10.2f %12.2f %10s\n", k.name,
-                        b.name, static_cast<unsigned long long>(hpass),
+            std::printf("%-8s %-10s %8.2f %8.2f %8llu %10.2f %12.2f %10s\n",
+                        k.name, b.name, secsPerOp, livePerOp,
+                        static_cast<unsigned long long>(hpass),
                         hpass ? static_cast<double>(sections) / hpass
                               : 0.0,
                         nsPerSection, identical ? "yes" : "NO — BUG");
@@ -1049,10 +1070,12 @@ replayPanel(Json *json, double minSeconds = 0.2)
     Crossbar::useReplayBuild(hostBuild);
     if (json)
         json->end();
-    std::printf("(HPass = merged LogicH pass one crossbar replays; "
-                "'identical' compares each build's final state checksum "
-                "with the first build's)\n");
-    return allIdentical;
+    std::printf("(secs/op, live/op = LogicH sections per source op "
+                "before and after the liveness scan; HPass = merged "
+                "LogicH pass one crossbar replays; 'identical' compares "
+                "each build's final state checksum with the first "
+                "build's)\n");
+    return ok;
 }
 
 } // namespace
@@ -1093,7 +1116,7 @@ main(int argc, char **argv)
     const bool ioIdentical = ioSweep(j);
     const bool checkpointIdentical = checkpointSweep(j);
     const bool transportIdentical = transportSweep(j);
-    const bool replayIdentical = replayPanel(j);
+    const bool replayOk = replayPanel(j);
     if (j) {
         j->end();
         j->writeTo(jsonOutPath());
@@ -1104,12 +1127,13 @@ main(int argc, char **argv)
     // monolithic device, paged storage diverged from dense, the bulk
     // I/O path diverged from the element-wise oracle, a checkpoint
     // failed to restore bit-identical, the cross-process socket fleet
-    // diverged from the in-process group, or two replay ISA builds
-    // left different states: the CI bench smoke step asserts all six
-    // identities.
+    // diverged from the in-process group, two replay ISA builds left
+    // different states, or the replay compiler's liveness scan removed
+    // no section from the fp32 add or mul stream: the CI bench smoke
+    // step asserts all of them.
     return devicesIdentical && storageIdentical && ioIdentical &&
                    checkpointIdentical && transportIdentical &&
-                   replayIdentical
+                   replayOk
                ? 0
                : 1;
 }

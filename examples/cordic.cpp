@@ -58,6 +58,13 @@ main()
                 iters, static_cast<unsigned long long>(n),
                 static_cast<unsigned long long>(prof.cycles()),
                 prof.pimSeconds() * 1e3, dev.geometry().clockHz / 1e6);
+    const Stats host = prof.driverDelta();
+    std::printf("replay liveness: %llu INIT1 sections fused, %llu dead "
+                "sections dropped, %llu sections replayed per "
+                "crossbar\n",
+                static_cast<unsigned long long>(host.sectionsFused),
+                static_cast<unsigned long long>(host.sectionsDead),
+                static_cast<unsigned long long>(host.sectionsReplayed));
 
     // Accuracy against the host libm.
     const auto sines = y.toFloatVector();

@@ -52,6 +52,9 @@ Stats::clear()
     fusionInitChain = 0;
     fusionWindow = 0;
     fusionWriteStripe = 0;
+    sectionsFused = 0;
+    sectionsDead = 0;
+    sectionsReplayed = 0;
     bulkReads = 0;
     bulkWrites = 0;
     ioWordsTransposed = 0;
@@ -84,6 +87,9 @@ Stats::operator-(const Stats &other) const
     out.fusionWindow = fusionWindow - other.fusionWindow;
     out.fusionWriteStripe =
         fusionWriteStripe - other.fusionWriteStripe;
+    out.sectionsFused = sectionsFused - other.sectionsFused;
+    out.sectionsDead = sectionsDead - other.sectionsDead;
+    out.sectionsReplayed = sectionsReplayed - other.sectionsReplayed;
     out.bulkReads = bulkReads - other.bulkReads;
     out.bulkWrites = bulkWrites - other.bulkWrites;
     out.ioWordsTransposed = ioWordsTransposed - other.ioWordsTransposed;
@@ -115,6 +121,9 @@ Stats::operator+=(const Stats &other)
     fusionInitChain += other.fusionInitChain;
     fusionWindow += other.fusionWindow;
     fusionWriteStripe += other.fusionWriteStripe;
+    sectionsFused += other.sectionsFused;
+    sectionsDead += other.sectionsDead;
+    sectionsReplayed += other.sectionsReplayed;
     bulkReads += other.bulkReads;
     bulkWrites += other.bulkWrites;
     ioWordsTransposed += other.ioWordsTransposed;
@@ -163,6 +172,11 @@ Stats::summary() const
            << fusionInitChain << " INIT-chain ops, " << fusionWindow
            << " window INIT+gate ops, " << fusionWriteStripe
            << " stripe-merged writes\n";
+    if (sectionsFused || sectionsDead || sectionsReplayed)
+        os << "  replay liveness: " << sectionsFused
+           << " INIT1 sections fused, " << sectionsDead
+           << " dead sections dropped, " << sectionsReplayed
+           << " sections replayed per crossbar\n";
     if (bulkReads || bulkWrites)
         os << "  bulk I/O: " << bulkReads << " reads / " << bulkWrites
            << " writes, " << ioWordsTransposed << " words transposed, "

@@ -74,6 +74,19 @@ struct Stats
     uint64_t fusionWindow = 0;
     /** Writes merged into an adjacent-Write partition stripe. */
     uint64_t fusionWriteStripe = 0;
+    /**
+     * Replay-compiler liveness (ReplayProgram::Liveness), in column
+     * SECTIONS rather than ops, so apart from the fusion* op counts:
+     * INIT1 sections fused into the NOR/NOT that follows them and
+     * dead sections dropped, per trace built, and the compiled
+     * sections one crossbar replays, summed over every trace the
+     * driver submits (builds and hits). All three read zero under the
+     * socket transport, whose host never compiles a trace, and are
+     * not in checkpoint images (writeStats): a restore zeroes them.
+     */
+    uint64_t sectionsFused = 0;
+    uint64_t sectionsDead = 0;
+    uint64_t sectionsReplayed = 0;
 
     // --- host-side bulk-I/O observability ----------------------------
     // Also driver-only: the bulk transfer path records the SAME

@@ -135,6 +135,15 @@ Driver::noteTraceBuilt(const BatchTrace &t)
     stats_.fusionInitChain += t.fusion.initChain;
     stats_.fusionWindow += t.fusion.window;
     stats_.fusionWriteStripe += t.fusion.writeStripe;
+    stats_.sectionsFused += t.liveness.fused;
+    stats_.sectionsDead += t.liveness.dead;
+}
+
+void
+Driver::replayTrace(const std::shared_ptr<const BatchTrace> &t)
+{
+    stats_.sectionsReplayed += t->liveness.replayed();
+    sink_->submitTrace(t);
 }
 
 void
@@ -150,7 +159,7 @@ Driver::replayEntry(StreamEntry &e)
                 noteTraceBuilt(*e.trace);
         }
         if (e.trace) {
-            sink_->submitTrace(e.trace);
+            replayTrace(e.trace);
             return;
         }
     }

@@ -235,8 +235,11 @@ class Driver
 
     /** Replay one cache entry (trace handle fast path, else stream). */
     void replayEntry(StreamEntry &e);
-    /** Account a freshly built trace (miss + fusion counters). */
+    /** Account a freshly built trace (miss, fusion and liveness
+     *  counters). */
     void noteTraceBuilt(const BatchTrace &t);
+    /** Submit a pre-built trace, counting the sections it replays. */
+    void replayTrace(const std::shared_ptr<const BatchTrace> &t);
 
     /**
      * Signature of a captured move sequence: the moves, the partition

@@ -154,7 +154,7 @@ Driver::execute(std::span<const MoveInstr> moves)
     if (it != moveCache_.end()) {
         const MoveSeqEntry &e = it->second;
         if (e.trace) {
-            sink_->submitTrace(e.trace);
+            replayTrace(e.trace);
             stats_.traceCacheHits += moves.size();
         } else if (!e.ops.empty()) {
             sink_->submitBatch(e.ops.data(), e.ops.size());
@@ -189,7 +189,7 @@ Driver::execute(std::span<const MoveInstr> moves)
                                   known ? &entry : nullptr);
     if (e.trace) {
         noteTraceBuilt(*e.trace);
-        sink_->submitTrace(e.trace);
+        replayTrace(e.trace);
     } else {
         e.ops = std::move(rec.ops);
         if (!e.ops.empty())

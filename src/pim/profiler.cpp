@@ -5,7 +5,8 @@ namespace pypim
 
 Profiler::Profiler(Device &dev)
     : dev_(&dev),
-      start_(dev.stats())
+      start_(dev.stats()),
+      driverStart_(dev.driver().stats())
 {
 }
 
@@ -13,12 +14,19 @@ void
 Profiler::reset()
 {
     start_ = dev_->stats();
+    driverStart_ = dev_->driver().stats();
 }
 
 Stats
 Profiler::delta() const
 {
     return dev_->stats() - start_;
+}
+
+Stats
+Profiler::driverDelta() const
+{
+    return dev_->driver().stats() - driverStart_;
 }
 
 uint64_t

@@ -5,7 +5,9 @@
  * §F): captures the simulator counters at construction and reports the
  * delta, including the derived PIM execution time at the configured
  * clock. Every stats query covers every submitted batch, so windows
- * always cover whole batches.
+ * always cover whole batches. The driver's host-side counters (trace
+ * cache, fusion, replay liveness) have a window of their own,
+ * driverDelta(), apart from the architectural one.
  */
 #ifndef PYPIM_PIM_PROFILER_HPP
 #define PYPIM_PIM_PROFILER_HPP
@@ -27,6 +29,9 @@ class Profiler
 
     /** Counters accumulated since construction/reset. */
     Stats delta() const;
+    /** Driver counters (Device::driver().stats()) accumulated since
+     *  construction/reset: trace cache, fusion, replay liveness. */
+    Stats driverDelta() const;
 
     /** PIM cycles consumed in the window. */
     uint64_t cycles() const;
@@ -38,6 +43,7 @@ class Profiler
   private:
     Device *dev_;
     Stats start_;
+    Stats driverStart_;
 };
 
 } // namespace pypim

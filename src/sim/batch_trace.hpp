@@ -98,6 +98,14 @@ struct BatchTrace
     bool hasEntry = false;
     Range entryXb, entryRow;
     Fusion fusion;
+    /**
+     * Section counts of the replay compiler's liveness scan, summed
+     * over programs by compileBatchTrace. Kept apart from @ref fusion:
+     * they count sections, not ops, and only a compiled trace has
+     * them (a host-side wire trace is never compiled, so they are zero
+     * there).
+     */
+    ReplayProgram::Liveness liveness;
     /** Geometry guard: a trace only replays on the array it was built
      *  for (decoded column/row/crossbar indices are layout-bound). */
     uint32_t geoRows = 0, geoCols = 0, geoPartitions = 0,

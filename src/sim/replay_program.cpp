@@ -108,6 +108,137 @@ sectionKind(const HalfGateRun &hg, bool fusedInit)
     }
 }
 
+bool
+isGate(ReplayProgram::SecKind k)
+{
+    return k == ReplayProgram::SecKind::NotNor ||
+           k == ReplayProgram::SecKind::FusedNotNor;
+}
+
+/** LivenessScan::kinds entry of a section the scan dropped. */
+constexpr uint8_t kDropped = 0xFF;
+
+/**
+ * Section-level liveness scan of one segment (the rules are in the
+ * header): one forward pass over the ops in stream order. Number the
+ * sections of every LogicH op consecutively, in op order; section k
+ * ends with kinds[k] = the SecKind it replays as, or kDropped. Per
+ * column, lastWrite_ holds the last section that wrote it, forgotten
+ * once anything touches the column: so a section it names is always
+ * live and untouched, the one condition both rewrites share. One scan
+ * per compiling thread, reused across segments, so steady-state
+ * compiling never reaches the heap; it keeps one byte per section.
+ */
+class LivenessScan
+{
+  public:
+    std::vector<uint8_t> kinds;
+
+    ReplayProgram::Liveness
+    run(const SegmentTrace &t, const Geometry &geo)
+    {
+        using SecKind = ReplayProgram::SecKind;
+        ReplayProgram::Liveness live;
+        for (const TraceOp &op : t.ops)
+            if (op.type == OpType::LogicH)
+                live.sections += t.halfGates[op.hg].count;
+        kinds.resize(live.sections);
+        lastWrite_.assign(geo.cols, LastWrite{});
+
+        const uint32_t pw = geo.partitionWidth();
+        const auto touch = [&](uint32_t col) {
+            lastWrite_[col].sec = -1;
+        };
+        const auto touchSlot = [&](uint32_t slot) {
+            for (uint32_t b = 0; b < geo.wordBits; ++b)
+                touch(geo.column(slot, b));
+        };
+        int32_t k = 0;
+        for (uint32_t j = 0; j < t.ops.size(); ++j) {
+            const TraceOp &op = t.ops[j];
+            switch (op.type) {
+              case OpType::Write:
+                if (op.wn > 1)
+                    for (uint32_t i = 0; i < op.wn; ++i)
+                        touchSlot(t.writePairs[op.wrun + i].slot);
+                else
+                    touchSlot(op.index);
+                break;
+              case OpType::LogicV:
+                for (uint32_t part = 0; part < geo.partitions; ++part)
+                    touch(part * pw + op.index);
+                break;
+              case OpType::LogicH: {
+                const HalfGateRun &hg = t.halfGates[op.hg];
+                const SecKind opKind = sectionKind(hg, op.fusedInit);
+                const bool maskFull = t.rowMaskFull[op.rowMask] != 0;
+                for (const ActiveSection &sec : t.run(hg)) {
+                    SecKind kind = opKind;
+                    const uint32_t c = sec.outCol;
+                    bool readsOut = false;
+                    if (isGate(kind)) {
+                        readsOut = sec.inA == c || sec.inB == c;
+                        if (sec.inA != c)
+                            touch(sec.inA);
+                        if (sec.inB != c)
+                            touch(sec.inB);
+                    }
+                    LastWrite &w = lastWrite_[c];
+                    if (kind == SecKind::NotNor && !readsOut &&
+                        w.sec >= 0 &&
+                        kinds[w.sec] ==
+                            static_cast<uint8_t>(SecKind::Init1)) {
+                        // INIT1->NOR: the INIT1 moves forward to the
+                        // gate past nothing that touches the column.
+                        const TraceOp &init = t.ops[w.op];
+                        if (init.rowMask == op.rowMask &&
+                            init.xb == op.xb) {
+                            kinds[w.sec] = kDropped;
+                            ++live.fused;
+                            kind = SecKind::FusedNotNor;
+                            w.sec = -1;  // nothing left to kill
+                        }
+                    }
+                    // A NotNor, or a gate reading its output, is no
+                    // full write: it reads the column's old value, so
+                    // the earlier write stays live.
+                    const bool fullWrite =
+                        kind == SecKind::Init0 ||
+                        kind == SecKind::Init1 ||
+                        (kind == SecKind::FusedNotNor && !readsOut);
+                    if (fullWrite && w.sec >= 0) {
+                        // Dead store: every cell the earlier section
+                        // wrote is overwritten before anything reads
+                        // it.
+                        const TraceOp &prev = t.ops[w.op];
+                        if ((maskFull || prev.rowMask == op.rowMask) &&
+                            op.xb.containsAll(prev.xb)) {
+                            kinds[w.sec] = kDropped;
+                            ++live.dead;
+                        }
+                    }
+                    kinds[k] = static_cast<uint8_t>(kind);
+                    w = {k++, j};
+                }
+                break;
+              }
+              default:
+                break;  // unreachable: segments hold work ops only
+            }
+        }
+        return live;
+    }
+
+  private:
+    /** A column's last write: section (-1: none live) and its op. */
+    struct LastWrite
+    {
+        int32_t sec = -1;
+        uint32_t op = 0;
+    };
+    std::vector<LastWrite> lastWrite_;
+};
+
 } // namespace
 
 void
@@ -124,6 +255,12 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     // Snapshot ids become direct word offsets into the program's own
     // arena: id k lives at k * wordsPerMask, resolved once here.
     p.maskWords = t.rowWords;
+
+    // Liveness first: the merge below sees only the sections the
+    // scan kept, with their final kinds.
+    thread_local LivenessScan scan;
+    p.liveness = scan.run(t, geo);
+    uint32_t section = 0;  //!< first scan section of the next LogicH op
 
     const uint32_t colWords = (geo.cols + 63) / 64;
     // Column footprint of the OPEN pass: merging keeps every merged
@@ -201,30 +338,40 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
           case OpType::LogicH: {
             const HalfGateRun &hg = t.halfGates[op.hg];
             const std::span<const ActiveSection> secs = t.run(hg);
-            const ReplayProgram::SecKind kind =
-                sectionKind(hg, op.fusedInit);
-            const bool hasIns =
-                hg.gate == Gate::Nor || hg.gate == Gate::Not;
-            // Candidate footprint. A stateful gate also READS its
-            // output (out_new = out_old & ...), but only its OWN —
-            // covered by keeping candidate outs disjoint from
-            // everything already in the pass.
+            const uint8_t *kinds = scan.kinds.data() + section;
+            section += hg.count;
+            const uint32_t work = op.fusedInit ? 2 : 1;
+            // Candidate footprint of the sections the scan kept. A
+            // stateful gate also READS its output (out_new = out_old
+            // & ...), but only its OWN — covered by keeping candidate
+            // outs disjoint from everything already in the pass.
             ColSet candOuts, candIns;
             candOuts.clear(colWords);
             candIns.clear(colWords);
-            for (const ActiveSection &sec : secs) {
-                candOuts.set(sec.outCol);
-                if (hasIns) {
-                    candIns.set(sec.inA);
-                    candIns.set(sec.inB);
+            uint32_t kept = 0;
+            for (uint32_t k = 0; k < hg.count; ++k) {
+                if (kinds[k] == kDropped)
+                    continue;
+                ++kept;
+                candOuts.set(secs[k].outCol);
+                if (isGate(static_cast<ReplayProgram::SecKind>(
+                        kinds[k]))) {
+                    candIns.set(secs[k].inA);
+                    candIns.set(secs[k].inB);
                 }
+            }
+            if (kept == 0 && open >= 0 && p.instrs[open].xb == op.xb) {
+                // Every section dropped: the op still applies, so its
+                // work rides on the open pass over the same crossbars.
+                p.instrs[open].work += work;
+                break;
             }
             const uint32_t maskOff = op.rowMask * t.wordsPerMask;
             bool merged = false;
             if (open >= 0) {
                 ReplayProgram::Instr &pass = p.instrs[open];
                 merged = pass.maskOff == maskOff && pass.xb == op.xb &&
-                         pass.count + hg.count <= kMaxPassSections &&
+                         pass.count + kept <= kMaxPassSections &&
                          !candIns.intersects(passOuts, colWords) &&
                          !candOuts.intersects(passOuts, colWords) &&
                          !candOuts.intersects(passIns, colWords);
@@ -237,7 +384,6 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                 in.maskOff = maskOff;
                 in.maskFull = t.rowMaskFull[op.rowMask];
                 in.off = static_cast<uint32_t>(p.sections.size());
-                in.passKind = static_cast<uint8_t>(kind);
                 in.xb = op.xb;
                 p.instrs.push_back(in);
                 open = static_cast<int64_t>(p.instrs.size()) - 1;
@@ -245,18 +391,22 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                 passIns.clear(colWords);
             }
             ReplayProgram::Instr &pass = p.instrs[open];
-            if (pass.passKind != static_cast<uint8_t>(kind))
-                pass.passKind = ReplayProgram::kMixedPass;
-            for (const ActiveSection &sec : secs) {
+            for (uint32_t k = 0; k < hg.count; ++k) {
+                if (kinds[k] == kDropped)
+                    continue;
                 ReplayProgram::PSection ps;
-                ps.kind = kind;
-                ps.outCol = sec.outCol;
-                ps.inA = sec.inA;
-                ps.inB = sec.inB;
+                ps.kind = static_cast<ReplayProgram::SecKind>(kinds[k]);
+                ps.outCol = secs[k].outCol;
+                ps.inA = secs[k].inA;
+                ps.inB = secs[k].inB;
+                if (pass.count == 0)
+                    pass.passKind = kinds[k];
+                else if (pass.passKind != kinds[k])
+                    pass.passKind = ReplayProgram::kMixedPass;
                 p.sections.push_back(ps);
+                ++pass.count;
             }
-            pass.count += hg.count;
-            pass.work += op.fusedInit ? 2 : 1;
+            pass.work += work;
             passOuts.merge(candOuts, colWords);
             passIns.merge(candIns, colWords);
             break;
@@ -301,10 +451,14 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     }
     closePass();
 
+    // A pass left with no section (it only carries work) reads no
+    // mask, so it never costs the program its blend-free executor.
     p.allMasksFull =
         std::all_of(p.instrs.begin(), p.instrs.end(),
                     [](const ReplayProgram::Instr &in) {
-                        return in.maskFull != 0;
+                        return in.maskFull != 0 ||
+                               (in.kind == ReplayProgram::Kind::HPass &&
+                                in.count == 0);
                     });
     p.uniformXb =
         !p.instrs.empty() &&
@@ -327,9 +481,12 @@ void
 compileBatchTrace(BatchTrace &batch, const Geometry &geo)
 {
     batch.programs.resize(batch.segments.size());
-    for (size_t s = 0; s < batch.segments.size(); ++s)
+    batch.liveness = {};
+    for (size_t s = 0; s < batch.segments.size(); ++s) {
         compileSegmentProgram(batch.segments[s], geo,
                               batch.programs[s]);
+        batch.liveness += batch.programs[s].liveness;
+    }
 }
 
 void

@@ -12,6 +12,24 @@
  *    per-instruction all-ones flag so the executors can drop the
  *    `& mask` blend from the inner word loops (the all-rows mask is
  *    the overwhelmingly common case);
+ *  - a section-level liveness scan over the segment's ops, in stream
+ *    order and before pass merging, makes two rewrites. INIT1->NOR:
+ *    an INIT1 section whose column is next driven by a NOR/NOT
+ *    section with inputs distinct from its output, under the same
+ *    row-mask id and crossbar range, with nothing touching the
+ *    column in between, is dropped and the gate becomes a
+ *    FusedNotNor. This catches the INIT1 chains the window fusion
+ *    pass merges into one wide op, which fusableInitNor must refuse.
+ *    Dead store: a section whose column is next written in full (an
+ *    Init0, an Init1, or a FusedNotNor whose inputs differ from its
+ *    output) with no touch in between is dropped, when that write's
+ *    mask is all-ones or the same id and its range contains the
+ *    earlier one. A touch is a gate input, a NotNor's own output (a
+ *    stateful gate reads it), a Write's slot columns or a LogicV's
+ *    partition columns. Dropped sections keep their op's applied
+ *    work: an op left with no section charges its work to the open
+ *    pass when that has the op's crossbar range, else to an empty
+ *    pass of its own;
  *  - consecutive LogicH ops under an identical mask and crossbar
  *    range merge into ONE multi-section column pass — one mask load
  *    (and, paged, one mask-nonzero block scan) shared by all
@@ -155,6 +173,30 @@ struct ReplayProgram
     Range xb;
     uint64_t workWrites = 0, workLogicH = 0, workLogicV = 0;
 
+    /** Section counts of the liveness scan (see the file comment). */
+    struct Liveness
+    {
+        /** LogicH sections the segment's ops carry, before the scan. */
+        uint64_t sections = 0;
+        /** INIT1 sections fused into the NOR/NOT that follows them. */
+        uint64_t fused = 0;
+        /** Dead sections dropped (overwritten in full before use). */
+        uint64_t dead = 0;
+
+        /** Sections one crossbar replays: those the scan kept. */
+        uint64_t replayed() const { return sections - fused - dead; }
+
+        Liveness &
+        operator+=(const Liveness &o)
+        {
+            sections += o.sections;
+            fused += o.fused;
+            dead += o.dead;
+            return *this;
+        }
+    };
+    Liveness liveness;
+
     bool empty() const { return instrs.empty(); }
 };
 
@@ -166,7 +208,8 @@ struct ReplayProgram
  * starts a new instruction, never changes semantics: compiled replay
  * is bit-identical to the serial op-major oracle on every storage mode
  * (tests/test_replay_program.cpp). Steady-state compiling into a
- * reused @p prog is allocation-free.
+ * reused @p prog is allocation-free: the liveness and run-sharing
+ * scratch is kept per compiling thread (tests/test_no_alloc.cpp).
  */
 void compileSegmentProgram(const SegmentTrace &trace,
                            const Geometry &geo, ReplayProgram &prog);
@@ -175,7 +218,8 @@ void compileSegmentProgram(const SegmentTrace &trace,
  * Compile every segment of @p batch into its program — called by
  * Simulator::prepareTrace after window fusion (just before the batch
  * is frozen behind shared_ptr<const>) and by the trace-wire decoder
- * on a socket worker.
+ * on a socket worker. Sums the programs' liveness counts into
+ * batch.liveness.
  */
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
 

@@ -160,6 +160,8 @@ writeStats(ByteWriter &w, const Stats &s)
     w.u64(s.fusionInitChain);
     w.u64(s.fusionWindow);
     w.u64(s.fusionWriteStripe);
+    // sectionsFused/Dead/Replayed postdate the format and are not
+    // written: a restored driver reads them as zero.
     w.u64(s.bulkReads);
     w.u64(s.bulkWrites);
     w.u64(s.ioWordsTransposed);

@@ -15,7 +15,9 @@
  * boundary-crossing Move group (stage, broadcast, land) without
  * allocating too, and a driver's warm captured move sequence must
  * look itself up and replay without copying its moves or reaching
- * the heap. A check that formats its message eagerly,
+ * the heap. Recompiling a decoded segment into the program it was
+ * compiled into before (the liveness scan and run sharing included)
+ * must not allocate either. A check that formats its message eagerly,
  * or an expansion or a compile that builds a temporary container,
  * shows up here as a nonzero count.
  */
@@ -28,7 +30,10 @@
 
 #include "common/config.hpp"
 #include "driver/driver.hpp"
+#include "sim/batch_trace.hpp"
 #include "sim/device_group.hpp"
+#include "sim/htree.hpp"
+#include "sim/replay_program.hpp"
 #include "sim/simulator.hpp"
 #include "uarch/microop.hpp"
 #include "uarch/range.hpp"
@@ -296,4 +301,53 @@ TEST(NoAlloc, WarmCapturedMoveSequenceHitIsAllocationFree)
     EXPECT_EQ(n, 0u);
     EXPECT_EQ(drv.moveCacheSize(), entries);
     EXPECT_EQ(drv.stats().traceCacheHits - hits, 8 * moves.size());
+}
+
+TEST(NoAlloc, WarmSegmentRecompileIsAllocationFree)
+{
+    // The driver's INIT1-chain idiom (fused by the liveness scan), a
+    // dead INIT0, and passes with equal section runs (shared), decoded
+    // and window-fused once; the first compile sizes every arena and
+    // the compiling thread's scratch.
+    const Geometry g = testGeometry();
+    const uint32_t last = g.partitions - 1;
+    const auto lane = [&](Gate gate, uint32_t a, uint32_t b,
+                          uint32_t out) {
+        return MicroOp::logicH(gate, col(g, a, 0), col(g, b, 0),
+                               col(g, out, 0), last, 1)
+            .encode();
+    };
+    const std::vector<Word> ops = {
+        MicroOp::crossbarMask(Range::all(g.numCrossbars)).encode(),
+        MicroOp::rowMask(Range::all(g.rows)).encode(),
+        lane(Gate::Init1, 0, 0, 2),
+        lane(Gate::Init1, 0, 0, 3),
+        lane(Gate::Nor, 0, 1, 2),
+        lane(Gate::Nor, 0, 1, 3),
+        lane(Gate::Init0, 0, 0, 4),
+        lane(Gate::Init1, 0, 0, 4),
+        MicroOp::rowMask(Range::single(3)).encode(),
+        lane(Gate::Not, 1, 1, 5),
+        MicroOp::rowMask(Range::single(9)).encode(),
+        lane(Gate::Not, 1, 1, 5),
+    };
+    const HTree htree(g.numCrossbars);
+    MaskState mask;
+    mask.reset(g);
+    BatchTrace batch;
+    buildBatchTrace(ops.data(), ops.size(), g, htree, mask, batch);
+    fuseBatchTrace(batch, g);
+    ASSERT_EQ(batch.segments.size(), 1u);
+    ReplayProgram prog;
+    compileSegmentProgram(batch.segments[0], g, prog);
+    const uint64_t n = allocationsDuring([&] {
+        for (int rep = 0; rep < 8; ++rep)
+            compileSegmentProgram(batch.segments[0], g, prog);
+    });
+    EXPECT_EQ(n, 0u);
+    // The scan rewrote the segment, and the two NOT passes share a run.
+    EXPECT_EQ(prog.liveness.fused, 2u * g.partitions);
+    EXPECT_EQ(prog.liveness.dead, g.partitions);
+    ASSERT_EQ(prog.instrs.size(), 3u);
+    EXPECT_EQ(prog.instrs[1].off, prog.instrs[2].off);
 }

@@ -15,8 +15,11 @@
  * enough for the vectorised word loops). The
  * directed tests pin the COMPILER's decisions — when LogicH ops may
  * and may not merge into one pass (mask change, section capacity,
- * stateful-gate aliasing), how stripes and LogicV runs chunk, and
- * when the all-ones mask specialisation may fire. The retention tests
+ * stateful-gate aliasing), how stripes and LogicV runs chunk, when
+ * the all-ones mask specialisation may fire, and when the liveness
+ * scan may fuse an INIT1 section into its NOR or drop a dead one
+ * (each of those cases also replays against the op-major oracle at 64
+ * and 512 rows). The retention tests
  * pin what a frozen trace keeps: its programs, but no decode arenas.
  */
 #include <gtest/gtest.h>
@@ -83,8 +86,11 @@ randomRange(Rng &rng, uint32_t limit)
  * prepareTrace caches on a device group). Biased towards runs of
  * LogicH under a stable mask so pass merging actually fires, with a
  * mix of full, partial and re-issued-identical row masks to cross the
- * specialisation boundary, plus stripes of Writes and LogicV runs.
- * Every slot it names is below @p slots (0: all of them).
+ * specialisation boundary, plus stripes of Writes and LogicV runs,
+ * and biased to reuse output columns so the compiler's liveness scan
+ * fires: INIT1 chains later driven by NORs, and overwrites with no
+ * read in between. Every slot it names is below @p slots (0: all of
+ * them).
  */
 std::vector<Word>
 randomTraceStream(Rng &rng, const Geometry &g, size_t len,
@@ -98,8 +104,19 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len,
             .encode());
     ops.push_back(
         MicroOp::rowMask(Range(0, g.rows - 1, 1)).encode());
+    // A random slot other than @p c (ns >= 8 at every fill).
+    const auto otherSlot = [&](uint32_t c) {
+        return (c + 1 + rng.word() % (ns - 1)) % ns;
+    };
+    const auto laneOp = [&](Gate gate, uint32_t a, uint32_t b,
+                            uint32_t out) {
+        ops.push_back(MicroOp::logicH(gate, g.column(a, 0),
+                                      g.column(b, 0), g.column(out, 0),
+                                      g.partitions - 1, 1)
+                          .encode());
+    };
     while (ops.size() < len) {
-        switch (rng.word() % 12) {
+        switch (rng.word() % 14) {
           case 0:
             ops.push_back(
                 MicroOp::crossbarMask(randomRange(rng, g.numCrossbars))
@@ -182,6 +199,43 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len,
                                               rng.word() % g.rows,
                                               slot)
                                   .encode());
+            break;
+          }
+          case 12: {
+            // Liveness fodder, the driver's idiom: INIT1 c, INIT1 d
+            // (the window fusion pass merges the two into one chain
+            // op, which no gate can window-fuse), maybe an unrelated
+            // gate, then a NOR into each: the replay compiler fuses
+            // every INIT1 section into its NOR.
+            const uint32_t c = rng.word() % ns;
+            const uint32_t d = otherSlot(c);
+            uint32_t a = otherSlot(c), b = otherSlot(c);
+            while (a == d || b == d) {
+                a = otherSlot(c);
+                b = otherSlot(c);
+            }
+            laneOp(Gate::Init1, 0, 0, c);
+            laneOp(Gate::Init1, 0, 0, d);
+            if (rng.word() % 2) {
+                uint32_t e = otherSlot(c);
+                while (e == d || e == a || e == b)
+                    e = otherSlot(c);
+                laneOp(Gate::Nor, a, b, e);
+            }
+            laneOp(Gate::Nor, a, b, c);
+            laneOp(Gate::Nor, a, b, d);
+            break;
+          }
+          case 13: {
+            // Overwrite with no read in between: a dead store of c.
+            const uint32_t c = rng.word() % ns;
+            const uint32_t a = otherSlot(c), b = otherSlot(c);
+            switch (rng.word() % 3) {
+              case 0:  laneOp(Gate::Init0, 0, 0, c); break;
+              case 1:  laneOp(Gate::Init1, 0, 0, c); break;
+              default: laneOp(Gate::Nor, a, b, c); break;
+            }
+            laneOp(rng.word() % 2 ? Gate::Init1 : Gate::Init0, 0, 0, c);
             break;
           }
           default: {
@@ -422,6 +476,10 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
                     compiled.prepareTrace(ops.data(), ops.size(), true);
                 ASSERT_NE(tc, nullptr);
                 ASSERT_EQ(tc->programs.size(), tc->segments.size());
+                // The liveness scan must have rewritten something, or
+                // the oracle comparison would not test it.
+                EXPECT_GT(tc->liveness.fused, 0u) << ec.name;
+                EXPECT_GT(tc->liveness.dead, 0u) << ec.name;
                 // Compiled segments drop their half-gate expansions.
                 EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
 
@@ -680,6 +738,268 @@ TEST(ReplayProgramCompile, StripesAndVRunsArePrechunked)
     EXPECT_EQ(pv.instrs[1].count, 1u);
     EXPECT_FALSE(pv.uniformXb);
     EXPECT_EQ(pv.workLogicV, 4u);
+}
+
+// --- section liveness ----------------------------------------------------
+
+namespace
+{
+
+using SK = ReplayProgram::SecKind;
+
+/** Sections of kind @p k one crossbar replays under @p p. */
+uint32_t
+replayedSections(const ReplayProgram &p, SK k)
+{
+    uint32_t n = 0;
+    for (const ReplayProgram::Instr &in : p.instrs)
+        if (in.kind == ReplayProgram::Kind::HPass)
+            for (uint32_t s = 0; s < in.count; ++s)
+                n += p.sections[in.off + s].kind == k;
+    return n;
+}
+
+/**
+ * Compile body(g) (after all-crossbars, all-rows masks) at 64 and 512
+ * rows and hand the trace to check(trace, g); then replay it against
+ * the op-major oracle from one seeded state: crossbar state and Stats
+ * must match bit for bit.
+ */
+template <typename Body, typename Check>
+void
+livenessCase(Body &&body, bool fuse, Check &&check)
+{
+    for (const Geometry &g : fuzzGeometries()) {
+        SCOPED_TRACE(std::to_string(g.rows) + " rows");
+        std::vector<Word> ops = {
+            MicroOp::crossbarMask(Range::all(g.numCrossbars)).encode(),
+            MicroOp::rowMask(Range::all(g.rows)).encode()};
+        const std::vector<Word> b = body(g);
+        ops.insert(ops.end(), b.begin(), b.end());
+        Simulator oracle(
+            g, EngineConfig::serial().withStorage(XbarStorage::Dense));
+        Simulator compiled(g, EngineConfig::serial());
+        seedState(oracle, 77, g);
+        seedState(compiled, 77, g);
+        const auto trace =
+            compiled.prepareTrace(ops.data(), ops.size(), fuse);
+        ASSERT_NE(trace, nullptr);
+        ASSERT_EQ(trace->programs.size(), 1u);
+        check(*trace, g);
+        oracle.performBatch(ops.data(), ops.size());
+        compiled.submitTrace(trace);
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            ASSERT_TRUE(
+                oracle.crossbar(xb).sameState(compiled.crossbar(xb)))
+                << "crossbar " << xb;
+        EXPECT_EQ(oracle.stats(), compiled.stats());
+    }
+}
+
+Word
+rowsOp(uint32_t first, uint32_t last)
+{
+    return MicroOp::rowMask(Range(first, last, 1)).encode();
+}
+
+Word
+xbsOp(uint32_t first, uint32_t last)
+{
+    return MicroOp::crossbarMask(Range(first, last, 1)).encode();
+}
+
+} // namespace
+
+TEST(ReplayProgramCompile, LivenessFusesInitChainIntoItsNors)
+{
+    // cordic's idiom: two INIT1s the window fusion pass merges into one
+    // chain op (so fusableInitNor refuses it), then one NOR into each
+    // chained column. Every INIT1 section fuses into its NOR, and the
+    // chain op's work rides on the NORs' pass.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 2), initH(g, Gate::Init1, 3),
+                norH(g, 0, 1, 2), norH(g, 0, 1, 3)};
+        },
+        true,
+        [](const BatchTrace &t, const Geometry &g) {
+            const uint32_t np = g.partitions;
+            EXPECT_EQ(t.fusion.initChain, 1u);
+            EXPECT_EQ(t.fusion.window, 0u);
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.sections, 4u * np);
+            EXPECT_EQ(p.liveness.fused, 2u * np);
+            EXPECT_EQ(p.liveness.dead, 0u);
+            EXPECT_EQ(t.liveness.replayed(), 2u * np);
+            EXPECT_EQ(replayedSections(p, SK::Init1), 0u);
+            EXPECT_EQ(replayedSections(p, SK::FusedNotNor), 2u * np);
+            ASSERT_EQ(p.instrs.size(), 1u);
+            EXPECT_EQ(p.instrs[0].passKind,
+                      static_cast<uint8_t>(SK::FusedNotNor));
+            EXPECT_EQ(p.workLogicH, 3u);
+            EXPECT_TRUE(p.allMasksFull);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessDropsDeadStores)
+{
+    // Slot 4: INIT0 then INIT1, so the INIT0 is dead. Slot 5: INIT1, a
+    // NOR (fused by the scan: a NOR into slot 7 keeps the builder from
+    // fusing the pair first) and INIT0, so the fused NOR is dead too.
+    // Slot 6: an INIT1 under half the rows, then an all-rows INIT0,
+    // whose all-ones mask covers any earlier one.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init0, 4), initH(g, Gate::Init1, 4),
+                initH(g, Gate::Init1, 5), norH(g, 0, 1, 7),
+                norH(g, 0, 1, 5), initH(g, Gate::Init0, 5),
+                rowsOp(0, 31),
+                initH(g, Gate::Init1, 6), rowsOp(0, g.rows - 1),
+                initH(g, Gate::Init0, 6)};
+        },
+        false,
+        [](const BatchTrace &t, const Geometry &g) {
+            const uint32_t np = g.partitions;
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused, np);
+            EXPECT_EQ(p.liveness.dead, 3u * np);
+            EXPECT_EQ(replayedSections(p, SK::Init1), np);
+            EXPECT_EQ(replayedSections(p, SK::Init0), 2u * np);
+            EXPECT_EQ(replayedSections(p, SK::NotNor), np);
+            EXPECT_EQ(replayedSections(p, SK::FusedNotNor), 0u);
+            // Work is charged per op, dropped sections or not.
+            EXPECT_EQ(p.workLogicH, 8u);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsColumnsReadInBetween)
+{
+    // Slot 2's INIT1 and slot 6's INIT0 are read before the next
+    // write of their column: both stay.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 2), norH(g, 2, 0, 5),
+                norH(g, 0, 1, 2), initH(g, Gate::Init0, 6),
+                norH(g, 6, 0, 7), initH(g, Gate::Init1, 6)};
+        },
+        false,
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), 2u * g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::Init0), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsInitOfNorReadingItsOutput)
+{
+    // The NOR reads its own output, all ones after the INIT1, so the
+    // INIT1 can neither fuse nor be dead.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{initH(g, Gate::Init1, 2),
+                                     norH(g, 2, 1, 2)};
+        },
+        false,
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::NotNor), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsWritesUnderAnotherRowMaskId)
+{
+    // Slot 2: the NOR runs under another row-mask id than its INIT1.
+    // Slot 3: an INIT0 and an INIT1 under two partial masks.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 2), rowsOp(0, 31),
+                norH(g, 0, 1, 2), initH(g, Gate::Init0, 3),
+                rowsOp(32, 63), initH(g, Gate::Init1, 3)};
+        },
+        false,
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), 2u * g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::Init0), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsWritesAPartialMaskMisses)
+{
+    // An all-rows INIT1, then an INIT0 of its column under half the
+    // rows: the INIT1 still holds in the other half.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{initH(g, Gate::Init1, 3),
+                                     rowsOp(0, 31),
+                                     initH(g, Gate::Init0, 3)};
+        },
+        false,
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::Init0), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessNeedsTheSameOrAWiderCrossbarRange)
+{
+    // Slot 2: the NOR runs on crossbars 0-7 only, its INIT1 on all,
+    // so no fusion. Slot 4: an all-crossbar INIT0, then an INIT1 on
+    // 0-7, so the INIT0 is kept. Slot 3: an INIT0 on 0-7, then an
+    // all-crossbar INIT1, whose range contains it, so it is dead.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 2), initH(g, Gate::Init0, 4),
+                xbsOp(0, 7), norH(g, 0, 1, 2), initH(g, Gate::Init1, 4),
+                initH(g, Gate::Init0, 3),
+                xbsOp(0, g.numCrossbars - 1), initH(g, Gate::Init1, 3)};
+        },
+        false,
+        [](const BatchTrace &t, const Geometry &g) {
+            const uint32_t np = g.partitions;
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused, 0u);
+            EXPECT_EQ(p.liveness.dead, np);
+            EXPECT_EQ(replayedSections(p, SK::Init1), 3u * np);
+            EXPECT_EQ(replayedSections(p, SK::Init0), np);
+            EXPECT_FALSE(p.uniformXb);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsColumnsAWriteOrLogicVTouches)
+{
+    // A Write of slot 2 and a LogicV on slot 3 land between an INIT1
+    // and the NOR into its column; a Write of slot 4 between two INITs
+    // of it.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 2),
+                MicroOp::write(2, 0x5A5A5A5Au).encode(),
+                norH(g, 0, 1, 2), initH(g, Gate::Init1, 3),
+                MicroOp::logicV(Gate::Init1, 0, 1, 3).encode(),
+                norH(g, 0, 1, 3), initH(g, Gate::Init0, 4),
+                MicroOp::write(4, 0x12345678u).encode(),
+                initH(g, Gate::Init1, 4)};
+        },
+        false,
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), 3u * g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::Init0), g.partitions);
+        });
 }
 
 TEST(ReplayProgramStats, RecordNMatchesRepeatedRecord)
