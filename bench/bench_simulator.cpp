@@ -791,6 +791,35 @@ checkpointSweep(Json *json)
     return allIdentical;
 }
 
+/** Lowest driver trace-hit ratio a warm socket-fleet float sum may
+ *  read (an in-run count ratio, never a time). */
+constexpr double kMinWarmSumHitRatio = 0.5;
+
+/**
+ * Driver trace-hit ratio of a warm float sum (Fig. 13's reduce) over
+ * every thread of @p g under @p ec: trace-cache hits per driver
+ * instruction of the second of two identical sums. Most of a sum's
+ * instructions are the moves of its captured folds, so this is the
+ * share that replays by signature instead of as raw batches.
+ */
+double
+warmSumHitRatio(const Geometry &g, const EngineConfig &ec)
+{
+    Device dev(g, Driver::Mode::Parallel, ec);
+    Rng rng(67);
+    const Tensor t = Tensor::fromVector(
+        rng.floatVec(static_cast<size_t>(g.rows) * g.numCrossbars, 0.f,
+                     1.f),
+        &dev);
+    benchmark::DoNotOptimize(t.sum<float>());  // captures, installs
+    const Stats before = dev.driver().stats();
+    benchmark::DoNotOptimize(t.sum<float>());
+    const Stats &after = dev.driver().stats();
+    return static_cast<double>(after.traceCacheHits -
+                               before.traceCacheHits) /
+           static_cast<double>(after.instructions - before.instructions);
+}
+
 /**
  * Shard-transport sweep: the cross-process socket fleet against the
  * in-process group it must be observationally identical to, at 2 and
@@ -800,8 +829,10 @@ checkpointSweep(Json *json)
  * a boundary-Move exchange phase — and a separate fixed-shape
  * verification epoch (fresh device, exactly one program) re-encodes
  * the canonical checkpoint image so rep-count differences cannot leak
- * into the bit-identity check. Returns false on any divergence; the
- * CI bench smoke step exits non-zero on it.
+ * into the bit-identity check. Each socket fleet also runs a warm
+ * float sum, whose driver trace-hit ratio must reach
+ * kMinWarmSumHitRatio. Returns false on any divergence or a ratio
+ * below the gate; the CI bench smoke step exits non-zero on it.
  */
 bool
 transportSweep(Json *json)
@@ -815,6 +846,7 @@ transportSweep(Json *json)
     if (json)
         json->beginArray("transport_sweep");
     bool allIdentical = true;
+    double sumHitRatio[2] = {0, 0};  // socket fleets at 2 and 4 workers
 
     const auto fillOperands = [](std::vector<int32_t> &va,
                                  std::vector<int32_t> &vb) {
@@ -883,6 +915,8 @@ transportSweep(Json *json)
                 imgRef = img;
             const bool identical = img == imgRef;
             allIdentical = allIdentical && identical;
+            if (tk == TransportKind::Socket)
+                sumHitRatio[devices / 4] = warmSumHitRatio(g, ec);
 
             const double wireMBs =
                 static_cast<double>(wt.bytesTx + wt.bytesRx) / 1e6 /
@@ -916,12 +950,25 @@ transportSweep(Json *json)
                 json->field("exchanges", wt.exchanges);
                 json->field("exchange_ns", wt.exchangeNs);
                 json->field("bit_identical", identical);
+                if (tk == TransportKind::Socket)
+                    json->field("warm_sum_trace_hit_ratio",
+                                sumHitRatio[devices / 4]);
                 json->end();
             }
         }
     }
     if (json)
         json->end();
+    bool hitsOk = true;
+    for (const uint32_t devices : {2u, 4u}) {
+        const double r = sumHitRatio[devices / 4];
+        const bool ok = r >= kMinWarmSumHitRatio;
+        hitsOk = hitsOk && ok;
+        std::printf("warm float sum over %u crossbars, socket x%u: "
+                    "driver trace-hit ratio %.3f (gate >= %.2f: %s)\n",
+                    g.numCrossbars, devices, r, kMinWarmSumHitRatio,
+                    ok ? "ok" : "BELOW — captured folds replay raw");
+    }
     std::printf("(wire MB/s = framed bytes both directions over the "
                 "measured phase; rt/instr = synchronous round trips "
                 "per driver instruction; hits = warm-trace replays "
@@ -931,7 +978,7 @@ transportSweep(Json *json)
                 "re-runs "
                 "a fixed program on a fresh fleet and compares "
                 "canonical checkpoint images against inproc)\n");
-    return allIdentical;
+    return allIdentical && hitsOk;
 }
 
 /**
@@ -1115,7 +1162,7 @@ main(int argc, char **argv)
     const bool storageIdentical = storageSweep(j);
     const bool ioIdentical = ioSweep(j);
     const bool checkpointIdentical = checkpointSweep(j);
-    const bool transportIdentical = transportSweep(j);
+    const bool transportOk = transportSweep(j);
     const bool replayOk = replayPanel(j);
     if (j) {
         j->end();
@@ -1127,12 +1174,13 @@ main(int argc, char **argv)
     // monolithic device, paged storage diverged from dense, the bulk
     // I/O path diverged from the element-wise oracle, a checkpoint
     // failed to restore bit-identical, the cross-process socket fleet
-    // diverged from the in-process group, two replay ISA builds left
+    // diverged from the in-process group or replayed under half of a
+    // warm float sum by trace, two replay ISA builds left
     // different states, or the replay compiler's liveness scan removed
     // no section from the fp32 add or mul stream: the CI bench smoke
     // step asserts all of them.
     return devicesIdentical && storageIdentical && ioIdentical &&
-                   checkpointIdentical && transportIdentical &&
+                   checkpointIdentical && transportOk &&
                    replayOk
                ? 0
                : 1;

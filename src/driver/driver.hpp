@@ -289,8 +289,9 @@ class Driver
     };
     /**
      * One captured sequence: its trace, or — when the sink builds no
-     * trace (multi-device and socket groups, plain sinks) — the
-     * recorded stream, plus the builder mask state it leaves.
+     * trace (a sequence with a boundary-crossing Move on a
+     * multi-device group, plain sinks) — the recorded stream, plus
+     * the builder mask state it leaves.
      */
     struct MoveSeqEntry
     {

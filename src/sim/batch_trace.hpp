@@ -114,12 +114,14 @@ struct BatchTrace
     // --- shard-transport wire identity (sim/trace_wire.hpp) ----------
     // Filled only by the socket transport's prepareTrace path: the
     // content address under which this frozen trace is installed in
-    // each shard worker's cache (FNV-1a of the source op words + the
-    // fuse flag), and the source stream itself — the wire image ships
-    // only the raw ops, and a worker rebuilds and compiles the trace
-    // on its own arenas, cross-checked against the shipped stats/mask
-    // epilogue. Empty/zero on inproc traces: the in-process group
-    // shares the handle by pointer.
+    // each shard worker's cache (FNV-1a of the source op words, the
+    // fuse flag and the entry masks), and the source stream itself —
+    // the wire image ships only the raw ops (and the entry masks), and
+    // a worker rebuilds and compiles the trace on its own arenas,
+    // cross-checked against the shipped stats/mask epilogue. A worker's
+    // installed trace keeps wireSig but not the source stream, which
+    // only the host's encoder reads. Empty/zero on inproc traces: the
+    // in-process group shares the handle by pointer.
     uint64_t wireSig = 0;
     std::vector<Word> sourceOps;
     bool sourceFuse = false;

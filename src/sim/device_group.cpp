@@ -144,7 +144,7 @@ SimulatorGroup::updateShadowMask(const Word *ops, size_t n)
         if (enc::peekType(ops[i]) != OpType::CrossbarMask)
             continue;
         const Range r = MicroOp::decode(ops[i]).range;
-        if (validMask(r, geo_.numCrossbars)) {
+        if (r.valid(geo_.numCrossbars)) {
             shadowXb_ = r;
             return;
         }
@@ -152,13 +152,6 @@ SimulatorGroup::updateShadowMask(const Word *ops, size_t n)
         // for the last valid one before it (best effort — an error
         // stream leaves sub-device state diverged anyway).
     }
-}
-
-bool
-SimulatorGroup::validMask(const Range &r, uint32_t limit)
-{
-    return r.step != 0 && r.start <= r.stop &&
-           (r.stop - r.start) % r.step == 0 && r.stop < limit;
 }
 
 bool
@@ -221,7 +214,7 @@ SimulatorGroup::exchangeGroup(const Word *ops, size_t n, size_t first,
             const Range r = MicroOp::decode(ops[end]).range;
             // An ill-formed mask must throw in the sub-devices after
             // the group took effect, as it does op by op.
-            if (!validMask(r, isXb ? geo_.numCrossbars : geo_.rows))
+            if (!r.valid(isXb ? geo_.numCrossbars : geo_.rows))
                 break;
             if (isXb)
                 xb = r;
@@ -324,7 +317,7 @@ SimulatorGroup::submitBatch(const Word *ops, size_t n)
     // goes through the host-mediated exchange. Moves a group absorbed
     // are only counted when the scan passes them.
     size_t chunk = 0;  // start of the not-yet-forwarded tail
-    scanMoves(ops, n,
+    scanMoves(ops, n, liveXb(),
               [&](size_t i, const MicroOp &, const Range &xb,
                   bool crossing) {
                   ++traffic_.moveOps;
@@ -409,11 +402,11 @@ SimulatorGroup::writeBulk(const BulkIoSpec &spec,
 }
 
 bool
-SimulatorGroup::streamCrossesBoundary(const Word *ops,
-                                      size_t n) const
+SimulatorGroup::streamCrossesBoundary(const Word *ops, size_t n,
+                                      const Range &xb) const
 {
     bool found = false;
-    scanMoves(ops, n,
+    scanMoves(ops, n, xb,
               [&](size_t, const MicroOp &, const Range &,
                   bool crossing) {
                   found = crossing;
@@ -426,24 +419,23 @@ std::shared_ptr<const BatchTrace>
 SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse,
                              const EntryMasks *entry)
 {
-    // Entry-dependent traces replay on one in-process sub-device only;
-    // elsewhere the caller submits the stream raw.
-    if (entry && (devices_ > 1 || remote()))
-        return nullptr;
     // A trace replays blindly on every slice; a boundary-crossing
     // Move needs the scanning exchange, so such streams stay on the
     // raw path (the caller falls back transparently). The cheap raw
     // scan runs BEFORE the expensive build+fuse, so a refused
     // signature costs one peek pass per attempt, not a discarded
     // trace construction. (R-type streams contain no Moves; only a
-    // captured move sequence with inter-warp moves can hit this.)
-    if (devices_ > 1 && streamCrossesBoundary(ops, n))
+    // captured move sequence with inter-warp moves can hit this.) An
+    // entry-dependent trace only ever replays under its entry masks,
+    // so that is the state its Moves are judged from.
+    if (devices_ > 1 &&
+        streamCrossesBoundary(ops, n, entry ? entry->xb : liveXb()))
         return nullptr;
     // Under the socket transport the trace is built on the host's
     // mirror and stamped with its wire identity, so submitTrace can
     // install it once per worker and replay by signature thereafter.
     if (remote())
-        return buildWireTrace(ops, n, fuse, geo_, *htree_);
+        return buildWireTrace(ops, n, fuse, geo_, *htree_, entry);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
     return sims_[0]->prepareTrace(ops, n, fuse, entry);

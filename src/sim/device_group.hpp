@@ -78,6 +78,11 @@
  * streams that hit this are captured move sequences (a reduction's
  * fold, a sort's inter-warp exchange), which arrive as ONE raw batch
  * and so cut into as few Move groups as the hazard rule allows.
+ * Captured sequences WITHOUT a crossing Move (a fold whose partners
+ * share a slice) are entry-dependent traces: decoded from the mask
+ * state the driver captured them under, scanned for crossings from
+ * that state, broadcast like any trace, and guarded on every slice by
+ * Simulator::submitTrace's entry check.
  *
  * Error streams: a malformed op throws at the submit containing it,
  * after the valid prefix was forwarded (the engine's op-major
@@ -96,9 +101,10 @@
  *    (seeding the same Move scan, so traffic() counts identically), a
  *    trace-build mirror for prepareTrace (sim/trace_wire.hpp — each
  *    frozen trace crosses the wire once per worker as its source
- *    stream, the worker rebuilds and compiles it, and it then replays
- *    by signature), and each Move group's exchange stages/lands cell
- *    values through one wire message per involved worker per step.
+ *    stream, with its entry masks when it has them, the worker
+ *    rebuilds and compiles it, and it then replays by signature), and
+ *    each Move group's exchange stages/lands cell values through one
+ *    wire message per involved worker per step.
  *    Architectural Stats, masks and state parity with inproc is
  *    bit-exact (the multi-device parity suite asserts it); the one
  *    contract difference is error TIMING:
@@ -308,12 +314,16 @@ class SimulatorGroup : public OperationSink
     /** Broadcast for stats parity; response from the owning slice. */
     uint32_t performRead(Word op) override;
     /**
-     * Build one shared trace (via sub-device 0; builds touch no
-     * state) for broadcast replay on every slice. Returns null for
-     * streams containing a boundary-crossing Move — those must go
-     * through the scanning submitBatch path — and for entry-dependent
-     * streams (@p entry set) on more than one sub-device or under the
-     * socket transport: the caller submits those raw.
+     * Build one shared trace (via sub-device 0, or the host's wire
+     * mirror under the socket transport; builds touch no state) for
+     * broadcast replay on every slice. Returns null for streams
+     * containing a boundary-crossing Move, scanned from @p entry's
+     * crossbar mask when given (the state the trace will replay
+     * under) and from the live mask otherwise — those must go through
+     * the scanning submitBatch path. An entry-dependent trace
+     * (@p entry set) carries its entry state to every slice, over the
+     * wire too, and each slice's submitTrace holds its live masks to
+     * it.
      */
     std::shared_ptr<const BatchTrace>
     prepareTrace(const Word *ops, size_t n, bool fuse,
@@ -341,12 +351,10 @@ class SimulatorGroup : public OperationSink
      *  path, whose validation throws the standard error). Stops at
      *  the first crossing. */
     bool crossesBoundary(const Range &xb, int64_t dist) const;
-    /** True iff @p r is a well-formed mask over [0, @p limit) — the
-     *  predicate Range::validate enforces when the mask op is applied,
-     *  evaluated non-throwing for stream scans. */
-    static bool validMask(const Range &r, uint32_t limit);
-    /** Raw-stream scan: does any Move in @p ops cross a boundary? */
-    bool streamCrossesBoundary(const Word *ops, size_t n) const;
+    /** Raw-stream scan from crossbar mask @p xb: does any Move in
+     *  @p ops cross a boundary? */
+    bool streamCrossesBoundary(const Word *ops, size_t n,
+                               const Range &xb) const;
     /**
      * Open a Move group at the boundary-crossing Move ops[@p first]
      * (under crossbar mask @p xb), absorb what the group rule admits,
@@ -366,29 +374,34 @@ class SimulatorGroup : public OperationSink
      *  stream (backward walk for its last valid CrossbarMask). */
     void updateShadowMask(const Word *ops, size_t n);
 
+    /** The replicated live crossbar mask: under the socket transport
+     *  the host-side shadow (same value, no wire query). */
+    Range
+    liveXb() const
+    {
+        return remote() ? shadowXb_ : sims_[0]->crossbarMask();
+    }
+
     /**
      * THE raw-stream Move scan, shared by submitBatch (exchange
-     * splitting + traffic counting) and prepareTrace (boundary
-     * refusal) so the two can never drift: tracks the in-stream
-     * crossbar mask seeded from sub-device 0's live state,
-     * skipping Moves under an ill-formed mask (the sub-devices throw
-     * at the mask op when the stream is forwarded). Invokes
-     * fn(i, op, xb, crossing) for every analysable Move op; fn
-     * returns false to stop the scan early.
+     * splitting + traffic counting, seeded from liveXb()) and
+     * prepareTrace (boundary refusal, seeded from the stream's entry
+     * state) so the two can never drift: tracks the in-stream
+     * crossbar mask from the seed @p xb, skipping Moves under an
+     * ill-formed mask (the sub-devices throw at the mask op when the
+     * stream is forwarded). Invokes fn(i, op, xb, crossing) for every
+     * analysable Move op; fn returns false to stop the scan early.
      */
     template <typename Fn>
     void
-    scanMoves(const Word *ops, size_t n, Fn &&fn) const
+    scanMoves(const Word *ops, size_t n, Range xb, Fn &&fn) const
     {
-        // Under the socket transport the seed is the host-side shadow
-        // of the (replicated) mask — same value, no wire query.
-        Range xb = remote() ? shadowXb_ : sims_[0]->crossbarMask();
-        bool maskOk = true;  // the seed was validated when applied
+        bool maskOk = xb.valid(geo_.numCrossbars);
         for (size_t i = 0; i < n; ++i) {
             const OpType t = enc::peekType(ops[i]);
             if (t == OpType::CrossbarMask) {
                 xb = MicroOp::decode(ops[i]).range;
-                maskOk = validMask(xb, geo_.numCrossbars);
+                maskOk = xb.valid(geo_.numCrossbars);
                 continue;
             }
             if (t != OpType::Move || !maskOk)

@@ -86,11 +86,14 @@ class OperationSink
      * the decoded snapshots are independent of the sink's mask state
      * — see leadsWithMasks). With @p entry it is decoded from that
      * mask state, and the trace may only be submitted while the sink
-     * holds exactly those masks (submitTrace panics otherwise).
+     * holds exactly those masks (submitTrace panics otherwise; a
+     * socket worker holds the error for the next sync point).
      * Returns null when the sink does not support trace replay (plain
      * sinks keep consuming raw streams), when a stream without
-     * @p entry is not self-contained, or when the sink cannot replay
-     * entry-dependent traces (multi-device and socket groups).
+     * @p entry is not self-contained, or when a multi-device group
+     * finds a Move that crosses a slice boundary (judged from
+     * @p entry's crossbar mask when given), which needs the group's
+     * scanning exchange.
      */
     virtual std::shared_ptr<const BatchTrace>
     prepareTrace(const Word *ops, size_t n, bool fuse,

@@ -6,6 +6,7 @@
 #include "sim/batch_trace.hpp"
 #include "sim/replay_program.hpp"
 #include "sim/serialize.hpp"
+#include "sim/sink.hpp"
 
 namespace pypim
 {
@@ -14,13 +15,38 @@ namespace
 {
 
 constexpr uint32_t kTraceMagic = 0x50575452;  // "PWTR"
-/** 2: the image carries no compiled programs (workers compile). */
-constexpr uint32_t kTraceVersion = 2;
+/** 2: the image carries no compiled programs (workers compile).
+ *  3: an entry flag and, when set, the entry crossbar and row masks. */
+constexpr uint32_t kTraceVersion = 3;
+
+/** Decode @p ops from @p entry (or, without one, from power-on: the
+ *  stream then sets both masks itself) and fuse: the one rebuild both
+ *  ends of the wire run, so they cannot decode differently. */
+std::shared_ptr<BatchTrace>
+rebuild(const Word *ops, size_t n, bool fuse, const EntryMasks *entry,
+        const Geometry &geo, const HTree &htree)
+{
+    auto batch = std::make_shared<BatchTrace>();
+    MaskState local;
+    local.reset(geo);
+    if (entry) {
+        local.xb = entry->xb;
+        local.setRow(entry->row, geo.rows);
+        batch->hasEntry = true;
+        batch->entryXb = entry->xb;
+        batch->entryRow = entry->row;
+    }
+    buildBatchTrace(ops, n, geo, htree, local, *batch);
+    if (fuse)
+        fuseBatchTrace(*batch, geo);
+    return batch;
+}
 
 } // namespace
 
 uint64_t
-traceSignature(const Word *ops, size_t n, bool fuse)
+traceSignature(const Word *ops, size_t n, bool fuse,
+               const EntryMasks *entry)
 {
     // FNV-1a, the stream-cache convention: cheap, deterministic and
     // stable across processes (no pointer or seed dependence).
@@ -33,28 +59,32 @@ traceSignature(const Word *ops, size_t n, bool fuse)
     };
     for (size_t i = 0; i < n; ++i)
         mix(ops[i]);
-    mix(fuse ? 1 : 0);
+    mix((fuse ? 1 : 0) | (entry ? 2 : 0));
+    if (entry)
+        for (const Range &r : {entry->xb, entry->row}) {
+            mix(r.start);
+            mix(r.stop);
+            mix(r.step);
+        }
     return h;
 }
 
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, bool fuse,
-               const Geometry &geo, const HTree &htree)
+               const Geometry &geo, const HTree &htree,
+               const EntryMasks *entry)
 {
-    if (!leadsWithMasks(ops, n))
+    if (!entry && !leadsWithMasks(ops, n))
         return nullptr;
-    auto batch = std::make_shared<BatchTrace>();
-    // A self-contained stream decodes identically from the power-on
-    // mask state (Simulator::prepareTrace's local-MaskState mirror).
-    MaskState local;
-    local.reset(geo);
-    buildBatchTrace(ops, n, geo, htree, local, *batch);
-    if (fuse)
-        fuseBatchTrace(*batch, geo);
+    if (entry) {
+        entry->xb.validate(geo.numCrossbars, "crossbar");
+        entry->row.validate(geo.rows, "row");
+    }
+    auto batch = rebuild(ops, n, fuse, entry, geo, htree);
     // The host never replays a wire trace: it ships the source stream
     // and walks the Move items, so the decode arenas go now.
     releaseSegmentArenas(*batch);
-    batch->wireSig = traceSignature(ops, n, fuse);
+    batch->wireSig = traceSignature(ops, n, fuse, entry);
     batch->sourceOps.assign(ops, ops + n);
     batch->sourceFuse = fuse;
     return batch;
@@ -75,6 +105,11 @@ encodeTraceWire(const BatchTrace &trace)
     w.u32(trace.geoPartitions);
     w.u32(trace.geoCrossbars);
     w.u8(trace.sourceFuse ? 1 : 0);
+    w.u8(trace.hasEntry ? 1 : 0);
+    if (trace.hasEntry) {
+        writeRange(w, trace.entryXb);
+        writeRange(w, trace.entryRow);
+    }
     // The architectural epilogue — shipped as a decode cross-check.
     writeStats(w, trace.stats);
     writeRange(w, trace.finalXb);
@@ -106,6 +141,20 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     // when its truthiness would decode to the same trace.
     fatalIf(fuseByte > 1, "trace wire: malformed fusion flag");
     const bool fuse = fuseByte == 1;
+    const uint8_t entryByte = r.u8();
+    fatalIf(entryByte > 1, "trace wire: malformed entry flag");
+    EntryMasks entryMasks;
+    const EntryMasks *entry = nullptr;
+    if (entryByte == 1) {
+        entryMasks.xb = readRange(r);
+        entryMasks.row = readRange(r);
+        // The rebuild decodes from these masks: a Range the geometry
+        // cannot hold would index outside the crossbar or row space.
+        fatalIf(!entryMasks.xb.valid(geo.numCrossbars) ||
+                    !entryMasks.row.valid(geo.rows),
+                "trace wire: entry mask outside the geometry");
+        entry = &entryMasks;
+    }
     const Stats wireStats = readStats(r);
     const Range wireXb = readRange(r);
     const Range wireRow = readRange(r);
@@ -118,20 +167,16 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     for (Word &op : ops)
         op = r.u64();
 
-    fatalIf(traceSignature(ops.data(), ops.size(), fuse) != sig,
+    fatalIf(traceSignature(ops.data(), ops.size(), fuse, entry) != sig,
             "trace wire: signature does not match the source stream");
-    fatalIf(!leadsWithMasks(ops.data(), ops.size()),
+    fatalIf(!entry && !leadsWithMasks(ops.data(), ops.size()),
             "trace wire: source stream is not self-contained");
 
     r.expectEnd("trace image");
 
-    // Rebuild deterministically on local arenas, fusion included.
-    auto batch = std::make_shared<BatchTrace>();
-    MaskState local;
-    local.reset(geo);
-    buildBatchTrace(ops.data(), ops.size(), geo, htree, local, *batch);
-    if (fuse)
-        fuseBatchTrace(*batch, geo);
+    // Rebuild deterministically on local arenas, from the entry state
+    // when there is one, fusion included.
+    auto batch = rebuild(ops.data(), ops.size(), fuse, entry, geo, htree);
 
     // The cross-check: a rebuilt trace that does not reproduce the
     // sender's architectural epilogue would silently break the
@@ -147,9 +192,9 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     compileBatchTrace(*batch, geo);
     releaseSegmentArenas(*batch);
 
+    // Only the host's encoder reads the source stream; an installed
+    // trace replays by signature and keeps just its programs.
     batch->wireSig = sig;
-    batch->sourceOps = std::move(ops);
-    batch->sourceFuse = fuse;
     return batch;
 }
 

@@ -64,6 +64,15 @@ struct Range
 
     bool operator==(const Range &o) const = default;
 
+    /** The predicate validate() enforces, without throwing: for
+     *  scans and decoders that reject or skip instead. */
+    bool
+    valid(uint32_t limit) const
+    {
+        return step != 0 && start <= stop && stop < limit &&
+               (stop - start) % step == 0;
+    }
+
     /**
      * Throw pypim::Error unless the range is well-formed and within
      * [0, limit): start <= stop < limit, step >= 1, step | (stop-start).

@@ -5,9 +5,11 @@
  * from the same moves executed one by one — bit-identical crossbar
  * state, architectural Stats, driver instruction count and builder
  * exit masks — whatever the entry mask state (known, unknown, half
- * known), engine, storage, device count and transport. Plus
- * the entry-mask guard of entry-dependent traces, fault recovery and
- * checkpoint/restore around captured hits.
+ * known), engine, storage, device count and transport. Plus replay
+ * by signature on sharded groups (boundary-crossing sequences stay
+ * raw), the entry-mask guard of entry-dependent traces in process and
+ * across the shard wire, fault recovery and checkpoint/restore around
+ * captured hits.
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "pim/pypim.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/device_group.hpp"
 #include "sim/serialize.hpp"
 
 using namespace pypim;
@@ -204,6 +207,18 @@ captureCases()
     return cases;
 }
 
+/** The multi-device group configurations: in process and, where
+ *  fork() is allowed, over sockets. */
+std::vector<EngineConfig>
+groupConfigs()
+{
+    std::vector<EngineConfig> cfgs = {EngineConfig::serial().withDevices(2)};
+    if (kForkAllowed)
+        cfgs.push_back(EngineConfig::serial().withDevices(2).withTransport(
+            TransportKind::Socket));
+    return cfgs;
+}
+
 } // namespace
 
 TEST(MoveCapture, FuzzedSequencesMatchPerMoveExecution)
@@ -312,40 +327,150 @@ TEST(MoveCapture, HitsCountOnePerMoveServed)
     EXPECT_EQ(dev.driver().moveCacheSize(), 0u);
 }
 
-TEST(MoveCapture, GroupsTakeTheRawFallbackForEntryDependentStreams)
+TEST(MoveCapture, GroupsReplayEntryDependentTracesBySignature)
 {
     const Geometry g = captureGeometry();
-    std::vector<EngineConfig> cfgs = {EngineConfig::serial().withDevices(2)};
-    if (kForkAllowed)
-        cfgs.push_back(EngineConfig::serial().withDevices(2).withTransport(
-            TransportKind::Socket));
-    for (const EngineConfig &ec : cfgs) {
+    for (const EngineConfig &ec : groupConfigs()) {
+        const bool socket = ec.transport == TransportKind::Socket;
+        SCOPED_TRACE(socket ? "socket x2" : "inproc x2");
         Device cap(g, Driver::Mode::Parallel, ec);
         Device ref(g, Driver::Mode::Parallel, ec);
         seedRegisters(cap, 5);
         seedRegisters(ref, 5);
         Rng rng(11);
         const std::vector<MoveInstr> seq = randomMoves(rng, g, 16);
-        for (int rep = 0; rep < 3; ++rep) {
-            for (Device *d : {&cap, &ref})
-                setEntry(*d, Entry::Known, Range::all(g.numCrossbars),
-                         Range::all(g.rows));
-            cap.driver().execute(std::span<const MoveInstr>(seq));
-            for (const MoveInstr &m : seq)
-                ref.driver().execute(m);
-        }
-        // Recorded once, replayed raw: no trace built or hit.
+        const auto run = [&](const std::vector<MoveInstr> &moves,
+                             const Range &warps, const Range &rows) {
+            for (int rep = 0; rep < 3; ++rep) {
+                for (Device *d : {&cap, &ref})
+                    setEntry(*d, Entry::Known, warps, rows);
+                cap.driver().execute(std::span<const MoveInstr>(moves));
+                for (const MoveInstr &m : moves)
+                    ref.driver().execute(m);
+            }
+        };
+        const uint64_t installs0 =
+            cap.group().wireTelemetry().traceInstalls;
+
+        // Captured once, then served by signature: 2 hits per move.
+        run(seq, Range::all(g.numCrossbars), Range::all(g.rows));
         EXPECT_EQ(cap.driver().moveCacheSize(), 1u);
-        EXPECT_EQ(cap.driver().stats().traceCacheHits, 0u);
+        EXPECT_EQ(cap.driver().stats().traceCacheHits, 2 * seq.size());
         EXPECT_TRUE(sameBuilderMasks(cap, ref));
         EXPECT_TRUE(sameDeviceState(cap, ref));
-        // The sink contract behind it: entry-dependent streams get no
-        // trace on more than one sub-device or over the wire.
-        const Word op = MicroOp::logicV(Gate::Init1, 0, 3, 5).encode();
-        const EntryMasks entry{Range::all(g.numCrossbars),
-                               Range::all(g.rows)};
-        EXPECT_EQ(cap.group().prepareTrace(&op, 1, true, &entry),
-                  nullptr);
+        if (socket) {  // installed once in each of the two workers
+            EXPECT_EQ(cap.group().wireTelemetry().traceInstalls,
+                      installs0 + 2);
+        }
+
+        // The same moves under another entry state: a second entry,
+        // a second signature, and both replay correctly.
+        run(seq, Range(0, 14, 2), Range(1, g.rows - 1, 2));
+        EXPECT_EQ(cap.driver().moveCacheSize(), 2u);
+        EXPECT_EQ(cap.driver().stats().traceCacheHits, 4 * seq.size());
+        run(seq, Range::all(g.numCrossbars), Range::all(g.rows));
+        EXPECT_EQ(cap.driver().stats().traceCacheHits, 7 * seq.size());
+        EXPECT_TRUE(sameBuilderMasks(cap, ref));
+        EXPECT_TRUE(sameDeviceState(cap, ref));
+        if (socket) {
+            EXPECT_EQ(cap.group().wireTelemetry().traceInstalls,
+                      installs0 + 4);
+        }
+
+        // A sequence with a boundary-crossing Move (crossbar 1 of
+        // device 0 to crossbar 9 of device 1) gets no trace and
+        // replays raw through the exchange.
+        MoveInstr cross;
+        cross.kind = MoveInstr::Kind::InterWarp;
+        cross.srcReg = 2;
+        cross.dstReg = 3;
+        cross.srcRow = 4;
+        cross.dstRow = 5;
+        cross.warps = Range::single(1);
+        cross.dstStartWarp = 9;
+        std::vector<MoveInstr> crossing(seq.begin(), seq.begin() + 4);
+        crossing.push_back(cross);
+        const uint64_t hits = cap.driver().stats().traceCacheHits;
+        const uint64_t boundary = cap.group().traffic().boundaryMoves;
+        run(crossing, Range::all(g.numCrossbars), Range::all(g.rows));
+        EXPECT_EQ(cap.driver().moveCacheSize(), 3u);
+        EXPECT_EQ(cap.driver().stats().traceCacheHits, hits);
+        EXPECT_EQ(cap.group().traffic().boundaryMoves, boundary + 3);
+        EXPECT_TRUE(sameBuilderMasks(cap, ref));
+        EXPECT_TRUE(sameDeviceState(cap, ref));
+    }
+}
+
+TEST(MoveCapture, GroupsScanEntryTracesFromTheirEntryMasks)
+{
+    // A Move whose crossing depends on the crossbar mask it runs
+    // under: from crossbar 0 it lands on crossbar 8 (device 1), from
+    // crossbar 8 it stays put. prepareTrace must judge it under the
+    // entry mask the trace will replay from, not the live one.
+    const Geometry g = captureGeometry();
+    const Word move = MicroOp::move(8, 2, 3, 4, 5).encode();
+    const Range rows = Range::all(g.rows);
+    for (const EngineConfig &ec : groupConfigs()) {
+        SimulatorGroup grp(g, ec);
+        ASSERT_EQ(grp.devices(), 2u);
+        for (const uint32_t live : {0u, 8u}) {
+            const Word mask =
+                MicroOp::crossbarMask(Range::single(live)).encode();
+            grp.performBatch(&mask, 1);
+            const EntryMasks crosses{Range::single(0), rows};
+            const EntryMasks stays{Range::single(8), rows};
+            EXPECT_EQ(grp.prepareTrace(&move, 1, true, &crosses), nullptr)
+                << "live mask " << live;
+            EXPECT_NE(grp.prepareTrace(&move, 1, true, &stays), nullptr)
+                << "live mask " << live;
+        }
+    }
+}
+
+TEST(MoveCapture, EntryMaskGuardHoldsOnGroupsAndAcrossTheWire)
+{
+    // A group trace submitted under masks other than its entry masks
+    // must never replay silently: in process the submit panics; a
+    // socket worker goes sticky and the next flush throws.
+    const Geometry g = captureGeometry();
+    const std::vector<Word> ops = {
+        MicroOp::logicV(Gate::Init1, 0, 3, 5).encode(),
+        MicroOp::logicV(Gate::Not, 1, 3, 5).encode(),
+    };
+    const EntryMasks entry{Range(1, 13, 4), Range::single(3)};
+    const std::vector<Word> entryMasks = {
+        MicroOp::crossbarMask(entry.xb).encode(),
+        MicroOp::rowMask(entry.row).encode(),
+    };
+    for (const EngineConfig &ec : groupConfigs()) {
+        const bool socket = ec.transport == TransportKind::Socket;
+        SCOPED_TRACE(socket ? "socket x2" : "inproc x2");
+        SimulatorGroup bad(g, ec);
+        const auto trace =
+            bad.prepareTrace(ops.data(), ops.size(), true, &entry);
+        ASSERT_NE(trace, nullptr);
+        EXPECT_TRUE(trace->hasEntry);
+        // Power-on masks are not the entry state.
+        if (socket) {
+            bad.submitTrace(trace);
+            EXPECT_THROW(bad.flush(), InternalError);
+        } else {
+            EXPECT_THROW(bad.submitTrace(trace), InternalError);
+        }
+
+        // Under its entry masks the same trace replays like the raw
+        // stream.
+        SimulatorGroup good(g, ec);
+        SimulatorGroup raw(g, ec);
+        for (SimulatorGroup *grp : {&good, &raw})
+            grp->performBatch(entryMasks.data(), entryMasks.size());
+        good.submitTrace(good.prepareTrace(ops.data(), ops.size(), true,
+                                           &entry));
+        raw.performBatch(ops.data(), ops.size());
+        EXPECT_NO_THROW(good.flush());
+        EXPECT_TRUE(good.stats() == raw.stats());
+        EXPECT_EQ(encodeCheckpoint(buildGroupImage(good)),
+                  encodeCheckpoint(buildGroupImage(raw)));
     }
 }
 

@@ -7,7 +7,8 @@
  * any state is applied; worker-side typed exceptions cross the wire
  * and rethrow as the matching error class; trace images survive a
  * round trip bit-exactly, carry no compiled programs (the receiver
- * compiles) and reject corruption and old versions; and the live
+ * compiles) but the entry state of an entry-dependent trace, and
+ * reject corruption and old versions; and the live
  * fork/socketpair fleet ships each frozen trace once per worker,
  * surfaces a killed worker as a DeviceFault and rebuilds it through
  * checkpoint restore and journaled recovery. A worker bounds every
@@ -62,6 +63,39 @@ tracedStream(const Geometry &g)
                       .encode());
     return ops;
 }
+
+/** The entry mask state the entry-carrying images decode from. */
+EntryMasks
+wireEntry(const Geometry &g)
+{
+    return {Range(1, g.numCrossbars - 1, 2), Range(0, g.rows - 2, 2)};
+}
+
+/** tracedStream without its leading masks: only valid from an entry
+ *  state, as a captured move sequence is. */
+std::vector<Word>
+entryStream(const Geometry &g)
+{
+    const std::vector<Word> ops = tracedStream(g);
+    return std::vector<Word>(ops.begin() + 2, ops.end());
+}
+
+/** One image of each shape: self-contained and entry-carrying. */
+std::vector<std::vector<uint8_t>>
+wireImages(const Geometry &g, const HTree &ht)
+{
+    const std::vector<Word> ops = tracedStream(g);
+    const std::vector<Word> eops = entryStream(g);
+    const EntryMasks entry = wireEntry(g);
+    return {encodeTraceWire(
+                *buildWireTrace(ops.data(), ops.size(), true, g, ht)),
+            encodeTraceWire(*buildWireTrace(eops.data(), eops.size(),
+                                            true, g, ht, &entry))};
+}
+
+/** Byte offset of the entry flag in a version-3 image: magic,
+ *  version, signature, four geometry words, the fusion flag. */
+constexpr size_t kEntryFlagAt = 4 + 4 + 8 + 16 + 1;
 
 /** Reference frame used by the fuzz battery. */
 std::vector<uint8_t>
@@ -284,6 +318,14 @@ TEST(TraceWire, SignatureIsContentAddressed)
     std::vector<Word> other = ops;
     other[3] = MicroOp::write(3, 42).encode();
     EXPECT_NE(sig, traceSignature(other.data(), other.size(), true));
+    // One stream decoded from two entry states gets two addresses.
+    const EntryMasks a = wireEntry(g);
+    EntryMasks b = a;
+    b.row = Range(1, g.rows - 1, 2);
+    const uint64_t sigA = traceSignature(ops.data(), ops.size(), true, &a);
+    EXPECT_NE(sigA, sig) << "entry state must be part of the identity";
+    EXPECT_NE(sigA, traceSignature(ops.data(), ops.size(), true, &b));
+    EXPECT_EQ(sigA, traceSignature(ops.data(), ops.size(), true, &a));
 }
 
 TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
@@ -304,6 +346,39 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
     EXPECT_TRUE(d->finalXb == t->finalXb);
     EXPECT_TRUE(d->finalRow == t->finalRow);
     EXPECT_EQ(d->items.size(), t->items.size());
+    EXPECT_FALSE(d->hasEntry);
+    EXPECT_TRUE(d->sourceOps.empty())
+        << "an installed trace replays by signature, not from source";
+}
+
+TEST(TraceWire, EntryImageRoundTrips)
+{
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    const std::vector<Word> ops = entryStream(g);
+    const EntryMasks entry = wireEntry(g);
+    // Not self-contained: wireable only with its entry state.
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, g, ht),
+              nullptr);
+    const std::shared_ptr<const BatchTrace> t =
+        buildWireTrace(ops.data(), ops.size(), true, g, ht, &entry);
+    ASSERT_TRUE(t);
+    EXPECT_TRUE(t->hasEntry);
+    EXPECT_EQ(t->wireSig,
+              traceSignature(ops.data(), ops.size(), true, &entry));
+    const std::vector<uint8_t> img = encodeTraceWire(*t);
+    const std::shared_ptr<const BatchTrace> d =
+        decodeTraceWire(img.data(), img.size(), g, ht);
+    ASSERT_TRUE(d);
+    EXPECT_EQ(d->wireSig, t->wireSig);
+    EXPECT_TRUE(d->hasEntry);
+    EXPECT_TRUE(d->entryXb == entry.xb);
+    EXPECT_TRUE(d->entryRow == entry.row);
+    EXPECT_TRUE(d->stats == t->stats);
+    EXPECT_TRUE(d->finalXb == t->finalXb);
+    EXPECT_TRUE(d->finalRow == t->finalRow);
+    EXPECT_EQ(d->items.size(), t->items.size());
+    EXPECT_TRUE(d->sourceOps.empty());
 }
 
 TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
@@ -333,20 +408,79 @@ TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
 
 TEST(TraceWire, OldVersionIsRejected)
 {
-    // Version 1 images carried compiled programs; a worker must refuse
-    // one rather than misread it.
+    // Version 1 images carried compiled programs and version 2 ones no
+    // entry flag; a worker must refuse either rather than misread it.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
         buildWireTrace(ops.data(), ops.size(), true, g, ht);
     ASSERT_TRUE(t);
-    std::vector<uint8_t> img = encodeTraceWire(*t);
-    ASSERT_NO_THROW(decodeTraceWire(img.data(), img.size(), g, ht));
-    // Magic (u32), then the little-endian u32 version.
-    img[4] = 1;
-    img[5] = img[6] = img[7] = 0;
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht), Error);
+    for (const uint8_t version : {1, 2}) {
+        std::vector<uint8_t> img = encodeTraceWire(*t);
+        ASSERT_NO_THROW(decodeTraceWire(img.data(), img.size(), g, ht));
+        // Magic (u32), then the little-endian u32 version.
+        img[4] = version;
+        img[5] = img[6] = img[7] = 0;
+        EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht),
+                     Error)
+            << "version " << int(version);
+    }
+}
+
+TEST(TraceWire, MalformedEntryFlagIsRejected)
+{
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    for (std::vector<uint8_t> img : wireImages(g, ht)) {
+        ASSERT_LE(img[kEntryFlagAt], 1u);
+        img[kEntryFlagAt] = 2;
+        try {
+            decodeTraceWire(img.data(), img.size(), g, ht);
+            ADD_FAILURE() << "entry flag 2 survived";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("entry flag"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(TraceWire, EntryMaskOutsideTheGeometryIsRejected)
+{
+    // An image whose entry crossbar or row mask the geometry cannot
+    // hold — re-signed, so only the range check can catch it.
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    const std::vector<Word> ops = entryStream(g);
+    const EntryMasks good = wireEntry(g);
+    const std::vector<uint8_t> img = encodeTraceWire(
+        *buildWireTrace(ops.data(), ops.size(), true, g, ht, &good));
+    EntryMasks wideXb = good;
+    wideXb.xb.stop = g.numCrossbars + 1;
+    EntryMasks wideRow = good;
+    wideRow.row.stop = g.rows;
+    EntryMasks zeroStep = good;
+    zeroStep.xb.step = 0;
+    for (const EntryMasks &bad : {wideXb, wideRow, zeroStep}) {
+        ByteWriter w;
+        w.u64(traceSignature(ops.data(), ops.size(), true, &bad));
+        writeRange(w, bad.xb);
+        writeRange(w, bad.row);
+        const std::vector<uint8_t> patch = w.take();
+        std::vector<uint8_t> forged = img;
+        std::copy(patch.begin(), patch.begin() + 8, forged.begin() + 8);
+        std::copy(patch.begin() + 8, patch.end(),
+                  forged.begin() + kEntryFlagAt + 1);
+        try {
+            decodeTraceWire(forged.data(), forged.size(), g, ht);
+            ADD_FAILURE() << "out-of-geometry entry mask survived";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("entry mask outside"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TraceWire, WorkerCompiledTraceReplaysLikePrepareTrace)
@@ -380,45 +514,63 @@ TEST(TraceWire, WorkerCompiledTraceReplaysLikePrepareTrace)
                                       rng.word() % g.rows, b)
                           .encode());
     }
-    const std::vector<uint8_t> img = encodeTraceWire(
-        *buildWireTrace(ops.data(), ops.size(), true, g, ht));
-    const std::shared_ptr<const BatchTrace> worker =
-        decodeTraceWire(img.data(), img.size(), g, ht);
-    Simulator inproc(g, EngineConfig::serial());
-    const std::shared_ptr<const BatchTrace> local =
-        inproc.prepareTrace(ops.data(), ops.size(), true);
-    ASSERT_TRUE(worker);
-    ASSERT_TRUE(local);
-    ASSERT_EQ(worker->programs.size(), worker->segments.size());
-    ASSERT_EQ(worker->programs.size(), local->programs.size());
-    for (size_t p = 0; p < local->programs.size(); ++p) {
-        const ReplayProgram &w = worker->programs[p];
-        const ReplayProgram &l = local->programs[p];
-        EXPECT_EQ(w.instrs.size(), l.instrs.size());
-        EXPECT_EQ(w.sections.size(), l.sections.size());
-        EXPECT_EQ(w.pairs.size(), l.pairs.size());
-        EXPECT_EQ(w.vgates.size(), l.vgates.size());
-        EXPECT_EQ(w.maskWords, l.maskWords);
-    }
+    // The same stream self-contained, and from an entry state without
+    // its leading masks.
+    const EntryMasks entry{Range(1, 13, 4), Range(0, g.rows - 1, 3)};
+    const std::vector<Word> eops(ops.begin() + 2, ops.end());
+    const std::vector<Word> enter = {
+        MicroOp::crossbarMask(entry.xb).encode(),
+        MicroOp::rowMask(entry.row).encode(),
+    };
+    for (const EntryMasks *e :
+         {static_cast<const EntryMasks *>(nullptr), &entry}) {
+        SCOPED_TRACE(e ? "entry" : "self-contained");
+        const std::vector<Word> &src = e ? eops : ops;
+        const std::vector<uint8_t> img = encodeTraceWire(
+            *buildWireTrace(src.data(), src.size(), true, g, ht, e));
+        const std::shared_ptr<const BatchTrace> worker =
+            decodeTraceWire(img.data(), img.size(), g, ht);
+        Simulator inproc(g, EngineConfig::serial());
+        const std::shared_ptr<const BatchTrace> local =
+            inproc.prepareTrace(src.data(), src.size(), true, e);
+        ASSERT_TRUE(worker);
+        ASSERT_TRUE(local);
+        EXPECT_EQ(worker->hasEntry, e != nullptr);
+        ASSERT_EQ(worker->programs.size(), worker->segments.size());
+        ASSERT_EQ(worker->programs.size(), local->programs.size());
+        for (size_t p = 0; p < local->programs.size(); ++p) {
+            const ReplayProgram &w = worker->programs[p];
+            const ReplayProgram &l = local->programs[p];
+            EXPECT_EQ(w.instrs.size(), l.instrs.size());
+            EXPECT_EQ(w.sections.size(), l.sections.size());
+            EXPECT_EQ(w.pairs.size(), l.pairs.size());
+            EXPECT_EQ(w.vgates.size(), l.vgates.size());
+            EXPECT_EQ(w.maskWords, l.maskWords);
+        }
 
-    Simulator a(g, EngineConfig::serial());
-    Simulator b(g, EngineConfig::serial());
-    Rng seed(7);
-    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-        for (uint32_t row = 0; row < g.rows; ++row)
-            for (uint32_t slot = 0; slot < 16; ++slot) {
-                const uint32_t v = seed.word();
-                a.crossbar(xb).writeRow(slot, v, row);
-                b.crossbar(xb).writeRow(slot, v, row);
+        Simulator a(g, EngineConfig::serial());
+        Simulator b(g, EngineConfig::serial());
+        Rng seed(7);
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            for (uint32_t row = 0; row < g.rows; ++row)
+                for (uint32_t slot = 0; slot < 16; ++slot) {
+                    const uint32_t v = seed.word();
+                    a.crossbar(xb).writeRow(slot, v, row);
+                    b.crossbar(xb).writeRow(slot, v, row);
+                }
+        for (int rep = 0; rep < 2; ++rep) {
+            if (e) {
+                a.performBatch(enter.data(), enter.size());
+                b.performBatch(enter.data(), enter.size());
             }
-    for (int rep = 0; rep < 2; ++rep) {
-        a.submitTrace(worker);
-        b.submitTrace(local);
+            a.submitTrace(worker);
+            b.submitTrace(local);
+        }
+        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+            ASSERT_TRUE(a.crossbar(xb).sameState(b.crossbar(xb)))
+                << "crossbar " << xb;
+        EXPECT_TRUE(a.stats() == b.stats());
     }
-    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-        ASSERT_TRUE(a.crossbar(xb).sameState(b.crossbar(xb)))
-            << "crossbar " << xb;
-    EXPECT_TRUE(a.stats() == b.stats());
 }
 
 TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
@@ -433,23 +585,21 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
 TEST(TraceWire, EveryBitFlipIsRejected)
 {
     // Every field of an image is guarded (magic/version/geometry
-    // checks, the signature over the source ops, and the architectural
-    // epilogue cross-check against the rebuilt trace), so any
-    // single-bit flip must throw.
+    // checks, the entry flag and masks, the signature over the source
+    // ops and entry state, and the architectural epilogue cross-check
+    // against the rebuilt trace), so any single-bit flip must throw.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
-    const std::vector<Word> ops = tracedStream(g);
-    const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
-    ASSERT_TRUE(t);
-    const std::vector<uint8_t> img = encodeTraceWire(*t);
-    for (size_t i = 0; i < img.size(); ++i) {
-        for (int b = 0; b < 8; ++b) {
-            std::vector<uint8_t> bad = img;
-            bad[i] ^= static_cast<uint8_t>(1u << b);
-            EXPECT_THROW(decodeTraceWire(bad.data(), bad.size(), g, ht),
-                         Error)
-                << "flip survived at byte " << i << " bit " << b;
+    for (const std::vector<uint8_t> &img : wireImages(g, ht)) {
+        SCOPED_TRACE(img[kEntryFlagAt] ? "entry image" : "plain image");
+        for (size_t i = 0; i < img.size(); ++i) {
+            for (int b = 0; b < 8; ++b) {
+                std::vector<uint8_t> bad = img;
+                bad[i] ^= static_cast<uint8_t>(1u << b);
+                EXPECT_THROW(
+                    decodeTraceWire(bad.data(), bad.size(), g, ht), Error)
+                    << "flip survived at byte " << i << " bit " << b;
+            }
         }
     }
 }
@@ -458,17 +608,16 @@ TEST(TraceWire, EveryTruncationIsRejected)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
-    const std::vector<Word> ops = tracedStream(g);
-    const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
-    ASSERT_TRUE(t);
-    std::vector<uint8_t> img = encodeTraceWire(*t);
-    for (size_t n = 0; n < img.size(); ++n)
-        EXPECT_THROW(decodeTraceWire(img.data(), n, g, ht), Error)
-            << "truncation to " << n << " bytes survived";
-    img.push_back(0);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht), Error)
-        << "trailing byte survived";
+    for (std::vector<uint8_t> img : wireImages(g, ht)) {
+        SCOPED_TRACE(img[kEntryFlagAt] ? "entry image" : "plain image");
+        for (size_t n = 0; n < img.size(); ++n)
+            EXPECT_THROW(decodeTraceWire(img.data(), n, g, ht), Error)
+                << "truncation to " << n << " bytes survived";
+        img.push_back(0);
+        EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht),
+                     Error)
+            << "trailing byte survived";
+    }
 }
 
 TEST(TraceWire, WrongGeometryIsRejected)
