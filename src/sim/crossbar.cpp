@@ -4,6 +4,7 @@
 #include <atomic>
 #include <iterator>
 #include <string>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -17,6 +18,12 @@
 #else
 #define PYPIM_REPLAY_X86_BUILDS 0
 #endif
+
+// Marks every function the replay executor calls on its hot path,
+// accessor methods included: GCC inlines a function into a caller built
+// for another target (the x86-64-v3/v4 builds) only when it is
+// always_inline, and only inlined word loops vectorise at that width.
+#define PYPIM_KERNEL [[gnu::always_inline]] inline
 
 namespace pypim
 {
@@ -32,7 +39,17 @@ constexpr uint32_t kMaxBlocksPerCol =
 /** All-zero block every absent read resolves to. */
 constexpr uint64_t kZeroBlock[Crossbar::kBlockWords] = {};
 
-bool
+/** Words in block @p b of a column of @p wpc words (the tail block
+ *  may be short). */
+PYPIM_KERNEL uint32_t
+blockLen(uint32_t wpc, uint32_t b)
+{
+    const uint32_t base = b * Crossbar::kBlockWords;
+    return wpc - base < Crossbar::kBlockWords ? wpc - base
+                                              : Crossbar::kBlockWords;
+}
+
+PYPIM_KERNEL bool
 allZero(const uint64_t *w, uint32_t n)
 {
     for (uint32_t i = 0; i < n; ++i)
@@ -207,28 +224,6 @@ Crossbar::releaseBlocks()
     present_ = 0;
 }
 
-void
-Crossbar::promote()
-{
-    state_.assign(static_cast<size_t>(geo_->cols) * wordsPerCol_, 0);
-    if (!table_.empty()) {
-        for (uint32_t col = 0; col < geo_->cols; ++col) {
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                const uint32_t id = table_[tableIndex(col, b)];
-                if (id == kAbsent)
-                    continue;
-                const uint64_t *w = pool_->words(id);
-                std::copy(w, w + blockWords(b),
-                          colWords(col) + b * kBlockWords);
-            }
-        }
-    }
-    // Snapshots that share these blocks hold their own pool pointer,
-    // so dropping ours frees the pool only when nothing else uses it.
-    releaseBlocks();
-    slab_ = true;
-}
-
 const uint64_t *
 Crossbar::blockRO(uint32_t col, uint32_t b) const
 {
@@ -270,220 +265,584 @@ Crossbar::blockIfPresent(uint32_t col, uint32_t b)
     return pool_->words(id);
 }
 
-// --- horizontal logic ---------------------------------------------------
+// --- block accessors ----------------------------------------------------
+
+/**
+ * The seam between the kernels and the storage: every mutating
+ * primitive below is one template body over one of these two
+ * accessors. Sweep access walks a column as blocks() blocks of
+ * words(b) words, block b starting at word b * kBlockWords (the slab
+ * is one block of wordsPerCol_ words, so b is always 0 there). Point
+ * access addresses one word by its index in the column.
+ *
+ *  - ro() never returns null: an absent block reads as kZeroBlock.
+ *  - rw() materialises an absent block and clones a shared one.
+ *  - ifPresent() clones a shared block and returns null for an absent
+ *    one: an op that can only clear bits leaves it absent.
+ *
+ * rw() and ifPresent() may grow the pool and so move every block:
+ * within one (section, block) step, fetch inputs with ro() only AFTER
+ * the output's rw()/ifPresent(). present() reads no block and is safe
+ * before. kElides is false for the slab, so its presence checks and
+ * the mask-nonzero block scan fold away, and blocks() == 1 folds the
+ * block loop: the slab instantiation is the dense loop.
+ */
+struct Crossbar::SlabBlocks
+{
+    static constexpr bool kElides = false;
+
+    uint64_t *base;
+    uint32_t wpc;
+
+    explicit SlabBlocks(Crossbar &x)
+        : base(x.state_.data()), wpc(x.wordsPerCol_)
+    {
+    }
+
+    static constexpr uint32_t blocks() { return 1; }
+    static constexpr bool present(uint32_t, uint32_t) { return true; }
+    PYPIM_KERNEL uint32_t words(uint32_t) const { return wpc; }
+    PYPIM_KERNEL uint64_t *
+    col(uint32_t c) const
+    {
+        return base + static_cast<size_t>(c) * wpc;
+    }
+    PYPIM_KERNEL const uint64_t *
+    ro(uint32_t c, uint32_t) const
+    {
+        return col(c);
+    }
+    PYPIM_KERNEL uint64_t *rw(uint32_t c, uint32_t) const { return col(c); }
+    PYPIM_KERNEL uint64_t *
+    ifPresent(uint32_t c, uint32_t) const
+    {
+        return col(c);
+    }
+
+    PYPIM_KERNEL uint64_t
+    wordRO(uint32_t c, uint32_t w) const
+    {
+        return col(c)[w];
+    }
+    PYPIM_KERNEL uint64_t *
+    wordRW(uint32_t c, uint32_t w) const
+    {
+        return col(c) + w;
+    }
+    PYPIM_KERNEL uint64_t *
+    wordIfPresent(uint32_t c, uint32_t w) const
+    {
+        return col(c) + w;
+    }
+};
+
+struct Crossbar::TableBlocks
+{
+    static constexpr bool kElides = true;
+
+    Crossbar &x;
+
+    explicit TableBlocks(Crossbar &xb) : x(xb) {}
+
+    PYPIM_KERNEL uint32_t blocks() const { return x.blocksPerCol_; }
+    PYPIM_KERNEL uint32_t
+    words(uint32_t b) const
+    {
+        return blockLen(x.wordsPerCol_, b);
+    }
+    PYPIM_KERNEL bool
+    present(uint32_t c, uint32_t b) const
+    {
+        return x.blockRO(c, b) != nullptr;
+    }
+    PYPIM_KERNEL const uint64_t *
+    ro(uint32_t c, uint32_t b) const
+    {
+        const uint64_t *w = x.blockRO(c, b);
+        return w ? w : kZeroBlock;
+    }
+    PYPIM_KERNEL uint64_t *
+    rw(uint32_t c, uint32_t b) const
+    {
+        return x.blockRW(c, b);
+    }
+    PYPIM_KERNEL uint64_t *
+    ifPresent(uint32_t c, uint32_t b) const
+    {
+        return x.blockIfPresent(c, b);
+    }
+
+    PYPIM_KERNEL uint64_t
+    wordRO(uint32_t c, uint32_t w) const
+    {
+        return ro(c, w / kBlockWords)[w % kBlockWords];
+    }
+    PYPIM_KERNEL uint64_t *
+    wordRW(uint32_t c, uint32_t w) const
+    {
+        return rw(c, w / kBlockWords) + w % kBlockWords;
+    }
+    PYPIM_KERNEL uint64_t *
+    wordIfPresent(uint32_t c, uint32_t w) const
+    {
+        uint64_t *blk = ifPresent(c, w / kBlockWords);
+        return blk ? blk + w % kBlockWords : nullptr;
+    }
+};
+
+template <class F>
+void
+Crossbar::withBlocks(F &&f)
+{
+    if (slab_)
+        f(SlabBlocks(*this));
+    else
+        f(TableBlocks(*this));
+}
+
+/**
+ * Read-only view of one state image: the live slab or block table of
+ * a crossbar, or the slab or table of a Snapshot. The const reads and
+ * the whole-state walks are written once over it.
+ */
+struct Crossbar::BlockImage
+{
+    uint32_t cols;
+    uint32_t wpc;
+    uint32_t bpc;
+    const uint64_t *slab;   //!< the dense image, or null
+    const uint32_t *table;  //!< block ids; null with no slab: all zero
+    const BlockPool *pool;
+
+    /** Words of grid block @p b of column @p col, or null if absent
+     *  (a slab image is never absent). */
+    const uint64_t *
+    block(uint32_t col, uint32_t b) const
+    {
+        if (slab)
+            return slab + static_cast<size_t>(col) * wpc +
+                   static_cast<size_t>(b) * kBlockWords;
+        if (!table)
+            return nullptr;
+        const uint32_t id = table[static_cast<size_t>(col) * bpc + b];
+        return id == kAbsent ? nullptr : pool->words(id);
+    }
+
+    /** Word @p w of column @p col (zero in an absent block). */
+    uint64_t
+    word(uint32_t col, uint32_t w) const
+    {
+        const uint64_t *blk = block(col, w / kBlockWords);
+        return blk ? blk[w % kBlockWords] : 0;
+    }
+
+    /** The strided N-bit value of @p row in slot @p slot. */
+    uint32_t
+    read(const Geometry &geo, uint32_t slot, uint32_t row) const
+    {
+        const uint32_t pw = geo.partitionWidth();
+        uint32_t value = 0;
+        for (uint32_t p = 0; p < geo.wordBits; ++p)
+            value |= static_cast<uint32_t>(
+                         (word(p * pw + slot, row / 64) >> (row % 64)) & 1)
+                     << p;
+        return value;
+    }
+
+    bool
+    bit(uint32_t row, uint32_t col) const
+    {
+        return (word(col, row / 64) >> (row % 64)) & 1;
+    }
+
+    /** The canonical walk (Crossbar::forEachNonZeroBlock). */
+    template <class F>
+    void
+    forEachNonZero(F &&fn) const
+    {
+        for (uint32_t col = 0; col < cols; ++col) {
+            for (uint32_t b = 0; b < bpc; ++b) {
+                const uint64_t *w = block(col, b);
+                const uint32_t n = blockLen(wpc, b);
+                if (w && !allZero(w, n))
+                    fn(col, b, w, n);
+            }
+        }
+    }
+
+    /** Bit-exact equality: an absent block equals an all-zero one. */
+    bool
+    sameAs(const BlockImage &o) const
+    {
+        for (uint32_t col = 0; col < cols; ++col) {
+            for (uint32_t b = 0; b < bpc; ++b) {
+                const uint64_t *x = block(col, b);
+                const uint64_t *y = o.block(col, b);
+                if (x == y)
+                    continue;  // shared block (or both absent)
+                const uint32_t n = blockLen(wpc, b);
+                const bool same = !x   ? allZero(y, n)
+                                  : !y ? allZero(x, n)
+                                       : std::equal(x, x + n, y);
+                if (!same)
+                    return false;
+            }
+        }
+        return true;
+    }
+};
+
+Crossbar::BlockImage
+Crossbar::image() const
+{
+    return {geo_->cols,
+            wordsPerCol_,
+            blocksPerCol_,
+            slab_ ? state_.data() : nullptr,
+            table_.empty() ? nullptr : table_.data(),
+            pool_.get()};
+}
+
+Crossbar::BlockImage
+Crossbar::Snapshot::image() const
+{
+    return {geo_ ? geo_->cols : 0,
+            wordsPerCol_,
+            blocksPerCol_,
+            dense_.empty() ? nullptr : dense_.data(),
+            table_.empty() ? nullptr : table_.data(),
+            pool_.get()};
+}
+
+void
+Crossbar::promote()
+{
+    Slab slab(static_cast<size_t>(geo_->cols) * wordsPerCol_, 0);
+    image().forEachNonZero(
+        [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
+            std::copy(w, w + n,
+                      slab.data() + static_cast<size_t>(col) * wordsPerCol_ +
+                          b * kBlockWords);
+        });
+    // Snapshots that share these blocks hold their own pool pointer,
+    // so dropping ours frees the pool only when nothing else uses it.
+    releaseBlocks();
+    state_.swap(slab);
+    slab_ = true;
+}
+
+// --- kernels ------------------------------------------------------------
+
+namespace
+{
+
+using SecKind = ReplayProgram::SecKind;
+using PSection = ReplayProgram::PSection;
+
+/** True when accessor form B elides blocks and @p p is absent. */
+template <class B>
+PYPIM_KERNEL bool
+absent(const uint64_t *p)
+{
+    return B::kElides && !p;
+}
+
+/**
+ * One block of one section: the word kernel of every LogicH gate, of
+ * every strided-write bit plane (an Init1 or Init0 of its column) and
+ * of the compiled passes. @p m is the block's realized mask words
+ * (kMasked only), @p n its word count.
+ */
+template <SecKind K, bool kMasked, class B>
+PYPIM_KERNEL void
+blockStep(const B &st, uint32_t out, uint32_t inA, uint32_t inB,
+          uint32_t b, uint32_t n, const uint64_t *m)
+{
+    if constexpr (K == SecKind::Init0) {
+        // Can only clear bits: an absent output stays absent.
+        uint64_t *o = st.ifPresent(out, b);
+        if (absent<B>(o))
+            return;
+        for (uint32_t w = 0; w < n; ++w)
+            o[w] = kMasked ? o[w] & ~m[w] : 0;
+    } else if constexpr (K == SecKind::Init1) {
+        uint64_t *o = st.rw(out, b);
+        for (uint32_t w = 0; w < n; ++w)
+            o[w] = kMasked ? o[w] | m[w] : ~0ull;
+    } else if constexpr (K == SecKind::NotNor) {
+        // Absent inputs read as zero, so with both absent out &= ~0
+        // leaves the output untouched: skip before cloning anything.
+        // An absent output stays absent (stateful logic only clears).
+        if (!st.present(inA, b) && !st.present(inB, b))
+            return;
+        uint64_t *o = st.ifPresent(out, b);
+        if (absent<B>(o))
+            return;
+        // Inputs AFTER the output's clone step, which may move blocks.
+        const uint64_t *a = st.ro(inA, b);
+        const uint64_t *c = st.ro(inB, b);
+        for (uint32_t w = 0; w < n; ++w)
+            o[w] &= kMasked ? ~((a[w] | c[w]) & m[w]) : ~(a[w] | c[w]);
+    } else {
+        // Fused INIT1 + NOT/NOR can set bits: the output densifies.
+        uint64_t *o = st.rw(out, b);
+        const uint64_t *a = st.ro(inA, b);
+        const uint64_t *c = st.ro(inB, b);
+        for (uint32_t w = 0; w < n; ++w)
+            o[w] = kMasked ? (o[w] & ~m[w]) | (~(a[w] | c[w]) & m[w])
+                           : ~(a[w] | c[w]);
+    }
+}
+
+/**
+ * The mask-nonzero block scan: where the realized mask is all-zero a
+ * block is untouched by every op, so its presence never has to
+ * change. Run once per mask, never per section; the slab has none.
+ */
+template <class B>
+PYPIM_KERNEL void
+scanMask(const B &st, const uint64_t *m, uint8_t *nz)
+{
+    if constexpr (B::kElides)
+        for (uint32_t b = 0; b < st.blocks(); ++b)
+            nz[b] = !allZero(m + b * Crossbar::kBlockWords, st.words(b));
+}
+
+/** One section over the whole column: every block the mask reaches
+ *  (@p nz from scanMask, used only when masked). */
+template <SecKind K, bool kMasked, class B>
+PYPIM_KERNEL void
+sectionStep(const B &st, uint32_t out, uint32_t inA, uint32_t inB,
+            const uint64_t *m, const uint8_t *nz)
+{
+    for (uint32_t b = 0; b < st.blocks(); ++b) {
+        if (kMasked && B::kElides && !nz[b])
+            continue;  // no selected row in this block
+        blockStep<K, kMasked>(st, out, inA, inB, b, st.words(b),
+                              kMasked ? m + b * Crossbar::kBlockWords
+                                      : nullptr);
+    }
+}
+
+/** One compiled section, its kind decided per section. */
+template <bool kMasked, class B>
+PYPIM_KERNEL void
+sectionAny(const B &st, const PSection &sec, const uint64_t *m,
+           const uint8_t *nz)
+{
+    switch (sec.kind) {
+      case SecKind::Init0:
+        sectionStep<SecKind::Init0, kMasked>(st, sec.outCol, sec.inA,
+                                             sec.inB, m, nz);
+        break;
+      case SecKind::Init1:
+        sectionStep<SecKind::Init1, kMasked>(st, sec.outCol, sec.inA,
+                                             sec.inB, m, nz);
+        break;
+      case SecKind::NotNor:
+        sectionStep<SecKind::NotNor, kMasked>(st, sec.outCol, sec.inA,
+                                              sec.inB, m, nz);
+        break;
+      case SecKind::FusedNotNor:
+        sectionStep<SecKind::FusedNotNor, kMasked>(st, sec.outCol,
+                                                   sec.inA, sec.inB, m,
+                                                   nz);
+        break;
+    }
+}
+
+/**
+ * A kind-homogeneous blend-free pass (the common case: one op's
+ * sections share their gate, and merges chain gates of one kind): the
+ * kind switch is hoisted out of the section loop. Single-block columns
+ * (every slab; tables up to 512 rows) lose the block loop, and
+ * single-word columns (<= 64 rows) the word loop.
+ */
+template <SecKind K, class B>
+PYPIM_KERNEL void
+passStep(const B &st, const PSection *secs, uint32_t count)
+{
+    if (st.blocks() == 1) {
+        const uint32_t n = st.words(0);
+        if (n == 1) {
+            for (uint32_t s = 0; s < count; ++s)
+                blockStep<K, false>(st, secs[s].outCol, secs[s].inA,
+                                    secs[s].inB, 0, 1, nullptr);
+            return;
+        }
+        for (uint32_t s = 0; s < count; ++s)
+            blockStep<K, false>(st, secs[s].outCol, secs[s].inA,
+                                secs[s].inB, 0, n, nullptr);
+        return;
+    }
+    for (uint32_t s = 0; s < count; ++s)
+        sectionStep<K, false>(st, secs[s].outCol, secs[s].inA,
+                              secs[s].inB, nullptr, nullptr);
+}
+
+/**
+ * A stripe of distinct-slot strided writes under one mask,
+ * partition-major: every stripe column of partition p is written while
+ * the mask words are hot. The slots are pairwise distinct (fuser
+ * invariant), so the column sets are disjoint and this order is
+ * bit-identical to sequential application.
+ */
+template <bool kMasked, class B>
+PYPIM_KERNEL void
+stripeStep(const B &st, const Geometry &geo,
+           std::span<const StripeWrite> ws, const uint64_t *m,
+           const uint8_t *nz)
+{
+    const uint32_t pw = geo.partitionWidth();
+    for (uint32_t p = 0; p < geo.wordBits; ++p) {
+        for (const StripeWrite &sw : ws) {
+            const uint32_t col = p * pw + sw.slot;
+            if ((sw.value >> p) & 1)
+                sectionStep<SecKind::Init1, kMasked>(st, col, col, col, m,
+                                                     nz);
+            else
+                sectionStep<SecKind::Init0, kMasked>(st, col, col, col, m,
+                                                     nz);
+        }
+    }
+}
+
+/** One vertical gate on column @p col (point access). */
+template <class B>
+PYPIM_KERNEL void
+vGate(const B &st, uint32_t col, Gate g, uint32_t inWord,
+      uint32_t inShift, uint32_t outWord, uint64_t outBit)
+{
+    switch (g) {
+      case Gate::Init0: {
+        uint64_t *o = st.wordIfPresent(col, outWord);
+        if (!absent<B>(o))
+            *o &= ~outBit;
+        break;
+      }
+      case Gate::Init1:
+        *st.wordRW(col, outWord) |= outBit;
+        break;
+      case Gate::Not: {
+        // NOT(0) = 1 cannot switch a stateful output. The input bit is
+        // read before any clone can move blocks.
+        if (!((st.wordRO(col, inWord) >> inShift) & 1))
+            break;
+        uint64_t *o = st.wordIfPresent(col, outWord);
+        if (!absent<B>(o))
+            *o &= ~outBit;
+        break;
+      }
+      case Gate::Nor:
+        break;  // unreachable: rejected by every caller
+    }
+}
+
+/** word = (word & ~mask) | bits, where @p bits lies within @p mask.
+ *  With no bit to set, an absent block stays absent. */
+template <class B>
+PYPIM_KERNEL void
+storeBits(const B &st, uint32_t col, uint32_t w, uint64_t mask,
+          uint64_t bits)
+{
+    uint64_t *o = bits ? st.wordRW(col, w) : st.wordIfPresent(col, w);
+    if (!absent<B>(o))
+        *o = (*o & ~mask) | bits;
+}
+
+} // namespace
+
+// --- op-major entries ---------------------------------------------------
 
 void
 Crossbar::logicH(const HalfGates &hg, std::span<const uint64_t> rowMask)
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "logicH: row mask width mismatch");
-    if (pagedOpEntry()) {
-        logicHPaged(hg, rowMask);
-        return;
-    }
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
-        switch (hg.gate) {
-          case Gate::Init0:
-            for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                out[w] &= ~rowMask[w];
-            break;
-          case Gate::Init1:
-            for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                out[w] |= rowMask[w];
-            break;
-          case Gate::Not:
-          case Gate::Nor: {
-            const uint64_t *inA =
-                colWords(static_cast<uint32_t>(sec.inCol[0]));
-            const uint64_t *inB = sec.numIn == 2
-                ? colWords(static_cast<uint32_t>(sec.inCol[1]))
-                : inA;
-            for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                out[w] &= ~((inA[w] | inB[w]) & rowMask[w]);
-            break;
-          }
+    maybePromote();
+    withBlocks([&](const auto &st) {
+        const uint64_t *m = rowMask.data();
+        uint8_t nz[kMaxBlocksPerCol];
+        scanMask(st, m, nz);
+        for (uint32_t s = 0; s < hg.numSections; ++s) {
+            const Section &sec = hg.sections[s];
+            if (!sec.active())
+                continue;
+            const auto out = static_cast<uint32_t>(sec.outCol);
+            switch (hg.gate) {
+              case Gate::Init0:
+                sectionStep<SecKind::Init0, true>(st, out, out, out, m,
+                                                  nz);
+                break;
+              case Gate::Init1:
+                sectionStep<SecKind::Init1, true>(st, out, out, out, m,
+                                                  nz);
+                break;
+              case Gate::Not:
+              case Gate::Nor: {
+                const auto a = static_cast<uint32_t>(sec.inCol[0]);
+                const uint32_t b = sec.numIn == 2
+                    ? static_cast<uint32_t>(sec.inCol[1])
+                    : a;
+                sectionStep<SecKind::NotNor, true>(st, out, a, b, m, nz);
+                break;
+              }
+            }
         }
-    }
+    });
 }
-
-void
-Crossbar::logicHPaged(const HalfGates &hg,
-                      std::span<const uint64_t> rowMask)
-{
-    // A block where the realized row mask is all-zero is untouched by
-    // every gate kind, so presence never has to change there; hoist
-    // that test out of the section loop (the mask is shared).
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
-        switch (hg.gate) {
-          case Gate::Init0:
-            // Can only clear bits: an absent output stays absent.
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (!out)
-                    continue;
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] &= ~m[w];
-            }
-            break;
-          case Gate::Init1:
-            // Sets bits wherever the mask selects: densify exactly
-            // the blocks the mask reaches into.
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                uint64_t *out = blockRW(outCol, b);
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] |= m[w];
-            }
-            break;
-          case Gate::Not:
-          case Gate::Nor: {
-            const uint32_t inA = static_cast<uint32_t>(sec.inCol[0]);
-            const uint32_t inB = sec.numIn == 2
-                ? static_cast<uint32_t>(sec.inCol[1])
-                : inA;
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                // Absent inputs read as zero, so with both absent
-                // out &= ~0 leaves the output block untouched — skip
-                // before cloning anything. Absent output: stateful
-                // logic only clears bits, stays absent.
-                const bool aIn = blockRO(inA, b) != nullptr;
-                const bool bIn = blockRO(inB, b) != nullptr;
-                if (!aIn && !bIn)
-                    continue;
-                uint64_t *out = blockIfPresent(outCol, b);
-                if (!out)
-                    continue;
-                // Fetch inputs AFTER the output's clone step: cloning
-                // may grow the pool and move every block.
-                const uint64_t *a =
-                    aIn ? blockRO(inA, b) : kZeroBlock;
-                const uint64_t *bb =
-                    bIn ? blockRO(inB, b) : kZeroBlock;
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                for (uint32_t w = 0; w < used; ++w)
-                    out[w] &= ~((a[w] | bb[w]) & m[w]);
-            }
-            break;
-          }
-        }
-    }
-}
-
-// --- vertical logic -----------------------------------------------------
 
 void
 Crossbar::logicV(Gate g, uint32_t rowIn, uint32_t rowOut, uint32_t slot)
 {
-    if (pagedOpEntry()) {
-        logicVPaged(g, rowIn, rowOut, slot);
-        return;
-    }
-    // All loop-invariants hoisted: word indices, bit masks and the
-    // gate dispatch are identical for every partition.
+    panicIf(g == Gate::Nor, "logicV: NOR is not supported vertically");
+    maybePromote();
     const uint32_t pw = geo_->partitionWidth();
-    const uint32_t numPart = geo_->partitions;
-    const uint32_t outWord = rowOut / 64;
-    const uint64_t outBit = 1ull << (rowOut % 64);
-    switch (g) {
-      case Gate::Init0:
-        for (uint32_t p = 0; p < numPart; ++p)
-            colWords(p * pw + slot)[outWord] &= ~outBit;
-        break;
-      case Gate::Init1:
-        for (uint32_t p = 0; p < numPart; ++p)
-            colWords(p * pw + slot)[outWord] |= outBit;
-        break;
-      case Gate::Not: {
-        const uint32_t inWord = rowIn / 64;
-        const uint32_t inShift = rowIn % 64;
-        for (uint32_t p = 0; p < numPart; ++p) {
-            uint64_t *words = colWords(p * pw + slot);
-            if ((words[inWord] >> inShift) & 1)
-                words[outWord] &= ~outBit;
-        }
-        break;
-      }
-      case Gate::Nor:
-        panic("logicV: NOR is not supported vertically");
-    }
+    withBlocks([&](const auto &st) {
+        for (uint32_t p = 0; p < geo_->partitions; ++p)
+            vGate(st, p * pw + slot, g, rowIn / 64, rowIn % 64,
+                  rowOut / 64, 1ull << (rowOut % 64));
+    });
 }
 
 void
-Crossbar::logicVPaged(Gate g, uint32_t rowIn, uint32_t rowOut,
-                      uint32_t slot)
+Crossbar::write(uint32_t slot, uint32_t value,
+                std::span<const uint64_t> rowMask)
 {
-    const uint32_t pw = geo_->partitionWidth();
-    const uint32_t numPart = geo_->partitions;
-    const uint32_t outWord = rowOut / 64;
-    const uint32_t bOut = outWord / kBlockWords;
-    const uint32_t relOut = outWord % kBlockWords;
-    const uint64_t outBit = 1ull << (rowOut % 64);
-    switch (g) {
-      case Gate::Init0:
-        for (uint32_t p = 0; p < numPart; ++p) {
-            uint64_t *blk = blockIfPresent(p * pw + slot, bOut);
-            if (blk)
-                blk[relOut] &= ~outBit;
-        }
-        break;
-      case Gate::Init1:
-        for (uint32_t p = 0; p < numPart; ++p)
-            blockRW(p * pw + slot, bOut)[relOut] |= outBit;
-        break;
-      case Gate::Not: {
-        const uint32_t inWord = rowIn / 64;
-        const uint32_t bIn = inWord / kBlockWords;
-        const uint32_t relIn = inWord % kBlockWords;
-        const uint32_t inShift = rowIn % 64;
-        for (uint32_t p = 0; p < numPart; ++p) {
-            const uint32_t col = p * pw + slot;
-            const uint64_t *in = blockRO(col, bIn);
-            // Extract the input bit BEFORE any clone can move blocks.
-            const bool v = in && ((in[relIn] >> inShift) & 1);
-            if (!v)
-                continue;  // NOT(0)=1 cannot switch a stateful output
-            uint64_t *out = blockIfPresent(col, bOut);
-            if (out)
-                out[relOut] &= ~outBit;
-        }
-        break;
-      }
-      case Gate::Nor:
-        panic("logicV: NOR is not supported vertically");
-    }
+    const StripeWrite sw{slot, value};
+    writeStripe({&sw, 1}, rowMask);
+}
+
+void
+Crossbar::writeStripe(std::span<const StripeWrite> ws,
+                      std::span<const uint64_t> rowMask)
+{
+    panicIf(rowMask.size() != wordsPerCol_,
+            "write: row mask width mismatch");
+    maybePromote();
+    withBlocks([&](const auto &st) {
+        uint8_t nz[kMaxBlocksPerCol];
+        scanMask(st, rowMask.data(), nz);
+        stripeStep<true>(st, *geo_, ws, rowMask.data(), nz);
+    });
+}
+
+void
+Crossbar::writeStripeFull(std::span<const StripeWrite> ws)
+{
+    maybePromote();
+    withBlocks([&](const auto &st) {
+        stripeStep<false>(st, *geo_, ws, nullptr, nullptr);
+    });
 }
 
 // --- compiled-program replay --------------------------------------------
 
 template <bool kPaged, bool kFull>
-[[gnu::always_inline]] inline void
+PYPIM_KERNEL void
 Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                          Stats *work)
 {
-    using SecKind = ReplayProgram::SecKind;
     const bool uni = prog.uniformXb;
     if (uni && !prog.xb.contains(self))
         return;
@@ -497,7 +856,9 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
         if (prog.workLogicV)
             work->recordN(OpClass::LogicV, prog.workLogicV);
     }
-    const uint32_t wpc = wordsPerCol_;
+    // The representation was fixed at program entry: the kernels run
+    // directly, never through the public entries, which may promote.
+    const std::conditional_t<kPaged, TableBlocks, SlabBlocks> st(*this);
     const uint32_t pw = geo_->partitionWidth();
     uint8_t maskNZ[kMaxBlocksPerCol];
     for (const ReplayProgram::Instr &in : prog.instrs) {
@@ -507,393 +868,45 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
             if (work)
                 work->recordN(in.cls, in.work);
         }
+        const bool full = kFull || in.maskFull;
         switch (in.kind) {
           case ReplayProgram::Kind::HPass: {
-            const ReplayProgram::PSection *secs =
-                prog.sections.data() + in.off;
+            const PSection *secs = prog.sections.data() + in.off;
             const uint64_t *m = prog.maskWords.data() + in.maskOff;
-            if ((kFull || in.maskFull) &&
-                in.passKind != ReplayProgram::kMixedPass) {
-                // Kind-homogeneous blend-free pass (the common case:
-                // one op's sections share their gate, and merges
-                // chain gates of one kind): the section-kind switch
-                // hoists out of the column loop, leaving tight
-                // per-kind loops — with a single-word body for
-                // shallow (<= 64-row) dense columns.
-                const auto pk = static_cast<SecKind>(in.passKind);
-                if (!kPaged) {
-                    uint64_t *base = colWords(0);
-                    switch (pk) {
-                      case SecKind::Init0:
-                        for (uint32_t s = 0; s < in.count; ++s) {
-                            uint64_t *out =
-                                base +
-                                static_cast<size_t>(secs[s].outCol) *
-                                    wpc;
-                            std::fill(out, out + wpc, 0);
-                        }
-                        break;
-                      case SecKind::Init1:
-                        for (uint32_t s = 0; s < in.count; ++s) {
-                            uint64_t *out =
-                                base +
-                                static_cast<size_t>(secs[s].outCol) *
-                                    wpc;
-                            std::fill(out, out + wpc, ~0ull);
-                        }
-                        break;
-                      case SecKind::NotNor:
-                        if (wpc == 1) {
-                            for (uint32_t s = 0; s < in.count; ++s)
-                                base[secs[s].outCol] &=
-                                    ~(base[secs[s].inA] |
-                                      base[secs[s].inB]);
-                            break;
-                        }
-                        for (uint32_t s = 0; s < in.count; ++s) {
-                            const ReplayProgram::PSection &sec =
-                                secs[s];
-                            uint64_t *out =
-                                base +
-                                static_cast<size_t>(sec.outCol) * wpc;
-                            const uint64_t *a =
-                                base +
-                                static_cast<size_t>(sec.inA) * wpc;
-                            const uint64_t *b =
-                                base +
-                                static_cast<size_t>(sec.inB) * wpc;
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] &= ~(a[w] | b[w]);
-                        }
-                        break;
-                      case SecKind::FusedNotNor:
-                        if (wpc == 1) {
-                            for (uint32_t s = 0; s < in.count; ++s)
-                                base[secs[s].outCol] =
-                                    ~(base[secs[s].inA] |
-                                      base[secs[s].inB]);
-                            break;
-                        }
-                        for (uint32_t s = 0; s < in.count; ++s) {
-                            const ReplayProgram::PSection &sec =
-                                secs[s];
-                            uint64_t *out =
-                                base +
-                                static_cast<size_t>(sec.outCol) * wpc;
-                            const uint64_t *a =
-                                base +
-                                static_cast<size_t>(sec.inA) * wpc;
-                            const uint64_t *b =
-                                base +
-                                static_cast<size_t>(sec.inB) * wpc;
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] = ~(a[w] | b[w]);
-                        }
-                        break;
-                    }
-                    break;
-                }
-                switch (pk) {
-                  case SecKind::Init0:
-                    for (uint32_t s = 0; s < in.count; ++s)
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out =
-                                blockIfPresent(secs[s].outCol, b);
-                            if (out)
-                                std::fill(out, out + blockWords(b),
-                                          0);
-                        }
-                    break;
-                  case SecKind::Init1:
-                    for (uint32_t s = 0; s < in.count; ++s)
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(secs[s].outCol, b);
-                            std::fill(out, out + blockWords(b),
-                                      ~0ull);
-                        }
-                    break;
-                  case SecKind::NotNor:
-                    for (uint32_t s = 0; s < in.count; ++s) {
-                        const ReplayProgram::PSection &sec = secs[s];
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            const bool aIn =
-                                blockRO(sec.inA, b) != nullptr;
-                            const bool bIn =
-                                blockRO(sec.inB, b) != nullptr;
-                            if (!aIn && !bIn)
-                                continue;
-                            uint64_t *out =
-                                blockIfPresent(sec.outCol, b);
-                            if (!out)
-                                continue;
-                            // Inputs AFTER the output clone step.
-                            const uint64_t *a =
-                                aIn ? blockRO(sec.inA, b)
-                                    : kZeroBlock;
-                            const uint64_t *bb =
-                                bIn ? blockRO(sec.inB, b)
-                                    : kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] &= ~(a[w] | bb[w]);
-                        }
-                    }
-                    break;
-                  case SecKind::FusedNotNor:
-                    if (blocksPerCol_ == 1) {
-                        // Shallow columns: one block per column, so
-                        // the block loop and tail-length reload
-                        // vanish from the hot path.
-                        const uint32_t used = blockWords(0);
-                        for (uint32_t s = 0; s < in.count; ++s) {
-                            const ReplayProgram::PSection &sec =
-                                secs[s];
-                            uint64_t *out = blockRW(sec.outCol, 0);
-                            const uint64_t *a = blockRO(sec.inA, 0);
-                            const uint64_t *bb = blockRO(sec.inB, 0);
-                            if (!a)
-                                a = kZeroBlock;
-                            if (!bb)
-                                bb = kZeroBlock;
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
-                        }
-                        break;
-                    }
-                    for (uint32_t s = 0; s < in.count; ++s) {
-                        const ReplayProgram::PSection &sec = secs[s];
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(sec.outCol, b);
-                            const uint64_t *a = blockRO(sec.inA, b);
-                            const uint64_t *bb = blockRO(sec.inB, b);
-                            if (!a)
-                                a = kZeroBlock;
-                            if (!bb)
-                                bb = kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
-                        }
-                    }
-                    break;
-                }
+            if (!full) {
+                scanMask(st, m, maskNZ);
+                for (uint32_t s = 0; s < in.count; ++s)
+                    sectionAny<true>(st, secs[s], m, maskNZ);
                 break;
             }
-            if (kFull || in.maskFull) {
-                // Blend-free pass: one section loop, no mask loads.
-                for (uint32_t s = 0; s < in.count; ++s) {
-                    const ReplayProgram::PSection &sec = secs[s];
-                    if (!kPaged) {
-                        uint64_t *out = colWords(sec.outCol);
-                        switch (sec.kind) {
-                          case SecKind::Init0:
-                            std::fill(out, out + wpc, 0);
-                            break;
-                          case SecKind::Init1:
-                            std::fill(out, out + wpc, ~0ull);
-                            break;
-                          case SecKind::NotNor: {
-                            const uint64_t *a = colWords(sec.inA);
-                            const uint64_t *b = colWords(sec.inB);
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] &= ~(a[w] | b[w]);
-                            break;
-                          }
-                          case SecKind::FusedNotNor: {
-                            const uint64_t *a = colWords(sec.inA);
-                            const uint64_t *b = colWords(sec.inB);
-                            for (uint32_t w = 0; w < wpc; ++w)
-                                out[w] = ~(a[w] | b[w]);
-                            break;
-                          }
-                        }
-                        continue;
-                    }
-                    switch (sec.kind) {
-                      case SecKind::Init0:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out =
-                                blockIfPresent(sec.outCol, b);
-                            if (out)
-                                std::fill(out, out + blockWords(b),
-                                          0);
-                        }
-                        break;
-                      case SecKind::Init1:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(sec.outCol, b);
-                            std::fill(out, out + blockWords(b),
-                                      ~0ull);
-                        }
-                        break;
-                      case SecKind::NotNor:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            const bool aIn =
-                                blockRO(sec.inA, b) != nullptr;
-                            const bool bIn =
-                                blockRO(sec.inB, b) != nullptr;
-                            if (!aIn && !bIn)
-                                continue;
-                            uint64_t *out =
-                                blockIfPresent(sec.outCol, b);
-                            if (!out)
-                                continue;
-                            // Inputs AFTER the output clone step.
-                            const uint64_t *a =
-                                aIn ? blockRO(sec.inA, b)
-                                    : kZeroBlock;
-                            const uint64_t *bb =
-                                bIn ? blockRO(sec.inB, b)
-                                    : kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] &= ~(a[w] | bb[w]);
-                        }
-                        break;
-                      case SecKind::FusedNotNor:
-                        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                            uint64_t *out = blockRW(sec.outCol, b);
-                            const uint64_t *a = blockRO(sec.inA, b);
-                            const uint64_t *bb = blockRO(sec.inB, b);
-                            if (!a)
-                                a = kZeroBlock;
-                            if (!bb)
-                                bb = kZeroBlock;
-                            const uint32_t used = blockWords(b);
-                            for (uint32_t w = 0; w < used; ++w)
-                                out[w] = ~(a[w] | bb[w]);
-                        }
-                        break;
-                    }
-                }
+            switch (in.passKind) {
+              case static_cast<uint8_t>(SecKind::Init0):
+                passStep<SecKind::Init0>(st, secs, in.count);
                 break;
-            }
-            // Partial mask: the mask-nonzero block scan runs once for
-            // the whole pass.
-            if (kPaged)
-                for (uint32_t b = 0; b < blocksPerCol_; ++b)
-                    maskNZ[b] = !allZero(m + b * kBlockWords,
-                                         blockWords(b));
-            for (uint32_t s = 0; s < in.count; ++s) {
-                const ReplayProgram::PSection &sec = secs[s];
-                if (!kPaged) {
-                    uint64_t *out = colWords(sec.outCol);
-                    switch (sec.kind) {
-                      case SecKind::Init0:
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] &= ~m[w];
-                        break;
-                      case SecKind::Init1:
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] |= m[w];
-                        break;
-                      case SecKind::NotNor: {
-                        const uint64_t *a = colWords(sec.inA);
-                        const uint64_t *b = colWords(sec.inB);
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] &= ~((a[w] | b[w]) & m[w]);
-                        break;
-                      }
-                      case SecKind::FusedNotNor: {
-                        const uint64_t *a = colWords(sec.inA);
-                        const uint64_t *b = colWords(sec.inB);
-                        for (uint32_t w = 0; w < wpc; ++w)
-                            out[w] = (out[w] & ~m[w]) |
-                                     (~(a[w] | b[w]) & m[w]);
-                        break;
-                      }
-                    }
-                    continue;
-                }
-                switch (sec.kind) {
-                  case SecKind::Init0:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        uint64_t *out = blockIfPresent(sec.outCol, b);
-                        if (!out)
-                            continue;
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] &= ~mb[w];
-                    }
-                    break;
-                  case SecKind::Init1:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        uint64_t *out = blockRW(sec.outCol, b);
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] |= mb[w];
-                    }
-                    break;
-                  case SecKind::NotNor:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        const bool aIn =
-                            blockRO(sec.inA, b) != nullptr;
-                        const bool bIn =
-                            blockRO(sec.inB, b) != nullptr;
-                        if (!aIn && !bIn)
-                            continue;
-                        uint64_t *out = blockIfPresent(sec.outCol, b);
-                        if (!out)
-                            continue;
-                        const uint64_t *a =
-                            aIn ? blockRO(sec.inA, b) : kZeroBlock;
-                        const uint64_t *bb =
-                            bIn ? blockRO(sec.inB, b) : kZeroBlock;
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] &= ~((a[w] | bb[w]) & mb[w]);
-                    }
-                    break;
-                  case SecKind::FusedNotNor:
-                    for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                        if (!maskNZ[b])
-                            continue;
-                        uint64_t *out = blockRW(sec.outCol, b);
-                        const uint64_t *a = blockRO(sec.inA, b);
-                        const uint64_t *bb = blockRO(sec.inB, b);
-                        if (!a)
-                            a = kZeroBlock;
-                        if (!bb)
-                            bb = kZeroBlock;
-                        const uint64_t *mb = m + b * kBlockWords;
-                        const uint32_t used = blockWords(b);
-                        for (uint32_t w = 0; w < used; ++w)
-                            out[w] = (out[w] & ~mb[w]) |
-                                     (~(a[w] | bb[w]) & mb[w]);
-                    }
-                    break;
-                }
+              case static_cast<uint8_t>(SecKind::Init1):
+                passStep<SecKind::Init1>(st, secs, in.count);
+                break;
+              case static_cast<uint8_t>(SecKind::NotNor):
+                passStep<SecKind::NotNor>(st, secs, in.count);
+                break;
+              case static_cast<uint8_t>(SecKind::FusedNotNor):
+                passStep<SecKind::FusedNotNor>(st, secs, in.count);
+                break;
+              default:  // kMixedPass
+                for (uint32_t s = 0; s < in.count; ++s)
+                    sectionAny<false>(st, secs[s], nullptr, nullptr);
             }
             break;
           }
           case ReplayProgram::Kind::WStripe: {
-            // The representation was fixed at program entry: call the
-            // paged bodies directly, because the public entries may
-            // promote, and the instructions after this one would then
-            // run paged kernels on a slab.
             const std::span<const StripeWrite> ws{
                 prog.pairs.data() + in.off, in.count};
-            const std::span<const uint64_t> mask{
-                prog.maskWords.data() + in.maskOff, wpc};
-            if (kFull || in.maskFull) {
-                if (kPaged)
-                    writeStripeFullPaged(ws);
-                else
-                    writeStripeFull(ws);
+            const uint64_t *m = prog.maskWords.data() + in.maskOff;
+            if (full) {
+                stripeStep<false>(st, *geo_, ws, nullptr, nullptr);
             } else {
-                if (kPaged)
-                    writeStripePaged(ws, mask);
-                else
-                    writeStripe(ws, mask);
+                scanMask(st, m, maskNZ);
+                stripeStep<true>(st, *geo_, ws, m, maskNZ);
             }
             break;
           }
@@ -905,62 +918,9 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                 prog.vgates.data() + in.off;
             for (uint32_t part = 0; part < geo_->partitions; ++part) {
                 const uint32_t col = part * pw + in.slot;
-                if (kPaged) {
-                    for (uint32_t k = 0; k < in.count; ++k) {
-                        const ReplayProgram::VGate &g = gs[k];
-                        const uint32_t bOut =
-                            g.outWord / kBlockWords;
-                        const uint32_t relOut =
-                            g.outWord % kBlockWords;
-                        switch (g.gate) {
-                          case Gate::Init0: {
-                            uint64_t *blk = blockIfPresent(col, bOut);
-                            if (blk)
-                                blk[relOut] &= ~g.outBit;
-                            break;
-                          }
-                          case Gate::Init1:
-                            blockRW(col, bOut)[relOut] |= g.outBit;
-                            break;
-                          case Gate::Not: {
-                            const uint64_t *inb =
-                                blockRO(col, g.inWord / kBlockWords);
-                            const bool v =
-                                inb &&
-                                ((inb[g.inWord % kBlockWords] >>
-                                  g.inShift) &
-                                 1);
-                            if (!v)
-                                break;
-                            uint64_t *out = blockIfPresent(col, bOut);
-                            if (out)
-                                out[relOut] &= ~g.outBit;
-                            break;
-                          }
-                          case Gate::Nor:
-                            break;  // unreachable: rejected earlier
-                        }
-                    }
-                    continue;
-                }
-                uint64_t *words = colWords(col);
-                for (uint32_t k = 0; k < in.count; ++k) {
-                    const ReplayProgram::VGate &g = gs[k];
-                    switch (g.gate) {
-                      case Gate::Init0:
-                        words[g.outWord] &= ~g.outBit;
-                        break;
-                      case Gate::Init1:
-                        words[g.outWord] |= g.outBit;
-                        break;
-                      case Gate::Not:
-                        if ((words[g.inWord] >> g.inShift) & 1)
-                            words[g.outWord] &= ~g.outBit;
-                        break;
-                      case Gate::Nor:
-                        break;  // unreachable: rejected earlier
-                    }
-                }
+                for (uint32_t k = 0; k < in.count; ++k)
+                    vGate(st, col, gs[k].gate, gs[k].inWord,
+                          gs[k].inShift, gs[k].outWord, gs[k].outBit);
             }
             break;
           }
@@ -974,8 +934,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
  * one target, so its word loops vectorise at that ISA's register width
  * (at -O3, which is how Release and the end-to-end benchmark build).
  * Only these entries carry a target attribute: every inline or
- * template function the executor calls without inlining it (std::fill,
- * the block-table helpers) keeps the default target, so no code shared
+ * template function the executor calls without inlining it (the
+ * block-table helpers) keeps the default target, so no code shared
  * with other translation units is ever built for an ISA the host may
  * lack. The builds are picked through a plain table, never an ifunc,
  * so tests can run each one and sanitizer builds need no resolver.
@@ -1089,205 +1049,13 @@ Crossbar::replayProgram(const ReplayProgram &prog, uint32_t self,
                                                               self, work);
 }
 
-// --- strided read/write -------------------------------------------------
 
-void
-Crossbar::write(uint32_t slot, uint32_t value,
-                std::span<const uint64_t> rowMask)
-{
-    panicIf(rowMask.size() != wordsPerCol_,
-            "write: row mask width mismatch");
-    if (pagedOpEntry()) {
-        writePaged(slot, value, rowMask);
-        return;
-    }
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        uint64_t *words = colWords(p * pw + slot);
-        if ((value >> p) & 1) {
-            for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                words[w] |= rowMask[w];
-        } else {
-            for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                words[w] &= ~rowMask[w];
-        }
-    }
-}
-
-void
-Crossbar::writePaged(uint32_t slot, uint32_t value,
-                     std::span<const uint64_t> rowMask)
-{
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        const uint32_t col = p * pw + slot;
-        const bool set = (value >> p) & 1;
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            if (!maskNZ[b])
-                continue;  // no selected row in this block
-            const uint64_t *m = rowMask.data() + b * kBlockWords;
-            const uint32_t used = blockWords(b);
-            if (set) {
-                uint64_t *blk = blockRW(col, b);
-                for (uint32_t w = 0; w < used; ++w)
-                    blk[w] |= m[w];
-            } else {
-                // Writing a 0 bit only clears: absent stays absent.
-                uint64_t *blk = blockIfPresent(col, b);
-                if (!blk)
-                    continue;
-                for (uint32_t w = 0; w < used; ++w)
-                    blk[w] &= ~m[w];
-            }
-        }
-    }
-}
-
-void
-Crossbar::writeStripe(std::span<const StripeWrite> ws,
-                      std::span<const uint64_t> rowMask)
-{
-    panicIf(rowMask.size() != wordsPerCol_,
-            "writeStripe: row mask width mismatch");
-    if (pagedOpEntry()) {
-        writeStripePaged(ws, rowMask);
-        return;
-    }
-    // Partition-major: every stripe column of partition p is written
-    // while the mask words are hot. The slots are pairwise distinct
-    // (fuser invariant), so the column sets are disjoint and this
-    // order is bit-identical to sequential application.
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        for (const StripeWrite &sw : ws) {
-            uint64_t *words = colWords(p * pw + sw.slot);
-            if ((sw.value >> p) & 1) {
-                for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                    words[w] |= rowMask[w];
-            } else {
-                for (uint32_t w = 0; w < wordsPerCol_; ++w)
-                    words[w] &= ~rowMask[w];
-            }
-        }
-    }
-}
-
-void
-Crossbar::writeStripePaged(std::span<const StripeWrite> ws,
-                           std::span<const uint64_t> rowMask)
-{
-    uint8_t maskNZ[kMaxBlocksPerCol];
-    for (uint32_t b = 0; b < blocksPerCol_; ++b)
-        maskNZ[b] =
-            !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        for (const StripeWrite &sw : ws) {
-            const uint32_t col = p * pw + sw.slot;
-            const bool set = (sw.value >> p) & 1;
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                if (!maskNZ[b])
-                    continue;
-                const uint64_t *m = rowMask.data() + b * kBlockWords;
-                const uint32_t used = blockWords(b);
-                if (set) {
-                    uint64_t *blk = blockRW(col, b);
-                    for (uint32_t w = 0; w < used; ++w)
-                        blk[w] |= m[w];
-                } else {
-                    uint64_t *blk = blockIfPresent(col, b);
-                    if (!blk)
-                        continue;
-                    for (uint32_t w = 0; w < used; ++w)
-                        blk[w] &= ~m[w];
-                }
-            }
-        }
-    }
-}
-
-void
-Crossbar::writeStripeFull(std::span<const StripeWrite> ws)
-{
-    if (pagedOpEntry()) {
-        writeStripeFullPaged(ws);
-        return;
-    }
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        for (const StripeWrite &sw : ws) {
-            uint64_t *words = colWords(p * pw + sw.slot);
-            std::fill(words, words + wordsPerCol_,
-                      (sw.value >> p) & 1 ? ~0ull : 0);
-        }
-    }
-}
-
-void
-Crossbar::writeStripeFullPaged(std::span<const StripeWrite> ws)
-{
-    const uint32_t pw = geo_->partitionWidth();
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        for (const StripeWrite &sw : ws) {
-            const uint32_t col = p * pw + sw.slot;
-            if ((sw.value >> p) & 1) {
-                for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                    uint64_t *blk = blockRW(col, b);
-                    std::fill(blk, blk + blockWords(b), ~0ull);
-                }
-            } else {
-                for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                    uint64_t *blk = blockIfPresent(col, b);
-                    if (blk)
-                        std::fill(blk, blk + blockWords(b), 0);
-                }
-            }
-        }
-    }
-}
+// --- point access and bulk gather/scatter -------------------------------
 
 uint32_t
 Crossbar::read(uint32_t slot, uint32_t row) const
 {
-    const uint32_t pw = geo_->partitionWidth();
-    const uint32_t off = row % 64;
-    uint32_t value = 0;
-    if (!slab_) {
-        if (table_.empty())
-            return 0;  // never densified: architectural zeros
-        const uint32_t wIdx = row / 64;
-        const uint32_t b = wIdx / kBlockWords;
-        const uint32_t rel = wIdx % kBlockWords;
-        // The planes' table entries are a constant stride apart —
-        // index directly instead of re-deriving the block pointer
-        // through blockRO per bit.
-        const size_t base =
-            static_cast<size_t>(slot) * blocksPerCol_ + b;
-        const size_t stride =
-            static_cast<size_t>(pw) * blocksPerCol_;
-        const BlockPool &pool = *pool_;
-        for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-            const uint32_t id = table_[base + p * stride];
-            if (id != kAbsent)
-                value |= static_cast<uint32_t>(
-                             (pool.words(id)[rel] >> off) & 1)
-                         << p;
-        }
-        return value;
-    }
-    // Same hoist for the dense slab: one base pointer + plane stride.
-    const uint64_t *word =
-        state_.data() + static_cast<size_t>(slot) * wordsPerCol_ +
-        row / 64;
-    const size_t stride = static_cast<size_t>(pw) * wordsPerCol_;
-    for (uint32_t p = 0; p < geo_->wordBits; ++p)
-        value |= static_cast<uint32_t>((word[p * stride] >> off) & 1)
-                 << p;
-    return value;
+    return image().read(*geo_, slot, row);
 }
 
 void
@@ -1295,37 +1063,12 @@ Crossbar::writeRow(uint32_t slot, uint32_t value, uint32_t row)
 {
     const uint32_t pw = geo_->partitionWidth();
     const uint64_t bit = 1ull << (row % 64);
-    if (!slab_) {
-        if (value == 0 && table_.empty())
-            return;  // clearing architectural zeros: no-op
-        const uint32_t wIdx = row / 64;
-        const uint32_t b = wIdx / kBlockWords;
-        const uint32_t rel = wIdx % kBlockWords;
-        for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-            const uint32_t col = p * pw + slot;
-            if ((value >> p) & 1) {
-                blockRW(col, b)[rel] |= bit;
-            } else {
-                uint64_t *blk = blockIfPresent(col, b);
-                if (blk)
-                    blk[rel] &= ~bit;
-            }
-        }
-        return;
-    }
-    uint64_t *word =
-        state_.data() + static_cast<size_t>(slot) * wordsPerCol_ +
-        row / 64;
-    const size_t stride = static_cast<size_t>(pw) * wordsPerCol_;
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        if ((value >> p) & 1)
-            word[p * stride] |= bit;
-        else
-            word[p * stride] &= ~bit;
-    }
+    withBlocks([&](const auto &st) {
+        for (uint32_t p = 0; p < geo_->wordBits; ++p)
+            storeBits(st, p * pw + slot, row / 64, bit,
+                      (value >> p) & 1 ? bit : 0);
+    });
 }
-
-// --- bulk gather/scatter ------------------------------------------------
 
 uint64_t
 Crossbar::gatherRows(uint32_t slot, uint32_t row, uint32_t count,
@@ -1333,78 +1076,26 @@ Crossbar::gatherRows(uint32_t slot, uint32_t row, uint32_t count,
 {
     panicIf(static_cast<uint64_t>(row) + count > geo_->rows,
             "gatherRows: row window exceeds crossbar height");
-    if (count == 0)
-        return 0;
-    if (!slab_)
-        return gatherRowsPaged(slot, row, count, out);
-
+    const BlockImage img = image();
     const uint32_t pw = geo_->partitionWidth();
-    const uint64_t *col0 =
-        state_.data() + static_cast<size_t>(slot) * wordsPerCol_;
-    const size_t stride = static_cast<size_t>(pw) * wordsPerCol_;
     uint64_t transposed = 0;
     uint32_t done = 0;
     while (done < count) {
         const uint32_t r = row + done;
-        const uint32_t wIdx = r / 64;
         const uint32_t off = r % 64;
         const uint32_t take = std::min<uint32_t>(64 - off, count - done);
-        uint64_t m[64];
-        uint32_t p = 0;
-        for (; p < geo_->wordBits; ++p)
-            m[p] = col0[p * stride + wIdx];
-        for (; p < 64; ++p)
-            m[p] = 0;
-        transpose64(m);
-        transposed += 64;
-        for (uint32_t k = 0; k < take; ++k)
-            out[done + k] = static_cast<uint32_t>(m[off + k]);
-        done += take;
-    }
-    return transposed;
-}
-
-uint64_t
-Crossbar::gatherRowsPaged(uint32_t slot, uint32_t row, uint32_t count,
-                          uint32_t *out) const
-{
-    if (table_.empty()) {
-        std::fill(out, out + count, 0u);
-        return 0;
-    }
-    const uint32_t pw = geo_->partitionWidth();
-    const size_t stride = static_cast<size_t>(pw) * blocksPerCol_;
-    const BlockPool &pool = *pool_;
-    uint64_t transposed = 0;
-    uint32_t done = 0;
-    while (done < count) {
-        const uint32_t r = row + done;
-        const uint32_t wIdx = r / 64;
-        const uint32_t off = r % 64;
-        const uint32_t take = std::min<uint32_t>(64 - off, count - done);
-        const uint32_t b = wIdx / kBlockWords;
-        const uint32_t rel = wIdx % kBlockWords;
-        const size_t base =
-            static_cast<size_t>(slot) * blocksPerCol_ + b;
-        uint64_t m[64];
+        uint64_t m[64] = {};
         uint64_t any = 0;
-        uint32_t p = 0;
-        for (; p < geo_->wordBits; ++p) {
-            const uint32_t id = table_[base + p * stride];
-            m[p] = id == kAbsent ? 0 : pool.words(id)[rel];
+        for (uint32_t p = 0; p < geo_->wordBits; ++p) {
+            m[p] = img.word(p * pw + slot, r / 64);
             any |= m[p];
         }
-        for (; p < 64; ++p)
-            m[p] = 0;
-        if (!any) {
-            // Absent (or decayed-to-zero) source window: the values
-            // are architectural zeros — no transpose needed.
-            std::fill(out + done, out + done + take, 0u);
-            done += take;
-            continue;
+        // An absent (or all-zero) source window reads zeros as it is:
+        // no transpose needed.
+        if (any) {
+            transpose64(m);
+            transposed += 64;
         }
-        transpose64(m);
-        transposed += 64;
         for (uint32_t k = 0; k < take; ++k)
             out[done + k] = static_cast<uint32_t>(m[off + k]);
         done += take;
@@ -1418,133 +1109,49 @@ Crossbar::scatterRows(uint32_t slot, uint32_t row, uint32_t count,
 {
     panicIf(static_cast<uint64_t>(row) + count > geo_->rows,
             "scatterRows: row window exceeds crossbar height");
-    if (count == 0)
-        return 0;
-    if (!slab_)
-        return scatterRowsPaged(slot, row, count, values);
-
     const uint32_t pw = geo_->partitionWidth();
-    uint64_t *col0 =
-        state_.data() + static_cast<size_t>(slot) * wordsPerCol_;
-    const size_t stride = static_cast<size_t>(pw) * wordsPerCol_;
     uint64_t transposed = 0;
-    uint32_t done = 0;
-    while (done < count) {
-        const uint32_t r = row + done;
-        const uint32_t wIdx = r / 64;
-        const uint32_t off = r % 64;
-        const uint32_t take = std::min<uint32_t>(64 - off, count - done);
-        const uint64_t wmask = windowMask(off, take);
-        uint64_t m[64] = {};
-        uint64_t any = 0;
-        for (uint32_t k = 0; k < take; ++k) {
-            m[off + k] = values[done + k];
-            any |= m[off + k];
-        }
-        if (!any) {
-            // All-zero input window: pure clear, no transpose.
+    withBlocks([&](const auto &st) {
+        uint32_t done = 0;
+        while (done < count) {
+            const uint32_t r = row + done;
+            const uint32_t off = r % 64;
+            const uint32_t take =
+                std::min<uint32_t>(64 - off, count - done);
+            uint64_t m[64] = {};
+            uint64_t any = 0;
+            for (uint32_t k = 0; k < take; ++k) {
+                m[off + k] = values[done + k];
+                any |= m[off + k];
+            }
+            // An all-zero input window only clears: no transpose, and
+            // absent blocks stay absent.
+            if (any) {
+                transpose64(m);
+                transposed += 64;
+            }
+            const uint64_t wmask = windowMask(off, take);
             for (uint32_t p = 0; p < geo_->wordBits; ++p)
-                col0[p * stride + wIdx] &= ~wmask;
+                storeBits(st, p * pw + slot, r / 64, wmask, m[p]);
             done += take;
-            continue;
         }
-        transpose64(m);
-        transposed += 64;
-        for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-            uint64_t &w = col0[p * stride + wIdx];
-            w = (w & ~wmask) | m[p];
-        }
-        done += take;
-    }
-    return transposed;
-}
-
-uint64_t
-Crossbar::scatterRowsPaged(uint32_t slot, uint32_t row, uint32_t count,
-                           const uint32_t *values)
-{
-    const uint32_t pw = geo_->partitionWidth();
-    uint64_t transposed = 0;
-    uint32_t done = 0;
-    while (done < count) {
-        const uint32_t r = row + done;
-        const uint32_t wIdx = r / 64;
-        const uint32_t off = r % 64;
-        const uint32_t take = std::min<uint32_t>(64 - off, count - done);
-        const uint64_t wmask = windowMask(off, take);
-        const uint32_t b = wIdx / kBlockWords;
-        const uint32_t rel = wIdx % kBlockWords;
-        uint64_t m[64] = {};
-        uint64_t any = 0;
-        for (uint32_t k = 0; k < take; ++k) {
-            m[off + k] = values[done + k];
-            any |= m[off + k];
-        }
-        if (!any) {
-            // All-zero input window clears present blocks only —
-            // absent blocks stay absent (elision preserved).
-            for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-                uint64_t *blk = blockIfPresent(p * pw + slot, b);
-                if (blk)
-                    blk[rel] &= ~wmask;
-            }
-            done += take;
-            continue;
-        }
-        transpose64(m);
-        transposed += 64;
-        for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-            const uint32_t col = p * pw + slot;
-            if (m[p]) {
-                // blockRW may relocate the pool — no caching across
-                // planes.
-                uint64_t *blk = blockRW(col, b);
-                blk[rel] = (blk[rel] & ~wmask) | m[p];
-            } else {
-                uint64_t *blk = blockIfPresent(col, b);
-                if (blk)
-                    blk[rel] &= ~wmask;
-            }
-        }
-        done += take;
-    }
+    });
     return transposed;
 }
 
 bool
 Crossbar::bit(uint32_t row, uint32_t col) const
 {
-    if (!slab_) {
-        const uint32_t wIdx = row / 64;
-        const uint64_t *blk = blockRO(col, wIdx / kBlockWords);
-        return blk &&
-               ((blk[wIdx % kBlockWords] >> (row % 64)) & 1);
-    }
-    return (colWords(col)[row / 64] >> (row % 64)) & 1;
+    return image().bit(row, col);
 }
 
 void
 Crossbar::setBit(uint32_t row, uint32_t col, bool v)
 {
     const uint64_t bit = 1ull << (row % 64);
-    if (!slab_) {
-        const uint32_t wIdx = row / 64;
-        const uint32_t b = wIdx / kBlockWords;
-        const uint32_t rel = wIdx % kBlockWords;
-        if (v) {
-            blockRW(col, b)[rel] |= bit;
-        } else {
-            uint64_t *blk = blockIfPresent(col, b);
-            if (blk)
-                blk[rel] &= ~bit;
-        }
-        return;
-    }
-    uint64_t *words = colWords(col);
-    if (v)
-        words[row / 64] |= bit;
-    else
-        words[row / 64] &= ~bit;
+    withBlocks([&](const auto &st) {
+        storeBits(st, col, row / 64, bit, v ? bit : 0);
+    });
 }
 
 // --- snapshots, compaction, comparison ----------------------------------
@@ -1616,44 +1223,16 @@ Crossbar::Snapshot::release()
     dense_.clear();
 }
 
-const uint64_t *
-Crossbar::Snapshot::blockRO(uint32_t col, uint32_t b) const
-{
-    if (!dense_.empty())
-        return dense_.data() +
-               static_cast<size_t>(col) * wordsPerCol_ +
-               static_cast<size_t>(b) * kBlockWords;
-    if (table_.empty())
-        return nullptr;
-    const uint32_t id =
-        table_[static_cast<size_t>(col) * blocksPerCol_ + b];
-    return id == kAbsent ? nullptr : pool_->words(id);
-}
-
 uint32_t
 Crossbar::Snapshot::read(uint32_t slot, uint32_t row) const
 {
-    const uint32_t pw = geo_->partitionWidth();
-    const uint32_t wIdx = row / 64;
-    const uint32_t b = wIdx / kBlockWords;
-    const uint32_t rel = wIdx % kBlockWords;
-    uint32_t value = 0;
-    for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-        const uint64_t *blk = blockRO(p * pw + slot, b);
-        const uint32_t v =
-            blk ? static_cast<uint32_t>((blk[rel] >> (row % 64)) & 1)
-                : 0;
-        value |= v << p;
-    }
-    return value;
+    return image().read(*geo_, slot, row);
 }
 
 bool
 Crossbar::Snapshot::bit(uint32_t row, uint32_t col) const
 {
-    const uint32_t wIdx = row / 64;
-    const uint64_t *blk = blockRO(col, wIdx / kBlockWords);
-    return blk && ((blk[wIdx % kBlockWords] >> (row % 64)) & 1);
+    return image().bit(row, col);
 }
 
 Crossbar::Snapshot
@@ -1736,24 +1315,20 @@ Crossbar::compact()
         // the promotion share goes back to paged, keeping only its
         // non-zero blocks.
         uint64_t nonZero = 0;
-        for (uint32_t col = 0; col < geo_->cols; ++col)
-            for (uint32_t b = 0; b < blocksPerCol_; ++b)
-                nonZero += !allZero(colWords(col) + b * kBlockWords,
-                                    blockWords(b));
+        image().forEachNonZero(
+            [&](uint32_t, uint32_t, const uint64_t *, uint32_t) {
+                ++nonZero;
+            });
         if (atPromoteShare(nonZero))
             return 0;
-        Slab slab;
-        slab.swap(state_);
+        const BlockImage slab = image();
+        Slab old;
+        old.swap(state_);  // keeps the buffer slab points into
         slab_ = false;
-        for (uint32_t col = 0; col < geo_->cols; ++col) {
-            for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-                const uint64_t *w = slab.data() +
-                                    static_cast<size_t>(col) * wordsPerCol_ +
-                                    b * kBlockWords;
-                if (!allZero(w, blockWords(b)))
-                    std::copy(w, w + blockWords(b), blockRW(col, b));
-            }
-        }
+        slab.forEachNonZero(
+            [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
+                std::copy(w, w + n, blockRW(col, b));
+            });
         return gridBlocks() - nonZero;
     }
     if (table_.empty())
@@ -1764,7 +1339,7 @@ Crossbar::compact()
             uint32_t &id = table_[tableIndex(col, b)];
             if (id == kAbsent)
                 continue;
-            if (allZero(pool_->words(id), blockWords(b))) {
+            if (allZero(pool_->words(id), blockLen(wordsPerCol_, b))) {
                 pool_->unref(id);
                 id = kAbsent;
                 ++elided;
@@ -1780,19 +1355,7 @@ Crossbar::forEachNonZeroBlock(
     const std::function<void(uint32_t col, uint32_t b,
                              const uint64_t *w, uint32_t n)> &fn) const
 {
-    for (uint32_t col = 0; col < geo_->cols; ++col) {
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            const uint64_t *w = slab_
-                ? colWords(col) + b * kBlockWords
-                : blockRO(col, b);
-            if (!w)
-                continue;
-            const uint32_t used = blockWords(b);
-            if (allZero(w, used))
-                continue;
-            fn(col, b, w, used);
-        }
-    }
+    image().forEachNonZero(fn);
 }
 
 void
@@ -1800,20 +1363,7 @@ Crossbar::Snapshot::forEachNonZeroBlock(
     const std::function<void(uint32_t col, uint32_t b,
                              const uint64_t *w, uint32_t n)> &fn) const
 {
-    for (uint32_t col = 0; col < (geo_ ? geo_->cols : 0); ++col) {
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            const uint64_t *w = blockRO(col, b);
-            if (!w)
-                continue;
-            const uint32_t base = b * kBlockWords;
-            const uint32_t used = wordsPerCol_ - base < kBlockWords
-                ? wordsPerCol_ - base
-                : kBlockWords;
-            if (allZero(w, used))
-                continue;
-            fn(col, b, w, used);
-        }
-    }
+    image().forEachNonZero(fn);
 }
 
 uint64_t
@@ -1829,7 +1379,7 @@ Crossbar::stateChecksum() const
             h *= 0x100000001B3ull;
         }
     };
-    forEachNonZeroBlock(
+    image().forEachNonZero(
         [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
             mix((static_cast<uint64_t>(col) << 32) | b);
             for (uint32_t i = 0; i < n; ++i)
@@ -1859,20 +1409,16 @@ Crossbar::loadBlock(uint32_t col, uint32_t b, const uint64_t *w,
                     uint32_t n)
 {
     panicIf(col >= geo_->cols || b >= blocksPerCol_ ||
-                n > blockWords(b),
+                n > blockLen(wordsPerCol_, b),
             "loadBlock: record outside this crossbar's geometry");
     if (allZero(w, n))
         return;  // canonical images never carry these anyway
-    if (slab_) {
-        uint64_t *dst = colWords(col) + b * kBlockWords;
-        std::copy(w, w + n, dst);
-        return;
-    }
-    uint64_t *dst = blockRW(col, b);
-    std::copy(w, w + n, dst);
-    // A short tail record leaves the block's trailing words whatever
-    // blockRW materialised; alloc() zeroes fresh blocks, and restore
-    // resets state first, so the tail is zero either way.
+    // A short tail record leaves the block's trailing words as they
+    // were; alloc() zeroes fresh blocks, and restore resets state
+    // first, so the tail is zero either way.
+    withBlocks([&](const auto &st) {
+        std::copy(w, w + n, st.wordRW(col, b * kBlockWords));
+    });
 }
 
 StorageGauges
@@ -1904,61 +1450,13 @@ Crossbar::storageGauges() const
 bool
 Crossbar::sameState(const Crossbar &other) const
 {
-    if (slab_ && other.slab_)
-        return state_ == other.state_;
-    // Canonical per-block walk: an absent block equals an all-zero
-    // materialised one, so dense-vs-paged comparison is direct and
-    // paged-vs-paged touches only present blocks.
-    for (uint32_t col = 0; col < geo_->cols; ++col) {
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            const uint64_t *a = slab_
-                ? colWords(col) + b * kBlockWords
-                : blockRO(col, b);
-            const uint64_t *bw =
-                other.slab_
-                    ? other.colWords(col) + b * kBlockWords
-                    : other.blockRO(col, b);
-            if (a == bw)
-                continue;  // shared block (or both absent)
-            const uint32_t used = blockWords(b);
-            if (!a) {
-                if (!allZero(bw, used))
-                    return false;
-            } else if (!bw) {
-                if (!allZero(a, used))
-                    return false;
-            } else if (!std::equal(a, a + used, bw)) {
-                return false;
-            }
-        }
-    }
-    return true;
+    return image().sameAs(other.image());
 }
 
 bool
 Crossbar::sameState(const Snapshot &s) const
 {
-    for (uint32_t col = 0; col < geo_->cols; ++col) {
-        for (uint32_t b = 0; b < blocksPerCol_; ++b) {
-            const uint64_t *a = slab_
-                ? colWords(col) + b * kBlockWords
-                : blockRO(col, b);
-            const uint64_t *bw = s.blockRO(col, b);
-            if (a == bw)
-                continue;
-            const uint32_t used = blockWords(b);
-            if (!a) {
-                if (!allZero(bw, used))
-                    return false;
-            } else if (!bw) {
-                if (!allZero(a, used))
-                    return false;
-            } else if (!std::equal(a, a + used, bw)) {
-                return false;
-            }
-        }
-    }
-    return true;
+    return image().sameAs(s.image());
 }
 
 } // namespace pypim

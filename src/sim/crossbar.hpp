@@ -10,8 +10,7 @@
  * Two representations exist behind one interface:
  *
  *  - SLAB: one flat cols x wordsPerCol slab, the historical layout,
- *    kSlabAlign-aligned. Replay runs the dense kernels, with no
- *    per-block lookups, in the widest ISA build the host supports.
+ *    kSlabAlign-aligned.
  *  - PAGED: each column is a run of kBlockWords-word BLOCKS behind a
  *    per-column block table into a refcounted BlockPool. An all-zero
  *    block is the sentinel entry kAbsent and costs zero bytes; it
@@ -21,6 +20,12 @@
  *    lazily on the first densification, so a never-written crossbar
  *    costs O(1) bytes — RSS scales with LIVE data, not with geometry
  *    (BitMagic-style zero elision).
+ *
+ * Every primitive (logic, writes, bulk transfer, compiled replay) is
+ * written once, over a small block accessor with a slab form and a
+ * table form (crossbar.cpp): the slab instantiation is the dense loop,
+ * with every presence check folded away, and replays in the widest
+ * ISA build the host supports.
  *
  * XbarStorage picks the policy. Dense keeps the slab for life: it is
  * the parity oracle. Paged is ADAPTIVE per crossbar, the way
@@ -50,13 +55,12 @@
  *    so checkpoint images (which record it) do not change when a
  *    crossbar promotes. isSlab() reports the current form.
  *
- * Zero-elision gives the paged replay loops a fast path for free:
- * reading an absent block yields zeros, so NOR/NOT with all-absent
- * inputs reduces to algebra on the output block (out &= ~mask needs
- * no input materialisation, and skips entirely when the output is
- * absent too, since stateful logic can only clear bits). Writes
- * densify a block only when the row mask actually selects a row
- * inside it.
+ * Zero-elision gives the table form a fast path for free: reading an
+ * absent block yields zeros, so NOR/NOT with all-absent inputs
+ * reduces to algebra on the output block (out &= ~mask needs no input
+ * materialisation, and skips entirely when the output is absent too,
+ * since stateful logic can only clear bits). Writes densify a block
+ * only when the row mask actually selects a row inside it.
  *
  * On top of the block table, snapshot() returns a refcounted
  * copy-on-write image sharing every present block with the live
@@ -135,6 +139,11 @@ struct StorageGauges
 /** One h x w crossbar array with stateful-logic semantics. */
 class Crossbar
 {
+    // Block accessors and the read-only image (crossbar.cpp).
+    struct SlabBlocks;
+    struct TableBlocks;
+    struct BlockImage;
+
   public:
     /** Words per paged block: 8 words = 512 rows of one column. */
     static constexpr uint32_t kBlockWords = 8;
@@ -197,8 +206,8 @@ class Crossbar
      * instruction whose crossbar range selects it, in order, while
      * this crossbar's column-major state is hot in cache. Promotes a
      * filled paged crossbar first (file header), then dispatches once
-     * into a {slab, paged} x {all-full masks, partial} template
-     * executor. @p work, if non-null, accumulates the applied
+     * into the executor's instantiation for {slab, table} x {all-full
+     * masks, partial}. @p work, if non-null, accumulates the applied
      * architectural ops (two for a fused INIT+gate pair, one per Write
      * of a stripe): the thread pool's load-balance diagnostic.
      */
@@ -273,9 +282,9 @@ class Crossbar
      * column-major storage to the row-major host buffer 64 rows at a
      * time via an in-register 64x64 bit-matrix transpose (Hacker's
      * Delight 7-3 adapted to LSB-0 numbering) — ~64 word ops per 64
-     * values instead of 64*wordBits single-bit probes. Paged fast
-     * path: a window whose source blocks are all absent (or all zero)
-     * zero-fills the output with no transpose and no block probes.
+     * values instead of 64*wordBits single-bit probes. A window whose
+     * source words are all zero (or absent) zero-fills the output
+     * with no transpose, in either storage form.
      * Returns the 64-bit words moved through the transpose
      * (observability; 64 per transposed window).
      */
@@ -333,9 +342,8 @@ class Crossbar
         friend class Crossbar;
         /** Drop every block reference and empty the image. */
         void release();
-        /** Words of block @p b of column @p col, or null if elided
-         *  (slab snapshots are never elided). */
-        const uint64_t *blockRO(uint32_t col, uint32_t b) const;
+        /** Read-only view of the image (slab or table). */
+        BlockImage image() const;
 
         const Geometry *geo_ = nullptr;
         uint32_t wordsPerCol_ = 0;
@@ -429,25 +437,6 @@ class Crossbar
     bool isSlab() const { return slab_; }
 
   private:
-    uint64_t *colWords(uint32_t col)
-    {
-        return state_.data() + static_cast<size_t>(col) * wordsPerCol_;
-    }
-    const uint64_t *
-    colWords(uint32_t col) const
-    {
-        return state_.data() + static_cast<size_t>(col) * wordsPerCol_;
-    }
-
-    /** Words in block @p b of a column (the tail block may be short). */
-    uint32_t
-    blockWords(uint32_t b) const
-    {
-        const uint32_t base = b * kBlockWords;
-        return wordsPerCol_ - base < kBlockWords ? wordsPerCol_ - base
-                                                 : kBlockWords;
-    }
-
     /** Block id slot of (col, block) in the table. */
     size_t
     tableIndex(uint32_t col, uint32_t b) const
@@ -493,32 +482,19 @@ class Crossbar
         if (!slab_ && atPromoteShare(present_))
             promote();
     }
-    /**
-     * Entry of one replayed op (the engine's raw op-by-op
-     * path): promote a filled paged crossbar, then report whether the
-     * op runs on the paged kernels. No block pointer is live at this
-     * point.
-     */
-    bool
-    pagedOpEntry()
-    {
-        maybePromote();
-        return !slab_;
-    }
     /** Move every present block into a fresh slab; drop the table. */
     void promote();
     /** Drop every block reference, the table and the pool reference. */
     void releaseBlocks();
 
-    // Paged op bodies (crossbar.cpp); the public entry points branch
-    // once per op so the dense loops stay byte-identical to the
-    // historical implementation.
-    void logicHPaged(const HalfGates &hg,
-                     std::span<const uint64_t> rowMask);
-    void writeStripeFullPaged(std::span<const StripeWrite> ws);
+    /** Read-only view of the live state (slab or table). */
+    BlockImage image() const;
+    /** Call @p f with the accessor of the current form. */
+    template <class F>
+    void withBlocks(F &&f);
     /**
-     * The compiled-replay executor, specialized over the storage
-     * representation and the all-masks-full fast path (crossbar.cpp
+     * The compiled-replay executor: one body, instantiated over the
+     * storage form and the all-masks-full fast path (crossbar.cpp
      * inlines all four into every ReplayBuild). kFull deletes the mask
      * blend from every inner loop; the kFull=false body still takes
      * the blend-free kernels per instruction when that instruction's
@@ -529,16 +505,6 @@ class Crossbar
                         Stats *work);
     /** The ISA builds of the executor (crossbar.cpp). */
     friend struct ReplayKernels;
-    void writePaged(uint32_t slot, uint32_t value,
-                    std::span<const uint64_t> rowMask);
-    void writeStripePaged(std::span<const StripeWrite> ws,
-                          std::span<const uint64_t> rowMask);
-    void logicVPaged(Gate g, uint32_t rowIn, uint32_t rowOut,
-                     uint32_t slot);
-    uint64_t gatherRowsPaged(uint32_t slot, uint32_t row,
-                             uint32_t count, uint32_t *out) const;
-    uint64_t scatterRowsPaged(uint32_t slot, uint32_t row,
-                              uint32_t count, const uint32_t *values);
 
     const Geometry *geo_;
     uint32_t wordsPerCol_;

@@ -6,10 +6,11 @@
  * (TEST_P over XbarStorage), so the dense slab stays the oracle the
  * paged mode is continuously checked against. These cases drive ops
  * directly, never through replay entry, so a Paged crossbar here
- * never promotes and the paged kernels stay covered. The PagedCrossbar
- * suite adds the storage-specific surface: zero-block elision,
- * transparent densification, block-boundary addressing, compact()
- * re-elision and copy-on-write snapshot isolation. The
+ * never promotes and the table form of the kernels stays covered. The
+ * PagedCrossbar suite adds the storage-specific surface: zero-block
+ * elision, transparent densification, block-boundary addressing,
+ * compact() re-elision, copy-on-write snapshot isolation and a fuzzed
+ * parity loop over every primitive. The
  * AdaptiveCrossbar suite covers promotion to the dense slab: parity
  * with the Dense oracle across the switch through both replay tiers,
  * snapshots restored across it in both directions, and demotion by
@@ -18,7 +19,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -278,6 +281,40 @@ TEST(PagedCrossbar, ZeroPreservingOpsStayElided)
     // ... but the architectural state is what dense would hold: NOR
     // over a stale-0 output stays 0 even though NOR(0,0) = 1.
     EXPECT_FALSE(xb.bit(0, 9));
+    // A present input does not densify an absent output either: NOR
+    // can only clear it.
+    xb.setBit(0, 0, true);
+    xb.logicH(gateOn(geo, Gate::Nor, 0, 1, 9), fullMask);
+    xb.logicH(gateOn(geo, Gate::Not, 0, 0, 9), fullMask);
+    EXPECT_EQ(xb.storageGauges().blocksPresent, 1u);
+    EXPECT_FALSE(xb.bit(1, 9));
+}
+
+TEST(PagedCrossbar, CloneOnWriteNeverLeavesInputsDangling)
+{
+    // Every NOR below clones a shared output block, and each clone
+    // grows the pool (the snapshot holds every old block), which
+    // reallocates it at the first clone and again later. A kernel that
+    // fetched its inputs before the clone would read freed words:
+    // AddressSanitizer reports it, and the result may differ from the
+    // Dense oracle.
+    const Geometry geo = tallGeometry();
+    Crossbar paged(geo, XbarStorage::Paged);
+    Crossbar dense(geo, XbarStorage::Dense);
+    const auto fullMask = Range::all(geo.rows).expand(geo.rows);
+    const uint32_t pw = geo.partitionWidth();
+    for (uint32_t col = 0; col < pw; ++col)
+        for (uint32_t row = col; row < geo.rows; row += 512) {
+            paged.setBit(row, col, true);
+            dense.setBit(row, col, true);
+        }
+    const Crossbar::Snapshot snap = paged.snapshot();
+    for (uint32_t out = 2; out < pw; ++out) {
+        paged.logicH(gateOn(geo, Gate::Nor, 0, 1, out), fullMask);
+        dense.logicH(gateOn(geo, Gate::Nor, 0, 1, out), fullMask);
+    }
+    EXPECT_TRUE(paged.sameState(dense));
+    EXPECT_TRUE(snap.bit(512 + 5, 5)) << "the snapshot image moved";
 }
 
 TEST(PagedCrossbar, DensificationTouchesOnlyMaskedBlocks)
@@ -377,10 +414,28 @@ TEST(PagedCrossbar, SnapshotIsCopyOnWriteAndIsolated)
 namespace
 {
 
+/** Canonical non-zero-block walk of a crossbar or a snapshot,
+ *  flattened for comparison. */
+template <class Image>
+std::vector<uint64_t>
+walkOf(const Image &x)
+{
+    std::vector<uint64_t> out;
+    x.forEachNonZeroBlock(
+        [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
+            out.push_back((static_cast<uint64_t>(col) << 32) | b);
+            out.insert(out.end(), w, w + n);
+        });
+    return out;
+}
+
 /**
  * 400 random ops on a Paged crossbar and the Dense oracle, every
  * slot they name below @p slots, with compact() and snapshot/restore
- * round trips mixed in. Returns whether the paged crossbar ended as a
+ * round trips mixed in: every primitive, stripes, bulk gather/scatter
+ * windows (all-zero ones and ones starting mid-word) and single bits
+ * included. A snapshot held across the ops keeps blocks shared, so
+ * they clone on write. Returns whether the paged crossbar ended as a
  * slab.
  */
 bool
@@ -392,12 +447,14 @@ fuzzParityWithDense(uint32_t slots)
     Rng rng(20240604);
     const uint32_t maskWords = (geo.rows + 63) / 64;
     std::vector<uint64_t> mask(maskWords);
+    Crossbar::Snapshot held = paged.snapshot();
+    std::vector<uint64_t> heldWalk = walkOf(dense);
     for (uint32_t iter = 0; iter < 400; ++iter) {
         // Sparse random row mask: mostly zero words, so ops keep
         // hitting absent/present block mixtures.
         for (auto &w : mask)
             w = rng.word() % 4 == 0 ? word64(rng) : 0;
-        const uint32_t kind = rng.word() % 8;
+        const uint32_t kind = rng.word() % 12;
         if (kind < 2) {
             const uint32_t slot = rng.word() % slots;
             const uint32_t v = rng.word();
@@ -431,19 +488,72 @@ fuzzParityWithDense(uint32_t slots)
             const uint32_t v = rng.word();
             paged.writeRow(slot, v, row);
             dense.writeRow(slot, v, row);
-        } else {
+        } else if (kind == 7) {
             // Compaction and a snapshot/restore no-op round trip must
             // both be architecturally invisible.
             paged.compact();
             const Crossbar::Snapshot snap = paged.snapshot();
             EXPECT_TRUE(paged.sameState(snap));
             paged.restore(snap);
+            // The held image stayed frozen; hold a new one.
+            EXPECT_EQ(walkOf(held), heldWalk) << "iter " << iter;
+            held = paged.snapshot();
+            heldWalk = walkOf(dense);
+        } else if (kind < 10) {
+            // A stripe of up to three distinct slots, under the sparse
+            // mask or (writeStripeFull) an all-ones one.
+            std::vector<StripeWrite> ws;
+            const uint32_t n = 1 + rng.word() % 3;
+            const uint32_t first = rng.word() % slots;
+            for (uint32_t i = 0; i < n && i < slots; ++i)
+                ws.push_back({(first + i) % slots, rng.word()});
+            if (kind == 8) {
+                paged.writeStripe(ws, mask);
+                dense.writeStripe(ws, mask);
+            } else {
+                paged.writeStripeFull(ws);
+                dense.writeStripeFull(ws);
+            }
+        } else if (kind == 10) {
+            // Bulk window starting anywhere in a word, a third of them
+            // all-zero (pure clears). Then gather a random window back
+            // from both.
+            const uint32_t slot = rng.word() % slots;
+            const uint32_t row = rng.word() % geo.rows;
+            const uint32_t count = rng.word() % std::min<uint32_t>(
+                                       200, geo.rows - row + 1);
+            const bool zeros = rng.word() % 3 == 0;
+            std::vector<uint32_t> vals(count);
+            for (uint32_t &v : vals)
+                v = zeros ? 0 : rng.word();
+            paged.scatterRows(slot, row, count, vals.data());
+            dense.scatterRows(slot, row, count, vals.data());
+            const uint32_t from = rng.word() % geo.rows;
+            const uint32_t len = rng.word() % std::min<uint32_t>(
+                                     200, geo.rows - from + 1);
+            std::vector<uint32_t> outP(len), outD(len);
+            paged.gatherRows(slot, from, len, outP.data());
+            dense.gatherRows(slot, from, len, outD.data());
+            EXPECT_EQ(outP, outD) << "iter " << iter;
+        } else {
+            // Single bits in a column of the slots in use.
+            const uint32_t col = (rng.word() % geo.wordBits) *
+                                     geo.partitionWidth() +
+                                 rng.word() % slots;
+            const uint32_t row = rng.word() % geo.rows;
+            const bool v = rng.word() & 1;
+            paged.setBit(row, col, v);
+            dense.setBit(row, col, v);
+            const uint32_t probe = rng.word() % geo.rows;
+            EXPECT_EQ(paged.bit(probe, col), dense.bit(probe, col))
+                << "iter " << iter;
         }
         if (iter % 32 == 0) {
             EXPECT_TRUE(paged.sameState(dense)) << "iter " << iter;
         }
     }
     EXPECT_TRUE(paged.sameState(dense));
+    EXPECT_EQ(walkOf(held), heldWalk);
     // Spot-check strided readback through both paths.
     for (uint32_t slot = 0; slot < geo.slots(); slot += 5)
         for (uint32_t row = 0; row < geo.rows; row += 97)
@@ -475,19 +585,6 @@ TEST(PagedCrossbar, FuzzedFillParityWithDense)
 
 namespace
 {
-
-/** Canonical non-zero-block walk, flattened for comparison. */
-std::vector<uint64_t>
-walkOf(const Crossbar &xb)
-{
-    std::vector<uint64_t> out;
-    xb.forEachNonZeroBlock(
-        [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
-            out.push_back((static_cast<uint64_t>(col) << 32) | b);
-            out.insert(out.end(), w, w + n);
-        });
-    return out;
-}
 
 /**
  * Fill step @p k on crossbar 0: INIT1 every row of slot k, which makes

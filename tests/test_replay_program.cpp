@@ -256,14 +256,18 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len,
     return ops;
 }
 
-/** Geometries the fuzz runs at: one word per column, and eight (one
- *  paged block, long enough for the vectorised word loops). */
+/** Geometries the fuzz runs at: one word per column, eight (one
+ *  paged block, long enough for the vectorised word loops) and sixteen
+ *  (the Table III height: two blocks per column, so the paged block
+ *  loop runs). */
 std::vector<Geometry>
 fuzzGeometries()
 {
     Geometry deep = fuzzGeometry();
     deep.rows = 512;
-    return {fuzzGeometry(), deep};
+    Geometry tall = fuzzGeometry();
+    tall.rows = 1024;
+    return {fuzzGeometry(), deep, tall};
 }
 
 /** Seed every sink with identical random register contents in the
