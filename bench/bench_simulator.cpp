@@ -14,7 +14,8 @@
  * the dense slab — throughput parity on dense data, resident-byte
  * reduction on sparse data, and max-geometry scaling past what dense
  * slabs can allocate. The replay panel times the compiled-replay
- * executor alone, in every ISA build the host supports.
+ * executor alone, in every ISA build the host supports and on both
+ * storage forms.
  */
 #include <benchmark/benchmark.h>
 
@@ -1006,28 +1007,34 @@ transportSweep(Json *json)
  * Replay panel (one layer: the compiled-replay executor). The driver's
  * fp32 add and mul streams at the Table III geometry are compiled once
  * (fused, as a trace-cache miss does), then replayed segment by
- * segment straight onto 16 slab crossbars, with no engine, by every
- * executor build the host supports. It reports the LogicH sections
- * per source op before and after the compiler's liveness scan, the
- * HPass instructions (merged LogicH passes) one crossbar replays,
- * sections per HPass, and host ns per replayed section (the whole
- * replay time, stripes and vertical runs included, over the sections).
- * Each build replays once from one seeded state first; the function
- * returns false unless every build's final state checksum equals the
- * first build's, and unless the liveness scan removed at least one
- * section from each stream (a count gate, never a time gate).
+ * segment straight onto 16 crossbars, with no engine, by every
+ * executor build the host supports (its ReplayBuild::run entry, which
+ * runs the executor on the crossbar's form as it is), in both storage
+ * forms: slab crossbars (Dense) and Paged crossbars on the block-table
+ * form. Either program alone densifies half the block grid, so
+ * through Crossbar::replayProgram a Paged crossbar would promote at
+ * its second replay whatever its seed; the build entry never
+ * promotes, so every table row replays the table form. It
+ * reports the LogicH sections per source op before and after the
+ * compiler's liveness scan, the HPass instructions (merged LogicH
+ * passes) one crossbar replays, sections per HPass, and host ns per
+ * replayed section (the whole replay time, stripes and vertical runs
+ * included, over the sections). Each (form, build) replays once from
+ * one seeded state first; the function returns false unless every
+ * final state checksum equals the first slab build's, unless no table
+ * crossbar was promoted, and unless the liveness scan removed at
+ * least one section from each stream (count gates, never a time gate).
  */
 bool
 replayPanel(Json *json, double minSeconds = 0.2)
 {
     const Geometry g = benchGeometry();
-    const Crossbar::ReplayBuild &hostBuild = Crossbar::replayBuild();
-    std::printf("\n=== Compiled replay per ISA build (%u slab crossbars, "
-                "%u rows; host pick: %s) ===\n",
-                g.numCrossbars, g.rows, hostBuild.name);
-    std::printf("%-8s %-10s %8s %8s %8s %10s %12s %10s\n", "kernel",
-                "build", "secs/op", "live/op", "HPass", "secs/HPass",
-                "ns/section", "identical");
+    std::printf("\n=== Compiled replay per ISA build and storage form "
+                "(%u crossbars, %u rows; host pick: %s) ===\n",
+                g.numCrossbars, g.rows, Crossbar::replayBuild().name);
+    std::printf("%-8s %-6s %-10s %8s %8s %8s %10s %12s %10s\n", "kernel",
+                "form", "build", "secs/op", "live/op", "HPass",
+                "secs/HPass", "ns/section", "identical");
     if (json)
         json->beginArray("replay");
     bool ok = true;
@@ -1072,10 +1079,11 @@ replayPanel(Json *json, double minSeconds = 0.2)
                     ++hpass;
                     sections += in.count;
                 }
-        const auto replayAll = [&](Simulator &sim) {
+        const auto replayAll = [&](Simulator &sim,
+                                   const Crossbar::ReplayBuild &b) {
             for (const ReplayProgram &prog : trace->programs)
                 for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-                    sim.crossbar(xb).replayProgram(prog, xb, nullptr);
+                    b.run(sim.crossbar(xb), prog, xb, nullptr);
         };
         if (json) {
             json->beginObject();
@@ -1090,44 +1098,62 @@ replayPanel(Json *json, double minSeconds = 0.2)
                               : 0.0);
             json->beginArray("builds");
         }
+        const struct
+        {
+            const char *name;
+            XbarStorage storage;
+        } forms[] = {{"slab", XbarStorage::Dense},
+                     {"table", XbarStorage::Paged}};
         bool haveRef = false;
         uint64_t ckRef = 0;
-        for (const Crossbar::ReplayBuild &b : Crossbar::replayBuilds()) {
-            if (!b.supported())
-                continue;
-            Crossbar::useReplayBuild(b);
-            Simulator sim(
-                g, EngineConfig::serial().withStorage(XbarStorage::Dense));
-            Rng rng(2024);
-            for (uint32_t slot = 0; slot < 4; ++slot)
-                fillRegister(sim, slot, rng, true);
-            replayAll(sim);
-            uint64_t ck = 0;
-            for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-                ck = ck * 0x100000001B3ull ^ sim.crossbar(xb).stateChecksum();
-            if (!haveRef) {
-                ckRef = ck;
-                haveRef = true;
-            }
-            const bool identical = ck == ckRef;
-            ok = ok && identical;
-            const auto [reps, elapsed] =
-                timedReps([&] { replayAll(sim); }, [] {}, minSeconds);
-            const double nsPerSection =
-                elapsed * 1e9 /
-                (static_cast<double>(reps) * sections * g.numCrossbars);
-            std::printf("%-8s %-10s %8.2f %8.2f %8llu %10.2f %12.2f %10s\n",
-                        k.name, b.name, secsPerOp, livePerOp,
-                        static_cast<unsigned long long>(hpass),
-                        hpass ? static_cast<double>(sections) / hpass
-                              : 0.0,
-                        nsPerSection, identical ? "yes" : "NO — BUG");
-            if (json) {
-                json->beginObject();
-                json->field("build", b.name);
-                json->field("ns_per_section", nsPerSection);
-                json->field("bit_identical", identical);
-                json->end();
+        for (const auto &f : forms) {
+            for (const Crossbar::ReplayBuild &b :
+                 Crossbar::replayBuilds()) {
+                if (!b.supported())
+                    continue;
+                Simulator sim(g, EngineConfig::serial().withStorage(
+                                     f.storage));
+                Rng rng(2024);
+                for (uint32_t slot = 0; slot < 4; ++slot)
+                    fillRegister(sim, slot, rng, true);
+                replayAll(sim, b);
+                uint64_t ck = 0;
+                for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+                    ck = ck * 0x100000001B3ull ^
+                         sim.crossbar(xb).stateChecksum();
+                if (!haveRef) {
+                    ckRef = ck;
+                    haveRef = true;
+                }
+                const bool identical = ck == ckRef;
+                const auto [reps, elapsed] =
+                    timedReps([&] { replayAll(sim, b); }, [] {}, minSeconds);
+                const bool formKept =
+                    f.storage == XbarStorage::Dense ||
+                    sim.storageGauges().slabCrossbars == 0;
+                ok = ok && identical && formKept;
+                const double nsPerSection =
+                    elapsed * 1e9 / (static_cast<double>(reps) * sections *
+                                     g.numCrossbars);
+                std::printf(
+                    "%-8s %-6s %-10s %8.2f %8.2f %8llu %10.2f %12.2f "
+                    "%10s\n",
+                    k.name, f.name, b.name, secsPerOp, livePerOp,
+                    static_cast<unsigned long long>(hpass),
+                    hpass ? static_cast<double>(sections) / hpass : 0.0,
+                    nsPerSection, identical ? "yes" : "NO — BUG");
+                if (!formKept)
+                    std::printf("%-8s %-6s %-10s a table crossbar was "
+                                "promoted — BUG\n",
+                                k.name, f.name, b.name);
+                if (json) {
+                    json->beginObject();
+                    json->field("form", f.name);
+                    json->field("build", b.name);
+                    json->field("ns_per_section", nsPerSection);
+                    json->field("bit_identical", identical);
+                    json->end();
+                }
             }
         }
         if (json) {
@@ -1135,13 +1161,12 @@ replayPanel(Json *json, double minSeconds = 0.2)
             json->end();  // kernel row
         }
     }
-    Crossbar::useReplayBuild(hostBuild);
     if (json)
         json->end();
     std::printf("(secs/op, live/op = LogicH sections per source op "
                 "before and after the liveness scan; HPass = merged "
                 "LogicH pass one crossbar replays; 'identical' compares "
-                "each build's final state checksum with the first "
+                "each final state checksum with the first slab "
                 "build's)\n");
     return ok;
 }
@@ -1196,8 +1221,9 @@ main(int argc, char **argv)
     // I/O path diverged from the element-wise oracle, a checkpoint
     // failed to restore bit-identical, the cross-process socket fleet
     // diverged from the in-process group or replayed under half of a
-    // warm float sum by trace, two replay ISA builds left
-    // different states, or the replay compiler's liveness scan removed
+    // warm float sum by trace, two replay ISA builds or storage forms
+    // left different states, a table-form replay row promoted, or the
+    // replay compiler's liveness scan removed
     // no section from the fp32 add or mul stream: the CI bench smoke
     // step asserts all of them.
     return devicesIdentical && storageIdentical && ioIdentical &&

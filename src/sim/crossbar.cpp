@@ -152,15 +152,15 @@ class BlockPool
             free_.push_back(id);
     }
 
-    uint32_t refCount(uint32_t id) const { return refs_[id]; }
+    PYPIM_KERNEL uint32_t refCount(uint32_t id) const { return refs_[id]; }
 
-    uint64_t *
+    PYPIM_KERNEL uint64_t *
     words(uint32_t id)
     {
         return words_.data() +
                static_cast<size_t>(id) * Crossbar::kBlockWords;
     }
-    const uint64_t *
+    PYPIM_KERNEL const uint64_t *
     words(uint32_t id) const
     {
         return words_.data() +
@@ -224,15 +224,6 @@ Crossbar::releaseBlocks()
     present_ = 0;
 }
 
-const uint64_t *
-Crossbar::blockRO(uint32_t col, uint32_t b) const
-{
-    if (table_.empty())
-        return nullptr;
-    const uint32_t id = table_[tableIndex(col, b)];
-    return id == kAbsent ? nullptr : pool_->words(id);
-}
-
 uint64_t *
 Crossbar::blockRW(uint32_t col, uint32_t b)
 {
@@ -242,22 +233,6 @@ Crossbar::blockRW(uint32_t col, uint32_t b)
         id = pool_->alloc();
         ++present_;
     } else if (pool_->refCount(id) > 1) {
-        const uint32_t nid = pool_->clone(id);
-        pool_->unref(id);
-        id = nid;
-    }
-    return pool_->words(id);
-}
-
-uint64_t *
-Crossbar::blockIfPresent(uint32_t col, uint32_t b)
-{
-    if (table_.empty())
-        return nullptr;
-    uint32_t &id = table_[tableIndex(col, b)];
-    if (id == kAbsent)
-        return nullptr;
-    if (pool_->refCount(id) > 1) {
         const uint32_t nid = pool_->clone(id);
         pool_->unref(id);
         id = nid;
@@ -336,13 +311,30 @@ struct Crossbar::SlabBlocks
     }
 };
 
+/**
+ * The table form reads the block table and the pool's words inline;
+ * only a miss leaves the kernel, through the one out-of-line slow path
+ * blockRW: materialising an absent block for rw(), or cloning a block
+ * a snapshot shares.
+ */
 struct Crossbar::TableBlocks
 {
     static constexpr bool kElides = true;
 
     Crossbar &x;
+    /**
+     * A snapshot shares the pool, sampled once here. Snapshots are
+     * created, restored and destroyed only between Simulator calls,
+     * and an accessor lives inside one primitive or one program
+     * replay, so with no sharer now every refcount stays 1 for the
+     * accessor's life and the hit path skips the copy-on-write probe.
+     */
+    const bool shared;
 
-    explicit TableBlocks(Crossbar &xb) : x(xb) {}
+    explicit TableBlocks(Crossbar &xb)
+        : x(xb), shared(xb.pool_.use_count() > 1)
+    {
+    }
 
     PYPIM_KERNEL uint32_t blocks() const { return x.blocksPerCol_; }
     PYPIM_KERNEL uint32_t
@@ -350,26 +342,45 @@ struct Crossbar::TableBlocks
     {
         return blockLen(x.wordsPerCol_, b);
     }
+    /** Block id of (c, b); kAbsent before the first densification. */
+    PYPIM_KERNEL uint32_t
+    id(uint32_t c, uint32_t b) const
+    {
+        return x.table_.empty()
+                   ? kAbsent
+                   : x.table_[static_cast<size_t>(c) * x.blocksPerCol_ + b];
+    }
+    /** Present block @p i may be written in place: no snapshot holds it. */
+    PYPIM_KERNEL bool
+    owned(uint32_t i) const
+    {
+        return !shared || x.pool_->refCount(i) == 1;
+    }
     PYPIM_KERNEL bool
     present(uint32_t c, uint32_t b) const
     {
-        return x.blockRO(c, b) != nullptr;
+        return id(c, b) != kAbsent;
     }
     PYPIM_KERNEL const uint64_t *
     ro(uint32_t c, uint32_t b) const
     {
-        const uint64_t *w = x.blockRO(c, b);
-        return w ? w : kZeroBlock;
+        const uint32_t i = id(c, b);
+        return i == kAbsent ? kZeroBlock : x.pool_->words(i);
     }
     PYPIM_KERNEL uint64_t *
     rw(uint32_t c, uint32_t b) const
     {
-        return x.blockRW(c, b);
+        const uint32_t i = id(c, b);
+        return i != kAbsent && owned(i) ? x.pool_->words(i)
+                                        : x.blockRW(c, b);
     }
     PYPIM_KERNEL uint64_t *
     ifPresent(uint32_t c, uint32_t b) const
     {
-        return x.blockIfPresent(c, b);
+        const uint32_t i = id(c, b);
+        if (i == kAbsent)
+            return nullptr;
+        return owned(i) ? x.pool_->words(i) : x.blockRW(c, b);
     }
 
     PYPIM_KERNEL uint64_t
@@ -872,7 +883,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
         switch (in.kind) {
           case ReplayProgram::Kind::HPass: {
             const PSection *secs = prog.sections.data() + in.off;
-            const uint64_t *m = prog.maskWords.data() + in.maskOff;
+            const uint64_t *m = prog.masks[in.mask].get();
             if (!full) {
                 scanMask(st, m, maskNZ);
                 for (uint32_t s = 0; s < in.count; ++s)
@@ -901,7 +912,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
           case ReplayProgram::Kind::WStripe: {
             const std::span<const StripeWrite> ws{
                 prog.pairs.data() + in.off, in.count};
-            const uint64_t *m = prog.maskWords.data() + in.maskOff;
+            const uint64_t *m = prog.masks[in.mask].get();
             if (full) {
                 stripeStep<false>(st, *geo_, ws, nullptr, nullptr);
             } else {
@@ -920,7 +931,8 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
                 const uint32_t col = part * pw + in.slot;
                 for (uint32_t k = 0; k < in.count; ++k)
                     vGate(st, col, gs[k].gate, gs[k].inWord,
-                          gs[k].inShift, gs[k].outWord, gs[k].outBit);
+                          gs[k].inShift, gs[k].outWord,
+                          1ull << gs[k].outShift);
             }
             break;
           }
@@ -934,10 +946,10 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
  * one target, so its word loops vectorise at that ISA's register width
  * (at -O3, which is how Release and the end-to-end benchmark build).
  * Only these entries carry a target attribute: every inline or
- * template function the executor calls without inlining it (the
- * block-table helpers) keeps the default target, so no code shared
- * with other translation units is ever built for an ISA the host may
- * lack. The builds are picked through a plain table, never an ifunc,
+ * template function the executor calls without inlining it (the table
+ * form's slow path, blockRW, which runs only on a block miss) keeps
+ * the default target, so no code shared with other translation units
+ * is ever built for an ISA the host may lack. The builds are picked through a plain table, never an ifunc,
  * so tests can run each one and sanitizer builds need no resolver.
  *
  * To add a build: one entry with its target attribute, and one row in
@@ -1248,7 +1260,8 @@ Crossbar::snapshot() const
     }
     // O(live data): share every present block, bumping its refcount.
     // Subsequent mutation of the source clones exactly the blocks it
-    // touches (blockRW/blockIfPresent check refCount > 1).
+    // touches (the table accessor probes refCount while the pool is
+    // shared).
     s.pool_ = pool_;
     s.table_ = table_;
     if (pool_)

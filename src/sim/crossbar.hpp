@@ -25,7 +25,10 @@
  * written once, over a small block accessor with a slab form and a
  * table form (crossbar.cpp): the slab instantiation is the dense loop,
  * with every presence check folded away, and replays in the widest
- * ISA build the host supports.
+ * ISA build the host supports. The table form reads the block table
+ * and the pool inline too; only materialising an absent block or
+ * cloning a shared one leaves the kernel (blockRW), and the
+ * copy-on-write probe runs only while a snapshot shares the pool.
  *
  * XbarStorage picks the policy. Dense keeps the slab for life: it is
  * the parity oracle. Paged is ADAPTIVE per crossbar, the way
@@ -413,7 +416,7 @@ class Crossbar
 
     /**
      * Overwrite block @p b of column @p col with @p n words from
-     * @p w (checkpoint restore; COW-safe via blockRW). All-zero
+     * @p w (checkpoint restore; copy-on-write safe). All-zero
      * payloads are skipped rather than densified.
      */
     void loadBlock(uint32_t col, uint32_t b, const uint64_t *w,
@@ -444,23 +447,18 @@ class Crossbar
         return static_cast<size_t>(col) * blocksPerCol_ + b;
     }
 
-    /** Read-only block words, or null if absent. Never allocates. */
-    const uint64_t *blockRO(uint32_t col, uint32_t b) const;
     /**
-     * Mutable block words, materialising a zeroed block if absent and
-     * cloning first if shared with a snapshot (copy-on-write). May
-     * grow the pool: fetch ALL read-only input pointers AFTER the
-     * output's blockRW within one (section, block) step.
+     * The table form's one out-of-line slow path (the block accessor
+     * reads present, unshared blocks inline): mutable block words,
+     * materialising a zeroed block if absent and cloning first if
+     * shared with a snapshot (copy-on-write). May grow the pool and so
+     * move every block: within one (section, block) step, fetch the
+     * read-only input pointers only after the output's.
      */
     uint64_t *blockRW(uint32_t col, uint32_t b);
-    /**
-     * Mutable block words of a PRESENT block, or null if absent —
-     * for ops that can only clear bits (Init0, NOR/NOT outputs),
-     * where an absent output stays absent. Clones if shared.
-     */
-    uint64_t *blockIfPresent(uint32_t col, uint32_t b);
 
-    /** Allocate the lazy block table / pool on first densification. */
+    /** Allocate the lazy block table / pool on first densification
+     *  (called only from blockRW). */
     void ensureTable();
 
     /** Blocks in the whole grid (cols * blocksPerCol). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <unordered_map>
 
 #include "sim/batch_trace.hpp"
 #include "sim/segment_trace.hpp"
@@ -41,6 +42,67 @@ struct ColSet
         for (uint32_t i = 0; i < words; ++i)
             w[i] |= o.w[i];
     }
+};
+
+/**
+ * Row-mask snapshots interned per compiling thread. Programs of
+ * different traces replay mostly the same few row masks: a captured
+ * move sequence selects one row per move, and the traces of one
+ * algorithm revisit the same rows (perfbench `sort` compiles 3,862
+ * snapshots per device, of 257 distinct masks). So each distinct mask
+ * is stored once, shared by every program that holds it, and freed
+ * with the last of them. The table keeps weak references only, and
+ * sweeps out expired ones as it grows. It is per thread, so it needs
+ * no lock; programs that outlive it, or move to another thread, keep
+ * their masks.
+ */
+class MaskIntern
+{
+  public:
+    ReplayProgram::Mask
+    intern(const uint64_t *w, uint32_t n)
+    {
+        uint64_t h = 0xCBF29CE484222325ull;
+        for (uint32_t i = 0; i < n; ++i)
+            h = (h ^ w[i]) * 0x100000001B3ull;
+        const auto [lo, hi] = table_.equal_range(h);
+        auto reuse = table_.end();  //!< an expired entry of this hash
+        for (auto it = lo; it != hi; ++it) {
+            const ReplayProgram::Mask m = it->second.mask.lock();
+            if (!m)
+                reuse = it;
+            else if (it->second.n == n && std::equal(w, w + n, m.get()))
+                return m;
+        }
+        const std::shared_ptr<uint64_t[]> m =
+            std::make_shared<uint64_t[]>(n);
+        std::copy(w, w + n, m.get());
+        if (reuse != table_.end()) {
+            // A mask that comes back after its programs died (a new
+            // device compiling the same traces) takes its old entry.
+            reuse->second = Entry{n, m};
+            return m;
+        }
+        if (table_.size() >= sweepAt_) {
+            std::erase_if(table_, [](const auto &e) {
+                return e.second.mask.expired();
+            });
+            sweepAt_ = 2 * table_.size() + kMinSweep;
+        }
+        table_.emplace(h, Entry{n, m});
+        return m;
+    }
+
+  private:
+    static constexpr size_t kMinSweep = 1024;
+
+    struct Entry
+    {
+        uint32_t n;
+        std::weak_ptr<const uint64_t[]> mask;
+    };
+    std::unordered_multimap<uint64_t, Entry> table_;  //!< content hash
+    size_t sweepAt_ = kMinSweep;
 };
 
 /**
@@ -252,9 +314,15 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     p.wordsPerMask = t.wordsPerMask;
     p.xbLo = t.xbLo;
     p.xbHi = t.xbHi;
-    // Snapshot ids become direct word offsets into the program's own
-    // arena: id k lives at k * wordsPerMask, resolved once here.
-    p.maskWords = t.rowWords;
+    // Snapshot id k indexes masks. Each is replaced in place, so a
+    // recompiled program still holds the masks it keeps while they are
+    // interned again, and allocates nothing.
+    thread_local MaskIntern intern;
+    p.masks.resize(t.wordsPerMask ? t.rowWords.size() / t.wordsPerMask
+                                  : 0);
+    for (size_t k = 0; k < p.masks.size(); ++k)
+        p.masks[k] = intern.intern(t.rowWords.data() + k * t.wordsPerMask,
+                                   t.wordsPerMask);
 
     // Liveness first: the merge below sees only the sections the
     // scan kept, with their final kinds.
@@ -320,7 +388,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             ReplayProgram::Instr in;
             in.kind = ReplayProgram::Kind::WStripe;
             in.cls = OpClass::Write;
-            in.maskOff = op.rowMask * t.wordsPerMask;
+            in.mask = op.rowMask;
             in.maskFull = t.rowMaskFull[op.rowMask];
             in.off = static_cast<uint32_t>(p.pairs.size());
             in.count = op.wn;
@@ -366,11 +434,10 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                 p.instrs[open].work += work;
                 break;
             }
-            const uint32_t maskOff = op.rowMask * t.wordsPerMask;
             bool merged = false;
             if (open >= 0) {
                 ReplayProgram::Instr &pass = p.instrs[open];
-                merged = pass.maskOff == maskOff && pass.xb == op.xb &&
+                merged = pass.mask == op.rowMask && pass.xb == op.xb &&
                          pass.count + kept <= kMaxPassSections &&
                          !candIns.intersects(passOuts, colWords) &&
                          !candOuts.intersects(passOuts, colWords) &&
@@ -381,7 +448,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                 ReplayProgram::Instr in;
                 in.kind = ReplayProgram::Kind::HPass;
                 in.cls = OpClass::LogicH;
-                in.maskOff = maskOff;
+                in.mask = op.rowMask;
                 in.maskFull = t.rowMaskFull[op.rowMask];
                 in.off = static_cast<uint32_t>(p.sections.size());
                 in.xb = op.xb;
@@ -415,10 +482,10 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             closePass();
             ReplayProgram::VGate g;
             g.gate = op.gate;
-            g.inWord = op.rowIn / 64;
-            g.inShift = op.rowIn % 64;
-            g.outWord = op.rowOut / 64;
-            g.outBit = 1ull << (op.rowOut % 64);
+            g.inWord = static_cast<uint16_t>(op.rowIn / 64);
+            g.inShift = static_cast<uint8_t>(op.rowIn % 64);
+            g.outWord = static_cast<uint16_t>(op.rowOut / 64);
+            g.outShift = static_cast<uint8_t>(op.rowOut % 64);
             // Extend the trailing run when slot and crossbar range
             // match; any grouping is bit-identical (each gate touches
             // one column, and per-column order is preserved), so
@@ -506,7 +573,7 @@ releaseSegmentArenas(BatchTrace &batch)
         p.sections.shrink_to_fit();
         p.pairs.shrink_to_fit();
         p.vgates.shrink_to_fit();
-        p.maskWords.shrink_to_fit();
+        p.masks.shrink_to_fit();
     }
 }
 

@@ -7,8 +7,8 @@
  * sections. compileSegmentProgram() lowers a segment into a flat SoA
  * ReplayProgram whose instructions are fully pre-resolved:
  *
- *  - row-mask snapshot ids become direct word offsets into the
- *    program's own mask arena, resolved once at compile time, with a
+ *  - row-mask snapshots become immutable word arrays, interned so
+ *    that equal masks of different programs share one copy, with a
  *    per-instruction all-ones flag so the executors can drop the
  *    `& mask` blend from the inner word loops (the all-rows mask is
  *    the overwhelmingly common case);
@@ -54,8 +54,8 @@
  * Replay dispatches once per segment into Crossbar::replayProgram,
  * which selects a template-specialized executor over {Dense, Paged}
  * x {all masks full, some partial}; see crossbar.cpp. Programs are
- * pointer-free flat arrays — deliberately the shape of an
- * upload-once device-side object for the ROADMAP's GPU engine.
+ * flat arrays apart from their shared row masks — close to the shape
+ * of an upload-once device-side object for the ROADMAP's GPU engine.
  *
  * Every segment is compiled where it replays: Simulator::prepareTrace
  * compiles a trace before freezing it, and a socket worker compiles
@@ -71,6 +71,7 @@
 #define PYPIM_SIM_REPLAY_PROGRAM_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
@@ -105,13 +106,13 @@ struct ReplayProgram
         uint16_t inA = 0, inB = 0;  //!< NotNor/FusedNotNor only
     };
 
-    /** One pre-decoded LogicV gate of a run (replay-ready form). */
+    /** One pre-decoded LogicV gate of a run (replay-ready form), in
+     *  8 bytes: a column holds at most 1,024 words (rows <= 65536). */
     struct VGate
     {
         Gate gate = Gate::Init0;
-        uint32_t inWord = 0, inShift = 0;
-        uint32_t outWord = 0;
-        uint64_t outBit = 0;
+        uint8_t inShift = 0, outShift = 0;
+        uint16_t inWord = 0, outWord = 0;
     };
 
     enum class Kind : uint8_t
@@ -143,7 +144,7 @@ struct ReplayProgram
         uint8_t passKind = kMixedPass;
         uint32_t off = 0;      //!< first section / pair / vgate
         uint32_t count = 0;    //!< sections / pairs / vgates
-        uint32_t maskOff = 0;  //!< word offset into maskWords
+        uint32_t mask = 0;     //!< row-mask snapshot id: masks[mask]
         uint32_t slot = 0;     //!< VRun: intra-partition index
         uint32_t work = 0;     //!< architectural ops this applies
         Range xb;              //!< crossbar-mask snapshot (uniform)
@@ -154,9 +155,15 @@ struct ReplayProgram
     std::vector<PSection> sections;
     std::vector<StripeWrite> pairs;
     std::vector<VGate> vgates;
-    /** Row-mask snapshots, wordsPerMask words each (own arena — the
-     *  program is self-contained and pointer-free). */
-    std::vector<uint64_t> maskWords;
+    /** One row-mask snapshot of wordsPerMask words, immutable. */
+    using Mask = std::shared_ptr<const uint64_t[]>;
+    /**
+     * Row-mask snapshots by the segment's snapshot id. Equal masks are
+     * stored once and shared by every program compiled on the same
+     * thread (replay_program.cpp): the only part of a program that is
+     * not its own flat array.
+     */
+    std::vector<Mask> masks;
     uint32_t wordsPerMask = 0;
     /** Crossbar hull, as SegmentTrace::xbLo/xbHi. */
     uint32_t xbLo = 0, xbHi = 0;

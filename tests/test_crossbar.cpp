@@ -211,15 +211,20 @@ TEST_P(CrossbarTest, VerticalNotRespectsStatefulSemantics)
 TEST_P(CrossbarTest, SnapshotRestoreRoundTrip)
 {
     xb.writeRow(3, 0xABCD1234, 7);
-    const Crossbar::Snapshot snap = xb.snapshot();
-    xb.writeRow(3, 0x55555555, 7);
-    xb.writeRow(4, 0xFFFFFFFF, 8);
-    EXPECT_FALSE(xb.sameState(snap));
-    EXPECT_EQ(snap.read(3, 7), 0xABCD1234u);  // image is frozen
-    xb.restore(snap);
-    EXPECT_TRUE(xb.sameState(snap));
-    EXPECT_EQ(xb.read(3, 7), 0xABCD1234u);
-    EXPECT_EQ(xb.read(4, 8), 0u);
+    {
+        const Crossbar::Snapshot snap = xb.snapshot();
+        xb.writeRow(3, 0x55555555, 7);
+        xb.writeRow(4, 0xFFFFFFFF, 8);
+        EXPECT_FALSE(xb.sameState(snap));
+        EXPECT_EQ(snap.read(3, 7), 0xABCD1234u);  // image is frozen
+        xb.restore(snap);
+        EXPECT_TRUE(xb.sameState(snap));
+        EXPECT_EQ(xb.read(3, 7), 0xABCD1234u);
+        EXPECT_EQ(xb.read(4, 8), 0u);
+    }
+    // With no snapshot alive no block is shared: the invariant that
+    // lets the table form skip its copy-on-write probe.
+    EXPECT_EQ(xb.storageGauges().cowShared, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -554,6 +559,9 @@ fuzzParityWithDense(uint32_t slots)
     }
     EXPECT_TRUE(paged.sameState(dense));
     EXPECT_EQ(walkOf(held), heldWalk);
+    // Released, the held image leaves no block shared.
+    held = Crossbar::Snapshot();
+    EXPECT_EQ(paged.storageGauges().cowShared, 0u);
     // Spot-check strided readback through both paths.
     for (uint32_t slot = 0; slot < geo.slots(); slot += 5)
         for (uint32_t row = 0; row < geo.rows; row += 97)

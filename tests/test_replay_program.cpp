@@ -12,7 +12,9 @@
  * fuzz and the device-path test run once per executor ISA build the
  * host supports (Crossbar::replayBuilds), at a shallow geometry (one
  * word per column) and a deep one (eight words: one paged block, long
- * enough for the vectorised word loops). The
+ * enough for the vectorised word loops). On the sparse paged fill, a
+ * snapshot of every crossbar is held across one replay, so the table
+ * form's copy-on-write clones run under compiled replay. The
  * directed tests pin the COMPILER's decisions — when LogicH ops may
  * and may not merge into one pass (mask change, section capacity,
  * stateful-gate aliasing), how stripes and LogicV runs chunk, when
@@ -20,10 +22,12 @@
  * scan may fuse an INIT1 section into its NOR or drop a dead one
  * (each of those cases also replays against the op-major oracle at 64
  * and 512 rows). The retention tests
- * pin what a frozen trace keeps: its programs, but no decode arenas.
+ * pin what a frozen trace keeps: its programs, but no decode arenas,
+ * and one shared copy of each distinct row mask.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -414,7 +418,7 @@ expectNoDecodeArenas(const BatchTrace &t)
         EXPECT_EQ(p.sections.capacity(), p.sections.size());
         EXPECT_EQ(p.pairs.capacity(), p.pairs.size());
         EXPECT_EQ(p.vgates.capacity(), p.vgates.size());
-        EXPECT_EQ(p.maskWords.capacity(), p.maskWords.size());
+        EXPECT_EQ(p.masks.capacity(), p.masks.size());
     }
 }
 
@@ -487,9 +491,39 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
                 // Compiled segments drop their half-gate expansions.
                 EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
 
+                // Sparse fill: a snapshot of every crossbar is held over
+                // replay 2, so the table form must clone every shared
+                // block it writes. Each image must still be the
+                // oracle's state at capture, and once they are dropped
+                // before replay 3 nothing is shared any more.
+                std::vector<Crossbar::Snapshot> held, atCapture;
                 for (int rep = 0; rep < kReplays; ++rep) {
                     oracle.performBatch(ops.data(), ops.size());
                     compiled.submitTrace(tc);
+                    if (!sparse || rep > 1)
+                        continue;
+                    compiled.flush();
+                    if (rep == 0) {
+                        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
+                            held.push_back(compiled.crossbar(xb).snapshot());
+                            atCapture.push_back(
+                                oracle.crossbar(xb).snapshot());
+                        }
+                        EXPECT_GT(compiled.storageGauges().cowShared, 0u)
+                            << ec.name;
+                        continue;
+                    }
+                    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
+                        Crossbar frozen(g, XbarStorage::Dense);
+                        frozen.restore(atCapture[xb]);
+                        ASSERT_TRUE(frozen.sameState(held[xb]))
+                            << ec.name << " held snapshot of crossbar "
+                            << xb << " changed under replay";
+                    }
+                    held.clear();
+                    atCapture.clear();
+                    EXPECT_EQ(compiled.storageGauges().cowShared, 0u)
+                        << ec.name;
                 }
                 compiled.flush();
                 for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
@@ -1065,6 +1099,32 @@ TEST(ReplayProgramRetention, PreparedTraceHoldsNoDecodeArenas)
                 compiled.crossbar(xb)));
         EXPECT_EQ(oracle.stats(), compiled.stats());
     }
+}
+
+TEST(ReplayProgramRetention, EqualRowMasksShareOneCopy)
+{
+    // Two traces compiled on one thread under the same row mask hold
+    // one copy of its words; a trace under another mask has its own.
+    const Geometry g = fuzzGeometry();
+    const Range rows(1, 31, 3);
+    auto a = compileStream(g, rows, {initH(g, Gate::Init1, 2)});
+    const auto b = compileStream(
+        g, rows, {initH(g, Gate::Init0, 5), norH(g, 0, 1, 3)});
+    const auto c = compileStream(g, Range(0, g.rows / 2 - 1, 1),
+                                 {initH(g, Gate::Init1, 2)});
+    const auto maskOf = [](const BatchTrace &t) {
+        const ReplayProgram &p = t.programs.at(0);
+        return p.masks.at(p.instrs.at(0).mask).get();
+    };
+    const uint64_t *shared = maskOf(*a);
+    EXPECT_EQ(maskOf(*b), shared);
+    EXPECT_NE(maskOf(*c), shared);
+    // The words stay valid while any program holds them.
+    a.reset();
+    std::vector<uint64_t> want;
+    rows.expandInto(g.rows, want);
+    ASSERT_EQ(b->programs[0].wordsPerMask, want.size());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), maskOf(*b)));
 }
 
 TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
