@@ -49,69 +49,50 @@ latency(const Geometry &g, Driver::Mode mode, bool partitions, ROp op)
 }
 
 /**
- * Trace-cache / fusion ablation (ISSUE 4): warm steady-state
- * throughput of one repeated instruction under the four cache/fusion
- * combinations, with the driver's observability counters (trace-cache
- * hits/misses, ops eliminated per fusion rewrite). --no-trace-cache
- * and --no-fusion drop the respective "on" rows, pinning the
- * ablation baseline.
+ * Trace-cache ablation: warm steady-state throughput of one repeated
+ * instruction with the stream cache alone and with the trace cache on
+ * top, with the driver's observability counters (trace-cache
+ * hits/misses, INIT1 sections the replay compiler fused and dead
+ * sections it dropped). --no-trace-cache drops the trace-cache row,
+ * pinning the ablation baseline.
  */
 void
-fusionCacheAblation(bool allowTraceCache, bool allowFusion)
+traceCacheAblation(bool allowTraceCache)
 {
     const Geometry g = benchGeometry(16);
     const RTypeInstr in = fullInstr(g, ROp::Mul, DType::Int32);
-    std::printf("=== Trace-cache / fusion ablation (repeated int "
-                "mul, %u crossbars) ===\n",
+    std::printf("=== Trace-cache ablation (repeated int mul, %u "
+                "crossbars) ===\n",
                 g.numCrossbars);
-    std::printf("%-26s %10s %8s | %8s %8s %8s %8s %8s %8s\n", "config",
-                "instr/s", "speedup", "hits", "misses", "waw",
-                "chain", "window", "stripe");
+    std::printf("%-26s %10s %8s | %8s %8s %8s %8s\n", "config",
+                "instr/s", "speedup", "hits", "misses", "fused", "dead");
     double base = 0.0;
     StorageGauges gauges;
     for (const bool cache : {false, true}) {
         if (cache && !allowTraceCache)
             continue;
-        for (const bool fusion : {false, true}) {
-            if (!cache && fusion)
-                continue;  // fusion only runs on cached traces
-            if (fusion && !allowFusion)
-                continue;
-            Simulator sim(g, engineConfig());
-            Rng rng(5);
-            fillRegister(sim, 0, rng);
-            fillRegister(sim, 1, rng);
-            Driver drv(sim, g, Driver::Mode::Parallel);
-            drv.setTraceCacheEnabled(cache);
-            drv.setTraceFusionEnabled(fusion);
-            drv.execute(in);  // warm: record + build
-            sim.flush();
-            const auto [reps, elapsed] = timedReps(
-                [&] { drv.execute(in); }, [&] { sim.flush(); }, 0.2);
-            const double rate =
-                static_cast<double>(reps) / elapsed;
-            if (base == 0.0)
-                base = rate;
-            const Stats &s = drv.stats();
-            std::printf("%-26s %10.1f %7.2fx | %8llu %8llu %8llu "
-                        "%8llu %8llu %8llu\n",
-                        cache ? (fusion ? "trace cache + fusion"
-                                        : "trace cache, no fusion")
-                              : "stream cache only",
-                        rate, rate / base,
-                        static_cast<unsigned long long>(
-                            s.traceCacheHits),
-                        static_cast<unsigned long long>(
-                            s.traceCacheMisses),
-                        static_cast<unsigned long long>(s.fusionWaw),
-                        static_cast<unsigned long long>(
-                            s.fusionInitChain),
-                        static_cast<unsigned long long>(
-                            s.fusionWindow),
-                        static_cast<unsigned long long>(
-                            s.fusionWriteStripe));
-            gauges = sim.storageGauges();
-        }
+        Simulator sim(g, engineConfig());
+        Rng rng(5);
+        fillRegister(sim, 0, rng);
+        fillRegister(sim, 1, rng);
+        Driver drv(sim, g, Driver::Mode::Parallel);
+        drv.setTraceCacheEnabled(cache);
+        drv.execute(in);  // warm: record + build
+        sim.flush();
+        const auto [reps, elapsed] = timedReps(
+            [&] { drv.execute(in); }, [&] { sim.flush(); }, 0.2);
+        const double rate = static_cast<double>(reps) / elapsed;
+        if (base == 0.0)
+            base = rate;
+        const Stats &s = drv.stats();
+        std::printf("%-26s %10.1f %7.2fx | %8llu %8llu %8llu %8llu\n",
+                    cache ? "trace cache" : "stream cache only", rate,
+                    rate / base,
+                    static_cast<unsigned long long>(s.traceCacheHits),
+                    static_cast<unsigned long long>(s.traceCacheMisses),
+                    static_cast<unsigned long long>(s.sectionsFused),
+                    static_cast<unsigned long long>(s.sectionsDead));
+        gauges = sim.storageGauges();
     }
     // Footprint of the last (most featureful) configuration, plus the
     // process high-water mark: the storage observability hook for
@@ -162,17 +143,15 @@ bulkIoFooter()
 int
 main(int argc, char **argv)
 {
-    // Ablation flag pair: strip before benchmark::Initialize (which
+    // Ablation flag: strip before benchmark::Initialize (which
     // rejects unknown flags), after the shared engine flags.
-    bool allowTraceCache = true, allowFusion = true;
+    bool allowTraceCache = true;
     {
         int out = 1;
         for (int i = 1; i < argc; ++i) {
             const std::string arg(argv[i]);
             if (arg == "--no-trace-cache")
                 allowTraceCache = false;
-            else if (arg == "--no-fusion")
-                allowFusion = false;
             else
                 argv[out++] = argv[i];
         }
@@ -182,7 +161,7 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     printEngineBanner();
 
-    fusionCacheAblation(allowTraceCache, allowFusion);
+    traceCacheAblation(allowTraceCache);
     bulkIoFooter();
 
     std::printf("=== Partition-parallelism ablation (paper Fig. 4 / "

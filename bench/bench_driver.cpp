@@ -8,11 +8,11 @@
  * that, "a hardware controller is not necessary" — the paper's claim.
  *
  * The trace-build panel times the layer between the driver and
- * replay: decoding a recorded stream into a segment trace, window-
- * fusing it and compiling it into replay programs, per source op, as
- * a cold trace-cache miss pays them, plus the decoded trace's arena
- * bytes and its LogicH sections per source op before and after the
- * replay compiler's liveness scan.
+ * replay: decoding a recorded stream into a segment trace and
+ * compiling it into replay programs, per source op, as a cold
+ * trace-cache miss pays them, plus the decoded trace's arena bytes
+ * and its LogicH sections per source op before and after the replay
+ * compiler's liveness scan.
  */
 #include <benchmark/benchmark.h>
 
@@ -50,8 +50,8 @@ struct TraceBuildRow
 {
     const char *name;
     uint64_t sourceOps;
-    double decodeNs, fuseNs, compileNs;  //!< per source op
-    uint64_t arenaBytes;  //!< decoded + fused segment arenas
+    double decodeNs, compileNs;  //!< per source op
+    uint64_t arenaBytes;  //!< decoded segment arenas
     /** LogicH sections per source op before and after the replay
      *  compiler's liveness scan (ReplayProgram::Liveness). */
     double sectionsIn, sectionsOut;
@@ -68,16 +68,16 @@ arenaBytes(const BatchTrace &t)
     for (const SegmentTrace &seg : t.segments) {
         n += bytes(seg.ops) + bytes(seg.halfGates) +
              bytes(seg.sections) + bytes(seg.rowWords) +
-             bytes(seg.rowMaskFull) + bytes(seg.writePairs);
+             bytes(seg.rowMaskFull);
     }
     return n;
 }
 
 /**
  * Trace-build panel: the driver's self-contained fp32 add and mul
- * streams (Table III geometry) decoded (buildBatchTrace), fused
- * (fuseBatchTrace) and compiled (compileBatchTrace) into a fresh
- * BatchTrace per rep, as a trace-cache miss does. Times are host
+ * streams (Table III geometry) decoded (buildBatchTrace) and compiled
+ * (compileBatchTrace) into a fresh BatchTrace per rep, as a
+ * trace-cache miss does. Times are host
  * nanoseconds per source op; not a gate. The two section columns are
  * the LogicH sections per source op before and after the compiler's
  * liveness scan.
@@ -91,11 +91,11 @@ traceBuildReport(double minSeconds = 0.2)
     };
     const Geometry g = benchGeometry();
     const HTree htree(g.numCrossbars);
-    std::printf("\n=== Trace build (cold decode, fuse, compile per "
-                "source op; %u crossbars) ===\n",
+    std::printf("\n=== Trace build (cold decode, compile per source "
+                "op; %u crossbars) ===\n",
                 g.numCrossbars);
-    std::printf("%-10s %10s %12s %12s %12s %14s %9s %9s\n", "kernel",
-                "src ops", "decode [ns]", "fuse [ns]", "compile [ns]",
+    std::printf("%-10s %10s %12s %12s %14s %9s %9s\n", "kernel",
+                "src ops", "decode [ns]", "compile [ns]",
                 "arena [bytes]", "secs/op", "live/op");
     std::vector<TraceBuildRow> rows;
     for (const Case &c : kCases) {
@@ -109,7 +109,7 @@ traceBuildReport(double minSeconds = 0.2)
             drv.execute(fullInstr(g, c.op, c.dt));
         }
         const std::vector<Word> &ops = cap.ops;
-        double decode = 0, fuse = 0, compile = 0;
+        double decode = 0, compile = 0;
         uint64_t bytes = 0;
         ReplayProgram::Liveness live;
         const uint64_t reps = timedReps(
@@ -121,28 +121,24 @@ traceBuildReport(double minSeconds = 0.2)
                 buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
                                 t);
                 const auto t1 = clock::now();
-                fuseBatchTrace(t, g);
-                const auto t2 = clock::now();
                 compileBatchTrace(t, g);
-                const auto t3 = clock::now();
+                const auto t2 = clock::now();
                 decode += ns(t1 - t0);
-                fuse += ns(t2 - t1);
-                compile += ns(t3 - t2);
+                compile += ns(t2 - t1);
                 bytes = arenaBytes(t);
                 live = t.liveness;
             },
             [] {}, minSeconds).first;
         const double per = static_cast<double>(reps * ops.size());
         const double src = static_cast<double>(ops.size());
-        rows.push_back({c.name, ops.size(), decode / per, fuse / per,
-                        compile / per, bytes,
+        rows.push_back({c.name, ops.size(), decode / per, compile / per,
+                        bytes,
                         static_cast<double>(live.sections) / src,
                         static_cast<double>(live.replayed()) / src});
         const TraceBuildRow &r = rows.back();
-        std::printf("%-10s %10llu %12.1f %12.1f %12.1f %14llu %9.2f "
-                    "%9.2f\n",
+        std::printf("%-10s %10llu %12.1f %12.1f %14llu %9.2f %9.2f\n",
                     r.name, static_cast<unsigned long long>(r.sourceOps),
-                    r.decodeNs, r.fuseNs, r.compileNs,
+                    r.decodeNs, r.compileNs,
                     static_cast<unsigned long long>(r.arenaBytes),
                     r.sectionsIn, r.sectionsOut);
     }
@@ -150,17 +146,16 @@ traceBuildReport(double minSeconds = 0.2)
 }
 
 /**
- * Steady-state warm-cache throughput: the ISSUE 4 acceptance gauge.
- * One repeated instruction (int Mul by default: the heaviest common
- * kernel) runs end-to-end against the simulator in four driver
- * configurations — translation every rep (all caches off), the
- * stream cache alone (byte replay, full decode every rep), and the
- * trace cache on top (decode-once shared handles) without and with
- * the window fusion pass. Every configuration's destination register
- * is checksummed: cached and fused replay MUST be bit-identical to
- * fresh translation, and the function fails (returns false) when it
- * is not — the CI bench smoke step relies on that. The --json record
- * carries this table and the trace-build panel @p build.
+ * Steady-state warm-cache throughput: one repeated instruction (int
+ * Mul by default: the heaviest common kernel) runs end-to-end against
+ * the simulator in three driver configurations — translation every
+ * rep (all caches off), the stream cache alone (byte replay, full
+ * decode every rep), and the trace cache on top (decode-once shared
+ * handles). Every configuration's destination register is
+ * checksummed: cached replay MUST be bit-identical to fresh
+ * translation, and the function fails (returns false) when it is not
+ * — the CI bench smoke step relies on that. The --json record carries
+ * this table and the trace-build panel @p build.
  */
 bool
 steadyStateReport(const std::vector<TraceBuildRow> &build,
@@ -169,13 +164,13 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
     struct Config
     {
         const char *name;
-        bool streamCache, traceCache, fusion;
+        bool streamCache, traceCache;
     };
-    const Config kConfigs[] = {
-        {"no caches (translate)", false, false, false},
-        {"stream cache only", true, false, false},
-        {"trace cache, no fusion", true, true, false},
-        {"trace cache + fusion", true, true, true},
+    constexpr size_t kNumConfigs = 3;
+    const Config kConfigs[kNumConfigs] = {
+        {"no caches (translate)", false, false},
+        {"stream cache only", true, false},
+        {"trace cache", true, true},
     };
 
     const Geometry g = benchGeometry(16);
@@ -184,17 +179,13 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
     std::printf("\n=== Warm-cache steady-state throughput (repeated "
                 "int mul, %u crossbars, %u replay threads) ===\n",
                 g.numCrossbars, cfg.resolvedThreads());
-    std::printf("%-24s %12s %9s %8s %8s %8s %8s\n", "configuration",
-                "instr/s", "speedup", "hits", "waw", "chain",
-                "window");
+    std::printf("%-24s %12s %9s %8s\n", "configuration", "instr/s",
+                "speedup", "hits");
 
-    double rates[4] = {};
-    uint64_t checksums[4] = {};
-    struct Counters
-    {
-        uint64_t hits, waw, chain, window;
-    } counters[4] = {};
-    for (size_t c = 0; c < 4; ++c) {
+    double rates[kNumConfigs] = {};
+    uint64_t checksums[kNumConfigs] = {};
+    uint64_t hits[kNumConfigs] = {};
+    for (size_t c = 0; c < kNumConfigs; ++c) {
         const Config &conf = kConfigs[c];
         Simulator sim(g, cfg);
         Rng rng(1234);
@@ -203,7 +194,6 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
         Driver drv(sim, g, Driver::Mode::Parallel);
         drv.setStreamCacheEnabled(conf.streamCache);
         drv.setTraceCacheEnabled(conf.traceCache);
-        drv.setTraceFusionEnabled(conf.fusion);
         // Warm: record + build + first replay outside the window.
         drv.execute(in);
         drv.execute(in);
@@ -212,32 +202,23 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
             [&] { drv.execute(in); }, [&] { sim.flush(); },
             minSeconds);
         rates[c] = static_cast<double>(reps) / elapsed;
-        counters[c] = {drv.stats().traceCacheHits,
-                       drv.stats().fusionWaw,
-                       drv.stats().fusionInitChain,
-                       drv.stats().fusionWindow};
+        hits[c] = drv.stats().traceCacheHits;
         uint64_t ck = 0;
         for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
             for (uint32_t row = 0; row < g.rows; row += 3)
                 ck = ck * 1099511628211ull ^
                      sim.crossbar(xb).read(in.rd, row);
         checksums[c] = ck;
-        std::printf("%-24s %12.1f %8.2fx %8llu %8llu %8llu %8llu\n",
-                    conf.name, rates[c],
+        std::printf("%-24s %12.1f %8.2fx %8llu\n", conf.name, rates[c],
                     rates[1] > 0 ? rates[c] / rates[1] : 0.0,
-                    static_cast<unsigned long long>(counters[c].hits),
-                    static_cast<unsigned long long>(counters[c].waw),
-                    static_cast<unsigned long long>(counters[c].chain),
-                    static_cast<unsigned long long>(
-                        counters[c].window));
+                    static_cast<unsigned long long>(hits[c]));
     }
-    const bool identical = checksums[0] == checksums[1] &&
-                           checksums[0] == checksums[2] &&
-                           checksums[0] == checksums[3];
-    const double speedup = rates[3] / rates[1];
-    std::printf("warm-cache speedup (trace cache + fusion over "
-                "stream cache only): %.2fx [gauge: >=1.3x]; results "
-                "bit-identical: %s\n",
+    const bool identical =
+        checksums[0] == checksums[1] && checksums[0] == checksums[2];
+    const double speedup = rates[2] / rates[1];
+    std::printf("warm-cache speedup (trace cache over stream cache "
+                "only): %.2fx [gauge: >=1.3x]; results bit-identical: "
+                "%s\n",
                 speedup, identical ? "yes" : "NO — BUG");
 
     if (!jsonOutPath().empty()) {
@@ -246,16 +227,13 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
         j.field("bench", "bench_driver");
         jsonConfig(j, g);
         j.beginArray("steady_state");
-        for (size_t c = 0; c < 4; ++c) {
+        for (size_t c = 0; c < kNumConfigs; ++c) {
             j.beginObject();
             j.field("name", kConfigs[c].name);
             j.field("instr_per_s", rates[c]);
             j.field("speedup_vs_stream_cache",
                     rates[1] > 0 ? rates[c] / rates[1] : 0.0);
-            j.field("trace_cache_hits", counters[c].hits);
-            j.field("fusion_waw", counters[c].waw);
-            j.field("fusion_init_chain", counters[c].chain);
-            j.field("fusion_window", counters[c].window);
+            j.field("trace_cache_hits", hits[c]);
             j.end();
         }
         j.end();
@@ -267,7 +245,6 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
             j.field("name", r.name);
             j.field("source_ops", r.sourceOps);
             j.field("decode_ns_per_op", r.decodeNs);
-            j.field("fuse_ns_per_op", r.fuseNs);
             j.field("compile_ns_per_op", r.compileNs);
             j.field("arena_bytes", r.arenaBytes);
             j.field("sections_per_op", r.sectionsIn);

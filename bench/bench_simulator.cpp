@@ -103,7 +103,7 @@ logicTrace(Simulator &sim)
     };
     const std::vector<Word> body = logicBatch(g);
     ops.insert(ops.end(), body.begin(), body.end());
-    return sim.prepareTrace(ops.data(), ops.size(), false);
+    return sim.prepareTrace(ops.data(), ops.size());
 }
 
 /** Compiled trace replay rate: Args({crossbars, threads}). */
@@ -171,8 +171,9 @@ replayRate(Pass &&pass, uint64_t ops, double minSeconds = 0.25)
  * threads, against the same batch applied op-major as a raw stream.
  * Speedups over the op-major reference come from two separable
  * mechanisms, both visible here: the one-thread row isolates
- * compiled crossbar-major replay (cache blocking + INIT/NOR fusion),
- * and the wider rows add crossbar parallelism on top. The
+ * compiled crossbar-major replay (cache blocking + the compiler's
+ * INIT/NOR fusion), and the wider rows add crossbar parallelism on
+ * top. The
  * 1024-crossbar row is the scaling gauge: op-major replay streams
  * the whole 128 MB array through the cache once per op there, while
  * crossbar-major keeps a 128 KB crossbar hot for the entire segment.
@@ -1006,7 +1007,7 @@ transportSweep(Json *json)
 /**
  * Replay panel (one layer: the compiled-replay executor). The driver's
  * fp32 add and mul streams at the Table III geometry are compiled once
- * (fused, as a trace-cache miss does), then replayed segment by
+ * (as a trace-cache miss does), then replayed segment by
  * segment straight onto 16 crossbars, with no engine, by every
  * executor build the host supports (its ReplayBuild::run entry, which
  * runs the executor on the crossbar's form as it is), in both storage
@@ -1018,7 +1019,7 @@ transportSweep(Json *json)
  * reports the LogicH sections per source op before and after the
  * compiler's liveness scan, the HPass instructions (merged LogicH
  * passes) one crossbar replays, sections per HPass, and host ns per
- * replayed section (the whole replay time, stripes and vertical runs
+ * replayed section (the whole replay time, writes and vertical runs
  * included, over the sections). Each (form, build) replays once from
  * one seeded state first; the function returns false unless every
  * final state checksum equals the first slab build's, unless no table
@@ -1052,7 +1053,7 @@ replayPanel(Json *json, double minSeconds = 0.2)
         }
         Simulator prep(g, EngineConfig::serial());
         const auto trace =
-            prep.prepareTrace(cap.ops.data(), cap.ops.size(), true);
+            prep.prepareTrace(cap.ops.data(), cap.ops.size());
         if (!trace) {
             std::printf("%-8s stream is not self-contained — BUG\n",
                         k.name);

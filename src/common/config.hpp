@@ -171,14 +171,13 @@ struct EngineConfig
     bool pipeline = false;
     /**
      * Driver-level trace cache (sim/batch_trace.hpp): on a stream-
-     * cache hit the driver submits a shared pre-built, fusion-
-     * optimised BatchTrace instead of re-translating the memoised
-     * micro-op stream — decode and optimise once per instruction
-     * signature, replay forever. On by default; Device forwards the
-     * flag to its Driver. Fused+cached replay is bit-identical to
-     * fresh translation on every engine (test_engine_parity,
-     * test_trace_fusion); tests select the uncached oracle in code
-     * (no environment knob).
+     * cache hit the driver submits a shared pre-built, compiled
+     * BatchTrace instead of re-translating the memoised micro-op
+     * stream — decode and compile once per instruction signature,
+     * replay forever. On by default; Device forwards the flag to its
+     * Driver. Cached replay is bit-identical to fresh translation on
+     * every engine (test_engine_parity, test_trace_cache); tests
+     * select the uncached oracle in code (no environment knob).
      */
     bool traceCache = true;
     /**

@@ -166,12 +166,6 @@ Stats::summary() const
     if (traceCacheHits || traceCacheMisses)
         os << "  trace cache: " << traceCacheHits << " hits / "
            << traceCacheMisses << " misses\n";
-    if (fusionWaw || fusionInitChain || fusionWindow ||
-        fusionWriteStripe)
-        os << "  fusion eliminated: " << fusionWaw << " WAW writes, "
-           << fusionInitChain << " INIT-chain ops, " << fusionWindow
-           << " window INIT+gate ops, " << fusionWriteStripe
-           << " stripe-merged writes\n";
     if (sectionsFused || sectionsDead || sectionsReplayed)
         os << "  replay liveness: " << sectionsFused
            << " INIT1 sections fused, " << sectionsDead

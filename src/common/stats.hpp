@@ -51,7 +51,7 @@ struct Stats
     /** Macro-instructions executed by the driver. */
     uint64_t instructions = 0;
 
-    // --- host-side trace-cache / fusion observability ----------------
+    // --- host-side trace-cache / replay-liveness observability -------
     // Recorded by the DRIVER (which owns the trace cache), never by
     // the simulator: the simulator's architectural counters stay
     // engine- and cache-independent, which the parity suite checks by
@@ -63,21 +63,28 @@ struct Stats
      * sequence (Driver::execute(std::span<const MoveInstr>)).
      */
     uint64_t traceCacheHits = 0;
-    /** Traces built (decode + fusion ran once for these): one per
+    /** Traces built (decode + compile ran once for these): one per
      *  R-type signature or captured move sequence. */
     uint64_t traceCacheMisses = 0;
-    /** Writes eliminated by Write-after-Write fusion. */
+    /**
+     * Retired: nothing records them, so they read 0 (unless restored
+     * from a checkpoint written while they still counted). They
+     * counted the ops a trace-level fusion pass removed before
+     * compiling; the replay compiler's liveness scan (the sections*
+     * counters below) is now the only rewrite. The fields remain only
+     * because perfbench/perfbench.cpp sums them into driver.fused_ops
+     * and the checkpoint's Stats image carries them
+     * (sim/serialize.cpp); they go with the next change to the
+     * benchmark.
+     */
     uint64_t fusionWaw = 0;
-    /** INIT1 micro-ops merged into a chain peer. */
     uint64_t fusionInitChain = 0;
-    /** INIT1 micro-ops window-fused into a following NOR/NOT. */
     uint64_t fusionWindow = 0;
-    /** Writes merged into an adjacent-Write partition stripe. */
     uint64_t fusionWriteStripe = 0;
     /**
      * Replay-compiler liveness (ReplayProgram::Liveness), in column
-     * SECTIONS rather than ops, so apart from the fusion* op counts:
-     * INIT1 sections fused into the NOR/NOT that follows them and
+     * SECTIONS rather than ops: INIT1 sections fused into the
+     * NOR/NOT that follows them and
      * dead sections dropped, per trace built, and the compiled
      * sections one crossbar replays, summed over every trace the
      * driver submits (builds and hits). All three read zero under the
@@ -146,9 +153,9 @@ struct Stats
 
     /**
      * Record @p n one-cycle micro-ops of class @p c in one counter
-     * bump — the replay loops' bulk form (a write stripe applies wn
-     * architectural Writes; a compiled pass applies a precomputed op
-     * count per crossbar). Equivalent to calling record(c) n times.
+     * bump — the replay loops' bulk form (a compiled pass applies a
+     * precomputed op count per crossbar). Equivalent to calling
+     * record(c) n times.
      */
     void
     recordN(OpClass c, uint64_t n)

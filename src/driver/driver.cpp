@@ -48,19 +48,6 @@ Driver::setPartitionsEnabled(bool on)
     builder_.setPartitionsEnabled(on);
 }
 
-void
-Driver::setTraceFusionEnabled(bool on)
-{
-    if (on == traceFusionOn_)
-        return;
-    traceFusionOn_ = on;
-    // Handles were optimised under the old setting; keep the recorded
-    // streams and rebuild traces lazily on the next hit.
-    for (auto &kv : streamCache_)
-        kv.second.trace.reset();
-    moveCache_.clear();
-}
-
 std::vector<uint8_t>
 Driver::exportStreamCache() const
 {
@@ -121,7 +108,7 @@ Driver::importStreamCache(const std::vector<uint8_t> &blob)
         for (uint64_t j = 0; j < n; ++j)
             e.ops.push_back(r.u64());
         // Traces are derived state: rebuilt lazily by replayEntry on
-        // the first post-restore hit (exactly like a fusion toggle).
+        // the first post-restore hit.
         streamCache_.emplace(k, std::move(e));
     }
     r.expectEnd("driver stream cache");
@@ -131,10 +118,6 @@ void
 Driver::noteTraceBuilt(const BatchTrace &t)
 {
     ++stats_.traceCacheMisses;
-    stats_.fusionWaw += t.fusion.waw;
-    stats_.fusionInitChain += t.fusion.initChain;
-    stats_.fusionWindow += t.fusion.window;
-    stats_.fusionWriteStripe += t.fusion.writeStripe;
     stats_.sectionsFused += t.liveness.fused;
     stats_.sectionsDead += t.liveness.dead;
 }
@@ -153,8 +136,7 @@ Driver::replayEntry(StreamEntry &e)
         if (e.trace) {
             ++stats_.traceCacheHits;
         } else {
-            e.trace = sink_->prepareTrace(e.ops.data(), e.ops.size(),
-                                          traceFusionOn_);
+            e.trace = sink_->prepareTrace(e.ops.data(), e.ops.size());
             if (e.trace)
                 noteTraceBuilt(*e.trace);
         }

@@ -76,27 +76,16 @@ class Driver
     /**
      * Enable/disable the trace cache layered over the stream cache
      * (sim/batch_trace.hpp): per signature, the recorded stream is
-     * decoded, validated and fusion-optimised ONCE into a shared
+     * decoded, validated and compiled ONCE into a shared
      * immutable BatchTrace, and every subsequent hit submits the
      * pre-built trace handle — the engine replays it with zero
      * decode work. Sinks without trace support (e.g. the
      * bench BufferSink) fall back to raw stream replay transparently.
-     * Observability: Stats::traceCacheHits/Misses and the fusion*
-     * counters on stats().
+     * Observability: Stats::traceCacheHits/Misses and the sections*
+     * liveness counters on stats().
      */
     void setTraceCacheEnabled(bool on) { traceCacheOn_ = on; }
     bool traceCacheEnabled() const { return traceCacheOn_; }
-
-    /**
-     * Enable/disable the window fusion pass applied to freshly built
-     * traces (ablation knob). Changing it drops the cached trace
-     * handles — they were optimised under the old setting — while the
-     * recorded streams stay cached; traces rebuild lazily on the next
-     * hit. Captured move sequences are dropped whole (an entry with a
-     * trace keeps no stream to rebuild it from).
-     */
-    void setTraceFusionEnabled(bool on);
-    bool traceFusionEnabled() const { return traceFusionOn_; }
 
     /** Drop every memoised stream and trace handle (R-type streams
      *  and captured move sequences). */
@@ -177,7 +166,7 @@ class Driver
      * Stats and builder mask state), which stays the ISA instruction
      * and the oracle. The first run of a sequence records the
      * per-move lowering under the builder's live masks (keeping its
-     * mask elision) and builds one fused, compiled trace from that
+     * mask elision) and builds one compiled trace from that
      * entry mask state; every later run with the same moves, partition
      * setting and entry masks submits the trace and assumes the
      * recorded exit masks. Sinks that cannot replay the trace get the
@@ -224,7 +213,7 @@ class Driver
     /**
      * One memoised translation: the recorded self-contained micro-op
      * stream plus (lazily, when the trace cache is on and the sink
-     * supports it) the decoded, fused, shared immutable trace built
+     * supports it) the decoded, compiled, shared immutable trace built
      * from it.
      */
     struct StreamEntry
@@ -235,8 +224,7 @@ class Driver
 
     /** Replay one cache entry (trace handle fast path, else stream). */
     void replayEntry(StreamEntry &e);
-    /** Account a freshly built trace (miss, fusion and liveness
-     *  counters). */
+    /** Account a freshly built trace (miss and liveness counters). */
     void noteTraceBuilt(const BatchTrace &t);
     /** Submit a pre-built trace, counting the sections it replays. */
     void replayTrace(const std::shared_ptr<const BatchTrace> &t);
@@ -315,7 +303,6 @@ class Driver
     Stats stats_;
     bool streamCacheOn_ = true;
     bool traceCacheOn_ = true;
-    bool traceFusionOn_ = true;
     bool bulkIoOn_ = true;
     std::unordered_map<StreamKey, StreamEntry, StreamKeyHash>
         streamCache_;

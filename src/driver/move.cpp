@@ -185,7 +185,6 @@ Driver::execute(std::span<const MoveInstr> moves)
     e.exitRows = builder_.knownRowMask();
     const EntryMasks entry{key.head.warps, key.head.rows};
     e.trace = sink_->prepareTrace(rec.ops.data(), rec.ops.size(),
-                                  traceFusionOn_,
                                   known ? &entry : nullptr);
     if (e.trace) {
         noteTraceBuilt(*e.trace);

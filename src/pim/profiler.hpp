@@ -6,7 +6,7 @@
  * delta, including the derived PIM execution time at the configured
  * clock. Every stats query covers every submitted batch, so windows
  * always cover whole batches. The driver's host-side counters (trace
- * cache, fusion, replay liveness) have a window of their own,
+ * cache, replay liveness) have a window of their own,
  * driverDelta(), apart from the architectural one.
  */
 #ifndef PYPIM_PIM_PROFILER_HPP
@@ -30,7 +30,7 @@ class Profiler
     /** Counters accumulated since construction/reset. */
     Stats delta() const;
     /** Driver counters (Device::driver().stats()) accumulated since
-     *  construction/reset: trace cache, fusion, replay liveness. */
+     *  construction/reset: trace cache, replay liveness. */
     Stats driverDelta() const;
 
     /** PIM cycles consumed in the window. */

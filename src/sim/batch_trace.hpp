@@ -14,14 +14,10 @@
  * with zero decode work. The shard wire builds and decodes frozen
  * traces the same way (sim/trace_wire.hpp).
  *
- * Because the expensive translation now runs once per signature, it
- * can afford a real optimisation pass: fuseBatchTrace() is a
- * window-based peephole over each segment that eliminates
- * Write-after-Write to the same slot, merges INIT1 chains across
- * independent columns into one op, and extends the builder's adjacent
- * INIT1->NOR/NOT fusion across intervening unrelated ops. Fused
- * traces replay bit-identically to unfused ones (see the legality
- * notes at fuseBatchTrace) but touch fewer column words per crossbar.
+ * The one rewrite between decode and replay is the replay compiler's
+ * section liveness scan (sim/replay_program.hpp), which runs on every
+ * segment as it is compiled: a trace holds its ops exactly as the
+ * stream issued them.
  */
 #ifndef PYPIM_SIM_BATCH_TRACE_HPP
 #define PYPIM_SIM_BATCH_TRACE_HPP
@@ -61,15 +57,6 @@ struct BatchTrace
         Range xb;
     };
 
-    /** Ops eliminated by the window fusion pass (fuseBatchTrace). */
-    struct Fusion
-    {
-        uint64_t waw = 0;        //!< dead Writes (Write-after-Write)
-        uint64_t initChain = 0;  //!< INIT1 ops merged into a chain peer
-        uint64_t window = 0;     //!< INIT1 ops window-fused into a gate
-        uint64_t writeStripe = 0;  //!< Writes merged into a stripe peer
-    };
-
     std::vector<Item> items;
     std::vector<SegmentTrace> segments;
     /**
@@ -82,9 +69,9 @@ struct BatchTrace
     /**
      * Architectural Stats of the whole batch, recorded once by the
      * build pre-pass. Folded into the simulator's counters at every
-     * submit (cached replays never re-decode), so fusion — which only
-     * changes the applied work — cannot perturb the architectural
-     * counters.
+     * submit (cached replays never re-decode), so the compiler's
+     * rewrites — which only change the applied work — cannot perturb
+     * the architectural counters.
      */
     Stats stats;
     /** Mask state after the batch's last op (installed at submit). */
@@ -97,11 +84,9 @@ struct BatchTrace
      */
     bool hasEntry = false;
     Range entryXb, entryRow;
-    Fusion fusion;
     /**
      * Section counts of the replay compiler's liveness scan, summed
-     * over programs by compileBatchTrace. Kept apart from @ref fusion:
-     * they count sections, not ops, and only a compiled trace has
+     * over programs by compileBatchTrace. Only a compiled trace has
      * them (a host-side wire trace is never compiled, so they are zero
      * there).
      */
@@ -114,17 +99,16 @@ struct BatchTrace
     // --- shard-transport wire identity (sim/trace_wire.hpp) ----------
     // Filled only by the socket transport's prepareTrace path: the
     // content address under which this frozen trace is installed in
-    // each shard worker's cache (FNV-1a of the source op words, the
-    // fuse flag and the entry masks), and the source stream itself —
-    // the wire image ships only the raw ops (and the entry masks), and
-    // a worker rebuilds and compiles the trace on its own arenas,
+    // each shard worker's cache (FNV-1a of the source op words and
+    // the entry masks), and the source stream itself — the wire image
+    // ships only the raw ops (and the entry masks), and a worker
+    // rebuilds and compiles the trace on its own arenas,
     // cross-checked against the shipped stats/mask epilogue. A worker's
     // installed trace keeps wireSig but not the source stream, which
     // only the host's encoder reads. Empty/zero on inproc traces: the
     // in-process group shares the handle by pointer.
     uint64_t wireSig = 0;
     std::vector<Word> sourceOps;
-    bool sourceFuse = false;
 };
 
 /**
@@ -149,39 +133,6 @@ bool leadsWithMasks(const Word *ops, size_t n);
 void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
                      const HTree &htree, MaskState &mask,
                      BatchTrace &batch);
-
-/**
- * Window-based peephole fusion over every segment of @p batch; run
- * once, before the trace is frozen and cached. Four rewrites, all
- * producing bit-identical replay:
- *
- *  - WAW elimination: a Write to slot s is dead when a later Write to
- *    the same slot covers it (crossbar-mask superset, row-mask
- *    superset) and no op in between touches any column of s.
- *  - INIT1 chain merging: an INIT1 is folded into a later INIT1 under
- *    identical masks by appending its half-gate sections (INIT
- *    sections are independent per column and INIT1 is idempotent), as
- *    long as nothing touches its output columns in between.
- *  - Windowed INIT1->NOR/NOT fusion: the builder's adjacent fusion
- *    generalised — the INIT may sit several ops back, provided masks
- *    match, the alias guard holds (fusableInitNor) and no intervening
- *    op reads or writes the INIT's output columns. Moving the INIT
- *    forward to the gate is then unobservable: stateful gates read
- *    their output (out_new = out_old & ...), so "touches" includes
- *    every gate output, and the guard is conservative at column
- *    granularity, ignoring row masks and crossbar masks of the
- *    intervening ops.
- *  - Write-stripe merging: a maximal run of CONSECUTIVE surviving
- *    Writes under identical crossbar and row masks with pairwise-
- *    distinct slots collapses into one stripe op (TraceOp::wn > 1)
- *    replayed partition-major by Crossbar::writeStripe. Distinct
- *    slots address disjoint strided column sets, so any application
- *    order is bit-identical; a repeated slot ends the run.
- *
- * Counters for the eliminated ops accumulate into batch.fusion;
- * batch.stats is untouched (fusion changes applied work only).
- */
-void fuseBatchTrace(BatchTrace &batch, const Geometry &geo);
 
 } // namespace pypim
 

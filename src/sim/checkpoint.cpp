@@ -278,13 +278,13 @@ RecoverySink::performRead(Word op)
 }
 
 std::shared_ptr<const BatchTrace>
-RecoverySink::prepareTrace(const Word *ops, size_t n, bool fuse,
+RecoverySink::prepareTrace(const Word *ops, size_t n,
                            const EntryMasks *entry)
 {
     // Builds touch no architectural state: no journal, no guard. An
     // entry-dependent trace stays valid in the journal: recovery
     // replays it from the restored mask state it was submitted under.
-    return group_.prepareTrace(ops, n, fuse, entry);
+    return group_.prepareTrace(ops, n, entry);
 }
 
 void

@@ -116,7 +116,7 @@ class RecoverySink : public OperationSink
     void flush() override;
     uint32_t performRead(Word op) override;
     std::shared_ptr<const BatchTrace>
-    prepareTrace(const Word *ops, size_t n, bool fuse,
+    prepareTrace(const Word *ops, size_t n,
                  const EntryMasks *entry = nullptr) override;
     void submitTrace(std::shared_ptr<const BatchTrace> trace) override;
     bool readBulk(const BulkIoSpec &spec, uint32_t *out,

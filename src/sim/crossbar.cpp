@@ -691,30 +691,20 @@ passStep(const B &st, const PSection *secs, uint32_t count)
                               secs[s].inB, nullptr, nullptr);
 }
 
-/**
- * A stripe of distinct-slot strided writes under one mask,
- * partition-major: every stripe column of partition p is written while
- * the mask words are hot. The slots are pairwise distinct (fuser
- * invariant), so the column sets are disjoint and this order is
- * bit-identical to sequential application.
- */
+/** Strided write of @p value to @p slot: bit p of the value goes to
+ *  the slot's column in partition p. */
 template <bool kMasked, class B>
 PYPIM_KERNEL void
-stripeStep(const B &st, const Geometry &geo,
-           std::span<const StripeWrite> ws, const uint64_t *m,
-           const uint8_t *nz)
+writeStep(const B &st, const Geometry &geo, uint32_t slot,
+          uint32_t value, const uint64_t *m, const uint8_t *nz)
 {
     const uint32_t pw = geo.partitionWidth();
     for (uint32_t p = 0; p < geo.wordBits; ++p) {
-        for (const StripeWrite &sw : ws) {
-            const uint32_t col = p * pw + sw.slot;
-            if ((sw.value >> p) & 1)
-                sectionStep<SecKind::Init1, kMasked>(st, col, col, col, m,
-                                                     nz);
-            else
-                sectionStep<SecKind::Init0, kMasked>(st, col, col, col, m,
-                                                     nz);
-        }
+        const uint32_t col = p * pw + slot;
+        if ((value >> p) & 1)
+            sectionStep<SecKind::Init1, kMasked>(st, col, col, col, m, nz);
+        else
+            sectionStep<SecKind::Init0, kMasked>(st, col, col, col, m, nz);
     }
 }
 
@@ -820,30 +810,13 @@ void
 Crossbar::write(uint32_t slot, uint32_t value,
                 std::span<const uint64_t> rowMask)
 {
-    const StripeWrite sw{slot, value};
-    writeStripe({&sw, 1}, rowMask);
-}
-
-void
-Crossbar::writeStripe(std::span<const StripeWrite> ws,
-                      std::span<const uint64_t> rowMask)
-{
     panicIf(rowMask.size() != wordsPerCol_,
             "write: row mask width mismatch");
     maybePromote();
     withBlocks([&](const auto &st) {
         uint8_t nz[kMaxBlocksPerCol];
         scanMask(st, rowMask.data(), nz);
-        stripeStep<true>(st, *geo_, ws, rowMask.data(), nz);
-    });
-}
-
-void
-Crossbar::writeStripeFull(std::span<const StripeWrite> ws)
-{
-    maybePromote();
-    withBlocks([&](const auto &st) {
-        stripeStep<false>(st, *geo_, ws, nullptr, nullptr);
+        writeStep<true>(st, *geo_, slot, value, rowMask.data(), nz);
     });
 }
 
@@ -883,7 +856,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
         switch (in.kind) {
           case ReplayProgram::Kind::HPass: {
             const PSection *secs = prog.sections.data() + in.off;
-            const uint64_t *m = prog.masks[in.mask].get();
+            const uint64_t *m = prog.masks[in.operand].get();
             if (!full) {
                 scanMask(st, m, maskNZ);
                 for (uint32_t s = 0; s < in.count; ++s)
@@ -909,15 +882,15 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
             }
             break;
           }
-          case ReplayProgram::Kind::WStripe: {
-            const std::span<const StripeWrite> ws{
-                prog.pairs.data() + in.off, in.count};
-            const uint64_t *m = prog.masks[in.mask].get();
+          case ReplayProgram::Kind::Write: {
+            const ReplayProgram::WritePair &w = prog.pairs[in.off];
             if (full) {
-                stripeStep<false>(st, *geo_, ws, nullptr, nullptr);
+                writeStep<false>(st, *geo_, w.slot, w.value, nullptr,
+                                 nullptr);
             } else {
+                const uint64_t *m = prog.masks[in.operand].get();
                 scanMask(st, m, maskNZ);
-                stripeStep<true>(st, *geo_, ws, m, maskNZ);
+                writeStep<true>(st, *geo_, w.slot, w.value, m, maskNZ);
             }
             break;
           }
@@ -928,7 +901,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
             const ReplayProgram::VGate *gs =
                 prog.vgates.data() + in.off;
             for (uint32_t part = 0; part < geo_->partitions; ++part) {
-                const uint32_t col = part * pw + in.slot;
+                const uint32_t col = part * pw + in.operand;
                 for (uint32_t k = 0; k < in.count; ++k)
                     vGate(st, col, gs[k].gate, gs[k].inWord,
                           gs[k].inShift, gs[k].outWord,

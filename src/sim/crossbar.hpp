@@ -42,8 +42,8 @@
  *  - Promotion is checked only at replay entry, never inside a
  *    kernel that holds block pointers: at the entry of a compiled
  *    program (replayProgram), never between its instructions, and of
- *    each single replayed op (logicH, logicV, write and writeStripe),
- *    which is the only entry the engine's raw op-by-op path
+ *    each single replayed op (logicH, logicV and write), which is the
+ *    only entry the engine's raw op-by-op path
  *    has. Direct state access (writeRow,
  *    setBit, bulk gather/scatter, loadBlock) never promotes.
  *    Promotion copies every present block into the slab and drops the
@@ -106,13 +106,6 @@ struct ReplayProgram;
 struct Stats;
 class BlockPool;
 struct ReplayKernels;
-
-/** One strided write of a stripe: slot @p slot takes @p value. */
-struct StripeWrite
-{
-    uint32_t slot = 0;
-    uint32_t value = 0;
-};
 
 /** Point-in-time storage footprint of a crossbar (or a sum of them).
  *  Pure observability — never part of the architectural Stats, whose
@@ -197,13 +190,6 @@ class Crossbar
     void logicH(const HalfGates &hg, std::span<const uint64_t> rowMask);
 
     /**
-     * Blend-free stripe for an ALL-ONES realized row mask (every mask
-     * word == ~0; SegmentTrace::rowMaskFull): each plane column
-     * becomes a fill. Bit-identical to writeStripe under that mask.
-     */
-    void writeStripeFull(std::span<const StripeWrite> ws);
-
-    /**
      * Crossbar-major replay of one compiled segment
      * (sim/replay_program.hpp) on this crossbar (index @p self): every
      * instruction whose crossbar range selects it, in order, while
@@ -211,8 +197,8 @@ class Crossbar
      * filled paged crossbar first (file header), then dispatches once
      * into the executor's instantiation for {slab, table} x {all-full
      * masks, partial}. @p work, if non-null, accumulates the applied
-     * architectural ops (two for a fused INIT+gate pair, one per Write
-     * of a stripe): the thread pool's load-balance diagnostic.
+     * architectural ops (one per op, however many of its sections the
+     * compiler dropped): the thread pool's load-balance diagnostic.
      */
     void replayProgram(const ReplayProgram &prog, uint32_t self,
                        Stats *work);
@@ -261,17 +247,6 @@ class Crossbar
     /** Strided N-bit write to all mask-selected rows (paper Fig. 6). */
     void write(uint32_t slot, uint32_t value,
                std::span<const uint64_t> rowMask);
-
-    /**
-     * Apply a stripe of distinct-slot strided writes under one shared
-     * row mask, partition-major: for each partition, all stripe
-     * columns are written while the realized mask word is loaded once
-     * (the replay form of the trace fuser's adjacent-Write merge).
-     * Bit-identical to applying the writes in order — the slots are
-     * pairwise distinct, so the strided column sets are disjoint.
-     */
-    void writeStripe(std::span<const StripeWrite> ws,
-                     std::span<const uint64_t> rowMask);
 
     /** Strided N-bit read of one row. */
     uint32_t read(uint32_t slot, uint32_t row) const;

@@ -416,13 +416,13 @@ SimulatorGroup::streamCrossesBoundary(const Word *ops, size_t n,
 }
 
 std::shared_ptr<const BatchTrace>
-SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse,
+SimulatorGroup::prepareTrace(const Word *ops, size_t n,
                              const EntryMasks *entry)
 {
     // A trace replays blindly on every slice; a boundary-crossing
     // Move needs the scanning exchange, so such streams stay on the
     // raw path (the caller falls back transparently). The cheap raw
-    // scan runs BEFORE the expensive build+fuse, so a refused
+    // scan runs BEFORE the expensive build+compile, so a refused
     // signature costs one peek pass per attempt, not a discarded
     // trace construction. (R-type streams contain no Moves; only a
     // captured move sequence with inter-warp moves can hit this.) An
@@ -435,10 +435,10 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse,
     // mirror and stamped with its wire identity, so submitTrace can
     // install it once per worker and replay by signature thereafter.
     if (remote())
-        return buildWireTrace(ops, n, fuse, geo_, *htree_, entry);
+        return buildWireTrace(ops, n, geo_, *htree_, entry);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
-    return sims_[0]->prepareTrace(ops, n, fuse, entry);
+    return sims_[0]->prepareTrace(ops, n, entry);
 }
 
 void

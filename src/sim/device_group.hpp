@@ -326,7 +326,7 @@ class SimulatorGroup : public OperationSink
      * it.
      */
     std::shared_ptr<const BatchTrace>
-    prepareTrace(const Word *ops, size_t n, bool fuse,
+    prepareTrace(const Word *ops, size_t n,
                  const EntryMasks *entry = nullptr) override;
     /** Submit the SAME shared handle to every sub-device. */
     void submitTrace(std::shared_ptr<const BatchTrace> trace) override;

@@ -159,10 +159,8 @@ class RunTable
 };
 
 ReplayProgram::SecKind
-sectionKind(const HalfGateRun &hg, bool fusedInit)
+sectionKind(const HalfGateRun &hg)
 {
-    if (fusedInit)
-        return ReplayProgram::SecKind::FusedNotNor;
     switch (hg.gate) {
       case Gate::Init0: return ReplayProgram::SecKind::Init0;
       case Gate::Init1: return ReplayProgram::SecKind::Init1;
@@ -220,11 +218,7 @@ class LivenessScan
             const TraceOp &op = t.ops[j];
             switch (op.type) {
               case OpType::Write:
-                if (op.wn > 1)
-                    for (uint32_t i = 0; i < op.wn; ++i)
-                        touchSlot(t.writePairs[op.wrun + i].slot);
-                else
-                    touchSlot(op.index);
+                touchSlot(op.index);
                 break;
               case OpType::LogicV:
                 for (uint32_t part = 0; part < geo.partitions; ++part)
@@ -232,7 +226,7 @@ class LivenessScan
                 break;
               case OpType::LogicH: {
                 const HalfGateRun &hg = t.halfGates[op.hg];
-                const SecKind opKind = sectionKind(hg, op.fusedInit);
+                const SecKind opKind = sectionKind(hg);
                 const bool maskFull = t.rowMaskFull[op.rowMask] != 0;
                 for (const ActiveSection &sec : t.run(hg)) {
                     SecKind kind = opKind;
@@ -386,20 +380,15 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
           case OpType::Write: {
             closePass();
             ReplayProgram::Instr in;
-            in.kind = ReplayProgram::Kind::WStripe;
+            in.kind = ReplayProgram::Kind::Write;
             in.cls = OpClass::Write;
-            in.mask = op.rowMask;
+            in.operand = op.rowMask;
             in.maskFull = t.rowMaskFull[op.rowMask];
             in.off = static_cast<uint32_t>(p.pairs.size());
-            in.count = op.wn;
-            in.work = op.wn;
+            in.count = 1;
+            in.work = 1;
             in.xb = op.xb;
-            if (op.wn > 1)
-                p.pairs.insert(p.pairs.end(),
-                               t.writePairs.begin() + op.wrun,
-                               t.writePairs.begin() + op.wrun + op.wn);
-            else
-                p.pairs.push_back({op.index, op.value});
+            p.pairs.push_back({op.index, op.value});
             p.instrs.push_back(in);
             break;
           }
@@ -408,7 +397,6 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             const std::span<const ActiveSection> secs = t.run(hg);
             const uint8_t *kinds = scan.kinds.data() + section;
             section += hg.count;
-            const uint32_t work = op.fusedInit ? 2 : 1;
             // Candidate footprint of the sections the scan kept. A
             // stateful gate also READS its output (out_new = out_old
             // & ...), but only its OWN — covered by keeping candidate
@@ -431,13 +419,13 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             if (kept == 0 && open >= 0 && p.instrs[open].xb == op.xb) {
                 // Every section dropped: the op still applies, so its
                 // work rides on the open pass over the same crossbars.
-                p.instrs[open].work += work;
+                ++p.instrs[open].work;
                 break;
             }
             bool merged = false;
             if (open >= 0) {
                 ReplayProgram::Instr &pass = p.instrs[open];
-                merged = pass.mask == op.rowMask && pass.xb == op.xb &&
+                merged = pass.operand == op.rowMask && pass.xb == op.xb &&
                          pass.count + kept <= kMaxPassSections &&
                          !candIns.intersects(passOuts, colWords) &&
                          !candOuts.intersects(passOuts, colWords) &&
@@ -448,7 +436,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                 ReplayProgram::Instr in;
                 in.kind = ReplayProgram::Kind::HPass;
                 in.cls = OpClass::LogicH;
-                in.mask = op.rowMask;
+                in.operand = op.rowMask;
                 in.maskFull = t.rowMaskFull[op.rowMask];
                 in.off = static_cast<uint32_t>(p.sections.size());
                 in.xb = op.xb;
@@ -473,7 +461,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                 p.sections.push_back(ps);
                 ++pass.count;
             }
-            pass.work += work;
+            ++pass.work;
             passOuts.merge(candOuts, colWords);
             passIns.merge(candIns, colWords);
             break;
@@ -492,7 +480,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             // breaking at an xb change keeps instructions uniform.
             if (!p.instrs.empty() &&
                 p.instrs.back().kind == ReplayProgram::Kind::VRun &&
-                p.instrs.back().slot == op.index &&
+                p.instrs.back().operand == op.index &&
                 p.instrs.back().xb == op.xb) {
                 ReplayProgram::Instr &run = p.instrs.back();
                 ++run.count;
@@ -504,7 +492,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
                 in.maskFull = 1;  // LogicV addresses rows directly
                 in.off = static_cast<uint32_t>(p.vgates.size());
                 in.count = 1;
-                in.slot = op.index;
+                in.operand = op.index;
                 in.work = 1;
                 in.xb = op.xb;
                 p.instrs.push_back(in);
@@ -565,7 +553,6 @@ releaseSegmentArenas(BatchTrace &batch)
         std::vector<ActiveSection>().swap(t.sections);
         std::vector<uint64_t>().swap(t.rowWords);
         std::vector<uint8_t>().swap(t.rowMaskFull);
-        std::vector<StripeWrite>().swap(t.writePairs);
     }
     // A frozen program never grows again: drop its push_back slack.
     for (ReplayProgram &p : batch.programs) {

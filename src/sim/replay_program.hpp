@@ -13,23 +13,25 @@
  *    `& mask` blend from the inner word loops (the all-rows mask is
  *    the overwhelmingly common case);
  *  - a section-level liveness scan over the segment's ops, in stream
- *    order and before pass merging, makes two rewrites. INIT1->NOR:
+ *    order and before pass merging, makes two rewrites; it is the one
+ *    place a trace is optimised between decode and replay. INIT1->NOR:
  *    an INIT1 section whose column is next driven by a NOR/NOT
  *    section with inputs distinct from its output, under the same
  *    row-mask id and crossbar range, with nothing touching the
  *    column in between, is dropped and the gate becomes a
- *    FusedNotNor. This catches the INIT1 chains the window fusion
- *    pass merges into one wide op, which fusableInitNor must refuse.
- *    Dead store: a section whose column is next written in full (an
- *    Init0, an Init1, or a FusedNotNor whose inputs differ from its
- *    output) with no touch in between is dropped, when that write's
- *    mask is all-ones or the same id and its range contains the
- *    earlier one. A touch is a gate input, a NotNor's own output (a
- *    stateful gate reads it), a Write's slot columns or a LogicV's
- *    partition columns. Dropped sections keep their op's applied
- *    work: an op left with no section charges its work to the open
- *    pass when that has the op's crossbar range, else to an empty
- *    pass of its own;
+ *    FusedNotNor. This is the driver's stateful-logic idiom (an INIT1
+ *    of the output, then the gate that writes it), whether the INIT1
+ *    sits right before its gate or opens a chain of INIT1s for
+ *    several gates. Dead store: a section whose column is next
+ *    written in full (an Init0, an Init1, or a FusedNotNor whose
+ *    inputs differ from its output) with no touch in between is
+ *    dropped, when that write's mask is all-ones or the same id and
+ *    its range contains the earlier one. A touch is a gate input, a
+ *    NotNor's own output (a stateful gate reads it), a Write's slot
+ *    columns or a LogicV's partition columns. Dropped sections keep
+ *    their op's applied work (one per op): an op left with no section
+ *    charges its work to the open pass when that has the op's
+ *    crossbar range, else to an empty pass of its own;
  *  - consecutive LogicH ops under an identical mask and crossbar
  *    range merge into ONE multi-section column pass — one mask load
  *    (and, paged, one mask-nonzero block scan) shared by all
@@ -42,10 +44,9 @@
  *  - passes whose section runs are equal field by field share ONE
  *    run in the sections arena (a captured move sequence repeats the
  *    same lane NOTs under a new row mask per move);
- *  - write stripes arrive pre-chunked ({slot, value} pairs in a flat
- *    arena; a plain Write is a stripe of one) and LogicV runs arrive
- *    pre-decoded (word index / bit mask forms in a flat arena), so
- *    replay never re-derives either per crossbar;
+ *  - a Write arrives as one {slot, value} pair in a flat arena, and
+ *    LogicV runs arrive pre-decoded (word index / bit mask forms in a
+ *    flat arena), so replay never re-derives either per crossbar;
  *  - per-instruction applied-op counts are precomputed, so the
  *    work-stealing engine's load diagnostics charge Stats once per
  *    instruction — or, when every instruction shares one crossbar
@@ -115,11 +116,18 @@ struct ReplayProgram
         uint16_t inWord = 0, outWord = 0;
     };
 
+    /** One Write of a program: slot @p slot takes @p value. */
+    struct WritePair
+    {
+        uint32_t slot = 0;
+        uint32_t value = 0;
+    };
+
     enum class Kind : uint8_t
     {
-        HPass,   //!< count sections at sections[off] under one mask
-        WStripe, //!< count {slot,value} pairs at pairs[off]
-        VRun     //!< count pre-decoded gates at vgates[off] on slot
+        HPass,  //!< count sections at sections[off] under one mask
+        Write,  //!< the one {slot,value} pair at pairs[off]
+        VRun    //!< count pre-decoded gates at vgates[off] on slot
     };
 
     /** Instr::passKind sentinel: the pass mixes section kinds. */
@@ -143,17 +151,23 @@ struct ReplayProgram
          */
         uint8_t passKind = kMixedPass;
         uint32_t off = 0;      //!< first section / pair / vgate
-        uint32_t count = 0;    //!< sections / pairs / vgates
-        uint32_t mask = 0;     //!< row-mask snapshot id: masks[mask]
-        uint32_t slot = 0;     //!< VRun: intra-partition index
+        uint32_t count = 0;    //!< sections / vgates (a Write: 1)
+        /**
+         * HPass and Write: the row-mask snapshot id (masks[operand]).
+         * VRun: the intra-partition slot of its columns. A VRun
+         * addresses rows directly, so it never has a mask.
+         */
+        uint32_t operand = 0;
         uint32_t work = 0;     //!< architectural ops this applies
         Range xb;              //!< crossbar-mask snapshot (uniform)
     };
+    // Half a cache line: a frozen trace keeps every instruction.
+    static_assert(sizeof(Instr) == 32);
 
     std::vector<Instr> instrs;
     /** HPass section runs; equal runs are stored once and shared. */
     std::vector<PSection> sections;
-    std::vector<StripeWrite> pairs;
+    std::vector<WritePair> pairs;
     std::vector<VGate> vgates;
     /** One row-mask snapshot of wordsPerMask words, immutable. */
     using Mask = std::shared_ptr<const uint64_t[]>;
@@ -223,16 +237,16 @@ void compileSegmentProgram(const SegmentTrace &trace,
 
 /**
  * Compile every segment of @p batch into its program — called by
- * Simulator::prepareTrace after window fusion (just before the batch
- * is frozen behind shared_ptr<const>) and by the trace-wire decoder
- * on a socket worker. Sums the programs' liveness counts into
+ * Simulator::prepareTrace (just before the batch is frozen behind
+ * shared_ptr<const>) and by the trace-wire decoder on a socket
+ * worker. Sums the programs' liveness counts into
  * batch.liveness.
  */
 void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
 
 /**
  * Free the decode arenas (ops, halfGates, sections, rowWords,
- * rowMaskFull, writePairs) of every segment of @p batch, keeping each
+ * rowMaskFull) of every segment of @p batch, keeping each
  * segment's hull, and trim every compiled program's vectors to their
  * size. Replay reads only the compiled programs, so a frozen trace
  * keeps its programs, at their exact size, and nothing else per

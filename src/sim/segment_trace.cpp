@@ -77,48 +77,19 @@ internExpansion(const HalfGates &hg, SegmentTrace &trace)
         trace.sections.push_back(a);
     }
     run.count = static_cast<uint16_t>(trace.sections.size() - run.off);
-    run.idle = static_cast<uint8_t>(hg.numSections - run.count);
     trace.halfGates.push_back(run);
 }
 
 } // namespace
-
-/**
- * True iff an INIT1 LogicH may be folded into the NOR/NOT that
- * follows it: both must drive exactly the same set of output columns,
- * and no input column of the NOR/NOT may alias any of those outputs
- * (the gate must read pre-INIT state of nothing it initialises —
- * otherwise the fused single pass would observe un-initialised
- * inputs). Runs hold active sections in ascending partition order
- * (a merged chain in append order), so the output sets compare
- * positionally.
- */
-bool
-fusableInitNor(const SegmentTrace &t, const HalfGateRun &init,
-               const HalfGateRun &nor)
-{
-    if (init.gate != Gate::Init1 || init.count != nor.count)
-        return false;
-    const std::span<const ActiveSection> outs = t.run(init);
-    const std::span<const ActiveSection> gates = t.run(nor);
-    for (size_t s = 0; s < outs.size(); ++s)
-        if (outs[s].outCol != gates[s].outCol)
-            return false;
-    // A NOT repeats its input in inB; an INIT has none to alias.
-    if (nor.gate != Gate::Nor && nor.gate != Gate::Not)
-        return true;
-    for (const ActiveSection &g : gates)
-        for (const ActiveSection &o : outs)
-            if (g.inA == o.outCol || g.inB == o.outCol)
-                return false;
-    return true;
-}
 
 void
 buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
                   MaskState &mask, Stats &stats, SegmentTrace &trace)
 {
     trace.clear(geo.rows);
+    // One op per work op: reserving the stream's length up front keeps
+    // the arena from doubling past it.
+    trace.ops.reserve(n);
 
     // Identical LogicH words share one expansion: a captured move
     // sequence repeats the same three lane NOTs hundreds of times.
@@ -134,9 +105,9 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
     // op the next work op re-resolves by CONTENT: a re-issued Range
     // that realizes the same row-mask bits — even via a different
     // start/stop/step encoding — reuses the existing id, so the
-    // id-comparing fusions downstream (the builder's adjacent
-    // INIT1->NOR here, the window pass in batch_trace.cpp) fire
-    // across equivalent-Range reissues. The search is linear over the
+    // replay compiler's id-comparing rewrites (pass merging and the
+    // liveness scan, sim/replay_program.cpp) fire across
+    // equivalent-Range reissues. The search is linear over the
     // segment's snapshots, but building runs once per cached
     // signature, never per replay.
     int64_t snapId = -1;
@@ -172,11 +143,6 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
         return static_cast<uint32_t>(snapId);
     };
 
-    // Index of the trailing op iff it is a fusable (un-fused) INIT1
-    // LogicH; any other emission clears it. Intervening mask ops are
-    // fine: fusion compares the ops' effective mask snapshots.
-    int64_t lastInit = -1;
-
     uint32_t lo = UINT32_MAX, hi = 0;
     const auto emit = [&](const TraceOp &t) {
         lo = std::min(lo, t.xb.start);
@@ -209,7 +175,6 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
             t.rowMask = rowSnapshot();
             t.xb = mask.xb;
             emit(t);
-            lastInit = -1;
             break;
           }
           case OpType::LogicH: {
@@ -228,20 +193,7 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
             t.hg = hg;
             t.rowMask = rowSnapshot();
             t.xb = mask.xb;
-            if ((op.gate == Gate::Nor || op.gate == Gate::Not) &&
-                lastInit >= 0) {
-                const TraceOp &init = trace.ops[lastInit];
-                if (init.xb == t.xb && init.rowMask == t.rowMask &&
-                    fusableInitNor(trace, trace.halfGates[init.hg],
-                                   trace.halfGates[t.hg])) {
-                    trace.ops.pop_back();
-                    t.fusedInit = true;
-                }
-            }
             emit(t);
-            lastInit = (op.gate == Gate::Init1 && !t.fusedInit)
-                           ? static_cast<int64_t>(trace.ops.size()) - 1
-                           : -1;
             break;
           }
           case OpType::LogicV: {
@@ -264,7 +216,6 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
             t.index = op.index;
             t.xb = mask.xb;
             emit(t);
-            lastInit = -1;
             break;
           }
           default:

@@ -26,18 +26,17 @@
  *    bit-vector in force when it executed (snapshots are deduplicated
  *    while the mask is unchanged), so replay never re-tracks mask
  *    state;
- *  - consecutive INIT1 -> NOR/NOT pairs on the same output columns
- *    under identical masks fused into a single pass over the column
- *    words (the driver's canonical stateful-logic idiom);
  *  - the hull [xbLo, xbHi) of crossbars the segment can touch.
  *
  * A trace never replays as such: compileSegmentProgram
  * (sim/replay_program.hpp) lowers it into a ReplayProgram, and replay
  * runs that crossbar-major (Crossbar::replayProgram): for each
  * crossbar, apply the ENTIRE segment before moving on, keeping that
- * crossbar's condensed column-major state hot in L1/L2. The trace is
- * the compiler's input and the unit the window fusion pass rewrites
- * (sim/batch_trace.hpp); once compiled, a frozen trace frees it.
+ * crossbar's condensed column-major state hot in L1/L2. The trace
+ * holds one op per work op of the stream, rewritten by nothing: the
+ * compiler's liveness scan is the one place the stateful-logic idiom
+ * (INIT1 then the NOR/NOT that writes the column) is fused. Once
+ * compiled, a frozen trace frees it.
  *
  * All storage is arena-style and reused across segments/batches via
  * clear(), so steady-state building is allocation-free.
@@ -51,7 +50,6 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "sim/crossbar.hpp"
 #include "uarch/microop.hpp"
 #include "uarch/partition.hpp"
 #include "uarch/range.hpp"
@@ -102,22 +100,11 @@ struct TraceOp
 {
     OpType type = OpType::Write;
     Gate gate = Gate::Init0;    //!< logicV gate
-    /** LogicH with a preceding INIT1 of the same outputs folded in. */
-    bool fusedInit = false;
     uint32_t index = 0;         //!< write / logicV slot
     uint32_t value = 0;         //!< write payload
     uint32_t hg = 0;            //!< LogicH: SegmentTrace::halfGates index
     uint32_t rowMask = 0;       //!< write/logicH: row-snapshot id
     uint32_t rowIn = 0, rowOut = 0;  //!< logicV rows
-    /**
-     * Write only: number of adjacent Writes merged into this op by
-     * the trace fuser's stripe pass (1 = a plain un-merged Write).
-     * When > 1, @p wrun indexes the first of wn pairwise-distinct
-     * {slot, value} pairs in SegmentTrace::writePairs, all applied
-     * under this op's masks by Crossbar::writeStripe.
-     */
-    uint32_t wn = 1;
-    uint32_t wrun = 0;          //!< SegmentTrace::writePairs offset
     Range xb;                   //!< effective crossbar mask snapshot
 };
 
@@ -137,20 +124,12 @@ struct ActiveSection
 
 /**
  * Header of one LogicH expansion: @ref count active sections at
- * SegmentTrace::sections[@ref off], in ascending partition order for
- * an interned word (a merged INIT1 chain appends its peers' runs).
+ * SegmentTrace::sections[@ref off], in ascending partition order.
  */
 struct HalfGateRun
 {
     uint32_t off = 0;
     uint16_t count = 0;
-    /**
-     * Idle sections of the word's HalfGates expansion. The INIT1
-     * chain merge caps a run at maxPartitions sections counting these
-     * too, as the fixed HalfGates array would hold them, so its
-     * decisions match that array's capacity rule.
-     */
-    uint8_t idle = 0;
     Gate gate = Gate::Nor;
     bool operator==(const HalfGateRun &) const = default;
 };
@@ -162,8 +141,7 @@ struct SegmentTrace
     /**
      * LogicH expansions referenced by TraceOp::hg, interned: ops with
      * the same encoded word share one header, so a header and its
-     * run may be referenced many times and are never mutated (the
-     * INIT1 chain merge appends a new run, sim/batch_trace.cpp).
+     * run may be referenced many times.
      */
     std::vector<HalfGateRun> halfGates;
     /** Section arena of the halfGates runs: active sections only. */
@@ -180,8 +158,6 @@ struct SegmentTrace
      * NOT flagged — the blend is what keeps the padding bits clear.
      */
     std::vector<uint8_t> rowMaskFull;
-    /** Stripe arena: merged-Write pairs referenced by TraceOp::wrun. */
-    std::vector<StripeWrite> writePairs;
     uint32_t wordsPerMask = 0;
     /** Hull of crossbars any op can touch: [xbLo, xbHi). */
     uint32_t xbLo = 0, xbHi = 0;
@@ -196,7 +172,6 @@ struct SegmentTrace
         sections.clear();
         rowWords.clear();
         rowMaskFull.clear();
-        writePairs.clear();
         xbLo = 0;
         xbHi = 0;
     }
@@ -219,17 +194,6 @@ struct SegmentTrace
 
     bool empty() const { return ops.empty(); }
 };
-
-/**
- * True iff the INIT1 LogicH @p init of @p t may be folded into the
- * NOR/NOT @p nor: both must drive exactly the same set of output
- * columns, and no input column of the NOR/NOT may alias any of those
- * outputs (the gate must read pre-INIT state of nothing it
- * initialises). Shared between the builder's adjacent fusion and the
- * window fusion pass (sim/batch_trace.hpp).
- */
-bool fusableInitNor(const SegmentTrace &t, const HalfGateRun &init,
-                    const HalfGateRun &nor);
 
 /**
  * Decode the barrier-free segment @p ops[0..n) into @p trace.

@@ -156,6 +156,8 @@ writeStats(ByteWriter &w, const Stats &s)
     w.u64(s.instructions);
     w.u64(s.traceCacheHits);
     w.u64(s.traceCacheMisses);
+    // The retired fusion* counters keep their four slots (always 0),
+    // so the image layout is unchanged.
     w.u64(s.fusionWaw);
     w.u64(s.fusionInitChain);
     w.u64(s.fusionWindow);

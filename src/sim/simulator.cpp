@@ -182,7 +182,7 @@ Simulator::flush()
 }
 
 std::shared_ptr<const BatchTrace>
-Simulator::prepareTrace(const Word *ops, size_t n, bool fuse,
+Simulator::prepareTrace(const Word *ops, size_t n,
                         const EntryMasks *entry)
 {
     if (!entry && !leadsWithMasks(ops, n))
@@ -212,11 +212,8 @@ Simulator::prepareTrace(const Word *ops, size_t n, bool fuse,
         stats_ += batch->stats;
         throw;
     }
-    if (fuse)
-        fuseBatchTrace(*batch, geo_);
-    // Lower the (possibly fused) segments into flat replay programs
-    // before the batch freezes; replay reads nothing else, so the
-    // decode arenas go.
+    // Lower the segments into flat replay programs before the batch
+    // freezes; replay reads nothing else, so the decode arenas go.
     compileBatchTrace(*batch, geo_);
     releaseSegmentArenas(*batch);
     return batch;

@@ -87,11 +87,10 @@ class Simulator : public OperationSink
 
     /**
      * Build a shared immutable replay-ready trace: the pre-pass
-     * decodes, validates and records stats once, and — when @p fuse
-     * is set — the window fusion pass (sim/batch_trace.hpp) optimises
-     * the trace; every segment is then compiled into a ReplayProgram
-     * (sim/replay_program.hpp) and its decode arenas freed before the
-     * trace is frozen. Without @p entry the stream must
+     * decodes, validates and records stats once; every segment is
+     * then compiled into a ReplayProgram (sim/replay_program.hpp) and
+     * its decode arenas freed before the trace is frozen. Without
+     * @p entry the stream must
      * be self-contained (set both masks before its first non-mask op;
      * returns null otherwise) and is decoded from power-on; with
      * @p entry it is decoded from that mask state, which the trace
@@ -99,7 +98,7 @@ class Simulator : public OperationSink
      * replay it (any number of times) through submitTrace.
      */
     std::shared_ptr<const BatchTrace>
-    prepareTrace(const Word *ops, size_t n, bool fuse,
+    prepareTrace(const Word *ops, size_t n,
                  const EntryMasks *entry = nullptr) override;
 
     /**

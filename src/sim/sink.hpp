@@ -78,7 +78,7 @@ class OperationSink
     /**
      * Build a shared, immutable, replay-ready trace of @p n micro-ops
      * (the trace-cache entry behind the driver's stream cache,
-     * sim/batch_trace.hpp): decoded, validated, fusion-optimised once,
+     * sim/batch_trace.hpp): decoded, validated and compiled once,
      * then replayed forever through submitTrace with zero decode work.
      * Does NOT execute anything and leaves the sink's architectural
      * state untouched. Without @p entry the stream must be
@@ -96,12 +96,11 @@ class OperationSink
      * scanning exchange.
      */
     virtual std::shared_ptr<const BatchTrace>
-    prepareTrace(const Word *ops, size_t n, bool fuse,
+    prepareTrace(const Word *ops, size_t n,
                  const EntryMasks *entry = nullptr)
     {
         (void)ops;
         (void)n;
-        (void)fuse;
         (void)entry;
         return nullptr;
     }

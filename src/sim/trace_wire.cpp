@@ -16,14 +16,15 @@ namespace
 
 constexpr uint32_t kTraceMagic = 0x50575452;  // "PWTR"
 /** 2: the image carries no compiled programs (workers compile).
- *  3: an entry flag and, when set, the entry crossbar and row masks. */
-constexpr uint32_t kTraceVersion = 3;
+ *  3: an entry flag and, when set, the entry crossbar and row masks.
+ *  4: no fusion flag (a trace has one build, decode then compile). */
+constexpr uint32_t kTraceVersion = 4;
 
 /** Decode @p ops from @p entry (or, without one, from power-on: the
- *  stream then sets both masks itself) and fuse: the one rebuild both
- *  ends of the wire run, so they cannot decode differently. */
+ *  stream then sets both masks itself): the one rebuild both ends of
+ *  the wire run, so they cannot decode differently. */
 std::shared_ptr<BatchTrace>
-rebuild(const Word *ops, size_t n, bool fuse, const EntryMasks *entry,
+rebuild(const Word *ops, size_t n, const EntryMasks *entry,
         const Geometry &geo, const HTree &htree)
 {
     auto batch = std::make_shared<BatchTrace>();
@@ -37,16 +38,13 @@ rebuild(const Word *ops, size_t n, bool fuse, const EntryMasks *entry,
         batch->entryRow = entry->row;
     }
     buildBatchTrace(ops, n, geo, htree, local, *batch);
-    if (fuse)
-        fuseBatchTrace(*batch, geo);
     return batch;
 }
 
 } // namespace
 
 uint64_t
-traceSignature(const Word *ops, size_t n, bool fuse,
-               const EntryMasks *entry)
+traceSignature(const Word *ops, size_t n, const EntryMasks *entry)
 {
     // FNV-1a, the stream-cache convention: cheap, deterministic and
     // stable across processes (no pointer or seed dependence).
@@ -59,7 +57,7 @@ traceSignature(const Word *ops, size_t n, bool fuse,
     };
     for (size_t i = 0; i < n; ++i)
         mix(ops[i]);
-    mix((fuse ? 1 : 0) | (entry ? 2 : 0));
+    mix(entry ? 1 : 0);
     if (entry)
         for (const Range &r : {entry->xb, entry->row}) {
             mix(r.start);
@@ -70,9 +68,8 @@ traceSignature(const Word *ops, size_t n, bool fuse,
 }
 
 std::shared_ptr<const BatchTrace>
-buildWireTrace(const Word *ops, size_t n, bool fuse,
-               const Geometry &geo, const HTree &htree,
-               const EntryMasks *entry)
+buildWireTrace(const Word *ops, size_t n, const Geometry &geo,
+               const HTree &htree, const EntryMasks *entry)
 {
     if (!entry && !leadsWithMasks(ops, n))
         return nullptr;
@@ -80,13 +77,12 @@ buildWireTrace(const Word *ops, size_t n, bool fuse,
         entry->xb.validate(geo.numCrossbars, "crossbar");
         entry->row.validate(geo.rows, "row");
     }
-    auto batch = rebuild(ops, n, fuse, entry, geo, htree);
+    auto batch = rebuild(ops, n, entry, geo, htree);
     // The host never replays a wire trace: it ships the source stream
     // and walks the Move items, so the decode arenas go now.
     releaseSegmentArenas(*batch);
-    batch->wireSig = traceSignature(ops, n, fuse, entry);
+    batch->wireSig = traceSignature(ops, n, entry);
     batch->sourceOps.assign(ops, ops + n);
-    batch->sourceFuse = fuse;
     return batch;
 }
 
@@ -104,7 +100,6 @@ encodeTraceWire(const BatchTrace &trace)
     w.u32(trace.geoCols);
     w.u32(trace.geoPartitions);
     w.u32(trace.geoCrossbars);
-    w.u8(trace.sourceFuse ? 1 : 0);
     w.u8(trace.hasEntry ? 1 : 0);
     if (trace.hasEntry) {
         writeRange(w, trace.entryXb);
@@ -136,12 +131,9 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
                 r.u32() != geo.partitions ||
                 r.u32() != geo.numCrossbars,
             "trace wire: image was built for a different geometry");
-    const uint8_t fuseByte = r.u8();
+    const uint8_t entryByte = r.u8();
     // Canonical encoding only: a non-0/1 flag byte is damage even
     // when its truthiness would decode to the same trace.
-    fatalIf(fuseByte > 1, "trace wire: malformed fusion flag");
-    const bool fuse = fuseByte == 1;
-    const uint8_t entryByte = r.u8();
     fatalIf(entryByte > 1, "trace wire: malformed entry flag");
     EntryMasks entryMasks;
     const EntryMasks *entry = nullptr;
@@ -167,7 +159,7 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     for (Word &op : ops)
         op = r.u64();
 
-    fatalIf(traceSignature(ops.data(), ops.size(), fuse, entry) != sig,
+    fatalIf(traceSignature(ops.data(), ops.size(), entry) != sig,
             "trace wire: signature does not match the source stream");
     fatalIf(!entry && !leadsWithMasks(ops.data(), ops.size()),
             "trace wire: source stream is not self-contained");
@@ -175,8 +167,8 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     r.expectEnd("trace image");
 
     // Rebuild deterministically on local arenas, from the entry state
-    // when there is one, fusion included.
-    auto batch = rebuild(ops.data(), ops.size(), fuse, entry, geo, htree);
+    // when there is one.
+    auto batch = rebuild(ops.data(), ops.size(), entry, geo, htree);
 
     // The cross-check: a rebuilt trace that does not reproduce the
     // sender's architectural epilogue would silently break the

@@ -5,15 +5,13 @@
  *
  * A frozen BatchTrace crosses a shard-transport link as one
  * self-contained image, content-addressed by traceSignature() (FNV-1a
- * of the source micro-op words, the fusion flag and the entry mask
- * state, so identical workloads produce identical wire addresses and
+ * of the source micro-op words and the entry mask state, so identical workloads produce identical wire addresses and
  * one stream decoded from two entry states gets two). The image
  * carries:
  *
  *  - the RAW SOURCE STREAM: the receiver rebuilds the trace
- *    deterministically with buildBatchTrace/fuseBatchTrace on its own
- *    arenas and compiles it there (compileBatchTrace), where it
- *    replays;
+ *    deterministically with buildBatchTrace on its own arenas and
+ *    compiles it there (compileBatchTrace), where it replays;
  *  - the ENTRY MASK STATE of an entry-dependent trace (a captured
  *    move sequence, OperationSink::prepareTrace's @c entry): a flag
  *    and, when set, both entry Ranges. The receiver decodes from them
@@ -53,8 +51,8 @@ struct EntryMasks;
 class HTree;
 
 /** Content address of a frozen trace: FNV-1a over the source micro-op
- *  words, the fusion flag and, when given, the entry mask state. */
-uint64_t traceSignature(const Word *ops, size_t n, bool fuse,
+ *  words and, when given, the entry mask state. */
+uint64_t traceSignature(const Word *ops, size_t n,
                         const EntryMasks *entry = nullptr);
 
 /**
@@ -64,17 +62,15 @@ uint64_t traceSignature(const Word *ops, size_t n, bool fuse,
  * elsewhere, with the same @p entry contract. Returns null when
  * @p entry is not given and the stream does not lead with both masks;
  * otherwise the trace is built from the entry state (or power-on),
- * optionally fused, stamped with its wire identity
- * (BatchTrace::wireSig/sourceOps/sourceFuse) and stripped of its
- * segment arenas: the host never replays it, it only ships the source
- * stream and walks the Move items. Unlike the Simulator path, a
+ * stamped with its wire identity (BatchTrace::wireSig/sourceOps) and
+ * stripped of its segment arenas: the host never replays it, it only
+ * ships the source stream and walks the Move items. Unlike the Simulator path, a
  * malformed stream throws without any stats side effect — the caller
  * owns no counters.
  */
 std::shared_ptr<const BatchTrace>
-buildWireTrace(const Word *ops, size_t n, bool fuse,
-               const Geometry &geo, const HTree &htree,
-               const EntryMasks *entry = nullptr);
+buildWireTrace(const Word *ops, size_t n, const Geometry &geo,
+               const HTree &htree, const EntryMasks *entry = nullptr);
 
 /** Encode @p trace (which must carry its wire identity) into one
  *  self-contained image. */

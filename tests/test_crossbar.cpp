@@ -159,22 +159,6 @@ TEST_P(CrossbarTest, MaskedWriteAffectsSelectedRowsOnly)
     EXPECT_EQ(xb.read(3, 9), 0u);
 }
 
-TEST_P(CrossbarTest, WriteStripeMatchesIndividualWrites)
-{
-    // One stripe writing three slots must equal three single writes
-    // under the same mask — the replay form of merged Write ops.
-    Crossbar ref(geo, GetParam());
-    const auto mask = Range(4, 28, 4).expand(geo.rows);
-    const StripeWrite ws[] = {
-        {2, 0x11112222u}, {5, 0xDEADBEEFu}, {9, 0x0F0F0F0Fu}};
-    for (const StripeWrite &w : ws)
-        ref.write(w.slot, w.value, mask);
-    xb.writeStripe(ws, mask);
-    EXPECT_TRUE(xb.sameState(ref));
-    EXPECT_EQ(xb.read(5, 8), 0xDEADBEEFu);
-    EXPECT_EQ(xb.read(5, 9), 0u);
-}
-
 TEST_P(CrossbarTest, VerticalNotTransfersBetweenRows)
 {
     // Vertical NOT moves (inverted) slot data from row 2 to row 40.
@@ -437,7 +421,7 @@ walkOf(const Image &x)
 /**
  * 400 random ops on a Paged crossbar and the Dense oracle, every
  * slot they name below @p slots, with compact() and snapshot/restore
- * round trips mixed in: every primitive, stripes, bulk gather/scatter
+ * round trips mixed in: every primitive, write bursts, bulk gather/scatter
  * windows (all-zero ones and ones starting mid-word) and single bits
  * included. A snapshot held across the ops keeps blocks shared, so
  * they clone on write. Returns whether the paged crossbar ended as a
@@ -452,6 +436,7 @@ fuzzParityWithDense(uint32_t slots)
     Rng rng(20240604);
     const uint32_t maskWords = (geo.rows + 63) / 64;
     std::vector<uint64_t> mask(maskWords);
+    const std::vector<uint64_t> allRows(maskWords, ~0ull);
     Crossbar::Snapshot held = paged.snapshot();
     std::vector<uint64_t> heldWalk = walkOf(dense);
     for (uint32_t iter = 0; iter < 400; ++iter) {
@@ -505,19 +490,15 @@ fuzzParityWithDense(uint32_t slots)
             held = paged.snapshot();
             heldWalk = walkOf(dense);
         } else if (kind < 10) {
-            // A stripe of up to three distinct slots, under the sparse
-            // mask or (writeStripeFull) an all-ones one.
-            std::vector<StripeWrite> ws;
+            // Up to three writes of distinct slots, under the sparse
+            // mask or an all-ones one.
             const uint32_t n = 1 + rng.word() % 3;
             const uint32_t first = rng.word() % slots;
-            for (uint32_t i = 0; i < n && i < slots; ++i)
-                ws.push_back({(first + i) % slots, rng.word()});
-            if (kind == 8) {
-                paged.writeStripe(ws, mask);
-                dense.writeStripe(ws, mask);
-            } else {
-                paged.writeStripeFull(ws);
-                dense.writeStripeFull(ws);
+            const std::vector<uint64_t> &m = kind == 8 ? mask : allRows;
+            for (uint32_t i = 0; i < n && i < slots; ++i) {
+                const uint32_t v = rng.word();
+                paged.write((first + i) % slots, v, m);
+                dense.write((first + i) % slots, v, m);
             }
         } else if (kind == 10) {
             // Bulk window starting anywhere in a word, a third of them
@@ -622,7 +603,7 @@ fillStep(const Geometry &geo, uint32_t k)
                           .encode());
     }
     Simulator sim(geo, EngineConfig::serial());
-    return sim.prepareTrace(ops.data(), ops.size(), false);
+    return sim.prepareTrace(ops.data(), ops.size());
 }
 
 /** Replay every compiled segment of @p t on @p xb as crossbar 0. */
@@ -720,9 +701,9 @@ TEST(AdaptiveCrossbar, FillAcrossThresholdMatchesDenseOracle)
 
 TEST(AdaptiveCrossbar, ProgramNeverPromotesMidway)
 {
-    // One program: INIT1 fills half the grid, then a write stripe and
-    // more gates follow. The stripe must not promote the crossbar:
-    // the gates after it would run paged kernels on a slab.
+    // One program: INIT1 fills half the grid, then writes and more
+    // gates follow. The writes must not promote the crossbar: the
+    // gates after them would run paged kernels on a slab.
     const Geometry geo = tallGeometry();
     const uint32_t last = geo.partitions - 1;
     std::vector<Word> ops;
@@ -745,7 +726,7 @@ TEST(AdaptiveCrossbar, ProgramNeverPromotesMidway)
                                   last, 1)
                       .encode());
     Simulator sim(geo, EngineConfig::serial());
-    const auto t = sim.prepareTrace(ops.data(), ops.size(), true);
+    const auto t = sim.prepareTrace(ops.data(), ops.size());
     ASSERT_NE(t, nullptr);
     ASSERT_EQ(t->segments.size(), 1u);
     Crossbar xb(geo, XbarStorage::Paged);

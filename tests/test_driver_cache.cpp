@@ -197,20 +197,6 @@ TEST_F(StreamCacheTest, TraceCacheDisabledFallsBackToStreams)
     EXPECT_EQ(readReg(2), std::vector<uint32_t>(threads(), 42u));
 }
 
-TEST_F(StreamCacheTest, FusionToggleRebuildsTraces)
-{
-    loadReg(0, std::vector<uint32_t>(threads(), 1000));
-    loadReg(1, std::vector<uint32_t>(threads(), 2000));
-    run(ROp::Add, DType::Int32, 2, 0, 1);
-    const uint64_t missesBefore = drv.stats().traceCacheMisses;
-    EXPECT_EQ(missesBefore, 1u);
-    drv.setTraceFusionEnabled(false);
-    run(ROp::Add, DType::Int32, 2, 0, 1);  // handle dropped: rebuild
-    EXPECT_EQ(drv.stats().traceCacheMisses, 2u);
-    EXPECT_EQ(drv.stats().instructions, 2u);
-    EXPECT_EQ(readReg(2), std::vector<uint32_t>(threads(), 3000u));
-}
-
 TEST(TraceCacheDevice, EngineConfigKnobReachesDriver)
 {
     const Geometry g = testGeometry();

@@ -52,20 +52,20 @@ threadCase(size_t i)
 
 /**
  * Replay @p ops[0..n) on @p sim as one prepared trace decoded from
- * the live masks: decode, fuse (if @p fuse), compile, then replay
- * the compiled programs — the path every thread count fans out.
+ * the live masks: decode, compile, then replay the compiled programs
+ * — the path every thread count fans out.
  */
 void
-replayAsTrace(Simulator &sim, const Word *ops, size_t n, bool fuse)
+replayAsTrace(Simulator &sim, const Word *ops, size_t n)
 {
     const EntryMasks entry{sim.crossbarMask(), sim.rowMask()};
-    sim.submitTrace(sim.prepareTrace(ops, n, fuse, &entry));
+    sim.submitTrace(sim.prepareTrace(ops, n, &entry));
 }
 
 void
-replayAsTrace(Simulator &sim, const std::vector<Word> &ops, bool fuse)
+replayAsTrace(Simulator &sim, const std::vector<Word> &ops)
 {
-    replayAsTrace(sim, ops.data(), ops.size(), fuse);
+    replayAsTrace(sim, ops.data(), ops.size());
 }
 
 /** Seed both simulators with identical random register contents,
@@ -111,8 +111,8 @@ randomRange(Rng &rng, uint32_t limit)
  * Generate a random valid micro-op stream over @p g. Tracks the mask
  * state it sets up so that reads and moves are emitted legally.
  * Interleaves mask ops freely with Write/LogicH/LogicV, including the
- * driver's canonical INIT1+NOR/NOT pairs (the trace builder's fusion
- * candidates) with and without mask changes in between.
+ * driver's canonical INIT1+NOR/NOT pairs (the replay compiler's
+ * fusion candidates) with and without mask changes in between.
  */
 std::vector<Word>
 randomStream(Rng &rng, const Geometry &g, size_t len)
@@ -262,14 +262,14 @@ TEST_P(EngineParity, FuzzedStreamsBitIdentical)
     const std::vector<Word> ops = randomStream(rng, g, 600);
 
     // The oracle applies each batch op-major; the candidate replays
-    // the same batch as a compiled trace, fused or not. Random batch
-    // sizes vary the segment boundaries across seeds.
+    // the same batch as a compiled trace. Random batch sizes vary the
+    // segment boundaries across seeds.
     size_t i = 0;
     while (i < ops.size()) {
         const size_t n =
             std::min<size_t>(1 + rng.word() % 64, ops.size() - i);
         oracle.performBatch(ops.data() + i, n);
-        replayAsTrace(cand, ops.data() + i, n, rng.word() % 2);
+        replayAsTrace(cand, ops.data() + i, n);
         i += n;
     }
     cand.flush();
@@ -293,7 +293,7 @@ TEST_P(EngineParity, ReadsReturnIdenticalValues)
     seedState(oracle, cand, rng);
     const std::vector<Word> ops = randomStream(rng, g, 200);
     oracle.performBatch(ops.data(), ops.size());
-    replayAsTrace(cand, ops, true);
+    replayAsTrace(cand, ops);
     for (int i = 0; i < 50; ++i) {
         const uint32_t xb = rng.word() % g.numCrossbars;
         const uint32_t row = rng.word() % g.rows;
@@ -322,9 +322,9 @@ TEST_P(EngineParity, EngineSwapPreservesState)
     const size_t half = ops.size() / 2;
 
     oracle.performBatch(ops.data(), ops.size());
-    replayAsTrace(swapped, ops.data(), half, false);
+    replayAsTrace(swapped, ops.data(), half);
     swapped.setEngine(threadCase(caseIdx));
-    replayAsTrace(swapped, ops.data() + half, ops.size() - half, false);
+    replayAsTrace(swapped, ops.data() + half, ops.size() - half);
 
     EXPECT_TRUE(sameCrossbarState(oracle, swapped));
     EXPECT_EQ(oracle.stats(), swapped.stats());
@@ -419,9 +419,8 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalToOracle)
     // The trace-cache contract over fuzzed streams: prepareTrace +
     // submitTrace must equal the op-major raw stream — bit-identical
     // crossbar state, identical architectural stats and masks — at
-    // every thread count, fused or not. At more than one thread the
-    // pool's work diagnostics show the fused trace applying at most
-    // as much work as the unfused one.
+    // every thread count. At more than one thread the pool's work
+    // diagnostics show the trace applying work.
     const uint64_t seed = GetParam();
     const Geometry g = parityGeometry();
     Rng rng(seed);
@@ -437,37 +436,23 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalToOracle)
     for (const uint32_t threads : kThreadCases) {
         const EngineConfig cfg = EngineConfig{}.withThreads(threads);
         Simulator cached(g, cfg);
-        Simulator fused(g, cfg);
         {
             Rng r1(seed);
-            seedState(cached, fused, r1);
+            Simulator tmp(g);
+            seedState(cached, tmp, r1);
         }
-        const auto plain =
-            cached.prepareTrace(ops.data(), ops.size(), false);
-        ASSERT_TRUE(plain != nullptr);
-        cached.submitTrace(plain);
+        const auto trace = cached.prepareTrace(ops.data(), ops.size());
+        ASSERT_TRUE(trace != nullptr);
+        cached.submitTrace(trace);
 
-        const auto opt =
-            fused.prepareTrace(ops.data(), ops.size(), true);
-        ASSERT_TRUE(opt != nullptr);
-        fused.submitTrace(opt);
-
-        for (Simulator *cand : {&cached, &fused}) {
-            EXPECT_TRUE(sameCrossbarState(oracle, *cand))
-                << "threads=" << threads;
-            EXPECT_EQ(oracle.stats(), cand->stats())
-                << "threads=" << threads;
-            EXPECT_EQ(oracle.crossbarMask(), cand->crossbarMask());
-            EXPECT_EQ(oracle.rowMask(), cand->rowMask());
-        }
+        EXPECT_TRUE(sameCrossbarState(oracle, cached))
+            << "threads=" << threads;
+        EXPECT_EQ(oracle.stats(), cached.stats()) << "threads=" << threads;
+        EXPECT_EQ(oracle.crossbarMask(), cached.crossbarMask());
+        EXPECT_EQ(oracle.rowMask(), cached.rowMask());
         if (threads > 1) {
-            const Stats wCached =
-                Stats::merged(cached.engine().shardWork());
-            const Stats wFused =
-                Stats::merged(fused.engine().shardWork());
-            EXPECT_GT(wCached.totalOps(), 0u) << "threads=" << threads;
-            EXPECT_LE(wFused.totalOps(), wCached.totalOps())
-                << "threads=" << threads;
+            const Stats work = Stats::merged(cached.engine().shardWork());
+            EXPECT_GT(work.totalOps(), 0u) << "threads=" << threads;
         }
     }
 
@@ -482,7 +467,7 @@ TEST_P(CachedTraceParity, ReplayBitIdenticalToOracle)
             seedState(repeated, tmp, r);
         }
         const auto trace =
-            repeated.prepareTrace(ops.data(), ops.size(), true);
+            repeated.prepareTrace(ops.data(), ops.size());
         ASSERT_TRUE(trace != nullptr);
         Simulator oracle3(g);
         {
@@ -508,10 +493,11 @@ namespace
 
 /**
  * One directed batch interleaving mask ops with Write/LogicH/LogicV
- * inside single segments: strided masks, fusable and fusion-defeated
- * INIT1+NOR pairs, an input-aliases-output NOR (must not fuse), and a
- * barrier in the middle. Deterministic — compiled replay at every
- * thread count must reproduce the op-major oracle bit for bit.
+ * inside single segments: strided masks, INIT1+NOR pairs the replay
+ * compiler may and may not fuse, an input-aliases-output NOR (must
+ * not fuse), and a barrier in the middle. Deterministic — compiled
+ * replay at every thread count must reproduce the op-major oracle bit
+ * for bit.
  */
 std::vector<Word>
 maskInterleavedBatch(const Geometry &g)
@@ -587,18 +573,16 @@ TEST(EngineParityDirected, MaskInterleavedSegments)
     const Geometry g = parityGeometry();
     const std::vector<Word> ops = maskInterleavedBatch(g);
     for (size_t c = 0; c < numThreadCases; ++c) {
-        for (bool fuse : {false, true}) {
-            Simulator oracle(g);
-            Simulator cand(g, threadCase(c));
-            Rng seedRng(2024);
-            seedState(oracle, cand, seedRng);
-            oracle.performBatch(ops.data(), ops.size());
-            replayAsTrace(cand, ops, fuse);
-            EXPECT_TRUE(sameCrossbarState(oracle, cand))
-                << kThreadCases[c] << " threads, fuse=" << fuse;
-            EXPECT_EQ(oracle.stats(), cand.stats())
-                << kThreadCases[c] << " threads, fuse=" << fuse;
-        }
+        Simulator oracle(g);
+        Simulator cand(g, threadCase(c));
+        Rng seedRng(2024);
+        seedState(oracle, cand, seedRng);
+        oracle.performBatch(ops.data(), ops.size());
+        replayAsTrace(cand, ops);
+        EXPECT_TRUE(sameCrossbarState(oracle, cand))
+            << kThreadCases[c] << " threads";
+        EXPECT_EQ(oracle.stats(), cand.stats())
+            << kThreadCases[c] << " threads";
     }
 }
 
@@ -620,7 +604,7 @@ TEST(EngineParityWork, ShardWorkCountsEveryApplication)
                                       g.column(1, 0),
                                       g.partitions - 1, 1).encode());
     }
-    replayAsTrace(sim, ops, false);
+    replayAsTrace(sim, ops);
     const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::Write)],
               10ull * g.numCrossbars);
@@ -641,7 +625,7 @@ TEST(EngineParityWork, StridedMaskWorkCoversSelectedCrossbarsOnly)
     ops.push_back(MicroOp::crossbarMask(strided).encode());
     for (int i = 0; i < 12; ++i)
         ops.push_back(MicroOp::write(0, 7u * i).encode());
-    replayAsTrace(sim, ops, false);
+    replayAsTrace(sim, ops);
     const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::Write)],
               12ull * strided.count());
@@ -663,7 +647,7 @@ TEST(EngineParityWork, FusedPairsCountBothApplications)
                                       g.column(1, 0), g.column(4, 0),
                                       g.partitions - 1, 1).encode());
     }
-    replayAsTrace(sim, ops, false);
+    replayAsTrace(sim, ops);
     const Stats merged = Stats::merged(sim.engine().shardWork());
     EXPECT_EQ(merged.opCount[size_t(OpClass::LogicH)],
               16ull * g.numCrossbars);
@@ -676,7 +660,7 @@ TEST(EngineParityWork, OneThreadChargesNothing)
     const Geometry g = parityGeometry();
     const std::vector<Word> ops = maskInterleavedBatch(g);
     Simulator inlineSim(g);
-    replayAsTrace(inlineSim, ops, true);
+    replayAsTrace(inlineSim, ops);
     EXPECT_EQ(Stats::merged(inlineSim.engine().shardWork()).totalOps(),
               0u);
     Simulator pooled(g, EngineConfig{}.withThreads(4));
@@ -784,7 +768,7 @@ TEST(EngineParityDirected, LogicVRunsBitIdentical)
         Rng seedRng(77);
         seedState(oracle, cand, seedRng);
         oracle.performBatch(ops.data(), ops.size());
-        replayAsTrace(cand, ops, false);
+        replayAsTrace(cand, ops);
         cand.flush();
         EXPECT_TRUE(sameCrossbarState(oracle, cand))
             << kThreadCases[c] << " threads";

@@ -321,9 +321,9 @@ TEST(MoveCapture, HitsCountOnePerMoveServed)
     dev.driver().execute(std::span<const MoveInstr>(seq));
     EXPECT_EQ(dev.driver().moveCacheSize(), 2u);
     EXPECT_EQ(dev.driver().stats().traceCacheHits, 3 * seq.size());
-    // The fusion knob drops captured traces.
+    // Clearing the stream cache drops captured traces.
     dev.driver().setTraceCacheEnabled(true);
-    dev.driver().setTraceFusionEnabled(false);
+    dev.driver().clearStreamCache();
     EXPECT_EQ(dev.driver().moveCacheSize(), 0u);
 }
 
@@ -419,9 +419,9 @@ TEST(MoveCapture, GroupsScanEntryTracesFromTheirEntryMasks)
             grp.performBatch(&mask, 1);
             const EntryMasks crosses{Range::single(0), rows};
             const EntryMasks stays{Range::single(8), rows};
-            EXPECT_EQ(grp.prepareTrace(&move, 1, true, &crosses), nullptr)
+            EXPECT_EQ(grp.prepareTrace(&move, 1, &crosses), nullptr)
                 << "live mask " << live;
-            EXPECT_NE(grp.prepareTrace(&move, 1, true, &stays), nullptr)
+            EXPECT_NE(grp.prepareTrace(&move, 1, &stays), nullptr)
                 << "live mask " << live;
         }
     }
@@ -447,7 +447,7 @@ TEST(MoveCapture, EntryMaskGuardHoldsOnGroupsAndAcrossTheWire)
         SCOPED_TRACE(socket ? "socket x2" : "inproc x2");
         SimulatorGroup bad(g, ec);
         const auto trace =
-            bad.prepareTrace(ops.data(), ops.size(), true, &entry);
+            bad.prepareTrace(ops.data(), ops.size(), &entry);
         ASSERT_NE(trace, nullptr);
         EXPECT_TRUE(trace->hasEntry);
         // Power-on masks are not the entry state.
@@ -464,8 +464,7 @@ TEST(MoveCapture, EntryMaskGuardHoldsOnGroupsAndAcrossTheWire)
         SimulatorGroup raw(g, ec);
         for (SimulatorGroup *grp : {&good, &raw})
             grp->performBatch(entryMasks.data(), entryMasks.size());
-        good.submitTrace(good.prepareTrace(ops.data(), ops.size(), true,
-                                           &entry));
+        good.submitTrace(good.prepareTrace(ops.data(), ops.size(), &entry));
         raw.performBatch(ops.data(), ops.size());
         EXPECT_NO_THROW(good.flush());
         EXPECT_TRUE(good.stats() == raw.stats());
@@ -483,10 +482,10 @@ TEST(MoveCapture, EntryMaskGuardPanicsUnderWrongMasks)
         MicroOp::logicV(Gate::Init1, 0, 3, 5).encode(),
         MicroOp::logicV(Gate::Not, 1, 3, 5).encode(),
     };
-    EXPECT_EQ(sim.prepareTrace(ops.data(), ops.size(), true), nullptr);
+    EXPECT_EQ(sim.prepareTrace(ops.data(), ops.size()), nullptr);
     const EntryMasks entry{Range(1, 5, 2), Range::single(3)};
     const auto trace =
-        sim.prepareTrace(ops.data(), ops.size(), true, &entry);
+        sim.prepareTrace(ops.data(), ops.size(), &entry);
     ASSERT_NE(trace, nullptr);
     EXPECT_TRUE(trace->hasEntry);
     // Power-on masks are not the entry state.

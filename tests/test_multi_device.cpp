@@ -500,7 +500,7 @@ TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderPoolReplay)
             if (enc::peekType(w) != OpType::Move)
                 ops.push_back(w);
         oracle.performBatch(ops.data(), ops.size());
-        const auto trace = grp.prepareTrace(ops.data(), ops.size(), true);
+        const auto trace = grp.prepareTrace(ops.data(), ops.size());
         ASSERT_NE(trace, nullptr);
         grp.submitTrace(trace);
     }
@@ -695,9 +695,9 @@ TEST(SocketParity, WarmTraceCacheShipsEachSignatureOncePerWorker)
         for (uint32_t salt = 0; salt < kSigs; ++salt) {
             const std::vector<Word> ops = cacheableStream(g, salt);
             const std::shared_ptr<const BatchTrace> remote =
-                socket.prepareTrace(ops.data(), ops.size(), true);
+                socket.prepareTrace(ops.data(), ops.size());
             const std::shared_ptr<const BatchTrace> local =
-                inproc.prepareTrace(ops.data(), ops.size(), true);
+                inproc.prepareTrace(ops.data(), ops.size());
             ASSERT_TRUE(remote);
             ASSERT_TRUE(local);
             for (int i = 0; i < kReplays; ++i) {

@@ -220,7 +220,7 @@ TEST_P(NoAllocThreads, CachedTraceReplayIsAllocationFree)
                                       .withStorage(XbarStorage::Paged));
     ASSERT_EQ(sim.engine().threads(), GetParam());
     const std::vector<Word> ops = rawStream(sim.geometry());
-    const auto trace = sim.prepareTrace(ops.data(), ops.size(), true);
+    const auto trace = sim.prepareTrace(ops.data(), ops.size());
     ASSERT_NE(trace, nullptr);
     expectAllocationFree(sim, ops, [&] { sim.submitTrace(trace); });
     if (GetParam() > 1) {
@@ -307,8 +307,8 @@ TEST(NoAlloc, WarmSegmentRecompileIsAllocationFree)
 {
     // The driver's INIT1-chain idiom (fused by the liveness scan), a
     // dead INIT0, and passes with equal section runs (shared), decoded
-    // and window-fused once; the first compile sizes every arena and
-    // the compiling thread's scratch.
+    // once; the first compile sizes every arena and the compiling
+    // thread's scratch.
     const Geometry g = testGeometry();
     const uint32_t last = g.partitions - 1;
     const auto lane = [&](Gate gate, uint32_t a, uint32_t b,
@@ -336,7 +336,6 @@ TEST(NoAlloc, WarmSegmentRecompileIsAllocationFree)
     mask.reset(g);
     BatchTrace batch;
     buildBatchTrace(ops.data(), ops.size(), g, htree, mask, batch);
-    fuseBatchTrace(batch, g);
     ASSERT_EQ(batch.segments.size(), 1u);
     ReplayProgram prog;
     compileSegmentProgram(batch.segments[0], g, prog);

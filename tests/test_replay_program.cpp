@@ -17,7 +17,7 @@
  * form's copy-on-write clones run under compiled replay. The
  * directed tests pin the COMPILER's decisions — when LogicH ops may
  * and may not merge into one pass (mask change, section capacity,
- * stateful-gate aliasing), how stripes and LogicV runs chunk, when
+ * stateful-gate aliasing), how Writes and LogicV runs chunk, when
  * the all-ones mask specialisation may fire, and when the liveness
  * scan may fuse an INIT1 section into its NOR or drop a dead one
  * (each of those cases also replays against the op-major oracle at 64
@@ -90,7 +90,7 @@ randomRange(Rng &rng, uint32_t limit)
  * prepareTrace caches on a device group). Biased towards runs of
  * LogicH under a stable mask so pass merging actually fires, with a
  * mix of full, partial and re-issued-identical row masks to cross the
- * specialisation boundary, plus stripes of Writes and LogicV runs,
+ * specialisation boundary, plus bursts of Writes and LogicV runs,
  * and biased to reuse output columns so the compiler's liveness scan
  * fires: INIT1 chains later driven by NORs, and overwrites with no
  * read in between. Every slot it names is below @p slots (0: all of
@@ -149,7 +149,7 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len,
             break;
           case 2:
           case 3: {
-            // Short Write bursts over distinct slots: stripe fodder.
+            // Short Write bursts over distinct slots.
             const uint32_t n = 1 + rng.word() % 4;
             const uint32_t base = rng.word() % ns;
             for (uint32_t k = 0; k < n; ++k)
@@ -206,11 +206,9 @@ randomTraceStream(Rng &rng, const Geometry &g, size_t len,
             break;
           }
           case 12: {
-            // Liveness fodder, the driver's idiom: INIT1 c, INIT1 d
-            // (the window fusion pass merges the two into one chain
-            // op, which no gate can window-fuse), maybe an unrelated
-            // gate, then a NOR into each: the replay compiler fuses
-            // every INIT1 section into its NOR.
+            // Liveness fodder, the driver's idiom: INIT1 c, INIT1 d,
+            // maybe an unrelated gate, then a NOR into each: the
+            // replay compiler fuses every INIT1 section into its NOR.
             const uint32_t c = rng.word() % ns;
             const uint32_t d = otherSlot(c);
             uint32_t a = otherSlot(c), b = otherSlot(c);
@@ -298,7 +296,7 @@ seedState(Sink &s, uint64_t seed, const Geometry &g, uint32_t slots = 0)
  */
 std::shared_ptr<const BatchTrace>
 compileStream(const Geometry &g, const Range &rowMask,
-              const std::vector<Word> &body, bool fuse = false)
+              const std::vector<Word> &body)
 {
     std::vector<Word> ops;
     ops.push_back(
@@ -307,7 +305,7 @@ compileStream(const Geometry &g, const Range &rowMask,
     ops.push_back(MicroOp::rowMask(rowMask).encode());
     ops.insert(ops.end(), body.begin(), body.end());
     Simulator sim(g, EngineConfig::serial());
-    auto trace = sim.prepareTrace(ops.data(), ops.size(), fuse);
+    auto trace = sim.prepareTrace(ops.data(), ops.size());
     EXPECT_NE(trace, nullptr);
     return trace;
 }
@@ -355,9 +353,7 @@ heldExpansions(const BatchTrace &t)
 /**
  * What a decoded (uncompiled) trace of @p ops must hold: each segment
  * interns one header per distinct LogicH word with that word's active
- * sections only (one per encoded gate, no idle ones), and every INIT1
- * chain merge appends one header whose run is the two merged runs
- * back to back (the headers past the segment's distinct words).
+ * sections only (one per encoded gate, no idle ones).
  */
 HeldExpansions
 internedExpansions(const std::vector<Word> &ops, const BatchTrace &t,
@@ -372,11 +368,9 @@ internedExpansions(const std::vector<Word> &ops, const BatchTrace &t,
         // map onto its segments in stream order.
         if (!work)
             return;
-        const SegmentTrace &st = t.segments[seg++];
+        ++seg;
         for (Word w : words)
             h.sections += expandLogicH(MicroOp::decode(w), g).numGates;
-        for (size_t k = words.size(); k < st.halfGates.size(); ++k)
-            h.sections += st.halfGates[k].count;
         h.headers += words.size();
         words.clear();
         work = false;
@@ -393,7 +387,7 @@ internedExpansions(const std::vector<Word> &ops, const BatchTrace &t,
         }
     }
     closeSegment();
-    h.headers += t.fusion.initChain;
+    EXPECT_EQ(seg, t.segments.size());
     return h;
 }
 
@@ -411,7 +405,6 @@ expectNoDecodeArenas(const BatchTrace &t)
         EXPECT_EQ(seg.ops.capacity(), 0u);
         EXPECT_EQ(seg.rowWords.capacity(), 0u);
         EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
-        EXPECT_EQ(seg.writePairs.capacity(), 0u);
     }
     for (const ReplayProgram &p : t.programs) {
         EXPECT_EQ(p.instrs.capacity(), p.instrs.size());
@@ -456,8 +449,8 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
                 randomTraceStream(streamRng, g, 140, fc.slots);
             const bool sparse = fc.slots < g.slots();
             {
-                // Before it is compiled, the fused trace interns exactly
-                // one compact expansion per distinct LogicH word and
+                // Before it is compiled, the trace interns exactly one
+                // compact expansion per distinct LogicH word and
                 // segment.
                 const HTree htree(g.numCrossbars);
                 MaskState mask;
@@ -465,7 +458,6 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
                 BatchTrace decoded;
                 buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
                                 decoded);
-                fuseBatchTrace(decoded, g);
                 EXPECT_EQ(heldExpansions(decoded),
                           internedExpansions(ops, decoded, g));
             }
@@ -480,8 +472,7 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
                 seedState(oracle, seed, g, fc.slots);
                 seedState(compiled, seed, g, fc.slots);
 
-                auto tc =
-                    compiled.prepareTrace(ops.data(), ops.size(), true);
+                auto tc = compiled.prepareTrace(ops.data(), ops.size());
                 ASSERT_NE(tc, nullptr);
                 ASSERT_EQ(tc->programs.size(), tc->segments.size());
                 // The liveness scan must have rewritten something, or
@@ -565,10 +556,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReplayProgramWork, PoolDiagnosticsCountOpsTimesCrossbars)
 {
     // The pool path charges the work-stealing diagnostics through
-    // precomputed per-instruction (or per-crossbar) counts. Unfused,
-    // the merged total must equal every architectural work op times
-    // the crossbars its mask selects (a fused INIT+gate pair charges
-    // both ops). Which worker claims which chunk is scheduling-
+    // precomputed per-instruction (or per-crossbar) counts. The merged
+    // total must equal every architectural work op times the crossbars
+    // its mask selects (an op whose sections the liveness scan dropped
+    // still charges its work). Which worker claims which chunk is scheduling-
     // dependent, so only the merged totals compare. The one-thread
     // path replays inline and charges nothing.
     const Geometry g = fuzzGeometry();
@@ -601,7 +592,7 @@ TEST(ReplayProgramWork, PoolDiagnosticsCountOpsTimesCrossbars)
     for (uint32_t threads : {1u, 3u}) {
         Simulator sim(g, EngineConfig{}.withThreads(threads));
         seedState(sim, 4242, g);
-        auto trace = sim.prepareTrace(ops.data(), ops.size(), false);
+        auto trace = sim.prepareTrace(ops.data(), ops.size());
         ASSERT_NE(trace, nullptr);
         for (uint64_t rep = 0; rep < kReps; ++rep)
             sim.submitTrace(trace);
@@ -742,21 +733,24 @@ TEST(ReplayProgramCompile, ShortRowsNeverFlagFull)
     EXPECT_EQ(p.instrs[0].maskFull, 0u);
 }
 
-TEST(ReplayProgramCompile, StripesAndVRunsArePrechunked)
+TEST(ReplayProgramCompile, WritesAndVRunsArePrechunked)
 {
     const Geometry g = testGeometry();
-    // 4 distinct-slot Writes fuse into one stripe; the compiled form
-    // carries the pairs inline with work = stripe width.
+    // Each Write compiles to its own one-pair instruction.
     std::vector<Word> body;
     for (uint32_t s = 0; s < 4; ++s)
         body.push_back(MicroOp::write(s, 0xA0 + s).encode());
-    const auto tw =
-        compileStream(g, Range(0, g.rows - 1, 1), body, true);
+    const auto tw = compileStream(g, Range(0, g.rows - 1, 1), body);
     const ReplayProgram &pw = tw->programs[0];
-    ASSERT_EQ(pw.instrs.size(), 1u);
-    EXPECT_EQ(pw.instrs[0].kind, ReplayProgram::Kind::WStripe);
-    EXPECT_EQ(pw.instrs[0].count, 4u);
-    EXPECT_EQ(pw.instrs[0].work, 4u);
+    ASSERT_EQ(pw.instrs.size(), 4u);
+    ASSERT_EQ(pw.pairs.size(), 4u);
+    for (uint32_t s = 0; s < 4; ++s) {
+        EXPECT_EQ(pw.instrs[s].kind, ReplayProgram::Kind::Write);
+        EXPECT_EQ(pw.instrs[s].count, 1u);
+        EXPECT_EQ(pw.instrs[s].work, 1u);
+        EXPECT_EQ(pw.pairs[pw.instrs[s].off].slot, s);
+        EXPECT_EQ(pw.pairs[pw.instrs[s].off].value, 0xA0 + s);
+    }
     EXPECT_EQ(pw.workWrites, 4u);
 
     // Same-slot LogicV ops chain into one run; a crossbar-mask change
@@ -805,7 +799,7 @@ replayedSections(const ReplayProgram &p, SK k)
  */
 template <typename Body, typename Check>
 void
-livenessCase(Body &&body, bool fuse, Check &&check)
+livenessCase(Body &&body, Check &&check)
 {
     for (const Geometry &g : fuzzGeometries()) {
         SCOPED_TRACE(std::to_string(g.rows) + " rows");
@@ -819,8 +813,7 @@ livenessCase(Body &&body, bool fuse, Check &&check)
         Simulator compiled(g, EngineConfig::serial());
         seedState(oracle, 77, g);
         seedState(compiled, 77, g);
-        const auto trace =
-            compiled.prepareTrace(ops.data(), ops.size(), fuse);
+        const auto trace = compiled.prepareTrace(ops.data(), ops.size());
         ASSERT_NE(trace, nullptr);
         ASSERT_EQ(trace->programs.size(), 1u);
         check(*trace, g);
@@ -850,21 +843,17 @@ xbsOp(uint32_t first, uint32_t last)
 
 TEST(ReplayProgramCompile, LivenessFusesInitChainIntoItsNors)
 {
-    // cordic's idiom: two INIT1s the window fusion pass merges into one
-    // chain op (so fusableInitNor refuses it), then one NOR into each
-    // chained column. Every INIT1 section fuses into its NOR, and the
-    // chain op's work rides on the NORs' pass.
+    // cordic's idiom: two INIT1s, then one NOR into each initialised
+    // column. Every INIT1 section fuses into its NOR, and the INIT1
+    // ops' work rides on the NORs' pass.
     livenessCase(
         [](const Geometry &g) {
             return std::vector<Word>{
                 initH(g, Gate::Init1, 2), initH(g, Gate::Init1, 3),
                 norH(g, 0, 1, 2), norH(g, 0, 1, 3)};
         },
-        true,
         [](const BatchTrace &t, const Geometry &g) {
             const uint32_t np = g.partitions;
-            EXPECT_EQ(t.fusion.initChain, 1u);
-            EXPECT_EQ(t.fusion.window, 0u);
             const ReplayProgram &p = t.programs[0];
             EXPECT_EQ(p.liveness.sections, 4u * np);
             EXPECT_EQ(p.liveness.fused, 2u * np);
@@ -875,7 +864,7 @@ TEST(ReplayProgramCompile, LivenessFusesInitChainIntoItsNors)
             ASSERT_EQ(p.instrs.size(), 1u);
             EXPECT_EQ(p.instrs[0].passKind,
                       static_cast<uint8_t>(SK::FusedNotNor));
-            EXPECT_EQ(p.workLogicH, 3u);
+            EXPECT_EQ(p.workLogicH, 4u);
             EXPECT_TRUE(p.allMasksFull);
         });
 }
@@ -883,8 +872,8 @@ TEST(ReplayProgramCompile, LivenessFusesInitChainIntoItsNors)
 TEST(ReplayProgramCompile, LivenessDropsDeadStores)
 {
     // Slot 4: INIT0 then INIT1, so the INIT0 is dead. Slot 5: INIT1, a
-    // NOR (fused by the scan: a NOR into slot 7 keeps the builder from
-    // fusing the pair first) and INIT0, so the fused NOR is dead too.
+    // NOR (fused by the scan across a NOR into slot 7) and INIT0, so
+    // the fused NOR is dead too.
     // Slot 6: an INIT1 under half the rows, then an all-rows INIT0,
     // whose all-ones mask covers any earlier one.
     livenessCase(
@@ -897,7 +886,6 @@ TEST(ReplayProgramCompile, LivenessDropsDeadStores)
                 initH(g, Gate::Init1, 6), rowsOp(0, g.rows - 1),
                 initH(g, Gate::Init0, 6)};
         },
-        false,
         [](const BatchTrace &t, const Geometry &g) {
             const uint32_t np = g.partitions;
             const ReplayProgram &p = t.programs[0];
@@ -923,7 +911,6 @@ TEST(ReplayProgramCompile, LivenessKeepsColumnsReadInBetween)
                 norH(g, 0, 1, 2), initH(g, Gate::Init0, 6),
                 norH(g, 6, 0, 7), initH(g, Gate::Init1, 6)};
         },
-        false,
         [](const BatchTrace &t, const Geometry &g) {
             const ReplayProgram &p = t.programs[0];
             EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
@@ -941,7 +928,6 @@ TEST(ReplayProgramCompile, LivenessKeepsInitOfNorReadingItsOutput)
             return std::vector<Word>{initH(g, Gate::Init1, 2),
                                      norH(g, 2, 1, 2)};
         },
-        false,
         [](const BatchTrace &t, const Geometry &g) {
             const ReplayProgram &p = t.programs[0];
             EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
@@ -961,7 +947,6 @@ TEST(ReplayProgramCompile, LivenessKeepsWritesUnderAnotherRowMaskId)
                 norH(g, 0, 1, 2), initH(g, Gate::Init0, 3),
                 rowsOp(32, 63), initH(g, Gate::Init1, 3)};
         },
-        false,
         [](const BatchTrace &t, const Geometry &g) {
             const ReplayProgram &p = t.programs[0];
             EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
@@ -980,7 +965,6 @@ TEST(ReplayProgramCompile, LivenessKeepsWritesAPartialMaskMisses)
                                      rowsOp(0, 31),
                                      initH(g, Gate::Init0, 3)};
         },
-        false,
         [](const BatchTrace &t, const Geometry &g) {
             const ReplayProgram &p = t.programs[0];
             EXPECT_EQ(p.liveness.dead, 0u);
@@ -1003,7 +987,6 @@ TEST(ReplayProgramCompile, LivenessNeedsTheSameOrAWiderCrossbarRange)
                 initH(g, Gate::Init0, 3),
                 xbsOp(0, g.numCrossbars - 1), initH(g, Gate::Init1, 3)};
         },
-        false,
         [](const BatchTrace &t, const Geometry &g) {
             const uint32_t np = g.partitions;
             const ReplayProgram &p = t.programs[0];
@@ -1031,12 +1014,114 @@ TEST(ReplayProgramCompile, LivenessKeepsColumnsAWriteOrLogicVTouches)
                 MicroOp::write(4, 0x12345678u).encode(),
                 initH(g, Gate::Init1, 4)};
         },
-        false,
         [](const BatchTrace &t, const Geometry &g) {
             const ReplayProgram &p = t.programs[0];
             EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
             EXPECT_EQ(replayedSections(p, SK::Init1), 3u * g.partitions);
             EXPECT_EQ(replayedSections(p, SK::Init0), g.partitions);
+        });
+}
+
+// The INIT1->NOR rule across an unrelated op: the INIT1 sits two ops
+// before its gate, and each case breaks one condition of the rule.
+
+TEST(ReplayProgramCompile, LivenessKeepsInitOfNorReadingItsOutputAcrossAnOp)
+{
+    // The NOR reads the column its INIT1 set: fused, it would read
+    // the column's value from before the INIT1.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 5),
+                MicroOp::write(0, 0x13579BDFu).encode(),
+                norH(g, 5, 2, 5)};
+        },
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::NotNor), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsInitOfAColumnTouchedBeforeItsNor)
+{
+    // A LogicV INIT0 clears one row of the INIT1's column before the
+    // NOR: the INIT1 must not move past it.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 5),
+                MicroOp::logicV(Gate::Init0, 0, 1, 5).encode(),
+                norH(g, 1, 2, 5)};
+        },
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::NotNor), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsInitOfANorUnderAnotherRowMask)
+{
+    // The INIT1 covers every row, its NOR half of them: fused, the
+    // other half would keep its value from before the INIT1.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 5), rowsOp(0, 31),
+                MicroOp::write(0, 0x13579BDFu).encode(),
+                norH(g, 1, 2, 5)};
+        },
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::NotNor), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessKeepsInitOfANorOnOtherCrossbars)
+{
+    // The INIT1 covers every crossbar, its NOR the even ones.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                initH(g, Gate::Init1, 5),
+                MicroOp::crossbarMask(Range(0, g.numCrossbars - 2, 2))
+                    .encode(),
+                MicroOp::write(0, 0x13579BDFu).encode(),
+                norH(g, 1, 2, 5)};
+        },
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.liveness.fused + p.liveness.dead, 0u);
+            EXPECT_EQ(replayedSections(p, SK::Init1), g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::NotNor), g.partitions);
+        });
+}
+
+TEST(ReplayProgramCompile, LivenessFusesAcrossAnEquivalentRowMaskReissue)
+{
+    // Range(5,5,1) and Range(5,5,3) encode the same one-row mask. The
+    // decoder dedups snapshots by content, so both ops get one mask id
+    // and the INIT1 fuses into its NOR.
+    livenessCase(
+        [](const Geometry &g) {
+            return std::vector<Word>{
+                MicroOp::rowMask(Range(5, 5, 1)).encode(),
+                initH(g, Gate::Init1, 5),
+                MicroOp::rowMask(Range(5, 5, 3)).encode(),
+                norH(g, 1, 2, 5)};
+        },
+        [](const BatchTrace &t, const Geometry &g) {
+            const ReplayProgram &p = t.programs[0];
+            EXPECT_EQ(p.masks.size(), 1u);
+            EXPECT_EQ(p.liveness.fused, g.partitions);
+            EXPECT_EQ(replayedSections(p, SK::Init1), 0u);
+            EXPECT_EQ(replayedSections(p, SK::FusedNotNor), g.partitions);
+            EXPECT_EQ(p.workLogicH, 2u);
         });
 }
 
@@ -1080,25 +1165,23 @@ TEST(ReplayProgramRetention, PreparedTraceHoldsNoDecodeArenas)
 {
     const Geometry g = fuzzGeometry();
     const std::vector<Word> ops = retentionStream(g);
-    for (bool fuse : {false, true}) {
-        Simulator oracle(g);
-        Simulator compiled(g, EngineConfig::serial());
-        seedState(oracle, 77, g);
-        seedState(compiled, 77, g);
-        const auto tc = compiled.prepareTrace(ops.data(), ops.size(), fuse);
-        ASSERT_NE(tc, nullptr);
-        ASSERT_EQ(tc->segments.size(), 2u);
-        ASSERT_EQ(tc->programs.size(), tc->segments.size());
-        expectNoDecodeArenas(*tc);
-        for (int rep = 0; rep < 3; ++rep) {
-            oracle.performBatch(ops.data(), ops.size());
-            compiled.submitTrace(tc);
-        }
-        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-            ASSERT_TRUE(oracle.crossbar(xb).sameState(
-                compiled.crossbar(xb)));
-        EXPECT_EQ(oracle.stats(), compiled.stats());
+    Simulator oracle(g);
+    Simulator compiled(g, EngineConfig::serial());
+    seedState(oracle, 77, g);
+    seedState(compiled, 77, g);
+    const auto tc = compiled.prepareTrace(ops.data(), ops.size());
+    ASSERT_NE(tc, nullptr);
+    ASSERT_EQ(tc->segments.size(), 2u);
+    ASSERT_EQ(tc->programs.size(), tc->segments.size());
+    expectNoDecodeArenas(*tc);
+    for (int rep = 0; rep < 3; ++rep) {
+        oracle.performBatch(ops.data(), ops.size());
+        compiled.submitTrace(tc);
     }
+    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+        ASSERT_TRUE(
+            oracle.crossbar(xb).sameState(compiled.crossbar(xb)));
+    EXPECT_EQ(oracle.stats(), compiled.stats());
 }
 
 TEST(ReplayProgramRetention, EqualRowMasksShareOneCopy)
@@ -1114,7 +1197,7 @@ TEST(ReplayProgramRetention, EqualRowMasksShareOneCopy)
                                  {initH(g, Gate::Init1, 2)});
     const auto maskOf = [](const BatchTrace &t) {
         const ReplayProgram &p = t.programs.at(0);
-        return p.masks.at(p.instrs.at(0).mask).get();
+        return p.masks.at(p.instrs.at(0).operand).get();
     };
     const uint64_t *shared = maskOf(*a);
     EXPECT_EQ(maskOf(*b), shared);
@@ -1133,7 +1216,7 @@ TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
     const HTree htree(g.numCrossbars);
     const std::vector<Word> ops = retentionStream(g);
     const auto sent =
-        buildWireTrace(ops.data(), ops.size(), true, g, htree);
+        buildWireTrace(ops.data(), ops.size(), g, htree);
     ASSERT_NE(sent, nullptr);
     // The host ships the source ops and keeps neither arenas nor
     // programs: it never replays a wire trace.
@@ -1235,11 +1318,11 @@ TEST_P(ReplayProgramDevicePaths, MatchSerialOracle)
     for (uint64_t seed : {1, 2, 3})
         ASSERT_TRUE(stepMatches(cand, oracle, seed)) << "warm " << seed;
 
-    // Fusion toggle: every trace is rebuilt under the new setting.
-    cand.driver().setTraceFusionEnabled(false);
-    ASSERT_TRUE(stepMatches(cand, oracle, 4)) << "fusion off";
-    cand.driver().setTraceFusionEnabled(true);
-    ASSERT_TRUE(stepMatches(cand, oracle, 5)) << "fusion on";
+    // Cache reset: every stream is recorded and every trace built
+    // again.
+    cand.driver().clearStreamCache();
+    ASSERT_TRUE(stepMatches(cand, oracle, 4)) << "cache cleared";
+    ASSERT_TRUE(stepMatches(cand, oracle, 5)) << "cache rebuilt";
 
     // Checkpoint restore: the stream cache is imported and its traces
     // rebuilt on first use.

@@ -88,14 +88,14 @@ wireImages(const Geometry &g, const HTree &ht)
     const std::vector<Word> eops = entryStream(g);
     const EntryMasks entry = wireEntry(g);
     return {encodeTraceWire(
-                *buildWireTrace(ops.data(), ops.size(), true, g, ht)),
-            encodeTraceWire(*buildWireTrace(eops.data(), eops.size(),
-                                            true, g, ht, &entry))};
+                *buildWireTrace(ops.data(), ops.size(), g, ht)),
+            encodeTraceWire(*buildWireTrace(eops.data(), eops.size(), g,
+                                            ht, &entry))};
 }
 
-/** Byte offset of the entry flag in a version-3 image: magic,
- *  version, signature, four geometry words, the fusion flag. */
-constexpr size_t kEntryFlagAt = 4 + 4 + 8 + 16 + 1;
+/** Byte offset of the entry flag in a version-4 image: magic,
+ *  version, signature, four geometry words. */
+constexpr size_t kEntryFlagAt = 4 + 4 + 8 + 16;
 
 /** Reference frame used by the fuzz battery. */
 std::vector<uint8_t>
@@ -311,21 +311,20 @@ TEST(TraceWire, SignatureIsContentAddressed)
 {
     const Geometry g = testGeometry();
     const std::vector<Word> ops = tracedStream(g);
-    const uint64_t sig = traceSignature(ops.data(), ops.size(), true);
+    const uint64_t sig = traceSignature(ops.data(), ops.size());
     EXPECT_NE(sig, 0u);
-    EXPECT_NE(sig, traceSignature(ops.data(), ops.size(), false))
-        << "fusion flag must be part of the identity";
+    EXPECT_EQ(sig, traceSignature(ops.data(), ops.size()));
     std::vector<Word> other = ops;
     other[3] = MicroOp::write(3, 42).encode();
-    EXPECT_NE(sig, traceSignature(other.data(), other.size(), true));
+    EXPECT_NE(sig, traceSignature(other.data(), other.size()));
     // One stream decoded from two entry states gets two addresses.
     const EntryMasks a = wireEntry(g);
     EntryMasks b = a;
     b.row = Range(1, g.rows - 1, 2);
-    const uint64_t sigA = traceSignature(ops.data(), ops.size(), true, &a);
+    const uint64_t sigA = traceSignature(ops.data(), ops.size(), &a);
     EXPECT_NE(sigA, sig) << "entry state must be part of the identity";
-    EXPECT_NE(sigA, traceSignature(ops.data(), ops.size(), true, &b));
-    EXPECT_EQ(sigA, traceSignature(ops.data(), ops.size(), true, &a));
+    EXPECT_NE(sigA, traceSignature(ops.data(), ops.size(), &b));
+    EXPECT_EQ(sigA, traceSignature(ops.data(), ops.size(), &a));
 }
 
 TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
@@ -334,9 +333,9 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
-    EXPECT_EQ(t->wireSig, traceSignature(ops.data(), ops.size(), true));
+    EXPECT_EQ(t->wireSig, traceSignature(ops.data(), ops.size()));
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     const std::shared_ptr<const BatchTrace> d =
         decodeTraceWire(img.data(), img.size(), g, ht);
@@ -358,14 +357,12 @@ TEST(TraceWire, EntryImageRoundTrips)
     const std::vector<Word> ops = entryStream(g);
     const EntryMasks entry = wireEntry(g);
     // Not self-contained: wireable only with its entry state.
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, g, ht),
-              nullptr);
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), g, ht), nullptr);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht, &entry);
+        buildWireTrace(ops.data(), ops.size(), g, ht, &entry);
     ASSERT_TRUE(t);
     EXPECT_TRUE(t->hasEntry);
-    EXPECT_EQ(t->wireSig,
-              traceSignature(ops.data(), ops.size(), true, &entry));
+    EXPECT_EQ(t->wireSig, traceSignature(ops.data(), ops.size(), &entry));
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     const std::shared_ptr<const BatchTrace> d =
         decodeTraceWire(img.data(), img.size(), g, ht);
@@ -388,35 +385,33 @@ TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
-    for (const bool fuse : {false, true}) {
-        const std::shared_ptr<const BatchTrace> t =
-            buildWireTrace(ops.data(), ops.size(), fuse, g, ht);
-        ASSERT_TRUE(t);
-        ASSERT_FALSE(t->segments.empty());
-        EXPECT_TRUE(t->programs.empty());
-        for (const SegmentTrace &seg : t->segments) {
-            EXPECT_EQ(seg.ops.capacity(), 0u);
-            EXPECT_EQ(seg.halfGates.capacity(), 0u);
-            EXPECT_EQ(seg.sections.capacity(), 0u);
-            EXPECT_EQ(seg.rowWords.capacity(), 0u);
-            EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
-            EXPECT_EQ(seg.writePairs.capacity(), 0u);
-        }
-        EXPECT_EQ(t->sourceOps, ops);
+    const std::shared_ptr<const BatchTrace> t =
+        buildWireTrace(ops.data(), ops.size(), g, ht);
+    ASSERT_TRUE(t);
+    ASSERT_FALSE(t->segments.empty());
+    EXPECT_TRUE(t->programs.empty());
+    for (const SegmentTrace &seg : t->segments) {
+        EXPECT_EQ(seg.ops.capacity(), 0u);
+        EXPECT_EQ(seg.halfGates.capacity(), 0u);
+        EXPECT_EQ(seg.sections.capacity(), 0u);
+        EXPECT_EQ(seg.rowWords.capacity(), 0u);
+        EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
     }
+    EXPECT_EQ(t->sourceOps, ops);
 }
 
 TEST(TraceWire, OldVersionIsRejected)
 {
-    // Version 1 images carried compiled programs and version 2 ones no
-    // entry flag; a worker must refuse either rather than misread it.
+    // Version 1 images carried compiled programs, version 2 ones no
+    // entry flag and version 3 ones a fusion flag; a worker must
+    // refuse each rather than misread it.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
-    for (const uint8_t version : {1, 2}) {
+    for (const uint8_t version : {1, 2, 3}) {
         std::vector<uint8_t> img = encodeTraceWire(*t);
         ASSERT_NO_THROW(decodeTraceWire(img.data(), img.size(), g, ht));
         // Magic (u32), then the little-endian u32 version.
@@ -425,6 +420,42 @@ TEST(TraceWire, OldVersionIsRejected)
         EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht),
                      Error)
             << "version " << int(version);
+    }
+}
+
+TEST(TraceWire, ImagesAreVersion4)
+{
+    // Magic (u32), then the little-endian u32 version, for both image
+    // shapes.
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    for (const std::vector<uint8_t> &img : wireImages(g, ht)) {
+        ASSERT_GT(img.size(), kEntryFlagAt);
+        EXPECT_EQ(img[4], 4u);
+        EXPECT_EQ(img[5] | img[6] | img[7], 0u);
+        EXPECT_LE(img[kEntryFlagAt], 1u);
+    }
+}
+
+TEST(TraceWire, Version3ImageFailsLoudly)
+{
+    // A genuine version-3 image: the version-4 layout with version 3
+    // and the fusion flag byte that came before the entry flag. The
+    // decoder must name the version, not misread the flag as the
+    // entry flag.
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    for (std::vector<uint8_t> img : wireImages(g, ht)) {
+        img[4] = 3;
+        img.insert(img.begin() + kEntryFlagAt, 1);
+        try {
+            decodeTraceWire(img.data(), img.size(), g, ht);
+            ADD_FAILURE() << "a version-3 image decoded";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported version 3"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -455,7 +486,7 @@ TEST(TraceWire, EntryMaskOutsideTheGeometryIsRejected)
     const std::vector<Word> ops = entryStream(g);
     const EntryMasks good = wireEntry(g);
     const std::vector<uint8_t> img = encodeTraceWire(
-        *buildWireTrace(ops.data(), ops.size(), true, g, ht, &good));
+        *buildWireTrace(ops.data(), ops.size(), g, ht, &good));
     EntryMasks wideXb = good;
     wideXb.xb.stop = g.numCrossbars + 1;
     EntryMasks wideRow = good;
@@ -464,7 +495,7 @@ TEST(TraceWire, EntryMaskOutsideTheGeometryIsRejected)
     zeroStep.xb.step = 0;
     for (const EntryMasks &bad : {wideXb, wideRow, zeroStep}) {
         ByteWriter w;
-        w.u64(traceSignature(ops.data(), ops.size(), true, &bad));
+        w.u64(traceSignature(ops.data(), ops.size(), &bad));
         writeRange(w, bad.xb);
         writeRange(w, bad.row);
         const std::vector<uint8_t> patch = w.take();
@@ -527,12 +558,12 @@ TEST(TraceWire, WorkerCompiledTraceReplaysLikePrepareTrace)
         SCOPED_TRACE(e ? "entry" : "self-contained");
         const std::vector<Word> &src = e ? eops : ops;
         const std::vector<uint8_t> img = encodeTraceWire(
-            *buildWireTrace(src.data(), src.size(), true, g, ht, e));
+            *buildWireTrace(src.data(), src.size(), g, ht, e));
         const std::shared_ptr<const BatchTrace> worker =
             decodeTraceWire(img.data(), img.size(), g, ht);
         Simulator inproc(g, EngineConfig::serial());
         const std::shared_ptr<const BatchTrace> local =
-            inproc.prepareTrace(src.data(), src.size(), true, e);
+            inproc.prepareTrace(src.data(), src.size(), e);
         ASSERT_TRUE(worker);
         ASSERT_TRUE(local);
         EXPECT_EQ(worker->hasEntry, e != nullptr);
@@ -579,7 +610,7 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = {MicroOp::write(2, 7).encode()};
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, g, ht),
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), g, ht),
               nullptr);
 }
 
@@ -627,7 +658,7 @@ TEST(TraceWire, WrongGeometryIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     Geometry g2 = g;
@@ -658,7 +689,7 @@ TEST(SocketFleet, TraceCrossesTheWireOncePerWorker)
     ASSERT_TRUE(grp.remote());
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> trace =
-        grp.prepareTrace(ops.data(), ops.size(), true);
+        grp.prepareTrace(ops.data(), ops.size());
     ASSERT_TRUE(trace);
     for (int i = 0; i < 3; ++i)
         grp.submitTrace(trace);
@@ -677,7 +708,7 @@ TEST(SocketFleet, TraceCrossesTheWireOncePerWorker)
     // wire counters live OUTSIDE Stats precisely to keep this true).
     SimulatorGroup ref(g, EngineConfig::serial().withDevices(2));
     const std::shared_ptr<const BatchTrace> refTrace =
-        ref.prepareTrace(ops.data(), ops.size(), true);
+        ref.prepareTrace(ops.data(), ops.size());
     ASSERT_TRUE(refTrace);
     for (int i = 0; i < 3; ++i)
         ref.submitTrace(refTrace);
