@@ -98,13 +98,12 @@ traceCacheAblation(bool allowTraceCache)
     // process high-water mark: the storage observability hook for
     // ablation runs.
     std::printf("storage [%s]: blocks %llu/%llu present, %llu "
-                "slab crossbars, %llu CoW-shared, resident %.2f MB; "
+                "slab crossbars, resident %.2f MB; "
                 "peak RSS %.1f MB\n\n",
                 xbarStorageName(engineConfig().storage),
                 static_cast<unsigned long long>(gauges.blocksPresent),
                 static_cast<unsigned long long>(gauges.blocksTotal),
                 static_cast<unsigned long long>(gauges.slabCrossbars),
-                static_cast<unsigned long long>(gauges.cowShared),
                 static_cast<double>(gauges.residentBytes) / 1e6,
                 static_cast<double>(peakRssKb()) / 1e3);
 }

@@ -326,7 +326,6 @@ jsonStorageGauges(Json &j, const char *key, const StorageGauges &g)
     j.field("blocks_total", g.blocksTotal);
     j.field("blocks_present", g.blocksPresent);
     j.field("blocks_elided", g.blocksElided);
-    j.field("cow_shared", g.cowShared);
     j.field("resident_bytes", g.residentBytes);
     j.field("slab_crossbars", g.slabCrossbars);
     j.end();

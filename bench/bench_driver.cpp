@@ -179,8 +179,6 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
     std::printf("\n=== Warm-cache steady-state throughput (repeated "
                 "int mul, %u crossbars, %u replay threads) ===\n",
                 g.numCrossbars, cfg.resolvedThreads());
-    std::printf("%-24s %12s %9s %8s\n", "configuration", "instr/s",
-                "speedup", "hits");
 
     double rates[kNumConfigs] = {};
     uint64_t checksums[kNumConfigs] = {};
@@ -209,10 +207,15 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
                 ck = ck * 1099511628211ull ^
                      sim.crossbar(xb).read(in.rd, row);
         checksums[c] = ck;
-        std::printf("%-24s %12.1f %8.2fx %8llu\n", conf.name, rates[c],
-                    rates[1] > 0 ? rates[c] / rates[1] : 0.0,
-                    static_cast<unsigned long long>(hits[c]));
     }
+    // Speedups are against the stream-cache row, so the table prints
+    // once every configuration has run.
+    std::printf("%-24s %12s %9s %8s\n", "configuration", "instr/s",
+                "speedup", "hits");
+    for (size_t c = 0; c < kNumConfigs; ++c)
+        std::printf("%-24s %12.1f %8.2fx %8llu\n", kConfigs[c].name,
+                    rates[c], rates[c] / rates[1],
+                    static_cast<unsigned long long>(hits[c]));
     const bool identical =
         checksums[0] == checksums[1] && checksums[0] == checksums[2];
     const double speedup = rates[2] / rates[1];
@@ -231,8 +234,7 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
             j.beginObject();
             j.field("name", kConfigs[c].name);
             j.field("instr_per_s", rates[c]);
-            j.field("speedup_vs_stream_cache",
-                    rates[1] > 0 ? rates[c] / rates[1] : 0.0);
+            j.field("speedup_vs_stream_cache", rates[c] / rates[1]);
             j.field("trace_cache_hits", hits[c]);
             j.end();
         }

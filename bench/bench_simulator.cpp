@@ -10,7 +10,7 @@
  * simulation throughput scales with cache blocking and host cores
  * the way real PIM scales with independent compute arrays. The
  * storage sweep
- * gauges paged (block-elided, copy-on-write) crossbar storage against
+ * gauges paged (block-elided) crossbar storage against
  * the dense slab — throughput parity on dense data, resident-byte
  * reduction on sparse data, and max-geometry scaling past what dense
  * slabs can allocate. The replay panel times the compiled-replay

@@ -82,6 +82,8 @@ struct Geometry
 
     /** Throw pypim::Error if any invariant is violated. */
     void validate() const;
+
+    bool operator==(const Geometry &) const = default;
 };
 
 /** Full-scale deployment of Table III: 64 k crossbars, 8 GB, 64 M rows. */

@@ -44,34 +44,12 @@ class Rng
         return static_cast<int32_t>(d(gen_));
     }
 
-    /**
-     * Random float32 with uniformly random bit pattern — exercises
-     * subnormals, infinities and NaNs as well as normal values.
-     */
-    float
-    rawFloat()
-    {
-        union { uint32_t u; float f; } v;
-        v.u = word();
-        return v.f;
-    }
-
     /** Random finite float32 drawn uniformly from [lo, hi]. */
     float
     floatIn(float lo, float hi)
     {
         std::uniform_real_distribution<float> d(lo, hi);
         return d(gen_);
-    }
-
-    /** Vector of uniform int32 values. */
-    std::vector<int32_t>
-    int32Vec(size_t n)
-    {
-        std::vector<int32_t> v(n);
-        for (auto &x : v)
-            x = int32();
-        return v;
     }
 
     /** Vector of finite floats in [lo, hi]. */

@@ -105,8 +105,8 @@ class Device
 
     /**
      * Write a crash-consistent checkpoint of the whole device to
-     * @p path: quiesce at the drain contract (flush), take COW
-     * snapshots of every owned crossbar per sub-device, and stream
+     * @p path: quiesce at the drain contract (flush), walk every
+     * sub-device's owned crossbars (sim/checkpoint.hpp), and stream
      * the canonical image out (sim/serialize.hpp) together with the
      * allocator state and the driver's stream-cache signatures.
      * Also resets the recovery baseline — the journal restarts here.

@@ -10,64 +10,81 @@
 namespace pypim
 {
 
-namespace
+void
+captureSlice(const Simulator &sim, CheckpointImage &img)
 {
-
-bool
-sameGeometry(const Geometry &a, const Geometry &b)
-{
-    return a.rows == b.rows && a.cols == b.cols &&
-           a.partitions == b.partitions && a.wordBits == b.wordBits &&
-           a.numCrossbars == b.numCrossbars &&
-           a.clockHz == b.clockHz && a.userRegs == b.userRegs;
+    img.geo = sim.geometry();
+    img.storage = sim.crossbar(sim.sliceLo()).storage();
+    // Replicated across sub-devices (the group invariant): every
+    // slice's view is the logical device's.
+    img.maskXb = sim.crossbarMask();
+    img.maskRow = sim.rowMask();
+    img.archStats = sim.stats();
+    // The Simulator is synchronous: no replay runs between its calls,
+    // so the live crossbars are walked directly, canonically, and
+    // dense and paged storage produce the identical records.
+    const uint32_t lo = sim.sliceLo();
+    for (uint32_t xb = lo; xb < lo + sim.sliceCount(); ++xb) {
+        CrossbarImage ci;
+        ci.xb = xb;
+        sim.crossbar(xb).forEachNonZeroBlock(
+            [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
+                ci.blocks.push_back(
+                    BlockRecord{col, b, std::vector<uint64_t>(w, w + n)});
+            });
+        if (!ci.blocks.empty())
+            img.crossbars.push_back(std::move(ci));
+    }
 }
 
-} // namespace
+void
+restoreSlice(Simulator &sim, const CheckpointImage &img)
+{
+    fatalIf(img.geo != sim.geometry(),
+            "restore: checkpoint geometry does not match this device");
+    for (const CrossbarImage &ci : img.crossbars)
+        if (ci.xb >= img.geo.numCrossbars)
+            fatal("restore: crossbar record " + std::to_string(ci.xb) +
+                  " outside the geometry");
+    sim.restoreArchState(img.maskXb, img.maskRow, img.archStats);
+    // Zero everything owned, then load the owned records. Records are
+    // global-coordinate, so any source device count reassembles by
+    // ownership alone.
+    const uint32_t lo = sim.sliceLo();
+    for (uint32_t xb = lo; xb < lo + sim.sliceCount(); ++xb)
+        sim.crossbar(xb).resetState();
+    for (const CrossbarImage &ci : img.crossbars) {
+        if (!sim.ownsCrossbar(ci.xb))
+            continue;
+        Crossbar &xb = sim.crossbar(ci.xb);
+        for (const BlockRecord &rec : ci.blocks)
+            xb.loadBlock(rec.col, rec.block, rec.words.data(),
+                         static_cast<uint32_t>(rec.words.size()));
+    }
+    // The rewrite went through non-const crossbar(), which marks the
+    // checksum baseline stale: re-bless so verification resumes from
+    // the restored state.
+    sim.rebaselineChecksums();
+}
 
 CheckpointImage
 buildGroupImage(const SimulatorGroup &group)
 {
-    // Socket transport: the slices live in worker processes; each
-    // contributes its owned crossbars' canonical records over the
-    // wire and worker 0 speaks for the replicated masks and stats.
+    // Socket transport: the slices live in worker processes, each of
+    // which captures its own slice and ships it as a checkpoint image.
     if (group.remote())
         return group.fetchRemoteImage();
-
     CheckpointImage img;
-    const Simulator &sub0 = group.sub(0);
-    img.geo = sub0.geometry();
+    for (uint32_t d = 0; d < group.devices(); ++d)
+        captureSlice(group.sub(d), img);
     img.deviceCount = group.devices();
-    // Replicated across sub-devices: sub-device 0's view is the
-    // logical device's (the group invariant).
-    img.maskXb = sub0.crossbarMask();
-    img.maskRow = sub0.rowMask();
-    img.archStats = group.stats();
-    for (uint32_t xb = 0; xb < img.geo.numCrossbars; ++xb) {
-        const Crossbar &cxb = group.crossbar(xb);
-        if (xb == 0)
-            img.storage = cxb.storage();
-        // The issue's cheap-checkpoint contract: a COW snapshot per
-        // crossbar (shared blocks, no slab copies for paged storage),
-        // walked canonically so dense and paged produce the identical
-        // image.
-        const Crossbar::Snapshot snap = cxb.snapshot();
-        CrossbarImage ci;
-        ci.xb = xb;
-        snap.forEachNonZeroBlock([&](uint32_t col, uint32_t b,
-                                     const uint64_t *w, uint32_t n) {
-            ci.blocks.push_back(BlockRecord{
-                col, b, std::vector<uint64_t>(w, w + n)});
-        });
-        if (!ci.blocks.empty())
-            img.crossbars.push_back(std::move(ci));
-    }
     return img;
 }
 
 void
 restoreGroupImage(SimulatorGroup &group, const CheckpointImage &img)
 {
-    fatalIf(!sameGeometry(group.geometry(), img.geo),
+    fatalIf(img.geo != group.geometry(),
             "restore: checkpoint geometry does not match this device");
     // Socket transport: broadcast the image — each worker restores its
     // owned slice (respawning any dead worker first, which is the
@@ -76,30 +93,8 @@ restoreGroupImage(SimulatorGroup &group, const CheckpointImage &img)
         group.restoreRemoteImage(img);
         return;
     }
-    // 1. Replicated architectural state on every sub-device.
     for (uint32_t d = 0; d < group.devices(); ++d)
-        group.sub(d).restoreArchState(img.maskXb, img.maskRow,
-                                      img.archStats);
-    // 2. Crossbar state: zero everything owned, then load the image's
-    // non-zero blocks into the owning slices. Global-coordinate
-    // records make any source-to-target device count reassembly plain
-    // deviceOf() routing.
-    for (uint32_t xb = 0; xb < img.geo.numCrossbars; ++xb)
-        group.crossbar(xb).resetState();
-    for (const CrossbarImage &ci : img.crossbars) {
-        if (ci.xb >= img.geo.numCrossbars)
-            fatal("restore: crossbar record " + std::to_string(ci.xb) +
-                      " outside the geometry");
-        Crossbar &xb = group.crossbar(ci.xb);
-        for (const BlockRecord &rec : ci.blocks)
-            xb.loadBlock(rec.col, rec.block, rec.words.data(),
-                         static_cast<uint32_t>(rec.words.size()));
-    }
-    // 3. The rewrite went through non-const crossbar() (which marks
-    // the checksum baseline stale); re-bless so verification resumes
-    // from the restored state.
-    for (uint32_t d = 0; d < group.devices(); ++d)
-        group.sub(d).rebaselineChecksums();
+        restoreSlice(group.sub(d), img);
 }
 
 RecoverySink::RecoverySink(SimulatorGroup &group,
@@ -171,8 +166,8 @@ RecoverySink::recover()
     // journal. Without this, every recovery re-replays from the LAST
     // CHECKPOINT — quadratic in program length under a sustained
     // fault rate; with it, each re-replay covers only the calls since
-    // the previous fault. (Cost: one COW snapshot walk per recovery,
-    // O(live data).)
+    // the previous fault. (Cost: one walk of the live state per
+    // recovery.)
     baseline_ = buildGroupImage(group_);
     journal_.clear();
 }

@@ -2,25 +2,27 @@
  * @file
  * Crash-consistent checkpoint/restore and journaled recovery.
  *
- * Three pieces sit here, all at group level (global crossbar
- * coordinates, any PYPIM_DEVICES count):
+ * Three pieces sit here, all in global crossbar coordinates (any
+ * PYPIM_DEVICES count):
  *
- *  - buildGroupImage: quiesce every sub-device at its drain point,
- *    take a COW snapshot of every owned crossbar (cheap: shared
- *    blocks, no slab copies — sim/crossbar.hpp) and walk the
- *    snapshots into a canonical CheckpointImage (sim/serialize.hpp).
- *    Mask state and architectural Stats are replicated across
- *    sub-devices, so sub-device 0's view is the device's.
+ *  - captureSlice / restoreSlice: the one capture and the one restore
+ *    of a Simulator's owned slice. Capture walks the live crossbars
+ *    canonically (sim/crossbar.hpp) into a CheckpointImage
+ *    (sim/serialize.hpp) with the slice's masks and Stats, which are
+ *    replicated across sub-devices, so any slice's view is the
+ *    device's. Restore rewrites mask + Stats, resets every owned
+ *    crossbar, reloads the image's owned non-zero blocks and re-blesses
+ *    the state checksums. The Simulator is synchronous, so both run
+ *    between its calls with no replay in flight.
  *
- *  - restoreGroupImage: the inverse — rewrite mask + Stats on every
- *    sub-device (on a socket worker this also drops its sticky
- *    error), reset every
- *    owned crossbar and reload the image's non-zero blocks into the
- *    owning slices, then re-bless the state checksums. Because the
- *    image is global-coordinate and canonical, a checkpoint taken at
- *    one device count restores into any other (slice reassembly is
- *    just deviceOf() routing), and dense/paged sources are
- *    interchangeable.
+ *  - buildGroupImage / restoreGroupImage: the group's image. In
+ *    process they loop over the sub-devices with the slice functions;
+ *    a socket worker runs the same functions on its own slice, ships
+ *    its slice image as an encoded checkpoint, and the host merges
+ *    the replies (restore also drops a worker's sticky error). Because
+ *    the image is global-coordinate and canonical, a checkpoint taken
+ *    at one device count restores into any other, and dense/paged
+ *    sources are interchangeable.
  *
  *  - RecoverySink: the retry-with-restore policy behind the
  *    OperationSink seam, sitting between the Device's driver and its
@@ -58,10 +60,26 @@
 namespace pypim
 {
 
+class Simulator;
 class SimulatorGroup;
 
 /**
- * Snapshot the group's architectural state (crossbars, mask, Stats)
+ * Append @p sim's owned crossbars (ascending id, non-zero blocks
+ * only) to @p img and set its geometry, storage, masks and Stats from
+ * @p sim. deviceCount and the host-layer blobs are left alone.
+ */
+void captureSlice(const Simulator &sim, CheckpointImage &img);
+
+/**
+ * Rewrite @p sim's architectural state and owned crossbars from
+ * @p img, skipping records of crossbars it does not own. Throws
+ * pypim::Error, before changing anything, if the geometry differs or
+ * a record names a crossbar outside it.
+ */
+void restoreSlice(Simulator &sim, const CheckpointImage &img);
+
+/**
+ * Capture the group's architectural state (crossbars, mask, Stats)
  * into a canonical global-coordinate image. The opaque host-layer
  * blobs (allocator, driver cache) stay empty — Device::checkpoint
  * fills them.

@@ -49,6 +49,14 @@ blockLen(uint32_t wpc, uint32_t b)
                                               : Crossbar::kBlockWords;
 }
 
+/** Words of block @p id of a paged crossbar's @p pool. */
+template <class W>
+PYPIM_KERNEL W *
+poolBlock(W *pool, uint32_t id)
+{
+    return pool + static_cast<size_t>(id) * Crossbar::kBlockWords;
+}
+
 PYPIM_KERNEL bool
 allZero(const uint64_t *w, uint32_t n)
 {
@@ -87,101 +95,7 @@ windowMask(uint32_t off, uint32_t take)
     return take == 64 ? ~0ull : ((1ull << take) - 1) << off;
 }
 
-/** Source of Crossbar::poolOwner_ tags (0 is never handed out). */
-std::atomic<uint64_t> nextPoolOwner{1};
-
 } // namespace
-
-/**
- * Refcounted pool of kBlockWords-word blocks backing one paged
- * crossbar and every snapshot taken from it. Freed slots are recycled
- * through a free list; alloc() always returns an all-zero block (the
- * invariant every densification relies on). Refcounts are plain
- * integers — see the synchronisation contract in crossbar.hpp. The
- * owner tag names the crossbar the pool belongs to: a crossbar drops
- * its pool when it promotes and builds a new one if it demotes, and
- * restore() accepts a snapshot of any of its own pools, but never one
- * of another crossbar's (two crossbars replaying concurrently must
- * never share a pool).
- */
-class BlockPool
-{
-  public:
-    explicit BlockPool(uint64_t owner) : owner_(owner) {}
-
-    uint64_t owner() const { return owner_; }
-
-    /** A fresh all-zero block with refcount 1. */
-    uint32_t
-    alloc()
-    {
-        if (!free_.empty()) {
-            const uint32_t id = free_.back();
-            free_.pop_back();
-            refs_[id] = 1;
-            uint64_t *w = words(id);
-            std::fill(w, w + Crossbar::kBlockWords, 0);
-            return id;
-        }
-        const uint32_t id = static_cast<uint32_t>(refs_.size());
-        refs_.push_back(1);
-        words_.resize(words_.size() + Crossbar::kBlockWords, 0);
-        return id;
-    }
-
-    /** A copy of block @p id with refcount 1 (copy-on-write step). */
-    uint32_t
-    clone(uint32_t id)
-    {
-        const uint32_t nid = alloc();  // may grow words_: copy by index
-        std::copy(words_.begin() +
-                      static_cast<size_t>(id) * Crossbar::kBlockWords,
-                  words_.begin() +
-                      static_cast<size_t>(id + 1) * Crossbar::kBlockWords,
-                  words_.begin() +
-                      static_cast<size_t>(nid) * Crossbar::kBlockWords);
-        return nid;
-    }
-
-    void ref(uint32_t id) { ++refs_[id]; }
-
-    void
-    unref(uint32_t id)
-    {
-        if (--refs_[id] == 0)
-            free_.push_back(id);
-    }
-
-    PYPIM_KERNEL uint32_t refCount(uint32_t id) const { return refs_[id]; }
-
-    PYPIM_KERNEL uint64_t *
-    words(uint32_t id)
-    {
-        return words_.data() +
-               static_cast<size_t>(id) * Crossbar::kBlockWords;
-    }
-    PYPIM_KERNEL const uint64_t *
-    words(uint32_t id) const
-    {
-        return words_.data() +
-               static_cast<size_t>(id) * Crossbar::kBlockWords;
-    }
-
-    /** Bytes this pool holds allocated (block words + bookkeeping). */
-    uint64_t
-    residentBytes() const
-    {
-        return words_.capacity() * sizeof(uint64_t) +
-               refs_.capacity() * sizeof(uint32_t) +
-               free_.capacity() * sizeof(uint32_t);
-    }
-
-  private:
-    uint64_t owner_;
-    std::vector<uint64_t> words_;
-    std::vector<uint32_t> refs_;
-    std::vector<uint32_t> free_;
-};
 
 Crossbar::Crossbar(const Geometry &geo, XbarStorage storage)
     : geo_(&geo),
@@ -189,7 +103,6 @@ Crossbar::Crossbar(const Geometry &geo, XbarStorage storage)
       blocksPerCol_((wordsPerCol_ + kBlockWords - 1) / kBlockWords),
       storage_(storage),
       slab_(storage == XbarStorage::Dense),
-      poolOwner_(nextPoolOwner.fetch_add(1, std::memory_order_relaxed)),
       state_(slab_ ? static_cast<size_t>(geo.cols) * wordsPerCol_ : 0, 0)
 {
     panicIf(blocksPerCol_ > kMaxBlocksPerCol,
@@ -208,19 +121,28 @@ Crossbar::ensureTable()
         return;
     table_.assign(static_cast<size_t>(geo_->cols) * blocksPerCol_,
                   kAbsent);
-    if (!pool_)
-        pool_ = std::make_shared<BlockPool>(poolOwner_);
+}
+
+uint32_t
+Crossbar::allocBlock()
+{
+    if (!free_.empty()) {
+        const uint32_t id = free_.back();
+        free_.pop_back();
+        std::fill_n(poolBlock(pool_.data(), id), kBlockWords, 0);
+        return id;
+    }
+    const auto id = static_cast<uint32_t>(pool_.size() / kBlockWords);
+    pool_.resize(pool_.size() + kBlockWords, 0);
+    return id;
 }
 
 void
 Crossbar::releaseBlocks()
 {
-    if (pool_)
-        for (const uint32_t id : table_)
-            if (id != kAbsent)
-                pool_->unref(id);
     std::vector<uint32_t>().swap(table_);
-    pool_.reset();
+    std::vector<uint64_t>().swap(pool_);
+    std::vector<uint32_t>().swap(free_);
     present_ = 0;
 }
 
@@ -230,14 +152,10 @@ Crossbar::blockRW(uint32_t col, uint32_t b)
     ensureTable();
     uint32_t &id = table_[tableIndex(col, b)];
     if (id == kAbsent) {
-        id = pool_->alloc();
+        id = allocBlock();
         ++present_;
-    } else if (pool_->refCount(id) > 1) {
-        const uint32_t nid = pool_->clone(id);
-        pool_->unref(id);
-        id = nid;
     }
-    return pool_->words(id);
+    return poolBlock(pool_.data(), id);
 }
 
 // --- block accessors ----------------------------------------------------
@@ -251,15 +169,15 @@ Crossbar::blockRW(uint32_t col, uint32_t b)
  * access addresses one word by its index in the column.
  *
  *  - ro() never returns null: an absent block reads as kZeroBlock.
- *  - rw() materialises an absent block and clones a shared one.
- *  - ifPresent() clones a shared block and returns null for an absent
- *    one: an op that can only clear bits leaves it absent.
+ *  - rw() materialises an absent block.
+ *  - ifPresent() returns null for an absent block: an op that can only
+ *    clear bits leaves it absent.
  *
- * rw() and ifPresent() may grow the pool and so move every block:
- * within one (section, block) step, fetch inputs with ro() only AFTER
- * the output's rw()/ifPresent(). present() reads no block and is safe
- * before. kElides is false for the slab, so its presence checks and
- * the mask-nonzero block scan fold away, and blocks() == 1 folds the
+ * rw() may grow the pool and so move every block: within one
+ * (section, block) step, fetch inputs with ro() only AFTER the
+ * output's rw(). present() and ifPresent() never move a block.
+ * kElides is false for the slab, so its presence checks and the
+ * mask-nonzero block scan fold away, and blocks() == 1 folds the
  * block loop: the slab instantiation is the dense loop.
  */
 struct Crossbar::SlabBlocks
@@ -313,28 +231,16 @@ struct Crossbar::SlabBlocks
 
 /**
  * The table form reads the block table and the pool's words inline;
- * only a miss leaves the kernel, through the one out-of-line slow path
- * blockRW: materialising an absent block for rw(), or cloning a block
- * a snapshot shares.
+ * only rw() of an absent block leaves the kernel, through the one
+ * out-of-line slow path blockRW.
  */
 struct Crossbar::TableBlocks
 {
     static constexpr bool kElides = true;
 
     Crossbar &x;
-    /**
-     * A snapshot shares the pool, sampled once here. Snapshots are
-     * created, restored and destroyed only between Simulator calls,
-     * and an accessor lives inside one primitive or one program
-     * replay, so with no sharer now every refcount stays 1 for the
-     * accessor's life and the hit path skips the copy-on-write probe.
-     */
-    const bool shared;
 
-    explicit TableBlocks(Crossbar &xb)
-        : x(xb), shared(xb.pool_.use_count() > 1)
-    {
-    }
+    explicit TableBlocks(Crossbar &xb) : x(xb) {}
 
     PYPIM_KERNEL uint32_t blocks() const { return x.blocksPerCol_; }
     PYPIM_KERNEL uint32_t
@@ -350,12 +256,6 @@ struct Crossbar::TableBlocks
                    ? kAbsent
                    : x.table_[static_cast<size_t>(c) * x.blocksPerCol_ + b];
     }
-    /** Present block @p i may be written in place: no snapshot holds it. */
-    PYPIM_KERNEL bool
-    owned(uint32_t i) const
-    {
-        return !shared || x.pool_->refCount(i) == 1;
-    }
     PYPIM_KERNEL bool
     present(uint32_t c, uint32_t b) const
     {
@@ -365,22 +265,19 @@ struct Crossbar::TableBlocks
     ro(uint32_t c, uint32_t b) const
     {
         const uint32_t i = id(c, b);
-        return i == kAbsent ? kZeroBlock : x.pool_->words(i);
+        return i == kAbsent ? kZeroBlock : poolBlock(x.pool_.data(), i);
     }
     PYPIM_KERNEL uint64_t *
     rw(uint32_t c, uint32_t b) const
     {
         const uint32_t i = id(c, b);
-        return i != kAbsent && owned(i) ? x.pool_->words(i)
-                                        : x.blockRW(c, b);
+        return i != kAbsent ? poolBlock(x.pool_.data(), i) : x.blockRW(c, b);
     }
     PYPIM_KERNEL uint64_t *
     ifPresent(uint32_t c, uint32_t b) const
     {
         const uint32_t i = id(c, b);
-        if (i == kAbsent)
-            return nullptr;
-        return owned(i) ? x.pool_->words(i) : x.blockRW(c, b);
+        return i == kAbsent ? nullptr : poolBlock(x.pool_.data(), i);
     }
 
     PYPIM_KERNEL uint64_t
@@ -412,9 +309,8 @@ Crossbar::withBlocks(F &&f)
 }
 
 /**
- * Read-only view of one state image: the live slab or block table of
- * a crossbar, or the slab or table of a Snapshot. The const reads and
- * the whole-state walks are written once over it.
+ * Read-only view of the live state, the slab or the block table: the
+ * const reads and the whole-state walks are written once over it.
  */
 struct Crossbar::BlockImage
 {
@@ -423,7 +319,7 @@ struct Crossbar::BlockImage
     uint32_t bpc;
     const uint64_t *slab;   //!< the dense image, or null
     const uint32_t *table;  //!< block ids; null with no slab: all zero
-    const BlockPool *pool;
+    const uint64_t *pool;   //!< the block pool's words
 
     /** Words of grid block @p b of column @p col, or null if absent
      *  (a slab image is never absent). */
@@ -436,7 +332,7 @@ struct Crossbar::BlockImage
         if (!table)
             return nullptr;
         const uint32_t id = table[static_cast<size_t>(col) * bpc + b];
-        return id == kAbsent ? nullptr : pool->words(id);
+        return id == kAbsent ? nullptr : poolBlock(pool, id);
     }
 
     /** Word @p w of column @p col (zero in an absent block). */
@@ -490,7 +386,7 @@ struct Crossbar::BlockImage
                 const uint64_t *x = block(col, b);
                 const uint64_t *y = o.block(col, b);
                 if (x == y)
-                    continue;  // shared block (or both absent)
+                    continue;  // both absent, or the same crossbar
                 const uint32_t n = blockLen(wpc, b);
                 const bool same = !x   ? allZero(y, n)
                                   : !y ? allZero(x, n)
@@ -511,18 +407,7 @@ Crossbar::image() const
             blocksPerCol_,
             slab_ ? state_.data() : nullptr,
             table_.empty() ? nullptr : table_.data(),
-            pool_.get()};
-}
-
-Crossbar::BlockImage
-Crossbar::Snapshot::image() const
-{
-    return {geo_ ? geo_->cols : 0,
-            wordsPerCol_,
-            blocksPerCol_,
-            dense_.empty() ? nullptr : dense_.data(),
-            table_.empty() ? nullptr : table_.data(),
-            pool_.get()};
+            pool_.data()};
 }
 
 void
@@ -535,8 +420,6 @@ Crossbar::promote()
                       slab.data() + static_cast<size_t>(col) * wordsPerCol_ +
                           b * kBlockWords);
         });
-    // Snapshots that share these blocks hold their own pool pointer,
-    // so dropping ours frees the pool only when nothing else uses it.
     releaseBlocks();
     state_.swap(slab);
     slab_ = true;
@@ -582,20 +465,20 @@ blockStep(const B &st, uint32_t out, uint32_t inA, uint32_t inB,
             o[w] = kMasked ? o[w] | m[w] : ~0ull;
     } else if constexpr (K == SecKind::NotNor) {
         // Absent inputs read as zero, so with both absent out &= ~0
-        // leaves the output untouched: skip before cloning anything.
-        // An absent output stays absent (stateful logic only clears).
+        // leaves the output untouched. An absent output stays absent
+        // (stateful logic only clears).
         if (!st.present(inA, b) && !st.present(inB, b))
             return;
         uint64_t *o = st.ifPresent(out, b);
         if (absent<B>(o))
             return;
-        // Inputs AFTER the output's clone step, which may move blocks.
         const uint64_t *a = st.ro(inA, b);
         const uint64_t *c = st.ro(inB, b);
         for (uint32_t w = 0; w < n; ++w)
             o[w] &= kMasked ? ~((a[w] | c[w]) & m[w]) : ~(a[w] | c[w]);
     } else {
-        // Fused INIT1 + NOT/NOR can set bits: the output densifies.
+        // Fused INIT1 + NOT/NOR can set bits: the output densifies,
+        // which may move blocks, so the inputs are fetched after it.
         uint64_t *o = st.rw(out, b);
         const uint64_t *a = st.ro(inA, b);
         const uint64_t *c = st.ro(inB, b);
@@ -725,8 +608,7 @@ vGate(const B &st, uint32_t col, Gate g, uint32_t inWord,
         *st.wordRW(col, outWord) |= outBit;
         break;
       case Gate::Not: {
-        // NOT(0) = 1 cannot switch a stateful output. The input bit is
-        // read before any clone can move blocks.
+        // NOT(0) = 1 cannot switch a stateful output.
         if (!((st.wordRO(col, inWord) >> inShift) & 1))
             break;
         uint64_t *o = st.wordIfPresent(col, outWord);
@@ -920,7 +802,7 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
  * (at -O3, which is how Release and the end-to-end benchmark build).
  * Only these entries carry a target attribute: every inline or
  * template function the executor calls without inlining it (the table
- * form's slow path, blockRW, which runs only on a block miss) keeps
+ * form's slow path, blockRW, which runs only on an absent block) keeps
  * the default target, so no code shared with other translation units
  * is ever built for an ISA the host may lack. The builds are picked through a plain table, never an ifunc,
  * so tests can run each one and sanitizer builds need no resolver.
@@ -1139,157 +1021,7 @@ Crossbar::setBit(uint32_t row, uint32_t col, bool v)
     });
 }
 
-// --- snapshots, compaction, comparison ----------------------------------
-
-Crossbar::Snapshot::Snapshot(const Snapshot &o)
-    : geo_(o.geo_),
-      wordsPerCol_(o.wordsPerCol_),
-      blocksPerCol_(o.blocksPerCol_),
-      pool_(o.pool_),
-      table_(o.table_),
-      dense_(o.dense_)
-{
-    if (pool_)
-        for (const uint32_t id : table_)
-            if (id != kAbsent)
-                pool_->ref(id);
-}
-
-Crossbar::Snapshot &
-Crossbar::Snapshot::operator=(const Snapshot &o)
-{
-    if (this != &o) {
-        Snapshot tmp(o);
-        *this = std::move(tmp);
-    }
-    return *this;
-}
-
-Crossbar::Snapshot::Snapshot(Snapshot &&o) noexcept
-    : geo_(o.geo_),
-      wordsPerCol_(o.wordsPerCol_),
-      blocksPerCol_(o.blocksPerCol_),
-      pool_(std::move(o.pool_)),
-      table_(std::move(o.table_)),
-      dense_(std::move(o.dense_))
-{
-    o.table_.clear();  // the destructor must not double-unref
-    o.dense_.clear();
-}
-
-Crossbar::Snapshot &
-Crossbar::Snapshot::operator=(Snapshot &&o) noexcept
-{
-    if (this != &o) {
-        release();
-        geo_ = o.geo_;
-        wordsPerCol_ = o.wordsPerCol_;
-        blocksPerCol_ = o.blocksPerCol_;
-        pool_ = std::move(o.pool_);
-        table_ = std::move(o.table_);
-        dense_ = std::move(o.dense_);
-        o.table_.clear();
-        o.dense_.clear();
-    }
-    return *this;
-}
-
-Crossbar::Snapshot::~Snapshot() { release(); }
-
-void
-Crossbar::Snapshot::release()
-{
-    if (pool_)
-        for (const uint32_t id : table_)
-            if (id != kAbsent)
-                pool_->unref(id);
-    pool_.reset();
-    table_.clear();
-    dense_.clear();
-}
-
-uint32_t
-Crossbar::Snapshot::read(uint32_t slot, uint32_t row) const
-{
-    return image().read(*geo_, slot, row);
-}
-
-bool
-Crossbar::Snapshot::bit(uint32_t row, uint32_t col) const
-{
-    return image().bit(row, col);
-}
-
-Crossbar::Snapshot
-Crossbar::snapshot() const
-{
-    Snapshot s;
-    s.geo_ = geo_;
-    s.wordsPerCol_ = wordsPerCol_;
-    s.blocksPerCol_ = blocksPerCol_;
-    if (slab_) {
-        s.dense_ = state_;
-        return s;
-    }
-    // O(live data): share every present block, bumping its refcount.
-    // Subsequent mutation of the source clones exactly the blocks it
-    // touches (the table accessor probes refCount while the pool is
-    // shared).
-    s.pool_ = pool_;
-    s.table_ = table_;
-    if (pool_)
-        for (const uint32_t id : s.table_)
-            if (id != kAbsent)
-                pool_->ref(id);
-    return s;
-}
-
-void
-Crossbar::restore(const Snapshot &s)
-{
-    panicIf(s.wordsPerCol_ != wordsPerCol_ ||
-                (s.geo_ && s.geo_->cols != geo_->cols),
-            "restore: snapshot from a different geometry");
-    if (storage_ == XbarStorage::Dense) {
-        panicIf(s.dense_.empty() && !s.table_.empty(),
-                "restore: paged snapshot into a dense crossbar");
-        if (s.dense_.empty())
-            std::fill(state_.begin(), state_.end(), 0);
-        else
-            state_ = s.dense_;
-        return;
-    }
-    // Adaptive crossbar: take on the snapshot's representation.
-    if (!s.dense_.empty()) {
-        releaseBlocks();
-        state_ = s.dense_;
-        slab_ = true;
-        return;
-    }
-    panicIf(s.pool_ && s.pool_->owner() != poolOwner_,
-            "restore: snapshot was taken from a different crossbar");
-    if (slab_) {
-        Slab().swap(state_);
-        slab_ = false;
-    }
-    // Re-adopt the snapshot's shared blocks: ref the incoming set
-    // first so self-restore never transiently frees a block. The
-    // snapshot may hold an older pool of this crossbar (one from
-    // before a promotion); every id then moves over to that pool.
-    if (s.pool_)
-        for (const uint32_t id : s.table_)
-            if (id != kAbsent)
-                s.pool_->ref(id);
-    if (pool_)
-        for (const uint32_t id : table_)
-            if (id != kAbsent)
-                pool_->unref(id);
-    table_ = s.table_;
-    if (s.pool_)
-        pool_ = s.pool_;
-    present_ = static_cast<uint32_t>(
-        table_.size() - std::count(table_.begin(), table_.end(), kAbsent));
-}
+// --- compaction, the canonical walk, comparison -----------------------
 
 uint64_t
 Crossbar::compact()
@@ -1325,8 +1057,9 @@ Crossbar::compact()
             uint32_t &id = table_[tableIndex(col, b)];
             if (id == kAbsent)
                 continue;
-            if (allZero(pool_->words(id), blockLen(wordsPerCol_, b))) {
-                pool_->unref(id);
+            if (allZero(poolBlock(pool_.data(), id),
+                        blockLen(wordsPerCol_, b))) {
+                free_.push_back(id);
                 id = kAbsent;
                 ++elided;
             }
@@ -1338,14 +1071,6 @@ Crossbar::compact()
 
 void
 Crossbar::forEachNonZeroBlock(
-    const std::function<void(uint32_t col, uint32_t b,
-                             const uint64_t *w, uint32_t n)> &fn) const
-{
-    image().forEachNonZero(fn);
-}
-
-void
-Crossbar::Snapshot::forEachNonZeroBlock(
     const std::function<void(uint32_t col, uint32_t b,
                              const uint64_t *w, uint32_t n)> &fn) const
 {
@@ -1383,7 +1108,7 @@ Crossbar::resetState()
     }
     for (uint32_t &id : table_) {
         if (id != kAbsent) {
-            pool_->unref(id);
+            free_.push_back(id);
             id = kAbsent;
         }
     }
@@ -1400,7 +1125,7 @@ Crossbar::loadBlock(uint32_t col, uint32_t b, const uint64_t *w,
     if (allZero(w, n))
         return;  // canonical images never carry these anyway
     // A short tail record leaves the block's trailing words as they
-    // were; alloc() zeroes fresh blocks, and restore resets state
+    // were; allocBlock() zeroes fresh blocks, and restore resets state
     // first, so the tail is zero either way.
     withBlocks([&](const auto &st) {
         std::copy(w, w + n, st.wordRW(col, b * kBlockWords));
@@ -1420,16 +1145,11 @@ Crossbar::storageGauges() const
         g.slabCrossbars = 1;
         return g;
     }
-    for (const uint32_t id : table_) {
-        if (id == kAbsent)
-            continue;
-        ++g.blocksPresent;
-        if (pool_->refCount(id) > 1)
-            ++g.cowShared;
-    }
+    g.blocksPresent = present_;
     g.blocksElided = total - g.blocksPresent;
     g.residentBytes = table_.capacity() * sizeof(uint32_t) +
-                      (pool_ ? pool_->residentBytes() : 0);
+                      pool_.capacity() * sizeof(uint64_t) +
+                      free_.capacity() * sizeof(uint32_t);
     return g;
 }
 
@@ -1437,12 +1157,6 @@ bool
 Crossbar::sameState(const Crossbar &other) const
 {
     return image().sameAs(other.image());
-}
-
-bool
-Crossbar::sameState(const Snapshot &s) const
-{
-    return image().sameAs(s.image());
 }
 
 } // namespace pypim

@@ -12,7 +12,7 @@
  *  - SLAB: one flat cols x wordsPerCol slab, the historical layout,
  *    kSlabAlign-aligned.
  *  - PAGED: each column is a run of kBlockWords-word BLOCKS behind a
- *    per-column block table into a refcounted BlockPool. An all-zero
+ *    per-column block table into the crossbar's block pool. An all-zero
  *    block is the sentinel entry kAbsent and costs zero bytes; it
  *    densifies transparently on the first write that could set a bit
  *    in it, and an explicit compact() sweep re-elides blocks that
@@ -26,9 +26,8 @@
  * table form (crossbar.cpp): the slab instantiation is the dense loop,
  * with every presence check folded away, and replays in the widest
  * ISA build the host supports. The table form reads the block table
- * and the pool inline too; only materialising an absent block or
- * cloning a shared one leaves the kernel (blockRW), and the
- * copy-on-write probe runs only while a snapshot shares the pool.
+ * and the pool inline too; only materialising an absent block leaves
+ * the kernel (blockRW).
  *
  * XbarStorage picks the policy. Dense keeps the slab for life: it is
  * the parity oracle. Paged is ADAPTIVE per crossbar, the way
@@ -36,8 +35,7 @@
  * paged and keeps an exact count of its present blocks; once that
  * count reaches 1/kPromoteDivisor of its block grid, it is promoted
  * to the slab and replays on the dense kernels from then on. Sparse
- * crossbars stay paged, keeping zero elision and O(live data)
- * snapshots. The rules:
+ * crossbars stay paged, keeping zero elision. The rules:
  *
  *  - Promotion is checked only at replay entry, never inside a
  *    kernel that holds block pointers: at the entry of a compiled
@@ -46,11 +44,8 @@
  *    only entry the engine's raw op-by-op path
  *    has. Direct state access (writeRow,
  *    setBit, bulk gather/scatter, loadBlock) never promotes.
- *    Promotion copies every present block into the slab and drops the
- *    table and the crossbar's pool reference (live snapshots keep
- *    their own).
- *  - restore() takes on the snapshot's representation: a paged image
- *    makes the crossbar paged again, a slab image makes it a slab.
+ *    Promotion copies every present block into the slab and frees the
+ *    table and the pool.
  *  - compact() is the only demotion: a promoted slab whose non-zero
  *    blocks fell below the threshold goes back to paged.
  *  - resetState() and loadBlock() keep the current representation.
@@ -65,18 +60,14 @@
  * since stateful logic can only clear bits). Writes densify a block
  * only when the row mask actually selects a row inside it.
  *
- * On top of the block table, snapshot() returns a refcounted
- * copy-on-write image sharing every present block with the live
- * crossbar: O(live data) checkpoint, O(shared blocks) compare, with
- * mutation after the snapshot cloning only the blocks it touches
- * (a slab crossbar's snapshot deep-copies the slab).
- * Refcounts are NOT atomic: snapshots must be created, restored and
- * destroyed only while no replay is mutating the source crossbar
- * (the Simulator replays synchronously, so between its calls), and a
- * crossbar's blocks are only ever mutated by one thread at a time
- * (the engine's thread pool partitions work by crossbar), so block
- * cloning — and promotion — during concurrent replay of DIFFERENT
- * crossbars is race-free.
+ * State is captured and restored through the canonical walk alone:
+ * forEachNonZeroBlock out, resetState() and loadBlock() back in (the
+ * checkpoint layer, sim/checkpoint.hpp). The Simulator replays
+ * synchronously, so a checkpoint walks the live crossbar between its
+ * calls. A crossbar's blocks are only ever mutated by one thread at a
+ * time (the engine's thread pool partitions work by crossbar), and
+ * each crossbar owns its pool alone, so pool growth and promotion
+ * during concurrent replay of DIFFERENT crossbars are race-free.
  *
  * Stateful-logic fidelity: NOT/NOR can only switch the output memristor
  * from 1 towards 0 (paper §II-A — the output is expected to be
@@ -90,7 +81,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -104,7 +94,6 @@ namespace pypim
 
 struct ReplayProgram;
 struct Stats;
-class BlockPool;
 struct ReplayKernels;
 
 /** Point-in-time storage footprint of a crossbar (or a sum of them).
@@ -115,7 +104,6 @@ struct StorageGauges
     uint64_t blocksTotal = 0;    //!< cols * blocksPerCol
     uint64_t blocksPresent = 0;  //!< materialised blocks (slab: all)
     uint64_t blocksElided = 0;   //!< absent blocks costing zero bytes
-    uint64_t cowShared = 0;      //!< present blocks shared with snapshots
     uint64_t residentBytes = 0;  //!< bytes actually allocated for state
     uint64_t slabCrossbars = 0;  //!< crossbars currently in slab form
 
@@ -125,7 +113,6 @@ struct StorageGauges
         blocksTotal += o.blocksTotal;
         blocksPresent += o.blocksPresent;
         blocksElided += o.blocksElided;
-        cowShared += o.cowShared;
         residentBytes += o.residentBytes;
         slabCrossbars += o.slabCrossbars;
         return *this;
@@ -135,7 +122,7 @@ struct StorageGauges
 /** One h x w crossbar array with stateful-logic semantics. */
 class Crossbar
 {
-    // Block accessors and the read-only image (crossbar.cpp).
+    // Block accessors and the read-only view (crossbar.cpp).
     struct SlabBlocks;
     struct TableBlocks;
     struct BlockImage;
@@ -149,16 +136,16 @@ class Crossbar
      * A Paged crossbar is promoted to the slab once at least
      * 1/kPromoteDivisor of its block grid is present. At one half the
      * slab costs at most about 2x the pool blocks it replaces (less
-     * once each block's table entry and refcount are counted), and in
-     * exchange every replay runs the dense kernels with no block-table
-     * probe, pool fetch or copy-on-write check. The share is fixed by
-     * block counts alone, not tuned to any workload.
+     * once each block's table entry is counted), and in exchange every
+     * replay runs the dense kernels with no block-table probe or pool
+     * fetch. The share is fixed by block counts alone, not tuned to
+     * any workload.
      */
     static constexpr uint32_t kPromoteDivisor = 2;
     /**
-     * Byte alignment of every dense slab (the live slab and a slab
-     * Snapshot): one cache line, and one AVX-512 register. At the
-     * Table III geometry a column is 16 words, so every column then
+     * Byte alignment of the dense slab: one cache line, and one
+     * AVX-512 register. At the Table III geometry a column is 16
+     * words, so every column then
      * starts on a cache line and the executor's word loops never split
      * a vector load across two lines.
      */
@@ -176,8 +163,8 @@ class Crossbar
     explicit Crossbar(const Geometry &geo,
                       XbarStorage storage = XbarStorage::Dense);
 
-    // The pool is refcounted state: a bitwise copy would alias blocks
-    // without owning them. Moves are fine (the source is emptied).
+    // State is captured only through the canonical walk (file header),
+    // never by an implicit deep copy. Moves are fine.
     Crossbar(const Crossbar &) = delete;
     Crossbar &operator=(const Crossbar &) = delete;
     Crossbar(Crossbar &&) = default;
@@ -286,66 +273,6 @@ class Crossbar
     void setBit(uint32_t row, uint32_t col, bool v);
 
     /**
-     * Refcounted copy-on-write image of the crossbar's full state at
-     * the instant of the snapshot() call. Paged snapshots share every
-     * present block with the source (O(live data) to take, zero block
-     * copies); slab snapshots deep-copy the slab. A snapshot stays
-     * valid after the source crossbar mutates or is destroyed.
-     * Synchronisation contract: create/restore/destroy only while no
-     * replay is mutating the SOURCE crossbar (see file header).
-     */
-    class Snapshot
-    {
-      public:
-        Snapshot() = default;
-        Snapshot(const Snapshot &o);
-        Snapshot &operator=(const Snapshot &o);
-        Snapshot(Snapshot &&o) noexcept;
-        Snapshot &operator=(Snapshot &&o) noexcept;
-        ~Snapshot();
-
-        /** Strided N-bit read of one row, as Crossbar::read. */
-        uint32_t read(uint32_t slot, uint32_t row) const;
-        /** Raw bit access, as Crossbar::bit. */
-        bool bit(uint32_t row, uint32_t col) const;
-
-        /** Canonical non-zero-block walk of the snapshot image, as
-         *  Crossbar::forEachNonZeroBlock. */
-        void forEachNonZeroBlock(
-            const std::function<void(uint32_t col, uint32_t b,
-                                     const uint64_t *w, uint32_t n)>
-                &fn) const;
-
-      private:
-        friend class Crossbar;
-        /** Drop every block reference and empty the image. */
-        void release();
-        /** Read-only view of the image (slab or table). */
-        BlockImage image() const;
-
-        const Geometry *geo_ = nullptr;
-        uint32_t wordsPerCol_ = 0;
-        uint32_t blocksPerCol_ = 0;
-        std::shared_ptr<BlockPool> pool_;  //!< paged: shared block pool
-        std::vector<uint32_t> table_;      //!< paged: refcounted ids
-        Slab dense_;                       //!< dense: deep slab copy
-    };
-
-    /** Checkpoint the current state (see Snapshot). */
-    Snapshot snapshot() const;
-
-    /**
-     * Restore the state captured by @p s, taken from a crossbar of
-     * the same geometry. A Paged crossbar takes on the snapshot's
-     * representation: a paged image, which must come from THIS
-     * crossbar, is O(live data) to restore — the block table
-     * re-adopts the snapshot's shared blocks, and later mutation
-     * clones on write — and a slab image makes the crossbar a slab.
-     * A Dense crossbar accepts slab images only.
-     */
-    void restore(const Snapshot &s);
-
-    /**
      * Re-elide every materialised block that has decayed to all-zero
      * (writes clear bits in place — elision is never checked on the
      * hot path). A promoted slab whose non-zero blocks fell below the
@@ -383,16 +310,16 @@ class Crossbar
     uint64_t stateChecksum() const;
 
     /**
-     * Reset to all-zero: a slab is zero-filled; paged drops every
-     * present block reference (keeping the table and pool for reuse).
-     * The restore path's first step before loadBlock replays an image.
+     * Reset to all-zero: a slab is zero-filled; paged frees every
+     * present block (keeping the table and pool for reuse). The
+     * restore path's first step before loadBlock replays an image.
      */
     void resetState();
 
     /**
      * Overwrite block @p b of column @p col with @p n words from
-     * @p w (checkpoint restore; copy-on-write safe). All-zero
-     * payloads are skipped rather than densified.
+     * @p w (checkpoint restore). All-zero payloads are skipped rather
+     * than densified.
      */
     void loadBlock(uint32_t col, uint32_t b, const uint64_t *w,
                    uint32_t n);
@@ -404,8 +331,6 @@ class Crossbar
      * crossbar checks against the dense oracle directly.
      */
     bool sameState(const Crossbar &other) const;
-    /** Bit-exact comparison against a snapshot of same geometry. */
-    bool sameState(const Snapshot &s) const;
 
     const Geometry &geometry() const { return *geo_; }
     /** The configured storage policy (see file header): a promoted
@@ -424,17 +349,19 @@ class Crossbar
 
     /**
      * The table form's one out-of-line slow path (the block accessor
-     * reads present, unshared blocks inline): mutable block words,
-     * materialising a zeroed block if absent and cloning first if
-     * shared with a snapshot (copy-on-write). May grow the pool and so
-     * move every block: within one (section, block) step, fetch the
-     * read-only input pointers only after the output's.
+     * reads present blocks inline): mutable block words, materialising
+     * a zeroed block if absent. May grow the pool and so move every
+     * block: within one (section, block) step, fetch the read-only
+     * input pointers only after the output's.
      */
     uint64_t *blockRW(uint32_t col, uint32_t b);
 
-    /** Allocate the lazy block table / pool on first densification
-     *  (called only from blockRW). */
+    /** Allocate the lazy block table on first densification (called
+     *  only from blockRW). */
     void ensureTable();
+
+    /** A fresh all-zero pool block: a recycled id or a new one. */
+    uint32_t allocBlock();
 
     /** Blocks in the whole grid (cols * blocksPerCol). */
     uint64_t
@@ -457,7 +384,7 @@ class Crossbar
     }
     /** Move every present block into a fresh slab; drop the table. */
     void promote();
-    /** Drop every block reference, the table and the pool reference. */
+    /** Free the table and the pool. */
     void releaseBlocks();
 
     /** Read-only view of the live state (slab or table). */
@@ -485,10 +412,10 @@ class Crossbar
     XbarStorage storage_;              //!< configured policy
     bool slab_;                        //!< current form: slab or paged
     uint32_t present_ = 0;             //!< paged: non-absent table ids
-    uint64_t poolOwner_;               //!< tags this crossbar's pools
     Slab state_;                       //!< slab (empty if paged)
     std::vector<uint32_t> table_;      //!< paged block ids (lazy)
-    std::shared_ptr<BlockPool> pool_;  //!< paged block pool (lazy)
+    std::vector<uint64_t> pool_;       //!< paged block words (lazy)
+    std::vector<uint32_t> free_;       //!< freed pool block ids
 };
 
 } // namespace pypim

@@ -29,7 +29,7 @@
  *
  * Injection happens AFTER the simulator blesses its per-crossbar
  * checksums (sim/simulator.hpp), through the same setBit mutation API
- * replay uses (COW-safe) but WITHOUT blessing — exactly how silent
+ * replay uses but WITHOUT blessing — exactly how silent
  * hardware corruption differs from legitimate work, and exactly what
  * the PYPIM_VERIFY_STATE checksum verify detects on the next batch or
  * drain point.

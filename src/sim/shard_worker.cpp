@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/bulk_io.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/crossbar.hpp"
 #include "sim/fault.hpp"
 #include "sim/serialize.hpp"
@@ -51,23 +52,13 @@ classifyCurrent(std::string &msg)
     }
 }
 
-bool
-sameGeometry(const Geometry &a, const Geometry &b)
-{
-    return a.rows == b.rows && a.cols == b.cols &&
-           a.partitions == b.partitions && a.wordBits == b.wordBits &&
-           a.numCrossbars == b.numCrossbars &&
-           a.userRegs == b.userRegs && a.clockHz == b.clockHz;
-}
-
 /** Everything one worker process owns. */
 struct WorkerContext
 {
     WorkerContext(const Geometry &geo, const EngineConfig &sub,
                   uint32_t sliceLo, uint32_t sliceCount,
                   uint32_t deviceIndex)
-        : geo(geo), sim(geo, sub, sliceLo, sliceCount),
-          sliceLo(sliceLo), sliceCount(sliceCount)
+        : geo(geo), sim(geo, sub, sliceLo, sliceCount)
     {
         // Mirror the in-process group's per-sub-device wiring: the
         // injector keys on (deviceIndex, slice) so the socket fleet
@@ -87,8 +78,6 @@ struct WorkerContext
 
     Geometry geo;
     Simulator sim;
-    uint32_t sliceLo;
-    uint32_t sliceCount;
     std::shared_ptr<FaultInjector> injector;
     /** Content-addressed trace cache: each signature installed once. */
     std::unordered_map<uint64_t, std::shared_ptr<const BatchTrace>>
@@ -256,62 +245,17 @@ handleStats(WorkerContext &ctx)
 std::vector<uint8_t>
 handleStateFetch(WorkerContext &ctx)
 {
-    const Simulator &cs = ctx.sim;
-    std::vector<CrossbarImage> images;
-    for (uint32_t i = 0; i < ctx.sliceCount; ++i) {
-        const uint32_t xb = ctx.sliceLo + i;
-        const Crossbar::Snapshot snap = cs.crossbar(xb).snapshot();
-        CrossbarImage ci;
-        ci.xb = xb;
-        snap.forEachNonZeroBlock([&](uint32_t col, uint32_t b,
-                                     const uint64_t *words, uint32_t n) {
-            ci.blocks.push_back(BlockRecord{
-                col, b, std::vector<uint64_t>(words, words + n)});
-        });
-        if (!ci.blocks.empty())
-            images.push_back(std::move(ci));
-    }
-    ByteWriter w;
-    writeRange(w, ctx.sim.crossbarMask());
-    writeRange(w, ctx.sim.rowMask());
-    writeStats(w, cs.stats());
-    w.u32(static_cast<uint32_t>(images.size()));
-    for (const CrossbarImage &ci : images) {
-        w.u32(ci.xb);
-        w.u32(static_cast<uint32_t>(ci.blocks.size()));
-        for (const BlockRecord &rec : ci.blocks) {
-            w.u32(rec.col);
-            w.u32(rec.block);
-            w.u32(static_cast<uint32_t>(rec.words.size()));
-            for (uint64_t word : rec.words)
-                w.u64(word);
-        }
-    }
-    return w.take();
+    CheckpointImage img;
+    captureSlice(ctx.sim, img);
+    return encodeCheckpoint(img);
 }
 
 std::vector<uint8_t>
 handleStateRestore(WorkerContext &ctx, const WireFrame &f)
 {
-    const CheckpointImage img = decodeCheckpoint(f.payload);
-    fatalIf(!sameGeometry(img.geo, ctx.geo),
-            "state restore: image geometry does not match this worker");
-    // The worker-side mirror of restoreGroupImage, clipped to the
-    // owned slice: rewrite the architectural state, rebuild owned
-    // crossbars from the canonical records, and re-bless the
-    // checksums.
-    ctx.sim.restoreArchState(img.maskXb, img.maskRow, img.archStats);
-    for (uint32_t i = 0; i < ctx.sliceCount; ++i)
-        ctx.sim.crossbar(ctx.sliceLo + i).resetState();
-    for (const CrossbarImage &ci : img.crossbars) {
-        if (!ctx.sim.ownsCrossbar(ci.xb))
-            continue;
-        Crossbar &cxb = ctx.sim.crossbar(ci.xb);
-        for (const BlockRecord &rec : ci.blocks)
-            cxb.loadBlock(rec.col, rec.block, rec.words.data(),
-                          static_cast<uint32_t>(rec.words.size()));
-    }
-    ctx.sim.rebaselineChecksums();
+    // The worker-side half of restoreGroupImage, clipped to the owned
+    // slice.
+    restoreSlice(ctx.sim, decodeCheckpoint(f.payload));
     return {};
 }
 
@@ -323,7 +267,6 @@ handleGauges(WorkerContext &ctx)
     w.u64(g.blocksTotal);
     w.u64(g.blocksPresent);
     w.u64(g.blocksElided);
-    w.u64(g.cowShared);
     w.u64(g.residentBytes);
     w.u64(g.slabCrossbars);
     return w.take();

@@ -228,11 +228,6 @@ class Simulator : public OperationSink
 
     /** Install the deterministic fault injector. */
     void setFaultInjector(std::shared_ptr<FaultInjector> inj);
-    const std::shared_ptr<FaultInjector> &
-    faultInjector() const
-    {
-        return injector_;
-    }
 
     /**
      * Checkpoint-restore of the non-crossbar architectural state:

@@ -619,7 +619,6 @@ SocketTransport::gaugesAll()
         one.blocksTotal = r.u64();
         one.blocksPresent = r.u64();
         one.blocksElided = r.u64();
-        one.cowShared = r.u64();
         one.residentBytes = r.u64();
         one.slabCrossbars = r.u64();
         r.expectEnd("gauges reply");
@@ -656,48 +655,26 @@ SocketTransport::suppressFaultsAll(bool on)
 CheckpointImage
 SocketTransport::fetchImage()
 {
+    // Each worker replies with its slice's checkpoint image, decoded
+    // (bounds and ids checked) by the file codec. Workers answer in
+    // ascending slice order and each lists its owned crossbars
+    // ascending, so the merged image is already canonical.
     CheckpointImage img;
-    img.geo = geo_;
-    img.storage = sub_.storage;
-    img.deviceCount = devices();
     for (uint32_t d = 0; d < devices(); ++d) {
-        WireFrame reply = roundTrip(d, kMsgStateFetch, nullptr, 0);
-        ByteReader r(reply.payload);
-        const Range xb = readRange(r);
-        const Range row = readRange(r);
-        const Stats s = readStats(r);
-        const uint32_t nXb = r.u32();
-        for (uint32_t i = 0; i < nXb; ++i) {
-            CrossbarImage ci;
-            ci.xb = r.u32();
-            const uint32_t nBlocks = r.u32();
-            ci.blocks.reserve(nBlocks);
-            for (uint32_t b = 0; b < nBlocks; ++b) {
-                BlockRecord rec;
-                rec.col = r.u32();
-                rec.block = r.u32();
-                const uint32_t nWords = r.u32();
-                if (nWords == 0 || nWords > Crossbar::kBlockWords)
-                    fatal("state fetch reply: bad block word count " +
-                              std::to_string(nWords));
-                rec.words.resize(nWords);
-                for (uint64_t &word : rec.words)
-                    word = r.u64();
-                ci.blocks.push_back(std::move(rec));
-            }
-            img.crossbars.push_back(std::move(ci));
-        }
-        r.expectEnd("state fetch reply");
-        // Masks and Stats are REPLICATED bit-identically across the
-        // fleet; worker 0 speaks for the logical device.
+        const WireFrame reply = roundTrip(d, kMsgStateFetch, nullptr, 0);
+        CheckpointImage slice = decodeCheckpoint(reply.payload);
+        fatalIf(slice.geo != geo_,
+                "state fetch reply: geometry does not match this device");
+        // Masks and Stats are replicated across the fleet: worker 0
+        // speaks for the logical device.
         if (d == 0) {
-            img.maskXb = xb;
-            img.maskRow = row;
-            img.archStats = s;
+            img = std::move(slice);
+            continue;
         }
+        for (CrossbarImage &ci : slice.crossbars)
+            img.crossbars.push_back(std::move(ci));
     }
-    // Workers answer in ascending slice order and each emits its owned
-    // crossbars ascending, so the image is already canonical.
+    img.deviceCount = devices();
     return img;
 }
 

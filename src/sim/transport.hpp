@@ -23,8 +23,11 @@
  *    all go out before any reply is awaited;
  *  - bulk I/O: PR 7's packed images are the payload format;
  *  - Stats, storage gauges, compaction: synchronous queries;
- *  - checkpoint/restore: PR 9's canonical images fetched from /
- *    broadcast to the fleet — also the recovery path: a worker that
+ *  - checkpoint/restore: each worker captures and restores its own
+ *    slice with the checkpoint layer's slice functions, and both
+ *    directions carry encoded checkpoint images (sim/serialize.hpp):
+ *    the host decodes and merges the fetched slices and broadcasts a
+ *    restore — also the recovery path: a worker that
  *    dies mid-batch is detected by its broken pipe (WorkerDied, a
  *    DeviceFault), respawned fresh by the next restore, and rebuilt
  *    through the RecoverySink's journaled retry-with-restore.
@@ -82,7 +85,8 @@ class WorkerDied : public DeviceFault
 // --- wire protocol constants (shared with the worker loop) -------------
 
 constexpr uint32_t kFrameMagic = 0x50574652;  // "PWFR"
-constexpr uint32_t kWireVersion = 1;
+/** Bumped whenever a message layout changes. */
+constexpr uint32_t kWireVersion = 2;
 /** Frame header bytes: magic, version, type, payloadLen, crc. */
 constexpr size_t kFrameHeader = 4 + 4 + 4 + 8 + 4;
 
@@ -99,7 +103,7 @@ enum : uint32_t
     kMsgCellWrite = 9,     //!< boundary landing writes (async)
     kMsgStats = 10,        //!< empty -> stats + masks + faults
     kMsgClearStats = 11,   //!< empty (async)
-    kMsgStateFetch = 12,   //!< empty -> slice checkpoint section
+    kMsgStateFetch = 12,   //!< empty -> encoded slice CheckpointImage
     kMsgStateRestore = 13, //!< encoded CheckpointImage -> kMsgStateRestore
     kMsgGauges = 14,       //!< empty -> StorageGauges
     kMsgCompact = 15,      //!< empty -> u64 elided

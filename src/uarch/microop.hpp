@@ -32,7 +32,6 @@
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "uarch/range.hpp"
 
 namespace pypim
@@ -112,9 +111,6 @@ struct MicroOp
     uint32_t srcIdx = 0, dstIdx = 0;   //!< move slots
 
     bool operator==(const MicroOp &o) const = default;
-
-    /** Op class for statistics (identical numbering to OpType). */
-    OpClass opClass() const { return static_cast<OpClass>(type); }
 
     // --- factories -----------------------------------------------------
 

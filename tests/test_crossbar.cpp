@@ -9,13 +9,14 @@
  * never promotes and the table form of the kernels stays covered. The
  * PagedCrossbar suite adds the storage-specific surface: zero-block
  * elision, transparent densification, block-boundary addressing,
- * compact() re-elision, copy-on-write snapshot isolation and a fuzzed
- * parity loop over every primitive. The
- * AdaptiveCrossbar suite covers promotion to the dense slab: parity
- * with the Dense oracle across the switch through both replay tiers,
- * snapshots restored across it in both directions, and demotion by
- * compact(). Every slab and slab image, however it was built, starts
- * on a Crossbar::kSlabAlign boundary.
+ * compact() re-elision and a fuzzed parity loop over every primitive.
+ * The AdaptiveCrossbar suite covers promotion to the dense slab:
+ * parity with the Dense oracle across the switch through both replay
+ * tiers, canonical images loaded across it in both directions, and
+ * demotion by compact(). Every slab, however it was built, starts on
+ * a Crossbar::kSlabAlign boundary. State is rewound the way a
+ * checkpoint restore does it: the canonical walk out, resetState()
+ * and loadBlock() back in.
  */
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "sim/batch_trace.hpp"
 #include "sim/crossbar.hpp"
 #include "sim/replay_program.hpp"
+#include "sim/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "uarch/partition.hpp"
 
@@ -43,6 +45,28 @@ gateOn(const Geometry &geo, Gate g, uint32_t a, uint32_t b,
 {
     const uint32_t pOut = out / geo.partitionWidth();
     return expandLogicH(MicroOp::logicH(g, a, b, out, pOut, 0), geo);
+}
+
+/** The canonical records of @p x: what a checkpoint stores for it. */
+std::vector<BlockRecord>
+imageOf(const Crossbar &x)
+{
+    std::vector<BlockRecord> img;
+    x.forEachNonZeroBlock(
+        [&](uint32_t col, uint32_t b, const uint64_t *w, uint32_t n) {
+            img.push_back({col, b, std::vector<uint64_t>(w, w + n)});
+        });
+    return img;
+}
+
+/** Rewind @p x to @p img the way a checkpoint restore does. */
+void
+loadImage(Crossbar &x, const std::vector<BlockRecord> &img)
+{
+    x.resetState();
+    for (const BlockRecord &r : img)
+        x.loadBlock(r.col, r.block, r.words.data(),
+                    static_cast<uint32_t>(r.words.size()));
 }
 
 class CrossbarTest : public ::testing::TestWithParam<XbarStorage>
@@ -192,23 +216,18 @@ TEST_P(CrossbarTest, VerticalNotRespectsStatefulSemantics)
     EXPECT_EQ(xb.read(6, 40), 0x0000FFFFu);
 }
 
-TEST_P(CrossbarTest, SnapshotRestoreRoundTrip)
+TEST_P(CrossbarTest, ImageRestoreRoundTrip)
 {
     xb.writeRow(3, 0xABCD1234, 7);
-    {
-        const Crossbar::Snapshot snap = xb.snapshot();
-        xb.writeRow(3, 0x55555555, 7);
-        xb.writeRow(4, 0xFFFFFFFF, 8);
-        EXPECT_FALSE(xb.sameState(snap));
-        EXPECT_EQ(snap.read(3, 7), 0xABCD1234u);  // image is frozen
-        xb.restore(snap);
-        EXPECT_TRUE(xb.sameState(snap));
-        EXPECT_EQ(xb.read(3, 7), 0xABCD1234u);
-        EXPECT_EQ(xb.read(4, 8), 0u);
-    }
-    // With no snapshot alive no block is shared: the invariant that
-    // lets the table form skip its copy-on-write probe.
-    EXPECT_EQ(xb.storageGauges().cowShared, 0u);
+    const std::vector<BlockRecord> img = imageOf(xb);
+    const uint64_t sum = xb.stateChecksum();
+    xb.writeRow(3, 0x55555555, 7);
+    xb.writeRow(4, 0xFFFFFFFF, 8);
+    EXPECT_NE(xb.stateChecksum(), sum);
+    loadImage(xb, img);
+    EXPECT_EQ(xb.stateChecksum(), sum);
+    EXPECT_EQ(xb.read(3, 7), 0xABCD1234u);
+    EXPECT_EQ(xb.read(4, 8), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -279,33 +298,6 @@ TEST(PagedCrossbar, ZeroPreservingOpsStayElided)
     EXPECT_FALSE(xb.bit(1, 9));
 }
 
-TEST(PagedCrossbar, CloneOnWriteNeverLeavesInputsDangling)
-{
-    // Every NOR below clones a shared output block, and each clone
-    // grows the pool (the snapshot holds every old block), which
-    // reallocates it at the first clone and again later. A kernel that
-    // fetched its inputs before the clone would read freed words:
-    // AddressSanitizer reports it, and the result may differ from the
-    // Dense oracle.
-    const Geometry geo = tallGeometry();
-    Crossbar paged(geo, XbarStorage::Paged);
-    Crossbar dense(geo, XbarStorage::Dense);
-    const auto fullMask = Range::all(geo.rows).expand(geo.rows);
-    const uint32_t pw = geo.partitionWidth();
-    for (uint32_t col = 0; col < pw; ++col)
-        for (uint32_t row = col; row < geo.rows; row += 512) {
-            paged.setBit(row, col, true);
-            dense.setBit(row, col, true);
-        }
-    const Crossbar::Snapshot snap = paged.snapshot();
-    for (uint32_t out = 2; out < pw; ++out) {
-        paged.logicH(gateOn(geo, Gate::Nor, 0, 1, out), fullMask);
-        dense.logicH(gateOn(geo, Gate::Nor, 0, 1, out), fullMask);
-    }
-    EXPECT_TRUE(paged.sameState(dense));
-    EXPECT_TRUE(snap.bit(512 + 5, 5)) << "the snapshot image moved";
-}
-
 TEST(PagedCrossbar, DensificationTouchesOnlyMaskedBlocks)
 {
     const Geometry geo = tallGeometry();
@@ -373,41 +365,13 @@ TEST(PagedCrossbar, CompactReElidesDecayedBlocks)
     EXPECT_EQ(xb.read(6, 100), 0x5A5A5A5Au);
 }
 
-TEST(PagedCrossbar, SnapshotIsCopyOnWriteAndIsolated)
-{
-    const Geometry geo = tallGeometry();
-    Crossbar xb(geo, XbarStorage::Paged);
-    xb.writeRow(1, 0x11223344u, 10);
-    xb.writeRow(1, 0x99887766u, 700);  // second block
-    const Crossbar::Snapshot snap = xb.snapshot();
-    {
-        // Snapshot shares every present block rather than copying it.
-        const StorageGauges g = xb.storageGauges();
-        EXPECT_GT(g.cowShared, 0u);
-        EXPECT_EQ(g.cowShared, g.blocksPresent);
-    }
-    // Writes after the snapshot clone only the touched blocks; the
-    // frozen image must not see them.
-    xb.writeRow(1, 0xFFFFFFFFu, 10);
-    EXPECT_EQ(snap.read(1, 10), 0x11223344u);
-    EXPECT_EQ(snap.read(1, 700), 0x99887766u);
-    EXPECT_EQ(xb.read(1, 10), 0xFFFFFFFFu);
-    EXPECT_FALSE(xb.sameState(snap));
-    // Snapshot copies are independent refcounted images.
-    const Crossbar::Snapshot copy = snap;
-    xb.restore(copy);
-    EXPECT_TRUE(xb.sameState(snap));
-    EXPECT_EQ(xb.read(1, 10), 0x11223344u);
-}
-
 namespace
 {
 
-/** Canonical non-zero-block walk of a crossbar or a snapshot,
- *  flattened for comparison. */
-template <class Image>
+/** Canonical non-zero-block walk of a crossbar, flattened for
+ *  comparison. */
 std::vector<uint64_t>
-walkOf(const Image &x)
+walkOf(const Crossbar &x)
 {
     std::vector<uint64_t> out;
     x.forEachNonZeroBlock(
@@ -420,12 +384,10 @@ walkOf(const Image &x)
 
 /**
  * 400 random ops on a Paged crossbar and the Dense oracle, every
- * slot they name below @p slots, with compact() and snapshot/restore
- * round trips mixed in: every primitive, write bursts, bulk gather/scatter
+ * slot they name below @p slots, with compact() and image round trips
+ * mixed in: every primitive, write bursts, bulk gather/scatter
  * windows (all-zero ones and ones starting mid-word) and single bits
- * included. A snapshot held across the ops keeps blocks shared, so
- * they clone on write. Returns whether the paged crossbar ended as a
- * slab.
+ * included. Returns whether the paged crossbar ended as a slab.
  */
 bool
 fuzzParityWithDense(uint32_t slots)
@@ -437,8 +399,6 @@ fuzzParityWithDense(uint32_t slots)
     const uint32_t maskWords = (geo.rows + 63) / 64;
     std::vector<uint64_t> mask(maskWords);
     const std::vector<uint64_t> allRows(maskWords, ~0ull);
-    Crossbar::Snapshot held = paged.snapshot();
-    std::vector<uint64_t> heldWalk = walkOf(dense);
     for (uint32_t iter = 0; iter < 400; ++iter) {
         // Sparse random row mask: mostly zero words, so ops keep
         // hitting absent/present block mixtures.
@@ -479,16 +439,11 @@ fuzzParityWithDense(uint32_t slots)
             paged.writeRow(slot, v, row);
             dense.writeRow(slot, v, row);
         } else if (kind == 7) {
-            // Compaction and a snapshot/restore no-op round trip must
-            // both be architecturally invisible.
+            // Compaction and an image round trip must both be
+            // architecturally invisible.
             paged.compact();
-            const Crossbar::Snapshot snap = paged.snapshot();
-            EXPECT_TRUE(paged.sameState(snap));
-            paged.restore(snap);
-            // The held image stayed frozen; hold a new one.
-            EXPECT_EQ(walkOf(held), heldWalk) << "iter " << iter;
-            held = paged.snapshot();
-            heldWalk = walkOf(dense);
+            loadImage(paged, imageOf(dense));
+            EXPECT_EQ(walkOf(paged), walkOf(dense)) << "iter " << iter;
         } else if (kind < 10) {
             // Up to three writes of distinct slots, under the sparse
             // mask or an all-ones one.
@@ -539,10 +494,6 @@ fuzzParityWithDense(uint32_t slots)
         }
     }
     EXPECT_TRUE(paged.sameState(dense));
-    EXPECT_EQ(walkOf(held), heldWalk);
-    // Released, the held image leaves no block shared.
-    held = Crossbar::Snapshot();
-    EXPECT_EQ(paged.storageGauges().cowShared, 0u);
     // Spot-check strided readback through both paths.
     for (uint32_t slot = 0; slot < geo.slots(); slot += 5)
         for (uint32_t row = 0; row < geo.rows; row += 97)
@@ -644,17 +595,16 @@ identical(const Crossbar &a, const Crossbar &b)
 constexpr uint32_t kSlotsAtThreshold = 16;
 
 /**
- * Every block the canonical walk of a slab (or slab image) @p img
- * visits starts on a kSlabAlign boundary. Columns here are a multiple
- * of eight words, so that holds iff the slab itself is aligned. At
- * least one block must be walked.
+ * Every block the canonical walk of slab crossbar @p x visits starts
+ * on a kSlabAlign boundary. Columns here are a multiple of eight
+ * words, so that holds iff the slab itself is aligned. At least one
+ * block must be walked.
  */
-template <typename Image>
 ::testing::AssertionResult
-slabAligned(const Image &img)
+slabAligned(const Crossbar &x)
 {
     uint64_t blocks = 0, misaligned = 0;
-    img.forEachNonZeroBlock(
+    x.forEachNonZeroBlock(
         [&](uint32_t, uint32_t, const uint64_t *w, uint32_t) {
             ++blocks;
             misaligned +=
@@ -741,50 +691,50 @@ TEST(AdaptiveCrossbar, ProgramNeverPromotesMidway)
     EXPECT_TRUE(identical(xb, oracle));
 }
 
-TEST(AdaptiveCrossbar, SnapshotsRestoreAcrossPromotionBothWays)
+TEST(AdaptiveCrossbar, ImagesLoadAcrossPromotionBothWays)
 {
     const Geometry geo = tallGeometry();
     Crossbar xb(geo, XbarStorage::Paged);
     Crossbar at10(geo, XbarStorage::Dense);
     Crossbar at20(geo, XbarStorage::Dense);
     fill(geo, {&xb, &at10, &at20}, 0, 10);
-    const Crossbar::Snapshot paged = xb.snapshot();
+    ASSERT_FALSE(xb.isSlab());
+    const std::vector<BlockRecord> paged = imageOf(xb);
     fill(geo, {&xb, &at20}, 10, 20);
     ASSERT_TRUE(xb.isSlab());
-    const Crossbar::Snapshot slab = xb.snapshot();
+    const std::vector<BlockRecord> slab = imageOf(xb);
 
-    // A paged image restored into the promoted crossbar makes it
-    // paged again, sharing the image's blocks.
-    xb.restore(paged);
+    // An image taken while paged loads into the promoted slab, which
+    // keeps its form until compact() demotes it.
+    loadImage(xb, paged);
+    EXPECT_TRUE(xb.isSlab());
+    EXPECT_TRUE(identical(xb, at10));
+    EXPECT_GT(xb.compact(), 0u);
     EXPECT_FALSE(xb.isSlab());
     EXPECT_EQ(xb.storage(), XbarStorage::Paged);
-    EXPECT_TRUE(xb.sameState(paged));
     EXPECT_TRUE(identical(xb, at10));
-    EXPECT_GT(xb.storageGauges().cowShared, 0u);
-    // It continues exactly like the oracle, promoting again on the
-    // way, and the held image stays frozen.
+    // It continues exactly like the oracle, promoting again on the way.
     fill(geo, {&xb}, 10, 20);
     EXPECT_TRUE(xb.isSlab());
     EXPECT_TRUE(identical(xb, at20));
-    xb.restore(paged);
-    EXPECT_TRUE(identical(xb, at10));
 
-    // A slab image restored into a paged crossbar makes it a slab.
-    xb.restore(slab);
-    EXPECT_TRUE(xb.isSlab());
-    EXPECT_TRUE(identical(xb, at20));
+    // An image taken from the slab loads into a paged crossbar, which
+    // promotes at its next replay entry.
     Crossbar fresh(geo, XbarStorage::Paged);
     fill(geo, {&fresh}, 0, 3);
-    ASSERT_FALSE(fresh.isSlab());
-    fresh.restore(slab);
-    EXPECT_TRUE(fresh.isSlab());
+    loadImage(fresh, slab);
+    EXPECT_FALSE(fresh.isSlab()) << "loadBlock never promotes";
     EXPECT_TRUE(identical(fresh, at20));
+    fill(geo, {&fresh, &xb}, 20, 21);
+    EXPECT_TRUE(fresh.isSlab());
+    EXPECT_TRUE(identical(fresh, xb));
 
-    // The Dense oracle accepts slab images but not paged ones.
+    // The Dense oracle loads either image.
     Crossbar dense(geo, XbarStorage::Dense);
-    dense.restore(slab);
+    loadImage(dense, paged);
+    EXPECT_TRUE(identical(dense, at10));
+    loadImage(dense, slab);
     EXPECT_TRUE(identical(dense, at20));
-    EXPECT_THROW(dense.restore(paged), InternalError);
 }
 
 TEST(AdaptiveCrossbar, CompactDemotesADecayedSlab)
@@ -794,9 +744,9 @@ TEST(AdaptiveCrossbar, CompactDemotesADecayedSlab)
     Crossbar xb(geo, XbarStorage::Paged);
     Crossbar oracle(geo, XbarStorage::Dense);
     fill(geo, {&xb, &oracle}, 0, 5);
-    const Crossbar::Snapshot early = xb.snapshot();  // pre-promotion
+    const std::vector<BlockRecord> early = imageOf(xb);  // pre-promotion
     Crossbar at5(geo, XbarStorage::Dense);
-    at5.restore(oracle.snapshot());
+    loadImage(at5, imageOf(oracle));
     fill(geo, {&xb, &oracle}, 5, 21);
     ASSERT_TRUE(xb.isSlab());
     // Full: compact() keeps the slab and elides nothing.
@@ -827,46 +777,31 @@ TEST(AdaptiveCrossbar, CompactDemotesADecayedSlab)
     EXPECT_TRUE(xb.isSlab());
     EXPECT_TRUE(identical(xb, oracle));
 
-    // A snapshot from before the promotion still restores, though the
-    // crossbar has since dropped that pool and built a new one.
-    xb.restore(early);
+    // An image from before the promotion loads into the slab, and the
+    // next compact() demotes it again.
+    loadImage(xb, early);
     EXPECT_TRUE(identical(xb, at5));
-    // One from another crossbar never does: two crossbars replaying
-    // concurrently must not share a pool.
-    Crossbar other(geo, XbarStorage::Paged);
-    other.writeRow(1, 0x1234u, 3);
-    EXPECT_THROW(xb.restore(other.snapshot()), InternalError);
+    EXPECT_EQ(xb.compact(), 4096u - 128u * 5);
+    EXPECT_FALSE(xb.isSlab());
+    EXPECT_TRUE(identical(xb, at5));
 }
 
 TEST(AdaptiveCrossbar, SlabsAreCacheLineAligned)
 {
     const Geometry geo = tallGeometry();
-    // Construction: a Dense crossbar is a slab from the start, and its
-    // snapshot (and a copy of that) is a slab image.
+    // Construction: a Dense crossbar is a slab from the start.
     Crossbar dense(geo, XbarStorage::Dense);
     dense.setBit(0, 0, true);
     EXPECT_TRUE(slabAligned(dense));
-    const Crossbar::Snapshot denseImage = dense.snapshot();
-    EXPECT_TRUE(slabAligned(denseImage));
-    const Crossbar::Snapshot copied = denseImage;
-    EXPECT_TRUE(slabAligned(copied));
 
     // Promotion builds the slab.
     Crossbar xb(geo, XbarStorage::Paged);
     fill(geo, {&xb}, 0, kSlotsAtThreshold + 1);
     ASSERT_TRUE(xb.isSlab());
     EXPECT_TRUE(slabAligned(xb));
-    const Crossbar::Snapshot slab = xb.snapshot();
-    EXPECT_TRUE(slabAligned(slab));
 
-    // Restoring a slab image into a paged crossbar, and into a slab.
-    Crossbar fresh(geo, XbarStorage::Paged);
-    fill(geo, {&fresh}, 0, 3);
-    ASSERT_FALSE(fresh.isSlab());
-    fresh.restore(slab);
-    ASSERT_TRUE(fresh.isSlab());
-    EXPECT_TRUE(slabAligned(fresh));
-    dense.restore(slab);
+    // Loading a full image into a slab keeps it in place.
+    loadImage(dense, imageOf(xb));
     EXPECT_TRUE(slabAligned(dense));
 
     // compact() keeps a full slab; a demoted one promotes to a new slab.

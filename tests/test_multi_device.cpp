@@ -453,17 +453,13 @@ TEST(MultiDeviceAlloc, TensorsPreferOneSubDeviceSlice)
     EXPECT_EQ(mm.liveAllocations(), 0u);
 }
 
-TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderPoolReplay)
+TEST(MultiDevicePaged, GroupImageRewindsPoolReplay)
 {
-    // Copy-on-write snapshots under the most concurrent in-process
+    // Checkpoint and rewind under the most concurrent in-process
     // configuration in the repo: 4 sub-devices, each replaying on 2
-    // threads. Snapshots are taken between calls, then heavy random
-    // traces replay on the pool workers while the main thread holds
-    // the frozen images. Replay must CLONE every shared block it
-    // mutates — the snapshots keep the exact pre-replay state — and
-    // restoring rewinds the group bit-exactly. TSan-clean by the
-    // storage sync contract: the main thread only holds (never reads
-    // or refcounts) the images while replay is in flight.
+    // threads. The image is captured between calls, heavy random
+    // traces then replay on the pool workers, and restoring the image
+    // rewinds the whole group bit-exactly.
     const Geometry g = multiGeometry();
     const EngineConfig cfg = EngineConfig{}
                                  .withThreads(8)
@@ -481,12 +477,7 @@ TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderPoolReplay)
                 oracle.crossbar(xb).writeRow(slot, v, row);
                 grp.crossbar(xb).writeRow(slot, v, row);
             }
-    std::vector<Crossbar::Snapshot> snaps;
-    snaps.reserve(g.numCrossbars);
-    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-        snaps.push_back(grp.crossbar(xb).snapshot());
-    // Every present block is now shared with its frozen image.
-    EXPECT_GT(grp.storageGauges().cowShared, 0u);
+    const CheckpointImage image = buildGroupImage(grp);
 
     // Self-contained, Move-free batches, so every one replays as a
     // compiled trace on the sub-device pools.
@@ -507,15 +498,11 @@ TEST(MultiDevicePaged, CowSnapshotsStayIsolatedUnderPoolReplay)
     grp.flush();
     EXPECT_TRUE(sameState(oracle, grp));
     EXPECT_EQ(oracle.stats(), grp.stats());
-    // The frozen images still hold the pre-replay state exactly.
-    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-        ASSERT_TRUE(pre.crossbar(xb).sameState(snaps[xb]))
-            << "snapshot of crossbar " << xb
-            << " was mutated by concurrent replay";
-    // And restoring them rewinds the whole group.
-    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
-        grp.crossbar(xb).restore(snaps[xb]);
+    EXPECT_FALSE(sameState(pre, grp)) << "the replay changed nothing";
+
+    restoreGroupImage(grp, image);
     EXPECT_TRUE(sameState(pre, grp));
+    EXPECT_EQ(pre.stats(), grp.stats());
 }
 
 TEST(MultiDeviceGroup, DevicesClampToGeometryAndValidate)

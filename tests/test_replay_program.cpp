@@ -12,10 +12,9 @@
  * fuzz and the device-path test run once per executor ISA build the
  * host supports (Crossbar::replayBuilds), at a shallow geometry (one
  * word per column) and a deep one (eight words: one paged block, long
- * enough for the vectorised word loops). On the sparse paged fill, a
- * snapshot of every crossbar is held across one replay, so the table
- * form's copy-on-write clones run under compiled replay. The
- * directed tests pin the COMPILER's decisions — when LogicH ops may
+ * enough for the vectorised word loops). The sparse paged fill keeps
+ * every crossbar under the promotion threshold, so the table form runs
+ * under compiled replay. The directed tests pin the COMPILER's decisions — when LogicH ops may
  * and may not merge into one pass (mask change, section capacity,
  * stateful-gate aliasing), how Writes and LogicV runs chunk, when
  * the all-ones mask specialisation may fire, and when the liveness
@@ -482,39 +481,9 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
                 // Compiled segments drop their half-gate expansions.
                 EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
 
-                // Sparse fill: a snapshot of every crossbar is held over
-                // replay 2, so the table form must clone every shared
-                // block it writes. Each image must still be the
-                // oracle's state at capture, and once they are dropped
-                // before replay 3 nothing is shared any more.
-                std::vector<Crossbar::Snapshot> held, atCapture;
                 for (int rep = 0; rep < kReplays; ++rep) {
                     oracle.performBatch(ops.data(), ops.size());
                     compiled.submitTrace(tc);
-                    if (!sparse || rep > 1)
-                        continue;
-                    compiled.flush();
-                    if (rep == 0) {
-                        for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
-                            held.push_back(compiled.crossbar(xb).snapshot());
-                            atCapture.push_back(
-                                oracle.crossbar(xb).snapshot());
-                        }
-                        EXPECT_GT(compiled.storageGauges().cowShared, 0u)
-                            << ec.name;
-                        continue;
-                    }
-                    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb) {
-                        Crossbar frozen(g, XbarStorage::Dense);
-                        frozen.restore(atCapture[xb]);
-                        ASSERT_TRUE(frozen.sameState(held[xb]))
-                            << ec.name << " held snapshot of crossbar "
-                            << xb << " changed under replay";
-                    }
-                    held.clear();
-                    atCapture.clear();
-                    EXPECT_EQ(compiled.storageGauges().cowShared, 0u)
-                        << ec.name;
                 }
                 compiled.flush();
                 for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)

@@ -12,7 +12,10 @@
  * fork/socketpair fleet ships each frozen trace once per worker,
  * surfaces a killed worker as a DeviceFault and rebuilds it through
  * checkpoint restore and journaled recovery. A worker bounds every
- * count a message claims before it allocates for it.
+ * count a message claims before it allocates for it. A worker answers
+ * a state fetch with its owned slice as an encoded checkpoint image,
+ * and the fleet's merged image is byte-identical to the in-process
+ * group's at 2 and 4 devices.
  */
 #include <gtest/gtest.h>
 
@@ -303,6 +306,55 @@ TEST(WorkerBounds, OversizedCountsAreRejectedBeforeAllocating)
     send(kMsgShutdown, {});
     worker.join();
     ::close(fds[0]);
+}
+
+TEST(WorkerState, FetchReplyIsTheOwnedSliceImage)
+{
+    // A worker owning crossbars [4, 8) of 16, served in a thread. It
+    // restores the records it owns from a whole-device image and
+    // answers a state fetch with exactly those, as an encoded
+    // checkpoint image the file codec decodes.
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    CheckpointImage img;
+    img.geo = g;
+    img.maskXb = Range(2, 14, 4);
+    img.maskRow = Range(1, g.rows - 1, 2);
+    img.archStats.recordN(OpClass::Write, 7);
+    for (uint32_t xb = 0; xb < g.numCrossbars; ++xb)
+        img.crossbars.push_back(
+            {xb, {{xb, 0, {0x1000u + xb}}, {g.cols - 1, 0, {~0ull}}}});
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread worker(
+        [&] { runShardWorker(fds[1], g, EngineConfig::serial(), 4, 4, 1); });
+    const std::vector<uint8_t> bytes = encodeCheckpoint(img);
+    sendFrame(fds[0], kMsgStateRestore, bytes.data(), bytes.size());
+    EXPECT_EQ(recvFrame(fds[0]).type, uint32_t{kMsgStateRestore});
+    sendFrame(fds[0], kMsgStateFetch, nullptr, 0);
+    const WireFrame reply = recvFrame(fds[0]);
+    sendFrame(fds[0], kMsgShutdown, nullptr, 0);
+    worker.join();
+    ::close(fds[0]);
+
+    ASSERT_EQ(reply.type, uint32_t{kMsgStateFetch});
+    const CheckpointImage slice = decodeCheckpoint(reply.payload);
+    EXPECT_EQ(slice.geo, g);
+    EXPECT_EQ(slice.maskXb, img.maskXb);
+    EXPECT_EQ(slice.maskRow, img.maskRow);
+    EXPECT_EQ(slice.archStats, img.archStats);
+    ASSERT_EQ(slice.crossbars.size(), 4u);
+    for (uint32_t i = 0; i < 4; ++i) {
+        const CrossbarImage &want = img.crossbars[4 + i];
+        EXPECT_EQ(slice.crossbars[i].xb, want.xb);
+        ASSERT_EQ(slice.crossbars[i].blocks.size(), want.blocks.size());
+        for (size_t b = 0; b < want.blocks.size(); ++b) {
+            EXPECT_EQ(slice.crossbars[i].blocks[b].col,
+                      want.blocks[b].col);
+            EXPECT_EQ(slice.crossbars[i].blocks[b].words,
+                      want.blocks[b].words);
+        }
+    }
 }
 
 // --- trace wire format ----------------------------------------------------
@@ -716,6 +768,48 @@ TEST(SocketFleet, TraceCrossesTheWireOncePerWorker)
     EXPECT_TRUE(grp.stats() == ref.stats());
     EXPECT_EQ(encodeCheckpoint(buildGroupImage(grp)),
               encodeCheckpoint(buildGroupImage(ref)));
+}
+
+TEST(SocketFleet, FetchedImageIsByteIdenticalToInProcess)
+{
+    PYPIM_SKIP_UNDER_TSAN();
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    const auto run = [&](Device &dev) {
+        Rng rng(2024);
+        std::vector<int32_t> va(g.totalRows()), vb(g.totalRows());
+        for (size_t i = 0; i < va.size(); ++i) {
+            va[i] = static_cast<int32_t>(rng.word());
+            vb[i] = static_cast<int32_t>(rng.word());
+        }
+        Tensor a = Tensor::fromVector(va, &dev);
+        Tensor b = Tensor::fromVector(vb, &dev);
+        Tensor c = (a ^ b) + a;
+        dev.flush();
+        return encodeCheckpoint(buildGroupImage(dev.group()));
+    };
+    for (const uint32_t devices : {2u, 4u}) {
+        const EngineConfig inproc = EngineConfig::serial().withDevices(devices);
+        Device local(g, Driver::Mode::Parallel, inproc);
+        Device remote(g, Driver::Mode::Parallel,
+                      inproc.withTransport(TransportKind::Socket));
+        ASSERT_TRUE(remote.group().remote());
+        const std::vector<uint8_t> want = run(local);
+        EXPECT_EQ(run(remote), want) << devices << " devices";
+        // Every worker's slice holds state, so none may go missing.
+        const CheckpointImage img = decodeCheckpoint(want);
+        const uint32_t per = g.numCrossbars / devices;
+        for (uint32_t d = 0; d < devices; ++d) {
+            bool seen = false;
+            for (const CrossbarImage &ci : img.crossbars)
+                seen = seen || ci.xb / per == d;
+            EXPECT_TRUE(seen) << "slice " << d << " of " << devices;
+        }
+        // A restore broadcast and a fetch round-trip the image.
+        restoreGroupImage(remote.group(), img);
+        EXPECT_EQ(encodeCheckpoint(buildGroupImage(remote.group())), want)
+            << devices << " devices";
+    }
 }
 
 TEST(SocketFleet, KilledWorkerSurfacesAsDeviceFaultAndRestores)
