@@ -629,8 +629,10 @@ storageSweep(Json *json)
  * int tensor round-trips host -> device -> host through the
  * element-wise oracle (bulk I/O off: one ReadInstr dispatch and one
  * drain point per element on readback) and through
- * the bulk block-transfer path (64x64 bit-transpose gather/scatter
- * kernels, ONE drain per transfer). Values AND architectural Stats
+ * the bulk block-transfer path (the tile-transpose gather/scatter
+ * kernels of the active build, Crossbar::replayBuild(), whose name the
+ * JSON record carries as transpose_build; ONE drain per transfer).
+ * Values AND architectural Stats
  * MUST be bit-identical — the function returns false otherwise and
  * the CI bench smoke step exits non-zero on it. >=10x on the readback
  * is the acceptance gauge on a >=1M-element tensor.
@@ -645,8 +647,9 @@ ioSweep(Json *json)
     for (auto &v : host)
         v = static_cast<int32_t>(rng.word());
     std::printf("\n=== Bulk tensor I/O sweep (%llu-element int "
-                "tensor, %u crossbars) ===\n",
-                static_cast<unsigned long long>(n), g.numCrossbars);
+                "tensor, %u crossbars, %s tile transposes) ===\n",
+                static_cast<unsigned long long>(n), g.numCrossbars,
+                Crossbar::replayBuild().name);
     std::printf("%-12s %12s %14s %10s\n", "path", "upload [s]",
                 "readback [s]", "identical");
     double upload[2] = {0, 0}, readback[2] = {0, 0};
@@ -701,6 +704,7 @@ ioSweep(Json *json)
     if (json) {
         json->beginObject("io_sweep");
         json->field("elements", n);
+        json->field("transpose_build", Crossbar::replayBuild().name);
         json->field("elementwise_upload_s", upload[0]);
         json->field("elementwise_readback_s", readback[0]);
         json->field("bulk_upload_s", upload[1]);

@@ -25,6 +25,10 @@ Geometry::validate() const
             "geometry: wordBits must equal partitions (paper N); "
             "got wordBits=" + std::to_string(wordBits) +
             " partitions=" + std::to_string(partitions));
+    fatalIf(wordBits > 32,
+            "geometry: wordBits > 32 exceeds the 32-bit host word that "
+            "reads, writes and bulk transfers carry; got wordBits=" +
+                std::to_string(wordBits));
     fatalIf(!isPow4(numCrossbars),
             "geometry: numCrossbars must be a power of four "
             "(H-tree arity)");
@@ -44,8 +48,6 @@ Geometry::validate() const
     fatalIf(numCrossbars > 65536,
             "geometry: numCrossbars > 65536 exceeds the 16-bit "
             "crossbar mask fields");
-    fatalIf(partitions > 64,
-            "geometry: partitions > 64 exceeds the expansion buffers");
     fatalIf(slots() > 64,
             "geometry: more than 64 register slots exceeds the 6-bit "
             "index fields");

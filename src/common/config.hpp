@@ -26,6 +26,8 @@ namespace pypim
  *  - rows, cols, partitions are powers of two; cols % partitions == 0
  *  - wordBits == partitions (the paper's N; generalising to
  *    partitions != N is future work, paper §III-A)
+ *  - wordBits <= 32: every host path carries a row's value in a
+ *    uint32_t
  *  - numCrossbars is a power of four (H-tree arity, paper §III-F)
  *  - userRegs <= cols / partitions (register slots available per row)
  */
@@ -215,7 +217,7 @@ struct EngineConfig
     XbarStorage storage = XbarStorage::Paged;
     /**
      * Bulk host I/O (sim/bulk_io.hpp): tensor readback/upload moves
-     * whole row blocks through the crossbars' 64x64 bit-transpose
+     * whole row blocks through the crossbars' tile-transpose
      * gather/scatter kernels with ONE drain point per transfer,
      * instead of one ReadInstr/WriteInstr dispatch (and one drain
      * point) per element. On by default; Device forwards the flag to

@@ -105,7 +105,7 @@ struct Stats
     uint64_t bulkReads = 0;
     /** Bulk write transfers taken by the scatter path. */
     uint64_t bulkWrites = 0;
-    /** 64-bit words moved through the 64x64 bit transpose. */
+    /** 64-bit words moved through the bulk I/O tile transposes. */
     uint64_t ioWordsTransposed = 0;
     /** Drain points (checksum verifies) taken by bulk transfers (one
      *  per transfer per sub-device). */

@@ -11,7 +11,7 @@
  * instruction.
  *
  * Vector transfers take the bulk block-transfer path
- * (Driver::readBulk/writeBulk over the crossbars' 64x64 bit-transpose
+ * (Driver::readBulk/writeBulk over the crossbars' tile-transpose
  * gather/scatter kernels, sim/bulk_io.hpp): ONE drain point per
  * transfer instead of one per element, with values and architectural
  * Stats bit-identical to the element loop kept below as the fallback
@@ -138,11 +138,10 @@ Tensor::toIntVector() const
 {
     fatalIf(!valid(), "toIntVector: invalid tensor");
     fatalIf(dtype() != DType::Int32, "toIntVector: tensor is not int32");
-    std::vector<uint32_t> bits(len_);
-    readVector(*this, bits.data());
+    // An int32_t may be accessed through its unsigned type: the
+    // transfer fills the result's own storage, with no staging copy.
     std::vector<int32_t> out(len_);
-    for (uint64_t i = 0; i < len_; ++i)
-        out[i] = static_cast<int32_t>(bits[i]);
+    readVector(*this, reinterpret_cast<uint32_t *>(out.data()));
     return out;
 }
 
@@ -165,10 +164,7 @@ Tensor::setVector(const std::vector<int32_t> &v)
     fatalIf(!valid(), "setVector: invalid tensor");
     fatalIf(dtype() != DType::Int32, "setVector: tensor is not int32");
     fatalIf(v.size() != len_, "setVector: length mismatch");
-    std::vector<uint32_t> bits(len_);
-    for (uint64_t i = 0; i < len_; ++i)
-        bits[i] = static_cast<uint32_t>(v[i]);
-    writeVector(*this, bits.data());
+    writeVector(*this, reinterpret_cast<const uint32_t *>(v.data()));
 }
 
 } // namespace pypim

@@ -8,8 +8,11 @@
  * path models it one element at a time: every element costs a drain
  * point (performRead) plus 32 single-bit column probes. A bulk
  * transfer moves the same values with ONE drain point per transfer
- * and a 64x64 word-level bit-matrix transpose per 64 rows
- * (Crossbar::gatherRows / scatterRows), while recording architectural
+ * and one tile transpose per 64 rows (Crossbar::gatherRows /
+ * scatterRows: 64 rows of 32-bit host words <-> 32 bit-plane words,
+ * on the AVX-512BW body when the host runs the x86-64-v4 build and
+ * on a portable pair of 32x32 transposes otherwise, picked through
+ * Crossbar::replayBuilds), while recording architectural
  * Stats identical to the element-wise instruction loop — the cost
  * model is unchanged, only the host-side simulation of it is faster.
  *
@@ -86,8 +89,10 @@ struct BulkIoSpec
 /** Host-side observability of one bulk transfer (driver Stats). */
 struct BulkIoTelemetry
 {
-    uint64_t wordsTransposed = 0;  //!< 64-bit words through transpose64
-    uint64_t drains = 0;           //!< drain points taken
+    /** 64-bit words through the tile transposes: 64 per transposed
+     *  64-row window (an all-zero window is skipped). */
+    uint64_t wordsTransposed = 0;
+    uint64_t drains = 0;  //!< drain points taken
 };
 
 /** One coalesced write run: consecutive same-warp equal-value
@@ -102,16 +107,16 @@ struct BulkWriteRun
 };
 
 /**
- * Enumerate the canonical write runs of @p spec over @p values in
- * element order: maximal runs of consecutive elements sharing one
- * warp and one value. Shared by the stats planner, the bulk-I/O-off
- * emission fallback and nothing else — one source of truth, so the
- * two settings can never drift.
+ * Walk @p spec's elements one crossbar at a time, in element order:
+ * fn(first, warp, r0, k) for the k elements [first, first + k) whose
+ * storage rows r0, r0 + rowStep, ... lie in global crossbar @p warp.
+ * The one chunking rule of the planners, the bulk-I/O-off emission
+ * and the engine's gather/scatter, so none of them can chunk a
+ * transfer differently.
  */
 template <typename Fn>
 void
-forEachBulkWriteRun(const Geometry &geo, const BulkIoSpec &spec,
-                    const uint32_t *values, Fn &&fn)
+forEachBulkChunk(const Geometry &geo, const BulkIoSpec &spec, Fn &&fn)
 {
     const uint32_t rows = geo.rows;
     uint64_t i = 0;
@@ -121,36 +126,62 @@ forEachBulkWriteRun(const Geometry &geo, const BulkIoSpec &spec,
             spec.warpStart + static_cast<uint32_t>(s / rows);
         const uint32_t r0 = static_cast<uint32_t>(s % rows);
         // Elements whose storage row stays inside this crossbar.
-        const uint64_t inWarp = std::min<uint64_t>(
+        const uint64_t k = std::min<uint64_t>(
             spec.count - i,
             (rows - r0 + spec.rowStep - 1) / spec.rowStep);
+        fn(i, warp, r0, k);
+        i += k;
+    }
+}
+
+/**
+ * Canonical row mask of a write run of @p len elements from row
+ * @p first: a 1-element run is Range::single — the exact Range the
+ * per-element oracle emits, so the GateBuilder dedup (exact equality)
+ * behaves identically.
+ */
+inline Range
+bulkRunRows(uint32_t first, uint64_t len, uint64_t rowStep)
+{
+    return len == 1 ? Range::single(first)
+                    : Range(first,
+                            first + static_cast<uint32_t>((len - 1) *
+                                                          rowStep),
+                            static_cast<uint32_t>(rowStep));
+}
+
+/**
+ * Enumerate the canonical write runs of @p spec over @p values in
+ * element order: maximal runs of consecutive elements sharing one
+ * warp and one value. The bulk-I/O-off emission path walks them;
+ * planBulkWrite counts the same runs without enumerating them, and
+ * tests/test_bulk_io.cpp checks the two agree.
+ */
+template <typename Fn>
+void
+forEachBulkWriteRun(const Geometry &geo, const BulkIoSpec &spec,
+                    const uint32_t *values, Fn &&fn)
+{
+    forEachBulkChunk(geo, spec, [&](uint64_t i, uint32_t warp,
+                                    uint32_t r0, uint64_t k) {
         uint64_t e = 0;
-        while (e < inWarp) {
+        while (e < k) {
             const uint32_t v = values[i + e];
             uint64_t run = 1;
-            while (e + run < inWarp && values[i + e + run] == v)
+            while (e + run < k && values[i + e + run] == v)
                 ++run;
             BulkWriteRun w;
             w.warp = warp;
             w.value = v;
             w.firstElement = i + e;
             w.count = run;
-            const uint32_t first =
-                r0 + static_cast<uint32_t>(e * spec.rowStep);
-            // Canonical masks: a 1-element run is Range::single — the
-            // exact Range the per-element oracle emits, so the
-            // GateBuilder dedup (exact equality) behaves identically.
-            w.rows = run == 1
-                         ? Range::single(first)
-                         : Range(first,
-                                 first + static_cast<uint32_t>(
-                                             (run - 1) * spec.rowStep),
-                                 static_cast<uint32_t>(spec.rowStep));
+            w.rows = bulkRunRows(
+                r0 + static_cast<uint32_t>(e * spec.rowStep), run,
+                spec.rowStep);
             fn(w);
             e += run;
         }
-        i += inWarp;
-    }
+    });
 }
 
 /**
@@ -165,8 +196,9 @@ void planBulkRead(const Geometry &geo, const Range &entryXb,
 
 /**
  * Fill @p spec's stats delta and final mask state for a bulk WRITE of
- * @p values entered with (possibly unknown) builder mask state, by
- * walking the canonical run stream. Returns the number of runs (the
+ * @p values entered with (possibly unknown) builder mask state: the
+ * GateBuilder dedup of the canonical run stream, counted per crossbar
+ * chunk rather than per run. Returns the number of runs (the
  * macro-instruction count both knob paths record).
  */
 uint64_t planBulkWrite(const Geometry &geo,

@@ -19,6 +19,10 @@
 #define PYPIM_REPLAY_X86_BUILDS 0
 #endif
 
+#if PYPIM_REPLAY_X86_BUILDS
+#include <immintrin.h>
+#endif
+
 // Marks every function the replay executor calls on its hot path,
 // accessor methods included: GCC inlines a function into a caller built
 // for another target (the x86-64-v3/v4 builds) only when it is
@@ -66,23 +70,58 @@ allZero(const uint64_t *w, uint32_t n)
     return true;
 }
 
-/**
- * In-place 64x64 bit-matrix transpose: on return, bit p of x[k]
- * equals bit k of the old x[p]. Hacker's Delight 7-3 with the shift
- * directions flipped for this codebase's LSB-0 bit numbering (the
- * textbook form assumes MSB-0 and would compute the anti-diagonal
- * transpose here).
- */
-void
-transpose64(uint64_t x[64])
+/** One stage of the tile transpose: swap the off-diagonal J x J
+ *  blocks of every 2J x 2J block, @p m selecting their low halves. */
+template <uint32_t J>
+PYPIM_KERNEL void
+transposeStage(uint64_t x[32], uint64_t m)
 {
-    uint64_t m = 0x00000000FFFFFFFFull;
-    for (uint32_t j = 32; j; j >>= 1, m ^= m << j) {
-        for (uint32_t k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const uint64_t t = ((x[k] >> j) ^ x[k | j]) & m;
-            x[k] ^= t << j;
-            x[k | j] ^= t;
+    for (uint32_t base = 0; base < 32; base += 2 * J) {
+        for (uint32_t k = base; k < base + J; ++k) {
+            const uint64_t t = ((x[k] >> J) ^ x[k + J]) & m;
+            x[k] ^= t << J;
+            x[k + J] ^= t;
         }
+    }
+}
+
+/**
+ * The host I/O tile transpose: 64 rows of 32-bit host words <-> 32
+ * bit-plane words of the same 64 rows (bit k of plane p is bit p of
+ * row k). Rows k and k+32 share word k of the tile, so the last five
+ * stages of Hacker's Delight 7-3 (shift directions flipped for this
+ * codebase's LSB-0 bit numbering) run two 32x32 transposes side by
+ * side. The transform is its own inverse: gather and scatter share it.
+ */
+PYPIM_KERNEL void
+transposeTile(uint64_t x[32])
+{
+    transposeStage<16>(x, 0x0000FFFF0000FFFFull);
+    transposeStage<8>(x, 0x00FF00FF00FF00FFull);
+    transposeStage<4>(x, 0x0F0F0F0F0F0F0F0Full);
+    transposeStage<2>(x, 0x3333333333333333ull);
+    transposeStage<1>(x, 0x5555555555555555ull);
+}
+
+/** Portable scatter tile: 64 host words to 32 plane words. */
+void
+scatterTilePortable(const uint32_t *values, uint64_t *planes)
+{
+    for (uint32_t k = 0; k < 32; ++k)
+        planes[k] = values[k] | static_cast<uint64_t>(values[k + 32]) << 32;
+    transposeTile(planes);
+}
+
+/** Portable gather tile: 32 plane words to 64 host words. */
+void
+gatherTilePortable(const uint64_t *planes, uint32_t *values)
+{
+    uint64_t x[32];
+    std::copy_n(planes, 32, x);
+    transposeTile(x);
+    for (uint32_t k = 0; k < 32; ++k) {
+        values[k] = static_cast<uint32_t>(x[k]);
+        values[k + 32] = static_cast<uint32_t>(x[k] >> 32);
     }
 }
 
@@ -804,8 +843,14 @@ Crossbar::replayProgramT(const ReplayProgram &prog, uint32_t self,
  * template function the executor calls without inlining it (the table
  * form's slow path, blockRW, which runs only on an absent block) keeps
  * the default target, so no code shared with other translation units
- * is ever built for an ISA the host may lack. The builds are picked through a plain table, never an ifunc,
- * so tests can run each one and sanitizer builds need no resolver.
+ * is ever built for an ISA the host may lack. The builds are picked
+ * through a plain table, never an ifunc, so tests can run each one and
+ * sanitizer builds need no resolver.
+ *
+ * The same rows pick the host I/O tile transposes of gatherRows and
+ * scatterRows: the x86-64-v4 row runs the AVX-512BW bodies below, the
+ * others the portable body (built for x86-64-v3 it measured slower
+ * than the default build, so the v3 row shares the default's).
  *
  * To add a build: one entry with its target attribute, and one row in
  * kReplayBuilds (widest ISA first) whose supported() tests the host
@@ -847,6 +892,93 @@ struct ReplayKernels
         dispatch(x, prog, self, work);
     }
     static bool hostV3() { return __builtin_cpu_supports("x86-64-v3"); }
+
+    /**
+     * The byte network of the v4 tile transposes: four registers of
+     * 16 host words each <-> four registers each holding one byte of
+     * all 64 words, in word order. Each step (a 4x4 byte transpose in
+     * every 128-bit lane, a 4x4 dword transpose across the register, a
+     * 4x4 lane transpose across the four registers) is its own
+     * inverse, so the gather runs the steps in reverse order. The
+     * zero-masking forms under a full mask compile to the plain
+     * instructions; GCC 12's unmasked forms warn about their
+     * uninitialised pass-through operand.
+     */
+    [[gnu::always_inline, gnu::target("arch=x86-64-v4")]] static inline void
+    byteShuffle(__m512i z[4])
+    {
+        const __m512i idx = _mm512_maskz_broadcast_i32x4(
+            0xFFFF, _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14,
+                                  3, 7, 11, 15));
+        for (uint32_t j = 0; j < 4; ++j)
+            z[j] = _mm512_shuffle_epi8(z[j], idx);
+    }
+    [[gnu::always_inline, gnu::target("arch=x86-64-v4")]] static inline void
+    dwordShuffle(__m512i z[4])
+    {
+        const __m512i idx = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2,
+                                              6, 10, 14, 3, 7, 11, 15);
+        for (uint32_t j = 0; j < 4; ++j)
+            z[j] = _mm512_maskz_permutexvar_epi32(0xFFFF, idx, z[j]);
+    }
+    [[gnu::always_inline, gnu::target("arch=x86-64-v4")]] static inline void
+    laneShuffle(__m512i z[4])
+    {
+        const __m512i a = _mm512_maskz_shuffle_i64x2(0xFF, z[0], z[1], 0x44);
+        const __m512i b = _mm512_maskz_shuffle_i64x2(0xFF, z[0], z[1], 0xEE);
+        const __m512i c = _mm512_maskz_shuffle_i64x2(0xFF, z[2], z[3], 0x44);
+        const __m512i d = _mm512_maskz_shuffle_i64x2(0xFF, z[2], z[3], 0xEE);
+        z[0] = _mm512_maskz_shuffle_i64x2(0xFF, a, c, 0x88);
+        z[1] = _mm512_maskz_shuffle_i64x2(0xFF, a, c, 0xDD);
+        z[2] = _mm512_maskz_shuffle_i64x2(0xFF, b, d, 0x88);
+        z[3] = _mm512_maskz_shuffle_i64x2(0xFF, b, d, 0xDD);
+    }
+
+    /** AVX-512BW scatter tile: byte B of the 64 words, one byte per
+     *  lane, yields planes 8B+7 .. 8B as its lanes' top bits while
+     *  it doubles (vpmovb2m, then a byte add shifts the next bit up). */
+    [[gnu::target("arch=x86-64-v4")]] static void
+    scatterTileV4(const uint32_t *values, uint64_t *planes)
+    {
+        __m512i z[4];
+        for (uint32_t j = 0; j < 4; ++j)
+            z[j] = _mm512_loadu_si512(values + 16 * j);
+        byteShuffle(z);
+        dwordShuffle(z);
+        laneShuffle(z);
+        for (uint32_t b = 0; b < 4; ++b) {
+            __m512i x = z[b];
+            for (uint32_t i = 8; i--;) {
+                planes[8 * b + i] =
+                    _cvtmask64_u64(_mm512_movepi8_mask(x));
+                x = _mm512_add_epi8(x, x);
+            }
+        }
+    }
+
+    /** AVX-512BW gather tile: byte B of the 64 words is built from
+     *  planes 8B+7 .. 8B, doubling and then adding 1 under the plane
+     *  as a byte mask. */
+    [[gnu::target("arch=x86-64-v4")]] static void
+    gatherTileV4(const uint64_t *planes, uint32_t *values)
+    {
+        const __m512i one = _mm512_set1_epi8(1);
+        __m512i z[4];
+        for (uint32_t b = 0; b < 4; ++b) {
+            __m512i x = _mm512_setzero_si512();
+            for (uint32_t i = 8; i--;) {
+                x = _mm512_add_epi8(x, x);
+                x = _mm512_mask_add_epi8(
+                    x, _cvtu64_mask64(planes[8 * b + i]), x, one);
+            }
+            z[b] = x;
+        }
+        laneShuffle(z);
+        dwordShuffle(z);
+        byteShuffle(z);
+        for (uint32_t j = 0; j < 4; ++j)
+            _mm512_storeu_si512(values + 16 * j, z[j]);
+    }
 #endif
 
     static void
@@ -863,13 +995,17 @@ namespace
 
 const Crossbar::ReplayBuild kReplayBuilds[] = {
 #if PYPIM_REPLAY_X86_BUILDS
-    {"x86-64-v4", &ReplayKernels::hostV4, &ReplayKernels::x86v4},
-    {"x86-64-v3", &ReplayKernels::hostV3, &ReplayKernels::x86v3},
+    {"x86-64-v4", &ReplayKernels::hostV4, &ReplayKernels::x86v4,
+     &ReplayKernels::scatterTileV4, &ReplayKernels::gatherTileV4},
+    {"x86-64-v3", &ReplayKernels::hostV3, &ReplayKernels::x86v3,
+     &scatterTilePortable, &gatherTilePortable},
 #endif
-    {"default", &ReplayKernels::always, &ReplayKernels::base},
+    {"default", &ReplayKernels::always, &ReplayKernels::base,
+     &scatterTilePortable, &gatherTilePortable},
 };
 
-/** The build replayProgram runs (first use picks the host's widest). */
+/** The build replayProgram and the tile transposes run (first use
+ *  picks the host's widest). */
 std::atomic<const Crossbar::ReplayBuild *> &
 activeReplayBuild()
 {
@@ -943,29 +1079,53 @@ Crossbar::gatherRows(uint32_t slot, uint32_t row, uint32_t count,
 {
     panicIf(static_cast<uint64_t>(row) + count > geo_->rows,
             "gatherRows: row window exceeds crossbar height");
+    const auto gatherTile =
+        activeReplayBuild().load(std::memory_order_relaxed)->gatherTile;
     const BlockImage img = image();
     const uint32_t pw = geo_->partitionWidth();
+    const uint32_t planes = geo_->wordBits;
+    // tile[i] holds the plane words of the block's i-th window; planes
+    // past the word width read as zero.
+    uint64_t tile[kBlockWords][32];
+    for (auto &t : tile)
+        std::fill(t + planes, t + 32, 0);
     uint64_t transposed = 0;
-    uint32_t done = 0;
-    while (done < count) {
-        const uint32_t r = row + done;
-        const uint32_t off = r % 64;
-        const uint32_t take = std::min<uint32_t>(64 - off, count - done);
-        uint64_t m[64] = {};
-        uint64_t any = 0;
-        for (uint32_t p = 0; p < geo_->wordBits; ++p) {
-            m[p] = img.word(p * pw + slot, r / 64);
-            any |= m[p];
+    const uint32_t end = row + count;
+    for (uint32_t r = row; r < end;) {
+        // One grid block at a time: each plane column's block is
+        // fetched once, then its windows transpose from the tile.
+        const uint32_t w0 = r / 64;
+        const uint32_t b = w0 / kBlockWords;
+        const uint32_t blockEnd =
+            std::min(end, (b + 1) * kBlockWords * 64);
+        const uint32_t n = (blockEnd - 1) / 64 - w0 + 1;
+        for (uint32_t p = 0; p < planes; ++p) {
+            const uint64_t *blk = img.block(p * pw + slot, b);
+            for (uint32_t i = 0; i < n; ++i)
+                tile[i][p] = blk ? blk[w0 % kBlockWords + i] : 0;
         }
-        // An absent (or all-zero) source window reads zeros as it is:
-        // no transpose needed.
-        if (any) {
-            transpose64(m);
-            transposed += 64;
+        for (uint32_t i = 0; r < blockEnd; ++i) {
+            const uint32_t off = r % 64;
+            const uint32_t take = std::min(64 - off, blockEnd - r);
+            uint32_t *dst = out + (r - row);
+            uint64_t any = 0;
+            for (uint32_t p = 0; p < planes; ++p)
+                any |= tile[i][p];
+            // An absent (or all-zero) source window reads zeros as it
+            // is: no transpose needed.
+            if (!any) {
+                std::fill_n(dst, take, 0u);
+            } else if (take == 64) {
+                gatherTile(tile[i], dst);
+                transposed += 64;
+            } else {
+                uint32_t v[64];
+                gatherTile(tile[i], v);
+                std::copy_n(v + off, take, dst);
+                transposed += 64;
+            }
+            r += take;
         }
-        for (uint32_t k = 0; k < take; ++k)
-            out[done + k] = static_cast<uint32_t>(m[off + k]);
-        done += take;
     }
     return transposed;
 }
@@ -976,31 +1136,61 @@ Crossbar::scatterRows(uint32_t slot, uint32_t row, uint32_t count,
 {
     panicIf(static_cast<uint64_t>(row) + count > geo_->rows,
             "scatterRows: row window exceeds crossbar height");
+    const auto scatterTile =
+        activeReplayBuild().load(std::memory_order_relaxed)->scatterTile;
     const uint32_t pw = geo_->partitionWidth();
+    const uint32_t planes = geo_->wordBits;
     uint64_t transposed = 0;
     withBlocks([&](const auto &st) {
-        uint32_t done = 0;
-        while (done < count) {
-            const uint32_t r = row + done;
-            const uint32_t off = r % 64;
-            const uint32_t take =
-                std::min<uint32_t>(64 - off, count - done);
-            uint64_t m[64] = {};
-            uint64_t any = 0;
-            for (uint32_t k = 0; k < take; ++k) {
-                m[off + k] = values[done + k];
-                any |= m[off + k];
+        using B = std::decay_t<decltype(st)>;
+        const uint32_t end = row + count;
+        for (uint32_t r = row; r < end;) {
+            // One grid block at a time: its windows transpose into the
+            // tile, then each plane column's block is written once.
+            const uint32_t w0 = r / 64;
+            const uint32_t blockEnd =
+                std::min(end, (w0 / kBlockWords + 1) * kBlockWords * 64);
+            uint64_t tile[kBlockWords][32];
+            uint64_t keep[kBlockWords];
+            uint32_t n = 0;
+            for (; r < blockEnd; ++n) {
+                const uint32_t off = r % 64;
+                const uint32_t take = std::min(64 - off, blockEnd - r);
+                const uint32_t *src = values + (r - row);
+                uint32_t pad[64];
+                if (take < 64) {
+                    std::fill_n(pad, 64, 0u);
+                    std::copy_n(src, take, pad + off);
+                    src = pad;
+                }
+                uint32_t any = 0;
+                for (uint32_t k = 0; k < 64; ++k)
+                    any |= src[k];
+                // An all-zero input window only clears: no transpose.
+                if (any) {
+                    scatterTile(src, tile[n]);
+                    transposed += 64;
+                } else {
+                    std::fill_n(tile[n], 32, 0);
+                }
+                keep[n] = ~windowMask(off, take);
+                r += take;
             }
-            // An all-zero input window only clears: no transpose, and
-            // absent blocks stay absent.
-            if (any) {
-                transpose64(m);
-                transposed += 64;
+            for (uint32_t p = 0; p < planes; ++p) {
+                uint64_t bits = 0;
+                for (uint32_t i = 0; i < n; ++i)
+                    bits |= tile[i][p];
+                // With no bit to set the block is only cleared, so an
+                // absent block stays absent. The block pointer is used
+                // before the next column's rw() can grow the pool.
+                const uint32_t col = p * pw + slot;
+                uint64_t *o =
+                    bits ? st.wordRW(col, w0) : st.wordIfPresent(col, w0);
+                if (absent<B>(o))
+                    continue;
+                for (uint32_t i = 0; i < n; ++i)
+                    o[i] = (o[i] & keep[i]) | tile[i][p];
             }
-            const uint64_t wmask = windowMask(off, take);
-            for (uint32_t p = 0; p < geo_->wordBits; ++p)
-                storeBits(st, p * pw + slot, r / 64, wmask, m[p]);
-            done += take;
         }
     });
     return transposed;

@@ -191,9 +191,10 @@ class Crossbar
                        Stats *work);
 
     /**
-     * One ISA build of the compiled-replay executor: crossbar.cpp
+     * One ISA build of the crossbar's host kernels: crossbar.cpp
      * compiles the one replayProgramT source once per build, each for
-     * its own target, so the word loops vectorise at that ISA's width.
+     * its own target, so the word loops vectorise at that ISA's width,
+     * and pairs it with the host I/O tile transposes for that target.
      */
     struct ReplayBuild
     {
@@ -202,6 +203,11 @@ class Crossbar
         /** The executor on @p xb, whose representation is fixed. */
         void (*run)(Crossbar &xb, const ReplayProgram &prog,
                     uint32_t self, Stats *work);
+        /** The host I/O tile transposes of gatherRows/scatterRows:
+         *  64 rows of 32-bit host words to the 32 bit-plane words of
+         *  those rows (bit k of plane p is bit p of row k), and back. */
+        void (*scatterTile)(const uint32_t *values, uint64_t *planes);
+        void (*gatherTile)(const uint64_t *planes, uint32_t *values);
     };
 
     /**
@@ -212,16 +218,18 @@ class Crossbar
     static std::span<const ReplayBuild> replayBuilds();
 
     /**
-     * The build replayProgram runs: the widest one the host supports,
-     * picked once per process, unless useReplayBuild chose another.
+     * The build replayProgram, gatherRows and scatterRows run: the
+     * widest one the host supports, picked once per process, unless
+     * useReplayBuild chose another.
      */
     static const ReplayBuild &replayBuild();
 
     /**
-     * Make replayProgram run @p b (an entry of replayBuilds()) from now
-     * on, process-wide: the seam through which the tests and the replay
-     * bench drive every build the host supports. Throws if the host
-     * cannot run @p b. Call it only while no replay is running.
+     * Make replayProgram, gatherRows and scatterRows run @p b (an
+     * entry of replayBuilds()) from now on, process-wide: the seam
+     * through which the tests and the benches drive every build the
+     * host supports. Throws if the host cannot run @p b. Call it only
+     * while no replay or transfer is running.
      */
     static void useReplayBuild(const ReplayBuild &b);
 
@@ -244,12 +252,14 @@ class Crossbar
     /**
      * Bulk strided read: the values of @p count consecutive rows
      * [row, row+count) of slot @p slot into @p out, converted from
-     * column-major storage to the row-major host buffer 64 rows at a
-     * time via an in-register 64x64 bit-matrix transpose (Hacker's
-     * Delight 7-3 adapted to LSB-0 numbering) — ~64 word ops per 64
-     * values instead of 64*wordBits single-bit probes. A window whose
-     * source words are all zero (or absent) zero-fills the output
-     * with no transpose, in either storage form.
+     * column-major storage to the row-major host buffer one 64-row
+     * window at a time by the active build's gather tile transpose
+     * (ReplayBuild::gatherTile: AVX-512BW on x86-64-v4, otherwise two
+     * 32x32 Hacker's Delight 7-3 transposes side by side) instead of
+     * 64*wordBits single-bit probes. Each plane column's storage block
+     * is fetched once per call and block. A window whose source words
+     * are all zero (or absent) zero-fills the output with no
+     * transpose, in either storage form.
      * Returns the 64-bit words moved through the transpose
      * (observability; 64 per transposed window).
      */
@@ -258,9 +268,11 @@ class Crossbar
 
     /**
      * Bulk strided write of @p count consecutive rows from the
-     * row-major @p values — the scatter inverse of gatherRows,
-     * bit-identical to count writeRow calls. Zero-elision is
-     * preserved: a plane word receiving no set bit only clears, so
+     * row-major @p values — the scatter inverse of gatherRows through
+     * ReplayBuild::scatterTile, bit-identical to count writeRow calls.
+     * The windows of one storage block transpose into a stack tile,
+     * then each plane column's block is written once. Zero-elision is
+     * preserved: a plane block receiving no set bit only clears, so
      * absent paged blocks stay absent (an all-zero upload never
      * densifies anything), and an all-zero window skips the transpose
      * entirely. Returns words transposed.

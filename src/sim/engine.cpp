@@ -132,31 +132,22 @@ ExecutionEngine::executeReadBulk(const BulkIoSpec &spec, uint32_t *out)
     fatalIf(spec.slot >= geo_.slots(),
             "bulk read: slot index out of range");
     uint64_t transposed = 0;
-    uint64_t i = 0;
-    while (i < spec.count) {
-        const uint64_t s = spec.rowStart + i * spec.rowStep;
-        const uint32_t g =
-            spec.warpStart + static_cast<uint32_t>(s / geo_.rows);
-        const uint32_t r0 = static_cast<uint32_t>(s % geo_.rows);
-        const uint64_t k = std::min<uint64_t>(
-            spec.count - i,
-            (geo_.rows - r0 + spec.rowStep - 1) / spec.rowStep);
+    forEachBulkChunk(geo_, spec, [&](uint64_t i, uint32_t g, uint32_t r0,
+                                     uint64_t k) {
         fatalIf(g >= geo_.numCrossbars,
                 "bulk read: crossbar out of range");
-        if (owns(g)) {
-            Crossbar &xb = xbAt(g);
-            if (spec.rowStep == 1) {
-                transposed += xb.gatherRows(
-                    spec.slot, r0, static_cast<uint32_t>(k), out + i);
-            } else {
-                for (uint64_t e = 0; e < k; ++e)
-                    out[i + e] = xb.read(
-                        spec.slot,
-                        r0 + static_cast<uint32_t>(e * spec.rowStep));
-            }
+        if (!owns(g))
+            return;
+        Crossbar &xb = xbAt(g);
+        if (spec.rowStep == 1) {
+            transposed += xb.gatherRows(
+                spec.slot, r0, static_cast<uint32_t>(k), out + i);
+        } else {
+            for (uint64_t e = 0; e < k; ++e)
+                out[i + e] = xb.read(
+                    spec.slot, r0 + static_cast<uint32_t>(e * spec.rowStep));
         }
-        i += k;
-    }
+    });
     return transposed;
 }
 
@@ -167,32 +158,22 @@ ExecutionEngine::applyWriteBulk(const BulkIoSpec &spec,
     fatalIf(spec.slot >= geo_.slots(),
             "bulk write: slot index out of range");
     uint64_t transposed = 0;
-    uint64_t i = 0;
-    while (i < spec.count) {
-        const uint64_t s = spec.rowStart + i * spec.rowStep;
-        const uint32_t g =
-            spec.warpStart + static_cast<uint32_t>(s / geo_.rows);
-        const uint32_t r0 = static_cast<uint32_t>(s % geo_.rows);
-        const uint64_t k = std::min<uint64_t>(
-            spec.count - i,
-            (geo_.rows - r0 + spec.rowStep - 1) / spec.rowStep);
+    forEachBulkChunk(geo_, spec, [&](uint64_t i, uint32_t g, uint32_t r0,
+                                     uint64_t k) {
         fatalIf(g >= geo_.numCrossbars,
                 "bulk write: crossbar out of range");
-        if (owns(g)) {
-            Crossbar &xb = xbAt(g);
-            if (spec.rowStep == 1) {
-                transposed += xb.scatterRows(
-                    spec.slot, r0, static_cast<uint32_t>(k),
-                    values + i);
-            } else {
-                for (uint64_t e = 0; e < k; ++e)
-                    xb.writeRow(
-                        spec.slot, values[i + e],
-                        r0 + static_cast<uint32_t>(e * spec.rowStep));
-            }
+        if (!owns(g))
+            return;
+        Crossbar &xb = xbAt(g);
+        if (spec.rowStep == 1) {
+            transposed += xb.scatterRows(
+                spec.slot, r0, static_cast<uint32_t>(k), values + i);
+        } else {
+            for (uint64_t e = 0; e < k; ++e)
+                xb.writeRow(spec.slot, values[i + e],
+                            r0 + static_cast<uint32_t>(e * spec.rowStep));
         }
-        i += k;
-    }
+    });
     return transposed;
 }
 

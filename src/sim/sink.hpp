@@ -122,7 +122,7 @@ class OperationSink
      * Bulk block-transfer read (sim/bulk_io.hpp): drain pending work
      * ONCE, apply the spec's pre-planned architectural stats delta and
      * final mask state, then gather the addressed values into @p out
-     * via the crossbars' 64x64 transpose kernels — equivalent to the
+     * via the crossbars' tile-transpose kernels — equivalent to the
      * per-element performRead loop the spec was planned from, at a
      * fraction of the host cost. Returns false when the sink has no
      * bulk path (the default): the caller falls back to the

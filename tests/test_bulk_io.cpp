@@ -4,20 +4,29 @@
  * gather/scatter transfer path must be bit-identical to the
  * element-wise oracle in VALUES and in architectural Stats —
  * per-crossbar (fuzzed gather/scatter vs read/writeRow on both
- * storage modes, block seams, absent blocks, elision preservation)
- * and end-to-end (full tensor programs on bulk-on vs bulk-off
- * devices across storage x device-count x engine), plus the drain
- * contract (ONE drain point per transfer per sub-device) and the
- * equal-value run coalescing shared by both settings.
+ * storage modes, at several geometries and on every tile-transpose
+ * build the host runs; block seams, absent blocks, elision
+ * preservation), per plan (the run-counting write planner against
+ * the run stream it summarises) and end-to-end (full tensor programs
+ * on bulk-on vs bulk-off devices across storage x device-count x
+ * engine), plus the drain contract (ONE drain point per transfer per
+ * sub-device) and the equal-value run coalescing shared by both
+ * settings.
  */
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "driver/driver.hpp"
+#include "driver/gatebuilder.hpp"
 #include "pim/pypim.hpp"
+#include "pim_test_util.hpp"
+#include "sim/bulk_io.hpp"
 #include "sim/crossbar.hpp"
 #include "sim/simulator.hpp"
 
@@ -36,10 +45,60 @@ multiGeometry()
 
 // --- crossbar-level kernel parity ----------------------------------------
 
-TEST(CrossbarBulk, FuzzedGatherMatchesScalarRead)
+/** A geometry of the kernel fuzz. */
+struct KernelGeometry
 {
+    const char *name;
+    Geometry geo;
+};
+
+/**
+ * The test geometry (one window per column); 1,024 rows (16 windows,
+ * two storage blocks per column, so a transfer spans block tiles); 16
+ * rows (a window taller than the column); 16-bit words (planes 16..31
+ * of a tile are never stored).
+ */
+const KernelGeometry &
+kernelGeometry(size_t i)
+{
+    static const KernelGeometry cases[] = {
+        {"rows64", testGeometry()},
+        {"rows1024",
+         [] {
+             Geometry g = testGeometry();
+             g.rows = 1024;
+             return g;
+         }()},
+        {"rows16",
+         [] {
+             Geometry g = testGeometry();
+             g.rows = 16;
+             return g;
+         }()},
+        {"word16",
+         [] {
+             Geometry g = testGeometry();
+             g.partitions = 16;
+             g.wordBits = 16;
+             return g;
+         }()},
+    };
+    return cases[i];
+}
+constexpr size_t numKernelGeometries = 4;
+
+/** (kernel geometry, build): gather/scatter fuzz on every transpose
+ *  build the host runs; the others skip, naming the build. */
+class CrossbarBulkFuzz
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
+{
+};
+
+TEST_P(CrossbarBulkFuzz, GatherMatchesScalarRead)
+{
+    PYPIM_USE_REPLAY_BUILD(std::get<1>(GetParam()));
+    const Geometry &g = kernelGeometry(std::get<0>(GetParam())).geo;
     for (XbarStorage st : {XbarStorage::Dense, XbarStorage::Paged}) {
-        const Geometry g = testGeometry();
         Crossbar xb(g, st);
         Rng rng(123);
         for (int k = 0; k < 200; ++k)
@@ -60,10 +119,11 @@ TEST(CrossbarBulk, FuzzedGatherMatchesScalarRead)
     }
 }
 
-TEST(CrossbarBulk, FuzzedScatterMatchesScalarWrite)
+TEST_P(CrossbarBulkFuzz, ScatterMatchesScalarWrite)
 {
+    PYPIM_USE_REPLAY_BUILD(std::get<1>(GetParam()));
+    const Geometry &g = kernelGeometry(std::get<0>(GetParam())).geo;
     for (XbarStorage st : {XbarStorage::Dense, XbarStorage::Paged}) {
-        const Geometry g = testGeometry();
         Crossbar bulk(g, st);
         Crossbar oracle(g, XbarStorage::Dense);
         Rng rng(321);
@@ -92,6 +152,16 @@ TEST(CrossbarBulk, FuzzedScatterMatchesScalarWrite)
         EXPECT_TRUE(bulk.sameState(oracle)) << xbarStorageName(st);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesAndBuilds, CrossbarBulkFuzz,
+    ::testing::Combine(
+        ::testing::Range<size_t>(0, numKernelGeometries),
+        ::testing::Range<size_t>(0, Crossbar::replayBuilds().size())),
+    [](const auto &info) {
+        return std::string(kernelGeometry(std::get<0>(info.param)).name) +
+               "_" + test::replayBuildName(std::get<1>(info.param));
+    });
 
 TEST(CrossbarBulk, PagedBlockSeamsAndAbsentBlocks)
 {
@@ -154,6 +224,101 @@ TEST(CrossbarBulk, ScatterZerosPreservesElision)
     xb.scatterRows(2, 0, g.rows, zeros.data());
     for (uint32_t r = 0; r < g.rows; ++r)
         ASSERT_EQ(xb.read(2, r), 0u);
+}
+
+// --- the write planner against the run stream -----------------------------
+
+/** What the bulk-off path records for a write: the canonical run
+ *  stream emitted through a GateBuilder, whose mask dedup is exact
+ *  Range equality. */
+struct RunStreamEffect
+{
+    Stats delta;
+    uint64_t runs = 0;
+    Range finalXb;
+    Range finalRow;
+};
+
+/** Emit @p spec's runs from entry masks @p entry (none: a fresh
+ *  builder, masks unknown) and record their effect. */
+RunStreamEffect
+emitRunStream(const Geometry &g, const BulkIoSpec &spec,
+              const uint32_t *values,
+              const std::optional<std::pair<Range, Range>> &entry)
+{
+    Simulator sim(g);
+    GateBuilder b(sim, g);
+    if (entry) {
+        b.setMasks(entry->first, entry->second);
+        b.flush();
+    }
+    const Stats before = sim.stats();
+    RunStreamEffect fx;
+    forEachBulkWriteRun(g, spec, values, [&](const BulkWriteRun &r) {
+        ++fx.runs;
+        b.setMasks(Range::single(r.warp), r.rows);
+        b.writeWord(spec.slot, r.value);
+    });
+    b.flush();
+    fx.delta = sim.stats() - before;
+    fx.finalXb = *b.knownWarpMask();
+    fx.finalRow = *b.knownRowMask();
+    return fx;
+}
+
+TEST(BulkWritePlanner, CountsWhatTheRunStreamEmits)
+{
+    const Geometry g = multiGeometry();  // 16 crossbars of 64 rows
+    constexpr uint32_t kWarpStart = 1;
+    constexpr uint64_t kRowStart = 37;  // starts mid-crossbar
+    // Entry masks: unknown, equal to the first element's (the first
+    // run needs no mask op), and a full mask that no run equals.
+    const std::optional<std::pair<Range, Range>> entries[] = {
+        std::nullopt,
+        std::pair{Range::single(kWarpStart), Range::single(kRowStart)},
+        std::pair{Range::all(g.numCrossbars), Range::all(g.rows)},
+    };
+    // Row steps 1, 3, == rows (every chunk repeats one row Range) and
+    // > rows, each with a count that crosses several crossbar edges.
+    const std::pair<uint64_t, uint64_t> steps[] = {
+        {1, 300}, {3, 200}, {g.rows, 12}, {g.rows + 36, 9}};
+    Rng rng(2024);
+    for (const auto &[step, count] : steps) {
+        for (const char *pattern : {"distinct", "equal", "runs"}) {
+            std::vector<uint32_t> vals(count);
+            uint32_t v = 7;
+            for (uint64_t i = 0; i < count; ++i) {
+                if (pattern[0] == 'd')
+                    v = static_cast<uint32_t>(i) * 2654435761u;
+                else if (pattern[0] == 'r' && rng.word() % 4 == 0)
+                    v = rng.word() % 3;
+                vals[i] = v;
+            }
+            for (const auto &entry : entries) {
+                BulkIoSpec spec;
+                spec.slot = 2;
+                spec.warpStart = kWarpStart;
+                spec.rowStart = kRowStart;
+                spec.rowStep = step;
+                spec.count = count;
+                const RunStreamEffect want =
+                    emitRunStream(g, spec, vals.data(), entry);
+                const uint64_t runs = planBulkWrite(
+                    g, entry ? std::optional(entry->first) : std::nullopt,
+                    entry ? std::optional(entry->second) : std::nullopt,
+                    vals.data(), spec);
+                SCOPED_TRACE(::testing::Message()
+                             << "step " << step << ", " << pattern
+                             << " values, entry masks "
+                             << (entry ? "known" : "unknown"));
+                EXPECT_EQ(runs, want.runs);
+                EXPECT_EQ(spec.stats.opCount, want.delta.opCount);
+                EXPECT_EQ(spec.stats.cycleCount, want.delta.cycleCount);
+                EXPECT_TRUE(spec.finalXb == want.finalXb);
+                EXPECT_TRUE(spec.finalRow == want.finalRow);
+            }
+        }
+    }
 }
 
 // --- driver-level seam ---------------------------------------------------

@@ -168,3 +168,25 @@ TEST_F(SimulatorTest, GeometryValidationRejectsBadConfigs)
     g.userRegs = 31;  // leaves < 4 scratch slots
     EXPECT_THROW(Simulator s(g), Error);
 }
+
+TEST_F(SimulatorTest, GeometryValidationRejectsWordsWiderThanTheHostWord)
+{
+    // 64 partitions of 16 columns pass every other check, but a row's
+    // value is a uint32_t on every host path (read, writeRow, the
+    // bulk tiles), so bits 32..63 would need shifts past its width.
+    Geometry g = testGeometry();
+    g.partitions = 64;
+    g.wordBits = 64;
+    g.userRegs = 12;
+    try {
+        g.validate();
+        FAIL() << "wordBits = 64 passed validate()";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("32-bit host word"),
+                  std::string::npos)
+            << e.what();
+    }
+    g.partitions = 32;
+    g.wordBits = 32;
+    EXPECT_NO_THROW(g.validate());
+}
