@@ -25,10 +25,19 @@ leadsWithMasks(const Word *ops, size_t n)
     return xb && row;
 }
 
-void
-buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
-                const HTree &htree, MaskState &mask, BatchTrace &batch)
+namespace
 {
+
+/** The one decode loop of scanBatchTrace and buildBatchTrace: the
+ *  build (@p build) also emits the segments. */
+void
+decodeBatch(const Word *ops, size_t n, const Geometry &geo,
+            const HTree &htree, ExpansionTable &table, MaskState &mask,
+            BatchTrace &batch, bool build)
+{
+    panicIf(!(table.geometry() == geo),
+            "batch trace: expansion table was built for another "
+            "geometry");
     batch.geoRows = geo.rows;
     batch.geoCols = geo.cols;
     batch.geoPartitions = geo.partitions;
@@ -48,6 +57,11 @@ buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
                 const int64_t dist = validateMove(op, mask.xb, geo);
                 batch.stats.record(OpClass::Move,
                                    htree.moveCycles(mask.xb, dist));
+                // Sources and destinations both belong to the hull.
+                batch.hull.add(mask.xb.start, mask.xb.stop);
+                batch.hull.add(
+                    static_cast<uint32_t>(mask.xb.start + dist),
+                    static_cast<uint32_t>(mask.xb.stop + dist));
                 BatchTrace::Item item;
                 item.kind = BatchTrace::Item::Kind::Move;
                 item.op = op;
@@ -60,9 +74,15 @@ buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
         size_t j = i + 1;
         while (j < n && !isBarrierOp(enc::peekType(ops[j])))
             ++j;
+        if (!build) {
+            decodeSegment(ops + i, j - i, geo, table, mask, batch.stats,
+                          batch.hull, nullptr);
+            i = j;
+            continue;
+        }
         SegmentTrace &trace = batch.segments.emplace_back();
-        buildSegmentTrace(ops + i, j - i, geo, mask, batch.stats,
-                          trace);
+        decodeSegment(ops + i, j - i, geo, table, mask, batch.stats,
+                      batch.hull, &trace);
         if (trace.empty()) {
             batch.segments.pop_back();  // mask-only segment
         } else {
@@ -76,6 +96,24 @@ buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
     }
     batch.finalXb = mask.xb;
     batch.finalRow = mask.row;
+}
+
+} // namespace
+
+void
+scanBatchTrace(const Word *ops, size_t n, const Geometry &geo,
+               const HTree &htree, ExpansionTable &table,
+               MaskState &mask, BatchTrace &batch)
+{
+    decodeBatch(ops, n, geo, htree, table, mask, batch, false);
+}
+
+void
+buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
+                const HTree &htree, ExpansionTable &table,
+                MaskState &mask, BatchTrace &batch)
+{
+    decodeBatch(ops, n, geo, htree, table, mask, batch, true);
 }
 
 } // namespace pypim

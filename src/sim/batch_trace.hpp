@@ -14,6 +14,18 @@
  * with zero decode work. The shard wire builds and decodes frozen
  * traces the same way (sim/trace_wire.hpp).
  *
+ * One decode loop has two depths. The SCAN (scanBatchTrace) validates
+ * every op, records the Stats, the final masks, the Move items and
+ * the crossbar hull (every work op's crossbar mask and every Move's
+ * source and destination crossbars), and emits no segments. The
+ * BUILD (buildBatchTrace) does the same and also emits the segments
+ * that compileBatchTrace lowers. A trace that replays is built; one
+ * whose only use is its architectural effect is scanned: the socket
+ * host's wire traces, and a shard worker's install of a trace whose
+ * hull misses the worker's slice. Both validate every LogicH word
+ * through the decoder's ExpansionTable (sim/segment_trace.hpp), once
+ * per distinct word per owner.
+ *
  * The one rewrite between decode and replay is the replay compiler's
  * section liveness scan (sim/replay_program.hpp), which runs on every
  * segment as it is compiled: a trace holds its ops exactly as the
@@ -84,10 +96,14 @@ struct BatchTrace
      */
     bool hasEntry = false;
     Range entryXb, entryRow;
+    /** Crossbars the batch can touch: every work op's crossbar mask
+     *  and every Move's sources and destinations. Replay on a slice
+     *  the hull misses changes no state. */
+    CrossbarHull hull;
     /**
      * Section counts of the replay compiler's liveness scan, summed
      * over programs by compileBatchTrace. Only a compiled trace has
-     * them (a host-side wire trace is never compiled, so they are zero
+     * them (a scanned trace is never compiled, so they are zero
      * there).
      */
     ReplayProgram::Liveness liveness;
@@ -102,8 +118,9 @@ struct BatchTrace
     // each shard worker's cache (FNV-1a of the source op words and
     // the entry masks), and the source stream itself — the wire image
     // ships only the raw ops (and the entry masks), and a worker
-    // rebuilds and compiles the trace on its own arenas,
-    // cross-checked against the shipped stats/mask epilogue. A worker's
+    // scans the stream, cross-checked against the shipped stats/mask
+    // epilogue, and builds and compiles it on its own arenas when the
+    // hull meets its slice. A worker's
     // installed trace keeps wireSig but not the source stream, which
     // only the host's encoder reads. Empty/zero on inproc traces: the
     // in-process group shares the handle by pointer.
@@ -123,16 +140,23 @@ struct BatchTrace
 bool leadsWithMasks(const Word *ops, size_t n);
 
 /**
- * Decode the batch @p ops[0..n) into the fresh @p batch: segments
- * via buildSegmentTrace, barrier Moves validated and snapshotted,
- * data-less Reads validated and absorbed. Records
- * the architectural stats into batch.stats — including the valid
- * prefix when a malformed op throws — and advances @p mask past the
- * stream, capturing the final state in the batch.
+ * Scan the batch @p ops[0..n) into the fresh @p batch: every op
+ * validated (LogicH words through @p table, which must be bound to
+ * @p geo), barrier Moves validated and snapshotted, data-less Reads
+ * validated and absorbed, and the crossbar hull recorded; no segments.
+ * Records the architectural stats into batch.stats — including the
+ * valid prefix when a malformed op throws — and advances @p mask past
+ * the stream, capturing the final state in the batch.
  */
+void scanBatchTrace(const Word *ops, size_t n, const Geometry &geo,
+                    const HTree &htree, ExpansionTable &table,
+                    MaskState &mask, BatchTrace &batch);
+
+/** scanBatchTrace, and also decode every segment via decodeSegment
+ *  into batch.segments, ready for compileBatchTrace. */
 void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
-                     const HTree &htree, MaskState &mask,
-                     BatchTrace &batch);
+                     const HTree &htree, ExpansionTable &table,
+                     MaskState &mask, BatchTrace &batch);
 
 } // namespace pypim
 

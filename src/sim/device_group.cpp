@@ -53,6 +53,7 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
         // per-sub-device wiring below for its own Simulator); the host
         // keeps a trace-build mirror and the power-on shadow mask.
         htree_ = std::make_unique<HTree>(geo_.numCrossbars);
+        expansions_ = std::make_unique<ExpansionTable>(geo_);
         shadowXb_ = Range::all(geo_.numCrossbars);
         transport_ =
             std::make_unique<SocketTransport>(geo_, sub, n, perDevice_);
@@ -435,7 +436,8 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n,
     // mirror and stamped with its wire identity, so submitTrace can
     // install it once per worker and replay by signature thereafter.
     if (remote())
-        return buildWireTrace(ops, n, geo_, *htree_, entry);
+        return buildWireTrace(ops, n, geo_, *htree_, *expansions_,
+                              entry);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
     return sims_[0]->prepareTrace(ops, n, entry);

@@ -99,10 +99,12 @@
  *    sim/transport.hpp's framed protocol. sims_ stays EMPTY; the
  *    group keeps a host-side shadow of the replicated crossbar mask
  *    (seeding the same Move scan, so traffic() counts identically), a
- *    trace-build mirror for prepareTrace (sim/trace_wire.hpp — each
- *    frozen trace crosses the wire once per worker as its source
- *    stream, with its entry masks when it has them, the worker
- *    rebuilds and compiles it, and it then replays by signature), and
+ *    trace-build mirror for prepareTrace (sim/trace_wire.hpp — the
+ *    host only scans each frozen trace, which crosses the wire once
+ *    per worker as its source stream, with its entry masks when it
+ *    has them; every worker scans and cross-checks it, a worker whose
+ *    slice it touches also builds and compiles it, and it then
+ *    replays by signature), and
  *    each Move group's exchange stages/lands cell values through one
  *    wire message per involved worker per step.
  *    Architectural Stats, masks and state parity with inproc is
@@ -423,8 +425,10 @@ class SimulatorGroup : public OperationSink
     /** Socket transport (PYPIM_TRANSPORT=socket). Mutable: wire round
      *  trips bump telemetry even on const observability queries. */
     mutable std::unique_ptr<SocketTransport> transport_;
-    /** Host-side trace-build mirror for prepareTrace (socket mode). */
+    /** Host-side trace-build mirror for prepareTrace (socket mode):
+     *  the H-tree cost model and the expansion table of its scans. */
     std::unique_ptr<HTree> htree_;
+    std::unique_ptr<ExpansionTable> expansions_;
     /** Host shadow of the replicated crossbar mask (socket mode):
      *  seeds the Move scan and the performRead owner. Best-effort on
      *  error streams, like the sub-device state itself. */

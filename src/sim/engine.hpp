@@ -220,9 +220,9 @@ class ExecutionEngine
 /**
  * Validate a Read against the mask state exactly as the serial
  * reference would, without touching any crossbar. Shared between
- * executeRead and the trace pre-pass (buildBatchTrace, which
- * validates at build time so a malformed op is reported by the call
- * containing it).
+ * executeRead and the trace pre-pass (scanBatchTrace and
+ * buildBatchTrace, which validate at build time so a malformed op is
+ * reported by the call containing it).
  */
 void validateRead(const MicroOp &op, const Range &xb, const Range &row,
                   const Geometry &geo);

@@ -110,8 +110,7 @@ class MaskIntern
  * the first run stored with that hash. Open addressing, sized from
  * the segment's LogicH count (a bound on its passes) so it never
  * grows mid-compile. One table per compiling thread, reused across
- * segments, so steady-state compiling never reaches the heap (the
- * HalfGateIntern pattern of sim/segment_trace.cpp).
+ * segments, so steady-state compiling never reaches the heap.
  */
 class RunTable
 {

@@ -8,96 +8,106 @@
 namespace pypim
 {
 
-namespace
-{
-
-/**
- * Build-time intern table of one segment: LogicH op word -> index of
- * its expansion in SegmentTrace::halfGates. Open addressing, sized
- * from the segment's LogicH count so it never grows mid-build. One
- * table per building thread, reused across segments: steady-state
- * building stays allocation-free and no trace carries the table.
- */
-class HalfGateIntern
-{
-  public:
-    void
-    reset(size_t logicH)
-    {
-        const size_t cap = std::bit_ceil(std::max<size_t>(16, 2 * logicH));
-        slots_.assign(cap, Slot{});
-        shift_ = 64 - std::countr_zero(cap);
-    }
-
-    /** Slot of @p w: hg == kEmpty iff @p w is not interned yet. */
-    uint32_t &
-    find(Word w)
-    {
-        size_t i = static_cast<size_t>((w * 0x9E3779B97F4A7C15ull) >>
-                                       shift_);
-        const size_t m = slots_.size() - 1;
-        while (slots_[i].hg != kEmpty && slots_[i].word != w)
-            i = (i + 1) & m;
-        slots_[i].word = w;
-        return slots_[i].hg;
-    }
-
-    static constexpr uint32_t kEmpty = UINT32_MAX;
-
-  private:
-    struct Slot
-    {
-        Word word = 0;
-        uint32_t hg = kEmpty;
-    };
-    std::vector<Slot> slots_;
-    int shift_ = 60;
-};
-
-/**
- * Append the compact form of the validated expansion @p hg to
- * @p trace: its header, and its active sections to the arena.
- */
 void
-internExpansion(const HalfGates &hg, SegmentTrace &trace)
+ExpansionTable::beginSegment()
 {
-    HalfGateRun run;
-    run.off = static_cast<uint32_t>(trace.sections.size());
-    run.gate = hg.gate;
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
-        if (!sec.active())
-            continue;
-        ActiveSection a;
-        a.outCol = static_cast<uint16_t>(sec.outCol);
-        a.inA = static_cast<uint16_t>(sec.numIn >= 1 ? sec.inCol[0]
-                                                     : sec.outCol);
-        a.inB = static_cast<uint16_t>(sec.numIn == 2 ? sec.inCol[1]
-                                                     : a.inA);
-        trace.sections.push_back(a);
+    if (++segment_ == 0) {
+        // Stamp wrap: no slot may claim a copy in the new segment.
+        for (Slot &s : slots_)
+            s.segment = 0;
+        segment_ = 1;
     }
-    run.count = static_cast<uint16_t>(trace.sections.size() - run.off);
-    trace.halfGates.push_back(run);
 }
 
-} // namespace
+ExpansionTable::Slot &
+ExpansionTable::find(Word w)
+{
+    size_t i =
+        static_cast<size_t>((w * 0x9E3779B97F4A7C15ull) >> shift_);
+    const size_t m = slots_.size() - 1;
+    while (slots_[i].count != 0 && slots_[i].word != w)
+        i = (i + 1) & m;
+    return slots_[i];
+}
 
 void
-buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
-                  MaskState &mask, Stats &stats, SegmentTrace &trace)
+ExpansionTable::grow()
 {
-    trace.clear(geo.rows);
-    // One op per work op: reserving the stream's length up front keeps
-    // the arena from doubling past it.
-    trace.ops.reserve(n);
+    std::vector<Slot> old(std::max<size_t>(256, 2 * slots_.size()));
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Slot &s : old)
+        if (s.count != 0)
+            find(s.word) = s;
+}
 
-    // Identical LogicH words share one expansion: a captured move
-    // sequence repeats the same three lane NOTs hundreds of times.
-    thread_local HalfGateIntern intern;
-    intern.reset(static_cast<size_t>(
-        std::count_if(ops, ops + n, [](Word w) {
-            return enc::peekType(w) == OpType::LogicH;
-        })));
+uint32_t
+ExpansionTable::intern(Word w, SegmentTrace *trace)
+{
+    if (slots_.empty())
+        grow();
+    Slot *slot = &find(w);
+    if (slot->count == 0) {
+        // First sight: validate. A malformed word throws here, before
+        // anything is stored.
+        const HalfGates hg = expandLogicH(MicroOp::decode(w), geo_);
+        if (4 * (used_ + 1) > 3 * slots_.size()) {
+            grow();
+            slot = &find(w);
+        }
+        slot->word = w;
+        slot->off = static_cast<uint32_t>(sections_.size());
+        slot->gate = hg.gate;
+        for (uint32_t s = 0; s < hg.numSections; ++s) {
+            const Section &sec = hg.sections[s];
+            if (!sec.active())
+                continue;
+            ActiveSection a;
+            a.outCol = static_cast<uint16_t>(sec.outCol);
+            a.inA = static_cast<uint16_t>(sec.numIn >= 1 ? sec.inCol[0]
+                                                         : sec.outCol);
+            a.inB = static_cast<uint16_t>(sec.numIn == 2 ? sec.inCol[1]
+                                                         : a.inA);
+            sections_.push_back(a);
+        }
+        slot->count = static_cast<uint16_t>(sections_.size() - slot->off);
+        slot->segment = 0;
+        ++used_;
+    }
+    if (!trace)
+        return 0;
+    if (slot->segment != segment_) {
+        // First use in this segment: copy the run into its arena.
+        slot->segment = segment_;
+        slot->hg = static_cast<uint32_t>(trace->halfGates.size());
+        HalfGateRun run;
+        run.off = static_cast<uint32_t>(trace->sections.size());
+        run.count = slot->count;
+        run.gate = slot->gate;
+        trace->sections.insert(trace->sections.end(),
+                               sections_.begin() + slot->off,
+                               sections_.begin() + slot->off +
+                                   slot->count);
+        trace->halfGates.push_back(run);
+    }
+    return slot->hg;
+}
+
+void
+decodeSegment(const Word *ops, size_t n, const Geometry &geo,
+              ExpansionTable &table, MaskState &mask, Stats &stats,
+              CrossbarHull &hull, SegmentTrace *trace)
+{
+    if (trace) {
+        trace->clear(geo.rows);
+        // One op per work op: reserving the stream's length up front
+        // keeps the arena from doubling past it.
+        trace->ops.reserve(n);
+        // Identical LogicH words share one header per segment: a
+        // captured move sequence repeats the same three lane NOTs
+        // hundreds of times.
+        table.beginSegment();
+    }
 
     // Lazily-materialised row-mask snapshot: snapId identifies the
     // snapshot in force; snapCurrent says the live mask still matches
@@ -115,23 +125,23 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
     const auto rowSnapshot = [&]() -> uint32_t {
         if (!snapCurrent) {
             const size_t count =
-                trace.rowWords.size() / trace.wordsPerMask;
+                trace->rowWords.size() / trace->wordsPerMask;
             snapId = -1;
             for (size_t k = 0; k < count; ++k) {
                 if (std::equal(mask.rowWords.begin(),
                                mask.rowWords.end(),
-                               trace.rowWords.begin() +
-                                   k * trace.wordsPerMask)) {
+                               trace->rowWords.begin() +
+                                   k * trace->wordsPerMask)) {
                     snapId = static_cast<int64_t>(k);
                     break;
                 }
             }
             if (snapId < 0) {
                 snapId = static_cast<int64_t>(count);
-                trace.rowWords.insert(trace.rowWords.end(),
-                                      mask.rowWords.begin(),
-                                      mask.rowWords.end());
-                trace.rowMaskFull.push_back(
+                trace->rowWords.insert(trace->rowWords.end(),
+                                       mask.rowWords.begin(),
+                                       mask.rowWords.end());
+                trace->rowMaskFull.push_back(
                     std::all_of(mask.rowWords.begin(),
                                 mask.rowWords.end(),
                                 [](uint64_t w) { return w == ~0ull; })
@@ -143,11 +153,17 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
         return static_cast<uint32_t>(snapId);
     };
 
-    uint32_t lo = UINT32_MAX, hi = 0;
-    const auto emit = [&](const TraceOp &t) {
-        lo = std::min(lo, t.xb.start);
-        hi = std::max(hi, t.xb.stop + 1);
-        trace.ops.push_back(t);
+    // Emit a work op under the live masks (the scan only widens the
+    // hull); @p rowMasked ops carry a row-mask snapshot.
+    CrossbarHull seg;
+    const auto emit = [&](TraceOp t, bool rowMasked) {
+        seg.add(mask.xb.start, mask.xb.stop);
+        if (!trace)
+            return;
+        if (rowMasked)
+            t.rowMask = rowSnapshot();
+        t.xb = mask.xb;
+        trace->ops.push_back(t);
     };
 
     for (size_t i = 0; i < n; ++i) {
@@ -172,9 +188,7 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
             t.type = OpType::Write;
             t.index = op.index;
             t.value = op.value;
-            t.rowMask = rowSnapshot();
-            t.xb = mask.xb;
-            emit(t);
+            emit(t, true);
             break;
           }
           case OpType::LogicH: {
@@ -185,15 +199,8 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
                 ++stats.logicInits;
             TraceOp t;
             t.type = OpType::LogicH;
-            uint32_t &hg = intern.find(ops[i]);
-            if (hg == HalfGateIntern::kEmpty) {
-                hg = static_cast<uint32_t>(trace.halfGates.size());
-                internExpansion(expandLogicH(op, geo), trace);
-            }
-            t.hg = hg;
-            t.rowMask = rowSnapshot();
-            t.xb = mask.xb;
-            emit(t);
+            t.hg = table.intern(ops[i], trace);
+            emit(t, true);
             break;
           }
           case OpType::LogicV: {
@@ -214,17 +221,19 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
             t.rowIn = op.rowIn;
             t.rowOut = op.rowOut;
             t.index = op.index;
-            t.xb = mask.xb;
-            emit(t);
+            emit(t, false);
             break;
           }
           default:
             panic("segment trace: barrier op inside a segment");
         }
     }
-    if (!trace.ops.empty()) {
-        trace.xbLo = lo;
-        trace.xbHi = hi;
+    if (seg.lo < seg.hi) {
+        hull.add(seg.lo, seg.hi - 1);
+        if (trace) {
+            trace->xbLo = seg.lo;
+            trace->xbHi = seg.hi;
+        }
     }
 }
 

@@ -14,13 +14,15 @@
  * decoded form is loop-invariant across crossbars.
  *
  * SegmentTrace is the loop-invariant part, computed exactly once per
- * segment by buildSegmentTrace():
+ * segment by decodeSegment():
  *
  *  - decoded work ops (Write / LogicH / LogicV) with their LogicH
  *    half-gate expansions pre-computed, one per distinct LogicH word,
  *    in compact form: a small header per word and its ACTIVE sections
- *    only, back to back in one flat arena (the fixed 64-section
- *    HalfGates that expandLogicH validates into is never stored);
+ *    only, back to back in one flat arena (the fixed-size HalfGates
+ *    that expandLogicH validates into is never stored). The runs come
+ *    from the decoder's ExpansionTable, which validates each distinct
+ *    word once per owner, not once per segment;
  *  - mask ops ABSORBED: each work op carries a snapshot of the
  *    effective crossbar mask and a handle to the expanded row-mask
  *    bit-vector in force when it executed (snapshots are deduplicated
@@ -40,10 +42,15 @@
  *
  * All storage is arena-style and reused across segments/batches via
  * clear(), so steady-state building is allocation-free.
+ *
+ * decodeSegment is also the scan: without a SegmentTrace it runs the
+ * same loop, validating every op, recording Stats and advancing the
+ * masks, but emits nothing (sim/batch_trace.hpp, scanBatchTrace).
  */
 #ifndef PYPIM_SIM_SEGMENT_TRACE_HPP
 #define PYPIM_SIM_SEGMENT_TRACE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -134,6 +141,30 @@ struct HalfGateRun
     bool operator==(const HalfGateRun &) const = default;
 };
 
+/**
+ * Half-open hull [lo, hi) of the crossbars a decoded stream can touch;
+ * empty while lo >= hi.
+ */
+struct CrossbarHull
+{
+    uint32_t lo = UINT32_MAX, hi = 0;
+
+    /** Widen the hull to cover crossbars [@p first, @p last]. */
+    void
+    add(uint32_t first, uint32_t last)
+    {
+        lo = std::min(lo, first);
+        hi = std::max(hi, last + 1);
+    }
+
+    /** True iff some crossbar of [@p sliceLo, @p sliceHi) is in it. */
+    bool
+    meets(uint32_t sliceLo, uint32_t sliceHi) const
+    {
+        return lo < sliceHi && sliceLo < hi;
+    }
+};
+
 /** One decoded, replay-ready barrier-free segment. */
 struct SegmentTrace
 {
@@ -196,20 +227,92 @@ struct SegmentTrace
 };
 
 /**
- * Decode the barrier-free segment @p ops[0..n) into @p trace.
+ * Expansion table of one decoder: LogicH word -> its validated compact
+ * run (HalfGateRun gate and ActiveSections). The half-gates expansion
+ * (expandLogicH) validates a word against the restricted partition
+ * model; the table pays that once per distinct word for as long as
+ * its owner lives, however many segments and traces use the word. A
+ * hit copies the stored run into the segment arena. Only a word that
+ * validated is stored, so a malformed word throws the same message
+ * every time it is seen.
  *
- * This is the trace builder's pre-pass: it validates every op exactly
- * as the op-major reference would (so a malformed op aborts BEFORE any
- * crossbar is touched), records the architectural @p stats, and
- * advances the authoritative @p mask state past the segment. It
- * touches no crossbar: O(n), not O(n * crossbars).
+ * The owner is the object that decodes: a Simulator (in process and
+ * in each shard worker) or a socket SimulatorGroup's host mirror. The
+ * table lives and dies with it and is never process-wide, so a fresh
+ * Device starts cold. It is bound to one geometry, whose columns and
+ * partitions shape every run.
+ *
+ * Storage is flat: one open-addressing slot array, with no heap node
+ * per word, that doubles at three-quarter load, and one section
+ * arena. Both start empty and grow on demand. A slot also records
+ * the segment that last copied its run and that copy's header index,
+ * so one probe serves both the table and the segment's own
+ * one-header-per-word interning. Not thread-safe: its owner decodes
+ * on one thread.
+ */
+class ExpansionTable
+{
+  public:
+    explicit ExpansionTable(const Geometry &geo) : geo_(geo) {}
+
+    const Geometry &geometry() const { return geo_; }
+
+    /** Distinct words stored (each validated once). */
+    size_t size() const { return used_; }
+
+    /** Start a new segment: runs copied so far belong to the last. */
+    void beginSegment();
+
+    /**
+     * Validate LogicH word @p w, expanding it only if the table has
+     * never seen it (throws InternalError, storing nothing, if it is
+     * malformed). With @p trace, also return the index of its header
+     * in trace->halfGates, copying the run into @p trace on the
+     * word's first use in the segment; without, return 0.
+     */
+    uint32_t intern(Word w, SegmentTrace *trace);
+
+  private:
+    struct Slot
+    {
+        Word word = 0;
+        uint32_t off = 0;    //!< run at sections_[off]
+        uint16_t count = 0;  //!< active sections; 0 = empty slot
+        Gate gate = Gate::Nor;
+        uint32_t segment = 0;  //!< stamp of the segment holding a copy
+        uint32_t hg = 0;       //!< that copy's header index
+    };
+
+    /** The slot holding @p w, or the empty slot where it belongs. */
+    Slot &find(Word w);
+    /** Double the slot array (first use: allocate it). */
+    void grow();
+
+    Geometry geo_;
+    std::vector<Slot> slots_;
+    std::vector<ActiveSection> sections_;
+    size_t used_ = 0;
+    int shift_ = 64;
+    uint32_t segment_ = 1;
+};
+
+/**
+ * Decode the barrier-free segment @p ops[0..n) into @p trace, or,
+ * with @p trace null, only scan it.
+ *
+ * Both validate every op exactly as the op-major reference would (so
+ * a malformed op aborts BEFORE any crossbar is touched), record the
+ * architectural @p stats, advance the authoritative @p mask state past
+ * the segment and widen @p hull by every work op's crossbar mask.
+ * LogicH words validate through @p table. Neither touches a crossbar:
+ * O(n), not O(n * crossbars).
  *
  * Panics (InternalError) on a barrier op — callers split at
  * isBarrierOp() first.
  */
-void buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
-                       MaskState &mask, Stats &stats,
-                       SegmentTrace &trace);
+void decodeSegment(const Word *ops, size_t n, const Geometry &geo,
+                   ExpansionTable &table, MaskState &mask, Stats &stats,
+                   CrossbarHull &hull, SegmentTrace *trace);
 
 } // namespace pypim
 

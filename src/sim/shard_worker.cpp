@@ -104,8 +104,12 @@ handleSubmit(WorkerContext &ctx, const WireFrame &f)
 void
 handleTraceInstall(WorkerContext &ctx, const WireFrame &f)
 {
+    // Every worker scans and cross-checks the trace; only one whose
+    // slice the trace touches builds and compiles it.
     auto trace = decodeTraceWire(f.payload.data(), f.payload.size(),
-                                 ctx.geo, ctx.sim.htree());
+                                 ctx.geo, ctx.sim.htree(),
+                                 ctx.sim.expansions(), ctx.sim.sliceLo(),
+                                 ctx.sim.sliceCount());
     ctx.traces[trace->wireSig] = std::move(trace);
 }
 

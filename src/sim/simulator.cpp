@@ -18,7 +18,8 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
                      uint32_t sliceLo, uint32_t sliceCount)
     : geo_(geo),
       sliceLo_(sliceLo),
-      htree_(geo.numCrossbars)
+      htree_(geo.numCrossbars),
+      expansions_(geo)
 {
     geo_.validate();
     fatalIf(sliceCount == 0 || sliceCount > geo_.numCrossbars ||
@@ -205,7 +206,8 @@ Simulator::prepareTrace(const Word *ops, size_t n,
         batch->entryRow = entry->row;
     }
     try {
-        buildBatchTrace(ops, n, geo_, htree_, local, *batch);
+        buildBatchTrace(ops, n, geo_, htree_, expansions_, local,
+                        *batch);
     } catch (...) {
         // Match the accounting of an uncached submit, which records
         // the valid prefix before throwing.

@@ -36,6 +36,7 @@
 #include "sim/crossbar.hpp"
 #include "sim/engine.hpp"
 #include "sim/htree.hpp"
+#include "sim/segment_trace.hpp"
 #include "sim/sink.hpp"
 #include "uarch/microop.hpp"
 
@@ -133,6 +134,13 @@ class Simulator : public OperationSink
 
     const Geometry &geometry() const { return geo_; }
     const HTree &htree() const { return htree_; }
+
+    /**
+     * The expansion table this simulator decodes through
+     * (sim/segment_trace.hpp): prepareTrace, and a shard worker's
+     * trace installs. Empty until the first LogicH word is decoded.
+     */
+    ExpansionTable &expansions() { return expansions_; }
 
     /** First GLOBAL crossbar id this simulator owns (0 unless it is a
      *  sub-device slice). */
@@ -266,6 +274,7 @@ class Simulator : public OperationSink
     uint32_t sliceLo_ = 0;
     std::vector<Crossbar> xbs_;
     HTree htree_;
+    ExpansionTable expansions_;
     MaskState mask_;
     Stats stats_;
     std::unique_ptr<ExecutionEngine> engine_;

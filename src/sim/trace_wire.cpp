@@ -21,11 +21,13 @@ constexpr uint32_t kTraceMagic = 0x50575452;  // "PWTR"
 constexpr uint32_t kTraceVersion = 4;
 
 /** Decode @p ops from @p entry (or, without one, from power-on: the
- *  stream then sets both masks itself): the one rebuild both ends of
- *  the wire run, so they cannot decode differently. */
+ *  stream then sets both masks itself), scanning or, with @p build,
+ *  building it: the one decode both ends of the wire run, so they
+ *  cannot decode differently. */
 std::shared_ptr<BatchTrace>
-rebuild(const Word *ops, size_t n, const EntryMasks *entry,
-        const Geometry &geo, const HTree &htree)
+decode(const Word *ops, size_t n, const EntryMasks *entry,
+       const Geometry &geo, const HTree &htree, ExpansionTable &table,
+       bool build)
 {
     auto batch = std::make_shared<BatchTrace>();
     MaskState local;
@@ -37,7 +39,10 @@ rebuild(const Word *ops, size_t n, const EntryMasks *entry,
         batch->entryXb = entry->xb;
         batch->entryRow = entry->row;
     }
-    buildBatchTrace(ops, n, geo, htree, local, *batch);
+    if (build)
+        buildBatchTrace(ops, n, geo, htree, table, local, *batch);
+    else
+        scanBatchTrace(ops, n, geo, htree, table, local, *batch);
     return batch;
 }
 
@@ -69,7 +74,8 @@ traceSignature(const Word *ops, size_t n, const EntryMasks *entry)
 
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, const Geometry &geo,
-               const HTree &htree, const EntryMasks *entry)
+               const HTree &htree, ExpansionTable &table,
+               const EntryMasks *entry)
 {
     if (!entry && !leadsWithMasks(ops, n))
         return nullptr;
@@ -77,10 +83,9 @@ buildWireTrace(const Word *ops, size_t n, const Geometry &geo,
         entry->xb.validate(geo.numCrossbars, "crossbar");
         entry->row.validate(geo.rows, "row");
     }
-    auto batch = rebuild(ops, n, entry, geo, htree);
     // The host never replays a wire trace: it ships the source stream
-    // and walks the Move items, so the decode arenas go now.
-    releaseSegmentArenas(*batch);
+    // and walks the Move items, so a scan is all it needs.
+    auto batch = decode(ops, n, entry, geo, htree, table, false);
     batch->wireSig = traceSignature(ops, n, entry);
     batch->sourceOps.assign(ops, ops + n);
     return batch;
@@ -117,7 +122,8 @@ encodeTraceWire(const BatchTrace &trace)
 
 std::shared_ptr<const BatchTrace>
 decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
-                const HTree &htree)
+                const HTree &htree, ExpansionTable &table,
+                uint32_t sliceLo, uint32_t sliceCount)
 {
     ByteReader r(bytes, n);
     fatalIf(r.u32() != kTraceMagic,
@@ -140,7 +146,7 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     if (entryByte == 1) {
         entryMasks.xb = readRange(r);
         entryMasks.row = readRange(r);
-        // The rebuild decodes from these masks: a Range the geometry
+        // The scan decodes from these masks: a Range the geometry
         // cannot hold would index outside the crossbar or row space.
         fatalIf(!entryMasks.xb.valid(geo.numCrossbars) ||
                     !entryMasks.row.valid(geo.rows),
@@ -166,12 +172,12 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
 
     r.expectEnd("trace image");
 
-    // Rebuild deterministically on local arenas, from the entry state
-    // when there is one.
-    auto batch = rebuild(ops.data(), ops.size(), entry, geo, htree);
+    // Scan deterministically, from the entry state when there is one.
+    auto batch =
+        decode(ops.data(), ops.size(), entry, geo, htree, table, false);
 
-    // The cross-check: a rebuilt trace that does not reproduce the
-    // sender's architectural epilogue would silently break the
+    // The cross-check, on every worker: a scan that does not reproduce
+    // the sender's architectural epilogue would silently break the
     // replicated-stats invariant — fail loudly instead.
     fatalIf(!(batch->stats == wireStats),
             "trace wire: rebuilt trace diverges from the sender's "
@@ -180,9 +186,16 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
             "trace wire: rebuilt trace diverges from the sender's "
             "final mask state");
 
-    // Compile where the trace replays, from the cross-checked rebuild.
-    compileBatchTrace(*batch, geo);
-    releaseSegmentArenas(*batch);
+    // Build and compile only where the trace changes state. Elsewhere
+    // the scan is the installed trace: its Stats, masks and entry
+    // guard are all submitTrace applies, and its Moves touch nothing
+    // on this slice.
+    if (batch->hull.meets(sliceLo, sliceLo + sliceCount)) {
+        batch = decode(ops.data(), ops.size(), entry, geo, htree, table,
+                       true);
+        compileBatchTrace(*batch, geo);
+        releaseSegmentArenas(*batch);
+    }
 
     // Only the host's encoder reads the source stream; an installed
     // trace replays by signature and keeps just its programs.

@@ -39,8 +39,12 @@
 namespace pypim
 {
 
-/** Maximum partitions supported by the fixed-size expansion buffers. */
-constexpr uint32_t maxPartitions = 64;
+/**
+ * Maximum partitions supported by the fixed-size expansion buffers:
+ * Geometry::validate caps partitions at wordBits <= 32, so no
+ * buildable geometry needs more.
+ */
+constexpr uint32_t maxPartitions = 32;
 
 /** Half-gate opcode bits (Table I). */
 namespace halfgate

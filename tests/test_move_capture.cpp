@@ -7,7 +7,8 @@
  * exit masks — whatever the entry mask state (known, unknown, half
  * known), engine, storage, device count and transport. Plus replay
  * by signature on sharded groups (boundary-crossing sequences stay
- * raw), the entry-mask guard of entry-dependent traces in process and
+ * raw, and one confined to a worker's slice matches over sockets),
+ * the entry-mask guard of entry-dependent traces in process and
  * across the shard wire, fault recovery and checkpoint/restore around
  * captured hits.
  */
@@ -396,6 +397,44 @@ TEST(MoveCapture, GroupsReplayEntryDependentTracesBySignature)
         EXPECT_EQ(cap.driver().moveCacheSize(), 3u);
         EXPECT_EQ(cap.driver().stats().traceCacheHits, hits);
         EXPECT_EQ(cap.group().traffic().boundaryMoves, boundary + 3);
+        EXPECT_TRUE(sameBuilderMasks(cap, ref));
+        EXPECT_TRUE(sameDeviceState(cap, ref));
+    }
+}
+
+TEST(MoveCapture, SequenceInsideOneSliceMatchesOverSockets)
+{
+    // A captured sequence whose moves all stay on the first worker's
+    // crossbars: over sockets only that worker builds and compiles
+    // it, the others install its scan. State, Stats and exit masks
+    // must match the in-process group's at 2 and 4 workers.
+    if (!kForkAllowed)
+        GTEST_SKIP() << "fork() and TSan do not mix";
+    const Geometry g = captureGeometry();
+    for (const uint32_t devices : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(devices) + " workers");
+        const uint32_t per = g.numCrossbars / devices;
+        const EngineConfig inproc =
+            EngineConfig::serial().withDevices(devices);
+        Device cap(g, Driver::Mode::Parallel,
+                   inproc.withTransport(TransportKind::Socket));
+        Device ref(g, Driver::Mode::Parallel, inproc);
+        seedRegisters(cap, 23);
+        seedRegisters(ref, 23);
+        Rng rng(29);
+        std::vector<MoveInstr> seq = randomMoves(rng, g, 16);
+        for (MoveInstr &m : seq)
+            m.warps = randomRange(rng, per);
+        const Range warps(0, per - 1, 1);
+        for (int rep = 0; rep < 3; ++rep) {
+            for (Device *d : {&cap, &ref}) {
+                setEntry(*d, Entry::Known, warps, Range::all(g.rows));
+                d->driver().execute(std::span<const MoveInstr>(seq));
+            }
+        }
+        EXPECT_EQ(cap.driver().moveCacheSize(), 1u);
+        EXPECT_EQ(cap.driver().stats().traceCacheHits, 2 * seq.size());
+        EXPECT_EQ(cap.group().wireTelemetry().traceInstalls, devices);
         EXPECT_TRUE(sameBuilderMasks(cap, ref));
         EXPECT_TRUE(sameDeviceState(cap, ref));
     }

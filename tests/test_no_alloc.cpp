@@ -335,7 +335,8 @@ TEST(NoAlloc, WarmSegmentRecompileIsAllocationFree)
     MaskState mask;
     mask.reset(g);
     BatchTrace batch;
-    buildBatchTrace(ops.data(), ops.size(), g, htree, mask, batch);
+    ExpansionTable table(g);
+    buildBatchTrace(ops.data(), ops.size(), g, htree, table, mask, batch);
     ASSERT_EQ(batch.segments.size(), 1u);
     ReplayProgram prog;
     compileSegmentProgram(batch.segments[0], g, prog);

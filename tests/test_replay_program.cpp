@@ -452,11 +452,12 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
                 // compact expansion per distinct LogicH word and
                 // segment.
                 const HTree htree(g.numCrossbars);
+                ExpansionTable table(g);
                 MaskState mask;
                 mask.reset(g);
                 BatchTrace decoded;
-                buildBatchTrace(ops.data(), ops.size(), g, htree, mask,
-                                decoded);
+                buildBatchTrace(ops.data(), ops.size(), g, htree, table,
+                                mask, decoded);
                 EXPECT_EQ(heldExpansions(decoded),
                           internedExpansions(ops, decoded, g));
             }
@@ -1184,8 +1185,9 @@ TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
     const Geometry g = fuzzGeometry();
     const HTree htree(g.numCrossbars);
     const std::vector<Word> ops = retentionStream(g);
+    ExpansionTable hostTable(g), workerTable(g);
     const auto sent =
-        buildWireTrace(ops.data(), ops.size(), g, htree);
+        buildWireTrace(ops.data(), ops.size(), g, htree, hostTable);
     ASSERT_NE(sent, nullptr);
     // The host ships the source ops and keeps neither arenas nor
     // programs: it never replays a wire trace.
@@ -1195,7 +1197,8 @@ TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
     // What a shard worker installs: rebuilt from the wire image and
     // compiled there.
     const std::vector<uint8_t> image = encodeTraceWire(*sent);
-    const auto got = decodeTraceWire(image.data(), image.size(), g, htree);
+    const auto got = decodeTraceWire(image.data(), image.size(), g, htree,
+                                     workerTable, 0, g.numCrossbars);
     ASSERT_NE(got, nullptr);
     ASSERT_EQ(got->programs.size(), got->segments.size());
     expectNoDecodeArenas(*got);

@@ -7,15 +7,20 @@
  * decoder must intern one compact expansion per LogicH word and keep
  * every work op. The compiled shape of the driver's fp32 add and mul
  * (Table III) is pinned: the replay compiler's liveness scan is the
- * one rewrite between decode and replay.
+ * one rewrite between decode and replay. The owner's expansion table
+ * must not change what a decode yields: a hit equals a fresh
+ * expansion, a malformed word throws every time and is never stored,
+ * and a new Device starts with an empty table.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "driver/driver.hpp"
+#include "pim/pypim.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/htree.hpp"
 #include "sim/simulator.hpp"
@@ -46,19 +51,88 @@ withMasks(const Geometry &g, std::vector<Word> body)
 }
 
 /**
- * Decode a self-contained stream the way prepareTrace does, stopping
- * before the compile that frees the segment arenas these tests
- * inspect.
+ * Decode a self-contained stream the way prepareTrace does, through
+ * @p table, stopping before the compile that frees the segment arenas
+ * these tests inspect.
  */
 BatchTrace
-decodedTrace(const Geometry &g, const std::vector<Word> &ops)
+decodedTrace(const Geometry &g, const std::vector<Word> &ops,
+             ExpansionTable &table)
 {
     const HTree htree(g.numCrossbars);
     MaskState mask;
     mask.reset(g);
     BatchTrace trace;
-    buildBatchTrace(ops.data(), ops.size(), g, htree, mask, trace);
+    buildBatchTrace(ops.data(), ops.size(), g, htree, table, mask, trace);
     return trace;
+}
+
+/** decodedTrace through a fresh (empty) table. */
+BatchTrace
+decodedTrace(const Geometry &g, const std::vector<Word> &ops)
+{
+    ExpansionTable table(g);
+    return decodedTrace(g, ops, table);
+}
+
+/** Every field of two compiled programs equal (mask contents, not
+ *  their shared storage). */
+::testing::AssertionResult
+sameProgram(const ReplayProgram &a, const ReplayProgram &b)
+{
+    const auto fail = [](const char *what) {
+        return ::testing::AssertionFailure() << what << " differ";
+    };
+    if (a.instrs.size() != b.instrs.size())
+        return fail("instruction counts");
+    for (size_t i = 0; i < a.instrs.size(); ++i) {
+        const ReplayProgram::Instr &x = a.instrs[i], &y = b.instrs[i];
+        if (x.kind != y.kind || x.cls != y.cls ||
+            x.maskFull != y.maskFull || x.passKind != y.passKind ||
+            x.off != y.off || x.count != y.count ||
+            x.operand != y.operand || x.work != y.work || !(x.xb == y.xb))
+            return fail("instructions");
+    }
+    if (!std::ranges::equal(a.sections, b.sections,
+                            [](const auto &x, const auto &y) {
+                                return x.kind == y.kind &&
+                                       x.outCol == y.outCol &&
+                                       x.inA == y.inA && x.inB == y.inB;
+                            }))
+        return fail("sections");
+    if (!std::ranges::equal(a.pairs, b.pairs,
+                            [](const auto &x, const auto &y) {
+                                return x.slot == y.slot &&
+                                       x.value == y.value;
+                            }))
+        return fail("write pairs");
+    if (!std::ranges::equal(a.vgates, b.vgates,
+                            [](const auto &x, const auto &y) {
+                                return x.gate == y.gate &&
+                                       x.inShift == y.inShift &&
+                                       x.outShift == y.outShift &&
+                                       x.inWord == y.inWord &&
+                                       x.outWord == y.outWord;
+                            }))
+        return fail("vertical gates");
+    if (a.wordsPerMask != b.wordsPerMask ||
+        a.masks.size() != b.masks.size())
+        return fail("mask shapes");
+    for (size_t m = 0; m < a.masks.size(); ++m)
+        if (!std::equal(a.masks[m].get(),
+                        a.masks[m].get() + a.wordsPerMask,
+                        b.masks[m].get()))
+            return fail("masks");
+    if (a.xbLo != b.xbLo || a.xbHi != b.xbHi ||
+        a.allMasksFull != b.allMasksFull ||
+        a.uniformXb != b.uniformXb || !(a.xb == b.xb) ||
+        a.workWrites != b.workWrites || a.workLogicH != b.workLogicH ||
+        a.workLogicV != b.workLogicV ||
+        a.liveness.sections != b.liveness.sections ||
+        a.liveness.fused != b.liveness.fused ||
+        a.liveness.dead != b.liveness.dead)
+        return fail("program scalars");
+    return ::testing::AssertionSuccess();
 }
 
 void
@@ -355,4 +429,133 @@ TEST(TraceCache, DecodedTraceInternsOneCompactRunPerWord)
     ASSERT_EQ(seg.ops.size(), 2 * words.size());
     for (size_t k = 0; k < words.size(); ++k)
         EXPECT_EQ(seg.ops[k].hg, seg.ops[k + words.size()].hg);
+}
+
+TEST(TraceCache, ExpansionTableHitsDecodeAsFreshExpansions)
+{
+    // Decoding through a table that already holds every word (all
+    // hits) must yield the very segments a fresh table yields.
+    const Geometry g = cacheGeometry();
+    const uint32_t last = g.partitions - 1;
+    std::vector<Word> body = {
+        laneInit1(g, 3),
+        laneNor(g, 0, 1, 3),
+        MicroOp::logicH(Gate::Not, g.column(2, 0), 0, g.column(4, 1),
+                        last - 2, 4)
+            .encode(),
+        MicroOp::rowMask(Range(0, g.rows - 2, 2)).encode(),
+        laneInit1(g, 5),
+        MicroOp::crossbarMask(Range(0, 7, 1)).encode(),
+        MicroOp::move(8, 1, 2, 0, 1).encode(),
+        laneNor(g, 2, 3, 5),
+        laneInit1(g, 3),
+    };
+    const std::vector<Word> ops = withMasks(g, body);
+    ExpansionTable table(g);
+    const BatchTrace cold = decodedTrace(g, ops, table);
+    const size_t words = table.size();
+    EXPECT_EQ(words, 5u);
+    const BatchTrace warm = decodedTrace(g, ops, table);
+    EXPECT_EQ(table.size(), words) << "a hit must not store again";
+    ASSERT_EQ(cold.segments.size(), warm.segments.size());
+    for (size_t s = 0; s < cold.segments.size(); ++s) {
+        const SegmentTrace &a = cold.segments[s], &b = warm.segments[s];
+        EXPECT_EQ(a.halfGates, b.halfGates) << "segment " << s;
+        EXPECT_EQ(a.sections, b.sections) << "segment " << s;
+        ASSERT_EQ(a.ops.size(), b.ops.size()) << "segment " << s;
+        for (size_t i = 0; i < a.ops.size(); ++i)
+            EXPECT_EQ(a.ops[i].hg, b.ops[i].hg);
+    }
+    EXPECT_EQ(cold.stats, warm.stats);
+}
+
+TEST(TraceCache, WarmTableCompilesTheSameFp32Programs)
+{
+    // Table III fp32 add and mul: cold on a fresh owner, warm on the
+    // same owner (every word a hit), and on a fresh owner after the
+    // other stream warmed nothing of it. All compile to equal programs.
+    const Geometry g;
+    const std::vector<Word> add = fp32Stream(g, ROp::Add);
+    const std::vector<Word> mul = fp32Stream(g, ROp::Mul);
+    Simulator owner(g, EngineConfig::serial());
+    const auto addCold = owner.prepareTrace(add.data(), add.size());
+    const size_t addWords = owner.expansions().size();
+    const auto mulCold = owner.prepareTrace(mul.data(), mul.size());
+    const size_t words = owner.expansions().size();
+    EXPECT_GT(addWords, 0u);
+    EXPECT_GT(words, addWords);
+    const auto addWarm = owner.prepareTrace(add.data(), add.size());
+    const auto mulWarm = owner.prepareTrace(mul.data(), mul.size());
+    EXPECT_EQ(owner.expansions().size(), words);
+    Simulator fresh(g, EngineConfig::serial());
+    const auto mulFresh = fresh.prepareTrace(mul.data(), mul.size());
+    const auto addFresh = fresh.prepareTrace(add.data(), add.size());
+    const std::pair<const char *, std::vector<const BatchTrace *>> cases[] =
+        {{"add", {addCold.get(), addWarm.get(), addFresh.get()}},
+         {"mul", {mulCold.get(), mulWarm.get(), mulFresh.get()}}};
+    for (const auto &[name, traces] : cases) {
+        for (const BatchTrace *t : traces) {
+            ASSERT_NE(t, nullptr) << name;
+            ASSERT_EQ(t->programs.size(), 1u) << name;
+            EXPECT_TRUE(sameProgram(traces[0]->programs[0], t->programs[0]))
+                << name;
+            EXPECT_EQ(t->stats, traces[0]->stats) << name;
+        }
+    }
+}
+
+TEST(TraceCache, MalformedWordThrowsEveryTimeAndIsNeverStored)
+{
+    const Geometry g = cacheGeometry();
+    // Gate 0 claims partitions {0, 1}, gate 1 claims {1, 2}.
+    const Word bad = MicroOp::logicH(Gate::Nor, g.column(0, 0),
+                                     g.column(1, 1), g.column(3, 1), 2, 1)
+                         .encode();
+    const std::vector<Word> ops = withMasks(g, {laneInit1(g, 3), bad});
+    Simulator sim(g);
+    std::string first;
+    for (int seen = 0; seen < 2; ++seen) {
+        try {
+            sim.prepareTrace(ops.data(), ops.size());
+            ADD_FAILURE() << "malformed word decoded (occurrence "
+                          << seen + 1 << ")";
+        } catch (const InternalError &e) {
+            if (seen == 0)
+                first = e.what();
+            EXPECT_EQ(e.what(), first);
+        }
+        // The valid word before it is stored; the malformed one never.
+        EXPECT_EQ(sim.expansions().size(), 1u);
+    }
+    EXPECT_NE(first.find("overlap"), std::string::npos) << first;
+    // The scan validates the same way.
+    ExpansionTable table(g);
+    for (int seen = 0; seen < 2; ++seen) {
+        try {
+            table.intern(bad, nullptr);
+            ADD_FAILURE() << "malformed word scanned";
+        } catch (const InternalError &e) {
+            EXPECT_EQ(e.what(), first);
+        }
+        EXPECT_EQ(table.size(), 0u);
+    }
+}
+
+TEST(TraceCache, NewDeviceStartsWithAnEmptyTable)
+{
+    const Geometry g = cacheGeometry();
+    const auto run = [&](Device &dev) {
+        std::vector<float> v(g.totalRows(), 1.5f);
+        Tensor a = Tensor::fromVector(v, &dev);
+        Tensor b = a + a;
+        dev.flush();
+    };
+    Device first(g, Driver::Mode::Parallel, EngineConfig::serial());
+    EXPECT_EQ(first.group().sub(0).expansions().size(), 0u);
+    run(first);
+    EXPECT_GT(first.group().sub(0).expansions().size(), 0u);
+    // The table is the Simulator's, not the process's: a second
+    // Device starts cold even while the first one lives.
+    Device second(g, Driver::Mode::Parallel, EngineConfig::serial());
+    EXPECT_EQ(second.group().sub(0).expansions().size(), 0u);
 }

@@ -8,7 +8,9 @@
  * and rethrow as the matching error class; trace images survive a
  * round trip bit-exactly, carry no compiled programs (the receiver
  * compiles) but the entry state of an entry-dependent trace, and
- * reject corruption and old versions; and the live
+ * reject corruption, forged epilogues and old versions on every
+ * worker, while only a worker whose slice the trace touches compiles
+ * it; and the live
  * fork/socketpair fleet ships each frozen trace once per worker,
  * surfaces a killed worker as a DeviceFault and rebuilds it through
  * checkpoint restore and journaled recovery. A worker bounds every
@@ -19,6 +21,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <dirent.h>
 #include <fstream>
@@ -45,6 +48,36 @@ using namespace pypim;
 namespace
 {
 
+/** buildWireTrace through a fresh host expansion table. */
+std::shared_ptr<const BatchTrace>
+hostTrace(const Word *ops, size_t n, const Geometry &g, const HTree &ht,
+          const EntryMasks *entry = nullptr)
+{
+    ExpansionTable table(g);
+    return buildWireTrace(ops, n, g, ht, table, entry);
+}
+
+/** decodeTraceWire as a worker owning every crossbar installs it,
+ *  through a fresh expansion table. */
+std::shared_ptr<const BatchTrace>
+installWhole(const uint8_t *img, size_t n, const Geometry &g,
+             const HTree &ht)
+{
+    ExpansionTable table(g);
+    return decodeTraceWire(img, n, g, ht, table, 0, g.numCrossbars);
+}
+
+/** Move items of @p t: the host's scan and a worker's build both hold
+ *  them (only a build also holds segment items). */
+size_t
+moveItems(const BatchTrace &t)
+{
+    return std::count_if(t.items.begin(), t.items.end(),
+                         [](const BatchTrace::Item &i) {
+                             return i.kind == BatchTrace::Item::Kind::Move;
+                         });
+}
+
 /** Small self-contained stream leading with both masks, as the trace
  *  wire codec requires of a frozen batch. */
 std::vector<Word>
@@ -65,6 +98,30 @@ tracedStream(const Geometry &g)
                                   g.partitions - 1, 1)
                       .encode());
     return ops;
+}
+
+/**
+ * A self-contained stream confined to crossbars [0, @p per), the
+ * first worker's slice when each worker owns @p per: writes, lane
+ * gates and a Move inside the slice.
+ */
+std::vector<Word>
+sliceStream(const Geometry &g, uint32_t per)
+{
+    const uint32_t out = g.column(4, 0);
+    return {
+        MicroOp::crossbarMask(Range(0, per - 1, 1)).encode(),
+        MicroOp::rowMask(Range::all(g.rows)).encode(),
+        MicroOp::write(2, 0xDEADBEEFu).encode(),
+        MicroOp::write(3, 41).encode(),
+        MicroOp::logicH(Gate::Init1, 0, 0, out, g.partitions - 1, 1)
+            .encode(),
+        MicroOp::logicH(Gate::Nor, g.column(2, 0), g.column(3, 0), out,
+                        g.partitions - 1, 1)
+            .encode(),
+        MicroOp::crossbarMask(Range(0, per / 2 - 1, 1)).encode(),
+        MicroOp::move(per / 2, 0, 1, 4, 5).encode(),
+    };
 }
 
 /** The entry mask state the entry-carrying images decode from. */
@@ -91,8 +148,8 @@ wireImages(const Geometry &g, const HTree &ht)
     const std::vector<Word> eops = entryStream(g);
     const EntryMasks entry = wireEntry(g);
     return {encodeTraceWire(
-                *buildWireTrace(ops.data(), ops.size(), g, ht)),
-            encodeTraceWire(*buildWireTrace(eops.data(), eops.size(), g,
+                *hostTrace(ops.data(), ops.size(), g, ht)),
+            encodeTraceWire(*hostTrace(eops.data(), eops.size(), g,
                                             ht, &entry))};
 }
 
@@ -385,18 +442,18 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), g, ht);
+        hostTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
     EXPECT_EQ(t->wireSig, traceSignature(ops.data(), ops.size()));
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     const std::shared_ptr<const BatchTrace> d =
-        decodeTraceWire(img.data(), img.size(), g, ht);
+        installWhole(img.data(), img.size(), g, ht);
     ASSERT_TRUE(d);
     EXPECT_EQ(d->wireSig, t->wireSig);
     EXPECT_TRUE(d->stats == t->stats);
     EXPECT_TRUE(d->finalXb == t->finalXb);
     EXPECT_TRUE(d->finalRow == t->finalRow);
-    EXPECT_EQ(d->items.size(), t->items.size());
+    EXPECT_EQ(moveItems(*d), moveItems(*t));
     EXPECT_FALSE(d->hasEntry);
     EXPECT_TRUE(d->sourceOps.empty())
         << "an installed trace replays by signature, not from source";
@@ -409,15 +466,15 @@ TEST(TraceWire, EntryImageRoundTrips)
     const std::vector<Word> ops = entryStream(g);
     const EntryMasks entry = wireEntry(g);
     // Not self-contained: wireable only with its entry state.
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), g, ht), nullptr);
+    EXPECT_EQ(hostTrace(ops.data(), ops.size(), g, ht), nullptr);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), g, ht, &entry);
+        hostTrace(ops.data(), ops.size(), g, ht, &entry);
     ASSERT_TRUE(t);
     EXPECT_TRUE(t->hasEntry);
     EXPECT_EQ(t->wireSig, traceSignature(ops.data(), ops.size(), &entry));
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     const std::shared_ptr<const BatchTrace> d =
-        decodeTraceWire(img.data(), img.size(), g, ht);
+        installWhole(img.data(), img.size(), g, ht);
     ASSERT_TRUE(d);
     EXPECT_EQ(d->wireSig, t->wireSig);
     EXPECT_TRUE(d->hasEntry);
@@ -426,29 +483,24 @@ TEST(TraceWire, EntryImageRoundTrips)
     EXPECT_TRUE(d->stats == t->stats);
     EXPECT_TRUE(d->finalXb == t->finalXb);
     EXPECT_TRUE(d->finalRow == t->finalRow);
-    EXPECT_EQ(d->items.size(), t->items.size());
+    EXPECT_EQ(moveItems(*d), moveItems(*t));
     EXPECT_TRUE(d->sourceOps.empty());
 }
 
 TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
 {
     // The host only ships the source stream and walks the Move items:
-    // it keeps no decode arenas and compiles nothing.
+    // it scans, so it holds no segments and compiles nothing.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), g, ht);
+        hostTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
-    ASSERT_FALSE(t->segments.empty());
+    EXPECT_TRUE(t->segments.empty());
     EXPECT_TRUE(t->programs.empty());
-    for (const SegmentTrace &seg : t->segments) {
-        EXPECT_EQ(seg.ops.capacity(), 0u);
-        EXPECT_EQ(seg.halfGates.capacity(), 0u);
-        EXPECT_EQ(seg.sections.capacity(), 0u);
-        EXPECT_EQ(seg.rowWords.capacity(), 0u);
-        EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
-    }
+    EXPECT_TRUE(t->items.empty());
+    EXPECT_TRUE(t->hull.meets(0, g.numCrossbars));
     EXPECT_EQ(t->sourceOps, ops);
 }
 
@@ -461,15 +513,15 @@ TEST(TraceWire, OldVersionIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), g, ht);
+        hostTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
     for (const uint8_t version : {1, 2, 3}) {
         std::vector<uint8_t> img = encodeTraceWire(*t);
-        ASSERT_NO_THROW(decodeTraceWire(img.data(), img.size(), g, ht));
+        ASSERT_NO_THROW(installWhole(img.data(), img.size(), g, ht));
         // Magic (u32), then the little-endian u32 version.
         img[4] = version;
         img[5] = img[6] = img[7] = 0;
-        EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht),
+        EXPECT_THROW(installWhole(img.data(), img.size(), g, ht),
                      Error)
             << "version " << int(version);
     }
@@ -501,7 +553,7 @@ TEST(TraceWire, Version3ImageFailsLoudly)
         img[4] = 3;
         img.insert(img.begin() + kEntryFlagAt, 1);
         try {
-            decodeTraceWire(img.data(), img.size(), g, ht);
+            installWhole(img.data(), img.size(), g, ht);
             ADD_FAILURE() << "a version-3 image decoded";
         } catch (const Error &e) {
             EXPECT_NE(std::string(e.what()).find("unsupported version 3"),
@@ -519,7 +571,7 @@ TEST(TraceWire, MalformedEntryFlagIsRejected)
         ASSERT_LE(img[kEntryFlagAt], 1u);
         img[kEntryFlagAt] = 2;
         try {
-            decodeTraceWire(img.data(), img.size(), g, ht);
+            installWhole(img.data(), img.size(), g, ht);
             ADD_FAILURE() << "entry flag 2 survived";
         } catch (const Error &e) {
             EXPECT_NE(std::string(e.what()).find("entry flag"),
@@ -538,7 +590,7 @@ TEST(TraceWire, EntryMaskOutsideTheGeometryIsRejected)
     const std::vector<Word> ops = entryStream(g);
     const EntryMasks good = wireEntry(g);
     const std::vector<uint8_t> img = encodeTraceWire(
-        *buildWireTrace(ops.data(), ops.size(), g, ht, &good));
+        *hostTrace(ops.data(), ops.size(), g, ht, &good));
     EntryMasks wideXb = good;
     wideXb.xb.stop = g.numCrossbars + 1;
     EntryMasks wideRow = good;
@@ -556,7 +608,7 @@ TEST(TraceWire, EntryMaskOutsideTheGeometryIsRejected)
         std::copy(patch.begin() + 8, patch.end(),
                   forged.begin() + kEntryFlagAt + 1);
         try {
-            decodeTraceWire(forged.data(), forged.size(), g, ht);
+            installWhole(forged.data(), forged.size(), g, ht);
             ADD_FAILURE() << "out-of-geometry entry mask survived";
         } catch (const Error &e) {
             EXPECT_NE(std::string(e.what()).find("entry mask outside"),
@@ -610,9 +662,9 @@ TEST(TraceWire, WorkerCompiledTraceReplaysLikePrepareTrace)
         SCOPED_TRACE(e ? "entry" : "self-contained");
         const std::vector<Word> &src = e ? eops : ops;
         const std::vector<uint8_t> img = encodeTraceWire(
-            *buildWireTrace(src.data(), src.size(), g, ht, e));
+            *hostTrace(src.data(), src.size(), g, ht, e));
         const std::shared_ptr<const BatchTrace> worker =
-            decodeTraceWire(img.data(), img.size(), g, ht);
+            installWhole(img.data(), img.size(), g, ht);
         Simulator inproc(g, EngineConfig::serial());
         const std::shared_ptr<const BatchTrace> local =
             inproc.prepareTrace(src.data(), src.size(), e);
@@ -662,7 +714,7 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = {MicroOp::write(2, 7).encode()};
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), g, ht),
+    EXPECT_EQ(hostTrace(ops.data(), ops.size(), g, ht),
               nullptr);
 }
 
@@ -681,7 +733,7 @@ TEST(TraceWire, EveryBitFlipIsRejected)
                 std::vector<uint8_t> bad = img;
                 bad[i] ^= static_cast<uint8_t>(1u << b);
                 EXPECT_THROW(
-                    decodeTraceWire(bad.data(), bad.size(), g, ht), Error)
+                    installWhole(bad.data(), bad.size(), g, ht), Error)
                     << "flip survived at byte " << i << " bit " << b;
             }
         }
@@ -695,12 +747,110 @@ TEST(TraceWire, EveryTruncationIsRejected)
     for (std::vector<uint8_t> img : wireImages(g, ht)) {
         SCOPED_TRACE(img[kEntryFlagAt] ? "entry image" : "plain image");
         for (size_t n = 0; n < img.size(); ++n)
-            EXPECT_THROW(decodeTraceWire(img.data(), n, g, ht), Error)
+            EXPECT_THROW(installWhole(img.data(), n, g, ht), Error)
                 << "truncation to " << n << " bytes survived";
         img.push_back(0);
-        EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht),
+        EXPECT_THROW(installWhole(img.data(), img.size(), g, ht),
                      Error)
             << "trailing byte survived";
+    }
+}
+
+TEST(TraceWire, OnlyWorkersWhoseSliceTheTraceTouchesCompileIt)
+{
+    // Every worker scans an installed trace and cross-checks its
+    // epilogue; only a worker whose slice the hull meets builds and
+    // compiles it. The others hold the scan: same Stats, masks and
+    // entry state, no programs.
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    const HTree ht(g.numCrossbars);
+    for (const uint32_t devices : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(devices) + " workers");
+        const uint32_t per = g.numCrossbars / devices;
+        const std::vector<Word> ops = sliceStream(g, per);
+        const std::shared_ptr<const BatchTrace> host =
+            hostTrace(ops.data(), ops.size(), g, ht);
+        ASSERT_TRUE(host);
+        EXPECT_TRUE(host->hull.meets(0, per));
+        EXPECT_FALSE(host->hull.meets(per, g.numCrossbars));
+        const std::vector<uint8_t> img = encodeTraceWire(*host);
+        for (uint32_t d = 0; d < devices; ++d) {
+            ExpansionTable table(g);
+            const std::shared_ptr<const BatchTrace> t = decodeTraceWire(
+                img.data(), img.size(), g, ht, table, d * per, per);
+            ASSERT_TRUE(t);
+            EXPECT_EQ(t->programs.empty(), d != 0) << "worker " << d;
+            EXPECT_EQ(t->liveness.sections > 0, d == 0) << "worker " << d;
+            EXPECT_GT(table.size(), 0u)
+                << "worker " << d << " must validate every word";
+            EXPECT_TRUE(t->stats == host->stats) << "worker " << d;
+            EXPECT_TRUE(t->finalXb == host->finalXb) << "worker " << d;
+            EXPECT_TRUE(t->finalRow == host->finalRow) << "worker " << d;
+            EXPECT_EQ(t->wireSig, host->wireSig) << "worker " << d;
+        }
+    }
+
+    // A Move's destinations belong to the hull: a trace whose work
+    // stays on the first half but whose Move lands on the second is
+    // built by both halves' workers.
+    const uint32_t half = g.numCrossbars / 2;
+    const std::vector<Word> ops = {
+        MicroOp::crossbarMask(Range(0, half - 1, 1)).encode(),
+        MicroOp::rowMask(Range::all(g.rows)).encode(),
+        MicroOp::write(2, 7).encode(),
+        MicroOp::move(half, 0, 1, 2, 3).encode(),
+    };
+    const std::vector<uint8_t> img =
+        encodeTraceWire(*hostTrace(ops.data(), ops.size(), g, ht));
+    for (uint32_t d = 0; d < 2; ++d) {
+        ExpansionTable table(g);
+        EXPECT_FALSE(decodeTraceWire(img.data(), img.size(), g, ht,
+                                     table, d * half, half)
+                         ->programs.empty())
+            << "half " << d;
+    }
+}
+
+TEST(TraceWire, ForgedEpilogueFailsOnEveryWorker)
+{
+    // Stats and final masks are not part of the signature, so only
+    // the scan's cross-check can catch a forged epilogue — on a worker
+    // that never builds the trace as on the one that does.
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    const HTree ht(g.numCrossbars);
+    const uint32_t per = g.numCrossbars / 4;
+    const std::vector<Word> ops = sliceStream(g, per);
+    const std::shared_ptr<const BatchTrace> host =
+        hostTrace(ops.data(), ops.size(), g, ht);
+    ASSERT_TRUE(host);
+    BatchTrace forgedStats = *host;
+    forgedStats.stats.opCount[size_t(OpClass::Write)] += 1;
+    BatchTrace forgedXb = *host;
+    forgedXb.finalXb = Range::all(g.numCrossbars);
+    BatchTrace forgedRow = *host;
+    forgedRow.finalRow = Range(0, g.rows - 2, 2);
+    const std::pair<const BatchTrace *, const char *> forgeries[] = {
+        {&forgedStats, "architectural stats"},
+        {&forgedXb, "final mask state"},
+        {&forgedRow, "final mask state"},
+    };
+    for (const auto &[forged, what] : forgeries) {
+        const std::vector<uint8_t> img = encodeTraceWire(*forged);
+        for (uint32_t d = 0; d < 4; ++d) {
+            ExpansionTable table(g);
+            try {
+                decodeTraceWire(img.data(), img.size(), g, ht, table,
+                                d * per, per);
+                ADD_FAILURE() << "forged " << what << " installed on "
+                              << "worker " << d;
+            } catch (const Error &e) {
+                EXPECT_NE(std::string(e.what()).find(what),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
     }
 }
 
@@ -710,13 +860,13 @@ TEST(TraceWire, WrongGeometryIsRejected)
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), g, ht);
+        hostTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     Geometry g2 = g;
     g2.numCrossbars *= 4;
     const HTree ht2(g2.numCrossbars);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g2, ht2),
+    EXPECT_THROW(installWhole(img.data(), img.size(), g2, ht2),
                  Error);
 }
 
@@ -768,6 +918,76 @@ TEST(SocketFleet, TraceCrossesTheWireOncePerWorker)
     EXPECT_TRUE(grp.stats() == ref.stats());
     EXPECT_EQ(encodeCheckpoint(buildGroupImage(grp)),
               encodeCheckpoint(buildGroupImage(ref)));
+}
+
+TEST(SocketFleet, TraceInsideOneSliceMatchesInProcessOnEveryWorker)
+{
+    // A trace confined to worker 0's slice is compiled there only; the
+    // other workers replay its scan. Every worker's Stats and masks
+    // must still equal the in-process group's, and the merged image
+    // must stay byte-identical.
+    PYPIM_SKIP_UNDER_TSAN();
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    for (const uint32_t devices : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(devices) + " workers");
+        const uint32_t per = g.numCrossbars / devices;
+        const std::vector<Word> ops = sliceStream(g, per);
+        const EngineConfig cfg = EngineConfig::serial().withDevices(devices);
+        SimulatorGroup ref(g, cfg);
+        const std::shared_ptr<const BatchTrace> refTrace =
+            ref.prepareTrace(ops.data(), ops.size());
+        ASSERT_TRUE(refTrace);
+        SocketTransport fleet(g, EngineConfig::serial(), devices, per);
+        const HTree ht(g.numCrossbars);
+        const std::shared_ptr<const BatchTrace> trace =
+            hostTrace(ops.data(), ops.size(), g, ht);
+        ASSERT_TRUE(trace);
+        for (int i = 0; i < 3; ++i) {
+            ref.submitTrace(refTrace);
+            fleet.submitTraceAll(*trace);
+        }
+        ref.flush();
+        fleet.flushAll();
+        EXPECT_EQ(fleet.telemetry().traceInstalls, devices);
+        for (uint32_t d = 0; d < devices; ++d) {
+            Range xb, row;
+            const Simulator &sub = ref.sub(d);
+            EXPECT_TRUE(fleet.fetchStats(d, &xb, &row) == sub.stats())
+                << "worker " << d;
+            EXPECT_TRUE(xb == sub.crossbarMask()) << "worker " << d;
+            EXPECT_TRUE(row == sub.rowMask()) << "worker " << d;
+        }
+        EXPECT_EQ(encodeCheckpoint(fleet.fetchImage()),
+                  encodeCheckpoint(buildGroupImage(ref)));
+    }
+}
+
+TEST(SocketFleet, ForgedEpilogueFailsLoudlyOnAWorkerOutsideTheSlice)
+{
+    // A forged epilogue for a trace outside worker 1's slice: worker
+    // 1 never builds it, yet its install must fail, sticky, and
+    // surface at the next sync point rather than be adopted.
+    PYPIM_SKIP_UNDER_TSAN();
+    Geometry g = testGeometry();
+    g.numCrossbars = 16;
+    const uint32_t per = g.numCrossbars / 2;
+    const HTree ht(g.numCrossbars);
+    const std::vector<Word> ops = sliceStream(g, per);
+    BatchTrace forged = *hostTrace(ops.data(), ops.size(), g, ht);
+    forged.stats.opCount[size_t(OpClass::LogicH)] += 1;
+    SocketTransport fleet(g, EngineConfig::serial(), 2, per);
+    fleet.submitTraceAll(forged);
+    for (uint32_t d = 0; d < 2; ++d) {
+        try {
+            fleet.fetchStats(d);
+            ADD_FAILURE() << "worker " << d << " adopted a forged trace";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("architectural stats"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SocketFleet, FetchedImageIsByteIdenticalToInProcess)
