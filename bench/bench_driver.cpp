@@ -8,14 +8,14 @@
  * that, "a hardware controller is not necessary" — the paper's claim.
  *
  * The trace-build panel times the layer between the driver and
- * replay: decoding a recorded stream into a segment trace and
- * compiling it into replay programs, per source op, as a cold
- * trace-cache miss pays them, plus the decoded trace's arena bytes
- * and its LogicH sections per source op before and after the replay
- * compiler's liveness scan. The cold decode starts from an empty
- * expansion table every rep (a fresh Device's first miss); the warm
- * decode reuses one table whose every word already validated (a
- * later miss on the same Device, or another trace of the same words).
+ * replay: building a recorded stream into a frozen trace, decoded and
+ * compiled into replay programs in one pass, per source op, as a
+ * trace-cache miss pays it, plus the trace's LogicH sections per
+ * source op before and after the replay compiler's liveness scan. The
+ * cold build starts from an empty expansion table every rep (a fresh
+ * Device's first miss); the warm build reuses one table whose every
+ * word already validated (a later miss on the same Device, or another
+ * trace of the same words).
  */
 #include <benchmark/benchmark.h>
 
@@ -53,41 +53,23 @@ struct TraceBuildRow
 {
     const char *name;
     uint64_t sourceOps;
-    /** Per source op: decode from an empty and from a warm expansion
-     *  table, and compile. */
-    double decodeNs, decodeWarmNs, compileNs;
-    uint64_t arenaBytes;  //!< decoded segment arenas
+    /** Build (decode and compile) per source op, from an empty and
+     *  from a warm expansion table. */
+    double buildNs, buildWarmNs;
     /** LogicH sections per source op before and after the replay
      *  compiler's liveness scan (ReplayProgram::Liveness). */
     double sectionsIn, sectionsOut;
 };
 
-/** Bytes held by the decode arenas of @p t's segments. */
-uint64_t
-arenaBytes(const BatchTrace &t)
-{
-    const auto bytes = [](const auto &v) {
-        return v.capacity() * sizeof(v[0]);
-    };
-    uint64_t n = 0;
-    for (const SegmentTrace &seg : t.segments) {
-        n += bytes(seg.ops) + bytes(seg.halfGates) +
-             bytes(seg.sections) + bytes(seg.rowWords) +
-             bytes(seg.rowMaskFull);
-    }
-    return n;
-}
-
 /**
  * Trace-build panel: the driver's self-contained fp32 add and mul
- * streams (Table III geometry) decoded (buildBatchTrace) and compiled
- * (compileBatchTrace) into a fresh BatchTrace per rep, as a
- * trace-cache miss does. "decode" starts every rep from an empty
- * ExpansionTable, so it validates each distinct LogicH word once per
- * rep; "warm" decodes through one table kept across reps. Times are
- * host nanoseconds per source op; not a gate. The two section columns
- * are the LogicH sections per source op before and after the
- * compiler's liveness scan.
+ * streams (Table III geometry) built (compileBatchTrace) into a fresh
+ * BatchTrace per rep, as a trace-cache miss does. "build" starts
+ * every rep from an empty ExpansionTable, so it validates each
+ * distinct LogicH word once per rep; "warm" builds through one table
+ * kept across reps. Times are host nanoseconds per source op; not a
+ * gate. The two section columns are the LogicH sections per source op
+ * before and after the compiler's liveness scan.
  */
 std::vector<TraceBuildRow>
 traceBuildReport(double minSeconds = 0.2)
@@ -98,12 +80,11 @@ traceBuildReport(double minSeconds = 0.2)
     };
     const Geometry g = benchGeometry();
     const HTree htree(g.numCrossbars);
-    std::printf("\n=== Trace build (cold decode, compile per source "
-                "op; %u crossbars) ===\n",
+    std::printf("\n=== Trace build (decode + compile per source op, "
+                "cold and warm expansion table; %u crossbars) ===\n",
                 g.numCrossbars);
-    std::printf("%-10s %10s %12s %12s %12s %14s %9s %9s\n", "kernel",
-                "src ops", "decode [ns]", "warm [ns]", "compile [ns]",
-                "arena [bytes]", "secs/op", "live/op");
+    std::printf("%-10s %10s %12s %12s %9s %9s\n", "kernel", "src ops",
+                "build [ns]", "warm [ns]", "secs/op", "live/op");
     std::vector<TraceBuildRow> rows;
     for (const Case &c : kCases) {
         if (c.dt != DType::Float32 ||
@@ -116,57 +97,41 @@ traceBuildReport(double minSeconds = 0.2)
             drv.execute(fullInstr(g, c.op, c.dt));
         }
         const std::vector<Word> &ops = cap.ops;
-        double decode = 0, compile = 0;
-        uint64_t bytes = 0;
         ReplayProgram::Liveness live;
-        const uint64_t reps = timedReps(
-            [&] {
-                BatchTrace t;
-                ExpansionTable cold(g);
-                MaskState mask;
-                mask.reset(g);
-                const auto t0 = clock::now();
-                buildBatchTrace(ops.data(), ops.size(), g, htree, cold,
-                                mask, t);
-                const auto t1 = clock::now();
-                compileBatchTrace(t, g);
-                const auto t2 = clock::now();
-                decode += ns(t1 - t0);
-                compile += ns(t2 - t1);
-                bytes = arenaBytes(t);
-                live = t.liveness;
-            },
-            [] {}, minSeconds).first;
-        double decodeWarm = 0;
         ExpansionTable warm(g);
-        const auto warmBuild = [&] {
+        // One timed build through @p table, added to @p total.
+        const auto build = [&](ExpansionTable &table, double &total) {
             BatchTrace t;
             MaskState mask;
             mask.reset(g);
             const auto t0 = clock::now();
-            buildBatchTrace(ops.data(), ops.size(), g, htree, warm, mask,
-                            t);
-            decodeWarm += ns(clock::now() - t0);
+            compileBatchTrace(ops.data(), ops.size(), g, htree, table,
+                              mask, t);
+            total += ns(clock::now() - t0);
+            live = t.liveness;
         };
-        warmBuild();
-        decodeWarm = 0;
-        const uint64_t warmReps =
-            timedReps(warmBuild, [] {}, minSeconds).first;
-        const double per = static_cast<double>(reps * ops.size());
+        double coldNs = 0, warmNs = 0;
+        const uint64_t reps = timedReps(
+            [&] {
+                ExpansionTable cold(g);
+                build(cold, coldNs);
+            },
+            [] {}, minSeconds).first;
+        build(warm, warmNs);
+        warmNs = 0;
+        const uint64_t warmReps = timedReps(
+            [&] { build(warm, warmNs); }, [] {}, minSeconds).first;
         const double src = static_cast<double>(ops.size());
-        rows.push_back({c.name, ops.size(), decode / per,
-                        decodeWarm /
-                            static_cast<double>(warmReps * ops.size()),
-                        compile / per, bytes,
+        rows.push_back({c.name, ops.size(),
+                        coldNs / (static_cast<double>(reps) * src),
+                        warmNs / (static_cast<double>(warmReps) * src),
                         static_cast<double>(live.sections) / src,
                         static_cast<double>(live.replayed()) / src});
         const TraceBuildRow &r = rows.back();
-        std::printf("%-10s %10llu %12.1f %12.1f %12.1f %14llu %9.2f "
-                    "%9.2f\n",
-                    r.name, static_cast<unsigned long long>(r.sourceOps),
-                    r.decodeNs, r.decodeWarmNs, r.compileNs,
-                    static_cast<unsigned long long>(r.arenaBytes),
-                    r.sectionsIn, r.sectionsOut);
+        std::printf("%-10s %10llu %12.1f %12.1f %9.2f %9.2f\n", r.name,
+                    static_cast<unsigned long long>(r.sourceOps),
+                    r.buildNs, r.buildWarmNs, r.sectionsIn,
+                    r.sectionsOut);
     }
     return rows;
 }
@@ -272,10 +237,8 @@ steadyStateReport(const std::vector<TraceBuildRow> &build,
             j.beginObject();
             j.field("name", r.name);
             j.field("source_ops", r.sourceOps);
-            j.field("decode_ns_per_op", r.decodeNs);
-            j.field("decode_warm_ns_per_op", r.decodeWarmNs);
-            j.field("compile_ns_per_op", r.compileNs);
-            j.field("arena_bytes", r.arenaBytes);
+            j.field("build_ns_per_op", r.buildNs);
+            j.field("build_warm_ns_per_op", r.buildWarmNs);
             j.field("sections_per_op", r.sectionsIn);
             j.field("live_sections_per_op", r.sectionsOut);
             j.end();

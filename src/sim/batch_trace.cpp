@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 #include "sim/htree.hpp"
+#include "sim/segment_trace.hpp"
 
 namespace pypim
 {
@@ -28,12 +29,12 @@ leadsWithMasks(const Word *ops, size_t n)
 namespace
 {
 
-/** The one decode loop of scanBatchTrace and buildBatchTrace: the
- *  build (@p build) also emits the segments. */
+/** The one decode loop of scanBatchTrace and compileBatchTrace: the
+ *  compile (@p compile) also decodes each segment into its program. */
 void
 decodeBatch(const Word *ops, size_t n, const Geometry &geo,
             const HTree &htree, ExpansionTable &table, MaskState &mask,
-            BatchTrace &batch, bool build)
+            BatchTrace &batch, bool compile)
 {
     panicIf(!(table.geometry() == geo),
             "batch trace: expansion table was built for another "
@@ -74,22 +75,23 @@ decodeBatch(const Word *ops, size_t n, const Geometry &geo,
         size_t j = i + 1;
         while (j < n && !isBarrierOp(enc::peekType(ops[j])))
             ++j;
-        if (!build) {
+        if (!compile) {
             decodeSegment(ops + i, j - i, geo, table, mask, batch.stats,
                           batch.hull, nullptr);
             i = j;
             continue;
         }
-        SegmentTrace &trace = batch.segments.emplace_back();
+        ReplayProgram &prog = batch.programs.emplace_back();
         decodeSegment(ops + i, j - i, geo, table, mask, batch.stats,
-                      batch.hull, &trace);
-        if (trace.empty()) {
-            batch.segments.pop_back();  // mask-only segment
+                      batch.hull, &prog);
+        if (prog.empty()) {
+            batch.programs.pop_back();  // mask-only segment
         } else {
+            batch.liveness += prog.liveness;
             BatchTrace::Item item;
             item.kind = BatchTrace::Item::Kind::Segment;
             item.seg =
-                static_cast<uint32_t>(batch.segments.size() - 1);
+                static_cast<uint32_t>(batch.programs.size() - 1);
             batch.items.push_back(item);
         }
         i = j;
@@ -109,11 +111,20 @@ scanBatchTrace(const Word *ops, size_t n, const Geometry &geo,
 }
 
 void
-buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
-                const HTree &htree, ExpansionTable &table,
-                MaskState &mask, BatchTrace &batch)
+compileBatchTrace(const Word *ops, size_t n, const Geometry &geo,
+                  const HTree &htree, ExpansionTable &table,
+                  MaskState &mask, BatchTrace &batch)
 {
     decodeBatch(ops, n, geo, htree, table, mask, batch, true);
+    // A frozen program never grows again: drop its push_back slack.
+    batch.programs.shrink_to_fit();
+    for (ReplayProgram &p : batch.programs) {
+        p.instrs.shrink_to_fit();
+        p.sections.shrink_to_fit();
+        p.pairs.shrink_to_fit();
+        p.vgates.shrink_to_fit();
+        p.masks.shrink_to_fit();
+    }
 }
 
 } // namespace pypim

@@ -423,7 +423,7 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n,
     // A trace replays blindly on every slice; a boundary-crossing
     // Move needs the scanning exchange, so such streams stay on the
     // raw path (the caller falls back transparently). The cheap raw
-    // scan runs BEFORE the expensive build+compile, so a refused
+    // scan runs BEFORE the expensive compile, so a refused
     // signature costs one peek pass per attempt, not a discarded
     // trace construction. (R-type streams contain no Moves; only a
     // captured move sequence with inter-warp moves can hit this.) An

@@ -101,10 +101,10 @@
  *    (seeding the same Move scan, so traffic() counts identically), a
  *    trace-build mirror for prepareTrace (sim/trace_wire.hpp — the
  *    host only scans each frozen trace, which crosses the wire once
- *    per worker as its source stream, with its entry masks when it
- *    has them; every worker scans and cross-checks it, a worker whose
- *    slice it touches also builds and compiles it, and it then
- *    replays by signature), and
+ *    per worker as its source stream, with its entry masks and the
+ *    scan's crossbar hull; every worker decodes it once — compiled
+ *    only by a worker whose slice the hull meets, scanned elsewhere —
+ *    cross-checks it, and then replays it by signature), and
  *    each Move group's exchange stages/lands cell values through one
  *    wire message per involved worker per step.
  *    Architectural Stats, masks and state parity with inproc is

@@ -38,9 +38,9 @@
 #include "common/stats.hpp"
 #include "sim/crossbar.hpp"
 #include "sim/htree.hpp"
-#include "sim/segment_trace.hpp"
 #include "sim/thread_pool.hpp"
 #include "uarch/microop.hpp"
+#include "uarch/range.hpp"
 
 namespace pypim
 {
@@ -48,6 +48,34 @@ namespace pypim
 struct BatchTrace;
 struct BulkIoSpec;
 struct ReplayProgram;
+
+/**
+ * In-stream mask state (paper §III-B): the crossbar activation range
+ * and the stored row mask, kept together with the row mask's expanded
+ * bit-vector realisation so read/write/logic ops reuse it.
+ */
+struct MaskState
+{
+    Range xb;
+    Range row;
+    std::vector<uint64_t> rowWords;
+
+    /** Power-on state: all crossbars and all rows selected. */
+    void
+    reset(const Geometry &geo)
+    {
+        xb = Range::all(geo.numCrossbars);
+        setRow(Range::all(geo.rows), geo.rows);
+    }
+
+    /** Install a new row mask and (re)expand it, reusing rowWords. */
+    void
+    setRow(const Range &r, uint32_t rows)
+    {
+        row = r;
+        row.expandInto(rows, rowWords);
+    }
+};
 
 /**
  * The one execution engine. Owns no simulated state; executes
@@ -221,7 +249,7 @@ class ExecutionEngine
  * Validate a Read against the mask state exactly as the serial
  * reference would, without touching any crossbar. Shared between
  * executeRead and the trace pre-pass (scanBatchTrace and
- * buildBatchTrace, which validate at build time so a malformed op is
+ * compileBatchTrace, which validate at build time so a malformed op is
  * reported by the call containing it).
  */
 void validateRead(const MicroOp &op, const Range &xb, const Range &row,

@@ -4,7 +4,9 @@
 #include <bit>
 #include <unordered_map>
 
+#include "common/error.hpp"
 #include "sim/batch_trace.hpp"
+#include "sim/engine.hpp"
 #include "sim/segment_trace.hpp"
 
 namespace pypim
@@ -158,13 +160,23 @@ class RunTable
 };
 
 ReplayProgram::SecKind
-sectionKind(const HalfGateRun &hg)
+sectionKind(Gate gate)
 {
-    switch (hg.gate) {
+    switch (gate) {
       case Gate::Init0: return ReplayProgram::SecKind::Init0;
       case Gate::Init1: return ReplayProgram::SecKind::Init1;
       default:          return ReplayProgram::SecKind::NotNor;
     }
+}
+
+/** The table run of LogicH record @p rec. */
+std::span<const ActiveSection>
+runOf(const ExpansionTable &table, const ReplayProgram::Instr &rec)
+{
+    HalfGateRun run;
+    run.off = rec.off;
+    run.count = static_cast<uint16_t>(rec.count);
+    return table.run(run);
 }
 
 bool
@@ -179,9 +191,9 @@ constexpr uint8_t kDropped = 0xFF;
 
 /**
  * Section-level liveness scan of one segment (the rules are in the
- * header): one forward pass over the ops in stream order. Number the
- * sections of every LogicH op consecutively, in op order; section k
- * ends with kinds[k] = the SecKind it replays as, or kDropped. Per
+ * header): one forward pass over the records in stream order. Number
+ * the sections of every LogicH record consecutively, in order; section
+ * k ends with kinds[k] = the SecKind it replays as, or kDropped. Per
  * column, lastWrite_ holds the last section that wrote it, forgotten
  * once anything touches the column: so a section it names is always
  * live and untouched, the one condition both rewrites share. One scan
@@ -194,13 +206,15 @@ class LivenessScan
     std::vector<uint8_t> kinds;
 
     ReplayProgram::Liveness
-    run(const SegmentTrace &t, const Geometry &geo)
+    run(const ReplayProgram &p, const ExpansionTable &table,
+        const Geometry &geo)
     {
+        using Kind = ReplayProgram::Kind;
         using SecKind = ReplayProgram::SecKind;
         ReplayProgram::Liveness live;
-        for (const TraceOp &op : t.ops)
-            if (op.type == OpType::LogicH)
-                live.sections += t.halfGates[op.hg].count;
+        for (const ReplayProgram::Instr &rec : p.instrs)
+            if (rec.kind == Kind::HPass)
+                live.sections += rec.count;
         kinds.resize(live.sections);
         lastWrite_.assign(geo.cols, LastWrite{});
 
@@ -213,21 +227,19 @@ class LivenessScan
                 touch(geo.column(slot, b));
         };
         int32_t k = 0;
-        for (uint32_t j = 0; j < t.ops.size(); ++j) {
-            const TraceOp &op = t.ops[j];
-            switch (op.type) {
-              case OpType::Write:
-                touchSlot(op.index);
+        for (uint32_t j = 0; j < p.instrs.size(); ++j) {
+            const ReplayProgram::Instr &op = p.instrs[j];
+            switch (op.kind) {
+              case Kind::Write:
+                touchSlot(p.pairs[op.off].slot);
                 break;
-              case OpType::LogicV:
+              case Kind::VRun:
                 for (uint32_t part = 0; part < geo.partitions; ++part)
-                    touch(part * pw + op.index);
+                    touch(part * pw + op.operand);
                 break;
-              case OpType::LogicH: {
-                const HalfGateRun &hg = t.halfGates[op.hg];
-                const SecKind opKind = sectionKind(hg);
-                const bool maskFull = t.rowMaskFull[op.rowMask] != 0;
-                for (const ActiveSection &sec : t.run(hg)) {
+              case Kind::HPass: {
+                const SecKind opKind = static_cast<SecKind>(op.passKind);
+                for (const ActiveSection &sec : runOf(table, op)) {
                     SecKind kind = opKind;
                     const uint32_t c = sec.outCol;
                     bool readsOut = false;
@@ -245,8 +257,8 @@ class LivenessScan
                             static_cast<uint8_t>(SecKind::Init1)) {
                         // INIT1->NOR: the INIT1 moves forward to the
                         // gate past nothing that touches the column.
-                        const TraceOp &init = t.ops[w.op];
-                        if (init.rowMask == op.rowMask &&
+                        const ReplayProgram::Instr &init = p.instrs[w.op];
+                        if (init.operand == op.operand &&
                             init.xb == op.xb) {
                             kinds[w.sec] = kDropped;
                             ++live.fused;
@@ -265,8 +277,8 @@ class LivenessScan
                         // Dead store: every cell the earlier section
                         // wrote is overwritten before anything reads
                         // it.
-                        const TraceOp &prev = t.ops[w.op];
-                        if ((maskFull || prev.rowMask == op.rowMask) &&
+                        const ReplayProgram::Instr &prev = p.instrs[w.op];
+                        if ((op.maskFull || prev.operand == op.operand) &&
                             op.xb.containsAll(prev.xb)) {
                             kinds[w.sec] = kDropped;
                             ++live.dead;
@@ -277,15 +289,13 @@ class LivenessScan
                 }
                 break;
               }
-              default:
-                break;  // unreachable: segments hold work ops only
             }
         }
         return live;
     }
 
   private:
-    /** A column's last write: section (-1: none live) and its op. */
+    /** A column's last write: section (-1: none live) and its record. */
     struct LastWrite
     {
         int32_t sec = -1;
@@ -294,33 +304,29 @@ class LivenessScan
     std::vector<LastWrite> lastWrite_;
 };
 
-} // namespace
-
+/**
+ * Lower the segment's records into the final program, in place. The
+ * records are p.instrs as decodeSegment appended them, one per work op
+ * with its effective masks: a Write is already final (its {slot,
+ * value} pair at pairs[off]), a LogicV is a one-gate VRun (its VGate
+ * at vgates[off], its slot in operand), and a LogicH is an HPass over
+ * the op's validated run in the ExpansionTable (off and count), with
+ * the op's SecKind in passKind. Row-masked records carry the program
+ * mask id in operand and its all-ones flag in maskFull. The liveness
+ * scan runs first, then one pass over the records merges LogicH
+ * records into column passes and LogicV records into runs, writing
+ * instruction `out` while it reads record `i >= out`; the kept
+ * sections are appended to p.sections.
+ */
 void
-compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
-                      ReplayProgram &p)
+compileRecords(const ExpansionTable &table, const Geometry &geo,
+               ReplayProgram &p)
 {
-    p.instrs.clear();
-    p.sections.clear();
-    p.pairs.clear();
-    p.vgates.clear();
-    p.wordsPerMask = t.wordsPerMask;
-    p.xbLo = t.xbLo;
-    p.xbHi = t.xbHi;
-    // Snapshot id k indexes masks. Each is replaced in place, so a
-    // recompiled program still holds the masks it keeps while they are
-    // interned again, and allocates nothing.
-    thread_local MaskIntern intern;
-    p.masks.resize(t.wordsPerMask ? t.rowWords.size() / t.wordsPerMask
-                                  : 0);
-    for (size_t k = 0; k < p.masks.size(); ++k)
-        p.masks[k] = intern.intern(t.rowWords.data() + k * t.wordsPerMask,
-                                   t.wordsPerMask);
-
+    using Kind = ReplayProgram::Kind;
     // Liveness first: the merge below sees only the sections the
     // scan kept, with their final kinds.
     thread_local LivenessScan scan;
-    p.liveness = scan.run(t, geo);
+    p.liveness = scan.run(p, table, geo);
     uint32_t section = 0;  //!< first scan section of the next LogicH op
 
     const uint32_t colWords = (geo.cols + 63) / 64;
@@ -336,9 +342,10 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     // move sequence repeats the same lane NOTs under a new row mask
     // for every move.
     thread_local RunTable runs;
-    runs.reset(static_cast<size_t>(
-        std::count_if(t.ops.begin(), t.ops.end(), [](const TraceOp &op) {
-            return op.type == OpType::LogicH;
+    runs.reset(static_cast<size_t>(std::count_if(
+        p.instrs.begin(), p.instrs.end(),
+        [](const ReplayProgram::Instr &rec) {
+            return rec.kind == Kind::HPass;
         })));
     const auto sameSection = [](const ReplayProgram::PSection &a,
                                 const ReplayProgram::PSection &b) {
@@ -374,28 +381,19 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
         pass.off = run.off;
     };
 
-    for (const TraceOp &op : t.ops) {
-        switch (op.type) {
-          case OpType::Write: {
+    const size_t records = p.instrs.size();
+    size_t out = 0;  //!< p.instrs[0, out) are final instructions
+    for (size_t i = 0; i < records; ++i) {
+        const ReplayProgram::Instr op = p.instrs[i];
+        switch (op.kind) {
+          case Kind::Write:
             closePass();
-            ReplayProgram::Instr in;
-            in.kind = ReplayProgram::Kind::Write;
-            in.cls = OpClass::Write;
-            in.operand = op.rowMask;
-            in.maskFull = t.rowMaskFull[op.rowMask];
-            in.off = static_cast<uint32_t>(p.pairs.size());
-            in.count = 1;
-            in.work = 1;
-            in.xb = op.xb;
-            p.pairs.push_back({op.index, op.value});
-            p.instrs.push_back(in);
+            p.instrs[out++] = op;
             break;
-          }
-          case OpType::LogicH: {
-            const HalfGateRun &hg = t.halfGates[op.hg];
-            const std::span<const ActiveSection> secs = t.run(hg);
+          case Kind::HPass: {
+            const std::span<const ActiveSection> secs = runOf(table, op);
             const uint8_t *kinds = scan.kinds.data() + section;
-            section += hg.count;
+            section += op.count;
             // Candidate footprint of the sections the scan kept. A
             // stateful gate also READS its output (out_new = out_old
             // & ...), but only its OWN — covered by keeping candidate
@@ -404,7 +402,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             candOuts.clear(colWords);
             candIns.clear(colWords);
             uint32_t kept = 0;
-            for (uint32_t k = 0; k < hg.count; ++k) {
+            for (uint32_t k = 0; k < op.count; ++k) {
                 if (kinds[k] == kDropped)
                     continue;
                 ++kept;
@@ -424,7 +422,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             bool merged = false;
             if (open >= 0) {
                 ReplayProgram::Instr &pass = p.instrs[open];
-                merged = pass.operand == op.rowMask && pass.xb == op.xb &&
+                merged = pass.operand == op.operand && pass.xb == op.xb &&
                          pass.count + kept <= kMaxPassSections &&
                          !candIns.intersects(passOuts, colWords) &&
                          !candOuts.intersects(passOuts, colWords) &&
@@ -433,19 +431,19 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             if (!merged) {
                 closePass();
                 ReplayProgram::Instr in;
-                in.kind = ReplayProgram::Kind::HPass;
+                in.kind = Kind::HPass;
                 in.cls = OpClass::LogicH;
-                in.operand = op.rowMask;
-                in.maskFull = t.rowMaskFull[op.rowMask];
+                in.operand = op.operand;
+                in.maskFull = op.maskFull;
                 in.off = static_cast<uint32_t>(p.sections.size());
                 in.xb = op.xb;
-                p.instrs.push_back(in);
-                open = static_cast<int64_t>(p.instrs.size()) - 1;
+                open = static_cast<int64_t>(out);
+                p.instrs[out++] = in;
                 passOuts.clear(colWords);
                 passIns.clear(colWords);
             }
             ReplayProgram::Instr &pass = p.instrs[open];
-            for (uint32_t k = 0; k < hg.count; ++k) {
+            for (uint32_t k = 0; k < op.count; ++k) {
                 if (kinds[k] == kDropped)
                     continue;
                 ReplayProgram::PSection ps;
@@ -465,45 +463,27 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             passIns.merge(candIns, colWords);
             break;
           }
-          case OpType::LogicV: {
+          case Kind::VRun:
             closePass();
-            ReplayProgram::VGate g;
-            g.gate = op.gate;
-            g.inWord = static_cast<uint16_t>(op.rowIn / 64);
-            g.inShift = static_cast<uint8_t>(op.rowIn % 64);
-            g.outWord = static_cast<uint16_t>(op.rowOut / 64);
-            g.outShift = static_cast<uint8_t>(op.rowOut % 64);
             // Extend the trailing run when slot and crossbar range
             // match; any grouping is bit-identical (each gate touches
             // one column, and per-column order is preserved), so
-            // breaking at an xb change keeps instructions uniform.
-            if (!p.instrs.empty() &&
-                p.instrs.back().kind == ReplayProgram::Kind::VRun &&
-                p.instrs.back().operand == op.index &&
-                p.instrs.back().xb == op.xb) {
-                ReplayProgram::Instr &run = p.instrs.back();
-                ++run.count;
-                ++run.work;
+            // breaking at an xb change keeps instructions uniform. Its
+            // gates are contiguous: each record's VGate follows the
+            // last one's.
+            if (out > 0 && p.instrs[out - 1].kind == Kind::VRun &&
+                p.instrs[out - 1].operand == op.operand &&
+                p.instrs[out - 1].xb == op.xb) {
+                ++p.instrs[out - 1].count;
+                ++p.instrs[out - 1].work;
             } else {
-                ReplayProgram::Instr in;
-                in.kind = ReplayProgram::Kind::VRun;
-                in.cls = OpClass::LogicV;
-                in.maskFull = 1;  // LogicV addresses rows directly
-                in.off = static_cast<uint32_t>(p.vgates.size());
-                in.count = 1;
-                in.operand = op.index;
-                in.work = 1;
-                in.xb = op.xb;
-                p.instrs.push_back(in);
+                p.instrs[out++] = op;
             }
-            p.vgates.push_back(g);
             break;
-          }
-          default:
-            break;  // unreachable: segments hold work ops only
         }
     }
     closePass();
+    p.instrs.resize(out);
 
     // A pass left with no section (it only carries work) reads no
     // mask, so it never costs the program its blend-free executor.
@@ -511,8 +491,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
         std::all_of(p.instrs.begin(), p.instrs.end(),
                     [](const ReplayProgram::Instr &in) {
                         return in.maskFull != 0 ||
-                               (in.kind == ReplayProgram::Kind::HPass &&
-                                in.count == 0);
+                               (in.kind == Kind::HPass && in.count == 0);
                     });
     p.uniformXb =
         !p.instrs.empty() &&
@@ -531,36 +510,168 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
     }
 }
 
-void
-compileBatchTrace(BatchTrace &batch, const Geometry &geo)
-{
-    batch.programs.resize(batch.segments.size());
-    batch.liveness = {};
-    for (size_t s = 0; s < batch.segments.size(); ++s) {
-        compileSegmentProgram(batch.segments[s], geo,
-                              batch.programs[s]);
-        batch.liveness += batch.programs[s].liveness;
-    }
-}
+} // namespace
 
 void
-releaseSegmentArenas(BatchTrace &batch)
+decodeSegment(const Word *ops, size_t n, const Geometry &geo,
+              ExpansionTable &table, MaskState &mask, Stats &stats,
+              CrossbarHull &hull, ReplayProgram *prog)
 {
-    for (SegmentTrace &t : batch.segments) {
-        std::vector<TraceOp>().swap(t.ops);
-        std::vector<HalfGateRun>().swap(t.halfGates);
-        std::vector<ActiveSection>().swap(t.sections);
-        std::vector<uint64_t>().swap(t.rowWords);
-        std::vector<uint8_t>().swap(t.rowMaskFull);
+    if (prog) {
+        prog->instrs.clear();
+        prog->sections.clear();
+        prog->pairs.clear();
+        prog->vgates.clear();
+        prog->wordsPerMask = (geo.rows + 63) / 64;
+        // At most one record per op: reserving the segment's length up
+        // front keeps the array from doubling past it.
+        prog->instrs.reserve(n);
     }
-    // A frozen program never grows again: drop its push_back slack.
-    for (ReplayProgram &p : batch.programs) {
-        p.instrs.shrink_to_fit();
-        p.sections.shrink_to_fit();
-        p.pairs.shrink_to_fit();
-        p.vgates.shrink_to_fit();
-        p.masks.shrink_to_fit();
+
+    // The live row mask's program id, resolved lazily: after a RowMask
+    // op the next row-masked work op re-resolves it by CONTENT, so a
+    // re-issued Range that realizes the same row-mask bits — even via
+    // a different start/stop/step encoding — keeps its id, and the
+    // id-comparing rewrites (pass merging and the liveness scan) fire
+    // across equivalent-Range reissues. Mask ids index prog->masks,
+    // whose entries are replaced in place: a recompiled program still
+    // holds the masks it keeps while they are interned again, and
+    // allocates nothing.
+    thread_local MaskIntern intern;
+    uint32_t masks = 0;  //!< ids taken so far
+    uint32_t maskId = 0;
+    uint8_t maskFull = 0;
+    bool maskCurrent = false;
+    const auto resolveMask = [&] {
+        ReplayProgram::Mask m = intern.intern(
+            mask.rowWords.data(), static_cast<uint32_t>(mask.rowWords.size()));
+        // Equal words intern to one array, so ids compare pointers.
+        maskId = 0;
+        while (maskId < masks && prog->masks[maskId] != m)
+            ++maskId;
+        if (maskId == masks) {
+            if (masks < prog->masks.size())
+                prog->masks[masks] = std::move(m);
+            else
+                prog->masks.push_back(std::move(m));
+            ++masks;
+        }
+        // The all-rows mask of a geometry with rows a multiple of 64
+        // (the overwhelmingly common case) lets replay kernels skip
+        // the `& mask` blend entirely. A full mask over fewer than 64
+        // rows realizes a partial tail word and is deliberately NOT
+        // flagged: the blend is what keeps the padding bits clear.
+        maskFull = std::all_of(mask.rowWords.begin(), mask.rowWords.end(),
+                               [](uint64_t w) { return w == ~0ull; });
+        maskCurrent = true;
+    };
+
+    // Append work op record @p in under the live masks (the scan only
+    // widens the hull); @p rowMasked records carry a program mask id.
+    CrossbarHull seg;
+    const auto emit = [&](ReplayProgram::Instr in, bool rowMasked) {
+        seg.add(mask.xb.start, mask.xb.stop);
+        if (!prog)
+            return;
+        if (rowMasked) {
+            if (!maskCurrent)
+                resolveMask();
+            in.operand = maskId;
+            in.maskFull = maskFull;
+        }
+        in.work = 1;
+        in.xb = mask.xb;
+        prog->instrs.push_back(in);
+    };
+
+    for (size_t i = 0; i < n; ++i) {
+        const MicroOp op = MicroOp::decode(ops[i]);
+        switch (op.type) {
+          case OpType::CrossbarMask:
+            op.range.validate(geo.numCrossbars, "crossbar");
+            mask.xb = op.range;
+            stats.record(OpClass::CrossbarMask);
+            break;
+          case OpType::RowMask:
+            op.range.validate(geo.rows, "row");
+            mask.setRow(op.range, geo.rows);
+            stats.record(OpClass::RowMask);
+            maskCurrent = false;  // next work op re-resolves by content
+            break;
+          case OpType::Write: {
+            fatalIf(op.index >= geo.slots(),
+                    "write: slot index out of range");
+            stats.record(OpClass::Write);
+            ReplayProgram::Instr in;
+            in.kind = ReplayProgram::Kind::Write;
+            in.cls = OpClass::Write;
+            in.count = 1;
+            if (prog) {
+                in.off = static_cast<uint32_t>(prog->pairs.size());
+                prog->pairs.push_back({op.index, op.value});
+            }
+            emit(in, true);
+            break;
+          }
+          case OpType::LogicH: {
+            stats.record(OpClass::LogicH);
+            if (op.gate == Gate::Nor || op.gate == Gate::Not)
+                ++stats.logicGates;
+            else
+                ++stats.logicInits;
+            const HalfGateRun run = table.intern(ops[i]);
+            ReplayProgram::Instr in;
+            in.kind = ReplayProgram::Kind::HPass;
+            in.cls = OpClass::LogicH;
+            in.passKind = static_cast<uint8_t>(sectionKind(run.gate));
+            in.off = run.off;
+            in.count = run.count;
+            emit(in, true);
+            break;
+          }
+          case OpType::LogicV: {
+            fatalIf(op.index >= geo.slots(),
+                    "logicV: slot index out of range");
+            fatalIf(op.rowIn >= geo.rows || op.rowOut >= geo.rows,
+                    "logicV: row out of range");
+            panicIf(op.gate == Gate::Nor,
+                    "logicV: NOR is not supported vertically");
+            stats.record(OpClass::LogicV);
+            if (op.gate == Gate::Not)
+                ++stats.logicGates;
+            else
+                ++stats.logicInits;
+            ReplayProgram::Instr in;
+            in.kind = ReplayProgram::Kind::VRun;
+            in.cls = OpClass::LogicV;
+            in.maskFull = 1;  // LogicV addresses rows directly
+            in.count = 1;
+            in.operand = op.index;
+            if (prog) {
+                ReplayProgram::VGate g;
+                g.gate = op.gate;
+                g.inWord = static_cast<uint16_t>(op.rowIn / 64);
+                g.inShift = static_cast<uint8_t>(op.rowIn % 64);
+                g.outWord = static_cast<uint16_t>(op.rowOut / 64);
+                g.outShift = static_cast<uint8_t>(op.rowOut % 64);
+                in.off = static_cast<uint32_t>(prog->vgates.size());
+                prog->vgates.push_back(g);
+            }
+            emit(in, false);
+            break;
+          }
+          default:
+            panic("replay program: barrier op inside a segment");
+        }
     }
+    if (seg.lo < seg.hi)
+        hull.add(seg.lo, seg.hi - 1);
+    if (!prog)
+        return;
+    prog->masks.resize(masks);
+    prog->xbLo = seg.lo < seg.hi ? seg.lo : 0;
+    prog->xbHi = seg.lo < seg.hi ? seg.hi : 0;
+    compileRecords(table, geo, *prog);
 }
 
 } // namespace pypim

@@ -2,22 +2,29 @@
  * @file
  * Compiled replay programs: the one form in which a segment replays.
  *
- * A SegmentTrace is decode-once, but its ops still carry per-op row-
- * mask handles, interned half-gate expansions and unmerged LogicH
- * sections. compileSegmentProgram() lowers a segment into a flat SoA
- * ReplayProgram whose instructions are fully pre-resolved:
+ * decodeSegment() lowers a barrier-free segment of micro-ops straight
+ * into a flat SoA ReplayProgram whose instructions are fully
+ * pre-resolved, in the same loop that validates the ops, records
+ * their Stats, advances the masks and widens the crossbar hull.
+ * Without a program that loop is the scan (sim/batch_trace.hpp). The
+ * loop appends each work op, with its effective masks, as one record
+ * to the program's own instruction array; at segment end the rewrites
+ * below turn the records into the final instructions, in place:
  *
- *  - row-mask snapshots become immutable word arrays, interned so
- *    that equal masks of different programs share one copy, with a
- *    per-instruction all-ones flag so the executors can drop the
- *    `& mask` blend from the inner word loops (the all-rows mask is
- *    the overwhelmingly common case);
+ *  - a row-masked op interns the live row mask (an immutable word
+ *    array, shared by every program that holds equal words) and takes
+ *    a program mask id by first appearance, so an equivalent Range
+ *    reissue keeps its id; a per-instruction all-ones flag lets the
+ *    executors drop the `& mask` blend from the inner word loops (the
+ *    all-rows mask is the overwhelmingly common case);
+ *  - a LogicH op reads its validated sections from the owner's
+ *    ExpansionTable (sim/segment_trace.hpp), by offset;
  *  - a section-level liveness scan over the segment's ops, in stream
  *    order and before pass merging, makes two rewrites; it is the one
- *    place a trace is optimised between decode and replay. INIT1->NOR:
- *    an INIT1 section whose column is next driven by a NOR/NOT
- *    section with inputs distinct from its output, under the same
- *    row-mask id and crossbar range, with nothing touching the
+ *    place a stream is optimised between decode and replay.
+ *    INIT1->NOR: an INIT1 section whose column is next driven by a
+ *    NOR/NOT section with inputs distinct from its output, under the
+ *    same row-mask id and crossbar range, with nothing touching the
  *    column in between, is dropped and the gate becomes a
  *    FusedNotNor. This is the driver's stateful-logic idiom (an INIT1
  *    of the output, then the gate that writes it), whether the INIT1
@@ -59,14 +66,15 @@
  * of an upload-once device-side object for the ROADMAP's GPU engine.
  *
  * Every segment is compiled where it replays: Simulator::prepareTrace
- * compiles a trace before freezing it, and a socket worker compiles
- * each trace it decodes from the wire. Raw micro-op batches never
- * compile: the engine applies them op-major, which is also the parity
- * oracle (tests/test_replay_program.cpp). Compiling each raw segment
- * to replay it once was slower than applying it op-major (4-vCPU
- * Xeon, Release perfbench, one thread, wall_s: fleet 0.059 against
- * 0.043 s, sort 0.026 against 0.020 s), so only traces, which replay
- * many times, pay for compiling.
+ * compiles a trace before freezing it, and a socket worker compiles a
+ * trace it decodes from the wire only when the trace's crossbar hull
+ * meets its slice. Raw micro-op batches never compile: the engine
+ * applies them op-major, which is also the parity oracle
+ * (tests/test_replay_program.cpp). Compiling each raw segment to
+ * replay it once was slower than applying it op-major (4-vCPU Xeon,
+ * Release perfbench, one thread, wall_s: fleet 0.059 against 0.043 s,
+ * sort 0.026 against 0.020 s), so only traces, which replay many
+ * times, pay for compiling.
  */
 #ifndef PYPIM_SIM_REPLAY_PROGRAM_HPP
 #define PYPIM_SIM_REPLAY_PROGRAM_HPP
@@ -84,8 +92,9 @@
 namespace pypim
 {
 
-struct BatchTrace;
-struct SegmentTrace;
+class ExpansionTable;
+struct CrossbarHull;
+struct MaskState;
 
 /** One segment lowered into flat, fully pre-resolved form. */
 struct ReplayProgram
@@ -153,7 +162,7 @@ struct ReplayProgram
         uint32_t off = 0;      //!< first section / pair / vgate
         uint32_t count = 0;    //!< sections / vgates (a Write: 1)
         /**
-         * HPass and Write: the row-mask snapshot id (masks[operand]).
+         * HPass and Write: the program mask id (masks[operand]).
          * VRun: the intra-partition slot of its columns. A VRun
          * addresses rows directly, so it never has a mask.
          */
@@ -172,14 +181,14 @@ struct ReplayProgram
     /** One row-mask snapshot of wordsPerMask words, immutable. */
     using Mask = std::shared_ptr<const uint64_t[]>;
     /**
-     * Row-mask snapshots by the segment's snapshot id. Equal masks are
-     * stored once and shared by every program compiled on the same
-     * thread (replay_program.cpp): the only part of a program that is
-     * not its own flat array.
+     * Row masks by program mask id. Equal masks are stored once and
+     * shared by every program compiled on the same thread
+     * (replay_program.cpp): the only part of a program that is not
+     * its own flat array.
      */
     std::vector<Mask> masks;
     uint32_t wordsPerMask = 0;
-    /** Crossbar hull, as SegmentTrace::xbLo/xbHi. */
+    /** Crossbar hull of the segment's work ops: [xbLo, xbHi). */
     uint32_t xbLo = 0, xbHi = 0;
     /** Every masked instruction's realized mask is all-ones: dispatch
      *  to the blend-free executor specialization. */
@@ -222,40 +231,33 @@ struct ReplayProgram
 };
 
 /**
- * Lower @p trace into @p prog (cleared first, capacity kept). Pure
- * function of the trace: never touches crossbar state. The merge pass
- * is conservative — an op that cannot legally join the open pass
- * (mask or crossbar-range change, section capacity, column aliasing)
- * starts a new instruction, never changes semantics: compiled replay
- * is bit-identical to the serial op-major oracle on every storage mode
- * (tests/test_replay_program.cpp). Steady-state compiling into a
- * reused @p prog is allocation-free: the liveness and run-sharing
- * scratch is kept per compiling thread (tests/test_no_alloc.cpp).
+ * Decode the barrier-free segment @p ops[0..n) into @p prog (reset
+ * first, capacity kept), or, with @p prog null, only scan it.
+ *
+ * Both validate every op exactly as the op-major reference would (so
+ * a malformed op aborts BEFORE any crossbar is touched), record the
+ * architectural @p stats, advance the authoritative @p mask state past
+ * the segment and widen @p hull by every work op's crossbar mask.
+ * LogicH words validate through @p table. Neither touches a crossbar:
+ * O(n), not O(n * crossbars).
+ *
+ * The compile is a pure function of the segment and its entry masks.
+ * The merge pass is conservative — an op that cannot legally join the
+ * open pass (mask or crossbar-range change, section capacity, column
+ * aliasing) starts a new instruction, never changes semantics:
+ * compiled replay is bit-identical to the serial op-major oracle on
+ * every storage mode (tests/test_replay_program.cpp). A warm
+ * recompile into a reused @p prog is allocation-free: the records
+ * reuse @p prog's own arrays, and the liveness and run-sharing
+ * scratch is kept per compiling thread and reset at every segment
+ * (tests/test_no_alloc.cpp).
+ *
+ * Panics (InternalError) on a barrier op — callers split at
+ * isBarrierOp() first.
  */
-void compileSegmentProgram(const SegmentTrace &trace,
-                           const Geometry &geo, ReplayProgram &prog);
-
-/**
- * Compile every segment of @p batch into its program — called by
- * Simulator::prepareTrace (just before the batch is frozen behind
- * shared_ptr<const>) and by the trace-wire decoder on a socket
- * worker. Sums the programs' liveness counts into
- * batch.liveness.
- */
-void compileBatchTrace(BatchTrace &batch, const Geometry &geo);
-
-/**
- * Free the decode arenas (ops, halfGates, sections, rowWords,
- * rowMaskFull) of every segment of @p batch, keeping each
- * segment's hull, and trim every compiled program's vectors to their
- * size. Replay reads only the compiled programs, so a frozen trace
- * keeps its programs, at their exact size, and nothing else per
- * segment. Only for traces that freeze: called after compiling one
- * (Simulator::prepareTrace, decodeTraceWire) and by the host's
- * wire-trace builder, whose traces only ship their source stream and
- * never replay on the host.
- */
-void releaseSegmentArenas(BatchTrace &batch);
+void decodeSegment(const Word *ops, size_t n, const Geometry &geo,
+                   ExpansionTable &table, MaskState &mask, Stats &stats,
+                   CrossbarHull &hull, ReplayProgram *prog);
 
 } // namespace pypim
 

@@ -104,8 +104,8 @@ handleSubmit(WorkerContext &ctx, const WireFrame &f)
 void
 handleTraceInstall(WorkerContext &ctx, const WireFrame &f)
 {
-    // Every worker scans and cross-checks the trace; only one whose
-    // slice the trace touches builds and compiles it.
+    // Every worker decodes the trace once and cross-checks it; only
+    // one whose slice the shipped hull meets compiles it.
     auto trace = decodeTraceWire(f.payload.data(), f.payload.size(),
                                  ctx.geo, ctx.sim.htree(),
                                  ctx.sim.expansions(), ctx.sim.sliceLo(),

@@ -206,18 +206,14 @@ Simulator::prepareTrace(const Word *ops, size_t n,
         batch->entryRow = entry->row;
     }
     try {
-        buildBatchTrace(ops, n, geo_, htree_, expansions_, local,
-                        *batch);
+        compileBatchTrace(ops, n, geo_, htree_, expansions_, local,
+                          *batch);
     } catch (...) {
         // Match the accounting of an uncached submit, which records
         // the valid prefix before throwing.
         stats_ += batch->stats;
         throw;
     }
-    // Lower the segments into flat replay programs before the batch
-    // freezes; replay reads nothing else, so the decode arenas go.
-    compileBatchTrace(*batch, geo_);
-    releaseSegmentArenas(*batch);
     return batch;
 }
 

@@ -88,15 +88,15 @@ class Simulator : public OperationSink
 
     /**
      * Build a shared immutable replay-ready trace: the pre-pass
-     * decodes, validates and records stats once; every segment is
-     * then compiled into a ReplayProgram (sim/replay_program.hpp) and
-     * its decode arenas freed before the trace is frozen. Without
-     * @p entry the stream must
-     * be self-contained (set both masks before its first non-mask op;
-     * returns null otherwise) and is decoded from power-on; with
-     * @p entry it is decoded from that mask state, which the trace
-     * records. Does not execute and does not advance the mask state;
-     * replay it (any number of times) through submitTrace.
+     * decodes, validates and records stats once, compiling every
+     * segment straight into a ReplayProgram
+     * (sim/replay_program.hpp) before the trace is frozen. Without
+     * @p entry the stream must be self-contained (set both masks
+     * before its first non-mask op; returns null otherwise) and is
+     * decoded from power-on; with @p entry it is decoded from that
+     * mask state, which the trace records. Does not execute and does
+     * not advance the mask state; replay it (any number of times)
+     * through submitTrace.
      */
     std::shared_ptr<const BatchTrace>
     prepareTrace(const Word *ops, size_t n,

@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "sim/batch_trace.hpp"
-#include "sim/replay_program.hpp"
+#include "sim/engine.hpp"
 #include "sim/serialize.hpp"
 #include "sim/sink.hpp"
 
@@ -17,17 +17,18 @@ namespace
 constexpr uint32_t kTraceMagic = 0x50575452;  // "PWTR"
 /** 2: the image carries no compiled programs (workers compile).
  *  3: an entry flag and, when set, the entry crossbar and row masks.
- *  4: no fusion flag (a trace has one build, decode then compile). */
-constexpr uint32_t kTraceVersion = 4;
+ *  4: no fusion flag (a trace has one build, decode then compile).
+ *  5: the host scan's crossbar hull after the final masks. */
+constexpr uint32_t kTraceVersion = 5;
 
 /** Decode @p ops from @p entry (or, without one, from power-on: the
- *  stream then sets both masks itself), scanning or, with @p build,
- *  building it: the one decode both ends of the wire run, so they
+ *  stream then sets both masks itself), scanning or, with @p compile,
+ *  compiling it: the one decode both ends of the wire run, so they
  *  cannot decode differently. */
 std::shared_ptr<BatchTrace>
 decode(const Word *ops, size_t n, const EntryMasks *entry,
        const Geometry &geo, const HTree &htree, ExpansionTable &table,
-       bool build)
+       bool compile)
 {
     auto batch = std::make_shared<BatchTrace>();
     MaskState local;
@@ -39,8 +40,8 @@ decode(const Word *ops, size_t n, const EntryMasks *entry,
         batch->entryXb = entry->xb;
         batch->entryRow = entry->row;
     }
-    if (build)
-        buildBatchTrace(ops, n, geo, htree, table, local, *batch);
+    if (compile)
+        compileBatchTrace(ops, n, geo, htree, table, local, *batch);
     else
         scanBatchTrace(ops, n, geo, htree, table, local, *batch);
     return batch;
@@ -114,6 +115,8 @@ encodeTraceWire(const BatchTrace &trace)
     writeStats(w, trace.stats);
     writeRange(w, trace.finalXb);
     writeRange(w, trace.finalRow);
+    w.u32(trace.hull.lo);
+    w.u32(trace.hull.hi);
     w.u64(trace.sourceOps.size());
     for (Word op : trace.sourceOps)
         w.u64(op);
@@ -156,6 +159,9 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     const Stats wireStats = readStats(r);
     const Range wireXb = readRange(r);
     const Range wireRow = readRange(r);
+    CrossbarHull wireHull;
+    wireHull.lo = r.u32();
+    wireHull.hi = r.u32();
     const uint64_t nOps = r.u64();
     // Divide, don't multiply: nOps * 8 can wrap for a damaged count
     // and slip a huge allocation past the bound.
@@ -172,30 +178,27 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
 
     r.expectEnd("trace image");
 
-    // Scan deterministically, from the entry state when there is one.
-    auto batch =
-        decode(ops.data(), ops.size(), entry, geo, htree, table, false);
+    // Decode once, from the entry state when there is one: compile
+    // only where the trace changes state. Elsewhere the scan is the
+    // installed trace: its Stats, masks and entry guard are all
+    // submitTrace applies, and its Moves touch nothing on this slice.
+    auto batch = decode(ops.data(), ops.size(), entry, geo, htree, table,
+                        wireHull.meets(sliceLo, sliceLo + sliceCount));
 
-    // The cross-check, on every worker: a scan that does not reproduce
-    // the sender's architectural epilogue would silently break the
-    // replicated-stats invariant — fail loudly instead.
+    // The cross-check, on every worker: a decode that does not
+    // reproduce the sender's architectural epilogue would silently
+    // break the replicated-stats invariant, and a hull it does not
+    // reproduce would have chosen the wrong depth — fail loudly
+    // instead.
     fatalIf(!(batch->stats == wireStats),
             "trace wire: rebuilt trace diverges from the sender's "
             "architectural stats");
     fatalIf(!(batch->finalXb == wireXb) || !(batch->finalRow == wireRow),
             "trace wire: rebuilt trace diverges from the sender's "
             "final mask state");
-
-    // Build and compile only where the trace changes state. Elsewhere
-    // the scan is the installed trace: its Stats, masks and entry
-    // guard are all submitTrace applies, and its Moves touch nothing
-    // on this slice.
-    if (batch->hull.meets(sliceLo, sliceLo + sliceCount)) {
-        batch = decode(ops.data(), ops.size(), entry, geo, htree, table,
-                       true);
-        compileBatchTrace(*batch, geo);
-        releaseSegmentArenas(*batch);
-    }
+    fatalIf(!(batch->hull == wireHull),
+            "trace wire: rebuilt trace diverges from the sender's "
+            "crossbar hull");
 
     // Only the host's encoder reads the source stream; an installed
     // trace replays by signature and keeps just its programs.

@@ -679,7 +679,7 @@ TEST(AdaptiveCrossbar, ProgramNeverPromotesMidway)
     Simulator sim(geo, EngineConfig::serial());
     const auto t = sim.prepareTrace(ops.data(), ops.size());
     ASSERT_NE(t, nullptr);
-    ASSERT_EQ(t->segments.size(), 1u);
+    ASSERT_EQ(t->programs.size(), 1u);
     Crossbar xb(geo, XbarStorage::Paged);
     Crossbar oracle(geo, XbarStorage::Dense);
     replayOn(xb, *t);

@@ -15,11 +15,11 @@
  * boundary-crossing Move group (stage, broadcast, land) without
  * allocating too, and a driver's warm captured move sequence must
  * look itself up and replay without copying its moves or reaching
- * the heap. Recompiling a decoded segment into the program it was
- * compiled into before (the liveness scan and run sharing included)
- * must not allocate either. A check that formats its message eagerly,
- * or an expansion or a compile that builds a temporary container,
- * shows up here as a nonzero count.
+ * the heap. Recompiling a segment through a warm expansion table into
+ * the program it was compiled into before (the liveness scan and run
+ * sharing included) must not allocate either. A check that formats
+ * its message eagerly, or an expansion or a compile that builds a
+ * temporary container, shows up here as a nonzero count.
  */
 #include <gtest/gtest.h>
 
@@ -306,9 +306,10 @@ TEST(NoAlloc, WarmCapturedMoveSequenceHitIsAllocationFree)
 TEST(NoAlloc, WarmSegmentRecompileIsAllocationFree)
 {
     // The driver's INIT1-chain idiom (fused by the liveness scan), a
-    // dead INIT0, and passes with equal section runs (shared), decoded
-    // once; the first compile sizes every arena and the compiling
-    // thread's scratch.
+    // dead INIT0, and passes with equal section runs (shared),
+    // recompiled through one expansion table into one program; the
+    // first compile fills the table and sizes the program and the
+    // compiling thread's scratch.
     const Geometry g = testGeometry();
     const uint32_t last = g.partitions - 1;
     const auto lane = [&](Gate gate, uint32_t a, uint32_t b,
@@ -331,20 +332,24 @@ TEST(NoAlloc, WarmSegmentRecompileIsAllocationFree)
         MicroOp::rowMask(Range::single(9)).encode(),
         lane(Gate::Not, 1, 1, 5),
     };
-    const HTree htree(g.numCrossbars);
-    MaskState mask;
-    mask.reset(g);
-    BatchTrace batch;
     ExpansionTable table(g);
-    buildBatchTrace(ops.data(), ops.size(), g, htree, table, mask, batch);
-    ASSERT_EQ(batch.segments.size(), 1u);
+    MaskState mask;
     ReplayProgram prog;
-    compileSegmentProgram(batch.segments[0], g, prog);
+    const auto compile = [&] {
+        mask.reset(g);
+        Stats stats;
+        CrossbarHull hull;
+        decodeSegment(ops.data(), ops.size(), g, table, mask, stats, hull,
+                      &prog);
+    };
+    compile();
+    const size_t words = table.size();
     const uint64_t n = allocationsDuring([&] {
         for (int rep = 0; rep < 8; ++rep)
-            compileSegmentProgram(batch.segments[0], g, prog);
+            compile();
     });
     EXPECT_EQ(n, 0u);
+    EXPECT_EQ(table.size(), words);
     // The scan rewrote the segment, and the two NOT passes share a run.
     EXPECT_EQ(prog.liveness.fused, 2u * g.partitions);
     EXPECT_EQ(prog.liveness.dead, g.partitions);

@@ -21,14 +21,13 @@
  * scan may fuse an INIT1 section into its NOR or drop a dead one
  * (each of those cases also replays against the op-major oracle at 64
  * and 512 rows). The retention tests
- * pin what a frozen trace keeps: its programs, but no decode arenas,
- * and one shared copy of each distinct row mask.
+ * pin what a frozen trace keeps: its programs, trimmed to size, and
+ * one shared copy of each distinct row mask.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -325,86 +324,11 @@ norH(const Geometry &g, uint32_t a, uint32_t b, uint32_t out)
         .encode();
 }
 
-/** Expansion headers and arena sections held by a trace. */
-struct HeldExpansions
-{
-    size_t headers = 0, sections = 0;
-    bool operator==(const HeldExpansions &) const = default;
-};
-
-std::ostream &
-operator<<(std::ostream &os, const HeldExpansions &h)
-{
-    return os << h.headers << " headers, " << h.sections << " sections";
-}
-
-HeldExpansions
-heldExpansions(const BatchTrace &t)
-{
-    HeldExpansions h;
-    for (const SegmentTrace &seg : t.segments) {
-        h.headers += seg.halfGates.size();
-        h.sections += seg.sections.size();
-    }
-    return h;
-}
-
-/**
- * What a decoded (uncompiled) trace of @p ops must hold: each segment
- * interns one header per distinct LogicH word with that word's active
- * sections only (one per encoded gate, no idle ones).
- */
-HeldExpansions
-internedExpansions(const std::vector<Word> &ops, const BatchTrace &t,
-                   const Geometry &g)
-{
-    HeldExpansions h;
-    uint32_t seg = 0;
-    bool work = false;  //!< the open segment holds a work op
-    std::set<Word> words;
-    const auto closeSegment = [&] {
-        // Mask-only segments are dropped from the trace; the others
-        // map onto its segments in stream order.
-        if (!work)
-            return;
-        ++seg;
-        for (Word w : words)
-            h.sections += expandLogicH(MicroOp::decode(w), g).numGates;
-        h.headers += words.size();
-        words.clear();
-        work = false;
-    };
-    for (Word w : ops) {
-        const OpType type = enc::peekType(w);
-        if (isBarrierOp(type)) {
-            closeSegment();
-        } else if (type != OpType::CrossbarMask &&
-                   type != OpType::RowMask) {
-            work = true;
-            if (type == OpType::LogicH)
-                words.insert(w);
-        }
-    }
-    closeSegment();
-    EXPECT_EQ(seg, t.segments.size());
-    return h;
-}
-
-/**
- * Every decode arena of every segment of @p t is freed, and every
- * compiled program is trimmed to its size.
- */
+/** Every compiled program of @p t is trimmed to its size. */
 void
-expectNoDecodeArenas(const BatchTrace &t)
+expectTrimmedPrograms(const BatchTrace &t)
 {
-    EXPECT_EQ(heldExpansions(t), HeldExpansions{});
-    for (const SegmentTrace &seg : t.segments) {
-        EXPECT_EQ(seg.halfGates.capacity(), 0u);
-        EXPECT_EQ(seg.sections.capacity(), 0u);
-        EXPECT_EQ(seg.ops.capacity(), 0u);
-        EXPECT_EQ(seg.rowWords.capacity(), 0u);
-        EXPECT_EQ(seg.rowMaskFull.capacity(), 0u);
-    }
+    EXPECT_EQ(t.programs.capacity(), t.programs.size());
     for (const ReplayProgram &p : t.programs) {
         EXPECT_EQ(p.instrs.capacity(), p.instrs.size());
         EXPECT_EQ(p.sections.capacity(), p.sections.size());
@@ -447,20 +371,6 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
             const std::vector<Word> ops =
                 randomTraceStream(streamRng, g, 140, fc.slots);
             const bool sparse = fc.slots < g.slots();
-            {
-                // Before it is compiled, the trace interns exactly one
-                // compact expansion per distinct LogicH word and
-                // segment.
-                const HTree htree(g.numCrossbars);
-                ExpansionTable table(g);
-                MaskState mask;
-                mask.reset(g);
-                BatchTrace decoded;
-                buildBatchTrace(ops.data(), ops.size(), g, htree, table,
-                                mask, decoded);
-                EXPECT_EQ(heldExpansions(decoded),
-                          internedExpansions(ops, decoded, g));
-            }
             for (uint32_t devices : {1u, 2u, 4u}) {
                 const EngineConfig base =
                     ec.cfg.withStorage(fc.storage).withDevices(devices);
@@ -474,13 +384,10 @@ TEST_P(ReplayProgramFuzz, CompiledReplayBitIdenticalToSerialOracle)
 
                 auto tc = compiled.prepareTrace(ops.data(), ops.size());
                 ASSERT_NE(tc, nullptr);
-                ASSERT_EQ(tc->programs.size(), tc->segments.size());
                 // The liveness scan must have rewritten something, or
                 // the oracle comparison would not test it.
                 EXPECT_GT(tc->liveness.fused, 0u) << ec.name;
                 EXPECT_GT(tc->liveness.dead, 0u) << ec.name;
-                // Compiled segments drop their half-gate expansions.
-                EXPECT_EQ(heldExpansions(*tc), HeldExpansions{});
 
                 for (int rep = 0; rep < kReplays; ++rep) {
                     oracle.performBatch(ops.data(), ops.size());
@@ -1131,7 +1038,7 @@ retentionStream(const Geometry &g)
 
 } // namespace
 
-TEST(ReplayProgramRetention, PreparedTraceHoldsNoDecodeArenas)
+TEST(ReplayProgramRetention, PreparedTraceKeepsTrimmedPrograms)
 {
     const Geometry g = fuzzGeometry();
     const std::vector<Word> ops = retentionStream(g);
@@ -1141,9 +1048,8 @@ TEST(ReplayProgramRetention, PreparedTraceHoldsNoDecodeArenas)
     seedState(compiled, 77, g);
     const auto tc = compiled.prepareTrace(ops.data(), ops.size());
     ASSERT_NE(tc, nullptr);
-    ASSERT_EQ(tc->segments.size(), 2u);
-    ASSERT_EQ(tc->programs.size(), tc->segments.size());
-    expectNoDecodeArenas(*tc);
+    ASSERT_EQ(tc->programs.size(), 2u);
+    expectTrimmedPrograms(*tc);
     for (int rep = 0; rep < 3; ++rep) {
         oracle.performBatch(ops.data(), ops.size());
         compiled.submitTrace(tc);
@@ -1180,7 +1086,7 @@ TEST(ReplayProgramRetention, EqualRowMasksShareOneCopy)
     EXPECT_TRUE(std::equal(want.begin(), want.end(), maskOf(*b)));
 }
 
-TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
+TEST(ReplayProgramRetention, WireTracesKeepTrimmedPrograms)
 {
     const Geometry g = fuzzGeometry();
     const HTree htree(g.numCrossbars);
@@ -1189,19 +1095,18 @@ TEST(ReplayProgramRetention, WireTracesHoldNoDecodeArenas)
     const auto sent =
         buildWireTrace(ops.data(), ops.size(), g, htree, hostTable);
     ASSERT_NE(sent, nullptr);
-    // The host ships the source ops and keeps neither arenas nor
-    // programs: it never replays a wire trace.
+    // The host ships the source ops and keeps no programs: it never
+    // replays a wire trace.
     EXPECT_EQ(sent->sourceOps, ops);
     EXPECT_TRUE(sent->programs.empty());
-    expectNoDecodeArenas(*sent);
     // What a shard worker installs: rebuilt from the wire image and
     // compiled there.
     const std::vector<uint8_t> image = encodeTraceWire(*sent);
     const auto got = decodeTraceWire(image.data(), image.size(), g, htree,
                                      workerTable, 0, g.numCrossbars);
     ASSERT_NE(got, nullptr);
-    ASSERT_EQ(got->programs.size(), got->segments.size());
-    expectNoDecodeArenas(*got);
+    ASSERT_EQ(got->programs.size(), 2u);
+    expectTrimmedPrograms(*got);
 
     Simulator oracle(g);
     Simulator worker(g);

@@ -3,14 +3,15 @@
  * Directed tests for the trace cache (sim/batch_trace.hpp): a
  * prepared trace must replay bit-identically to the op-major oracle,
  * repeatedly, at one and two replay threads and across barrier Moves;
- * prepareTrace must refuse streams that are not self-contained; the
- * decoder must intern one compact expansion per LogicH word and keep
- * every work op. The compiled shape of the driver's fp32 add and mul
- * (Table III) is pinned: the replay compiler's liveness scan is the
- * one rewrite between decode and replay. The owner's expansion table
- * must not change what a decode yields: a hit equals a fresh
- * expansion, a malformed word throws every time and is never stored,
- * and a new Device starts with an empty table.
+ * prepareTrace must refuse streams that are not self-contained. The
+ * compiled shape of the driver's fp32 add and mul (Table III) is
+ * pinned: the replay compiler's liveness scan is the one rewrite
+ * between decode and replay. The owner's expansion table must not
+ * change what a compile yields: a table run equals a fresh
+ * expansion's active sections, cold- and warm-table compiles give
+ * field-equal programs, a malformed word throws every time and is
+ * never stored, a compile after one equals a fresh owner's, and a new
+ * Device starts with an empty table.
  */
 #include <gtest/gtest.h>
 
@@ -50,29 +51,19 @@ withMasks(const Geometry &g, std::vector<Word> body)
     return ops;
 }
 
-/**
- * Decode a self-contained stream the way prepareTrace does, through
- * @p table, stopping before the compile that frees the segment arenas
- * these tests inspect.
- */
+/** Compile a self-contained stream the way prepareTrace does, through
+ *  @p table. */
 BatchTrace
-decodedTrace(const Geometry &g, const std::vector<Word> &ops,
-             ExpansionTable &table)
+compiledTrace(const Geometry &g, const std::vector<Word> &ops,
+              ExpansionTable &table)
 {
     const HTree htree(g.numCrossbars);
     MaskState mask;
     mask.reset(g);
     BatchTrace trace;
-    buildBatchTrace(ops.data(), ops.size(), g, htree, table, mask, trace);
+    compileBatchTrace(ops.data(), ops.size(), g, htree, table, mask,
+                      trace);
     return trace;
-}
-
-/** decodedTrace through a fresh (empty) table. */
-BatchTrace
-decodedTrace(const Geometry &g, const std::vector<Word> &ops)
-{
-    ExpansionTable table(g);
-    return decodedTrace(g, ops, table);
 }
 
 /** Every field of two compiled programs equal (mask contents, not
@@ -369,13 +360,12 @@ TEST(TraceCache, EveryOpChargesOneUnitOfWork)
     }
 }
 
-TEST(TraceCache, DecodedTraceInternsOneCompactRunPerWord)
+TEST(TraceCache, ExpansionTableRunsAreFreshExpansions)
 {
     const Geometry g = cacheGeometry();
     const uint32_t last = g.partitions - 1;
     // Full lanes, a semi-parallel stride-4 NOT and a single
-    // cross-partition NOR, each INIT1 right before its gate, and every
-    // word issued twice.
+    // cross-partition NOR, each INIT1 right before its gate.
     const std::vector<Word> words = {
         laneInit1(g, 3),
         laneNor(g, 0, 1, 3),
@@ -390,19 +380,18 @@ TEST(TraceCache, DecodedTraceInternsOneCompactRunPerWord)
                         g.column(5, last), last, 0)
             .encode(),
     };
-    std::vector<Word> body = words;
-    body.insert(body.end(), words.begin(), words.end());
-    const BatchTrace trace = decodedTrace(g, withMasks(g, body));
-    ASSERT_EQ(trace.segments.size(), 1u);
-    const SegmentTrace &seg = trace.segments[0];
+    ExpansionTable table(g);
+    std::vector<HalfGateRun> runs;
+    for (Word w : words)
+        runs.push_back(table.intern(w));
+    EXPECT_EQ(table.size(), words.size());
 
-    // Headers in first-use order, one per distinct word, each over
-    // exactly its word's active sections, back to back.
-    ASSERT_EQ(seg.halfGates.size(), words.size());
+    // One run per word in first-use order, back to back in the
+    // table's arena, each over exactly its word's active sections.
     uint32_t off = 0;
     for (size_t k = 0; k < words.size(); ++k) {
         const HalfGates hg = expandLogicH(MicroOp::decode(words[k]), g);
-        const HalfGateRun &run = seg.halfGates[k];
+        const HalfGateRun &run = runs[k];
         EXPECT_EQ(run.gate, hg.gate) << "word " << k;
         EXPECT_EQ(run.off, off) << "word " << k;
         EXPECT_EQ(run.count, hg.numGates) << "word " << k;
@@ -419,22 +408,20 @@ TEST(TraceCache, DecodedTraceInternsOneCompactRunPerWord)
                 sec.numIn == 2 ? sec.inCol[1] : a.inA);
             want.push_back(a);
         }
-        EXPECT_TRUE(std::ranges::equal(seg.run(run), want))
+        EXPECT_TRUE(std::ranges::equal(table.run(run), want))
             << "word " << k;
         off += run.count;
     }
-    EXPECT_EQ(seg.sections.size(), off);
-    // One op per work op, and both issues of each word share its
-    // header.
-    ASSERT_EQ(seg.ops.size(), 2 * words.size());
+    // A second issue of every word is a hit on the very same run.
     for (size_t k = 0; k < words.size(); ++k)
-        EXPECT_EQ(seg.ops[k].hg, seg.ops[k + words.size()].hg);
+        EXPECT_EQ(table.intern(words[k]), runs[k]) << "word " << k;
+    EXPECT_EQ(table.size(), words.size()) << "a hit must not store again";
 }
 
-TEST(TraceCache, ExpansionTableHitsDecodeAsFreshExpansions)
+TEST(TraceCache, ExpansionTableHitsCompileAsFreshExpansions)
 {
-    // Decoding through a table that already holds every word (all
-    // hits) must yield the very segments a fresh table yields.
+    // Compiling through a table that already holds every word (all
+    // hits) must yield the very programs a fresh table yields.
     const Geometry g = cacheGeometry();
     const uint32_t last = g.partitions - 1;
     std::vector<Word> body = {
@@ -452,21 +439,18 @@ TEST(TraceCache, ExpansionTableHitsDecodeAsFreshExpansions)
     };
     const std::vector<Word> ops = withMasks(g, body);
     ExpansionTable table(g);
-    const BatchTrace cold = decodedTrace(g, ops, table);
+    const BatchTrace cold = compiledTrace(g, ops, table);
     const size_t words = table.size();
     EXPECT_EQ(words, 5u);
-    const BatchTrace warm = decodedTrace(g, ops, table);
+    const BatchTrace warm = compiledTrace(g, ops, table);
     EXPECT_EQ(table.size(), words) << "a hit must not store again";
-    ASSERT_EQ(cold.segments.size(), warm.segments.size());
-    for (size_t s = 0; s < cold.segments.size(); ++s) {
-        const SegmentTrace &a = cold.segments[s], &b = warm.segments[s];
-        EXPECT_EQ(a.halfGates, b.halfGates) << "segment " << s;
-        EXPECT_EQ(a.sections, b.sections) << "segment " << s;
-        ASSERT_EQ(a.ops.size(), b.ops.size()) << "segment " << s;
-        for (size_t i = 0; i < a.ops.size(); ++i)
-            EXPECT_EQ(a.ops[i].hg, b.ops[i].hg);
-    }
+    ASSERT_EQ(cold.programs.size(), 2u);
+    ASSERT_EQ(warm.programs.size(), cold.programs.size());
+    for (size_t s = 0; s < cold.programs.size(); ++s)
+        EXPECT_TRUE(sameProgram(cold.programs[s], warm.programs[s]))
+            << "segment " << s;
     EXPECT_EQ(cold.stats, warm.stats);
+    EXPECT_EQ(cold.hull, warm.hull);
 }
 
 TEST(TraceCache, WarmTableCompilesTheSameFp32Programs)
@@ -532,12 +516,61 @@ TEST(TraceCache, MalformedWordThrowsEveryTimeAndIsNeverStored)
     ExpansionTable table(g);
     for (int seen = 0; seen < 2; ++seen) {
         try {
-            table.intern(bad, nullptr);
+            table.intern(bad);
             ADD_FAILURE() << "malformed word scanned";
         } catch (const InternalError &e) {
             EXPECT_EQ(e.what(), first);
         }
         EXPECT_EQ(table.size(), 0u);
+    }
+}
+
+TEST(TraceCache, CompileAfterAMidSegmentThrowMatchesAFreshOwner)
+{
+    // The compiler keeps its liveness, run-sharing and mask-intern
+    // scratch per thread, across segments and owners. A malformed word
+    // that throws mid-segment, after work ops under two row masks were
+    // recorded, must leave nothing behind: the same owner's next
+    // compiles equal a fresh owner's, at the Table III fp32 add and at
+    // a small mixed stream.
+    const Geometry g;
+    const Word bad = MicroOp::logicH(Gate::Nor, g.column(0, 0),
+                                     g.column(1, 1), g.column(3, 1), 2, 1)
+                         .encode();
+    const std::vector<Word> broken = withMasks(
+        g, {laneInit1(g, 3), MicroOp::write(4, 9).encode(),
+            laneNor(g, 0, 1, 3),
+            MicroOp::rowMask(Range(1, g.rows - 1, 2)).encode(),
+            laneInit1(g, 6), MicroOp::logicV(Gate::Not, 0, 1, 2).encode(),
+            bad, laneNor(g, 0, 1, 6)});
+    const std::vector<Word> add = fp32Stream(g, ROp::Add);
+    const std::vector<Word> small = withMasks(
+        g, {MicroOp::rowMask(Range(0, g.rows / 2 - 1, 1)).encode(),
+            laneInit1(g, 7), laneNor(g, 2, 3, 7)});
+
+    Simulator fresh(g, EngineConfig::serial());
+    const auto addWant = fresh.prepareTrace(add.data(), add.size());
+    const auto smallWant = fresh.prepareTrace(small.data(), small.size());
+    ASSERT_NE(addWant, nullptr);
+    ASSERT_NE(smallWant, nullptr);
+
+    Simulator owner(g, EngineConfig::serial());
+    EXPECT_THROW(owner.prepareTrace(broken.data(), broken.size()),
+                 InternalError);
+    const auto smallGot = owner.prepareTrace(small.data(), small.size());
+    EXPECT_THROW(owner.prepareTrace(broken.data(), broken.size()),
+                 InternalError);
+    const auto addGot = owner.prepareTrace(add.data(), add.size());
+    const std::pair<const BatchTrace *, const BatchTrace *> cases[] = {
+        {addWant.get(), addGot.get()}, {smallWant.get(), smallGot.get()}};
+    for (const auto &[want, got] : cases) {
+        ASSERT_NE(got, nullptr);
+        ASSERT_EQ(got->programs.size(), want->programs.size());
+        for (size_t p = 0; p < want->programs.size(); ++p)
+            EXPECT_TRUE(sameProgram(want->programs[p], got->programs[p]))
+                << "program " << p;
+        EXPECT_EQ(got->stats, want->stats);
+        EXPECT_EQ(got->hull, want->hull);
     }
 }
 

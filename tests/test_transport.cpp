@@ -8,9 +8,9 @@
  * and rethrow as the matching error class; trace images survive a
  * round trip bit-exactly, carry no compiled programs (the receiver
  * compiles) but the entry state of an entry-dependent trace, and
- * reject corruption, forged epilogues and old versions on every
- * worker, while only a worker whose slice the trace touches compiles
- * it; and the live
+ * reject corruption, forged epilogues and hulls and old versions on
+ * every worker, while only a worker whose slice the trace touches
+ * compiles it; and the live
  * fork/socketpair fleet ships each frozen trace once per worker,
  * surfaces a killed worker as a DeviceFault and rebuilds it through
  * checkpoint restore and journaled recovery. A worker bounds every
@@ -153,9 +153,18 @@ wireImages(const Geometry &g, const HTree &ht)
                                             ht, &entry))};
 }
 
-/** Byte offset of the entry flag in a version-4 image: magic,
+/** Byte offset of the entry flag in a version-5 image: magic,
  *  version, signature, four geometry words. */
 constexpr size_t kEntryFlagAt = 4 + 4 + 8 + 16;
+
+/** Byte offset of the crossbar hull (two u32) in a version-5 image of
+ *  @p nOps source ops: it sits right before the op count (u64) and
+ *  the ops, which end the image. */
+size_t
+hullAt(const std::vector<uint8_t> &img, size_t nOps)
+{
+    return img.size() - 8 * nOps - 8 - 8;
+}
 
 /** Reference frame used by the fuzz battery. */
 std::vector<uint8_t>
@@ -487,17 +496,16 @@ TEST(TraceWire, EntryImageRoundTrips)
     EXPECT_TRUE(d->sourceOps.empty());
 }
 
-TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
+TEST(TraceWire, HostTraceHoldsNoPrograms)
 {
     // The host only ships the source stream and walks the Move items:
-    // it scans, so it holds no segments and compiles nothing.
+    // it scans, so it compiles nothing.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
         hostTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
-    EXPECT_TRUE(t->segments.empty());
     EXPECT_TRUE(t->programs.empty());
     EXPECT_TRUE(t->items.empty());
     EXPECT_TRUE(t->hull.meets(0, g.numCrossbars));
@@ -507,15 +515,16 @@ TEST(TraceWire, HostTraceHoldsNoSegmentArenas)
 TEST(TraceWire, OldVersionIsRejected)
 {
     // Version 1 images carried compiled programs, version 2 ones no
-    // entry flag and version 3 ones a fusion flag; a worker must
-    // refuse each rather than misread it.
+    // entry flag, version 3 ones a fusion flag and version 4 ones no
+    // crossbar hull; a worker must refuse each rather than misread
+    // it.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
         hostTrace(ops.data(), ops.size(), g, ht);
     ASSERT_TRUE(t);
-    for (const uint8_t version : {1, 2, 3}) {
+    for (const uint8_t version : {1, 2, 3, 4}) {
         std::vector<uint8_t> img = encodeTraceWire(*t);
         ASSERT_NO_THROW(installWhole(img.data(), img.size(), g, ht));
         // Magic (u32), then the little-endian u32 version.
@@ -527,7 +536,7 @@ TEST(TraceWire, OldVersionIsRejected)
     }
 }
 
-TEST(TraceWire, ImagesAreVersion4)
+TEST(TraceWire, ImagesAreVersion5)
 {
     // Magic (u32), then the little-endian u32 version, for both image
     // shapes.
@@ -535,9 +544,33 @@ TEST(TraceWire, ImagesAreVersion4)
     const HTree ht(g.numCrossbars);
     for (const std::vector<uint8_t> &img : wireImages(g, ht)) {
         ASSERT_GT(img.size(), kEntryFlagAt);
-        EXPECT_EQ(img[4], 4u);
+        EXPECT_EQ(img[4], 5u);
         EXPECT_EQ(img[5] | img[6] | img[7], 0u);
         EXPECT_LE(img[kEntryFlagAt], 1u);
+    }
+}
+
+TEST(TraceWire, Version4ImageFailsLoudly)
+{
+    // A genuine version-4 image: the version-5 layout with version 4
+    // and no crossbar hull before the op count. The decoder must name
+    // the version, not misread the op count as the hull.
+    const Geometry g = testGeometry();
+    const HTree ht(g.numCrossbars);
+    const size_t nOps[] = {tracedStream(g).size(), entryStream(g).size()};
+    size_t shape = 0;
+    for (std::vector<uint8_t> img : wireImages(g, ht)) {
+        img[4] = 4;
+        const size_t at = hullAt(img, nOps[shape++]);
+        img.erase(img.begin() + at, img.begin() + at + 8);
+        try {
+            installWhole(img.data(), img.size(), g, ht);
+            ADD_FAILURE() << "a version-4 image decoded";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported version 4"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -549,8 +582,12 @@ TEST(TraceWire, Version3ImageFailsLoudly)
     // entry flag.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const size_t nOps[] = {tracedStream(g).size(), entryStream(g).size()};
+    size_t shape = 0;
     for (std::vector<uint8_t> img : wireImages(g, ht)) {
         img[4] = 3;
+        const size_t at = hullAt(img, nOps[shape++]);
+        img.erase(img.begin() + at, img.begin() + at + 8);
         img.insert(img.begin() + kEntryFlagAt, 1);
         try {
             installWhole(img.data(), img.size(), g, ht);
@@ -671,7 +708,6 @@ TEST(TraceWire, WorkerCompiledTraceReplaysLikePrepareTrace)
         ASSERT_TRUE(worker);
         ASSERT_TRUE(local);
         EXPECT_EQ(worker->hasEntry, e != nullptr);
-        ASSERT_EQ(worker->programs.size(), worker->segments.size());
         ASSERT_EQ(worker->programs.size(), local->programs.size());
         for (size_t p = 0; p < local->programs.size(); ++p) {
             const ReplayProgram &w = worker->programs[p];
@@ -758,10 +794,10 @@ TEST(TraceWire, EveryTruncationIsRejected)
 
 TEST(TraceWire, OnlyWorkersWhoseSliceTheTraceTouchesCompileIt)
 {
-    // Every worker scans an installed trace and cross-checks its
-    // epilogue; only a worker whose slice the hull meets builds and
-    // compiles it. The others hold the scan: same Stats, masks and
-    // entry state, no programs.
+    // Every worker decodes an installed trace once and cross-checks
+    // its epilogue; only a worker whose slice the hull meets compiles
+    // it. The others hold the scan: same Stats, masks and entry state,
+    // no programs.
     Geometry g = testGeometry();
     g.numCrossbars = 16;
     const HTree ht(g.numCrossbars);
@@ -793,7 +829,7 @@ TEST(TraceWire, OnlyWorkersWhoseSliceTheTraceTouchesCompileIt)
 
     // A Move's destinations belong to the hull: a trace whose work
     // stays on the first half but whose Move lands on the second is
-    // built by both halves' workers.
+    // compiled by both halves' workers.
     const uint32_t half = g.numCrossbars / 2;
     const std::vector<Word> ops = {
         MicroOp::crossbarMask(Range(0, half - 1, 1)).encode(),
@@ -814,9 +850,11 @@ TEST(TraceWire, OnlyWorkersWhoseSliceTheTraceTouchesCompileIt)
 
 TEST(TraceWire, ForgedEpilogueFailsOnEveryWorker)
 {
-    // Stats and final masks are not part of the signature, so only
-    // the scan's cross-check can catch a forged epilogue — on a worker
-    // that never builds the trace as on the one that does.
+    // Stats, final masks and the hull are not part of the signature,
+    // so only the decode's cross-check can catch a forged epilogue —
+    // on a worker that only scans the trace as on the one that
+    // compiles it. A forged hull also flips which workers compile:
+    // the whole array makes every worker compile, an empty hull none.
     Geometry g = testGeometry();
     g.numCrossbars = 16;
     const HTree ht(g.numCrossbars);
@@ -831,10 +869,16 @@ TEST(TraceWire, ForgedEpilogueFailsOnEveryWorker)
     forgedXb.finalXb = Range::all(g.numCrossbars);
     BatchTrace forgedRow = *host;
     forgedRow.finalRow = Range(0, g.rows - 2, 2);
+    BatchTrace forgedWide = *host;
+    forgedWide.hull = CrossbarHull{0, g.numCrossbars};
+    BatchTrace forgedEmpty = *host;
+    forgedEmpty.hull = CrossbarHull{};
     const std::pair<const BatchTrace *, const char *> forgeries[] = {
         {&forgedStats, "architectural stats"},
         {&forgedXb, "final mask state"},
         {&forgedRow, "final mask state"},
+        {&forgedWide, "crossbar hull"},
+        {&forgedEmpty, "crossbar hull"},
     };
     for (const auto &[forged, what] : forgeries) {
         const std::vector<uint8_t> img = encodeTraceWire(*forged);
@@ -966,7 +1010,7 @@ TEST(SocketFleet, TraceInsideOneSliceMatchesInProcessOnEveryWorker)
 TEST(SocketFleet, ForgedEpilogueFailsLoudlyOnAWorkerOutsideTheSlice)
 {
     // A forged epilogue for a trace outside worker 1's slice: worker
-    // 1 never builds it, yet its install must fail, sticky, and
+    // 1 never compiles it, yet its install must fail, sticky, and
     // surface at the next sync point rather than be adopted.
     PYPIM_SKIP_UNDER_TSAN();
     Geometry g = testGeometry();
